@@ -176,23 +176,27 @@ def _cmd_estimate(args) -> int:
 # infer
 
 
-def _grid_for_csv(dist, v: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _grid_for_csv(dist) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows of the posterior CSV: the profile's own grid, the point mass,
+    or a Beta-prime law (one atom or the Bayes mixture) at 201 quantiles."""
     if isinstance(dist, GriddedDist):
         return dist.w_grid, dist.density, dist.cdf
     if isinstance(dist, PointMass):
         w = np.array([dist.value])
         return w, np.array([math.inf]), np.array([1.0])
     qs = np.linspace(1e-4, 1.0 - 1e-4, 201)
-    grid = np.array([dist.quantile(q) for q in qs])
-    dens = np.exp(dist.log_pdf(np.maximum(grid, 1e-300)))
-    return grid, dens, qs
+    grid = dist.quantile(qs)
+    # levels whose quantile underflows to the same W keep their first row
+    keep = np.concatenate([[True], np.diff(grid) > 0])
+    grid, qs = grid[keep], qs[keep]
+    return grid, np.exp(dist.log_pdf(np.maximum(grid, 1e-300))), qs
 
 
 def _cmd_infer(args) -> int:
     obs = load_observation(args.infile)
     stats = summarize(obs)
     if args.method == "bayes":
-        report = infer_bayes(obs, stats, grid_points=args.grid_points)
+        report = infer_bayes(obs, stats)
     elif args.method == "profile":
         report = infer_profile(obs, stats, grid_points=args.grid_points)
     elif args.method == "mixed":
@@ -226,7 +230,7 @@ def _cmd_infer(args) -> int:
     _emit(out, args.out_json)
 
     if args.out_csv:
-        grid, dens, cum = _grid_for_csv(w, stats.V)
+        grid, dens, cum = _grid_for_csv(w)
         with open(args.out_csv, "w") as fh:
             fh.write("W,density,cumulative\n")
             for gw, gd, gc in zip(grid, dens, cum):
@@ -248,11 +252,12 @@ def _cmd_verify(args) -> int:
     from .verify import run_verification
 
     results = run_verification(fast=not args.full, seed=args.seed)
-    width = max(len(name) for name, _ in results)
+    width = max(len(name) for name, _, _ in results)
     ok_all = True
-    for name, passed in results:
+    for name, passed, error in results:
         ok_all &= passed
-        print(f"{name:<{width}}  {'PASS' if passed else 'FAIL'}")
+        print(f"{name:<{width}}  {'PASS' if passed else 'FAIL'}"
+              + (f"  ({error})" if error else ""))
     print(f"{'overall':<{width}}  {'PASS' if ok_all else 'FAIL'}")
     return 0 if ok_all else 1
 
@@ -308,7 +313,9 @@ def build_parser() -> argparse.ArgumentParser:
                      choices=["bayes", "profile", "mixed", "mle", "moment-match"])
     inf.add_argument("--base", default="L5", choices=["L5", "L9"])
     inf.add_argument("--strategy", default="C", choices=["A", "B", "C", "MLE"])
-    inf.add_argument("--grid-points", type=int, default=201)
+    inf.add_argument("--grid-points", type=int, default=201,
+                     help="W grid size of the profile route (bayes and "
+                          "mixed are closed-form laws and use no grid)")
     inf.add_argument("--out-csv", help="posterior grid CSV (W, density, cumulative)")
     inf.add_argument("--out-json", help="summary JSON path (default stdout)")
     inf.set_defaults(fn=_cmd_infer)

@@ -1,8 +1,11 @@
 """Probability laws for the missing mass and derived quantities.
 
-Closed forms (point mass, Gamma, Beta, Beta-prime) plus a gridded density
-for the numerically marginalized posteriors.  Every law exposes ``mean``
-and ``quantile(q)``; gridded laws also expose their density and CDF.
+Closed forms (point mass, Gamma, Beta, Beta-prime), weighted mixtures of
+Beta or Beta-prime atoms (the Bayes posterior is one), and a gridded
+density (the profile curve).  Every law exposes ``mean`` and
+``quantile(q)``; Beta and Beta-prime laws also take an array of levels,
+Beta-prime laws expose ``cdf``, and gridded laws expose their density and
+CDF.
 """
 
 from __future__ import annotations
@@ -11,11 +14,17 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betaincinv, gammaincinv
+from scipy.special import betainc, betaincinv, expit, gammaincinv, log_expit
 
+from .solvers import newton_bracketed
 from .special import log_beta, log_gamma
 
 GRID_NORM_TOL = 1e-6
+
+# mixture quantiles are solved in u = logit(s) to this width, a relative
+# 1e-12 in W / scale; expit(-+_U_END) is exactly 0 and 1 in float64
+_U_TOL = 1e-12
+_U_END = 750.0
 
 
 @dataclass(frozen=True)
@@ -58,58 +67,175 @@ class GammaDist:
                 + (self.shape - 1.0) * np.log(w) - self.rate * w)
 
 
-@dataclass(frozen=True)
-class BetaDist:
+class _BetaAtoms:
+    """A Beta(a, b) law of s in (0, 1), or a weighted mixture of Beta laws.
+
+    With ``weights`` None, ``a`` and ``b`` are numbers: one atom, with
+    closed-form quantiles.  With ``weights``, ``a``, ``b`` and ``weights``
+    are equal-length vectors and the weights are normalized to sum to 1.
+    Mixture quantiles are solved in u = logit(s), which is log(W / scale)
+    in the Beta-prime view.
+    """
+
+    def _check_atoms(self, what: str) -> None:
+        if self.weights is None:
+            if self.a <= 0 or self.b <= 0:
+                raise ValueError(f"{what} parameters must be positive")
+            return
+        a, b, w = (np.array(v, dtype=float) for v in (self.a, self.b, self.weights))
+        if a.ndim != 1 or a.shape != b.shape or a.shape != w.shape or not len(a):
+            raise ValueError("a, b and weights must be equal-length vectors")
+        if not (np.all(a > 0) and np.all(b > 0)
+                and np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+            raise ValueError(f"{what} parameters must be positive")
+        if not (np.all(w >= 0) and np.all(np.isfinite(w)) and np.sum(w) > 0):
+            raise ValueError("weights must be nonnegative with a positive sum")
+        w /= np.sum(w)
+        for name, val in (("a", a), ("b", b), ("weights", w),
+                          ("_log_b", log_beta(a, b))):
+            val.setflags(write=False)
+            object.__setattr__(self, name, val)
+
+    def _at_atoms(self, x):
+        """x as a float array, with a last axis over the atoms of a mixture."""
+        x = np.asarray(x, dtype=float)
+        return x if self.weights is None else x[..., None]
+
+    def _atom_log_b(self):
+        return log_beta(self.a, self.b) if self.weights is None else self._log_b
+
+    def _mix(self, log_atoms):
+        """Weighted sum over the atoms of per-atom log densities."""
+        if self.weights is None:
+            return log_atoms
+        with np.errstate(divide="ignore"):
+            return np.logaddexp.reduce(log_atoms + np.log(self.weights), axis=-1)
+
+    def _cdf_s(self, s):
+        """sum_j w_j I_s(a_j, b_j), vectorized over s."""
+        if self.weights is None:
+            return betainc(self.a, self.b, s)
+        s = np.asarray(s, dtype=float)
+        return (self.weights @ betainc(self.a[:, None], self.b[:, None],
+                                       s.reshape(1, -1))).reshape(s.shape)
+
+    def _logit_quantile(self, q) -> np.ndarray:
+        """u = logit(s) at which the mixture CDF reaches each level of q.
+
+        The mixture quantile lies between the smallest and the largest atom
+        quantile; where those bracket ends fail (an atom quantile that
+        underflows, or betaincinv rounding) they fall back to +-_U_END,
+        where the CDF is exactly 0 and 1.  Bracketed Newton steps on dF/du
+        then end for every level in (0, 1); a level whose quantile lies
+        below the smallest positive s ends at the underflow threshold.
+        """
+        q = np.atleast_1d(np.asarray(q, dtype=float))
+        a, b = self.a[:, None], self.b[:, None]
+        with np.errstate(divide="ignore"):
+            s_atoms = betaincinv(a, b, q)
+            u_atoms = np.log(s_atoms) - np.log1p(-s_atoms)
+        lo = np.clip(np.min(u_atoms, axis=0), -_U_END, _U_END)
+        hi = np.clip(np.max(u_atoms, axis=0), -_U_END, _U_END)
+        lo = np.where(self._cdf_s(expit(lo)) <= q, lo, -_U_END)
+        hi = np.where(self._cdf_s(expit(hi)) >= q, hi, _U_END)
+
+        def excess_and_slope(u):
+            # dF/du = sum_j w_j s^a_j (1 - s)^b_j / B(a_j, b_j)
+            slope = self.weights @ np.exp(a * log_expit(u) + b * log_expit(-u)
+                                          - self._log_b[:, None])
+            return self._cdf_s(expit(u)) - q, slope
+
+        return newton_bracketed(excess_and_slope, 0.5 * (lo + hi), lo, hi,
+                                increasing=True, tol=_U_TOL)
+
+
+def _levels(q):
+    """Validate quantile levels: a number or an array, each in (0, 1)."""
+    if np.ndim(q) == 0:
+        if not 0.0 < q < 1.0:
+            raise ValueError("quantile level must be in (0, 1)")
+        return q
+    q = np.asarray(q, dtype=float)
+    if not np.all((q > 0.0) & (q < 1.0)):
+        raise ValueError("quantile level must be in (0, 1)")
+    return q
+
+
+def _like_levels(val, q):
+    """A float for a single level, an array for an array of levels."""
+    return float(np.asarray(val).reshape(())) if np.ndim(q) == 0 else np.asarray(val)
+
+
+@dataclass(frozen=True, eq=False)
+class BetaDist(_BetaAtoms):
+    """Beta(a, b), or the mixture sum_j w_j Beta(a_j, b_j) (see _BetaAtoms)."""
+
     a: float
     b: float
+    weights: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.a <= 0 or self.b <= 0:
-            raise ValueError("Beta parameters must be positive")
+        self._check_atoms("Beta")
 
     @property
     def mean(self) -> float:
-        return self.a / (self.a + self.b)
+        if self.weights is None:
+            return self.a / (self.a + self.b)
+        return float(self.weights @ (self.a / (self.a + self.b)))
 
-    def quantile(self, q: float) -> float:
-        if not 0.0 < q < 1.0:
-            raise ValueError("quantile level must be in (0, 1)")
-        return float(betaincinv(self.a, self.b, q))
+    def quantile(self, q):
+        q = _levels(q)
+        if self.weights is None:
+            return _like_levels(betaincinv(self.a, self.b, q), q)
+        return _like_levels(expit(self._logit_quantile(q)), q)
 
     def log_pdf(self, s):
-        s = np.asarray(s, dtype=float)
-        return ((self.a - 1.0) * np.log(s) + (self.b - 1.0) * np.log1p(-s)
-                - log_beta(self.a, self.b))
+        s = self._at_atoms(s)
+        return self._mix((self.a - 1.0) * np.log(s) + (self.b - 1.0) * np.log1p(-s)
+                         - self._atom_log_b())
 
 
-@dataclass(frozen=True)
-class BetaPrimeDist:
-    """Scaled Beta-prime: W = scale * t with density t^(a-1) (1+t)^(-a-b)."""
+@dataclass(frozen=True, eq=False)
+class BetaPrimeDist(_BetaAtoms):
+    """Scaled Beta-prime: W = scale * t with density t^(a-1) (1+t)^(-a-b),
+    or the mixture of such laws with one common scale (see _BetaAtoms).
+
+    W / (scale + W) then follows the Beta law with the same atoms.
+    """
 
     a: float
     b: float
     scale: float = 1.0
+    weights: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.a <= 0 or self.b <= 0 or self.scale <= 0:
+        if self.scale <= 0:
             raise ValueError("Beta-prime parameters must be positive")
+        self._check_atoms("Beta-prime")
 
     @property
     def mean(self) -> float:
-        if self.b <= 1.0:
+        if np.any(self.b <= 1.0):
             return math.inf
-        return self.scale * self.a / (self.b - 1.0)
+        if self.weights is None:
+            return self.scale * self.a / (self.b - 1.0)
+        return float(self.scale * (self.weights @ (self.a / (self.b - 1.0))))
 
-    def quantile(self, q: float) -> float:
-        if not 0.0 < q < 1.0:
-            raise ValueError("quantile level must be in (0, 1)")
-        s = float(betaincinv(self.a, self.b, q))
-        return self.scale * s / (1.0 - s)
+    def quantile(self, q):
+        q = _levels(q)
+        if self.weights is None:
+            s = betaincinv(self.a, self.b, q)
+            return _like_levels(self.scale * s / (1.0 - s), q)
+        return _like_levels(self.scale * np.exp(self._logit_quantile(q)), q)
+
+    def cdf(self, w):
+        w = np.asarray(w, dtype=float)
+        return self._cdf_s(w / (self.scale + w))
 
     def log_pdf(self, w):
-        t = np.asarray(w, dtype=float) / self.scale
-        return ((self.a - 1.0) * np.log(t) - (self.a + self.b) * np.log1p(t)
-                - log_beta(self.a, self.b) - math.log(self.scale))
+        t = self._at_atoms(w) / self.scale
+        return self._mix((self.a - 1.0) * np.log(t) - (self.a + self.b) * np.log1p(t)
+                         - self._atom_log_b()) - math.log(self.scale)
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,6 +323,3 @@ class ShiftedDist:
     def quantile(self, q: float) -> float:
         return self.base.quantile(q) + self.shift
 
-
-MassDistribution = (PointMass, GammaDist, BetaDist, BetaPrimeDist,
-                    GriddedDist, ShiftedDist)

@@ -1,17 +1,21 @@
 """Posterior laws for the missing mass W, Z = V + W, and W/Z.
 
-Three routes, all starting from the reduced likelihood chain:
+Every reduced likelihood with W kept factors into an alpha-marginal times
+one closed-form law,
 
-  * bayes    -- marginalize alpha against the non-informative 1/alpha
-                prior by numerical quadrature (b, lambda are already
-                integrated out inside L4/L5);
-  * profile  -- maximize over alpha at every W (b, lambda profiled out
-                inside L8), normalizing the resulting curve by its own
-                quadrature;
-  * mixed    -- estimate alpha once by maximum likelihood on L5 (or L9),
-                then use the closed-form conditional law: W/V is
-                Beta-prime(alpha Y, alpha X + N) and W/Z is
-                Beta(alpha Y, alpha X + N).
+    L4(W, alpha) = L5(alpha) BetaPrime(W; alpha Y, alpha X + N, scale V),
+    L8(W, alpha) = L9(alpha) BetaPrime(W; alpha Y, alpha X + N, scale V),
+
+so the three routes are one alpha-indexed Beta-prime family (W/Z is the
+matching Beta(alpha Y, alpha X + N)) under three weightings of alpha:
+
+  * bayes    -- the mixture over alpha with weights L5(alpha) / alpha (the
+                1/alpha prior; b, lambda are integrated out inside L5);
+  * profile  -- the envelope over alpha of L9(alpha) BetaPrime(W; alpha)
+                (b, lambda profiled out inside L9), tabulated on a W grid
+                and normalized by its own quadrature;
+  * mixed    -- the single atom at the maximum-likelihood alpha of L5 (or
+                L9).
 
 Singular cases are detected up front: Y = 0 pins W at 0 exactly, and
 p proportional to x on the sample (Delta_S = 0) collapses every posterior
@@ -32,18 +36,42 @@ import numpy as np
 from .data import Observation, SummaryStats
 from .distributions import (BetaDist, BetaPrimeDist, GriddedDist, PointMass,
                             ShiftedDist)
-from .likelihoods import dlog_dalpha, log_L4, log_L5, log_L8, log_L9
-from .solvers import (DEFAULT_CONFIG, SolverConfig, integrate_semi_infinite,
-                      maximize_unimodal, solve_root)
+from .likelihoods import (d2log_dalpha2, dlog_dalpha, log_L5, log_L8,
+                          log_L9)
+from .solvers import (DEFAULT_CONFIG, SolverConfig, maximize_unimodal,
+                      newton_bracketed, solve_root)
+from .special import log_beta
 
 DEFAULT_GRID_POINTS = 201
 
 # alpha search window in log alpha before declaring the maximum at infinity
 ALPHA_T_BOUNDS = (-30.0, 50.0)
 
-# the W grid spans these mixed-method quantiles, widened by a factor 2
+# the profile W grid spans these mixed-method quantiles, widened by a
+# factor 2, then by factors of 8 at most _SPAN_STEPS times per end
 _GRID_Q_LO = 1e-4
 _GRID_Q_HI = 1.0 - 1e-4
+_SPAN_STEPS = 12
+# the profile's log-alpha grid over ALPHA_T_BOUNDS, and the log-alpha step
+# at which its Newton polish stops
+_PROFILE_ALPHA_POINTS = 241
+_PROFILE_T_TOL = 1e-12
+
+# Bayes alpha nodes: scan ALPHA_T_BOUNDS at _SCAN_POINTS, keep the window
+# within _WINDOW_NATS of the L5 maximum, cover it with BAYES_PANELS
+# Gauss-Legendre panels of _PANEL_NODES nodes (the checks on the window are
+# in _alpha_window_nodes)
+_SCAN_POINTS = 801
+_WINDOW_NATS = 40.0
+BAYES_PANELS = 16
+_PANEL_NODES = 16
+_TAIL_SHARE = 1e-12
+_JITTER_STEP = 1e-10
+_JITTER_NATS = 1.0
+# mass_check integrates the W density between the quantiles at these levels
+# by panels of _MASS_NODES Gauss-Legendre nodes in log W
+_MASS_LEVELS = (1e-3, 0.01, 0.05, 0.15, 0.3, 0.5, 0.7, 0.85, 0.95, 0.99, 0.999)
+_MASS_NODES = 32
 
 
 @dataclass(frozen=True)
@@ -142,32 +170,6 @@ def infer_mixed(obs: Observation, stats: SummaryStats, base: str = "L5",
                            diagnostics=diag)
 
 
-def _w_grid(stats: SummaryStats, alpha_star: float, n_points: int,
-            log_density=None) -> np.ndarray:
-    """Log-spaced W grid seeded by the mixed method's closed-form quantiles.
-
-    The mixed quantile span (widened by 2) brackets the W kernel at the
-    maximum-likelihood alpha; marginalizing or profiling alpha fattens the
-    tails, so when a log-density callback is supplied the ends are pushed
-    outward until the per-unit-log-W density has fallen 30 nats below the
-    center probe.
-    """
-    ref = _mixed_w_dist(stats, alpha_star)
-    lo = ref.quantile(_GRID_Q_LO) / 2.0
-    hi = ref.quantile(_GRID_Q_HI) * 2.0
-    if log_density is not None:
-        center = log_density(ref.quantile(0.5)) + math.log(ref.quantile(0.5))
-        for _ in range(12):
-            if log_density(lo) + math.log(lo) <= center - 30.0:
-                break
-            lo /= 8.0
-        for _ in range(12):
-            if log_density(hi) + math.log(hi) <= center - 30.0:
-                break
-            hi *= 8.0
-    return np.exp(np.linspace(math.log(lo), math.log(hi), n_points))
-
-
 def _w_over_z_gridded(grid: np.ndarray, density: np.ndarray, v: float) -> GriddedDist:
     """Transform a gridded W density to the law of s = W / (V + W)."""
     s = grid / (v + grid)
@@ -177,48 +179,137 @@ def _w_over_z_gridded(grid: np.ndarray, density: np.ndarray, v: float) -> Gridde
                        log_norm=float(np.log(total)))
 
 
+def _alpha_window_nodes(obs: Observation,
+                        stats: SummaryStats) -> tuple[np.ndarray, np.ndarray, float]:
+    """Node set of the Bayes alpha integral: (alpha_j, weights, log evidence).
+
+    The window in t = log alpha is where log L5 lies within _WINDOW_NATS of
+    its maximum on a scan of ALPHA_T_BOUNDS, widened by one scan step each
+    side; BAYES_PANELS Gauss-Legendre panels of _PANEL_NODES nodes cover it.
+    The 1/alpha prior is the flat measure in t, so the weights are
+    L5(alpha_j) times the node weights, normalized; the log of their sum is
+    the evidence.  The call fails with a stated reason when the window
+    reaches the upper end of the scan (L5 has not decayed there); when log
+    L5 in the window moves by more than _JITTER_NATS under a relative alpha
+    step of _JITTER_STEP (near-proportional samples put the window at alpha
+    so large that log L5 is rounding noise); or when L5 at the lower end
+    exceeds _TAIL_SHARE of the evidence: below that end L5 falls as
+    alpha^(M-1), M >= 2, so the tail it drops is smaller still.
+    """
+    scan = np.linspace(*ALPHA_T_BOUNDS, _SCAN_POINTS)
+    log_scan = np.asarray(log_L5(obs, stats, np.exp(scan)))
+    inside = np.nonzero(log_scan >= np.max(log_scan) - _WINDOW_NATS)[0]
+    if inside[-1] == len(scan) - 1:
+        raise ValueError(
+            "L5 does not decay inside the log-alpha window "
+            f"{ALPHA_T_BOUNDS}: the sample is too close to proportional")
+    alpha_in = np.exp(scan[inside])
+    jitter = float(np.max(np.abs(
+        log_L5(obs, stats, alpha_in * (1.0 + _JITTER_STEP)) - log_scan[inside])))
+    if jitter > _JITTER_NATS:
+        raise ValueError(
+            f"log L5 changes by {jitter:.3g} nats under a relative alpha step "
+            f"of {_JITTER_STEP:g}: at alpha up to {alpha_in[-1]:.3g} it is "
+            "rounding noise, the sample being too close to proportional")
+    edges = np.linspace(scan[max(inside[0] - 1, 0)],
+                        scan[inside[-1] + 1], BAYES_PANELS + 1)
+    nodes, node_weights = np.polynomial.legendre.leggauss(_PANEL_NODES)
+    half = 0.5 * np.diff(edges)[:, None]
+    t = (0.5 * (edges[1:] + edges[:-1])[:, None] + half * nodes).ravel()
+    log_terms = log_L5(obs, stats, np.exp(t)) + np.log(half * node_weights).ravel()
+    log_evidence = float(np.logaddexp.reduce(log_terms))
+    if log_scan[0] - log_evidence > math.log(_TAIL_SHARE):
+        raise ValueError(
+            "the alpha posterior keeps mass below the log-alpha window "
+            f"{ALPHA_T_BOUNDS}: L5 there is "
+            f"{math.exp(log_scan[0] - log_evidence):.3g} of the evidence")
+    return np.exp(t), np.exp(log_terms - log_evidence), log_evidence
+
+
+def _mass_check(w_dist: BetaPrimeDist) -> float:
+    """Total mass of the W law, found apart from its CDF formula.
+
+    The density is integrated over log W by Gauss-Legendre panels between
+    the law's quantiles at _MASS_LEVELS (floored at W = V e^-700, below
+    which the density of a small-alpha spike is not representable); the
+    two tails outside those cut points are added from the CDF.
+    """
+    cuts = np.maximum(w_dist.quantile(np.array(_MASS_LEVELS)),
+                      w_dist.scale * math.exp(-700.0))
+    log_cuts = np.log(cuts)
+    nodes, node_weights = np.polynomial.legendre.leggauss(_MASS_NODES)
+    total = float(w_dist.cdf(cuts[0])) + float(1.0 - w_dist.cdf(cuts[-1]))
+    # one panel at a time keeps the nodes-by-atoms density array small
+    for lo, hi in zip(log_cuts[:-1], log_cuts[1:]):
+        half = 0.5 * (hi - lo)
+        x = 0.5 * (lo + hi) + half * nodes
+        total += half * float(np.exp(w_dist.log_pdf(np.exp(x)) + x) @ node_weights)
+    return float(total)
+
+
 def infer_bayes(obs: Observation, stats: SummaryStats,
-                cfg: SolverConfig = DEFAULT_CONFIG,
-                grid_points: int = DEFAULT_GRID_POINTS) -> InferenceReport:
+                cfg: SolverConfig = DEFAULT_CONFIG) -> InferenceReport:
     """Fully Bayesian posterior for W under the (alpha b lambda)^-1 prior.
 
-    density(W) = exp(log L6(W) - log L7) with L6, L7 the alpha-integrals
-    of L4 and L5; both integrals are evaluated by log-space quadrature at
-    every point of a W grid spanning the mixed-method quantiles.
+    L4(W, alpha) = L5(alpha) BetaPrime(W; alpha Y, alpha X + N, V), so the
+    posterior of W is the mixture of these Beta-prime laws over the alpha
+    posterior L5(alpha) / alpha, and W/Z the same mixture of
+    Beta(alpha Y, alpha X + N): the mixed method's law, averaged over
+    alpha instead of taken at one alpha.  The alpha integral runs on a
+    fixed Gauss-Legendre node set in log alpha (_alpha_window_nodes), so
+    CDF, mean and quantiles are exact for that node set.
     """
     singular = _singular_report("bayes", stats)
     if singular is not None:
         return singular
     alpha_star, _ = mle_alpha(obs, stats, "L5", cfg)
-
-    log_l7 = integrate_semi_infinite(
-        lambda a: log_L5(obs, stats, a) - np.log(a), alpha_star, cfg)
-
-    def log_l6_at(w: float) -> float:
-        return integrate_semi_infinite(
-            lambda a: log_L4(obs, stats, w, a) - np.log(a), alpha_star, cfg)
-
-    grid = _w_grid(stats, alpha_star, grid_points, log_density=log_l6_at)
-    log_l6 = np.array([log_l6_at(w) for w in grid])
-
-    raw = np.exp(log_l6 - log_l7)
-    # L6/L7 consistency, integrated in log-W space where the integrand is
-    # smooth even when the density has a W^(alpha Y - 1) singularity
-    mass = float(np.trapezoid(raw * grid, np.log(grid)))
-    norm = float(np.trapezoid(raw, grid))
-    w_dist = GriddedDist(w_grid=grid, density=raw / norm,
-                         log_norm=float(np.log(norm)))
-    # alpha marginal mode (mode of the L7 integrand) as a diagnostic
+    alphas, weights, log_evidence = _alpha_window_nodes(obs, stats)
+    a, b = alphas * stats.Y, alphas * stats.X + stats.N
+    w_dist = BetaPrimeDist(a, b, stats.V, weights=weights)
+    # alpha marginal mode (mode of L5(alpha) / alpha) as a diagnostic
     a_mode, _ = maximize_unimodal(
         lambda t: float(log_L5(obs, stats, math.exp(t))) - t, cfg,
         t_init=math.log(alpha_star), t_bounds=ALPHA_T_BOUNDS)
-    diag = {"mass_check": mass, "log_evidence": log_l7,
-            "alpha_mle": alpha_star}
+    diag = {"mass_check": _mass_check(w_dist), "log_evidence": log_evidence,
+            "alpha_mle": alpha_star, "alpha_nodes": len(alphas)}
     return InferenceReport(method="bayes", w_dist=w_dist,
                            z_dist=ShiftedDist(w_dist, stats.V),
-                           w_over_z_dist=_w_over_z_gridded(grid, w_dist.density, stats.V),
+                           w_over_z_dist=BetaDist(a, b, weights=weights),
                            alpha_summary=a_mode,
                            diagnostics=diag)
+
+
+def _profile_envelope(obs: Observation, stats: SummaryStats, w: np.ndarray,
+                      cfg: SolverConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """max over alpha of log L8(W, alpha) at every W of ``w``.
+
+    Returns (argmax alpha, max log L8, argmax at the top of the window).
+    log L8 = log L9(alpha) + log BetaPrime(W; alpha Y, alpha X + N, V) is
+    evaluated as one alpha-by-W matrix on a log-alpha grid over
+    ALPHA_T_BOUNDS.  L8 is log-concave in alpha, so each column's maximum
+    lies between the grid neighbours of its argmax; bracketed Newton steps
+    in log alpha on the analytic slope and curvature polish every column at
+    once.
+    """
+    t_grid = np.linspace(*ALPHA_T_BOUNDS, _PROFILE_ALPHA_POINTS)
+    grid = np.exp(t_grid)
+    ay, bx = grid * stats.Y, grid * stats.X + stats.N
+    surface = np.multiply.outer(ay - 1.0, np.log(w / stats.V))
+    surface -= np.multiply.outer(ay + bx, np.log1p(w / stats.V))
+    surface += (log_L9(obs, stats, grid) - log_beta(ay, bx))[:, None]
+    k = np.argmax(surface, axis=0)
+
+    def slope_and_curvature(t):
+        alpha = np.exp(t)
+        return (dlog_dalpha("L8", obs, stats, alpha, w=w),
+                alpha * d2log_dalpha2("L8", obs, stats, alpha))
+
+    t = newton_bracketed(slope_and_curvature, t_grid[k],
+                         t_grid[np.maximum(k - 1, 0)],
+                         t_grid[np.minimum(k + 1, len(t_grid) - 1)],
+                         increasing=False, tol=_PROFILE_T_TOL, cfg=cfg)
+    alpha = np.exp(t)
+    return alpha, log_L8(obs, stats, w, alpha), k == len(t_grid) - 1
 
 
 def infer_profile(obs: Observation, stats: SummaryStats,
@@ -226,37 +317,41 @@ def infer_profile(obs: Observation, stats: SummaryStats,
                   grid_points: int = DEFAULT_GRID_POINTS) -> InferenceReport:
     """Profile likelihood posterior: sup over alpha of L8 at every W.
 
-    The per-W inner maximization is seeded with the previous grid point's
-    argmax (the profile alpha moves slowly along the W grid); the curve is
-    normalized by its own quadrature, the curve being an unnormalized
-    density by construction.
+    The log-W grid spans the mixed method's quantiles at the L9 maximum,
+    widened by 2; profiling alpha fattens the tails, so each end is pushed
+    outward by factors of 8 until the per-unit-log-W envelope has fallen 30
+    nats below its value at the mixed median.  All probes, then all grid
+    points, are profiled at once (_profile_envelope).  The curve is
+    normalized by its own quadrature, being an unnormalized density by
+    construction.
     """
     singular = _singular_report("profile", stats)
     if singular is not None:
         return singular
     alpha_star, _ = mle_alpha(obs, stats, "L9", cfg)
 
-    def sup_l8(w: float) -> float:
-        _, val = maximize_unimodal(
-            lambda t: float(log_L8(obs, stats, w, math.exp(t))), cfg,
-            t_init=math.log(alpha_star), t_bounds=ALPHA_T_BOUNDS)
-        return val
+    ref = _mixed_w_dist(stats, alpha_star)
+    median = ref.quantile(0.5)
+    steps = 8.0 ** np.arange(_SPAN_STEPS)
+    lo_probes = ref.quantile(_GRID_Q_LO) / 2.0 / steps
+    hi_probes = ref.quantile(_GRID_Q_HI) * 2.0 * steps
+    probes = np.concatenate([[median], lo_probes, hi_probes])
+    _, env, _ = _profile_envelope(obs, stats, probes, cfg)
+    per_log_w = env + np.log(probes)
+    low_enough = per_log_w <= per_log_w[0] - 30.0
 
-    grid = _w_grid(stats, alpha_star, grid_points, log_density=sup_l8)
+    def span_end(probe_values, below, factor):
+        hit = np.nonzero(below)[0]
+        return probe_values[hit[0]] if len(hit) else probe_values[-1] * factor
 
-    log_l10 = np.empty_like(grid)
-    alphas = np.empty_like(grid)
-    seed = alpha_star
-    for k, w in enumerate(grid):
-        a_k, val = maximize_unimodal(
-            lambda t: float(log_L8(obs, stats, w, math.exp(t))), cfg,
-            t_init=math.log(seed), t_bounds=ALPHA_T_BOUNDS)
-        if math.isinf(a_k):
-            raise ArithmeticError(
-                "profile maximization diverged at finite W with Delta_S > 0")
-        log_l10[k] = val
-        alphas[k] = a_k
-        seed = a_k
+    lo = span_end(lo_probes, low_enough[1:_SPAN_STEPS + 1], 1.0 / 8.0)
+    hi = span_end(hi_probes, low_enough[_SPAN_STEPS + 1:], 8.0)
+    grid = np.exp(np.linspace(math.log(lo), math.log(hi), grid_points))
+
+    alphas, log_l10, at_top = _profile_envelope(obs, stats, grid, cfg)
+    if np.any(at_top):
+        raise ArithmeticError(
+            "profile maximization diverged at finite W with Delta_S > 0")
 
     w_dist = GriddedDist.from_log_density(grid, log_l10)
     mode_alpha = float(alphas[int(np.argmax(log_l10))])

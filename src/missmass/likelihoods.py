@@ -28,11 +28,6 @@ import numpy as np
 from .data import Observation, SummaryStats
 from .special import digamma, log_gamma, trigamma
 
-# all values are reduced: the common observation-only factor is dropped
-INCLUDES_COMMON_FACTOR = False
-
-_LIKELIHOODS = ("L2", "L3", "L4", "L5", "L8", "L9", "L11")
-
 
 @dataclass(frozen=True)
 class ModelParams:

@@ -95,6 +95,41 @@ def solve_root(f: Callable[[float], float], bracket: tuple[float, float],
     raise ConvergenceError("solve_root: max_iter exceeded")
 
 
+def newton_bracketed(fn: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
+                     x: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                     increasing: bool, tol: float,
+                     cfg: SolverConfig = DEFAULT_CONFIG) -> np.ndarray:
+    """Roots of monotone functions, elementwise, by bracketed Newton steps.
+
+    ``fn(x)`` returns (g, dg/dx) for an array of points; on each
+    [lo, hi] the function g changes sign, rising if ``increasing`` and
+    falling otherwise, and x starts inside it.  Every evaluation shrinks the
+    bracket.  A Newton step is taken when slope and step are finite, the
+    step stays in the bracket and is at most half the step before it;
+    otherwise the bracket is bisected.  An element stops once its step or
+    its bracket is within ``tol``.
+    """
+    x, lo, hi = (np.array(v, dtype=float) for v in (x, lo, hi))
+    last_step = hi - lo
+    active = np.ones(x.shape, dtype=bool)
+    for _ in range(cfg.max_iter):
+        g, slope = fn(x)
+        root_above = g < 0 if increasing else g > 0
+        lo = np.where(root_above, x, lo)
+        hi = np.where(root_above, hi, x)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            nxt = x - g / slope
+        newton = (np.isfinite(slope) & np.isfinite(nxt) & (nxt >= lo) & (nxt <= hi)
+                  & (np.abs(nxt - x) <= 0.5 * last_step))
+        nxt = np.where(newton, nxt, 0.5 * (lo + hi))
+        last_step = np.abs(nxt - x)
+        x = np.where(active, nxt, x)
+        active &= (last_step > tol) & (hi - lo > tol)
+        if not np.any(active):
+            return x
+    raise ConvergenceError("newton_bracketed: max_iter exceeded")
+
+
 def maximize_unimodal(g: Callable[[float], float],
                       cfg: SolverConfig = DEFAULT_CONFIG,
                       t_init: float = 0.0,

@@ -2,7 +2,9 @@
 
 Each check reruns one of the package's oracle comparisons at a size that
 keeps the whole table under a minute (pass ``--full`` for the full-size
-versions used by the acceptance tests).  Returns (name, passed) pairs.
+versions used by the acceptance tests).  Returns (name, passed, error)
+triples; error is empty unless the check raised, and then names the
+exception's type and message.
 """
 
 from __future__ import annotations
@@ -302,7 +304,7 @@ def check_toy_physics(rng, reps=40) -> bool:
     return True
 
 
-def run_verification(fast: bool = True, seed: int = 0) -> list[tuple[str, bool]]:
+def run_verification(fast: bool = True, seed: int = 0) -> list[tuple[str, bool, str]]:
     rng = np.random.default_rng(seed)
     scale = 1 if fast else 5
     checks = [
@@ -321,7 +323,7 @@ def run_verification(fast: bool = True, seed: int = 0) -> list[tuple[str, bool]]
     results = []
     for name, fn in checks:
         try:
-            results.append((name, bool(fn())))
-        except Exception:
-            results.append((name, False))
+            results.append((name, bool(fn()), ""))
+        except Exception as exc:
+            results.append((name, False, f"{type(exc).__name__}: {exc}"))
     return results

@@ -117,8 +117,44 @@ class TestInfer:
         assert code == 0
         payload = json.loads(out)
         assert payload["method"] == "bayes"
-        # 51 grid points is deliberately coarse; mass just needs to be sane
+        # --grid-points sizes the profile grid only; the Bayes law has no
+        # grid, and its mass check lands far inside this bound
         assert payload["diagnostics"]["mass_check"] == pytest.approx(1.0, abs=0.05)
+
+    def test_bayes_csv_output(self, capsys, tmp_path):
+        csv = tmp_path / "bayes.csv"
+        code, _, _ = run_cli(capsys, "infer", "--in",
+                             fixture_path("gt_example.json"),
+                             "--method", "bayes", "--out-csv", str(csv))
+        assert code == 0
+        lines = csv.read_text().strip().splitlines()
+        assert lines[0] == "W,density,cumulative"
+        rows = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
+        assert len(rows) > 100
+        assert np.all(np.diff(rows[:, 0]) > 0)
+        assert np.all(np.diff(rows[:, 2]) >= 0)
+        assert np.all(rows[:, 1] > 0)
+
+
+class TestVerifyCommand:
+    def test_failing_check_names_its_exception(self, capsys, monkeypatch):
+        from missmass import verify
+
+        def boom(*args):
+            raise RuntimeError("boom")
+
+        for name in dir(verify):
+            if name.startswith("check_"):
+                monkeypatch.setattr(verify, name, lambda *args: True)
+        monkeypatch.setattr(verify, "check_singular_cases", boom)
+        results = verify.run_verification()
+        assert ("singular cases", False, "RuntimeError: boom") in results
+        assert all(passed for name, passed, _ in results if name != "singular cases")
+        code, out, _ = run_cli(capsys, "verify")
+        assert code == 1
+        line = next(ln for ln in out.splitlines() if ln.startswith("singular cases"))
+        assert "FAIL" in line and "RuntimeError: boom" in line
+        assert out.rstrip().endswith("FAIL")
 
 
 class TestSimulateCommand:

@@ -4,13 +4,17 @@ import numpy as np
 import pytest
 from scipy import stats as spstats
 
-from conftest import proportional_observation, random_observation
-from missmass.data import Observation, summarize
+from scipy import integrate
+from scipy.special import betainc, gammaln
+
+from conftest import fixture_path, proportional_observation, random_observation
+from missmass import inference
+from missmass.data import Observation, load_observation, summarize
 from missmass.distributions import BetaDist, BetaPrimeDist, PointMass
-from missmass.inference import (infer_bayes, infer_mixed, infer_profile,
-                                mle_alpha)
+from missmass.inference import (ALPHA_T_BOUNDS, infer_bayes, infer_mixed,
+                                infer_profile, mle_alpha)
 from missmass.likelihoods import (ModelParams, d2log_dalpha2, dlog_dalpha,
-                                  log_L4, log_L5)
+                                  log_L4, log_L5, log_L8)
 from missmass.simulate import simulate_model
 
 
@@ -140,6 +144,101 @@ class TestBayes:
         assert np.allclose(log_dens, rep.w_dist.log_pdf(ws), atol=1e-9)
 
 
+LEVELS = np.array([0.05, 0.25, 0.5, 0.75, 0.95])
+
+
+def wide_observation(seed=11):
+    """A Gamma-Poisson draw with M and N near 190 over 20 000 points."""
+    x = np.full(20_000, 1.0 / 20_000)
+    ds = simulate_model(x, ModelParams(2000.0, 1.0, 0.1), "p-c", rng_seed=seed)
+    obs = ds.observe()
+    return obs, summarize(obs)
+
+
+def fixture_observation(name):
+    obs = load_observation(fixture_path(name + ".json"))
+    return obs, summarize(obs)
+
+
+def quad_bayes_cdf(obs, st, w):
+    """F(w) = int L5 I_s(alpha Y, alpha X + N) dt / int L5 dt over
+    t = log alpha, s = w / (V + w), by adaptive quadrature on L5 written
+    out with gammaln."""
+    x_s = obs.x_obs
+
+    def log_l5(t):
+        a = math.exp(t)
+        return (-np.sum(gammaln(a * x_s)) + a * st.U + gammaln(a)
+                - (a * st.X + st.N) * math.log(st.V)
+                + gammaln(a * st.X + st.N) - gammaln(a + st.N))
+
+    coarse = np.linspace(-30.0, 50.0, 4001)
+    vals = np.array([log_l5(t) for t in coarse])
+    top = int(np.argmax(vals))
+    keep = np.nonzero(vals >= vals[top] - 50.0)[0]
+    lo, hi = coarse[max(keep[0] - 1, 0)], coarse[keep[-1] + 1]
+    s = w / (st.V + w)
+
+    def dens(t):
+        return math.exp(log_l5(t) - vals[top])
+
+    def num(t):
+        a = math.exp(t)
+        return dens(t) * betainc(a * st.Y, a * st.X + st.N, s)
+
+    opts = dict(points=[coarse[top]], limit=400, epsabs=0.0, epsrel=1e-11)
+    return integrate.quad(num, lo, hi, **opts)[0] / integrate.quad(dens, lo, hi, **opts)[0]
+
+
+class TestBayesMixture:
+    @pytest.mark.parametrize("case", ["gt_example", "regular_small",
+                                      "regular_large", "wide"])
+    def test_cdf_at_quantiles_is_nominal(self, case):
+        obs, st = wide_observation() if case == "wide" else fixture_observation(case)
+        rep = infer_bayes(obs, st)
+        for q, w in zip(LEVELS, rep.w_dist.quantile(LEVELS)):
+            assert quad_bayes_cdf(obs, st, w) == pytest.approx(q, abs=1e-6)
+
+    @pytest.mark.parametrize("case", ["gt_example", "regular_large"])
+    def test_doubling_alpha_nodes_moves_no_quantile(self, case, monkeypatch):
+        obs, st = fixture_observation(case)
+        base = infer_bayes(obs, st)
+        monkeypatch.setattr(inference, "BAYES_PANELS", 2 * inference.BAYES_PANELS)
+        doubled = infer_bayes(obs, st)
+        assert doubled.diagnostics["alpha_nodes"] == 2 * base.diagnostics["alpha_nodes"]
+        assert np.allclose(doubled.w_dist.quantile(LEVELS),
+                           base.w_dist.quantile(LEVELS), rtol=1e-9, atol=0.0)
+
+    def test_w_over_z_quantiles_follow_w(self):
+        obs, st = fixture_observation("regular_small")
+        rep = infer_bayes(obs, st)
+        w_q = rep.w_dist.quantile(LEVELS)
+        assert np.allclose(rep.w_over_z_dist.quantile(LEVELS), w_q / (st.V + w_q),
+                           rtol=1e-12, atol=0.0)
+
+    def test_one_atom_mixture_is_the_closed_form(self):
+        a, b, v = 0.7, 9.0, 2.5
+        single = BetaPrimeDist(a, b, v)
+        mixtures = (BetaPrimeDist(np.array([a]), np.array([b]), v, weights=np.array([1.0])),
+                    BetaPrimeDist(np.array([a, a]), np.array([b, b]), v,
+                                  weights=np.array([0.3, 0.7])))
+        w = single.quantile(LEVELS)
+        for mix in mixtures:
+            assert np.allclose(mix.quantile(LEVELS), w, rtol=1e-10, atol=0.0)
+            assert mix.mean == pytest.approx(single.mean, rel=1e-10)
+            assert np.allclose(mix.log_pdf(w), single.log_pdf(w), rtol=0.0, atol=1e-10)
+
+    def test_near_proportional_sample_gets_a_reason(self):
+        x = np.array([0.1, 0.2, 0.3, 0.4])
+        p = 2.0 * x[:3] * np.exp(np.array([0.0, 1e-7, -1e-7]))
+        obs = Observation(domain_size=4, x=x, indices=np.arange(3), p_obs=p,
+                          counts=np.array([2, 1, 3]))
+        st = summarize(obs)
+        assert not st.is_proportional
+        with pytest.raises(ValueError, match="proportional"):
+            infer_bayes(obs, st)
+
+
 class TestProfile:
     def test_inner_problem_unimodal(self):
         _, obs, st = model_observation(1)
@@ -150,17 +249,29 @@ class TestProfile:
         assert changes == 1
 
     def test_mode_agreement_with_bayes(self):
-        # compare density-per-unit-log-W modes; the W-space density is
-        # singular at the origin whenever small alpha carries weight
+        # compare density-per-unit-log-W modes on the profile's W grid; the
+        # W-space density is singular at the origin whenever small alpha
+        # carries weight
         _, obs, st = model_observation(3, d=40, alpha=8.0, lam=30.0)
         rb = infer_bayes(obs, st)
         rp = infer_profile(obs, st)
+        grid = rp.w_dist.w_grid
+        profile_mode = grid[np.argmax(rp.w_dist.density * grid)]
+        bayes_mode = grid[np.argmax(rb.w_dist.log_pdf(grid) + np.log(grid))]
+        assert profile_mode == pytest.approx(bayes_mode, rel=0.1)
 
-        def log_mode(rep):
-            g = rep.w_dist
-            return g.w_grid[np.argmax(g.density * g.w_grid)]
-
-        assert log_mode(rp) == pytest.approx(log_mode(rb), rel=0.1)
+    def test_envelope_reaches_grid_maximum(self):
+        # the polished sup over alpha of log L8 at every W of the profile
+        # grid is no lower than the maximum over a dense log-alpha grid
+        _, obs, st = model_observation(2)
+        rep = infer_profile(obs, st)
+        w_grid = rep.w_dist.w_grid
+        polished = np.log(rep.w_dist.density) + rep.w_dist.log_norm
+        alphas = np.exp(np.linspace(*ALPHA_T_BOUNDS, 40_001))[:, None]
+        for k in range(0, len(w_grid), 25):
+            block = w_grid[k:k + 25][None, :]
+            dense = np.max(log_L8(obs, st, block, alphas), axis=0)
+            assert np.all(polished[k:k + 25] >= dense - 1e-9)
 
     def test_normalized_by_own_quadrature(self):
         _, obs, st = model_observation(2)

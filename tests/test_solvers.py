@@ -5,7 +5,7 @@ import pytest
 
 from missmass.solvers import (BracketError, DivergenceError, SolverConfig,
                               integrate_semi_infinite, maximize_unimodal,
-                              solve_root)
+                              newton_bracketed, solve_root)
 from missmass.special import log_beta, log_gamma
 
 
@@ -28,6 +28,23 @@ class TestSolveRoot:
 
     def test_endpoint_root(self):
         assert solve_root(lambda z: z, (0.0, 1.0)) == 0.0
+
+
+class TestNewtonBracketed:
+    def test_rising_roots_elementwise(self):
+        c = np.array([0.5, 2.0, 9.0])
+        roots = newton_bracketed(lambda x: (x * x - c, 2.0 * x), np.full(3, 2.0),
+                                 np.zeros(3), np.full(3, 4.0), increasing=True,
+                                 tol=1e-14)
+        assert np.allclose(roots, np.sqrt(c), rtol=1e-13, atol=0.0)
+
+    def test_falling_with_useless_slope_bisects(self):
+        # an infinite slope makes every Newton step zero; bisection must
+        # still close the bracket on the root of 1 - x
+        root = newton_bracketed(lambda x: (1.0 - x, np.full_like(x, np.inf)),
+                                np.array([0.1]), np.array([0.0]), np.array([3.0]),
+                                increasing=False, tol=1e-12)
+        assert root[0] == pytest.approx(1.0, abs=1e-11)
 
 
 class TestMaximizeUnimodal:
