@@ -26,8 +26,7 @@ from .moments import (MomentMatchResult, match_A, match_B, match_C, mle_full,
 from .simulate import (expected_values, log_joint_density, simulate_explicit,
                        simulate_model, simulate_model_batch,
                        toy_physics_dataset)
-from .solvers import (SolverConfig, integrate_semi_infinite,
-                      maximize_unimodal, solve_root)
+from .solvers import integrate_semi_infinite, maximize_unimodal, solve_root
 from .special import digamma, log_beta, log_gamma, trigamma
 
 __all__ = [name for name in dir() if not name.startswith("_")]

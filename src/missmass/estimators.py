@@ -28,7 +28,7 @@ from typing import Mapping
 import numpy as np
 
 from .data import Observation
-from .solvers import DEFAULT_CONFIG, SolverConfig, maximize_unimodal, solve_root
+from .solvers import maximize_unimodal, solve_root
 from .special import log_gamma
 
 PI_FORMS = ("poisson", "fixed-n")
@@ -76,8 +76,7 @@ def inclusion_probability(p, n: int, z, form: str = "poisson"):
     raise ValueError(f"unknown inclusion form {form!r}")
 
 
-def _solve_upward(f, lo: float, scale: float, cfg: SolverConfig,
-                  diagnostics: dict) -> float:
+def _solve_upward(f, lo: float, scale: float, diagnostics: dict) -> float:
     """Root of f above lo, given f(lo) >= 0 and f eventually negative.
 
     Doubles the upper end until the sign changes; past _UPPER_CAP * scale
@@ -97,13 +96,13 @@ def _solve_upward(f, lo: float, scale: float, cfg: SolverConfig,
         if hi > _UPPER_CAP * scale:
             diagnostics["reason"] = "no finite solution"
             return math.inf
-    root = solve_root(f, (hi / 2.0, hi), cfg)
+    root = solve_root(f, (hi / 2.0, hi))
     diagnostics["iterations"] = doublings
     diagnostics["residual"] = float(f(root))
     return root
 
 
-def _ipw(obs: Observation, form: str, method: str, cfg: SolverConfig) -> EstimateResult:
+def _ipw(obs: Observation, form: str, method: str) -> EstimateResult:
     if obs.m < 1:
         raise ValueError("no observations")
     if obs.m == obs.n:
@@ -115,23 +114,23 @@ def _ipw(obs: Observation, form: str, method: str, cfg: SolverConfig) -> Estimat
     def f(z):
         return float(np.sum(p / inclusion_probability(p, n, z, form))) - z
 
-    root = _solve_upward(f, v, v, cfg, diag)
+    root = _solve_upward(f, v, v, diag)
     return EstimateResult(root, method, diag)
 
 
-def ipw_fixed_n(obs: Observation, cfg: SolverConfig = DEFAULT_CONFIG) -> EstimateResult:
+def ipw_fixed_n(obs: Observation) -> EstimateResult:
     """Z solving Z = sum_S p(i) / (1 - (1 - p(i)/Z)^N).
 
     The inverse-probability-weighted sum is unbiased at the true Z; taking
     the identity as an equation gives the estimator.  M = N has no finite
     solution.
     """
-    return _ipw(obs, "fixed-n", "ipw-fixed-n", cfg)
+    return _ipw(obs, "fixed-n", "ipw-fixed-n")
 
 
-def ipw_poisson(obs: Observation, cfg: SolverConfig = DEFAULT_CONFIG) -> EstimateResult:
+def ipw_poisson(obs: Observation) -> EstimateResult:
     """Z solving Z = sum_S p(i) / (1 - exp(-N p(i)/Z))."""
-    return _ipw(obs, "poisson", "ipw-poisson", cfg)
+    return _ipw(obs, "poisson", "ipw-poisson")
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +202,7 @@ def rb_exact(obs: Observation, n_max: int = 64, m_max: int = 32) -> RBWeights:
     return RBWeights(v=v, log_f_n=log_f_n)
 
 
-def rb_poisson_lambda(obs: Observation, cfg: SolverConfig = DEFAULT_CONFIG) -> float:
+def rb_poisson_lambda(obs: Observation) -> float:
     """The rate lambda solving N = sum_S lambda p(i) / (1 - exp(-lambda p(i))).
 
     The left side increases in lambda from M, so the root is unique;
@@ -226,12 +225,12 @@ def rb_poisson_lambda(obs: Observation, cfg: SolverConfig = DEFAULT_CONFIG) -> f
         lo *= 1e-3
         if lo < 1e-280:
             raise ValueError("could not bracket lambda")
-    return solve_root(f, (lo, hi), cfg)
+    return solve_root(f, (lo, hi))
 
 
-def rb_poisson_weights(obs: Observation, cfg: SolverConfig = DEFAULT_CONFIG) -> RBWeights:
+def rb_poisson_weights(obs: Observation) -> RBWeights:
     """Saddle-point approximation v(i) = lambda p(i) / (1 - exp(-lambda p(i)))."""
-    lam = rb_poisson_lambda(obs, cfg)
+    lam = rb_poisson_lambda(obs)
     if lam == 0.0:
         v = {int(i): 1.0 for i in obs.indices}
     else:
@@ -249,8 +248,7 @@ def rb_mean_estimate(obs: Observation, f: Mapping[int, float],
 
 
 def rb_z_equation(obs: Observation, weights: RBWeights,
-                  variant: str = "V_over_Z", pi: str = "poisson",
-                  cfg: SolverConfig = DEFAULT_CONFIG) -> EstimateResult:
+                  variant: str = "V_over_Z", pi: str = "poisson") -> EstimateResult:
     """Z from the Rao-Blackwellized harmonic-mean style equations.
 
     variant "V_over_Z": V/Z = (1/N) sum_S v(i) pi(i; Z)
@@ -284,7 +282,7 @@ def rb_z_equation(obs: Observation, weights: RBWeights,
         if g(bottom) > 0.0:
             diag["reason"] = "root at or below lower bracket"
             return EstimateResult(bottom, method, diag)
-        root = solve_root(g, (bottom, lo), cfg)
+        root = solve_root(g, (bottom, lo))
         diag["residual"] = float(g(root))
         return EstimateResult(root, method, diag)
 
@@ -296,7 +294,7 @@ def rb_z_equation(obs: Observation, weights: RBWeights,
         if hi > _UPPER_CAP * v_obs:
             diag["reason"] = "no finite root"
             return EstimateResult(math.inf, method, diag)
-    root = solve_root(g, (hi / 2.0, hi), cfg)
+    root = solve_root(g, (hi / 2.0, hi))
     diag["iterations"] = doublings
     diag["residual"] = float(g(root))
     return EstimateResult(root, method, diag)
@@ -327,7 +325,7 @@ def good_turing_classic(obs: Observation) -> GoodTuringClassic:
     return GoodTuringClassic(w_over_z, z, w)
 
 
-def good_turing_rb(obs: Observation, cfg: SolverConfig = DEFAULT_CONFIG) -> GoodTuringRB:
+def good_turing_rb(obs: Observation) -> GoodTuringRB:
     """Rao-Blackwellized Good-Turing in the Poisson approximation.
 
     Z solves Z = sum_S p(i) / (1 - exp(-N p(i)/Z)) (the Poisson IPW fixed
@@ -336,7 +334,7 @@ def good_turing_rb(obs: Observation, cfg: SolverConfig = DEFAULT_CONFIG) -> Good
     """
     if obs.m == obs.n:
         return GoodTuringRB(math.inf, math.inf, 1.0)
-    z = ipw_poisson(obs, cfg).value
+    z = ipw_poisson(obs).value
     x = obs.n * obs.p_obs / z
     w = float(np.sum(obs.p_obs / np.expm1(x)))
     return GoodTuringRB(z, w, w / z)
@@ -375,8 +373,7 @@ def expected_phi(obs: Observation, lam: float, k: int) -> float:
 
 def harmonic_mean(obs: Observation, h: Mapping[int, float], H: float,
                   mode: str = "classic", weights: RBWeights | None = None,
-                  pi: str = "poisson",
-                  cfg: SolverConfig = DEFAULT_CONFIG) -> EstimateResult:
+                  pi: str = "poisson") -> EstimateResult:
     """Harmonic mean estimators of Z anchored on a known total H = sum h.
 
     mode "classic":       Z = N H / sum_S c(i) h(i) / p(i)
@@ -419,7 +416,7 @@ def harmonic_mean(obs: Observation, h: Mapping[int, float], H: float,
                 diag["reason"] = "boundary: solution at Z -> 0"
                 z = 0.0
             else:
-                z = solve_root(f, (bottom, lo), cfg)
+                z = solve_root(f, (bottom, lo))
         else:
             hi = 2.0 * lo
             while f(hi) < 0.0:
@@ -427,7 +424,7 @@ def harmonic_mean(obs: Observation, h: Mapping[int, float], H: float,
                 if hi > _UPPER_CAP * max(lo, 1.0):
                     return EstimateResult(math.inf, method,
                                           {"reason": "no finite root"})
-            z = solve_root(f, (hi / 2.0, hi), cfg)
+            z = solve_root(f, (hi / 2.0, hi))
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
@@ -444,8 +441,8 @@ MixtureResult = namedtuple("MixtureResult", ["z", "R", "R_rb"])
 
 def mixture_estimate(obs: Observation, r_components, w, gamma: float,
                      h: Mapping[int, float] | None = None, H: float | None = None,
-                     weights: RBWeights | None = None, pi: str = "poisson",
-                     cfg: SolverConfig = DEFAULT_CONFIG) -> MixtureResult:
+                     weights: RBWeights | None = None,
+                     pi: str = "poisson") -> MixtureResult:
     """Z and the component totals R(j) for sampling from a mixture.
 
     The sampled distribution is p(i) = sum_j r(i, j) w(j); the estimating
@@ -511,7 +508,7 @@ def mixture_estimate(obs: Observation, r_components, w, gamma: float,
     fvals = np.array([f(zz) for zz in grid])
     crossings = np.nonzero(np.diff(np.signbit(fvals)))[0]
     if len(crossings):
-        roots = [solve_root(f, (grid[k], grid[k + 1]), cfg) for k in crossings]
+        roots = [solve_root(f, (grid[k], grid[k + 1])) for k in crossings]
         z = roots[0]
         diag["residual"] = float(f(z))
         if len(roots) > 1:
@@ -519,7 +516,7 @@ def mixture_estimate(obs: Observation, r_components, w, gamma: float,
     elif np.all(fvals > 0.0) and 0.0 < gamma < 1.0:
         k = int(np.argmin(fvals))
         z, neg_fmin = maximize_unimodal(
-            lambda t: -f(math.exp(t)), cfg, t_init=math.log(grid[k]),
+            lambda t: -f(math.exp(t)), t_init=math.log(grid[k]),
             t_bounds=(math.log(grid[0]), math.log(grid[-1])))
         diag["residual"] = float(-neg_fmin)
         diag["reason"] = "no exact root; nearest-approach estimate"

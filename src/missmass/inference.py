@@ -38,20 +38,24 @@ from .distributions import (BetaDist, BetaPrimeDist, GriddedDist, PointMass,
                             ShiftedDist)
 from .likelihoods import (d2log_dalpha2, dlog_dalpha, log_L5, log_L8,
                           log_L9)
-from .solvers import (DEFAULT_CONFIG, SolverConfig, maximize_unimodal,
-                      newton_bracketed, solve_root)
+from .solvers import maximize_unimodal, newton_bracketed, solve_root
 from .special import log_beta
 
 DEFAULT_GRID_POINTS = 201
 
-# alpha search window in log alpha before declaring the maximum at infinity
+# alpha search window in log alpha before declaring the maximum at infinity,
+# and the log-alpha grid on which the likelihood slopes are scanned
 ALPHA_T_BOUNDS = (-30.0, 50.0)
+_SLOPE_SCAN_POINTS = 241
 
 # the profile W grid spans these mixed-method quantiles, widened by a
 # factor 2, then by factors of 8 at most _SPAN_STEPS times per end
 _GRID_Q_LO = 1e-4
 _GRID_Q_HI = 1.0 - 1e-4
 _SPAN_STEPS = 12
+# and starts no lower than V times this: below it W/Z nears the subnormal
+# floats, and the W/Z density, which can grow as (W/Z)^-1, overflows
+_MIN_W_OVER_V = 1e-300
 # the profile's log-alpha grid over ALPHA_T_BOUNDS, and the log-alpha step
 # at which its Newton polish stops
 _PROFILE_ALPHA_POINTS = 241
@@ -85,8 +89,29 @@ class InferenceReport:
     diagnostics: dict = field(default_factory=dict, compare=False)
 
 
-def mle_alpha(obs: Observation, stats: SummaryStats, base: str = "L5",
-              cfg: SolverConfig = DEFAULT_CONFIG) -> tuple[float, bool]:
+def alpha_slope_maxima(which: str, obs: Observation, stats: SummaryStats
+                       ) -> tuple[np.ndarray, np.ndarray, list[float]]:
+    """Every local maximum in alpha of log L``which`` inside ALPHA_T_BOUNDS.
+
+    The analytic slope is scanned on a log-alpha grid, and each descending
+    zero crossing is refined by a root find in log alpha.  The slope is
+    used rather than the value because the likelihoods lose all precision
+    to cancellation at huge alpha, while their digamma-based slopes stay
+    accurate.  Returns (grid, slopes on the grid, maxima in grid order).
+    """
+    grid = np.exp(np.linspace(*ALPHA_T_BOUNDS, _SLOPE_SCAN_POINTS))
+    slopes = np.asarray(dlog_dalpha(which, obs, stats, grid))
+
+    def slope(t: float) -> float:
+        return float(dlog_dalpha(which, obs, stats, math.exp(t)))
+
+    maxima = [math.exp(solve_root(slope, (math.log(grid[k]), math.log(grid[k + 1]))))
+              for k in np.nonzero((slopes[:-1] > 0.0) & (slopes[1:] <= 0.0))[0]]
+    return grid, slopes, maxima
+
+
+def mle_alpha(obs: Observation, stats: SummaryStats,
+              base: str = "L5") -> tuple[float, bool]:
     """Maximum likelihood alpha from L5 or L9.
 
     Proportional data (Delta_S = 0) returns the sentinel (inf, True).
@@ -95,8 +120,8 @@ def mle_alpha(obs: Observation, stats: SummaryStats, base: str = "L5",
     (N = 1) or peaks at alpha -> 0 (N >= 2).  Away from that case the
     maximum is interior, but the objectives are not always log-concave
     (small samples with uneven base measure can carry two local maxima),
-    so the search scans the analytic slope for every descending zero
-    crossing and compares the candidates.
+    so every local maximum (alpha_slope_maxima) is a candidate and the
+    highest wins.
     """
     if base not in ("L5", "L9"):
         raise ValueError("base must be L5 or L9")
@@ -104,15 +129,7 @@ def mle_alpha(obs: Observation, stats: SummaryStats, base: str = "L5",
         return math.inf, True
     fn = log_L5 if base == "L5" else log_L9
 
-    t_lo, t_hi = ALPHA_T_BOUNDS
-    grid = np.exp(np.linspace(t_lo, t_hi, 241))
-    slopes = np.asarray(dlog_dalpha(base, obs, stats, grid))
-    candidates = []
-    for k in np.nonzero((slopes[:-1] > 0.0) & (slopes[1:] <= 0.0))[0]:
-        t_star = solve_root(
-            lambda t: float(dlog_dalpha(base, obs, stats, math.exp(t))),
-            (math.log(grid[k]), math.log(grid[k + 1])), cfg)
-        candidates.append(math.exp(t_star))
+    grid, slopes, candidates = alpha_slope_maxima(base, obs, stats)
     if not candidates:
         # slope everywhere positive is the near-singular escape; anything
         # else leaves the boundary of the search window
@@ -145,8 +162,8 @@ def _mixed_w_dist(stats: SummaryStats, alpha: float) -> BetaPrimeDist:
                          scale=stats.V)
 
 
-def infer_mixed(obs: Observation, stats: SummaryStats, base: str = "L5",
-                cfg: SolverConfig = DEFAULT_CONFIG) -> InferenceReport:
+def infer_mixed(obs: Observation, stats: SummaryStats,
+                base: str = "L5") -> InferenceReport:
     """Closed-form conditional law at the maximum-likelihood alpha.
 
     W/V ~ Beta-prime(alpha Y, alpha X + N) and W/Z ~ Beta(alpha Y,
@@ -156,7 +173,7 @@ def infer_mixed(obs: Observation, stats: SummaryStats, base: str = "L5",
     singular = _singular_report("mixed", stats)
     if singular is not None:
         return singular
-    alpha, converged = mle_alpha(obs, stats, base, cfg)
+    alpha, converged = mle_alpha(obs, stats, base)
     w_dist = _mixed_w_dist(stats, alpha)
     diag = {"base": base, "converged": converged,
             "mean_w_over_z": alpha * stats.Y / (alpha + stats.N)}
@@ -170,13 +187,18 @@ def infer_mixed(obs: Observation, stats: SummaryStats, base: str = "L5",
                            diagnostics=diag)
 
 
-def _w_over_z_gridded(grid: np.ndarray, density: np.ndarray, v: float) -> GriddedDist:
-    """Transform a gridded W density to the law of s = W / (V + W)."""
-    s = grid / (v + grid)
-    dens_s = density * (v + grid) ** 2 / v
-    total = np.trapezoid(dens_s, s)
-    return GriddedDist(w_grid=s, density=dens_s / total,
-                       log_norm=float(np.log(total)))
+def _w_over_z_gridded(grid: np.ndarray, log_density: np.ndarray,
+                      v: float) -> GriddedDist:
+    """Law of s = W / (V + W) from a log density of W tabulated on a grid.
+
+    The Jacobian dW/ds = (V + W)^2 / V is applied in log space, with
+    log(V + W) taken by logaddexp, so masses spanning the float range
+    cannot overflow it.
+    """
+    log_w, log_v = np.log(grid), math.log(v)
+    log_z = np.logaddexp(log_v, log_w)
+    return GriddedDist.from_log_density(np.exp(log_w - log_z),
+                                        log_density + 2.0 * log_z - log_v)
 
 
 def _alpha_window_nodes(obs: Observation,
@@ -247,8 +269,7 @@ def _mass_check(w_dist: BetaPrimeDist) -> float:
     return float(total)
 
 
-def infer_bayes(obs: Observation, stats: SummaryStats,
-                cfg: SolverConfig = DEFAULT_CONFIG) -> InferenceReport:
+def infer_bayes(obs: Observation, stats: SummaryStats) -> InferenceReport:
     """Fully Bayesian posterior for W under the (alpha b lambda)^-1 prior.
 
     L4(W, alpha) = L5(alpha) BetaPrime(W; alpha Y, alpha X + N, V), so the
@@ -262,13 +283,13 @@ def infer_bayes(obs: Observation, stats: SummaryStats,
     singular = _singular_report("bayes", stats)
     if singular is not None:
         return singular
-    alpha_star, _ = mle_alpha(obs, stats, "L5", cfg)
+    alpha_star, _ = mle_alpha(obs, stats, "L5")
     alphas, weights, log_evidence = _alpha_window_nodes(obs, stats)
     a, b = alphas * stats.Y, alphas * stats.X + stats.N
     w_dist = BetaPrimeDist(a, b, stats.V, weights=weights)
     # alpha marginal mode (mode of L5(alpha) / alpha) as a diagnostic
     a_mode, _ = maximize_unimodal(
-        lambda t: float(log_L5(obs, stats, math.exp(t))) - t, cfg,
+        lambda t: float(log_L5(obs, stats, math.exp(t))) - t,
         t_init=math.log(alpha_star), t_bounds=ALPHA_T_BOUNDS)
     diag = {"mass_check": _mass_check(w_dist), "log_evidence": log_evidence,
             "alpha_mle": alpha_star, "alpha_nodes": len(alphas)}
@@ -279,8 +300,8 @@ def infer_bayes(obs: Observation, stats: SummaryStats,
                            diagnostics=diag)
 
 
-def _profile_envelope(obs: Observation, stats: SummaryStats, w: np.ndarray,
-                      cfg: SolverConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _profile_envelope(obs: Observation, stats: SummaryStats,
+                      w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """max over alpha of log L8(W, alpha) at every W of ``w``.
 
     Returns (argmax alpha, max log L8, argmax at the top of the window).
@@ -307,20 +328,20 @@ def _profile_envelope(obs: Observation, stats: SummaryStats, w: np.ndarray,
     t = newton_bracketed(slope_and_curvature, t_grid[k],
                          t_grid[np.maximum(k - 1, 0)],
                          t_grid[np.minimum(k + 1, len(t_grid) - 1)],
-                         increasing=False, tol=_PROFILE_T_TOL, cfg=cfg)
+                         increasing=False, tol=_PROFILE_T_TOL)
     alpha = np.exp(t)
     return alpha, log_L8(obs, stats, w, alpha), k == len(t_grid) - 1
 
 
 def infer_profile(obs: Observation, stats: SummaryStats,
-                  cfg: SolverConfig = DEFAULT_CONFIG,
                   grid_points: int = DEFAULT_GRID_POINTS) -> InferenceReport:
     """Profile likelihood posterior: sup over alpha of L8 at every W.
 
     The log-W grid spans the mixed method's quantiles at the L9 maximum,
     widened by 2; profiling alpha fattens the tails, so each end is pushed
     outward by factors of 8 until the per-unit-log-W envelope has fallen 30
-    nats below its value at the mixed median.  All probes, then all grid
+    nats below its value at the mixed median, the lower end stopping at
+    V * _MIN_W_OVER_V.  All probes, then all grid
     points, are profiled at once (_profile_envelope).  The curve is
     normalized by its own quadrature, being an unnormalized density by
     construction.
@@ -328,7 +349,7 @@ def infer_profile(obs: Observation, stats: SummaryStats,
     singular = _singular_report("profile", stats)
     if singular is not None:
         return singular
-    alpha_star, _ = mle_alpha(obs, stats, "L9", cfg)
+    alpha_star, _ = mle_alpha(obs, stats, "L9")
 
     ref = _mixed_w_dist(stats, alpha_star)
     median = ref.quantile(0.5)
@@ -336,7 +357,7 @@ def infer_profile(obs: Observation, stats: SummaryStats,
     lo_probes = ref.quantile(_GRID_Q_LO) / 2.0 / steps
     hi_probes = ref.quantile(_GRID_Q_HI) * 2.0 * steps
     probes = np.concatenate([[median], lo_probes, hi_probes])
-    _, env, _ = _profile_envelope(obs, stats, probes, cfg)
+    _, env, _ = _profile_envelope(obs, stats, probes)
     per_log_w = env + np.log(probes)
     low_enough = per_log_w <= per_log_w[0] - 30.0
 
@@ -344,11 +365,12 @@ def infer_profile(obs: Observation, stats: SummaryStats,
         hit = np.nonzero(below)[0]
         return probe_values[hit[0]] if len(hit) else probe_values[-1] * factor
 
-    lo = span_end(lo_probes, low_enough[1:_SPAN_STEPS + 1], 1.0 / 8.0)
+    lo = max(span_end(lo_probes, low_enough[1:_SPAN_STEPS + 1], 1.0 / 8.0),
+             stats.V * _MIN_W_OVER_V)
     hi = span_end(hi_probes, low_enough[_SPAN_STEPS + 1:], 8.0)
     grid = np.exp(np.linspace(math.log(lo), math.log(hi), grid_points))
 
-    alphas, log_l10, at_top = _profile_envelope(obs, stats, grid, cfg)
+    alphas, log_l10, at_top = _profile_envelope(obs, stats, grid)
     if np.any(at_top):
         raise ArithmeticError(
             "profile maximization diverged at finite W with Delta_S > 0")
@@ -357,7 +379,7 @@ def infer_profile(obs: Observation, stats: SummaryStats,
     mode_alpha = float(alphas[int(np.argmax(log_l10))])
     return InferenceReport(method="profile", w_dist=w_dist,
                            z_dist=ShiftedDist(w_dist, stats.V),
-                           w_over_z_dist=_w_over_z_gridded(grid, w_dist.density, stats.V),
+                           w_over_z_dist=_w_over_z_gridded(grid, log_l10, stats.V),
                            alpha_summary=mode_alpha,
                            diagnostics={"alpha_mle": alpha_star,
                                         "alpha_at_mode": mode_alpha})

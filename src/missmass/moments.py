@@ -36,9 +36,9 @@ import numpy as np
 from .data import Observation, SummaryStats
 from .distributions import GammaDist, PointMass
 from .estimators import rb_poisson_lambda
-from .inference import ALPHA_T_BOUNDS, mle_alpha
+from .inference import alpha_slope_maxima, mle_alpha
 from .likelihoods import ModelParams, dlog_dalpha, log_L11, stationary_b_lambda
-from .solvers import DEFAULT_CONFIG, SolverConfig, solve_root
+from .solvers import solve_root
 from .special import digamma
 
 RESIDUAL_TOL = 1e-8
@@ -73,17 +73,13 @@ def _result(strategy: str, stats: SummaryStats, params: ModelParams | None,
                              strategy=strategy, w_dist=w, diagnostics=diagnostics)
 
 
-def mle_full(obs: Observation, stats: SummaryStats,
-             cfg: SolverConfig = DEFAULT_CONFIG) -> MomentMatchResult:
+def mle_full(obs: Observation, stats: SummaryStats) -> MomentMatchResult:
     """Plain maximum likelihood: maximize L11 over alpha, safeguarded.
 
-    The profile is not guaranteed concave, so the search scans the
-    analytic slope on a dense log-alpha grid and refines every descending
-    zero crossing (a dense-grid version of multi-starting); among the
-    local maxima found, the best L11 value wins.  The slope is used for
-    bracketing because the likelihood value itself loses all precision to
-    cancellation at huge alpha, while the digamma-based derivative stays
-    accurate.  A slope still positive at the upper search bound is the
+    The profile is not guaranteed concave, so every local maximum on a
+    dense log-alpha slope scan is a candidate (alpha_slope_maxima, a
+    dense-grid version of multi-starting), and the best L11 value wins.
+    A slope still positive at the upper search bound is the
     maximum-at-infinity boundary verdict, and proportional data
     (Delta_S = 0) is that boundary case by construction, so it is decided
     up front rather than hunted numerically.
@@ -92,17 +88,7 @@ def mle_full(obs: Observation, stats: SummaryStats,
         return _result("MLE", stats, None, [math.nan],
                        {"status": "boundary",
                         "reason": "maximum at alpha -> infinity (Delta_S = 0)"})
-    t_lo, t_hi = ALPHA_T_BOUNDS
-    grid = np.exp(np.linspace(t_lo, t_hi, 241))
-    slopes = np.asarray(dlog_dalpha("L11", obs, stats, grid))
-
-    candidates = []
-    for k in range(len(grid) - 1):
-        if slopes[k] > 0.0 >= slopes[k + 1]:
-            alpha = solve_root(
-                lambda t: float(dlog_dalpha("L11", obs, stats, math.exp(t))),
-                (math.log(grid[k]), math.log(grid[k + 1])), cfg)
-            candidates.append(math.exp(alpha))
+    grid, slopes, candidates = alpha_slope_maxima("L11", obs, stats)
     if not candidates:
         if slopes[-1] > 0.0:
             return _result("MLE", stats, None, [math.nan],
@@ -127,7 +113,7 @@ def mle_full(obs: Observation, stats: SummaryStats,
                     "n_local_maxima": len(candidates)})
 
 
-def _match_outer_alpha(u_residual, mixed_alpha: float, cfg: SolverConfig,
+def _match_outer_alpha(u_residual, mixed_alpha: float,
                        diagnostics: dict) -> float | None:
     """Scan the alpha grid for sign changes of the U residual and return
     the root closest (in log) to the mixed-method alpha."""
@@ -138,7 +124,7 @@ def _match_outer_alpha(u_residual, mixed_alpha: float, cfg: SolverConfig,
             continue
         if vals[k] == 0.0 or (vals[k] < 0) != (vals[k + 1] < 0):
             roots.append(solve_root(u_residual,
-                                    (_ALPHA_SCAN[k], _ALPHA_SCAN[k + 1]), cfg))
+                                    (_ALPHA_SCAN[k], _ALPHA_SCAN[k + 1])))
     diagnostics["alpha_roots"] = list(roots)
     if not roots:
         return None
@@ -147,8 +133,7 @@ def _match_outer_alpha(u_residual, mixed_alpha: float, cfg: SolverConfig,
     return min(roots, key=lambda r: abs(math.log(r / mixed_alpha)))
 
 
-def match_A(obs: Observation, stats: SummaryStats,
-            cfg: SolverConfig = DEFAULT_CONFIG) -> MomentMatchResult:
+def match_A(obs: Observation, stats: SummaryStats) -> MomentMatchResult:
     """Match observed (N, U, V) to their before-sampling expectations.
 
     The N equation gives lambda/b = N/alpha, the V equation then yields b
@@ -174,8 +159,8 @@ def match_A(obs: Observation, stats: SummaryStats,
         return model_u - u
 
     diag: dict = {}
-    mixed_alpha, _ = mle_alpha(obs, stats, "L5", cfg)
-    alpha = _match_outer_alpha(u_residual, mixed_alpha, cfg, diag)
+    mixed_alpha, _ = mle_alpha(obs, stats, "L5")
+    alpha = _match_outer_alpha(u_residual, mixed_alpha, diag)
     if alpha is None:
         diag["status"] = "no-root"
         return _result("A", stats, None, [math.nan] * 3, diag)
@@ -223,8 +208,8 @@ def _b_conditional_moments(x_s: np.ndarray, alpha: float, rho: float):
     return n_factor, u_no_logb, v_times_b
 
 
-def _solve_b_rho(x_s: np.ndarray, alpha: float, n: int, v: float,
-                 cfg: SolverConfig) -> tuple[float, float]:
+def _solve_b_rho(x_s: np.ndarray, alpha: float, n: int,
+                 v: float) -> tuple[float, float]:
     """Inner solve of strategy B: rho from the N equation (increasing in
     rho from M), then b from the V equation in closed form."""
     m = len(x_s)
@@ -247,19 +232,18 @@ def _solve_b_rho(x_s: np.ndarray, alpha: float, n: int, v: float,
         lo -= 30.0
         if lo < -700.0:
             raise ValueError("could not bracket rho")
-    rho = math.exp(solve_root(f, (lo, hi), cfg))
+    rho = math.exp(solve_root(f, (lo, hi)))
     _, _, v_times_b = _b_conditional_moments(x_s, alpha, rho)
     return v_times_b / v, rho
 
 
-def match_B(obs: Observation, stats: SummaryStats,
-            cfg: SolverConfig = DEFAULT_CONFIG) -> MomentMatchResult:
+def match_B(obs: Observation, stats: SummaryStats) -> MomentMatchResult:
     """Match observed (N, U, V) to their expectations conditional on S."""
     x_s = obs.x_obs
     n, u, v = stats.N, stats.U, stats.V
 
     def u_residual(alpha: float) -> float:
-        b, rho = _solve_b_rho(x_s, alpha, n, v, cfg)
+        b, rho = _solve_b_rho(x_s, alpha, n, v)
         if rho == 0.0:
             a = alpha * x_s
             model_u = float(np.dot(x_s, digamma(a) + 1.0 / a)) - stats.X * math.log(b)
@@ -269,12 +253,12 @@ def match_B(obs: Observation, stats: SummaryStats,
         return model_u - u
 
     diag: dict = {}
-    mixed_alpha, _ = mle_alpha(obs, stats, "L5", cfg)
-    alpha = _match_outer_alpha(u_residual, mixed_alpha, cfg, diag)
+    mixed_alpha, _ = mle_alpha(obs, stats, "L5")
+    alpha = _match_outer_alpha(u_residual, mixed_alpha, diag)
     if alpha is None:
         diag["status"] = "no-root"
         return _result("B", stats, None, [math.nan] * 3, diag)
-    b, rho = _solve_b_rho(x_s, alpha, n, v, cfg)
+    b, rho = _solve_b_rho(x_s, alpha, n, v)
     lam = rho * b
     diag["status"] = "ok" if lam > 0 else "lambda_zero"
     if lam <= 0:
@@ -294,15 +278,14 @@ def _residuals_b(obs: Observation, stats: SummaryStats, params: ModelParams) -> 
             (ev - stats.V) / stats.V]
 
 
-def match_C(obs: Observation, stats: SummaryStats,
-            cfg: SolverConfig = DEFAULT_CONFIG) -> MomentMatchResult:
+def match_C(obs: Observation, stats: SummaryStats) -> MomentMatchResult:
     """lambda from N = E(N | S, p on S), then (alpha, b) from strategy B's
     U and V equations at that lambda.
 
     The lambda equation is exactly the Rao-Blackwell Poisson rate
     equation; M = N forces lambda = 0 and the strategy degenerates.
     """
-    lam = rb_poisson_lambda(obs, cfg)
+    lam = rb_poisson_lambda(obs)
     diag: dict = {"lambda": lam}
     if lam == 0.0:
         diag["status"] = "lambda_zero"
@@ -331,15 +314,15 @@ def match_C(obs: Observation, stats: SummaryStats,
             fhi = f(hi)
             if hi > 600.0:
                 raise ValueError("could not bracket b")
-        return math.exp(solve_root(f, (lo, hi), cfg))
+        return math.exp(solve_root(f, (lo, hi)))
 
     def u_residual(alpha: float) -> float:
         b = b_of(alpha)
         _, u_no_logb, _ = _b_conditional_moments(x_s, alpha, lam / b)
         return u_no_logb - stats.X * math.log(b) - u
 
-    mixed_alpha, _ = mle_alpha(obs, stats, "L5", cfg)
-    alpha = _match_outer_alpha(u_residual, mixed_alpha, cfg, diag)
+    mixed_alpha, _ = mle_alpha(obs, stats, "L5")
+    alpha = _match_outer_alpha(u_residual, mixed_alpha, diag)
     if alpha is None:
         diag["status"] = "no-root"
         return _result("C", stats, None, [math.nan] * 3, diag)
@@ -354,10 +337,10 @@ def match_C(obs: Observation, stats: SummaryStats,
     return _result("C", stats, params, residuals, diag)
 
 
-def moment_match(obs: Observation, stats: SummaryStats, strategy: str,
-                 cfg: SolverConfig = DEFAULT_CONFIG) -> MomentMatchResult:
+def moment_match(obs: Observation, stats: SummaryStats,
+                 strategy: str) -> MomentMatchResult:
     """Dispatch on strategy name: A, B, C or MLE."""
     fn = {"A": match_A, "B": match_B, "C": match_C, "MLE": mle_full}.get(strategy)
     if fn is None:
         raise ValueError(f"unknown strategy {strategy!r}")
-    return fn(obs, stats, cfg)
+    return fn(obs, stats)

@@ -11,7 +11,6 @@ Gauss-Legendre panels resolve.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
@@ -30,22 +29,12 @@ class DivergenceError(RuntimeError):
     """Integrand is not integrable (tail decays too slowly or grows)."""
 
 
-@dataclass(frozen=True)
-class SolverConfig:
-    rel_tol: float = 1e-10
-    max_iter: int = 200
-    quad_points: int = 257
-
-    def __post_init__(self):
-        if not self.rel_tol > 0:
-            raise ValueError("rel_tol must be positive")
-        if self.max_iter < 10:
-            raise ValueError("max_iter must be at least 10")
-        if self.quad_points < 33 or self.quad_points % 2 == 0:
-            raise ValueError("quad_points must be odd and at least 33")
-
-
-DEFAULT_CONFIG = SolverConfig()
+# relative bracket width at which the root finders and the golden-section
+# search stop, their iteration budget, and the Gauss-Legendre nodes per
+# quadrature panel
+_REL_TOL = 1e-10
+_MAX_ITER = 200
+_QUAD_POINTS = 257
 
 # expansion limits in t = log(argument); hitting the upper limit while the
 # function still ascends is the "maximum at infinity" verdict
@@ -53,12 +42,11 @@ T_LOWER = -30.0
 T_UPPER = 50.0
 
 
-def solve_root(f: Callable[[float], float], bracket: tuple[float, float],
-               cfg: SolverConfig = DEFAULT_CONFIG) -> float:
+def solve_root(f: Callable[[float], float], bracket: tuple[float, float]) -> float:
     """Root of f on [lo, hi] by a safeguarded secant/bisection hybrid.
 
     Requires f(lo) * f(hi) <= 0.  Terminates when the bracket width drops
-    below cfg.rel_tol relative to the root location.
+    below _REL_TOL relative to the root location.
     """
     lo, hi = float(bracket[0]), float(bracket[1])
     if not lo < hi:
@@ -73,9 +61,9 @@ def solve_root(f: Callable[[float], float], bracket: tuple[float, float],
             f"no sign change on bracket ({lo}, {hi}): f = ({flo}, {fhi})")
 
     bisect_next = False
-    for _ in range(cfg.max_iter):
+    for _ in range(_MAX_ITER):
         width = hi - lo
-        if width <= cfg.rel_tol * max(abs(lo), abs(hi), 1e-300):
+        if width <= _REL_TOL * max(abs(lo), abs(hi), 1e-300):
             return 0.5 * (lo + hi)
         if bisect_next or fhi == flo:
             x = 0.5 * (lo + hi)
@@ -97,8 +85,7 @@ def solve_root(f: Callable[[float], float], bracket: tuple[float, float],
 
 def newton_bracketed(fn: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
                      x: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-                     increasing: bool, tol: float,
-                     cfg: SolverConfig = DEFAULT_CONFIG) -> np.ndarray:
+                     increasing: bool, tol: float) -> np.ndarray:
     """Roots of monotone functions, elementwise, by bracketed Newton steps.
 
     ``fn(x)`` returns (g, dg/dx) for an array of points; on each
@@ -112,7 +99,7 @@ def newton_bracketed(fn: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
     x, lo, hi = (np.array(v, dtype=float) for v in (x, lo, hi))
     last_step = hi - lo
     active = np.ones(x.shape, dtype=bool)
-    for _ in range(cfg.max_iter):
+    for _ in range(_MAX_ITER):
         g, slope = fn(x)
         root_above = g < 0 if increasing else g > 0
         lo = np.where(root_above, x, lo)
@@ -131,7 +118,6 @@ def newton_bracketed(fn: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
 
 
 def maximize_unimodal(g: Callable[[float], float],
-                      cfg: SolverConfig = DEFAULT_CONFIG,
                       t_init: float = 0.0,
                       t_bounds: tuple[float, float] = (T_LOWER, T_UPPER),
                       ) -> tuple[float, float]:
@@ -162,7 +148,7 @@ def maximize_unimodal(g: Callable[[float], float],
     it = 0
     while not (gb >= ga and gb >= gc):
         it += 1
-        if it > cfg.max_iter:
+        if it > _MAX_ITER:
             raise ConvergenceError("maximize_unimodal: bracketing failed")
         if gc > gb:
             a, ga = b, gb
@@ -193,8 +179,8 @@ def maximize_unimodal(g: Callable[[float], float],
     x1 = c - invphi * (c - a)
     x2 = a + invphi * (c - a)
     f1, f2 = g(x1), g(x2)
-    for _ in range(cfg.max_iter):
-        if (c - a) <= cfg.rel_tol:
+    for _ in range(_MAX_ITER):
+        if (c - a) <= _REL_TOL:
             break
         if f1 >= f2:
             c, x2, f2 = x2, x1, f1
@@ -208,10 +194,9 @@ def maximize_unimodal(g: Callable[[float], float],
     return math.exp(t_star), max(f1, f2)
 
 
-@lru_cache(maxsize=8)
-def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    nodes, weights = np.polynomial.legendre.leggauss(n)
-    return nodes, weights
+@lru_cache(maxsize=1)
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    return np.polynomial.legendre.leggauss(_QUAD_POINTS)
 
 
 # panel layout in t: a cluster of narrow panels around the mode, then
@@ -229,8 +214,7 @@ _T_EVAL_MIN = -740.0
 
 
 def integrate_semi_infinite(log_f: Callable[[np.ndarray], np.ndarray],
-                            mode_hint: float,
-                            cfg: SolverConfig = DEFAULT_CONFIG) -> float:
+                            mode_hint: float) -> float:
     """log of integral_0^inf f(u) du for a unimodal integrable density.
 
     ``log_f`` must accept numpy arrays.  The mode is located near
@@ -244,13 +228,13 @@ def integrate_semi_infinite(log_f: Callable[[np.ndarray], np.ndarray],
         return float(np.asarray(val).ravel()[0]) + t
 
     t_init = math.log(mode_hint) if mode_hint > 0 else 0.0
-    u_star, _ = maximize_unimodal(g_scalar, cfg, t_init=t_init,
+    u_star, _ = maximize_unimodal(g_scalar, t_init=t_init,
                                   t_bounds=(t_init - 90.0, max(T_UPPER, t_init + 60.0)))
     if math.isinf(u_star):
         raise DivergenceError("integrand increases toward infinity")
     t_star = math.log(u_star)
 
-    nodes, weights = _gauss_legendre(cfg.quad_points)
+    nodes, weights = _gauss_legendre()
     log_w = np.log(weights)
 
     def panel(t_left: float, t_right: float) -> float:

@@ -1,132 +1,44 @@
-"""Log-gamma, digamma and trigamma in pure numpy.
+"""Log-gamma, digamma, trigamma and log-beta on the positive reals.
 
-Lanczos approximation for the log-gamma; Laurent series near the pole and
-asymptotic (de Moivre) series with upward recurrence for the psi functions.
-Everything is vectorized because the likelihood chain evaluates sums like
-``sum_i x(i) * psi(alpha * x(i))`` on whole quadrature grids at once, and
-shape arguments ``alpha * x(i)`` can be arbitrarily close to zero.
+Thin wrappers over ``scipy.special`` that refuse a non-positive argument
+and return a float for a scalar one.  The likelihood chain evaluates sums
+like ``sum_i x(i) * psi(alpha * x(i))`` on whole alpha grids at once, so
+every function takes arrays; shape arguments ``alpha * x(i)`` can be
+arbitrarily close to zero.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-EULER_GAMMA = 0.57721566490153286061
-
-_LOG_SQRT_TWO_PI = 0.91893853320467274178
-
-# zeta(2) .. zeta(6); Laurent coefficients around z = 0
-_Z2 = 1.64493406684822643647
-_Z3 = 1.20205690315959428540
-_Z4 = 1.08232323371113819152
-_Z5 = 1.03692775514336992633
-_Z6 = 1.01734306198444913971
-
-_LANCZOS_G = 7.0
-_LANCZOS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-# switch to the Laurent series below this argument
-_SMALL = 1e-4
-# upward recurrence target for the asymptotic psi series
-_ASYM = 10.0
+from scipy import special
 
 
-def _check_positive(z: np.ndarray, name: str) -> None:
+def _positive(z, name: str) -> np.ndarray:
+    z = np.asarray(z, dtype=float)
     if not np.all(z > 0.0):
         raise ValueError(f"{name} requires a positive argument")
+    return z
+
+
+def _out(val):
+    return float(val) if np.ndim(val) == 0 else val
 
 
 def log_gamma(z):
     """log Gamma(z) for z > 0, scalar or array."""
-    z = np.asarray(z, dtype=float)
-    _check_positive(z, "log_gamma")
-    scalar = z.ndim == 0
-    z = np.atleast_1d(z)
-
-    # one recurrence step keeps the Lanczos window at z >= 0.5
-    small = z < 0.5
-    zs = np.where(small, z + 1.0, z)
-
-    series = np.full(zs.shape, _LANCZOS[0])
-    for k in range(1, len(_LANCZOS)):
-        series += _LANCZOS[k] / (zs - 1.0 + k)
-    t = zs + (_LANCZOS_G - 0.5)
-    val = _LOG_SQRT_TWO_PI + (zs - 0.5) * np.log(t) - t + np.log(series)
-    val = np.where(small, val - np.log(np.where(small, z, 1.0)), val)
-    return float(val[0]) if scalar else val
+    return _out(special.gammaln(_positive(z, "log_gamma")))
 
 
 def digamma(z):
     """psi(z) = d/dz log Gamma(z) for z > 0, scalar or array."""
-    z = np.asarray(z, dtype=float)
-    _check_positive(z, "digamma")
-    scalar = z.ndim == 0
-    z = np.atleast_1d(z)
-    out = np.empty_like(z)
-
-    small = z < _SMALL
-    if np.any(small):
-        u = z[small]
-        out[small] = -1.0 / u - EULER_GAMMA + u * (_Z2 - u * (_Z3 - u * (_Z4 - u * _Z5)))
-
-    big = ~small
-    if np.any(big):
-        w = z[big].copy()
-        acc = np.zeros_like(w)
-        while True:
-            m = w < _ASYM
-            if not np.any(m):
-                break
-            acc[m] -= 1.0 / w[m]
-            w[m] += 1.0
-        r = 1.0 / (w * w)
-        tail = r * (1.0 / 12.0 - r * (1.0 / 120.0 - r * (1.0 / 252.0 - r * (
-            1.0 / 240.0 - r * (1.0 / 132.0 - r * (691.0 / 32760.0))))))
-        out[big] = acc + np.log(w) - 0.5 / w - tail
-    return float(out[0]) if scalar else out
+    return _out(special.psi(_positive(z, "digamma")))
 
 
 def trigamma(z):
-    """psi'(z) for z > 0, scalar or array."""
-    z = np.asarray(z, dtype=float)
-    _check_positive(z, "trigamma")
-    scalar = z.ndim == 0
-    z = np.atleast_1d(z)
-    out = np.empty_like(z)
-
-    small = z < _SMALL
-    if np.any(small):
-        u = z[small]
-        out[small] = 1.0 / (u * u) + _Z2 - u * (2.0 * _Z3 - u * (
-            3.0 * _Z4 - u * (4.0 * _Z5 - u * 5.0 * _Z6)))
-
-    big = ~small
-    if np.any(big):
-        w = z[big].copy()
-        acc = np.zeros_like(w)
-        while True:
-            m = w < _ASYM
-            if not np.any(m):
-                break
-            acc[m] += 1.0 / (w[m] * w[m])
-            w[m] += 1.0
-        r = 1.0 / (w * w)
-        tail = 1.0 + 0.5 / w + r * (1.0 / 6.0 - r * (1.0 / 30.0 - r * (1.0 / 42.0 - r * (
-            1.0 / 30.0 - r * (5.0 / 66.0 - r * (691.0 / 2730.0 - r * (7.0 / 6.0)))))))
-        out[big] = acc + tail / w
-    return float(out[0]) if scalar else out
+    """psi'(z) for z > 0, scalar or array: the Hurwitz zeta(2, z)."""
+    return _out(special.zeta(2.0, _positive(z, "trigamma")))
 
 
 def log_beta(a, b):
     """log B(a, b) for a, b > 0."""
-    return log_gamma(a) + log_gamma(b) - log_gamma(np.asarray(a, float) + b)
+    return _out(special.betaln(_positive(a, "log_beta"), _positive(b, "log_beta")))

@@ -67,7 +67,7 @@ def check_rb_exact(rng, draws=25) -> bool:
         p = rng.lognormal(0.0, 1.0, m)
         obs = Observation(domain_size=m + 1, x=np.full(m + 1, 1 / (m + 1)),
                           indices=np.arange(m), p_obs=p,
-                          counts=_counts(rng, m, n))
+                          counts=random_counts(rng, m, n))
         w = rb_exact(obs)
         f_true, v_true = brute_force_rb(p, n)
         if abs(w.log_f_n - math.log(f_true)) > 1e-10:
@@ -77,7 +77,8 @@ def check_rb_exact(rng, draws=25) -> bool:
     return True
 
 
-def _counts(rng, m: int, n: int) -> np.ndarray:
+def random_counts(rng, m: int, n: int) -> np.ndarray:
+    """Counts of m sampled points summing to n: one each, the rest at random."""
     c = np.ones(m, dtype=np.int64)
     for _ in range(n - m):
         c[rng.integers(0, m)] += 1
@@ -98,7 +99,7 @@ def check_generating_function(rng) -> bool:
             series = np.convolve(series, term)[:n + 1]
         f_series = math.factorial(n) * series[n]
         obs = Observation(domain_size=m + 1, x=np.full(m + 1, 1 / (m + 1)),
-                          indices=np.arange(m), p_obs=p, counts=_counts(rng, m, n))
+                          indices=np.arange(m), p_obs=p, counts=random_counts(rng, m, n))
         w = rb_exact(obs)
         if f_series <= 0 or abs(w.log_f_n - math.log(f_series)) > 1e-12:
             return False
@@ -194,8 +195,6 @@ def check_mixed_closed_form(rng, draws=5) -> bool:
 
 
 def check_generative_equivalence(rng, reps=20_000) -> bool:
-    from scipy.stats import chi2
-
     x = np.array([0.5, 0.3, 0.2])
     params = ModelParams(1.5, 1.0, 4.0)
     keys = []

@@ -11,7 +11,6 @@ import time
 
 import mpmath as mp
 import numpy as np
-from scipy import stats as spstats
 
 from conftest import proportional_observation, random_observation
 from missmass.data import Dataset, Observation, kl_delta, summarize
@@ -29,41 +28,12 @@ from missmass.simulate import (effective_states, expected_values,
                                toy_physics_dataset)
 from missmass.solvers import integrate_semi_infinite
 from missmass.special import log_beta
+from missmass.verify import brute_force_rb, chi_square_equivalence, random_counts
 
 
 def _report(num: int, label: str, passed: bool) -> None:
     print(f"criterion {num:2d} ({label}): {'PASS' if passed else 'FAIL'}")
     assert passed, f"criterion {num} ({label}) failed"
-
-
-def _counts_vector(rng, m: int, n: int) -> np.ndarray:
-    c = np.ones(m, dtype=np.int64)
-    for _ in range(n - m):
-        c[rng.integers(0, m)] += 1
-    return c
-
-
-def _brute_force_rb(ps, n):
-    ps = np.asarray(ps, float)
-    m = len(ps)
-    total = 0.0
-    exp_c = np.zeros(m)
-
-    def rec(i, left, acc):
-        nonlocal total, exp_c
-        if i == m - 1:
-            vec = acc + [left]
-            w = math.factorial(n)
-            for pj, k in zip(ps, vec):
-                w *= pj ** k / math.factorial(k)
-            total += w
-            exp_c += w * np.array(vec, float)
-            return
-        for k in range(1, left - (m - i - 1) + 1):
-            rec(i + 1, left - k, acc + [k])
-
-    rec(0, n, [])
-    return math.log(total), exp_c / total
 
 
 def test_criterion_01_rb_exactness():
@@ -76,10 +46,10 @@ def test_criterion_01_rb_exactness():
         p = rng.lognormal(0.0, 1.0, m)
         obs = Observation(domain_size=m + 1, x=np.full(m + 1, 1 / (m + 1)),
                           indices=np.arange(m), p_obs=p,
-                          counts=_counts_vector(rng, m, n))
+                          counts=random_counts(rng, m, n))
         w = rb_exact(obs)
-        log_f, v = _brute_force_rb(p, n)
-        ok &= abs(w.log_f_n - (log_f + 0.0)) < 1e-10
+        f_n, v = brute_force_rb(p, n)
+        ok &= abs(w.log_f_n - math.log(f_n)) < 1e-10
         ok &= bool(np.max(np.abs(w.aligned(obs) - v)) < 1e-10)
     elapsed = time.perf_counter() - start
     _report(1, f"RB exactness vs enumeration, {elapsed:.2f}s",
@@ -101,7 +71,7 @@ def test_criterion_02_generating_function():
             f_n = math.factorial(n) * series[n]
             obs = Observation(domain_size=m + 1, x=np.full(m + 1, 1 / (m + 1)),
                               indices=np.arange(m), p_obs=p,
-                              counts=_counts_vector(rng, m, n))
+                              counts=random_counts(rng, m, n))
             ok &= abs(math.expm1(rb_exact(obs).log_f_n - math.log(f_n))) < 1e-12
     _report(2, "generating-function identity", ok)
 
@@ -284,28 +254,6 @@ def test_criterion_08_singular_cases():
     _report(8, "singular-case verdicts (Delta_S = 0 and M = N)", ok)
 
 
-def _chi_square_homogeneity(keys):
-    all_rows = np.concatenate(keys, axis=0)
-    cats, inverse = np.unique(all_rows, axis=0, return_inverse=True)
-    counts = np.zeros((len(keys), len(cats)))
-    start = 0
-    for g, rows in enumerate(keys):
-        idx = inverse[start:start + len(rows)]
-        counts[g] = np.bincount(idx, minlength=len(cats))
-        start += len(rows)
-    col = counts.sum(axis=0)
-    expected_col = col / counts.sum()
-    keep = expected_col * counts.sum(axis=1).min() >= 5.0
-    pooled = np.concatenate(
-        [counts[:, keep], counts[:, ~keep].sum(axis=1, keepdims=True)], axis=1)
-    pooled = pooled[:, pooled.sum(axis=0) > 0]
-    exp = (pooled.sum(axis=1, keepdims=True) * pooled.sum(axis=0, keepdims=True)
-           / pooled.sum())
-    stat = float(np.sum((pooled - exp) ** 2 / exp))
-    dof = (pooled.shape[0] - 1) * (pooled.shape[1] - 1)
-    return float(spstats.chi2.sf(stat, dof))
-
-
 def test_criterion_09_generative_equivalence():
     x = np.array([0.5, 0.3, 0.2])
     params = ModelParams(1.5, 1.0, 4.0)
@@ -315,7 +263,7 @@ def test_criterion_09_generative_equivalence():
         keys.append(np.stack([batch["M"], np.minimum(batch["N"], 15),
                               np.minimum(np.round(10 * batch["V"]).astype(int), 60)],
                              axis=1))
-    p_value = _chi_square_homogeneity(keys)
+    p_value = chi_square_equivalence(keys)
     _report(9, f"three generative orders equivalent (p = {p_value:.4f})",
             p_value > 0.001)
 

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -241,3 +245,16 @@ class TestRenderJson:
     def test_nested_structures(self):
         obj = {"a": [1, 2.5], "b": {"c": True, "d": None}}
         assert json.loads(render_json(obj)) == obj
+
+
+def test_import_leaves_heavy_scipy_modules_unloaded():
+    # scipy.optimize, .integrate and .stats each take a large share of the
+    # CLI's start-up time; the package imports them lazily where needed
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    probe = ("import sys, missmass.cli; print(sorted(m for m in ("
+             "'scipy.optimize', 'scipy.integrate', 'scipy.stats') "
+             "if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

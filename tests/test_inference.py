@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,10 +12,11 @@ from conftest import fixture_path, proportional_observation, random_observation
 from missmass import inference
 from missmass.data import Observation, load_observation, summarize
 from missmass.distributions import BetaDist, BetaPrimeDist, PointMass
-from missmass.inference import (ALPHA_T_BOUNDS, infer_bayes, infer_mixed,
-                                infer_profile, mle_alpha)
+from missmass.inference import (ALPHA_T_BOUNDS, alpha_slope_maxima,
+                                infer_bayes, infer_mixed, infer_profile,
+                                mle_alpha)
 from missmass.likelihoods import (ModelParams, d2log_dalpha2, dlog_dalpha,
-                                  log_L4, log_L5, log_L8)
+                                  log_L4, log_L5, log_L8, log_L9)
 from missmass.simulate import simulate_model
 
 
@@ -38,6 +40,23 @@ class TestMleAlpha:
                 slope = dlog_dalpha(base, obs, st, alpha)
                 curv = abs(d2log_dalpha2(base, obs, st, alpha))
                 assert abs(slope) <= 1e-6 * max(1.0, curv * alpha)
+
+    def test_slope_scan_finds_both_local_maxima(self):
+        # draw 17 of the concavity criterion's seed carries two L9 maxima,
+        # near alpha 3.9 and 189; mle_alpha picks the higher
+        rng = np.random.default_rng(104)
+        for _ in range(18):
+            obs = random_observation(rng)
+        st = summarize(obs)
+        grid, slopes, maxima = alpha_slope_maxima("L9", obs, st)
+        assert len(grid) == len(slopes) and len(maxima) == 2
+        assert maxima[0] == pytest.approx(3.9, rel=0.05)
+        assert maxima[1] == pytest.approx(189.0, rel=0.05)
+        for a in maxima:
+            assert abs(dlog_dalpha("L9", obs, st, a)) <= 1e-8 * max(1.0, 1.0 / a)
+            assert d2log_dalpha2("L9", obs, st, a) < 0.0
+        best = maxima[int(np.argmax([log_L9(obs, st, a) for a in maxima]))]
+        assert mle_alpha(obs, st, "L9")[0] == best
 
     def test_singular_sentinel(self, rng):
         obs = proportional_observation(rng)
@@ -278,6 +297,36 @@ class TestProfile:
         rep = infer_profile(obs, st)
         assert np.trapezoid(rep.w_dist.density, rep.w_dist.w_grid) == pytest.approx(
             1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("name", ["regular_small.json", "regular_large.json"])
+    def test_w_over_z_is_the_transformed_w_law(self, name):
+        # s = W / (V + W) with density f_W (V + W)^2 / V, normalized by the
+        # trapezoid rule on the s grid
+        obs = load_observation(fixture_path(name))
+        st = summarize(obs)
+        rep = infer_profile(obs, st)
+        w, v = rep.w_dist.w_grid, st.V
+        dens = rep.w_dist.density * (v + w) ** 2 / v
+        s = w / (v + w)
+        np.testing.assert_allclose(rep.w_over_z_dist.w_grid, s, rtol=1e-12)
+        np.testing.assert_allclose(rep.w_over_z_dist.density,
+                                   dens / np.trapezoid(dens, s), rtol=1e-12)
+
+    def test_w_over_z_across_the_float_range(self):
+        # masses 1e-200 .. 1e200: (V + W)^2 and the W/Z density at
+        # subnormal W/Z both overflow unless kept in log space or off the grid
+        obs = Observation(domain_size=5, x=np.full(5, 0.2),
+                          indices=np.array([0, 1, 2]),
+                          p_obs=np.array([1e-200, 1.0, 1e200]),
+                          counts=np.array([1, 1, 1]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rep = infer_profile(obs, summarize(obs))
+            wz = rep.w_over_z_dist
+            values = [wz.mean] + [wz.quantile(q) for q in (0.05, 0.5, 0.95)]
+        assert np.all(np.isfinite(values))
+        assert 0.0 < values[1] < values[2] < values[3] < 1.0
+        assert math.isfinite(rep.w_dist.mean)
 
 
 class TestEquivariance:

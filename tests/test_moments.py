@@ -88,9 +88,8 @@ class TestMatchB:
         assert res.params is None
         assert res.diagnostics["status"] == "no-root"
         from missmass.moments import _solve_b_rho
-        from missmass.solvers import DEFAULT_CONFIG
         for alpha in (0.5, 2.0, 11.0):
-            b, rho = _solve_b_rho(obs.x_obs, alpha, st.N, st.V, DEFAULT_CONFIG)
+            b, rho = _solve_b_rho(obs.x_obs, alpha, st.N, st.V)
             a = alpha * 0.1
             n_model = rho * a / -math.expm1(-a * math.log1p(rho))
             v_model = (a / b) * (-math.expm1(-(a + 1) * math.log1p(rho))

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from missmass.solvers import (BracketError, DivergenceError, SolverConfig,
+from missmass.solvers import (BracketError, DivergenceError,
                               integrate_semi_infinite, maximize_unimodal,
                               newton_bracketed, solve_root)
 from missmass.special import log_beta, log_gamma
@@ -97,16 +97,3 @@ class TestIntegrateSemiInfinite:
         with pytest.raises(DivergenceError):
             integrate_semi_infinite(lambda u: 0.0 * u, 1.0)
 
-
-class TestSolverConfig:
-    def test_defaults(self):
-        cfg = SolverConfig()
-        assert cfg.rel_tol == 1e-10 and cfg.max_iter == 200 and cfg.quad_points == 257
-
-    @pytest.mark.parametrize("kwargs", [
-        {"rel_tol": 0.0}, {"max_iter": 5}, {"quad_points": 32},
-        {"quad_points": 34},
-    ])
-    def test_validation(self, kwargs):
-        with pytest.raises(ValueError):
-            SolverConfig(**kwargs)
