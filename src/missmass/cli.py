@@ -210,7 +210,9 @@ def _cmd_infer(args) -> int:
                           {"alpha": res.params.alpha, "b": res.params.b,
                            "lambda": res.params.lam}),
                "residuals": list(np.atleast_1d(res.residuals)),
-               "mean_W": res.w_dist.mean if res.w_dist is not None else None}
+               "mean_W": res.w_dist.mean if res.w_dist is not None else None,
+               "diagnostics": {key: val for key, val in res.diagnostics.items()
+                               if isinstance(val, (int, float, str, bool, list))}}
         _emit(out, args.out_json)
         return 0
     else:

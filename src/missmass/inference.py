@@ -38,7 +38,7 @@ from .distributions import (BetaDist, BetaPrimeDist, GriddedDist, PointMass,
                             ShiftedDist)
 from .likelihoods import (d2log_dalpha2, dlog_dalpha, log_L5, log_L8,
                           log_L9)
-from .solvers import maximize_unimodal, newton_bracketed, solve_root
+from .solvers import newton_bracketed, solve_root
 from .special import log_beta
 
 DEFAULT_GRID_POINTS = 201
@@ -49,15 +49,17 @@ ALPHA_T_BOUNDS = (-30.0, 50.0)
 _SLOPE_SCAN_POINTS = 241
 
 # the profile W grid spans these mixed-method quantiles, widened by a
-# factor 2, then by factors of 8 at most _SPAN_STEPS times per end
+# factor 2, then by factors of 8 at most _SPAN_STEPS times per end until
+# the per-log-W envelope is _SPAN_NATS below its value at the mixed median
 _GRID_Q_LO = 1e-4
 _GRID_Q_HI = 1.0 - 1e-4
 _SPAN_STEPS = 12
+_SPAN_NATS = 30.0
 # and starts no lower than V times this: below it W/Z nears the subnormal
 # floats, and the W/Z density, which can grow as (W/Z)^-1, overflows
 _MIN_W_OVER_V = 1e-300
 # the profile's log-alpha grid over ALPHA_T_BOUNDS, and the log-alpha step
-# at which its Newton polish stops
+# at which its Newton polish (and that of the Bayes alpha mode) stops
 _PROFILE_ALPHA_POINTS = 241
 _PROFILE_T_TOL = 1e-12
 
@@ -269,6 +271,34 @@ def _mass_check(w_dist: BetaPrimeDist) -> float:
     return float(total)
 
 
+def _alpha_marginal_mode(obs: Observation, stats: SummaryStats,
+                         alpha_star: float) -> float:
+    """Mode of the alpha posterior L5(alpha) / alpha.
+
+    It is a root of alpha dlogL5/dalpha - 1 in t = log alpha: the
+    descending crossing of the slope scan nearest ``alpha_star``, polished
+    by bracketed Newton steps on the analytic curvature.  A scan with no
+    such crossing puts the mode at an end of ALPHA_T_BOUNDS.
+    """
+    t_grid = np.linspace(*ALPHA_T_BOUNDS, _SLOPE_SCAN_POINTS)
+    grid = np.exp(t_grid)
+    h = grid * dlog_dalpha("L5", obs, stats, grid) - 1.0
+    down = np.nonzero((h[:-1] > 0.0) & (h[1:] <= 0.0))[0]
+    if not len(down):
+        return math.inf if h[-1] > 0.0 else float(grid[0])
+    k = down[np.argmin(np.abs(t_grid[down] - math.log(alpha_star)))]
+
+    def h_and_slope(t):
+        alpha = np.exp(t)
+        slope = alpha * dlog_dalpha("L5", obs, stats, alpha)
+        return slope - 1.0, slope + alpha * alpha * d2log_dalpha2("L5", obs, stats, alpha)
+
+    t = newton_bracketed(h_and_slope, [0.5 * (t_grid[k] + t_grid[k + 1])],
+                         [t_grid[k]], [t_grid[k + 1]], increasing=False,
+                         tol=_PROFILE_T_TOL)
+    return float(np.exp(t[0]))
+
+
 def infer_bayes(obs: Observation, stats: SummaryStats) -> InferenceReport:
     """Fully Bayesian posterior for W under the (alpha b lambda)^-1 prior.
 
@@ -287,16 +317,12 @@ def infer_bayes(obs: Observation, stats: SummaryStats) -> InferenceReport:
     alphas, weights, log_evidence = _alpha_window_nodes(obs, stats)
     a, b = alphas * stats.Y, alphas * stats.X + stats.N
     w_dist = BetaPrimeDist(a, b, stats.V, weights=weights)
-    # alpha marginal mode (mode of L5(alpha) / alpha) as a diagnostic
-    a_mode, _ = maximize_unimodal(
-        lambda t: float(log_L5(obs, stats, math.exp(t))) - t,
-        t_init=math.log(alpha_star), t_bounds=ALPHA_T_BOUNDS)
     diag = {"mass_check": _mass_check(w_dist), "log_evidence": log_evidence,
             "alpha_mle": alpha_star, "alpha_nodes": len(alphas)}
     return InferenceReport(method="bayes", w_dist=w_dist,
                            z_dist=ShiftedDist(w_dist, stats.V),
                            w_over_z_dist=BetaDist(a, b, weights=weights),
-                           alpha_summary=a_mode,
+                           alpha_summary=_alpha_marginal_mode(obs, stats, alpha_star),
                            diagnostics=diag)
 
 
@@ -339,12 +365,15 @@ def infer_profile(obs: Observation, stats: SummaryStats,
 
     The log-W grid spans the mixed method's quantiles at the L9 maximum,
     widened by 2; profiling alpha fattens the tails, so each end is pushed
-    outward by factors of 8 until the per-unit-log-W envelope has fallen 30
-    nats below its value at the mixed median, the lower end stopping at
-    V * _MIN_W_OVER_V.  All probes, then all grid
-    points, are profiled at once (_profile_envelope).  The curve is
-    normalized by its own quadrature, being an unnormalized density by
-    construction.
+    outward by factors of 8 until the per-unit-log-W envelope has fallen
+    _SPAN_NATS below its value at the mixed median, the lower end stopping
+    at V * _MIN_W_OVER_V.  All probes, then all grid points, are profiled
+    at once (_profile_envelope).  The curve is normalized by its own
+    quadrature, being an unnormalized density by construction.  The
+    diagnostics give how far the envelope at each grid end sits below its
+    median value (span_drop_lo_nats, span_drop_hi_nats); status
+    "short_span" flags a drop under _SPAN_NATS, where the law depends on
+    where the grid is cut.
     """
     singular = _singular_report("profile", stats)
     if singular is not None:
@@ -359,7 +388,7 @@ def infer_profile(obs: Observation, stats: SummaryStats,
     probes = np.concatenate([[median], lo_probes, hi_probes])
     _, env, _ = _profile_envelope(obs, stats, probes)
     per_log_w = env + np.log(probes)
-    low_enough = per_log_w <= per_log_w[0] - 30.0
+    low_enough = per_log_w <= per_log_w[0] - _SPAN_NATS
 
     def span_end(probe_values, below, factor):
         hit = np.nonzero(below)[0]
@@ -377,9 +406,14 @@ def infer_profile(obs: Observation, stats: SummaryStats,
 
     w_dist = GriddedDist.from_log_density(grid, log_l10)
     mode_alpha = float(alphas[int(np.argmax(log_l10))])
+    drop_lo, drop_hi = per_log_w[0] - (log_l10[[0, -1]] + np.log(grid[[0, -1]]))
+    short = min(drop_lo, drop_hi) < _SPAN_NATS
     return InferenceReport(method="profile", w_dist=w_dist,
                            z_dist=ShiftedDist(w_dist, stats.V),
                            w_over_z_dist=_w_over_z_gridded(grid, log_l10, stats.V),
                            alpha_summary=mode_alpha,
-                           diagnostics={"alpha_mle": alpha_star,
+                           diagnostics={"status": "short_span" if short else "ok",
+                                        "span_drop_lo_nats": float(drop_lo),
+                                        "span_drop_hi_nats": float(drop_hi),
+                                        "alpha_mle": alpha_star,
                                         "alpha_at_mode": mode_alpha})

@@ -16,11 +16,16 @@ Strategies:
          equation as the Rao-Blackwell Poisson rate), then (alpha, b)
          from strategy B's U and V equations at that lambda.
 
-The moment systems are solved by nesting: the N equation pins one ratio in
-closed form or by a scalar solve, the V equation then gives b in closed
-form, and the outer scalar root find runs over alpha on the U equation.
-The U equation may admit several roots; all brackets found are reported
-and the root closest to the mixed-method alpha is returned.
+Each strategy reduces its system to a residual of the U equation in alpha:
+the N equation pins rho = lambda / b (A: N / alpha; B: an inner solve in
+log rho) and the V equation gives b (A, B: closed form; C, at its fixed
+lambda: an inner solve in log b).  The residual takes an array of alphas,
+and the inner solves are bracketed Newton steps on analytic slopes for all
+of them at once, so the alpha scan is one array pass; sums over points run
+over the distinct x values.  Each sign change on the scan is refined by a
+scalar root find.  The U equation may admit several roots; all are
+reported and the root closest to the mixed-method alpha is returned.
+``evals`` counts residual evaluations, inner and outer, an array pass once.
 
 These strategies are experimental: they are exact on their defining
 moment equations but have no optimality backing.
@@ -38,12 +43,17 @@ from .distributions import GammaDist, PointMass
 from .estimators import rb_poisson_lambda
 from .inference import alpha_slope_maxima, mle_alpha
 from .likelihoods import ModelParams, dlog_dalpha, log_L11, stationary_b_lambda
-from .solvers import solve_root
+from .solvers import newton_bracketed, solve_root
 from .special import digamma
 
 RESIDUAL_TOL = 1e-8
 
 _ALPHA_SCAN = np.exp(np.linspace(-7.0, 9.0, 65))
+# the scan is evaluated in row blocks of at most this many alpha-by-x
+# elements (1 MB per float64 temporary)
+_BLOCK_ELEMS = 1 << 17
+# the inner Newton solves in log rho and log b stop at this step
+_LOG_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -113,24 +123,77 @@ def mle_full(obs: Observation, stats: SummaryStats) -> MomentMatchResult:
                     "n_local_maxima": len(candidates)})
 
 
-def _match_outer_alpha(u_residual, mixed_alpha: float,
+def _distinct(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # every moment sum adds a function of x(i) alone over the points, so it
+    # runs over the distinct values of x weighted by their multiplicities
+    values, counts = np.unique(x, return_counts=True)
+    return values, counts.astype(float)
+
+
+def _scan(u_residual, width: int) -> np.ndarray:
+    """``u_residual`` on _ALPHA_SCAN, in row blocks that keep each
+    alpha-by-x temporary within _BLOCK_ELEMS elements."""
+    rows = max(1, _BLOCK_ELEMS // width)
+    return np.concatenate([u_residual(_ALPHA_SCAN[k:k + rows])
+                           for k in range(0, len(_ALPHA_SCAN), rows)])
+
+
+def _match_outer_alpha(u_residual, scan_values: np.ndarray, mixed_alpha: float,
                        diagnostics: dict) -> float | None:
-    """Scan the alpha grid for sign changes of the U residual and return
-    the root closest (in log) to the mixed-method alpha."""
-    vals = np.array([u_residual(a) for a in _ALPHA_SCAN])
-    roots = []
-    for k in range(len(_ALPHA_SCAN) - 1):
-        if not (np.isfinite(vals[k]) and np.isfinite(vals[k + 1])):
-            continue
-        if vals[k] == 0.0 or (vals[k] < 0) != (vals[k + 1] < 0):
-            roots.append(solve_root(u_residual,
-                                    (_ALPHA_SCAN[k], _ALPHA_SCAN[k + 1])))
-    diagnostics["alpha_roots"] = list(roots)
+    """Refine every sign change of the U residual on the alpha scan
+    (``scan_values``) by solve_root, calling ``u_residual`` on one alpha at
+    a time, and return the root closest (in log) to the mixed-method alpha."""
+    lo, hi = scan_values[:-1], scan_values[1:]
+    change = np.isfinite(lo) & np.isfinite(hi) & ((lo == 0.0) | ((lo < 0) != (hi < 0)))
+    roots = [solve_root(lambda a: float(u_residual(np.array([a]))[0]),
+                        (_ALPHA_SCAN[k], _ALPHA_SCAN[k + 1]))
+             for k in np.nonzero(change)[0]]
+    diagnostics["alpha_roots"] = roots
     if not roots:
         return None
     if math.isinf(mixed_alpha):
         return max(roots)
     return min(roots, key=lambda r: abs(math.log(r / mixed_alpha)))
+
+
+def _widen(fn, end: np.ndarray, step: float, limit: float, wrong_sign: float,
+           what: str) -> np.ndarray:
+    """Move each bracket end by ``step`` while fn there has ``wrong_sign``;
+    a move past ``limit`` means there is no bracket."""
+    wrong = np.sign(fn(end)[0]) == wrong_sign
+    while np.any(wrong):
+        end = np.where(wrong, end + step, end)
+        if np.any((end[wrong] - limit) * step > 0.0):
+            raise ValueError(f"could not bracket {what}")
+        wrong = np.sign(fn(end)[0]) == wrong_sign
+    return end
+
+
+def _no_params(strategy: str, stats: SummaryStats, diag: dict, status: str = "no-root",
+               reason: str = "the U residual does not change sign on the alpha scan "
+               f"[{_ALPHA_SCAN[0]:.4g}, {_ALPHA_SCAN[-1]:.4g}]") -> MomentMatchResult:
+    diag.update(status=status, reason=reason)
+    return _result(strategy, stats, None, [math.nan] * 3, diag)
+
+
+def _relative_residuals(stats: SummaryStats, en: float, eu: float,
+                        ev: float) -> list[float]:
+    return [(en - stats.N) / stats.N, (eu - stats.U) / max(1.0, abs(stats.U)),
+            (ev - stats.V) / stats.V]
+
+
+def _a_moments(values: np.ndarray, weights: np.ndarray, alpha: np.ndarray,
+               rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """E(U) + log b and b E(V) of strategy A at arrays alpha, rho = lambda/b:
+    with a = alpha x and q = (1 + rho)^-a over the domain, these are
+    sum x (log(1 + rho) q + psi(a) (1 - q)) and
+    alpha (1 - sum x q / (1 + rho)); ``weights`` are x times multiplicity."""
+    log1p_rho = np.log1p(rho)
+    a = np.multiply.outer(alpha, values)
+    la = a * log1p_rho[:, None]
+    sum_q = np.exp(-la) @ weights
+    u_plus_logb = log1p_rho * sum_q + (digamma(a) * -np.expm1(-la)) @ weights
+    return u_plus_logb, alpha * (1.0 - sum_q / (1.0 + rho))
 
 
 def match_A(obs: Observation, stats: SummaryStats) -> MomentMatchResult:
@@ -140,142 +203,137 @@ def match_A(obs: Observation, stats: SummaryStats) -> MomentMatchResult:
     in closed form, and alpha is the root of the U equation, all with sums
     over the full domain.
     """
-    x = obs.x
-    pos = x > 0
+    values, counts = _distinct(obs.x[obs.x > 0])
+    weights = values * counts
     n, u, v = stats.N, stats.U, stats.V
+    diag: dict = {"evals": 0}
 
-    def b_of(alpha: float) -> float:
-        a = alpha * x[pos]
-        q1 = np.exp(-(a + 1.0) * math.log1p(n / alpha))
-        return alpha / v * (1.0 - float(np.dot(x[pos], q1)))
+    def u_residual(alpha: np.ndarray) -> np.ndarray:
+        diag["evals"] += 1
+        u_plus_logb, v_times_b = _a_moments(values, weights, alpha, n / alpha)
+        return u_plus_logb - np.log(v_times_b / v) - u
 
-    def u_residual(alpha: float) -> float:
-        a = alpha * x[pos]
-        log1p_rho = math.log1p(n / alpha)
-        q = np.exp(-a * log1p_rho)
-        b = b_of(alpha)
-        model_u = (-math.log(b) + log1p_rho * float(np.dot(x[pos], q))
-                   + float(np.dot(x[pos] * digamma(a), -np.expm1(-a * log1p_rho))))
-        return model_u - u
-
-    diag: dict = {}
     mixed_alpha, _ = mle_alpha(obs, stats, "L5")
-    alpha = _match_outer_alpha(u_residual, mixed_alpha, diag)
+    alpha = _match_outer_alpha(u_residual, _scan(u_residual, len(values)),
+                               mixed_alpha, diag)
     if alpha is None:
-        diag["status"] = "no-root"
-        return _result("A", stats, None, [math.nan] * 3, diag)
-    b = b_of(alpha)
-    lam = n / alpha * b
-    params = ModelParams(alpha, b, lam)
+        return _no_params("A", stats, diag)
+    u_plus_logb, v_times_b = (float(m[0]) for m in _a_moments(
+        values, weights, np.array([alpha]), np.array([n / alpha])))
+    b = v_times_b / v
+    params = ModelParams(alpha, b, n / alpha * b)
     diag["status"] = "ok"
-    return _result("A", stats, params, _residuals_a(obs, stats, params), diag)
+    return _result("A", stats, params, _relative_residuals(
+        stats, params.lam * alpha / b, u_plus_logb - math.log(b), v_times_b / b), diag)
 
 
-def _residuals_a(obs: Observation, stats: SummaryStats, params: ModelParams) -> list[float]:
-    """Relative plug-back residuals of strategy A's three moment equations."""
-    x = obs.x
-    pos = x > 0
-    a = params.alpha * x[pos]
-    rho = params.lam / params.b
-    log1p_rho = math.log1p(rho)
-    q = np.exp(-a * log1p_rho)
-    q1 = np.exp(-(a + 1.0) * log1p_rho)
-    en = params.lam * params.alpha / params.b
-    eu = (-math.log(params.b) + log1p_rho * float(np.dot(x[pos], q))
-          + float(np.dot(x[pos] * digamma(a), -np.expm1(-a * log1p_rho))))
-    ev = params.alpha / params.b * (1.0 - float(np.dot(x[pos], q1)))
-    return [(en - stats.N) / stats.N, (eu - stats.U) / max(1.0, abs(stats.U)),
-            (ev - stats.V) / stats.V]
+def _b_expected_n(values: np.ndarray, counts: np.ndarray, alpha: np.ndarray,
+                  rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """E(N | S) of strategy B and its log-rho slope at arrays alpha, rho > 0:
+    sum r and sum r (1 - r e / (1 + rho)), with a = alpha x,
+    e = (1 + rho)^-a and r = a rho / (1 - e).  No digamma is needed."""
+    a = np.multiply.outer(alpha, values)
+    la = a * np.log1p(rho)[:, None]
+    r = a * rho[:, None] / -np.expm1(-la)
+    en = r @ counts
+    return en, en - (r * r * np.exp(-la)) @ counts / (1.0 + rho)
 
 
-def _b_conditional_moments(x_s: np.ndarray, alpha: float, rho: float):
-    """E(N|S)/lambda*b terms, E(U|S) pieces and E(V|S)*b for strategy B.
-
-    Returns (n_factor, u_without_logb, v_times_b) where
-      E(N|S) = rho * n_factor, E(U|S) = u_without_logb - X log b,
-      E(V|S) = v_times_b / b.
-    """
-    a = alpha * x_s
-    log1p_rho = math.log1p(rho)
-    denom = -np.expm1(-a * log1p_rho)          # 1 - (1+rho)^-a
-    n_factor = float(np.sum(a / denom))
-    numer = -np.expm1(-(a + 1.0) * log1p_rho)  # 1 - (1+rho)^-(a+1)
-    v_times_b = float(np.sum(a * numer / denom))
-    # log(1+rho) / ((1+rho)^a - 1); the ratio -> 0 when the power overflows
-    with np.errstate(over="ignore"):
-        growth = np.expm1(a * log1p_rho)
-    u_no_logb = float(np.dot(x_s, digamma(a) + log1p_rho / growth))
-    return n_factor, u_no_logb, v_times_b
+def _b_v_times_b(values: np.ndarray, counts: np.ndarray, alpha: np.ndarray,
+                 rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """b E(V | S) of strategy B and its log-rho slope at arrays alpha, rho:
+    sum a (1 - e / (1 + rho)) / (1 - e), its terms a + 1 at rho = 0, and
+    rho / (1 + rho)^2 sum a e ((1 - e) - a rho) / (1 - e)^2."""
+    a = np.multiply.outer(alpha, values)
+    log1p_rho = np.log1p(rho)[:, None]
+    e, one_minus_e = np.exp(-a * log1p_rho), -np.expm1(-a * log1p_rho)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.where(log1p_rho > 0.0,
+                     a * -np.expm1(-(a + 1.0) * log1p_rho) / one_minus_e, a + 1.0)
+        dt = a * e * (one_minus_e - a * rho[:, None]) / one_minus_e ** 2
+        return t @ counts, rho / (1.0 + rho) / (1.0 + rho) * (dt @ counts)
 
 
-def _solve_b_rho(x_s: np.ndarray, alpha: float, n: int,
-                 v: float) -> tuple[float, float]:
-    """Inner solve of strategy B: rho from the N equation (increasing in
-    rho from M), then b from the V equation in closed form."""
-    m = len(x_s)
-    if n == m:
-        # rho -> 0 limit: each N term -> 1; V and U equations keep finite limits
-        rho = 0.0
-        a = alpha * x_s
-        b = float(np.sum(a + 1.0)) / v
-        return b, rho
+def _b_conditional_u(values: np.ndarray, counts: np.ndarray, alpha: np.ndarray,
+                     rho: np.ndarray) -> np.ndarray:
+    """E(U | S) + X log b of strategy B at arrays alpha, rho:
+    sum x (psi(a) + log(1 + rho) / ((1 + rho)^a - 1)), the ratio being
+    1/a at rho = 0 and 0 once the power overflows."""
+    a = np.multiply.outer(alpha, values)
+    log1p_rho = np.log1p(rho)[:, None]
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        tail = np.where(log1p_rho > 0.0, log1p_rho / np.expm1(a * log1p_rho), 1.0 / a)
+    return (digamma(a) + tail) @ (values * counts)
 
-    def f(log_rho: float) -> float:
-        rho = math.exp(log_rho)
-        n_factor, _, _ = _b_conditional_moments(x_s, alpha, rho)
-        return rho * n_factor - n
 
-    x_sum = float(np.sum(x_s))
-    hi = math.log(n / (alpha * x_sum))  # rho * alpha * X bounds the sum below
-    lo = hi - 30.0
-    while f(lo) > 0.0:
-        lo -= 30.0
-        if lo < -700.0:
-            raise ValueError("could not bracket rho")
-    rho = math.exp(solve_root(f, (lo, hi)))
-    _, _, v_times_b = _b_conditional_moments(x_s, alpha, rho)
-    return v_times_b / v, rho
+def _solve_b_rho(values: np.ndarray, counts: np.ndarray, alpha: np.ndarray,
+                 n: int, v: float, diag: dict) -> tuple[np.ndarray, np.ndarray]:
+    """Inner solve of strategy B at every alpha of an array: rho from the N
+    equation (increasing in log rho, from M at rho -> 0), then b from the V
+    equation in closed form.  Returns (b, rho)."""
+    rho = np.zeros_like(alpha)  # the M = N limit
+    if n != counts.sum():
+        def g(log_rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            diag["evals"] += 1
+            en, slope = _b_expected_n(values, counts, alpha, np.exp(log_rho))
+            return en - n, slope
+
+        hi = np.log(n / (alpha * (values @ counts)))  # E(N | S) > rho alpha X
+        lo = _widen(g, hi - 30.0, -30.0, -700.0, 1.0, "rho")
+        rho = np.exp(newton_bracketed(g, hi, lo, hi, increasing=True, tol=_LOG_TOL))
+    return _b_v_times_b(values, counts, alpha, rho)[0] / v, rho
 
 
 def match_B(obs: Observation, stats: SummaryStats) -> MomentMatchResult:
     """Match observed (N, U, V) to their expectations conditional on S."""
-    x_s = obs.x_obs
+    values, counts = _distinct(obs.x_obs)
     n, u, v = stats.N, stats.U, stats.V
+    diag: dict = {"evals": 0}
 
-    def u_residual(alpha: float) -> float:
-        b, rho = _solve_b_rho(x_s, alpha, n, v)
-        if rho == 0.0:
-            a = alpha * x_s
-            model_u = float(np.dot(x_s, digamma(a) + 1.0 / a)) - stats.X * math.log(b)
-        else:
-            _, u_no_logb, _ = _b_conditional_moments(x_s, alpha, rho)
-            model_u = u_no_logb - stats.X * math.log(b)
-        return model_u - u
+    def u_residual(alpha: np.ndarray) -> np.ndarray:
+        diag["evals"] += 1
+        b, rho = _solve_b_rho(values, counts, alpha, n, v, diag)
+        return _b_conditional_u(values, counts, alpha, rho) - stats.X * np.log(b) - u
 
-    diag: dict = {}
     mixed_alpha, _ = mle_alpha(obs, stats, "L5")
-    alpha = _match_outer_alpha(u_residual, mixed_alpha, diag)
+    alpha = _match_outer_alpha(u_residual, _scan(u_residual, len(values)),
+                               mixed_alpha, diag)
     if alpha is None:
-        diag["status"] = "no-root"
-        return _result("B", stats, None, [math.nan] * 3, diag)
-    b, rho = _solve_b_rho(x_s, alpha, n, v)
-    lam = rho * b
-    diag["status"] = "ok" if lam > 0 else "lambda_zero"
-    if lam <= 0:
-        return _result("B", stats, None, [math.nan] * 3, diag)
-    params = ModelParams(alpha, b, lam)
-    return _result("B", stats, params, _residuals_b(obs, stats, params), diag)
+        return _no_params("B", stats, diag)
+    b, rho = (float(m[0]) for m in _solve_b_rho(values, counts, np.array([alpha]),
+                                                n, v, diag))
+    if rho * b <= 0:
+        return _no_params("B", stats, diag, "lambda_zero",
+                          "all sampled points are singletons")
+    params = ModelParams(alpha, b, rho * b)
+    diag["status"] = "ok"
+    return _result("B", stats, params, _residuals_b(values, counts, stats, params), diag)
 
 
-def _residuals_b(obs: Observation, stats: SummaryStats, params: ModelParams) -> list[float]:
-    x_s = obs.x_obs
-    rho = params.lam / params.b
-    n_factor, u_no_logb, v_times_b = _b_conditional_moments(x_s, params.alpha, rho)
-    en = rho * n_factor
-    eu = u_no_logb - stats.X * math.log(params.b)
-    ev = v_times_b / params.b
-    return [(en - stats.N) / stats.N, (eu - stats.U) / max(1.0, abs(stats.U)),
-            (ev - stats.V) / stats.V]
+def _residuals_b(values: np.ndarray, counts: np.ndarray, stats: SummaryStats,
+                 params: ModelParams) -> list[float]:
+    alpha, rho = np.array([params.alpha]), np.array([params.lam / params.b])
+    en = float(_b_expected_n(values, counts, alpha, rho)[0][0])
+    v_times_b = float(_b_v_times_b(values, counts, alpha, rho)[0][0])
+    eu = (float(_b_conditional_u(values, counts, alpha, rho)[0])
+          - stats.X * math.log(params.b))
+    return _relative_residuals(stats, en, eu, v_times_b / params.b)
+
+
+def _solve_c_b(values: np.ndarray, counts: np.ndarray, alpha: np.ndarray,
+               lam: float, v: float, diag: dict) -> np.ndarray:
+    """Inner solve of strategy C at every alpha of an array: b from the V
+    equation at fixed lambda, decreasing in log b."""
+    def f(log_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        diag["evals"] += 1
+        b = np.exp(log_b)
+        v_times_b, slope = _b_v_times_b(values, counts, alpha, lam / b)
+        return v_times_b / b - v, -(v_times_b + slope) / b
+
+    scale = np.log((alpha * (values @ counts) + counts.sum()) / v)
+    lo = _widen(f, scale - 40.0, -40.0, -600.0, -1.0, "b")
+    hi = _widen(f, scale + 40.0, 40.0, 600.0, 1.0, "b")
+    return np.exp(newton_bracketed(f, scale, lo, hi, increasing=False, tol=_LOG_TOL))
 
 
 def match_C(obs: Observation, stats: SummaryStats) -> MomentMatchResult:
@@ -286,53 +344,30 @@ def match_C(obs: Observation, stats: SummaryStats) -> MomentMatchResult:
     equation; M = N forces lambda = 0 and the strategy degenerates.
     """
     lam = rb_poisson_lambda(obs)
-    diag: dict = {"lambda": lam}
+    diag: dict = {"lambda": lam, "evals": 0}
     if lam == 0.0:
-        diag["status"] = "lambda_zero"
-        diag["reason"] = "all sampled points are singletons"
-        return _result("C", stats, None, [math.nan] * 3, diag)
-    x_s = obs.x_obs
+        return _no_params("C", stats, diag, "lambda_zero",
+                          "all sampled points are singletons")
+    values, counts = _distinct(obs.x_obs)
     u, v = stats.U, stats.V
 
-    def b_of(alpha: float) -> float:
-        # V equation at fixed lambda: decreasing in b, unique crossing
-        def f(log_b: float) -> float:
-            b = math.exp(log_b)
-            _, _, v_times_b = _b_conditional_moments(x_s, alpha, lam / b)
-            return v_times_b / b - v
-
-        scale = math.log((alpha * stats.X + len(x_s)) / v)
-        lo, hi = scale - 40.0, scale + 40.0
-        flo, fhi = f(lo), f(hi)
-        while flo < 0.0:
-            lo -= 40.0
-            flo = f(lo)
-            if lo < -600.0:
-                raise ValueError("could not bracket b")
-        while fhi > 0.0:
-            hi += 40.0
-            fhi = f(hi)
-            if hi > 600.0:
-                raise ValueError("could not bracket b")
-        return math.exp(solve_root(f, (lo, hi)))
-
-    def u_residual(alpha: float) -> float:
-        b = b_of(alpha)
-        _, u_no_logb, _ = _b_conditional_moments(x_s, alpha, lam / b)
-        return u_no_logb - stats.X * math.log(b) - u
+    def u_residual(alpha: np.ndarray) -> np.ndarray:
+        diag["evals"] += 1
+        b = _solve_c_b(values, counts, alpha, lam, v, diag)
+        return _b_conditional_u(values, counts, alpha, lam / b) - stats.X * np.log(b) - u
 
     mixed_alpha, _ = mle_alpha(obs, stats, "L5")
-    alpha = _match_outer_alpha(u_residual, mixed_alpha, diag)
+    alpha = _match_outer_alpha(u_residual, _scan(u_residual, len(values)),
+                               mixed_alpha, diag)
     if alpha is None:
-        diag["status"] = "no-root"
-        return _result("C", stats, None, [math.nan] * 3, diag)
-    b = b_of(alpha)
+        return _no_params("C", stats, diag)
+    b = float(_solve_c_b(values, counts, np.array([alpha]), lam, v, diag)[0])
     params = ModelParams(alpha, b, lam)
     diag["status"] = "ok"
     # N residual restates the lambda equation in p-space
     lp = lam * obs.p_obs
     en = float(np.sum(lp / -np.expm1(-lp)))
-    resid_b = _residuals_b(obs, stats, params)
+    resid_b = _residuals_b(values, counts, stats, params)
     residuals = [(en - stats.N) / stats.N, resid_b[1], resid_b[2]]
     return _result("C", stats, params, residuals, diag)
 

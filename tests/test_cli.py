@@ -105,6 +105,26 @@ class TestInfer:
         assert payload["strategy"] == "C"
         assert payload["status"] == "ok"
 
+    @pytest.mark.parametrize("fixture, method, status", [
+        ("regular_large.json", "moment-match", "ok"),
+        ("delta_s_zero.json", "moment-match", "no-root"),
+        ("regular_small.json", "mle", "ok")])
+    def test_moment_output_keeps_diagnostics(self, capsys, fixture, method, status):
+        code, out, _ = run_cli(capsys, "infer", "--in", fixture_path(fixture),
+                               "--method", method, "--strategy", "C")
+        assert code == 0
+        payload = json.loads(out)
+        diag = payload["diagnostics"]
+        assert payload["status"] == diag["status"] == status
+        if method == "mle":
+            assert math.isfinite(diag["log_l11"]) and diag["n_local_maxima"] >= 1
+            return
+        assert diag["lambda"] > 0 and diag["evals"] > 0
+        if status == "ok":
+            assert diag["alpha_roots"] == [pytest.approx(payload["params"]["alpha"])]
+        else:
+            assert diag["alpha_roots"] == [] and "sign" in diag["reason"]
+
     def test_profile_runs(self, capsys, tmp_path):
         code, out, _ = run_cli(capsys, "infer", "--in",
                                fixture_path("regular_small.json"),

@@ -258,6 +258,21 @@ class TestBayesMixture:
             infer_bayes(obs, st)
 
 
+class TestBayesAlphaMode:
+    @pytest.mark.parametrize("case", ["gt_example", "regular_small", "regular_large"])
+    def test_mode_is_a_root_of_the_posterior_slope(self, case):
+        # d/dt log(L5 / alpha) = alpha dlogL5/dalpha - 1 vanishes at the mode
+        obs, st = fixture_observation(case)
+        alpha = infer_bayes(obs, st).alpha_summary
+        assert abs(alpha * dlog_dalpha("L5", obs, st, alpha) - 1.0) < 1e-8
+
+
+def spread_observation():
+    """Masses 1e-200, 1 and 1e200 on three of five equal-x points."""
+    return Observation(domain_size=5, x=np.full(5, 0.2), indices=np.array([0, 1, 2]),
+                       p_obs=np.array([1e-200, 1.0, 1e200]), counts=np.array([1, 1, 1]))
+
+
 class TestProfile:
     def test_inner_problem_unimodal(self):
         _, obs, st = model_observation(1)
@@ -315,10 +330,7 @@ class TestProfile:
     def test_w_over_z_across_the_float_range(self):
         # masses 1e-200 .. 1e200: (V + W)^2 and the W/Z density at
         # subnormal W/Z both overflow unless kept in log space or off the grid
-        obs = Observation(domain_size=5, x=np.full(5, 0.2),
-                          indices=np.array([0, 1, 2]),
-                          p_obs=np.array([1e-200, 1.0, 1e200]),
-                          counts=np.array([1, 1, 1]))
+        obs = spread_observation()
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             rep = infer_profile(obs, summarize(obs))
@@ -327,6 +339,36 @@ class TestProfile:
         assert np.all(np.isfinite(values))
         assert 0.0 < values[1] < values[2] < values[3] < 1.0
         assert math.isfinite(rep.w_dist.mean)
+
+
+    @pytest.mark.parametrize("case", ["regular_large", "spread"])
+    def test_span_drops_are_the_envelope_at_the_grid_ends(self, case):
+        # per-log-W envelope, maximized on a dense log-alpha grid, at the
+        # mixed median and at both ends of the profile's W grid
+        obs = spread_observation() if case == "spread" else load_observation(
+            fixture_path(case + ".json"))
+        st = summarize(obs)
+        rep = infer_profile(obs, st)
+        grid = rep.w_dist.w_grid
+        w = np.array([infer_mixed(obs, st, base="L9").w_dist.quantile(0.5),
+                      grid[0], grid[-1]])
+        alphas = np.exp(np.linspace(*ALPHA_T_BOUNDS, 40_001))[:, None]
+        per_log_w = np.max(log_L8(obs, st, w[None, :], alphas), axis=0) + np.log(w)
+        diag = rep.diagnostics
+        drops = per_log_w[0] - per_log_w[1:]
+        assert diag["span_drop_lo_nats"] == pytest.approx(drops[0], abs=1e-3)
+        assert diag["span_drop_hi_nats"] == pytest.approx(drops[1], abs=1e-3)
+        assert diag["span_drop_hi_nats"] >= 30.0
+        short = min(diag["span_drop_lo_nats"], diag["span_drop_hi_nats"]) < 30.0
+        assert diag["status"] == ("short_span" if short else "ok")
+
+    def test_span_cut_by_the_float_floor_is_short(self):
+        # the lower end stops at V * 1e-300 = 1e-100, where the envelope is
+        # still within 2 nats of its value at the mixed median
+        rep = infer_profile(spread_observation(), summarize(spread_observation()))
+        assert rep.w_dist.w_grid[0] == pytest.approx(1e-100)
+        assert rep.diagnostics["span_drop_lo_nats"] == pytest.approx(1.9, abs=0.1)
+        assert rep.diagnostics["status"] == "short_span"
 
 
 class TestEquivariance:

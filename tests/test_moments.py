@@ -3,14 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from conftest import proportional_observation
-from missmass.data import Observation, summarize
+from conftest import fixture_path, proportional_observation
+from missmass.data import Observation, load_observation, summarize
 from missmass.distributions import GammaDist
 from missmass.estimators import rb_poisson_lambda
 from missmass.inference import mle_alpha
 from missmass.likelihoods import ModelParams, dlog_dalpha
-from missmass.moments import (match_A, match_B, match_C, mle_full,
-                              moment_match)
+from missmass.moments import (_ALPHA_SCAN, _distinct, _match_outer_alpha,
+                              _solve_b_rho, _solve_c_b, match_A, match_B,
+                              match_C, mle_full, moment_match)
 from missmass.simulate import simulate_model
 
 
@@ -87,9 +88,10 @@ class TestMatchB:
         res = match_B(obs, st)
         assert res.params is None
         assert res.diagnostics["status"] == "no-root"
-        from missmass.moments import _solve_b_rho
-        for alpha in (0.5, 2.0, 11.0):
-            b, rho = _solve_b_rho(obs.x_obs, alpha, st.N, st.V)
+        alphas = np.array([0.5, 2.0, 11.0])
+        bs, rhos = _solve_b_rho(*_distinct(obs.x_obs), alphas, st.N, st.V,
+                                {"evals": 0})
+        for alpha, b, rho in zip(alphas, bs, rhos):
             a = alpha * 0.1
             n_model = rho * a / -math.expm1(-a * math.log1p(rho))
             v_model = (a / b) * (-math.expm1(-(a + 1) * math.log1p(rho))
@@ -143,3 +145,86 @@ class TestCommon:
             dists = [abs(math.log(r / mixed_alpha))
                      for r in res.diagnostics["alpha_roots"]]
             assert abs(math.log(picked / mixed_alpha)) == pytest.approx(min(dists))
+
+
+def five_valued_observation(seed=3):
+    """M = 189, N = 197 over 20 000 points whose base measure takes five
+    distinct values."""
+    x = 1.0 + np.arange(20_000) % 5
+    x /= x.sum()
+    ds = simulate_model(x, ModelParams(2000.0, 1.0, 0.1), "p-c", rng_seed=seed)
+    obs = ds.observe()
+    return obs, summarize(obs)
+
+
+def conditional_n_and_v_times_b(x_s, alpha, rho):
+    """E(N | S) and b E(V | S) of strategy B, summed point by point."""
+    a = alpha * x_s
+    log1p_rho = math.log1p(rho)
+    denom = -np.expm1(-a * log1p_rho)
+    return (float(np.sum(rho * a / denom)),
+            float(np.sum(a * -np.expm1(-(a + 1.0) * log1p_rho) / denom)))
+
+
+class TestArrayInnerSolves:
+    def test_b_and_c_meet_their_equations_at_every_scan_alpha(self):
+        obs, st = five_valued_observation()
+        assert st.M == 189
+        values, counts = _distinct(obs.x_obs)
+        assert len(values) == 5
+        bs, rhos = _solve_b_rho(values, counts, _ALPHA_SCAN, st.N, st.V, {"evals": 0})
+        lam = rb_poisson_lambda(obs)
+        bs_c = _solve_c_b(values, counts, _ALPHA_SCAN, lam, st.V, {"evals": 0})
+        for alpha, b, rho, b_c in zip(_ALPHA_SCAN, bs, rhos, bs_c):
+            en, v_times_b = conditional_n_and_v_times_b(obs.x_obs, alpha, rho)
+            assert en == pytest.approx(st.N, rel=1e-9)
+            assert v_times_b / b == pytest.approx(st.V, rel=1e-9)
+            _, v_times_b = conditional_n_and_v_times_b(obs.x_obs, alpha, lam / b_c)
+            assert v_times_b / b_c == pytest.approx(st.V, rel=1e-9)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_bracket_failures_raise(self):
+        # N < M: E(N | S) exceeds N for every rho, so no rho bracket exists
+        with pytest.raises(ValueError, match="could not bracket rho"):
+            _solve_b_rho(*_distinct(np.array([0.1, 0.2, 0.3])), np.array([0.5, 2.0]),
+                         2, 1.0, {"evals": 0})
+        # alpha X far below M e^-40 with lambda / b overflowing: b E(V | S)
+        # is alpha X, and b would have to fall below e^-600
+        with pytest.raises(ValueError, match="could not bracket b"):
+            _solve_c_b(*_distinct(np.array([1e-16, 2e-16, 3e-16])),
+                       np.array([math.exp(-7.0)]), 1e200, 1e250, {"evals": 0})
+
+    def test_solver_work_counter(self):
+        # the nested scalar root finds these array passes replaced made 4081
+        # (B) and 4673 (C) inner plus outer residual evaluations here
+        obs = load_observation(fixture_path("regular_large.json"))
+        st = summarize(obs)
+        for strategy, nested in (("B", 4081), ("C", 4673)):
+            res = moment_match(obs, st, strategy)
+            assert res.ok
+            assert 0 < res.diagnostics["evals"] < 0.1 * nested
+        assert moment_match(obs, st, "A").diagnostics["evals"] > 0
+
+
+class TestOuterAlpha:
+    LOG_ROOTS = (-3.3, 1.7, 6.1)  # between scan points
+
+    def residual(self, alpha):
+        t = np.log(alpha)
+        return np.prod([t - r for r in self.LOG_ROOTS], axis=0)
+
+    @pytest.mark.parametrize("mixed_alpha, picked", [
+        (math.exp(1.0), 1.7), (math.exp(-6.0), -3.3), (math.exp(5.0), 6.1),
+        (math.inf, 6.1)])
+    def test_every_root_reported_and_closest_picked(self, mixed_alpha, picked):
+        diag = {}
+        alpha = _match_outer_alpha(self.residual, self.residual(_ALPHA_SCAN),
+                                   mixed_alpha, diag)
+        assert diag["alpha_roots"] == pytest.approx(np.exp(self.LOG_ROOTS), rel=1e-9)
+        assert alpha == pytest.approx(math.exp(picked), rel=1e-9)
+
+    def test_no_sign_change_is_no_root(self):
+        diag = {}
+        positive = lambda alpha: 1.0 + alpha
+        assert _match_outer_alpha(positive, positive(_ALPHA_SCAN), 1.0, diag) is None
+        assert diag["alpha_roots"] == []
