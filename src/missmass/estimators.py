@@ -108,10 +108,11 @@ def _ipw(obs: Observation, form: str, method: str) -> EstimateResult:
     if obs.m == obs.n:
         return EstimateResult(math.inf, method,
                               {"reason": "all sampled points are singletons"})
-    diag: dict = {}
+    diag: dict = {"evals": 0}
     p, n, v = obs.p_obs, obs.n, obs.v
 
     def f(z):
+        diag["evals"] += 1
         return float(np.sum(p / inclusion_probability(p, n, z, form))) - z
 
     root = _solve_upward(f, v, v, diag)
@@ -265,14 +266,16 @@ def rb_z_equation(obs: Observation, weights: RBWeights,
                               {"reason": "all sampled points are singletons"})
     p, n, v_obs, m_obs = obs.p_obs, obs.n, obs.v, obs.m
     w = weights.aligned(obs)
-    diag: dict = {}
+    diag: dict = {"evals": 0}
 
     if variant == "V_over_Z":
         # g increasing from g(V) <= 0 toward sum v p - V > 0
         def g(z):
+            diag["evals"] += 1
             return float(z / n * np.dot(w, inclusion_probability(p, n, z, pi))) - v_obs
     else:
         def g(z):
+            diag["evals"] += 1
             return float(z / n * np.dot(w, inclusion_probability(p, n, z, pi) / p)) - m_obs
 
     lo = v_obs
@@ -404,7 +407,10 @@ def harmonic_mean(obs: Observation, h: Mapping[int, float], H: float,
             return EstimateResult(math.inf, method, {"reason": "zero denominator"})
         z = n * H / denom
     elif mode == "ipw_nonlinear":
+        diag["evals"] = 0
+
         def f(z):
+            diag["evals"] += 1
             return float(np.sum(hv / inclusion_probability(p, n, z, pi))) - H
 
         lo = obs.v
@@ -422,8 +428,8 @@ def harmonic_mean(obs: Observation, h: Mapping[int, float], H: float,
             while f(hi) < 0.0:
                 hi *= 2.0
                 if hi > _UPPER_CAP * max(lo, 1.0):
-                    return EstimateResult(math.inf, method,
-                                          {"reason": "no finite root"})
+                    diag["reason"] = "no finite root"
+                    return EstimateResult(math.inf, method, diag)
             z = solve_root(f, (hi / 2.0, hi))
     else:
         raise ValueError(f"unknown mode {mode!r}")
@@ -475,7 +481,7 @@ def mixture_estimate(obs: Observation, r_components, w, gamma: float,
         H = 1.0
 
     method = f"mixture-gamma-{gamma:g}"
-    diag: dict = {"gamma": gamma}
+    diag: dict = {"gamma": gamma, "evals": 0}
 
     if gamma < 1.0 and obs.m == obs.n:
         diag["reason"] = "all sampled points are singletons"
@@ -484,6 +490,7 @@ def mixture_estimate(obs: Observation, r_components, w, gamma: float,
         return MixtureResult(EstimateResult(z, method, diag), R, None)
 
     def f(z):
+        diag["evals"] += 1
         incl = inclusion_probability(p, n, z, pi)
         return float(np.sum((gamma * hv / H + (1.0 - gamma) * p / z) / incl)) - 1.0
 

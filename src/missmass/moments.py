@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -138,22 +139,26 @@ def _scan(u_residual, width: int) -> np.ndarray:
                            for k in range(0, len(_ALPHA_SCAN), rows)])
 
 
-def _match_outer_alpha(u_residual, scan_values: np.ndarray, mixed_alpha: float,
+def _match_outer_alpha(u_residual, scan_values: np.ndarray,
+                       mixed_alpha: Callable[[], float],
                        diagnostics: dict) -> float | None:
     """Refine every sign change of the U residual on the alpha scan
     (``scan_values``) by solve_root, calling ``u_residual`` on one alpha at
-    a time, and return the root closest (in log) to the mixed-method alpha."""
+    a time, and return the root closest (in log) to the mixed-method alpha.
+    ``mixed_alpha`` computes that alpha; it is called only when there are
+    two roots or more to choose from."""
     lo, hi = scan_values[:-1], scan_values[1:]
     change = np.isfinite(lo) & np.isfinite(hi) & ((lo == 0.0) | ((lo < 0) != (hi < 0)))
     roots = [solve_root(lambda a: float(u_residual(np.array([a]))[0]),
                         (_ALPHA_SCAN[k], _ALPHA_SCAN[k + 1]))
              for k in np.nonzero(change)[0]]
     diagnostics["alpha_roots"] = roots
-    if not roots:
-        return None
-    if math.isinf(mixed_alpha):
+    if len(roots) < 2:
+        return roots[0] if roots else None
+    target = mixed_alpha()
+    if math.isinf(target):
         return max(roots)
-    return min(roots, key=lambda r: abs(math.log(r / mixed_alpha)))
+    return min(roots, key=lambda r: abs(math.log(r / target)))
 
 
 def _widen(fn, end: np.ndarray, step: float, limit: float, wrong_sign: float,
@@ -213,9 +218,8 @@ def match_A(obs: Observation, stats: SummaryStats) -> MomentMatchResult:
         u_plus_logb, v_times_b = _a_moments(values, weights, alpha, n / alpha)
         return u_plus_logb - np.log(v_times_b / v) - u
 
-    mixed_alpha, _ = mle_alpha(obs, stats, "L5")
     alpha = _match_outer_alpha(u_residual, _scan(u_residual, len(values)),
-                               mixed_alpha, diag)
+                               lambda: mle_alpha(obs, stats, "L5")[0], diag)
     if alpha is None:
         return _no_params("A", stats, diag)
     u_plus_logb, v_times_b = (float(m[0]) for m in _a_moments(
@@ -295,9 +299,8 @@ def match_B(obs: Observation, stats: SummaryStats) -> MomentMatchResult:
         b, rho = _solve_b_rho(values, counts, alpha, n, v, diag)
         return _b_conditional_u(values, counts, alpha, rho) - stats.X * np.log(b) - u
 
-    mixed_alpha, _ = mle_alpha(obs, stats, "L5")
     alpha = _match_outer_alpha(u_residual, _scan(u_residual, len(values)),
-                               mixed_alpha, diag)
+                               lambda: mle_alpha(obs, stats, "L5")[0], diag)
     if alpha is None:
         return _no_params("B", stats, diag)
     b, rho = (float(m[0]) for m in _solve_b_rho(values, counts, np.array([alpha]),
@@ -356,9 +359,8 @@ def match_C(obs: Observation, stats: SummaryStats) -> MomentMatchResult:
         b = _solve_c_b(values, counts, alpha, lam, v, diag)
         return _b_conditional_u(values, counts, alpha, lam / b) - stats.X * np.log(b) - u
 
-    mixed_alpha, _ = mle_alpha(obs, stats, "L5")
     alpha = _match_outer_alpha(u_residual, _scan(u_residual, len(values)),
-                               mixed_alpha, diag)
+                               lambda: mle_alpha(obs, stats, "L5")[0], diag)
     if alpha is None:
         return _no_params("C", stats, diag)
     b = float(_solve_c_b(values, counts, np.array([alpha]), lam, v, diag)[0])

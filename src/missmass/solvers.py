@@ -1,11 +1,13 @@
 """Scalar numerics shared by the estimators and the inference routes.
 
-Root finding on a bracket, maximization of unimodal functions in
-log-argument space, and quadrature over (0, inf) done entirely in log
-space.  The densities this package integrates have power-law behavior at 0
-and exponential or power tails at infinity; the substitution t = log(u)
-turns both ends into exponentially decaying tails that composite
-Gauss-Legendre panels resolve.
+Root finding on a bracket by Brent's method (inverse quadratic
+interpolation, secant and bisection steps on a shrinking bracket, stopping
+once the bracket is within _REL_TOL relative to the root), maximization of
+unimodal functions in log-argument space, and quadrature over (0, inf)
+done entirely in log space.  The densities this package integrates have
+power-law behavior at 0 and exponential or power tails at infinity; the
+substitution t = log(u) turns both ends into exponentially decaying tails
+that composite Gauss-Legendre panels resolve.
 """
 
 from __future__ import annotations
@@ -43,43 +45,68 @@ T_UPPER = 50.0
 
 
 def solve_root(f: Callable[[float], float], bracket: tuple[float, float]) -> float:
-    """Root of f on [lo, hi] by a safeguarded secant/bisection hybrid.
+    """Root of f on [lo, hi] by Brent's method.
 
-    Requires f(lo) * f(hi) <= 0.  Terminates when the bracket width drops
-    below _REL_TOL relative to the root location.
+    Requires f(lo) * f(hi) <= 0.  Each step interpolates, inversely
+    quadratic through the last three points or by the secant through the
+    last two, and is taken when it stays within three quarters of the
+    bracket and moves less than half as far as the step before last;
+    otherwise the bracket is bisected.  No step is shorter than half the
+    stopping width.  Iteration stops when the bracket that holds the sign
+    change is within _REL_TOL relative to the root location, and returns
+    its end with the smaller |f|; an end point or iterate where f is
+    exactly zero is returned at once.
     """
-    lo, hi = float(bracket[0]), float(bracket[1])
-    if not lo < hi:
-        raise BracketError(f"empty bracket ({lo}, {hi})")
-    flo, fhi = f(lo), f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if math.copysign(1.0, flo) == math.copysign(1.0, fhi):
+    a, b = float(bracket[0]), float(bracket[1])
+    if not a < b:
+        raise BracketError(f"empty bracket ({a}, {b})")
+    fa, fb = f(a), f(b)
+    if fa == 0.0:
+        return a
+    if fb == 0.0:
+        return b
+    if math.copysign(1.0, fa) == math.copysign(1.0, fb):
         raise BracketError(
-            f"no sign change on bracket ({lo}, {hi}): f = ({flo}, {fhi})")
+            f"no sign change on bracket ({a}, {b}): f = ({fa}, {fb})")
 
-    bisect_next = False
+    # b is the best iterate, c the bracket end of opposite sign, a the
+    # iterate before b
+    c, fc = a, fa
+    step = prev_step = b - a
     for _ in range(_MAX_ITER):
-        width = hi - lo
-        if width <= _REL_TOL * max(abs(lo), abs(hi), 1e-300):
-            return 0.5 * (lo + hi)
-        if bisect_next or fhi == flo:
-            x = 0.5 * (lo + hi)
+        if abs(fc) < abs(fb):
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        tol = 0.5 * _REL_TOL * max(abs(b), abs(c), 1e-300)
+        half = 0.5 * (c - b)
+        if abs(half) <= tol:
+            return b
+        if abs(prev_step) >= tol and abs(fa) > abs(fb):
+            # the interpolated step from b is p / q
+            s = fb / fa
+            if a == c:
+                p, q = 2.0 * half * s, 1.0 - s
+            else:
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * half * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            p = abs(p)
+            if 2.0 * p < min(3.0 * half * q - abs(tol * q), abs(prev_step * q)):
+                prev_step, step = step, p / q
+            else:
+                prev_step = step = half
         else:
-            x = hi - fhi * (hi - lo) / (fhi - flo)
-            if not (lo + 0.01 * width <= x <= hi - 0.01 * width):
-                x = 0.5 * (lo + hi)
-        fx = f(x)
-        if fx == 0.0:
-            return x
-        if math.copysign(1.0, fx) == math.copysign(1.0, flo):
-            lo, flo = x, fx
-        else:
-            hi, fhi = x, fx
-        # force a bisection whenever the secant step stalls
-        bisect_next = (hi - lo) > 0.5 * width
+            prev_step = step = half
+        a, fa = b, fb
+        b += step if abs(step) > tol else math.copysign(tol, half)
+        fb = f(b)
+        if fb == 0.0:
+            return b
+        if math.copysign(1.0, fb) == math.copysign(1.0, fc):
+            c, fc = a, fa
+            step = prev_step = b - a
     raise ConvergenceError("solve_root: max_iter exceeded")
 
 

@@ -49,6 +49,15 @@ class TestEstimate:
         payload = json.loads(out)
         assert payload["method"] == method
 
+    def test_solver_work_reported(self, capsys):
+        # bracket doubling, root find and residual check; the bisecting
+        # root finder this replaced spent about 35 evaluations per root
+        code, out, _ = run_cli(capsys, "estimate", "--in",
+                               fixture_path("regular_large.json"),
+                               "--method", "ipw-poisson")
+        assert code == 0
+        assert 0 < json.loads(out)["diagnostics"]["evals"] <= 20
+
     def test_harmonic_mean_needs_anchor(self, capsys):
         code, _, err = run_cli(capsys, "estimate", "--in",
                                fixture_path("regular_small.json"), "--method", "hm")

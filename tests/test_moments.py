@@ -205,6 +205,26 @@ class TestArrayInnerSolves:
             assert 0 < res.diagnostics["evals"] < 0.1 * nested
         assert moment_match(obs, st, "A").diagnostics["evals"] > 0
 
+    def test_solver_work_bound(self):
+        # 35 / 239 / 306 evaluations when solve_root bisected every other step
+        obs = load_observation(fixture_path("regular_large.json"))
+        st = summarize(obs)
+        for strategy, bound in (("A", 15), ("B", 100), ("C", 110)):
+            res = moment_match(obs, st, strategy)
+            assert res.ok
+            assert res.diagnostics["evals"] <= bound
+
+    def test_single_root_skips_mixed_alpha(self, monkeypatch):
+        def unused(*args):
+            raise AssertionError("mle_alpha called with one root to pick from")
+
+        monkeypatch.setattr("missmass.moments.mle_alpha", unused)
+        obs = load_observation(fixture_path("regular_large.json"))
+        st = summarize(obs)
+        for strategy in ("A", "B", "C"):
+            res = moment_match(obs, st, strategy)
+            assert res.ok and len(res.diagnostics["alpha_roots"]) == 1
+
 
 class TestOuterAlpha:
     LOG_ROOTS = (-3.3, 1.7, 6.1)  # between scan points
@@ -219,12 +239,13 @@ class TestOuterAlpha:
     def test_every_root_reported_and_closest_picked(self, mixed_alpha, picked):
         diag = {}
         alpha = _match_outer_alpha(self.residual, self.residual(_ALPHA_SCAN),
-                                   mixed_alpha, diag)
+                                   lambda: mixed_alpha, diag)
         assert diag["alpha_roots"] == pytest.approx(np.exp(self.LOG_ROOTS), rel=1e-9)
         assert alpha == pytest.approx(math.exp(picked), rel=1e-9)
 
     def test_no_sign_change_is_no_root(self):
         diag = {}
         positive = lambda alpha: 1.0 + alpha
-        assert _match_outer_alpha(positive, positive(_ALPHA_SCAN), 1.0, diag) is None
+        assert _match_outer_alpha(positive, positive(_ALPHA_SCAN), lambda: 1.0,
+                                  diag) is None
         assert diag["alpha_roots"] == []

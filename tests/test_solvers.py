@@ -3,24 +3,55 @@ import math
 import numpy as np
 import pytest
 
-from missmass.solvers import (BracketError, DivergenceError,
+from conftest import fixture_path
+from missmass import inference
+from missmass.data import load_observation, summarize
+from missmass.solvers import (_REL_TOL, BracketError, DivergenceError,
                               integrate_semi_infinite, maximize_unimodal,
                               newton_bracketed, solve_root)
 from missmass.special import log_beta, log_gamma
 
 
+def counted_root(f, bracket):
+    """solve_root on f, returning (root, number of f evaluations)."""
+    calls = []
+
+    def g(x):
+        calls.append(x)
+        return f(x)
+
+    return solve_root(g, bracket), len(calls)
+
+
+# functions that defeat interpolation: a jump, a ninth-order zero, an
+# infinite slope at the root, and a slope that changes by e^60
+HOSTILE_CASES = {
+    "step": (lambda x: -1.0 if x < 1.3 else 1.0, (0.0, 3.0), 1.3),
+    "ninth_power": (lambda x: (x - 1.0) ** 9, (0.0, 3.0), 1.0),
+    "cube_root": (lambda x: math.copysign(abs(x - 1.0) ** (1.0 / 3.0), x - 1.0),
+                  (0.0, 3.0), 1.0),
+    "steep_exponential": (lambda x: math.exp(20.0 * x) - math.exp(20.0), (0.0, 3.0), 1.0),
+}
+
+
 class TestSolveRoot:
+    # smooth cases take at most 12 evaluations
     def test_linear(self):
-        assert solve_root(lambda z: z - 1.0, (0.0, 2.0)) == pytest.approx(1.0, rel=1e-10)
+        root, evals = counted_root(lambda z: z - 1.0, (0.0, 2.0))
+        assert root == pytest.approx(1.0, rel=1e-10)
+        assert evals <= 12
 
     def test_ipw_style_equation(self):
         # z (1 - (1 - 1/z)^2) - 1 simplifies to 1 - 1/z: root at 1
-        root = solve_root(lambda z: z * (1 - (1 - 1 / z) ** 2) - 1, (1 - 1e-9, 10.0))
+        root, evals = counted_root(lambda z: z * (1 - (1 - 1 / z) ** 2) - 1,
+                                   (1 - 1e-9, 10.0))
         assert root == pytest.approx(1.0, rel=1e-9)
+        assert evals <= 12
 
     def test_exponential(self):
-        assert solve_root(lambda z: math.exp(-z) - 0.5, (0.0, 5.0)) == pytest.approx(
-            math.log(2.0), rel=1e-10)
+        root, evals = counted_root(lambda z: math.exp(-z) - 0.5, (0.0, 5.0))
+        assert root == pytest.approx(math.log(2.0), rel=1e-10)
+        assert evals <= 12
 
     def test_no_sign_change(self):
         with pytest.raises(BracketError):
@@ -28,6 +59,55 @@ class TestSolveRoot:
 
     def test_endpoint_root(self):
         assert solve_root(lambda z: z, (0.0, 1.0)) == 0.0
+
+    def test_interior_zero_returned_exactly(self):
+        # the first secant step lands on 1.0, where f is exactly zero
+        assert solve_root(lambda z: z - 1.0, (0.0, 4.0)) == 1.0
+
+    def test_empty_bracket(self):
+        with pytest.raises(BracketError):
+            solve_root(lambda z: z - 1.0, (2.0, 0.0))
+
+    def test_likelihood_slope_root_takes_few_evaluations(self, monkeypatch):
+        # the L5 slope in log alpha, as mle_alpha refines it
+        counts = []
+
+        def counting(f, bracket):
+            root, evals = counted_root(f, bracket)
+            counts.append(evals)
+            return root
+
+        monkeypatch.setattr(inference, "solve_root", counting)
+        obs = load_observation(fixture_path("regular_large.json"))
+        inference.alpha_slope_maxima("L5", obs, summarize(obs))
+        assert counts and max(counts) <= 12
+
+    def test_random_monotone_functions(self):
+        rng = np.random.default_rng(20240611)
+        families = [
+            lambda x, r, k: math.log(x / r),
+            lambda x, r, k: (x / r) ** k - 1.0,
+            lambda x, r, k: math.tanh(k * (x / r - 1.0)),
+            lambda x, r, k: k * (x / r - 1.0) + math.log(x / r),
+        ]
+        for _ in range(100):
+            root = math.exp(rng.uniform(-20.0, 20.0))
+            k = rng.uniform(0.2, 3.0)
+            shape = families[rng.integers(len(families))]
+            sign = rng.choice([-1.0, 1.0])
+            bracket = (root * 2.0 ** -rng.uniform(0.1, 20.0),
+                       root * 2.0 ** rng.uniform(0.1, 20.0))
+            found = solve_root(lambda x: sign * shape(x, root, k), bracket)
+            assert abs(found - root) <= _REL_TOL * root
+
+    @pytest.mark.parametrize("name", sorted(HOSTILE_CASES))
+    def test_worst_case_evaluations(self, name):
+        # at most three evaluations per halving of the bracket down to the
+        # stopping width, plus the two end points
+        f, (lo, hi), root = HOSTILE_CASES[name]
+        found, evals = counted_root(f, (lo, hi))
+        assert found == pytest.approx(root, rel=_REL_TOL)
+        assert evals <= 2 + 3 * math.ceil(math.log2((hi - lo) / (_REL_TOL * abs(root))))
 
 
 class TestNewtonBracketed:
