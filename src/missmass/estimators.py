@@ -9,9 +9,10 @@ inclusion probability
 
 and weighting observed masses by 1/pi gives estimating equations for Z.
 Exact Rao-Blackwellization replaces the observed counts by their
-expectation under the truncated multinomial given (S, p on S, N), computed
-by dynamic programming; the Poisson / saddle-point approximation replaces
-those weights with lambda p / (1 - exp(-lambda p)).
+expectation under the truncated multinomial given (S, p on S, N): a ratio
+of two DFT coefficients after tilting the counts to zero-truncated
+Poisson(lambda p) at the saddle-point rate lambda.  The saddle-point
+approximation keeps only the tilt: v = lambda p / (1 - exp(-lambda p)).
 
 All estimators are equivariant under rescaling of p, and the purely
 self-consistent ones are uninformative (+inf) when every sampled point is
@@ -135,72 +136,83 @@ def ipw_poisson(obs: Observation) -> EstimateResult:
 
 
 # ---------------------------------------------------------------------------
-# exact Rao-Blackwellization by dynamic programming
+# exact Rao-Blackwellization by a saddle-point-tilted DFT
+
+# rb_exact's M-by-frequency complex temporaries stay within 1 MB each
+_BLOCK_ELEMS = 1 << 16
+# lambda p below the smallest normal double is an exact singleton; above
+# _MU_BIG, exp(-lambda p z) can overflow where Re z < 0
+_MU_TINY, _MU_BIG = np.finfo(float).tiny, 700.0
 
 
-def _lse(a: np.ndarray) -> float:
-    m = np.max(a) if len(a) else -math.inf
-    if not np.isfinite(m):
-        return -math.inf
-    return float(m + np.log(np.sum(np.exp(a - m))))
+def _ztp_mean(mu: np.ndarray) -> np.ndarray:
+    """mu / (1 - exp(-mu)), with its limit 1 where mu underflows to 0 (the
+    clamp changes nothing else: the ratio rounds to 1 below 2^-53)."""
+    mu = np.maximum(mu, _MU_TINY)
+    return mu / -np.expm1(-mu)
 
 
-def rb_exact(obs: Observation, n_max: int = 64, m_max: int = 32) -> RBWeights:
+def rb_exact(obs: Observation) -> RBWeights:
     """Exact Rao-Blackwell weights v(i) = E(c(i) | S, p on S, N).
 
-    F_N, the truncated multinomial normalizer, is accumulated by a dynamic
-    programming recurrence over the sampled points, each contributing
-    counts k >= 1 with weight p(i)^k / k!.  The weights follow from
-    v(i) = p(i) d/dp(i) log F_N, realized as a prefix/suffix combination
-    in which point i is rerun with its minimum count lowered to zero and
-    one count split off.  All arithmetic is log-sum-exp.
+    Tilted at the rate lambda of rb_poisson_lambda, the counts are
+    zero-truncated Poisson(mu_j = lambda p(j)) with a total S of mean N.
+    With K(i) ~ Poisson(mu_i), the weights and the normalizer F_N are
+
+        v(i)    = mu_i / (1 - e^-mu_i) P(S_-i + K(i) = N - 1) / P(S = N)
+        log F_N = log N! - N log lambda + sum_j log(e^mu_j - 1) + log P(S = N)
+
+    Each probability is one coefficient of an L = 2N + 64 point DFT (the
+    aliased S >= L has relative mass below 1e-19) of a product of
+    characteristic functions in complex log space, over the half circle.
+    Leave-one-out products are prefix plus suffix sums, never a division
+    by a factor, which can vanish on the circle.  O(M N) time in column
+    blocks.  M = N (v = 1) and M = 1 (v = N) are closed forms.
     """
     m, n = obs.m, obs.n
     if m < 1:
         raise ValueError("no observations")
-    if n > n_max or m > m_max:
-        raise ValueError(f"size cap exceeded: M={m} (cap {m_max}), N={n} (cap {n_max})")
-
-    log_p = np.log(obs.p_obs)
-    ks = np.arange(0, n + 1, dtype=float)
-    lgk = log_gamma(ks + 1.0)
-    # kernel[j, k] = k log p_j - log k!
-    kernel = log_p[:, None] * ks[None, :] - lgk[None, :]
-
-    neg = -math.inf
-    # prefix[j][t]: points 0..j-1, counts >= 1 each, total t
-    prefix = np.full((m + 1, n + 1), neg)
-    prefix[0, 0] = 0.0
-    for j in range(1, m + 1):
-        for t in range(j, n + 1):
-            k = np.arange(1, t - (j - 1) + 1)
-            prefix[j, t] = _lse(prefix[j - 1, t - k] + kernel[j - 1, k])
-    # suffix[j][t]: points j-1..m-1, counts >= 1 each, total t
-    suffix = np.full((m + 2, n + 1), neg)
-    suffix[m + 1, 0] = 0.0
-    for j in range(m, 0, -1):
-        right = m - j  # number of points after j
-        for t in range(right + 1, n + 1):
-            k = np.arange(1, t - right + 1)
-            suffix[j, t] = _lse(suffix[j + 1, t - k] + kernel[j - 1, k])
-
-    log_g_n = prefix[m, n]
-    log_f_n = float(log_gamma(float(n + 1)) + log_g_n)
-
-    v: dict[int, float] = {}
-    for i in range(m):
-        # others[t]: all points except i, counts >= 1, total t
-        others = np.full(n + 1, neg)
-        for t in range(m - 1, n):
-            t1 = np.arange(0, t + 1)
-            others[t] = _lse(prefix[i, t1] + suffix[i + 2, t - t1])
-        if m == 1:
-            others[0] = 0.0
-        # point i contributes k >= 0 extra counts on top of the one split off
-        k = np.arange(0, n)
-        log_h = _lse(kernel[i, k] + others[n - 1 - k])
-        v[int(obs.indices[i])] = math.exp(log_p[i] + log_h - log_g_n)
-    return RBWeights(v=v, log_f_n=log_f_n)
+    p = obs.p_obs
+    log_n_fact = log_gamma(float(n + 1))
+    if m == n:
+        return RBWeights(v={int(i): 1.0 for i in obs.indices},
+                         log_f_n=float(log_n_fact + np.sum(np.log(p))))
+    if m == 1:
+        return RBWeights(v={int(obs.indices[0]): float(n)}, log_f_n=n * math.log(p[0]))
+    lam = rb_poisson_lambda(obs)
+    mu = lam * p
+    size, half, cols = 2 * n + 64, n + 32, max(1, _BLOCK_ELEMS // m)
+    total, loo = 0.0, np.zeros(m)
+    for k in range(0, half + 1, cols):
+        l = np.arange(k, min(k + cols, half + 1))
+        theta = (2.0 * math.pi / size) * l
+        zm1 = np.expm1(1j * theta)
+        z, poisson = zm1 + 1.0, mu[:, None] * zm1
+        # g = log(phi_j(z) / z) for the cf phi = e^{mu(z-1)} (1 - e^{-mu z})
+        # / (1 - e^{-mu}), the ratio taken before its log so no log mu cancels
+        w = mu[:, None] * z
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            g = poisson + np.log(np.expm1(-w) / (z * np.expm1(-mu)[:, None]))
+        r, c = np.nonzero((w.real < 0.0) & (mu[:, None] > _MU_BIG))
+        g[r, c] = np.log(np.expm1(w[r, c])) - mu[r] - 1j * theta[c]
+        g[mu < _MU_TINY] = 0.0  # phi(z) = z
+        prefix = np.cumsum(g, axis=0)
+        suffix = np.cumsum(g[::-1], axis=0)[::-1]
+        # z^-(N - M) reduced exactly; a real coefficient counts inner columns twice
+        shift = (-2j * math.pi / size) * ((n - m) * l % size)
+        weight = np.where((l == 0) | (l == half), 1.0, 2.0)
+        total += np.exp(prefix[-1] + shift).real @ weight
+        others = poisson + shift
+        others[1:] += prefix[:-1]
+        others[:-1] += suffix[1:]
+        loo += np.exp(others).real @ weight
+    ztp = _ztp_mean(mu)
+    vals = np.where(mu < _MU_TINY, 1.0, ztp * loo / total)
+    # sum_j log(e^mu_j - 1) - M log lambda = sum_j (log p_j + mu_j - log ztp_j)
+    log_f_n = (log_n_fact + (m - n) * math.log(lam) + math.log(total / size)
+               + float(np.sum(np.log(p) + mu - np.log(ztp))))
+    return RBWeights(v={int(i): float(val) for i, val in zip(obs.indices, vals)},
+                     log_f_n=log_f_n)
 
 
 def rb_poisson_lambda(obs: Observation) -> float:
@@ -216,29 +228,19 @@ def rb_poisson_lambda(obs: Observation) -> float:
     p, n = obs.p_obs, obs.n
 
     def f(lam):
-        lp = lam * p
-        return float(np.sum(lp / -np.expm1(-lp))) - n
+        return float(np.sum(_ztp_mean(lam * p))) - n
 
-    # each term is >= lambda p(i), so f(N/V) >= 0; and f -> M - N < 0 at 0
+    # each term lies in [lambda p(i), 1 + lambda p(i)], so f(N/V) >= 0 and
+    # f(1e-12 N/V) <= M - N + 1e-12 N < 0
     hi = n / obs.v
-    lo = hi * 1e-12
-    while f(lo) > 0.0:
-        lo *= 1e-3
-        if lo < 1e-280:
-            raise ValueError("could not bracket lambda")
-    return solve_root(f, (lo, hi))
+    return solve_root(f, (hi * 1e-12, hi))
 
 
 def rb_poisson_weights(obs: Observation) -> RBWeights:
-    """Saddle-point approximation v(i) = lambda p(i) / (1 - exp(-lambda p(i)))."""
-    lam = rb_poisson_lambda(obs)
-    if lam == 0.0:
-        v = {int(i): 1.0 for i in obs.indices}
-    else:
-        lp = lam * obs.p_obs
-        vals = lp / -np.expm1(-lp)
-        v = {int(i): float(val) for i, val in zip(obs.indices, vals)}
-    return RBWeights(v=v, log_f_n=None)
+    """Saddle-point approximation v(i) = lambda p(i) / (1 - exp(-lambda p(i))),
+    with v = N exactly, the identity lambda solves, for a single point."""
+    vals = [obs.n] if obs.m == 1 else _ztp_mean(rb_poisson_lambda(obs) * obs.p_obs)
+    return RBWeights(v={int(i): float(val) for i, val in zip(obs.indices, vals)})
 
 
 def rb_mean_estimate(obs: Observation, f: Mapping[int, float],

@@ -41,7 +41,7 @@ import numpy as np
 
 from .data import Observation, SummaryStats
 from .distributions import GammaDist, PointMass
-from .estimators import rb_poisson_lambda
+from .estimators import _ztp_mean, rb_poisson_lambda
 from .inference import alpha_slope_maxima, mle_alpha
 from .likelihoods import ModelParams, dlog_dalpha, log_L11, stationary_b_lambda
 from .solvers import newton_bracketed, solve_root
@@ -367,8 +367,7 @@ def match_C(obs: Observation, stats: SummaryStats) -> MomentMatchResult:
     params = ModelParams(alpha, b, lam)
     diag["status"] = "ok"
     # N residual restates the lambda equation in p-space
-    lp = lam * obs.p_obs
-    en = float(np.sum(lp / -np.expm1(-lp)))
+    en = float(np.sum(_ztp_mean(lam * obs.p_obs)))
     resid_b = _residuals_b(values, counts, stats, params)
     residuals = [(en - stats.N) / stats.N, resid_b[1], resid_b[2]]
     return _result("C", stats, params, residuals, diag)

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
+from .estimators import _ztp_mean
 from .likelihoods import ModelParams
 from .special import digamma, log_gamma
 
@@ -227,8 +228,7 @@ def expected_values(x, params: ModelParams, cond: str = "prior",
     if cond == "given_sp":
         if p_s is None:
             raise ValueError("cond 'given_sp' requires the revealed masses p_s")
-        lp = lam * np.asarray(p_s, dtype=float)
-        return {"N": float(np.sum(lp / -np.expm1(-lp)))}
+        return {"N": float(np.sum(_ztp_mean(lam * np.asarray(p_s, dtype=float))))}
 
     raise ValueError(f"unknown conditioning {cond!r}")
 

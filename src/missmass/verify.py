@@ -17,7 +17,7 @@ import numpy as np
 from .data import Dataset, Observation, summarize
 from .distributions import PointMass
 from .estimators import (good_turing_rb, ipw_fixed_n, ipw_poisson,
-                         mixture_estimate, rb_exact)
+                         mixture_estimate, rb_exact, rb_poisson_weights)
 from .inference import infer_bayes, infer_mixed, infer_profile
 from .likelihoods import ModelParams, d2log_dalpha2, log_L4, log_L5, log_L8, log_L9
 from .moments import match_C
@@ -75,6 +75,20 @@ def check_rb_exact(rng, draws=25) -> bool:
         if np.max(np.abs(w.aligned(obs) - v_true)) > 1e-10:
             return False
     return True
+
+
+def saddle_point_gap(n_values=(48, 480, 4800), m=20, sigma=1.0, seed=0) -> dict:
+    """max |v_saddle / v - 1| of rb_poisson_weights against rb_exact, per N,
+    for one lognormal(0, sigma) set of M masses.  A study, not a check: the
+    paper only asserts that the gap vanishes as N grows."""
+    p = np.random.default_rng(seed).lognormal(0.0, sigma, m)
+    gaps = {}
+    for n in n_values:
+        obs = Observation(domain_size=m, x=np.full(m, 1 / m), indices=np.arange(m),
+                          p_obs=p, counts=random_counts(np.random.default_rng(n), m, n))
+        exact = rb_exact(obs).aligned(obs)
+        gaps[n] = float(np.max(np.abs(rb_poisson_weights(obs).aligned(obs) / exact - 1)))
+    return gaps
 
 
 def random_counts(rng, m: int, n: int) -> np.ndarray:

@@ -58,6 +58,34 @@ class TestEstimate:
         assert code == 0
         assert 0 < json.loads(out)["diagnostics"]["evals"] <= 20
 
+    def test_rb_exact_large_sample(self, capsys, tmp_path):
+        rng = np.random.default_rng(3)
+        d, m = 400, 150
+        p = rng.lognormal(0.0, 1.0, m)
+        counts = 1 + rng.multinomial(2000 - m, p / p.sum())
+        data = {"domain_size": d, "x": [1.0 / d] * d,
+                "entries": [{"i": i, "p": float(pi), "c": int(c)}
+                            for i, (pi, c) in enumerate(zip(p, counts))]}
+        path = tmp_path / "large.json"
+        path.write_text(json.dumps(data))
+        code, out, _ = run_cli(capsys, "estimate", "--in", str(path),
+                               "--method", "rb-exact")
+        assert code == 0
+        payload = json.loads(out)
+        assert math.isfinite(payload["Z"]) and payload["W"] > 0
+        assert payload["Z"] == pytest.approx(p.sum() + payload["W"], rel=1e-12)
+
+    def test_rb_poisson_fixed_n_single_point(self, capsys):
+        # one sampled point has weight v = N exactly, so the equation is
+        # met exactly at Z = V and the regular branch returns it
+        code, out, _ = run_cli(capsys, "estimate", "--in",
+                               fixture_path("single_point.json"),
+                               "--method", "rb-poisson", "--pi", "fixed-n")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["Z"] == 2 and payload["W"] == 0
+        assert "reason" not in payload["diagnostics"]
+
     def test_harmonic_mean_needs_anchor(self, capsys):
         code, _, err = run_cli(capsys, "estimate", "--in",
                                fixture_path("regular_small.json"), "--method", "hm")

@@ -1,9 +1,12 @@
 import math
+import time
 
+import mpmath
 import numpy as np
 import pytest
 
 from conftest import random_observation
+from missmass import estimators
 from missmass.data import Observation
 from missmass.estimators import (RBWeights, expected_phi, good_toulmin_rb,
                                  good_turing_classic, good_turing_rb,
@@ -13,6 +16,7 @@ from missmass.estimators import (RBWeights, expected_phi, good_toulmin_rb,
                                  rb_poisson_lambda, rb_poisson_weights,
                                  rb_z_equation)
 from missmass.solvers import solve_root
+from missmass.verify import random_counts, saddle_point_gap
 
 
 def make_obs(ps, cs, d=None, x=None):
@@ -47,6 +51,38 @@ def brute_force_rb(ps, n):
 
     rec(0, n, [])
     return total, exp_c / total
+
+
+def mpmath_rb(ps, n, dps=50):
+    """log F_N and the exact v(i) by a 50-digit dynamic program: prefix and
+    suffix products of the truncated series sum_{k>=1} p^k / k!."""
+    with mpmath.workdps(dps):
+        m = len(ps)
+        fact = [mpmath.factorial(k) for k in range(n + 1)]
+        series = [[mpmath.mpf(float(pj)) ** k / fact[k] for k in range(n + 1)]
+                  for pj in ps]
+
+        def times(a, j):
+            return [mpmath.fsum(a[s] * series[j][t - s] for s in range(t))
+                    for t in range(n + 1)]
+
+        unit = [mpmath.mpf(1)] + [mpmath.mpf(0)] * n
+        prefix = [unit]
+        for j in range(m):
+            prefix.append(times(prefix[-1], j))
+        suffix = [unit]
+        for j in reversed(range(m)):
+            suffix.append(times(suffix[-1], j))
+        suffix.reverse()
+        g_n = prefix[m][n]
+        v = []
+        for i in range(m):
+            a, b = prefix[i], suffix[i + 1]
+            others = [mpmath.fsum(a[s] * b[t - s] for s in range(t + 1))
+                      for t in range(n)]
+            h = mpmath.fsum(series[i][k] * others[n - 1 - k] for k in range(n))
+            v.append(float(series[i][1] * h / g_n))
+        return float(mpmath.log(fact[n] * g_n)), np.array(v)
 
 
 class TestIpw:
@@ -103,7 +139,8 @@ class TestRbExact:
     def test_all_singletons_weights_one(self):
         obs = make_obs([3.0, 1.0, 0.5], [1, 1, 1])
         w = rb_exact(obs)
-        assert all(v == pytest.approx(1.0, abs=1e-12) for v in w.v.values())
+        assert all(v == 1.0 for v in w.v.values())
+        assert w.log_f_n == pytest.approx(math.log(6.0 * 1.5), rel=1e-15)
 
     def test_weight_invariants(self, rng):
         for _ in range(20):
@@ -113,10 +150,72 @@ class TestRbExact:
             assert np.all(vals >= 1.0 - 1e-10)
             assert vals.sum() == pytest.approx(obs.n, abs=1e-8)
 
-    def test_size_caps(self):
-        obs = make_obs([1.0], [100])
-        with pytest.raises(ValueError, match="cap"):
-            rb_exact(obs)
+    def test_no_size_cap_single_point(self):
+        w = rb_exact(make_obs([1.0], [100]))
+        assert w.v[0] == 100.0
+        assert w.log_f_n == 0.0
+
+    def test_against_mpmath(self):
+        # lognormal masses of three spreads over ten decades of scale,
+        # plus masses spanning 1e-200..1e200, where lambda p(0) underflows
+        rng = np.random.default_rng(11)
+        cases = []
+        for k in range(40):
+            m = int(rng.integers(1, 14))
+            n = int(rng.integers(m, 41))
+            p = (rng.lognormal(0.0, (0.3, 1.0, 3.0)[k % 3], m)
+                 * 10.0 ** rng.uniform(-5.0, 5.0))
+            cases.append((p, random_counts(rng, m, n)))
+        cases.append((np.array([1e-200, 1.0, 1e200]), np.array([1, 1, 3])))
+        for p, c in cases:
+            obs = make_obs(p, c)
+            w = rb_exact(obs)
+            log_f, v = mpmath_rb(p, obs.n)
+            assert w.aligned(obs) == pytest.approx(v, rel=1e-13)
+            assert w.log_f_n == pytest.approx(log_f, rel=1e-13, abs=1e-13)
+
+    def test_large_sample(self):
+        rng = np.random.default_rng(12)
+        m, n = 200, 2000
+        p = rng.lognormal(0.0, 1.0, m)
+        obs = make_obs(p, random_counts(rng, m, n))
+        start = time.perf_counter()
+        vals = rb_exact(obs).aligned(obs)
+        assert time.perf_counter() - start < 1.0
+        scaled = rb_exact(make_obs(1e7 * p, obs.counts)).aligned(obs)
+        assert vals.sum() == pytest.approx(n, rel=1e-12)
+        assert np.all(vals >= 1.0)
+        assert scaled == pytest.approx(vals, rel=1e-12)
+
+    def test_column_blocks(self, monkeypatch):
+        rng = np.random.default_rng(13)
+        obs = make_obs(rng.lognormal(0.0, 1.0, 9), random_counts(rng, 9, 50))
+        whole = rb_exact(obs)
+        monkeypatch.setattr(estimators, "_BLOCK_ELEMS", 20)
+        blocked = rb_exact(obs)
+        assert blocked.aligned(obs) == pytest.approx(whole.aligned(obs), rel=1e-13)
+        assert blocked.log_f_n == pytest.approx(whole.log_f_n, rel=1e-13)
+
+    def test_large_rates(self):
+        # lambda p(i) ~ 1000: exp(-lambda p z) overflows on the far half
+        # of the circle.  Two points have a binomial closed form.
+        n = 3000
+        equal = make_obs([1.0] * 3, [1000] * 3)
+        assert rb_exact(equal).aligned(equal) == pytest.approx([1000.0] * 3, rel=1e-13)
+        with mpmath.workdps(30):
+            terms = [mpmath.binomial(n, k) * mpmath.mpf(0.3) ** (n - k)
+                     for k in range(1, n)]
+            f_n = mpmath.fsum(terms)
+            v0 = float(mpmath.fsum(k * t for k, t in zip(range(1, n), terms)) / f_n)
+            log_f = float(mpmath.log(f_n))
+        w = rb_exact(make_obs([1.0, 0.3], [n - 1, 1]))
+        assert w.v[0] == pytest.approx(v0, rel=1e-14)
+        assert w.v[0] + w.v[1] == pytest.approx(n, rel=1e-14)
+        assert w.log_f_n == pytest.approx(log_f, rel=1e-14)
+
+    def test_saddle_point_gap_falls_with_n(self):
+        gaps = saddle_point_gap((48, 480, 4800))
+        assert gaps[48] > gaps[480] > gaps[4800]
 
     def test_poisson_approximation_converges(self):
         # equal masses, N large: saddle point weights within 2 percent
