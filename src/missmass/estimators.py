@@ -29,14 +29,19 @@ from typing import Mapping
 import numpy as np
 
 from .data import Observation
-from .solvers import maximize_unimodal, solve_root
+from .solvers import BracketError, solve_root
 from .special import log_gamma
 
 PI_FORMS = ("poisson", "fixed-n")
 
 # estimator equations whose right side stays above Z out to this multiple
-# of V are declared to have no finite solution
+# of their scale (V, plus the known anchor of a mixture) are declared to
+# have no finite solution
 _UPPER_CAP = 1e18
+# a rate lambda p, N p / Z or an inclusion probability below the smallest
+# normal double takes its small-rate limit; above _MU_BIG, exp(-lambda p z)
+# can overflow where Re z < 0
+_MU_TINY, _MU_BIG = np.finfo(float).tiny, 700.0
 
 
 @dataclass(frozen=True)
@@ -103,20 +108,37 @@ def _solve_upward(f, lo: float, scale: float, diagnostics: dict) -> float:
     return root
 
 
+def _solve_ipw(obs: Observation, q: np.ndarray, c: float, form: str,
+               diag: dict) -> float:
+    """Z solving Z = c + sum_S q(i) / pi(i; Z), upward from V.
+
+    Where pi underflows below the smallest normal double, q / pi takes its
+    limit q Z / (N p), which is Z / N for q = p.
+    """
+    p, n, v = obs.p_obs, obs.n, obs.v
+    low = int(p.argmin())  # pi rises with p, so it is smallest here
+    diag["evals"] = 0
+
+    def f(z):
+        diag["evals"] += 1
+        incl = inclusion_probability(p, n, z, form)
+        if incl[low] >= _MU_TINY:
+            terms = q / incl
+        else:
+            terms = np.divide(q, incl, out=q / p * (z / n), where=incl >= _MU_TINY)
+        return c + float(terms.sum()) - z
+
+    return _solve_upward(f, v, v + c, diag)
+
+
 def _ipw(obs: Observation, form: str, method: str) -> EstimateResult:
     if obs.m < 1:
         raise ValueError("no observations")
     if obs.m == obs.n:
         return EstimateResult(math.inf, method,
                               {"reason": "all sampled points are singletons"})
-    diag: dict = {"evals": 0}
-    p, n, v = obs.p_obs, obs.n, obs.v
-
-    def f(z):
-        diag["evals"] += 1
-        return float(np.sum(p / inclusion_probability(p, n, z, form))) - z
-
-    root = _solve_upward(f, v, v, diag)
+    diag: dict = {}
+    root = _solve_ipw(obs, obs.p_obs, 0.0, form, diag)
     return EstimateResult(root, method, diag)
 
 
@@ -140,9 +162,6 @@ def ipw_poisson(obs: Observation) -> EstimateResult:
 
 # rb_exact's M-by-frequency complex temporaries stay within 1 MB each
 _BLOCK_ELEMS = 1 << 16
-# lambda p below the smallest normal double is an exact singleton; above
-# _MU_BIG, exp(-lambda p z) can overflow where Re z < 0
-_MU_TINY, _MU_BIG = np.finfo(float).tiny, 700.0
 
 
 def _ztp_mean(mu: np.ndarray) -> np.ndarray:
@@ -233,7 +252,15 @@ def rb_poisson_lambda(obs: Observation) -> float:
     # each term lies in [lambda p(i), 1 + lambda p(i)], so f(N/V) >= 0 and
     # f(1e-12 N/V) <= M - N + 1e-12 N < 0
     hi = n / obs.v
-    return solve_root(f, (hi * 1e-12, hi))
+    try:
+        return solve_root(f, (hi * 1e-12, hi))
+    except BracketError:
+        # where every rate is large, each term rounds to lambda p(i), and
+        # f(N/V) = sum_S lambda p(i) - N is rounding noise that can fall
+        # below 0: the root is then N/V to that rounding
+        if abs(f(hi)) <= 1e-12 * n:
+            return hi
+        raise
 
 
 def rb_poisson_weights(obs: Observation) -> RBWeights:
@@ -339,9 +366,11 @@ def good_turing_rb(obs: Observation) -> GoodTuringRB:
     """
     if obs.m == obs.n:
         return GoodTuringRB(math.inf, math.inf, 1.0)
+    p, n = obs.p_obs, obs.n
     z = ipw_poisson(obs).value
-    x = obs.n * obs.p_obs / z
-    w = float(np.sum(obs.p_obs / np.expm1(x)))
+    x = n * p / z
+    # where x underflows, p / (e^x - 1) takes its limit Z / N
+    w = float(np.divide(p, np.expm1(x), out=np.full(obs.m, z / n), where=x >= _MU_TINY).sum())
     return GoodTuringRB(z, w, w / z)
 
 
@@ -453,16 +482,22 @@ def mixture_estimate(obs: Observation, r_components, w, gamma: float,
                      pi: str = "poisson") -> MixtureResult:
     """Z and the component totals R(j) for sampling from a mixture.
 
-    The sampled distribution is p(i) = sum_j r(i, j) w(j); the estimating
-    equation anchors Z with weight gamma on a known auxiliary total H and
-    weight 1-gamma on the self-consistent mass term:
+    The sampled distribution is p(i) = sum_j r(i, j) w(j), and a part of
+    it with known total H = sum h, such as h(i) = w(0) r(i, 0), anchors Z
+    at both ends through the control-variate equation
 
-        1 = sum_S (gamma h(i)/H + (1-gamma) p(i)/Z) / pi(i; Z)
+        Z = gamma H + sum_S (p(i) - gamma h(i)) / pi(i; Z)
 
-    gamma = 0 reduces to the plain IPW estimator; gamma = 1 is pure
-    harmonic-mean anchoring and requires H.  Component totals are
-    recovered by IPW, R(j) = sum_S r(i, j) / pi(i; Z), plus the
-    v-weighted form when Rao-Blackwell weights are supplied.
+    which is unbiased at the true Z for every gamma in [0, 1].  With
+    gamma h <= p, which every mixture component satisfies, each term of
+    (right side) / Z falls in Z, so the root is unique; since pi <= 1 and
+    H >= sum_S h it is never below V.  gamma = 0 is the IPW estimator;
+    gamma = 1 is the known total H plus the IPW estimate of the remainder
+    p - h.  The pure harmonic anchor H = sum_S h / pi(i; Z) is
+    harmonic_mean(mode="ipw_nonlinear").  M = N has no finite root only
+    where gamma sum_S h = 0.  Component totals are recovered by IPW,
+    R(j) = sum_S r(i, j) / pi(i; Z), plus the v-weighted form when
+    Rao-Blackwell weights are supplied.
     """
     if not 0.0 <= gamma <= 1.0:
         raise ValueError("gamma must be in [0, 1]")
@@ -471,74 +506,29 @@ def mixture_estimate(obs: Observation, r_components, w, gamma: float,
     if r.ndim != 2 or r.shape[0] != obs.m or r.shape[1] != len(w):
         raise ValueError("r_components must have shape (M, J) matching w")
     p, n = obs.p_obs, obs.n
-    recon = r @ w
-    if np.any(np.abs(recon - p) > 1e-9 * np.maximum(p, 1e-300)):
+    tol = 1e-9 * np.maximum(p, 1e-300)
+    if np.any(np.abs(r @ w - p) > tol):
         raise ValueError("inconsistent mixture decomposition: r @ w != p")
+    gh, c = np.zeros(obs.m), 0.0
     if gamma > 0.0:
         if h is None or H is None or H <= 0:
             raise ValueError("gamma > 0 requires the anchor h and H > 0")
-        hv = np.array([h[int(i)] for i in obs.indices], dtype=float)
-    else:
-        hv = np.zeros(obs.m)
-        H = 1.0
+        gh = gamma * np.array([h[int(i)] for i in obs.indices], dtype=float)
+        if np.any(gh - p > tol):
+            raise ValueError("gamma h exceeds p: the equation is not monotone")
+        c = gamma * H
 
     method = f"mixture-gamma-{gamma:g}"
-    diag: dict = {"gamma": gamma, "evals": 0}
-
-    if gamma < 1.0 and obs.m == obs.n:
+    diag: dict = {"gamma": gamma}
+    if obs.m == obs.n and not np.any(gh):
         diag["reason"] = "all sampled points are singletons"
         z = math.inf
-        R = np.full(len(w), math.inf)
-        return MixtureResult(EstimateResult(z, method, diag), R, None)
-
-    def f(z):
-        diag["evals"] += 1
-        incl = inclusion_probability(p, n, z, pi)
-        return float(np.sum((gamma * hv / H + (1.0 - gamma) * p / z) / incl)) - 1.0
-
-    # scan log Z for sign changes.  The self-consistent term keeps Z at or
-    # above the observed mass, so the scan starts at V except for the pure
-    # anchor gamma = 1, whose equation may place Z below it.  With both
-    # anchors active f dips toward zero near the truth and can cross twice
-    # (the valley edges are both solutions; the first admissible one is
-    # returned and all of them are reported) or not at all, in which case
-    # the nearest-approach point of the quasiconvex residual is returned.
-    lo = obs.v if pi == "poisson" else max(obs.v, float(np.max(p)) * (1 + 1e-12))
-    if gamma == 1.0:
-        bottom = lo * 1e-9 if pi == "poisson" else float(np.max(p)) * (1 + 1e-12)
     else:
-        bottom = lo
-    # dense near the observed mass, where valleys can be narrow in log Z,
-    # then sparse out to the no-finite-solution cap
-    grid = np.concatenate([
-        np.exp(np.linspace(math.log(bottom), math.log(lo * 1e4), 120)),
-        np.exp(np.linspace(math.log(lo * 1e4), math.log(lo * _UPPER_CAP), 40))[1:]])
-    z = math.inf
-    fvals = np.array([f(zz) for zz in grid])
-    crossings = np.nonzero(np.diff(np.signbit(fvals)))[0]
-    if len(crossings):
-        roots = [solve_root(f, (grid[k], grid[k + 1])) for k in crossings]
-        z = roots[0]
-        diag["residual"] = float(f(z))
-        if len(roots) > 1:
-            diag["all_roots"] = roots
-    elif np.all(fvals > 0.0) and 0.0 < gamma < 1.0:
-        k = int(np.argmin(fvals))
-        z, neg_fmin = maximize_unimodal(
-            lambda t: -f(math.exp(t)), t_init=math.log(grid[k]),
-            t_bounds=(math.log(grid[0]), math.log(grid[-1])))
-        diag["residual"] = float(-neg_fmin)
-        diag["reason"] = "no exact root; nearest-approach estimate"
-    else:
-        diag["reason"] = "no root found on the scan grid"
-
+        # the clamp absorbs rounding in gamma h <= p; at gamma = 0, q is p
+        z = _solve_ipw(obs, np.maximum(p - gh, 0.0), c, pi, diag)
+    R, R_rb = np.full(len(w), math.inf), None
     if math.isfinite(z):
-        incl = inclusion_probability(p, n, z, pi)
-        R = np.asarray(r.T @ (1.0 / incl))
-        R_rb = None
+        R = np.asarray(r.T @ (1.0 / inclusion_probability(p, n, z, pi)))
         if weights is not None:
             R_rb = np.asarray(r.T @ (weights.aligned(obs) / p)) * z / n
-    else:
-        R = np.full(len(w), math.inf)
-        R_rb = None
     return MixtureResult(EstimateResult(z, method, diag), R, R_rb)

@@ -15,20 +15,18 @@ import numpy as np
 from conftest import proportional_observation, random_observation
 from missmass.data import Dataset, Observation, kl_delta, summarize
 from missmass.distributions import PointMass
-from missmass.estimators import (good_turing_rb, ipw_fixed_n, ipw_poisson,
-                                 mixture_estimate, rb_exact)
+from missmass.estimators import good_turing_rb, ipw_fixed_n, ipw_poisson, rb_exact
 from missmass.inference import (ALPHA_T_BOUNDS, infer_bayes, infer_mixed,
                                 infer_profile, mle_alpha)
 from missmass.likelihoods import (ModelParams, d2log_dalpha2, dlog_dalpha,
                                   log_L4, log_L5, log_L8, log_L9)
 from missmass.moments import match_C
-from missmass.simulate import (effective_states, expected_values,
-                               sample_count_given_s_p, sample_given_s,
-                               simulate_explicit, simulate_model_batch,
-                               toy_physics_dataset)
+from missmass.simulate import (expected_values, sample_count_given_s_p,
+                               sample_given_s, simulate_model_batch)
 from missmass.solvers import integrate_semi_infinite
 from missmass.special import log_beta
-from missmass.verify import brute_force_rb, chi_square_equivalence, random_counts
+from missmass.verify import (brute_force_rb, chi_square_equivalence, random_counts,
+                             toy_physics_errors)
 
 
 def _report(num: int, label: str, passed: bool) -> None:
@@ -338,21 +336,8 @@ def test_criterion_11_mixed_method_calibration():
 
 
 def test_criterion_12_toy_physics_ground_truth():
-    toy = toy_physics_dataset(4096, [3.0, 1.0, 0.5], coupling=1.0, rng_seed=5)
-    p = toy.dataset.p
-    n = max(8, int(4 * effective_states(p)))
-    h_all = toy.r[:, 0] * toy.w[0]
-    big_h = float(toy.r_totals[0] * toy.w[0])
-    ok = True
-    for gamma in (0.0, 0.5, 1.0):
-        estimates = []
-        for k in range(200):
-            ds = simulate_explicit(p, n=n, rng_seed=2000 + k, x=toy.dataset.x)
-            obs = ds.observe()
-            mix = mixture_estimate(obs, toy.r[obs.indices], toy.w, gamma,
-                                   h={int(i): float(h_all[i]) for i in obs.indices},
-                                   H=big_h)
-            estimates.append(mix.z.value)
-        med = float(np.median(estimates))
-        ok &= math.isfinite(med) and abs(med / toy.z_exact - 1.0) <= 0.10
-    _report(12, "gamma-weighted mixture estimator on enumerable ground truth", ok)
+    errors = toy_physics_errors(4096, 200, 2000)
+    ok = all(abs(err) <= 0.10 for err in errors.values())
+    label = ", ".join(f"gamma {g:g} {err:+.2%}" for g, err in errors.items())
+    _report(12, f"gamma-weighted mixture estimator on enumerable ground truth: "
+                f"median error {label}", ok)

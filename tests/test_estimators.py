@@ -4,6 +4,7 @@ import time
 import mpmath
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from conftest import random_observation
 from missmass import estimators
@@ -17,6 +18,9 @@ from missmass.estimators import (RBWeights, expected_phi, good_toulmin_rb,
                                  rb_z_equation)
 from missmass.solvers import solve_root
 from missmass.verify import random_counts, saddle_point_gap
+
+
+SPREAD_P = [1e-200, 1.0, 1e200]
 
 
 def make_obs(ps, cs, d=None, x=None):
@@ -119,6 +123,24 @@ class TestIpw:
             for est in (ipw_fixed_n, ipw_poisson):
                 a, b = est(obs).value, est(scaled).value
                 assert b == pytest.approx(s * a, rel=1e-7)
+
+    def test_masses_spanning_the_float_range(self):
+        # N p / Z underflows for the smallest point; its term p / pi takes
+        # the limit Z / N instead of dividing by zero
+        obs = make_obs(SPREAD_P, [1, 1, 3])
+        mp_p = [mpmath.mpf(x) for x in SPREAD_P]
+        forms = {
+            ipw_poisson: lambda z, p: -mpmath.expm1(-5 * p / z),
+            ipw_fixed_n: lambda z, p: -mpmath.expm1(5 * mpmath.log1p(-p / z)),
+        }
+        with mpmath.workdps(50):
+            for est, incl in forms.items():
+                res = est(obs)
+                assert math.isfinite(res.value)
+                oracle = mpmath.findroot(
+                    lambda z: sum(p / incl(z, p) for p in mp_p) - z,
+                    (mpmath.mpf(1.01e200), mpmath.mpf(1e202)), solver="anderson")
+                assert abs(res.value / oracle - 1) <= 1e-10
 
 
 class TestRbExact:
@@ -243,6 +265,18 @@ class TestRbPoissonLambda:
         assert rb_poisson_lambda(scaled) == pytest.approx(
             rb_poisson_lambda(obs) / s, rel=1e-8)
 
+    def test_large_counts(self):
+        # every rate is large, so N = sum_S lambda p(i) holds at N / V only
+        # to rounding, which can leave the bracket top a hair below the root
+        for ps, cs in (([7.0], [61]), ([0.625, 0.419], [94, 93]),
+                       ([1.292, 0.91, 0.772], [50, 73, 65])):
+            obs = make_obs(ps, cs)
+            lam = rb_poisson_lambda(obs)
+            mu = lam * obs.p_obs
+            assert np.sum(mu / -np.expm1(-mu)) == pytest.approx(obs.n, rel=1e-12)
+            weights = rb_exact(obs).aligned(obs)
+            assert weights.sum() == pytest.approx(obs.n, rel=1e-9)
+
 
 class TestRbMean:
     def test_constant_function(self, rng):
@@ -316,6 +350,12 @@ class TestGoodTuring:
             gtr = good_turing_rb(obs)
             if math.isfinite(gtr.z):
                 assert gtr.z == pytest.approx(obs.v + gtr.w, abs=1e-8 * gtr.z)
+
+    def test_rb_masses_spanning_the_float_range(self):
+        obs = make_obs(SPREAD_P, [1, 1, 3])
+        gtr = good_turing_rb(obs)
+        assert 0.0 < gtr.w_over_z < 1.0
+        assert gtr.w == pytest.approx(gtr.z - obs.v, rel=1e-12)
 
     def test_rb_single_point_identity(self):
         obs = make_obs([1.0], [2])
@@ -423,6 +463,21 @@ class TestHarmonicMean:
         assert math.isinf(res.value)
 
 
+def two_part_mixture(obs, rng):
+    """Split p on S into a known part h = u p, u ~ U(0, 1), and the rest."""
+    h = obs.p_obs * rng.uniform(0.0, 1.0, obs.m)
+    r = np.column_stack([h, obs.p_obs - h])
+    return r, {int(i): float(hi) for i, hi in zip(obs.indices, h)}, h
+
+
+def mixture_rhs(obs, z, gamma, h, big_h, pi):
+    """gamma H + sum_S (p - gamma h) / pi(i; Z) from the inclusion formula,
+    at each Z of an array."""
+    p = obs.p_obs[:, None]
+    incl = inclusion_probability(p, obs.n, np.atleast_1d(z), pi)
+    return gamma * big_h + np.sum((p - gamma * h[:, None]) / incl, axis=0)
+
+
 class TestMixture:
     def test_gamma_zero_reduces_to_ipw(self, rng):
         for pi in ("poisson", "fixed-n"):
@@ -430,7 +485,52 @@ class TestMixture:
             r = np.column_stack([obs.p_obs * 0.4, obs.p_obs * 0.6])
             mix = mixture_estimate(obs, r, [1.0, 1.0], 0.0, pi=pi)
             ref = (ipw_poisson if pi == "poisson" else ipw_fixed_n)(obs)
-            assert mix.z.value == pytest.approx(ref.value, rel=1e-6)
+            assert mix.z.value == ref.value
+            assert mix.z.diagnostics["evals"] == ref.diagnostics["evals"]
+
+    def test_single_root(self):
+        # gamma h <= p: the residual changes sign once, and the estimate is
+        # that root
+        rng = np.random.default_rng(31)
+        for k in range(200):
+            m = int(rng.integers(1, 8))
+            obs = make_obs(rng.lognormal(0.0, 2.0, m),
+                           random_counts(rng, m, m + int(rng.integers(1, 12))))
+            r, h, hv = two_part_mixture(obs, rng)
+            big_h = float(hv.sum() * rng.uniform(1.0, 4.0))
+            gamma = float(rng.uniform(0.0, 1.0))
+            pi = ("poisson", "fixed-n")[k % 2]
+
+            def g(z):
+                return mixture_rhs(obs, z, gamma, hv, big_h, pi) - z
+
+            grid = obs.v * np.exp(np.linspace(0.0, math.log(1e12), 400))
+            vals = g(grid)
+            assert vals[0] >= 0.0 and vals[-1] < 0.0
+            changes = np.nonzero(np.diff(np.signbit(vals)))[0]
+            assert len(changes) == 1
+            j = changes[0]
+            root = brentq(lambda z: g(z)[0], grid[j], grid[j + 1], xtol=1e-300, rtol=1e-15)
+            z = mixture_estimate(obs, r, [1.0, 1.0], gamma, h=h, H=big_h, pi=pi).z.value
+            assert z == pytest.approx(root, rel=1e-10)
+
+    def test_gamma_one_is_anchor_plus_ipw_remainder(self, rng):
+        for pi in ("poisson", "fixed-n"):
+            obs = random_observation(rng, extra_counts=6)
+            r, h, hv = two_part_mixture(obs, rng)
+            big_h = 2.0 * float(hv.sum())
+            z = mixture_estimate(obs, r, [1.0, 1.0], 1.0, h=h, H=big_h, pi=pi).z.value
+            assert z == pytest.approx(mixture_rhs(obs, z, 1.0, hv, big_h, pi)[0], rel=1e-10)
+
+    def test_anchor_above_p_rejected(self, rng):
+        obs = random_observation(rng, extra_counts=6)
+        r = np.column_stack([obs.p_obs * 0.4, obs.p_obs * 0.6])
+        h = {int(i): 2.0 * float(p) for i, p in zip(obs.indices, obs.p_obs)}
+        big_h = 4.0 * obs.v
+        with pytest.raises(ValueError, match="exceeds p"):
+            mixture_estimate(obs, r, [1.0, 1.0], 0.75, h=h, H=big_h)
+        # gamma h = 0.8 p stays within p
+        assert math.isfinite(mixture_estimate(obs, r, [1.0, 1.0], 0.4, h=h, H=big_h).z.value)
 
     def test_single_component_recovers_z(self, rng):
         obs = random_observation(rng, extra_counts=6)
@@ -445,10 +545,16 @@ class TestMixture:
             mixture_estimate(obs, r, [1.0, 1.0], 0.0)
 
     def test_singletons_infinite(self):
+        # M = N: no finite root without the anchor, and the anchor alone
+        # fixes one
         obs = make_obs([1.0, 2.0], [1, 1])
         r = obs.p_obs.reshape(-1, 1)
-        mix = mixture_estimate(obs, r, [1.0], 0.5, h={0: 1.0, 1: 1.0}, H=4.0)
-        assert math.isinf(mix.z.value)
+        h = {0: 1.0, 1: 1.0}
+        assert math.isinf(mixture_estimate(obs, r, [1.0], 0.0).z.value)
+        z = mixture_estimate(obs, r, [1.0], 0.5, h=h, H=4.0).z.value
+        assert math.isfinite(z) and z >= obs.v
+        assert z == pytest.approx(mixture_rhs(obs, z, 0.5, np.ones(2), 4.0, "poisson")[0],
+                                  rel=1e-10)
 
     def test_gamma_requires_anchor(self, rng):
         obs = random_observation(rng)
@@ -468,22 +574,25 @@ class TestMixture:
         h_full = r_full[:, 0] * w[0]
         big_h = float(r_exact[0] * w[0])
         n = 40
-        z_est, r_est = [], []
+        draws = []
         for k in range(300):
-            g = np.random.default_rng(1000 + k)
-            c = g.multinomial(n, p_full / z_exact)
+            c = np.random.default_rng(1000 + k).multinomial(n, p_full / z_exact)
             idx = np.nonzero(c >= 1)[0]
-            obs = Observation(domain_size=d, x=np.full(d, 1 / d), indices=idx,
-                              p_obs=p_full[idx], counts=c[idx])
-            mix = mixture_estimate(obs, r_full[idx], w, 0.5,
-                                   h={int(i): float(h_full[i]) for i in idx},
-                                   H=big_h)
-            if math.isfinite(mix.z.value):
-                z_est.append(mix.z.value)
-                r_est.append(mix.R)
-        assert np.median(z_est) == pytest.approx(z_exact, rel=0.1)
-        med_r = np.median(np.array(r_est), axis=0)
-        assert med_r == pytest.approx(r_exact, rel=0.15)
+            draws.append(Observation(domain_size=d, x=np.full(d, 1 / d), indices=idx,
+                                     p_obs=p_full[idx], counts=c[idx]))
+        for gamma in (0.5, 1.0):
+            z_est, r_est = [], []
+            for obs in draws:
+                idx = obs.indices
+                mix = mixture_estimate(obs, r_full[idx], w, gamma,
+                                       h={int(i): float(h_full[i]) for i in idx},
+                                       H=big_h)
+                if math.isfinite(mix.z.value):
+                    z_est.append(mix.z.value)
+                    r_est.append(mix.R)
+            assert np.median(z_est) == pytest.approx(z_exact, rel=0.1)
+            med_r = np.median(np.array(r_est), axis=0)
+            assert med_r == pytest.approx(r_exact, rel=0.15)
 
     def test_rb_weighted_totals(self, rng):
         obs = random_observation(rng, extra_counts=6)
