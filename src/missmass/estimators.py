@@ -8,6 +8,13 @@ inclusion probability
     pi(i; Z) = 1 - exp(-N p(i) / Z)    (Poisson sampling, lambda = N/Z)
 
 and weighting observed masses by 1/pi gives estimating equations for Z.
+Every such equation here (IPW, the mixture, the Rao-Blackwellized Z
+equations, the nonlinear harmonic mean and, through lambda = N / Z, the
+saddle-point rate) falls through zero once in Z and is solved by one
+search from V, with one set of verdicts: all sampled points are
+singletons, no finite solution (+inf), or a boundary solution at the
+lower limit of Z (0).  Each q / pi term takes its limit q Z / (N p) where
+pi underflows, so masses may span the float range.
 Exact Rao-Blackwellization replaces the observed counts by their
 expectation under the truncated multinomial given (S, p on S, N): a ratio
 of two DFT coefficients after tilting the counts to zero-truncated
@@ -29,15 +36,19 @@ from typing import Mapping
 import numpy as np
 
 from .data import Observation
-from .solvers import BracketError, solve_root
+from .solvers import solve_root
 from .special import log_gamma
 
 PI_FORMS = ("poisson", "fixed-n")
 
-# estimator equations whose right side stays above Z out to this multiple
-# of their scale (V, plus the known anchor of a mixture) are declared to
-# have no finite solution
+# a Z equation whose root lies above this multiple of its scale (V, plus
+# the known anchor of a mixture) has no finite solution; the cap scales
+# with p, so the verdict and the work done to reach it do too
 _UPPER_CAP = 1e18
+# the verdicts every Z equation shares
+_SINGLETONS = "all sampled points are singletons"
+_NO_SOLUTION = "no finite solution"
+_BOUNDARY = "boundary: solution at or below the lower limit of Z"
 # a rate lambda p, N p / Z or an inclusion probability below the smallest
 # normal double takes its small-rate limit; above _MU_BIG, exp(-lambda p z)
 # can overflow where Re z < 0
@@ -82,61 +93,89 @@ def inclusion_probability(p, n: int, z, form: str = "poisson"):
     raise ValueError(f"unknown inclusion form {form!r}")
 
 
-def _solve_upward(f, lo: float, scale: float, diagnostics: dict) -> float:
-    """Root of f above lo, given f(lo) >= 0 and f eventually negative.
+def _over_pi(p: np.ndarray, n: int, form: str):
+    """The map (q, Z) -> q / pi(i; Z) over the sampled masses p.
 
-    Doubles the upper end until the sign changes; past _UPPER_CAP * scale
-    the equation is declared to have no finite solution (+inf).
+    q is an array over S, or has S as its last axis.  Where pi underflows
+    below the smallest normal double, q / pi takes its small-rate limit
+    q Z / (N p), which is finite even where 1 / pi is not.
     """
-    flo = f(lo)
-    if flo <= 0.0:
-        # equation already met at the lower end: the estimate collapses
-        # onto the observed mass
-        diagnostics["residual"] = float(flo)
-        return lo
-    hi = 2.0 * lo
-    doublings = 1
-    while f(hi) > 0.0:
-        hi *= 2.0
-        doublings += 1
-        if hi > _UPPER_CAP * scale:
-            diagnostics["reason"] = "no finite solution"
-            return math.inf
-    root = solve_root(f, (hi / 2.0, hi))
-    diagnostics["iterations"] = doublings
-    diagnostics["residual"] = float(f(root))
+    low = int(p.argmin())  # pi rises with p, so it is smallest here
+
+    def over_pi(q, z):
+        incl = inclusion_probability(p, n, z, form)
+        if incl[low] >= _MU_TINY:
+            return q / incl
+        return np.divide(q, incl, out=q / p * (z / n), where=incl >= _MU_TINY)
+
+    return over_pi
+
+
+def _solve_z(f, obs: Observation, form: str, diag: dict, scale: float | None = None) -> float:
+    """Root in Z of an estimating equation f, positive below its root and
+    negative above it.
+
+    From V the search doubles Z until f turns negative or, where f(V) < 0,
+    takes the one bracket down to the lower limit of Z: V 1e-12, or just
+    above max p under fixed-n, where pi(i; Z) reaches 1.  Brent's method
+    refines the bracket.  Past _UPPER_CAP * scale (V by default) the
+    verdict is _NO_SOLUTION (+inf); with f(limit) <= 0 it is _BOUNDARY (0).
+    diag gets the evaluations, the bracket steps and, for a root, the
+    plugged-back residual.  Each Z is evaluated once: the bracket ends and
+    the root Brent's method returns are points already evaluated.
+    """
+    diag.update(evals=0, iterations=0)
+    seen: dict = {}
+
+    def counted(z):
+        if z not in seen:
+            diag["evals"] += 1
+            seen[z] = f(z)
+        return seen[z]
+
+    v = obs.v
+    fv = counted(v)
+    if fv == 0.0:
+        diag["residual"] = 0.0
+        return v
+    if fv > 0.0:
+        hi = 2.0 * v
+        diag["iterations"] = 1
+        while counted(hi) > 0.0:
+            hi *= 2.0
+            diag["iterations"] += 1
+            if hi > _UPPER_CAP * (v if scale is None else scale):
+                diag["reason"] = _NO_SOLUTION
+                return math.inf
+        bracket = (hi / 2.0, hi)
+    else:
+        limit = v * 1e-12
+        if form == "fixed-n":
+            limit = max(float(obs.p_obs.max()) * (1 + 1e-12), limit)
+        diag["iterations"] = 1
+        if limit >= v or counted(limit) <= 0.0:
+            diag["reason"] = _BOUNDARY
+            return 0.0
+        bracket = (limit, v)
+    root = solve_root(counted, bracket)
+    diag["residual"] = float(counted(root))
     return root
 
 
 def _solve_ipw(obs: Observation, q: np.ndarray, c: float, form: str,
                diag: dict) -> float:
-    """Z solving Z = c + sum_S q(i) / pi(i; Z), upward from V.
-
-    Where pi underflows below the smallest normal double, q / pi takes its
-    limit q Z / (N p), which is Z / N for q = p.
-    """
-    p, n, v = obs.p_obs, obs.n, obs.v
-    low = int(p.argmin())  # pi rises with p, so it is smallest here
-    diag["evals"] = 0
-
-    def f(z):
-        diag["evals"] += 1
-        incl = inclusion_probability(p, n, z, form)
-        if incl[low] >= _MU_TINY:
-            terms = q / incl
-        else:
-            terms = np.divide(q, incl, out=q / p * (z / n), where=incl >= _MU_TINY)
-        return c + float(terms.sum()) - z
-
-    return _solve_upward(f, v, v + c, diag)
+    """Z solving Z = c + sum_S q(i) / pi(i; Z); the right side over Z falls
+    in Z, so the root is unique and, for q <= p and c >= 0, at least V."""
+    over_pi = _over_pi(obs.p_obs, obs.n, form)
+    return _solve_z(lambda z: c + float(over_pi(q, z).sum()) - z, obs, form, diag,
+                    scale=obs.v + c)
 
 
 def _ipw(obs: Observation, form: str, method: str) -> EstimateResult:
     if obs.m < 1:
         raise ValueError("no observations")
     if obs.m == obs.n:
-        return EstimateResult(math.inf, method,
-                              {"reason": "all sampled points are singletons"})
+        return EstimateResult(math.inf, method, {"reason": _SINGLETONS})
     diag: dict = {}
     root = _solve_ipw(obs, obs.p_obs, 0.0, form, diag)
     return EstimateResult(root, method, diag)
@@ -237,30 +276,11 @@ def rb_exact(obs: Observation) -> RBWeights:
 def rb_poisson_lambda(obs: Observation) -> float:
     """The rate lambda solving N = sum_S lambda p(i) / (1 - exp(-lambda p(i))).
 
-    The left side increases in lambda from M, so the root is unique;
-    M = N forces lambda -> 0.
+    With lambda = N / Z this is the Poisson IPW equation, so lambda is
+    N / ipw_poisson(obs) and shares its root; M = N (Z = +inf) gives
+    lambda = 0.
     """
-    if obs.m < 1:
-        raise ValueError("no observations")
-    if obs.m == obs.n:
-        return 0.0
-    p, n = obs.p_obs, obs.n
-
-    def f(lam):
-        return float(np.sum(_ztp_mean(lam * p))) - n
-
-    # each term lies in [lambda p(i), 1 + lambda p(i)], so f(N/V) >= 0 and
-    # f(1e-12 N/V) <= M - N + 1e-12 N < 0
-    hi = n / obs.v
-    try:
-        return solve_root(f, (hi * 1e-12, hi))
-    except BracketError:
-        # where every rate is large, each term rounds to lambda p(i), and
-        # f(N/V) = sum_S lambda p(i) - N is rounding noise that can fall
-        # below 0: the root is then N/V to that rounding
-        if abs(f(hi)) <= 1e-12 * n:
-            return hi
-        raise
+    return obs.n / ipw_poisson(obs).value
 
 
 def rb_poisson_weights(obs: Observation) -> RBWeights:
@@ -291,45 +311,23 @@ def rb_z_equation(obs: Observation, weights: RBWeights,
         raise ValueError(f"unknown variant {variant!r}")
     method = f"rb-z-{variant}"
     if obs.m == obs.n:
-        return EstimateResult(math.inf, method,
-                              {"reason": "all sampled points are singletons"})
+        return EstimateResult(math.inf, method, {"reason": _SINGLETONS})
     p, n, v_obs, m_obs = obs.p_obs, obs.n, obs.v, obs.m
     w = weights.aligned(obs)
-    diag: dict = {"evals": 0}
+    diag: dict = {}
 
+    # each residual falls in Z
     if variant == "V_over_Z":
-        # g increasing from g(V) <= 0 toward sum v p - V > 0
-        def g(z):
-            diag["evals"] += 1
-            return float(z / n * np.dot(w, inclusion_probability(p, n, z, pi))) - v_obs
+        def f(z):
+            return v_obs - float(z / n * np.dot(w, inclusion_probability(p, n, z, pi)))
     else:
-        def g(z):
-            diag["evals"] += 1
-            return float(z / n * np.dot(w, inclusion_probability(p, n, z, pi) / p)) - m_obs
+        # pi / p as the reciprocal of p / pi, which keeps its limit Z / N
+        over_pi = _over_pi(p, n, pi)
 
-    lo = v_obs
-    if g(lo) > 0.0:
-        # M/Z variant can cross below the observed mass
-        bottom = max(np.max(p) * (1 + 1e-12), lo * 1e-12) if pi == "fixed-n" else lo * 1e-12
-        if g(bottom) > 0.0:
-            diag["reason"] = "root at or below lower bracket"
-            return EstimateResult(bottom, method, diag)
-        root = solve_root(g, (bottom, lo))
-        diag["residual"] = float(g(root))
-        return EstimateResult(root, method, diag)
+        def f(z):
+            return m_obs - float(z / n * np.dot(w, 1.0 / over_pi(p, z)))
 
-    hi = 2.0 * lo
-    doublings = 1
-    while g(hi) < 0.0:
-        hi *= 2.0
-        doublings += 1
-        if hi > _UPPER_CAP * v_obs:
-            diag["reason"] = "no finite root"
-            return EstimateResult(math.inf, method, diag)
-    root = solve_root(g, (hi / 2.0, hi))
-    diag["iterations"] = doublings
-    diag["residual"] = float(g(root))
-    return EstimateResult(root, method, diag)
+    return EstimateResult(_solve_z(f, obs, pi, diag), method, diag)
 
 
 # ---------------------------------------------------------------------------
@@ -368,9 +366,8 @@ def good_turing_rb(obs: Observation) -> GoodTuringRB:
         return GoodTuringRB(math.inf, math.inf, 1.0)
     p, n = obs.p_obs, obs.n
     z = ipw_poisson(obs).value
-    x = n * p / z
-    # where x underflows, p / (e^x - 1) takes its limit Z / N
-    w = float(np.divide(p, np.expm1(x), out=np.full(obs.m, z / n), where=x >= _MU_TINY).sum())
+    # p / (e^{N p / Z} - 1) = p e^{-N p / Z} / pi(i; Z)
+    w = float(_over_pi(p, n, "poisson")(p * np.exp(-n * p / z), z).sum())
     return GoodTuringRB(z, w, w / z)
 
 
@@ -414,9 +411,13 @@ def harmonic_mean(obs: Observation, h: Mapping[int, float], H: float,
     mode "rb_linear":     Z = N H / sum_S v(i) h(i) / p(i)
     mode "ipw_nonlinear": H = sum_S h(i) / pi(i; Z) solved for Z
 
-    Terms with p(i)/Z << h(i)/H give the estimator unbounded variance;
-    that pathology is reported through the variance_indicator diagnostic
-    (min over S of p(i) H / (h(i) Z)), not mitigated.
+    The nonlinear equation is solved like every other Z equation here, with
+    the same verdicts: where the sampled h already reach H at Z = V the
+    root lies below V, and at the lower limit of Z it is the boundary
+    verdict (Z = 0).  Terms with p(i)/Z << h(i)/H give the estimator
+    unbounded variance; that pathology is reported through the
+    variance_indicator diagnostic (min over S of (p(i)/h(i)) (H/Z)), not
+    mitigated.
     """
     if H <= 0:
         raise ValueError("H must be positive")
@@ -438,35 +439,13 @@ def harmonic_mean(obs: Observation, h: Mapping[int, float], H: float,
             return EstimateResult(math.inf, method, {"reason": "zero denominator"})
         z = n * H / denom
     elif mode == "ipw_nonlinear":
-        diag["evals"] = 0
-
-        def f(z):
-            diag["evals"] += 1
-            return float(np.sum(hv / inclusion_probability(p, n, z, pi))) - H
-
-        lo = obs.v
-        if f(lo) >= 0.0:
-            # sampled h mass already reaches H at full inclusion: the
-            # equation pushes Z to the lower boundary
-            bottom = max(np.max(p) * (1 + 1e-12), lo * 1e-12) if pi == "fixed-n" else lo * 1e-12
-            if f(bottom) >= 0.0:
-                diag["reason"] = "boundary: solution at Z -> 0"
-                z = 0.0
-            else:
-                z = solve_root(f, (bottom, lo))
-        else:
-            hi = 2.0 * lo
-            while f(hi) < 0.0:
-                hi *= 2.0
-                if hi > _UPPER_CAP * max(lo, 1.0):
-                    diag["reason"] = "no finite root"
-                    return EstimateResult(math.inf, method, diag)
-            z = solve_root(f, (hi / 2.0, hi))
+        over_pi = _over_pi(p, n, pi)
+        z = _solve_z(lambda z: H - float(over_pi(hv, z).sum()), obs, pi, diag)
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
     if z > 0 and np.all(hv > 0):
-        diag["variance_indicator"] = float(np.min(p * H / (hv * z)))
+        diag["variance_indicator"] = float(np.min(p / hv * (H / z)))
     return EstimateResult(z, method, diag)
 
 
@@ -521,14 +500,14 @@ def mixture_estimate(obs: Observation, r_components, w, gamma: float,
     method = f"mixture-gamma-{gamma:g}"
     diag: dict = {"gamma": gamma}
     if obs.m == obs.n and not np.any(gh):
-        diag["reason"] = "all sampled points are singletons"
+        diag["reason"] = _SINGLETONS
         z = math.inf
     else:
         # the clamp absorbs rounding in gamma h <= p; at gamma = 0, q is p
         z = _solve_ipw(obs, np.maximum(p - gh, 0.0), c, pi, diag)
     R, R_rb = np.full(len(w), math.inf), None
     if math.isfinite(z):
-        R = np.asarray(r.T @ (1.0 / inclusion_probability(p, n, z, pi)))
+        R = _over_pi(p, n, pi)(r.T, z).sum(axis=1)
         if weights is not None:
             R_rb = np.asarray(r.T @ (weights.aligned(obs) / p)) * z / n
     return MixtureResult(EstimateResult(z, method, diag), R, R_rb)

@@ -49,14 +49,22 @@ class TestEstimate:
         payload = json.loads(out)
         assert payload["method"] == method
 
-    def test_solver_work_reported(self, capsys):
+    @pytest.mark.parametrize("method", ["ipw-poisson", "rb-poisson", "hm"])
+    def test_solver_work_reported(self, capsys, tmp_path, method):
         # bracket doubling, root find and residual check; the bisecting
         # root finder this replaced spent about 35 evaluations per root
-        code, out, _ = run_cli(capsys, "estimate", "--in",
-                               fixture_path("regular_large.json"),
-                               "--method", "ipw-poisson")
+        path = fixture_path("regular_large.json")
+        anchor = []
+        if method == "hm":
+            # the harmonic anchor h = x over the domain, so H = 1
+            h = tmp_path / "h.json"
+            h.write_text(json.dumps({"h": json.loads(pathlib.Path(path).read_text())["x"]}))
+            anchor = ["--h-file", str(h), "--H", "1"]
+        code, out, _ = run_cli(capsys, "estimate", "--in", path, "--method", method, *anchor)
         assert code == 0
-        assert 0 < json.loads(out)["diagnostics"]["evals"] <= 20
+        diag = json.loads(out)["diagnostics"]
+        assert 0 < diag["evals"] <= 20
+        assert diag["iterations"] >= 1 and "residual" in diag and "reason" not in diag
 
     def test_rb_exact_large_sample(self, capsys, tmp_path):
         rng = np.random.default_rng(3)

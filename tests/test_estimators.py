@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from conftest import random_observation
+from conftest import fixture_path, random_observation
 from missmass import estimators
-from missmass.data import Observation
+from missmass.data import Observation, load_observation
 from missmass.estimators import (RBWeights, expected_phi, good_toulmin_rb,
                                  good_turing_classic, good_turing_rb,
                                  harmonic_mean, inclusion_probability,
@@ -21,6 +21,25 @@ from missmass.verify import random_counts, saddle_point_gap
 
 
 SPREAD_P = [1e-200, 1.0, 1e200]
+
+
+def z_equations(obs):
+    """Every self-consistent Z equation on obs, keyed by name: IPW, both
+    Rao-Blackwellized variants, the nonlinear harmonic mean (h = p / 4 on
+    the sample, H = V) and the gamma = 0.5 mixture (h = 0.4 p, H = 0.6 V)."""
+    p, v = obs.p_obs, obs.v
+    quarter = {int(i): 0.25 * float(x) for i, x in zip(obs.indices, p)}
+    anchor = {int(i): 0.4 * float(x) for i, x in zip(obs.indices, p)}
+    r = np.column_stack([0.4 * p, 0.6 * p])
+    saddle, exact = rb_poisson_weights(obs), rb_exact(obs)
+    return {
+        "ipw-fixed-n": ipw_fixed_n(obs),
+        "ipw-poisson": ipw_poisson(obs),
+        "rb-z-V": rb_z_equation(obs, saddle, variant="V_over_Z"),
+        "rb-z-M": rb_z_equation(obs, exact, variant="M_over_Z", pi="fixed-n"),
+        "hm": harmonic_mean(obs, quarter, v, mode="ipw_nonlinear"),
+        "mixture": mixture_estimate(obs, r, [1.0, 1.0], 0.5, h=anchor, H=0.6 * v).z,
+    }
 
 
 def make_obs(ps, cs, d=None, x=None):
@@ -116,31 +135,74 @@ class TestIpw:
         assert ipw_poisson(obs).value == pytest.approx(oracle, rel=1e-8)
 
     def test_scale_equivariance(self, rng):
+        # every search limit is relative to V, so rescaling p rescales Z and
+        # keeps the verdict and the solver work; scaling by a power of two
+        # is exact, while any other factor rounds p, which can move Brent's
+        # last iterate onto or off an exact zero of the residual
         for _ in range(5):
             obs = random_observation(rng, extra_counts=4)
-            s = float(rng.uniform(0.1, 20.0))
-            scaled = make_obs(s * obs.p_obs, obs.counts, d=obs.domain_size, x=obs.x)
-            for est in (ipw_fixed_n, ipw_poisson):
-                a, b = est(obs).value, est(scaled).value
-                assert b == pytest.approx(s * a, rel=1e-7)
+            base = z_equations(obs)
+            for k in (float(rng.uniform(0.1, 20.0)), 1e-30, 1e30, 2.0 ** -100, 2.0 ** 100):
+                scaled = make_obs(k * obs.p_obs, obs.counts, d=obs.domain_size, x=obs.x)
+                exact = math.frexp(k)[0] == 0.5
+                for name, res in z_equations(scaled).items():
+                    ref = base[name]
+                    assert res.value / k == pytest.approx(ref.value, rel=0 if exact else 1e-12)
+                    assert res.diagnostics.get("reason") == ref.diagnostics.get("reason")
+                    gap = abs(res.diagnostics["evals"] - ref.diagnostics["evals"])
+                    assert gap <= (0 if exact else 1), name
+        # h = 0 on the sample: the harmonic equation has no root, and the
+        # search gives up at the same multiple of V at every scale
+        for k in (1e-30, 1.0, 1e30):
+            obs = make_obs([k, 2.0 * k, 3.0 * k], [2, 1, 3])
+            res = harmonic_mean(obs, {0: 0.0, 1: 0.0, 2: 0.0}, k, mode="ipw_nonlinear")
+            assert res.value == math.inf
+            assert res.diagnostics["reason"] == "no finite solution"
+            assert res.diagnostics["evals"] == 60
 
     def test_masses_spanning_the_float_range(self):
-        # N p / Z underflows for the smallest point; its term p / pi takes
-        # the limit Z / N instead of dividing by zero
+        # N p / Z underflows for the smallest point; each q / pi term takes
+        # the limit q Z / (N p) instead of dividing by zero
         obs = make_obs(SPREAD_P, [1, 1, 3])
         mp_p = [mpmath.mpf(x) for x in SPREAD_P]
         forms = {
-            ipw_poisson: lambda z, p: -mpmath.expm1(-5 * p / z),
-            ipw_fixed_n: lambda z, p: -mpmath.expm1(5 * mpmath.log1p(-p / z)),
+            "poisson": lambda z, p: -mpmath.expm1(-5 * p / z),
+            "fixed-n": lambda z, p: -mpmath.expm1(5 * mpmath.log1p(-p / z)),
         }
-        with mpmath.workdps(50):
-            for est, incl in forms.items():
-                res = est(obs)
-                assert math.isfinite(res.value)
-                oracle = mpmath.findroot(
-                    lambda z: sum(p / incl(z, p) for p in mp_p) - z,
-                    (mpmath.mpf(1.01e200), mpmath.mpf(1e202)), solver="anderson")
-                assert abs(res.value / oracle - 1) <= 1e-10
+        half = {i: 0.5 * x for i, x in enumerate(SPREAD_P)}
+        weights = rb_exact(obs)
+        v = [float(x) for x in weights.aligned(obs)]
+
+        def root(g, dps=50):
+            with mpmath.workdps(dps):
+                return mpmath.findroot(g, (mpmath.mpf(1.01e200), mpmath.mpf(1e202)),
+                                       solver="anderson")
+
+        for (pi, incl), est in zip(forms.items(), (ipw_poisson, ipw_fixed_n)):
+            res = est(obs)
+            assert math.isfinite(res.value)
+            oracle = root(lambda z: sum(p / incl(z, p) for p in mp_p) - z)
+            assert abs(res.value / oracle - 1) <= 1e-10
+
+            res = harmonic_mean(obs, half, 1e200, mode="ipw_nonlinear", pi=pi)
+            oracle = root(lambda z: sum(p / 2 / incl(z, p) for p in mp_p) - mpmath.mpf(1e200),
+                          dps=60)
+            assert abs(res.value / oracle - 1) <= 1e-10
+            assert res.diagnostics["variance_indicator"] == pytest.approx(
+                float(2 * mpmath.mpf(1e200) / oracle), rel=1e-9)
+
+            # pi / p keeps its limit N / Z in the M / Z variant
+            res = rb_z_equation(obs, weights, variant="M_over_Z", pi=pi)
+            oracle = root(lambda z: z / 5 * sum(c * incl(z, p) / p for c, p in zip(v, mp_p)) - 3)
+            assert abs(res.value / oracle - 1) <= 1e-10
+
+        # the component totals R(j) = sum_S r(i, j) / pi(i; Z) stay finite
+        # although 1 / pi(i; Z) is past the float range for the smallest point
+        mix = mixture_estimate(obs, np.column_stack([obs.p_obs / 2, obs.p_obs / 2]),
+                               [1.0, 1.0], 0.0)
+        assert mix.z.value == ipw_poisson(obs).value
+        assert np.all(np.isfinite(mix.R))
+        assert mix.R.sum() == pytest.approx(mix.z.value, rel=1e-12)
 
 
 class TestRbExact:
@@ -265,9 +327,24 @@ class TestRbPoissonLambda:
         assert rb_poisson_lambda(scaled) == pytest.approx(
             rb_poisson_lambda(obs) / s, rel=1e-8)
 
+    @pytest.mark.parametrize("name", ["all_singletons", "dataset_model_draw", "delta_s_zero",
+                                      "full_coverage", "gt_example", "regular_large",
+                                      "regular_small", "single_point", "spread"])
+    def test_is_the_poisson_ipw_rate(self, name):
+        # with lambda = N / Z the rate equation is the Poisson IPW equation
+        if name == "spread":
+            obs = make_obs(SPREAD_P, [1, 1, 3])
+        else:
+            obs = load_observation(fixture_path(f"{name}.json"))
+        lam = rb_poisson_lambda(obs)
+        assert lam == obs.n / ipw_poisson(obs).value
+        if lam > 0.0:
+            assert np.sum(estimators._ztp_mean(lam * obs.p_obs)) == pytest.approx(
+                obs.n, rel=1e-9)
+
     def test_large_counts(self):
         # every rate is large, so N = sum_S lambda p(i) holds at N / V only
-        # to rounding, which can leave the bracket top a hair below the root
+        # to rounding: every pi(i; V) rounds to 1 and the root is Z = V
         for ps, cs in (([7.0], [61]), ([0.625, 0.419], [94, 93]),
                        ([1.292, 0.91, 0.772], [50, 73, 65])):
             obs = make_obs(ps, cs)
@@ -603,14 +680,19 @@ class TestMixture:
 
 
 def test_solved_roots_have_tiny_residuals(rng):
-    # every solved estimator equation reports a plugged-back residual that
-    # is negligible on the scale of the observed mass
+    # every solved estimator equation reports its solver work and a
+    # plugged-back residual that is negligible on the scale of the
+    # equation: V, M for the M / Z variant, H for the harmonic mean, and
+    # V + gamma H for the mixture
     for _ in range(25):
         obs = random_observation(rng, extra_counts=int(rng.integers(2, 10)))
-        for res in (ipw_fixed_n(obs), ipw_poisson(obs),
-                    rb_z_equation(obs, rb_poisson_weights(obs))):
-            if res.is_finite and "residual" in res.diagnostics:
-                assert abs(res.diagnostics["residual"]) <= 1e-8 * obs.v
+        v = obs.v
+        scales = {"ipw-fixed-n": v, "ipw-poisson": v, "rb-z-V": v, "rb-z-M": obs.m,
+                  "hm": v, "mixture": 1.3 * v}
+        for name, res in z_equations(obs).items():
+            assert res.is_finite and "reason" not in res.diagnostics, name
+            assert res.diagnostics["evals"] > 0 and res.diagnostics["iterations"] >= 0
+            assert abs(res.diagnostics["residual"]) <= 1e-8 * scales[name], name
 
 
 def test_inclusion_probability_forms():
