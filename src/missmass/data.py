@@ -183,6 +183,11 @@ class SummaryStats:
     times, and delta_S, the scaled KL divergence between x and p restricted
     to the sample.  ``spread`` is the max-min spread of log(p(i)/x(i)),
     the proportionality criterion the inference routes branch on.
+
+    ``x_values`` are the distinct values of x on the sample, ascending, and
+    ``x_counts`` their multiplicities (as floats, since they weight sums):
+    the model sees the sampled base measure only through this multiset, so
+    every sum over the sample of a function of x(i) alone runs over them.
     """
 
     M: int
@@ -193,6 +198,8 @@ class SummaryStats:
     X: float
     Y: float
     phi: dict[int, int] = field(compare=False)
+    x_values: np.ndarray = field(compare=False)
+    x_counts: np.ndarray = field(compare=False)
     delta_S: float = 0.0
     spread: float = 0.0
 
@@ -226,6 +233,10 @@ def summarize(obs: Observation) -> SummaryStats:
     Y = max(0.0, 1.0 - X)
     ks, cnt = np.unique(c, return_counts=True)
     phi = {int(k): int(n) for k, n in zip(ks, cnt)}
+    x_values, x_counts = np.unique(x, return_counts=True)
+    x_counts = x_counts.astype(float)
+    x_values.setflags(write=False)
+    x_counts.setflags(write=False)
     ratio = log_p - log_x
     spread = float(ratio.max() - ratio.min())
     if spread <= PROPORTIONALITY_TOL:
@@ -233,6 +244,7 @@ def summarize(obs: Observation) -> SummaryStats:
     else:
         delta_S = max(0.0, T - X * np.log(X) - U + X * np.log(V))
     return SummaryStats(M=M, N=N, V=V, U=U, T=T, X=X, Y=Y, phi=phi,
+                        x_values=x_values, x_counts=x_counts,
                         delta_S=delta_S, spread=spread)
 
 

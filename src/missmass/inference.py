@@ -17,6 +17,11 @@ matching Beta(alpha Y, alpha X + N)) under three weightings of alpha:
   * mixed    -- the single atom at the maximum-likelihood alpha of L5 (or
                 L9).
 
+The routes read the data only through its SummaryStats.  ``obs`` stays in
+their signatures so that every inference entry point is called as
+(obs, stats), moment matching included, which reads the unsampled x and
+the masses from it.
+
 Singular cases are detected up front: Y = 0 pins W at 0 exactly, and
 p proportional to x on the sample (Delta_S = 0) collapses every posterior
 to the point mass at Y * r, r = V / X.  With M >= 2 sampled points that
@@ -91,7 +96,7 @@ class InferenceReport:
     diagnostics: dict = field(default_factory=dict, compare=False)
 
 
-def alpha_slope_maxima(which: str, obs: Observation, stats: SummaryStats
+def alpha_slope_maxima(which: str, stats: SummaryStats
                        ) -> tuple[np.ndarray, np.ndarray, list[float]]:
     """Every local maximum in alpha of log L``which`` inside ALPHA_T_BOUNDS.
 
@@ -102,18 +107,17 @@ def alpha_slope_maxima(which: str, obs: Observation, stats: SummaryStats
     accurate.  Returns (grid, slopes on the grid, maxima in grid order).
     """
     grid = np.exp(np.linspace(*ALPHA_T_BOUNDS, _SLOPE_SCAN_POINTS))
-    slopes = np.asarray(dlog_dalpha(which, obs, stats, grid))
+    slopes = np.asarray(dlog_dalpha(which, stats, grid))
 
     def slope(t: float) -> float:
-        return float(dlog_dalpha(which, obs, stats, math.exp(t)))
+        return float(dlog_dalpha(which, stats, math.exp(t)))
 
     maxima = [math.exp(solve_root(slope, (math.log(grid[k]), math.log(grid[k + 1]))))
               for k in np.nonzero((slopes[:-1] > 0.0) & (slopes[1:] <= 0.0))[0]]
     return grid, slopes, maxima
 
 
-def mle_alpha(obs: Observation, stats: SummaryStats,
-              base: str = "L5") -> tuple[float, bool]:
+def mle_alpha(stats: SummaryStats, base: str = "L5") -> tuple[float, bool]:
     """Maximum likelihood alpha from L5 or L9.
 
     Proportional data (Delta_S = 0) returns the sentinel (inf, True).
@@ -129,14 +133,18 @@ def mle_alpha(obs: Observation, stats: SummaryStats,
         raise ValueError("base must be L5 or L9")
     if stats.is_proportional:
         return math.inf, True
-    fn = log_L5 if base == "L5" else log_L9
+    return _highest_maximum(base, stats, *alpha_slope_maxima(base, stats))
 
-    grid, slopes, candidates = alpha_slope_maxima(base, obs, stats)
+
+def _highest_maximum(base: str, stats: SummaryStats, grid: np.ndarray,
+                     slopes: np.ndarray, candidates: list[float]) -> tuple[float, bool]:
+    """mle_alpha read off the slope scan of log L``base`` (alpha_slope_maxima)."""
     if not candidates:
         # slope everywhere positive is the near-singular escape; anything
         # else leaves the boundary of the search window
         return (math.inf, True) if slopes[-1] > 0.0 else (float(grid[0]), False)
-    values = [float(fn(obs, stats, a)) for a in candidates]
+    fn = log_L5 if base == "L5" else log_L9
+    values = [float(fn(stats, a)) for a in candidates]
     return candidates[int(np.argmax(values))], True
 
 
@@ -175,7 +183,7 @@ def infer_mixed(obs: Observation, stats: SummaryStats,
     singular = _singular_report("mixed", stats)
     if singular is not None:
         return singular
-    alpha, converged = mle_alpha(obs, stats, base)
+    alpha, converged = mle_alpha(stats, base)
     w_dist = _mixed_w_dist(stats, alpha)
     diag = {"base": base, "converged": converged,
             "mean_w_over_z": alpha * stats.Y / (alpha + stats.N)}
@@ -203,8 +211,7 @@ def _w_over_z_gridded(grid: np.ndarray, log_density: np.ndarray,
                                         log_density + 2.0 * log_z - log_v)
 
 
-def _alpha_window_nodes(obs: Observation,
-                        stats: SummaryStats) -> tuple[np.ndarray, np.ndarray, float]:
+def _alpha_window_nodes(stats: SummaryStats) -> tuple[np.ndarray, np.ndarray, float]:
     """Node set of the Bayes alpha integral: (alpha_j, weights, log evidence).
 
     The window in t = log alpha is where log L5 lies within _WINDOW_NATS of
@@ -221,7 +228,7 @@ def _alpha_window_nodes(obs: Observation,
     alpha^(M-1), M >= 2, so the tail it drops is smaller still.
     """
     scan = np.linspace(*ALPHA_T_BOUNDS, _SCAN_POINTS)
-    log_scan = np.asarray(log_L5(obs, stats, np.exp(scan)))
+    log_scan = np.asarray(log_L5(stats, np.exp(scan)))
     inside = np.nonzero(log_scan >= np.max(log_scan) - _WINDOW_NATS)[0]
     if inside[-1] == len(scan) - 1:
         raise ValueError(
@@ -229,7 +236,7 @@ def _alpha_window_nodes(obs: Observation,
             f"{ALPHA_T_BOUNDS}: the sample is too close to proportional")
     alpha_in = np.exp(scan[inside])
     jitter = float(np.max(np.abs(
-        log_L5(obs, stats, alpha_in * (1.0 + _JITTER_STEP)) - log_scan[inside])))
+        log_L5(stats, alpha_in * (1.0 + _JITTER_STEP)) - log_scan[inside])))
     if jitter > _JITTER_NATS:
         raise ValueError(
             f"log L5 changes by {jitter:.3g} nats under a relative alpha step "
@@ -240,7 +247,7 @@ def _alpha_window_nodes(obs: Observation,
     nodes, node_weights = np.polynomial.legendre.leggauss(_PANEL_NODES)
     half = 0.5 * np.diff(edges)[:, None]
     t = (0.5 * (edges[1:] + edges[:-1])[:, None] + half * nodes).ravel()
-    log_terms = log_L5(obs, stats, np.exp(t)) + np.log(half * node_weights).ravel()
+    log_terms = log_L5(stats, np.exp(t)) + np.log(half * node_weights).ravel()
     log_evidence = float(np.logaddexp.reduce(log_terms))
     if log_scan[0] - log_evidence > math.log(_TAIL_SHARE):
         raise ValueError(
@@ -271,18 +278,18 @@ def _mass_check(w_dist: BetaPrimeDist) -> float:
     return float(total)
 
 
-def _alpha_marginal_mode(obs: Observation, stats: SummaryStats,
-                         alpha_star: float) -> float:
+def _alpha_marginal_mode(stats: SummaryStats, grid: np.ndarray,
+                         slopes: np.ndarray, alpha_star: float) -> float:
     """Mode of the alpha posterior L5(alpha) / alpha.
 
     It is a root of alpha dlogL5/dalpha - 1 in t = log alpha: the
-    descending crossing of the slope scan nearest ``alpha_star``, polished
-    by bracketed Newton steps on the analytic curvature.  A scan with no
-    such crossing puts the mode at an end of ALPHA_T_BOUNDS.
+    descending crossing nearest ``alpha_star`` on the L5 slope scan
+    (``grid``, ``slopes`` from alpha_slope_maxima), polished by bracketed
+    Newton steps on the analytic curvature.  A scan with no such crossing
+    puts the mode at an end of ALPHA_T_BOUNDS.
     """
     t_grid = np.linspace(*ALPHA_T_BOUNDS, _SLOPE_SCAN_POINTS)
-    grid = np.exp(t_grid)
-    h = grid * dlog_dalpha("L5", obs, stats, grid) - 1.0
+    h = grid * slopes - 1.0
     down = np.nonzero((h[:-1] > 0.0) & (h[1:] <= 0.0))[0]
     if not len(down):
         return math.inf if h[-1] > 0.0 else float(grid[0])
@@ -290,8 +297,8 @@ def _alpha_marginal_mode(obs: Observation, stats: SummaryStats,
 
     def h_and_slope(t):
         alpha = np.exp(t)
-        slope = alpha * dlog_dalpha("L5", obs, stats, alpha)
-        return slope - 1.0, slope + alpha * alpha * d2log_dalpha2("L5", obs, stats, alpha)
+        slope = alpha * dlog_dalpha("L5", stats, alpha)
+        return slope - 1.0, slope + alpha * alpha * d2log_dalpha2("L5", stats, alpha)
 
     t = newton_bracketed(h_and_slope, [0.5 * (t_grid[k] + t_grid[k + 1])],
                          [t_grid[k]], [t_grid[k + 1]], increasing=False,
@@ -313,20 +320,21 @@ def infer_bayes(obs: Observation, stats: SummaryStats) -> InferenceReport:
     singular = _singular_report("bayes", stats)
     if singular is not None:
         return singular
-    alpha_star, _ = mle_alpha(obs, stats, "L5")
-    alphas, weights, log_evidence = _alpha_window_nodes(obs, stats)
+    grid, slopes, maxima = alpha_slope_maxima("L5", stats)
+    alpha_star, _ = _highest_maximum("L5", stats, grid, slopes, maxima)
+    alphas, weights, log_evidence = _alpha_window_nodes(stats)
     a, b = alphas * stats.Y, alphas * stats.X + stats.N
     w_dist = BetaPrimeDist(a, b, stats.V, weights=weights)
     diag = {"mass_check": _mass_check(w_dist), "log_evidence": log_evidence,
             "alpha_mle": alpha_star, "alpha_nodes": len(alphas)}
+    mode = _alpha_marginal_mode(stats, grid, slopes, alpha_star)
     return InferenceReport(method="bayes", w_dist=w_dist,
                            z_dist=ShiftedDist(w_dist, stats.V),
                            w_over_z_dist=BetaDist(a, b, weights=weights),
-                           alpha_summary=_alpha_marginal_mode(obs, stats, alpha_star),
-                           diagnostics=diag)
+                           alpha_summary=mode, diagnostics=diag)
 
 
-def _profile_envelope(obs: Observation, stats: SummaryStats,
+def _profile_envelope(stats: SummaryStats,
                       w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """max over alpha of log L8(W, alpha) at every W of ``w``.
 
@@ -343,20 +351,20 @@ def _profile_envelope(obs: Observation, stats: SummaryStats,
     ay, bx = grid * stats.Y, grid * stats.X + stats.N
     surface = np.multiply.outer(ay - 1.0, np.log(w / stats.V))
     surface -= np.multiply.outer(ay + bx, np.log1p(w / stats.V))
-    surface += (log_L9(obs, stats, grid) - log_beta(ay, bx))[:, None]
+    surface += (log_L9(stats, grid) - log_beta(ay, bx))[:, None]
     k = np.argmax(surface, axis=0)
 
     def slope_and_curvature(t):
         alpha = np.exp(t)
-        return (dlog_dalpha("L8", obs, stats, alpha, w=w),
-                alpha * d2log_dalpha2("L8", obs, stats, alpha))
+        return (dlog_dalpha("L8", stats, alpha, w=w),
+                alpha * d2log_dalpha2("L8", stats, alpha))
 
     t = newton_bracketed(slope_and_curvature, t_grid[k],
                          t_grid[np.maximum(k - 1, 0)],
                          t_grid[np.minimum(k + 1, len(t_grid) - 1)],
                          increasing=False, tol=_PROFILE_T_TOL)
     alpha = np.exp(t)
-    return alpha, log_L8(obs, stats, w, alpha), k == len(t_grid) - 1
+    return alpha, log_L8(stats, w, alpha), k == len(t_grid) - 1
 
 
 def infer_profile(obs: Observation, stats: SummaryStats,
@@ -378,7 +386,7 @@ def infer_profile(obs: Observation, stats: SummaryStats,
     singular = _singular_report("profile", stats)
     if singular is not None:
         return singular
-    alpha_star, _ = mle_alpha(obs, stats, "L9")
+    alpha_star, _ = mle_alpha(stats, "L9")
 
     ref = _mixed_w_dist(stats, alpha_star)
     median = ref.quantile(0.5)
@@ -386,7 +394,7 @@ def infer_profile(obs: Observation, stats: SummaryStats,
     lo_probes = ref.quantile(_GRID_Q_LO) / 2.0 / steps
     hi_probes = ref.quantile(_GRID_Q_HI) * 2.0 * steps
     probes = np.concatenate([[median], lo_probes, hi_probes])
-    _, env, _ = _profile_envelope(obs, stats, probes)
+    _, env, _ = _profile_envelope(stats, probes)
     per_log_w = env + np.log(probes)
     low_enough = per_log_w <= per_log_w[0] - _SPAN_NATS
 
@@ -399,7 +407,7 @@ def infer_profile(obs: Observation, stats: SummaryStats,
     hi = span_end(hi_probes, low_enough[_SPAN_STEPS + 1:], 8.0)
     grid = np.exp(np.linspace(math.log(lo), math.log(hi), grid_points))
 
-    alphas, log_l10, at_top = _profile_envelope(obs, stats, grid)
+    alphas, log_l10, at_top = _profile_envelope(stats, grid)
     if np.any(at_top):
         raise ArithmeticError(
             "profile maximization diverged at finite W with Delta_S > 0")

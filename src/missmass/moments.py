@@ -43,16 +43,16 @@ from .data import Observation, SummaryStats
 from .distributions import GammaDist, PointMass
 from .estimators import _ztp_mean, rb_poisson_lambda
 from .inference import alpha_slope_maxima, mle_alpha
-from .likelihoods import ModelParams, dlog_dalpha, log_L11, stationary_b_lambda
+from .likelihoods import (_BLOCK_ELEMS, ModelParams, dlog_dalpha, log_L11,
+                          stationary_b_lambda)
 from .solvers import newton_bracketed, solve_root
 from .special import digamma
 
 RESIDUAL_TOL = 1e-8
 
+# the scan is evaluated in row blocks of at most _BLOCK_ELEMS alpha-by-x
+# elements, as the likelihood sums are
 _ALPHA_SCAN = np.exp(np.linspace(-7.0, 9.0, 65))
-# the scan is evaluated in row blocks of at most this many alpha-by-x
-# elements (1 MB per float64 temporary)
-_BLOCK_ELEMS = 1 << 17
 # the inner Newton solves in log rho and log b stop at this step
 _LOG_TOL = 1e-12
 
@@ -99,7 +99,7 @@ def mle_full(obs: Observation, stats: SummaryStats) -> MomentMatchResult:
         return _result("MLE", stats, None, [math.nan],
                        {"status": "boundary",
                         "reason": "maximum at alpha -> infinity (Delta_S = 0)"})
-    grid, slopes, candidates = alpha_slope_maxima("L11", obs, stats)
+    grid, slopes, candidates = alpha_slope_maxima("L11", stats)
     if not candidates:
         if slopes[-1] > 0.0:
             return _result("MLE", stats, None, [math.nan],
@@ -109,15 +109,15 @@ def mle_full(obs: Observation, stats: SummaryStats) -> MomentMatchResult:
         return _result("MLE", stats, None, [math.nan],
                        {"status": "boundary",
                         "reason": "maximum at alpha -> 0"})
-    values = [float(log_L11(obs, stats, a)) for a in candidates]
+    values = [float(log_L11(stats, a)) for a in candidates]
     tail_escapes = slopes[-1] > 0.0
-    if tail_escapes and float(log_L11(obs, stats, grid[-1])) > max(values):
+    if tail_escapes and float(log_L11(stats, grid[-1])) > max(values):
         return _result("MLE", stats, None, [math.nan],
                        {"status": "boundary",
                         "reason": "maximum at alpha -> infinity"})
     alpha = candidates[int(np.argmax(values))]
     b, lam = stationary_b_lambda(stats, alpha)
-    slope = float(dlog_dalpha("L11", obs, stats, alpha))
+    slope = float(dlog_dalpha("L11", stats, alpha))
     residuals = [slope * alpha / max(1.0, abs(max(values)))]
     return _result("MLE", stats, ModelParams(alpha, b, lam), residuals,
                    {"status": "ok", "log_l11": max(values),
@@ -126,7 +126,8 @@ def mle_full(obs: Observation, stats: SummaryStats) -> MomentMatchResult:
 
 def _distinct(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # every moment sum adds a function of x(i) alone over the points, so it
-    # runs over the distinct values of x weighted by their multiplicities
+    # runs over the distinct values of x weighted by their multiplicities;
+    # summarize keeps those of the sample as stats.x_values / x_counts
     values, counts = np.unique(x, return_counts=True)
     return values, counts.astype(float)
 
@@ -219,7 +220,7 @@ def match_A(obs: Observation, stats: SummaryStats) -> MomentMatchResult:
         return u_plus_logb - np.log(v_times_b / v) - u
 
     alpha = _match_outer_alpha(u_residual, _scan(u_residual, len(values)),
-                               lambda: mle_alpha(obs, stats, "L5")[0], diag)
+                               lambda: mle_alpha(stats, "L5")[0], diag)
     if alpha is None:
         return _no_params("A", stats, diag)
     u_plus_logb, v_times_b = (float(m[0]) for m in _a_moments(
@@ -290,7 +291,7 @@ def _solve_b_rho(values: np.ndarray, counts: np.ndarray, alpha: np.ndarray,
 
 def match_B(obs: Observation, stats: SummaryStats) -> MomentMatchResult:
     """Match observed (N, U, V) to their expectations conditional on S."""
-    values, counts = _distinct(obs.x_obs)
+    values, counts = stats.x_values, stats.x_counts
     n, u, v = stats.N, stats.U, stats.V
     diag: dict = {"evals": 0}
 
@@ -300,7 +301,7 @@ def match_B(obs: Observation, stats: SummaryStats) -> MomentMatchResult:
         return _b_conditional_u(values, counts, alpha, rho) - stats.X * np.log(b) - u
 
     alpha = _match_outer_alpha(u_residual, _scan(u_residual, len(values)),
-                               lambda: mle_alpha(obs, stats, "L5")[0], diag)
+                               lambda: mle_alpha(stats, "L5")[0], diag)
     if alpha is None:
         return _no_params("B", stats, diag)
     b, rho = (float(m[0]) for m in _solve_b_rho(values, counts, np.array([alpha]),
@@ -351,7 +352,7 @@ def match_C(obs: Observation, stats: SummaryStats) -> MomentMatchResult:
     if lam == 0.0:
         return _no_params("C", stats, diag, "lambda_zero",
                           "all sampled points are singletons")
-    values, counts = _distinct(obs.x_obs)
+    values, counts = stats.x_values, stats.x_counts
     u, v = stats.U, stats.V
 
     def u_residual(alpha: np.ndarray) -> np.ndarray:
@@ -360,7 +361,7 @@ def match_C(obs: Observation, stats: SummaryStats) -> MomentMatchResult:
         return _b_conditional_u(values, counts, alpha, lam / b) - stats.X * np.log(b) - u
 
     alpha = _match_outer_alpha(u_residual, _scan(u_residual, len(values)),
-                               lambda: mle_alpha(obs, stats, "L5")[0], diag)
+                               lambda: mle_alpha(stats, "L5")[0], diag)
     if alpha is None:
         return _no_params("C", stats, diag)
     b = float(_solve_c_b(values, counts, np.array([alpha]), lam, v, diag)[0])

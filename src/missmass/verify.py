@@ -129,8 +129,8 @@ def check_beta_identity(rng, pairs=4) -> bool:
             alpha = 0.05 / st.Y
         for lw, lmarg in ((log_L4, log_L5), (log_L8, log_L9)):
             quad = integrate_semi_infinite(
-                lambda w: lw(obs, st, w, alpha), st.V)
-            if abs(math.expm1(quad - lmarg(obs, st, alpha))) > 1e-7:
+                lambda w: lw(st, w, alpha), st.V)
+            if abs(math.expm1(quad - lmarg(st, alpha))) > 1e-7:
                 return False
     return True
 
@@ -143,7 +143,7 @@ def check_concavity(rng, n_obs=4) -> bool:
         obs = _random_observation(rng)
         st = summarize(obs)
         for which in ("L4", "L8"):
-            vals = d2log_dalpha2(which, obs, st, grid, w=0.7 * st.V)
+            vals = d2log_dalpha2(which, st, grid, w=0.7 * st.V)
             if np.max(vals) > 1e-12:
                 return False
     return True

@@ -83,10 +83,10 @@ def test_criterion_03_beta_identity_quadrature():
         alpha = float(np.exp(rng.uniform(-1.0, 3.2)))
         if alpha * st.Y < 0.03:
             alpha = 0.05 / st.Y
-        quad4 = integrate_semi_infinite(lambda w: log_L4(obs, st, w, alpha), st.V)
-        quad8 = integrate_semi_infinite(lambda w: log_L8(obs, st, w, alpha), st.V)
-        ok &= abs(math.expm1(quad4 - log_L5(obs, st, alpha))) < 1e-7
-        ok &= abs(math.expm1(quad8 - log_L9(obs, st, alpha))) < 1e-7
+        quad4 = integrate_semi_infinite(lambda w: log_L4(st, w, alpha), st.V)
+        quad8 = integrate_semi_infinite(lambda w: log_L8(st, w, alpha), st.V)
+        ok &= abs(math.expm1(quad4 - log_L5(st, alpha))) < 1e-7
+        ok &= abs(math.expm1(quad8 - log_L9(st, alpha))) < 1e-7
     _report(3, "L4->L5 and L8->L9 Beta identities", ok)
 
 
@@ -123,10 +123,10 @@ def test_criterion_04_concavity_suite():
         st = summarize(obs)
         w = 0.7 * st.V
         for which in worst:
-            vals = d2log_dalpha2(which, obs, st, grid, w=w)
+            vals = d2log_dalpha2(which, st, grid, w=w)
             worst[which] = max(worst[which], float(np.max(vals)))
         for which, fn in (("L5", log_L5), ("L9", log_L9)):
-            vals = d2log_dalpha2(which, obs, st, grid)
+            vals = d2log_dalpha2(which, st, grid)
             positive = vals > 1e-12
             if positive.any():
                 upward[which].append(draw)
@@ -135,8 +135,8 @@ def test_criterion_04_concavity_suite():
                 ref = _mp_curvature(which, obs, st, a)
                 if not (ref > 0 and abs(v - float(ref)) <= 1e-8 * float(ref)):
                     unconfirmed.append(f"{which} draw {draw} alpha {a:.3g}")
-            a_hat, _ = mle_alpha(obs, st, which)
-            gap = fn(obs, st, a_hat) - np.max(fn(obs, st, dense))
+            a_hat, _ = mle_alpha(st, which)
+            gap = fn(st, a_hat) - np.max(fn(st, dense))
             if not gap >= -1e-9:
                 missed.append(f"{which} draw {draw} ({gap:.2e})")
     violators = [f"{k} (max d2 = {v:.2e})" for k, v in worst.items() if v > 1e-12]
@@ -146,7 +146,7 @@ def test_criterion_04_concavity_suite():
                       indices=np.array([0]), p_obs=np.array([1.0]),
                       counts=np.array([2]))
     st = summarize(obs)
-    l11_positive = d2log_dalpha2("L11", obs, st, 5.0) > 0.0
+    l11_positive = d2log_dalpha2("L11", st, 5.0) > 0.0
     label = ("log-concavity of L4, L8 with L11 counterexample; "
              + ", ".join(f"{k} curves upward on draws {v} (max d2 = "
                          f"{max_up[k]:.2e})" for k, v in upward.items())
@@ -176,9 +176,9 @@ def test_criterion_05_asymptotic_slopes():
             continue
         checked += 1
         bound = 10.0 * st.M / alpha
-        ok &= abs(dlog_dalpha("L5", obs, st, alpha) + st.delta_S) <= bound
+        ok &= abs(dlog_dalpha("L5", st, alpha) + st.delta_S) <= bound
         w = 0.7 * st.V
-        ok &= abs(dlog_dalpha("L4", obs, st, alpha, w=w) + kl_delta(st, w)) <= bound
+        ok &= abs(dlog_dalpha("L4", st, alpha, w=w) + kl_delta(st, w)) <= bound
     _report(5, "asymptotic alpha slopes match -Delta_S and -Delta", ok)
 
 

@@ -35,10 +35,10 @@ class TestMleAlpha:
             if st.is_proportional:
                 continue
             for base in ("L5", "L9"):
-                alpha, converged = mle_alpha(obs, st, base)
+                alpha, converged = mle_alpha(st, base)
                 assert converged
-                slope = dlog_dalpha(base, obs, st, alpha)
-                curv = abs(d2log_dalpha2(base, obs, st, alpha))
+                slope = dlog_dalpha(base, st, alpha)
+                curv = abs(d2log_dalpha2(base, st, alpha))
                 assert abs(slope) <= 1e-6 * max(1.0, curv * alpha)
 
     def test_slope_scan_finds_both_local_maxima(self):
@@ -48,27 +48,27 @@ class TestMleAlpha:
         for _ in range(18):
             obs = random_observation(rng)
         st = summarize(obs)
-        grid, slopes, maxima = alpha_slope_maxima("L9", obs, st)
+        grid, slopes, maxima = alpha_slope_maxima("L9", st)
         assert len(grid) == len(slopes) and len(maxima) == 2
         assert maxima[0] == pytest.approx(3.9, rel=0.05)
         assert maxima[1] == pytest.approx(189.0, rel=0.05)
         for a in maxima:
-            assert abs(dlog_dalpha("L9", obs, st, a)) <= 1e-8 * max(1.0, 1.0 / a)
-            assert d2log_dalpha2("L9", obs, st, a) < 0.0
-        best = maxima[int(np.argmax([log_L9(obs, st, a) for a in maxima]))]
-        assert mle_alpha(obs, st, "L9")[0] == best
+            assert abs(dlog_dalpha("L9", st, a)) <= 1e-8 * max(1.0, 1.0 / a)
+            assert d2log_dalpha2("L9", st, a) < 0.0
+        best = maxima[int(np.argmax([log_L9(st, a) for a in maxima]))]
+        assert mle_alpha(st, "L9")[0] == best
 
     def test_singular_sentinel(self, rng):
         obs = proportional_observation(rng)
         st = summarize(obs)
-        alpha, converged = mle_alpha(obs, st)
+        alpha, converged = mle_alpha(st)
         assert math.isinf(alpha) and converged
 
     def test_bases_agree_on_rich_data(self):
         _, obs, st = model_observation(3, d=40, alpha=8.0, lam=30.0)
         assert st.N >= 50
-        a5, _ = mle_alpha(obs, st, "L5")
-        a9, _ = mle_alpha(obs, st, "L9")
+        a5, _ = mle_alpha(st, "L5")
+        a9, _ = mle_alpha(st, "L9")
         assert a9 == pytest.approx(a5, rel=0.2)
 
 
@@ -159,7 +159,7 @@ class TestBayes:
         a_star = rep.alpha_summary
         ws = np.exp(np.linspace(math.log(rep.w_dist.quantile(0.01)),
                                 math.log(rep.w_dist.quantile(0.99)), 41))
-        log_dens = log_L4(obs, st, ws, a_star) - log_L5(obs, st, a_star)
+        log_dens = log_L4(st, ws, a_star) - log_L5(st, a_star)
         assert np.allclose(log_dens, rep.w_dist.log_pdf(ws), atol=1e-9)
 
 
@@ -264,7 +264,18 @@ class TestBayesAlphaMode:
         # d/dt log(L5 / alpha) = alpha dlogL5/dalpha - 1 vanishes at the mode
         obs, st = fixture_observation(case)
         alpha = infer_bayes(obs, st).alpha_summary
-        assert abs(alpha * dlog_dalpha("L5", obs, st, alpha) - 1.0) < 1e-8
+        assert abs(alpha * dlog_dalpha("L5", st, alpha) - 1.0) < 1e-8
+
+    def test_one_slope_scan(self, monkeypatch):
+        # the maximum-likelihood alpha and the posterior mode read the same
+        # 241-point scan of the L5 slope
+        obs, st = fixture_observation("regular_small")
+        scans = []
+        real = inference.dlog_dalpha
+        monkeypatch.setattr(inference, "dlog_dalpha", lambda which, s, alpha, **kw: (
+            np.size(alpha) > 1 and scans.append(which)) or real(which, s, alpha, **kw))
+        infer_bayes(obs, st)
+        assert scans == ["L5"]
 
 
 def spread_observation():
@@ -278,7 +289,7 @@ class TestProfile:
         _, obs, st = model_observation(1)
         w = st.V * 0.5
         grid = np.exp(np.linspace(-6, 8, 200))
-        slopes = dlog_dalpha("L8", obs, st, grid, w=w)
+        slopes = dlog_dalpha("L8", st, grid, w=w)
         changes = np.sum(np.diff(np.sign(slopes)) != 0)
         assert changes == 1
 
@@ -304,7 +315,7 @@ class TestProfile:
         alphas = np.exp(np.linspace(*ALPHA_T_BOUNDS, 40_001))[:, None]
         for k in range(0, len(w_grid), 25):
             block = w_grid[k:k + 25][None, :]
-            dense = np.max(log_L8(obs, st, block, alphas), axis=0)
+            dense = np.max(log_L8(st, block, alphas), axis=0)
             assert np.all(polished[k:k + 25] >= dense - 1e-9)
 
     def test_normalized_by_own_quadrature(self):
@@ -353,7 +364,7 @@ class TestProfile:
         w = np.array([infer_mixed(obs, st, base="L9").w_dist.quantile(0.5),
                       grid[0], grid[-1]])
         alphas = np.exp(np.linspace(*ALPHA_T_BOUNDS, 40_001))[:, None]
-        per_log_w = np.max(log_L8(obs, st, w[None, :], alphas), axis=0) + np.log(w)
+        per_log_w = np.max(log_L8(st, w[None, :], alphas), axis=0) + np.log(w)
         diag = rep.diagnostics
         drops = per_log_w[0] - per_log_w[1:]
         assert diag["span_drop_lo_nats"] == pytest.approx(drops[0], abs=1e-3)

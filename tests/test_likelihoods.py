@@ -1,11 +1,17 @@
+import inspect
 import math
 
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
+from scipy.special import gammaln, polygamma, psi
 
 from conftest import random_observation
+from missmass import likelihoods
 from missmass.data import Observation, kl_delta, summarize
+from missmass.inference import alpha_slope_maxima, mle_alpha
 from missmass.likelihoods import (ModelParams, d2log_dalpha2, dlog_dalpha,
                                   log_L2, log_L3, log_L4, log_L5, log_L8,
                                   log_L9, log_L11, stationary_b_lambda)
@@ -37,8 +43,8 @@ class TestModelParams:
 class TestL2L3:
     def test_l2_integrates_to_l3(self, obs, stats):
         params = ModelParams(1.3, 0.8, 2.1)
-        quad = integrate_semi_infinite(lambda w: log_L2(obs, stats, w, params), stats.V)
-        assert quad == pytest.approx(log_L3(obs, stats, params), abs=1e-8)
+        quad = integrate_semi_infinite(lambda w: log_L2(stats, w, params), stats.V)
+        assert quad == pytest.approx(log_L3(stats, params), abs=1e-8)
 
     def test_unit_shape_exponent(self, rng):
         # alpha Y = 1 leaves only the exponential W factor
@@ -47,7 +53,7 @@ class TestL2L3:
         alpha = 1.0 / stats.Y
         params = ModelParams(alpha, 0.7, 1.4)
         w1, w2 = 0.5, 2.5
-        diff = log_L2(obs, stats, w2, params) - log_L2(obs, stats, w1, params)
+        diff = log_L2(stats, w2, params) - log_L2(stats, w1, params)
         assert diff == pytest.approx(-(params.b + params.lam) * (w2 - w1), rel=1e-12)
 
     def test_high_precision_recompute(self):
@@ -64,11 +70,11 @@ class TestL2L3:
         expected = (-mp.loggamma(a[0]) - mp.loggamma(a[1])
                     + (y - 1) * mp.log(w) - mp.loggamma(y)
                     + 3 * mp.log(1) + u - 2 * (v + w))
-        assert log_L2(obs, st, 1.0, params) == pytest.approx(float(expected), rel=1e-12)
+        assert log_L2(st, 1.0, params) == pytest.approx(float(expected), rel=1e-12)
 
     def test_l3_decreasing_in_large_b(self, obs, stats):
         # beyond the stationary point the likelihood falls in b
-        vals = [log_L3(obs, stats, ModelParams(1.0, b, 1.0)) for b in (50.0, 80.0, 130.0)]
+        vals = [log_L3(stats, ModelParams(1.0, b, 1.0)) for b in (50.0, 80.0, 130.0)]
         assert vals[0] > vals[1] > vals[2]
 
     def test_y_zero_l2_rejected(self):
@@ -77,21 +83,21 @@ class TestL2L3:
                           counts=np.array([1, 1]))
         st = summarize(obs)
         with pytest.raises(ValueError, match="point mass"):
-            log_L2(obs, st, 1.0, ModelParams(1.0, 1.0, 1.0))
+            log_L2(st, 1.0, ModelParams(1.0, 1.0, 1.0))
         # L3 keeps its natural Y = 0 form
-        assert math.isfinite(log_L3(obs, st, ModelParams(1.0, 1.0, 1.0)))
+        assert math.isfinite(log_L3(st, ModelParams(1.0, 1.0, 1.0)))
 
 
 class TestBetaIdentities:
     @pytest.mark.parametrize("alpha", [0.4, 1.0, 6.0])
     def test_l4_to_l5(self, obs, stats, alpha):
-        quad = integrate_semi_infinite(lambda w: log_L4(obs, stats, w, alpha), stats.V)
-        assert abs(math.expm1(quad - log_L5(obs, stats, alpha))) < 1e-7
+        quad = integrate_semi_infinite(lambda w: log_L4(stats, w, alpha), stats.V)
+        assert abs(math.expm1(quad - log_L5(stats, alpha))) < 1e-7
 
     @pytest.mark.parametrize("alpha", [0.4, 1.0, 6.0])
     def test_l8_to_l9(self, obs, stats, alpha):
-        quad = integrate_semi_infinite(lambda w: log_L8(obs, stats, w, alpha), stats.V)
-        assert abs(math.expm1(quad - log_L9(obs, stats, alpha))) < 1e-7
+        quad = integrate_semi_infinite(lambda w: log_L8(stats, w, alpha), stats.V)
+        assert abs(math.expm1(quad - log_L9(stats, alpha))) < 1e-7
 
 
 class TestDerivatives:
@@ -99,23 +105,23 @@ class TestDerivatives:
     @pytest.mark.parametrize("alpha", [0.1, 1.0, 10.0, 100.0])
     def test_against_finite_differences(self, obs, stats, which, alpha):
         w = 0.8 if which in ("L4", "L8") else None
-        fn = {"L4": lambda a: log_L4(obs, stats, w, a),
-              "L5": lambda a: log_L5(obs, stats, a),
-              "L8": lambda a: log_L8(obs, stats, w, a),
-              "L9": lambda a: log_L9(obs, stats, a),
-              "L11": lambda a: log_L11(obs, stats, a)}[which]
+        fn = {"L4": lambda a: log_L4(stats, w, a),
+              "L5": lambda a: log_L5(stats, a),
+              "L8": lambda a: log_L8(stats, w, a),
+              "L9": lambda a: log_L9(stats, a),
+              "L11": lambda a: log_L11(stats, a)}[which]
         h = 1e-5 * alpha
         fd1 = (fn(alpha + h) - fn(alpha - h)) / (2 * h)
         fd2 = (fn(alpha + h) - 2 * fn(alpha) + fn(alpha - h)) / h ** 2
-        d1 = dlog_dalpha(which, obs, stats, alpha, w=w)
-        d2 = d2log_dalpha2(which, obs, stats, alpha, w=w)
+        d1 = dlog_dalpha(which, stats, alpha, w=w)
+        d2 = d2log_dalpha2(which, stats, alpha, w=w)
         assert d1 == pytest.approx(fd1, rel=1e-6, abs=1e-8)
         assert d2 == pytest.approx(fd2, rel=1e-3, abs=1e-6)
 
     def test_small_alpha_slope(self, obs, stats):
         # d/d alpha log L4 ~ M / alpha as alpha -> 0
         alpha = 1e-7
-        d1 = dlog_dalpha("L4", obs, stats, alpha, w=0.8)
+        d1 = dlog_dalpha("L4", stats, alpha, w=0.8)
         assert d1 == pytest.approx(stats.M / alpha, rel=1e-4)
 
     def test_l4_concave_everywhere(self, rng):
@@ -123,13 +129,13 @@ class TestDerivatives:
         for _ in range(5):
             o = random_observation(rng)
             st = summarize(o)
-            vals = d2log_dalpha2("L4", o, st, grid, w=0.6 * st.V)
+            vals = d2log_dalpha2("L4", st, grid, w=0.6 * st.V)
             assert np.max(vals) <= 1e-12
 
     def test_l5_slope_brackets_mode(self, obs, stats):
         # concavity plus the end behavior forces one sign change
         grid = np.exp(np.linspace(-8, 8, 60))
-        signs = np.sign(dlog_dalpha("L5", obs, stats, grid))
+        signs = np.sign(dlog_dalpha("L5", stats, grid))
         changes = np.sum(np.abs(np.diff(signs)) > 0)
         assert changes == 1
 
@@ -143,9 +149,9 @@ class TestAsymptotics:
                 continue
             alpha = 1e4
             bound = 10.0 * st.M / alpha
-            assert abs(dlog_dalpha("L5", o, st, alpha) + st.delta_S) <= bound
+            assert abs(dlog_dalpha("L5", st, alpha) + st.delta_S) <= bound
             w = 0.7 * st.V
-            assert abs(dlog_dalpha("L4", o, st, alpha, w=w) + kl_delta(st, w)) <= bound
+            assert abs(dlog_dalpha("L4", st, alpha, w=w) + kl_delta(st, w)) <= bound
 
     def test_l4_l8_stirling_gap(self, obs, stats):
         # log L4 - log L8 = [lgamma(alpha) - alpha log alpha + alpha]
@@ -154,25 +160,25 @@ class TestAsymptotics:
         n = stats.N
         n_part = float(mp.loggamma(n)) - n * math.log(n) + n
         for alpha in (1e3, 1e5):
-            gap = (log_L4(obs, stats, 0.9, alpha) - log_L8(obs, stats, 0.9, alpha)
+            gap = (log_L4(stats, 0.9, alpha) - log_L8(stats, 0.9, alpha)
                    - n_part)
             assert gap == pytest.approx(0.5 * math.log(2 * math.pi / alpha), abs=1e-4)
 
     def test_l8_log_concave_on_grid(self, obs, stats):
         grid = np.exp(np.linspace(-5, 5, 40))
-        vals = log_L8(obs, stats, 0.9, grid)
+        vals = log_L8(stats, 0.9, grid)
         second = np.diff(vals, 2)
         # second differences on the alpha grid itself (uneven) just need
         # the analytic check; use it directly
-        assert np.max(d2log_dalpha2("L8", obs, stats, grid, w=0.9)) <= 1e-12
+        assert np.max(d2log_dalpha2("L8", stats, grid, w=0.9)) <= 1e-12
 
 
 class TestNormalizedIdentity:
     def test_l4_over_l5_equals_l8_over_l9(self, obs, stats):
         ws = np.exp(np.linspace(-3, 3, 31))
         for alpha in (0.3, 1.7, 22.0):
-            lhs = log_L4(obs, stats, ws, alpha) - log_L5(obs, stats, alpha)
-            rhs = log_L8(obs, stats, ws, alpha) - log_L9(obs, stats, alpha)
+            lhs = log_L4(stats, ws, alpha) - log_L5(stats, alpha)
+            rhs = log_L8(stats, ws, alpha) - log_L9(stats, alpha)
             assert np.max(np.abs(lhs - rhs)) < 1e-9
 
     def test_common_factor_cancels(self, obs, stats):
@@ -182,9 +188,9 @@ class TestNormalizedIdentity:
                               - [float(mp.loggamma(c + 1)) for c in obs.counts]))
         ws = np.array([0.3, 1.1, 4.2])
         alpha = 2.2
-        base = log_L4(obs, stats, ws, alpha) - log_L5(obs, stats, alpha)
-        shifted = ((log_L4(obs, stats, ws, alpha) + factor)
-                   - (log_L5(obs, stats, alpha) + factor))
+        base = log_L4(stats, ws, alpha) - log_L5(stats, alpha)
+        shifted = ((log_L4(stats, ws, alpha) + factor)
+                   - (log_L5(stats, alpha) + factor))
         assert np.allclose(base, shifted, rtol=0, atol=1e-12)
 
 
@@ -196,8 +202,8 @@ class TestL11:
     def test_matches_l3_at_stationary_point(self, obs, stats):
         for alpha in (0.4, 3.3, 40.0):
             b, lam = stationary_b_lambda(stats, alpha)
-            assert log_L11(obs, stats, alpha) == pytest.approx(
-                log_L3(obs, stats, ModelParams(alpha, b, lam)), rel=1e-12)
+            assert log_L11(stats, alpha) == pytest.approx(
+                log_L3(stats, ModelParams(alpha, b, lam)), rel=1e-12)
 
     def test_x_to_zero_limit_second_derivative(self):
         # concentrate x off the sample: d2 -> -M/alpha^2 + (N/alpha)/(alpha+N),
@@ -210,7 +216,7 @@ class TestL11:
         alpha = 5.0
         limit = -st.M / alpha ** 2 + (st.N / alpha) / (alpha + st.N)
         assert limit > 0
-        assert d2log_dalpha2("L11", obs, st, alpha) == pytest.approx(limit, rel=1e-4)
+        assert d2log_dalpha2("L11", st, alpha) == pytest.approx(limit, rel=1e-4)
 
     def test_full_coverage_matches_l9(self):
         # X = 1 collapses the stationary (b, lambda) onto the profile pair,
@@ -221,5 +227,178 @@ class TestL11:
         st = summarize(obs)
         assert st.Y == 0.0
         for alpha in (0.5, 2.0, 17.0):
-            assert log_L11(obs, st, alpha) == pytest.approx(
-                log_L9(obs, st, alpha), rel=1e-12)
+            assert log_L11(st, alpha) == pytest.approx(
+                log_L9(st, alpha), rel=1e-12)
+
+
+# -- the likelihoods on the sufficient statistics ---------------------------
+
+def _direct(which, kind, obs, st, alpha, w=None, params=None):
+    """log L``which`` (kind 0), its alpha slope (1) or curvature (2), with
+    every sum over the sample taken point by point over obs.x_obs.
+
+    Returns the exactly rounded sum of all terms (math.fsum) and the sum of
+    their absolute values, the scale of the rounding error of any order of
+    summation."""
+    a_x = alpha * obs.x_obs
+    n, xx, y, u, v = st.N, st.X, st.Y, st.U, st.V
+    if kind == 0:
+        terms = list(-gammaln(a_x))
+        if w is not None:
+            terms += [(alpha * y - 1) * math.log(w), -gammaln(alpha * y)]
+        if which in ("L2", "L3"):
+            b, lam = params.b, params.lam
+            terms += [alpha * math.log(b), n * math.log(lam), alpha * u]
+            terms += ([-(b + lam) * (v + w)] if which == "L2" else
+                      [-(b + lam) * v, -alpha * y * math.log(b + lam)])
+        elif which == "L11":
+            log_scale = math.log(alpha * xx + n) - math.log(alpha + n) - math.log(v)
+            terms += [alpha * math.log(alpha), alpha * log_scale, n * math.log(n),
+                      n * log_scale, alpha * u, -(alpha * xx + n),
+                      -alpha * y * (math.log(alpha * xx + n) - math.log(v))]
+        else:
+            terms += ([gammaln(alpha), gammaln(n)] if which in ("L4", "L5") else
+                      [alpha * math.log(alpha), n * math.log(n), -alpha, -n])
+            terms.append(alpha * u)
+            terms += ([-(alpha + n) * math.log(v + w)] if which in ("L4", "L8") else
+                      [-(alpha * xx + n) * math.log(v), gammaln(alpha * xx + n),
+                       -gammaln(alpha + n)])
+    elif kind == 1:
+        terms = list(-obs.x_obs * psi(a_x))
+        if which == "L11":
+            terms += [-xx * math.log(v), xx * math.log(alpha * xx + n), u,
+                      -math.log1p(n / alpha)]
+        else:
+            terms += [psi(alpha) if which in ("L4", "L5") else math.log(alpha), u]
+            terms += ([-y * psi(alpha * y), y * math.log(w), -math.log(v + w)]
+                      if which in ("L4", "L8") else
+                      [-xx * math.log(v), xx * psi(alpha * xx + n), -psi(alpha + n)])
+    else:
+        terms = list(-obs.x_obs ** 2 * polygamma(1, a_x))
+        if which == "L11":
+            terms += [xx * xx / (alpha * xx + n), (n / alpha) / (alpha + n)]
+        else:
+            terms.append(polygamma(1, alpha) if which in ("L4", "L5") else 1.0 / alpha)
+            terms += ([-y * y * polygamma(1, alpha * y)] if which in ("L4", "L8") else
+                      [xx * xx * polygamma(1, alpha * xx + n), -polygamma(1, alpha + n)])
+    return math.fsum(terms), math.fsum(abs(t) for t in terms)
+
+
+def _library(which, kind, st, alpha, w=None, params=None):
+    if kind == 1:
+        return dlog_dalpha(which, st, alpha, w=w)
+    if kind == 2:
+        return d2log_dalpha2(which, st, alpha, w=w)
+    if which in ("L2", "L3"):
+        return log_L2(st, w, params) if which == "L2" else log_L3(st, params)
+    fn = {"L4": log_L4, "L5": log_L5, "L8": log_L8, "L9": log_L9,
+          "L11": log_L11}[which]
+    return fn(st, w, alpha) if which in ("L4", "L8") else fn(st, alpha)
+
+
+# (likelihood, derivative order) pairs; W enters L2, L4, L8 and their slopes
+_CASES = ([(name, 0) for name in ("L2", "L3", "L4", "L5", "L8", "L9", "L11")]
+          + [(name, k) for name in ("L4", "L5", "L8", "L9", "L11") for k in (1, 2)])
+
+
+@hs.composite
+def sample_observations(draw):
+    """A sample whose base measure takes ``levels`` distinct values over the
+    domain (all distinct when levels is None), its entries in drawn order;
+    at least one point stays unsampled, so Y > 0."""
+    d = draw(hs.integers(2, 40))
+    m = draw(hs.integers(1, d - 1))
+    levels = draw(hs.one_of(hs.none(), hs.integers(1, 4)))
+    rng = np.random.default_rng(draw(hs.integers(0, 2 ** 32 - 1)))
+    if levels is None:
+        raw = rng.dirichlet(np.ones(d))
+    else:
+        raw = rng.choice(rng.uniform(0.2, 5.0, levels), size=d)
+    x = raw / raw.sum()
+    idx = rng.permutation(rng.choice(d, size=m, replace=False))
+    return Observation(domain_size=d, x=x, indices=idx,
+                       p_obs=rng.lognormal(0.0, 1.0, m),
+                       counts=1 + rng.poisson(1.0, m))
+
+
+class TestSufficientStatistics:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(obs=sample_observations(), alpha=hs.floats(1e-3, 1e4),
+           w_over_v=hs.floats(0.05, 20.0))
+    def test_matches_direct_per_point_sums(self, obs, alpha, w_over_v):
+        st = summarize(obs)
+        assert st.x_counts.sum() == st.M
+        assert np.dot(st.x_counts, st.x_values) == pytest.approx(st.X, rel=1e-12)
+        params = ModelParams(alpha, 0.7, 1.9)
+        for which, kind in _CASES:
+            w = w_over_v * st.V if which in ("L2", "L4", "L8") else None
+            want, scale = _direct(which, kind, obs, st, alpha, w, params)
+            got = _library(which, kind, st, alpha, w, params)
+            assert abs(got - want) <= 1e-12 * scale, (which, kind, got, want)
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(obs=sample_observations())
+    def test_entry_order_is_irrelevant(self, obs):
+        st = summarize(obs)
+        order = np.random.default_rng(obs.m).permutation(obs.m)
+        shuffled = summarize(Observation(
+            domain_size=obs.domain_size, x=obs.x, indices=obs.indices[order],
+            p_obs=obs.p_obs[order], counts=obs.counts[order]))
+        assert np.array_equal(shuffled.x_values, st.x_values)
+        assert np.array_equal(shuffled.x_counts, st.x_counts)
+        assert np.all(np.diff(st.x_values) > 0.0)
+
+
+class TestBlocking:
+    def _all_values(self, st, grid):
+        w = 0.8 * st.V
+        out = [log_L4(st, w, grid), log_L5(st, grid), log_L8(st, w, grid),
+               log_L9(st, grid), log_L11(st, grid)]
+        for which in ("L4", "L5", "L8", "L9", "L11"):
+            ww = w if which in ("L4", "L8") else None
+            out += [dlog_dalpha(which, st, grid, w=ww),
+                    d2log_dalpha2(which, st, grid, w=ww)]
+        return out
+
+    def test_row_blocks_are_bit_identical(self, rng, monkeypatch):
+        # a block of two alpha rows splits the 50-point grid into 25 blocks
+        st = summarize(random_observation(rng, d=30, m=9, extra_counts=5))
+        grid = np.exp(np.linspace(-6.0, 9.0, 50))
+        single = self._all_values(st, grid)
+        blocks = []
+        monkeypatch.setattr(likelihoods, "_BLOCK_ELEMS", 2 * len(st.x_values))
+        real = likelihoods.digamma
+        # the alpha-by-x blocks are the 2-D arguments
+        monkeypatch.setattr(likelihoods, "digamma", lambda a: (
+            np.ndim(a) == 2 and blocks.append(np.shape(a))) or real(a))
+        blocked = self._all_values(st, grid)
+        assert blocks and set(blocks) == {(2, len(st.x_values))}
+        assert len(blocks) == 25 * 5  # one slope per likelihood
+        for one, many in zip(single, blocked):
+            assert np.array_equal(one, many)
+
+    def test_column_blocks_split_one_row(self, rng, monkeypatch):
+        # more distinct x than a block holds: each alpha row is summed in
+        # column slices, which reorders the additions only
+        st = summarize(random_observation(rng, d=30, m=9, extra_counts=5))
+        assert len(st.x_values) == 9
+        grid = np.exp(np.linspace(-6.0, 9.0, 7))
+        single = [fn(st, grid) for fn in (likelihoods._shape_sum,
+                                          likelihoods._digamma_sum,
+                                          likelihoods._trigamma_sum)]
+        monkeypatch.setattr(likelihoods, "_BLOCK_ELEMS", 4)
+        blocked = [fn(st, grid) for fn in (likelihoods._shape_sum,
+                                           likelihoods._digamma_sum,
+                                           likelihoods._trigamma_sum)]
+        for one, many in zip(single, blocked):
+            np.testing.assert_allclose(many, one, rtol=1e-14, atol=0.0)
+
+
+def test_likelihood_layer_takes_no_observation():
+    # the reduced likelihoods see the data only through SummaryStats
+    public = [fn for name, fn in vars(likelihoods).items()
+              if inspect.isfunction(fn) and not name.startswith("_")
+              and fn.__module__ == likelihoods.__name__]
+    assert len(public) >= 10
+    for fn in public + [mle_alpha, alpha_slope_maxima]:
+        assert "obs" not in inspect.signature(fn).parameters, fn.__name__

@@ -30,7 +30,7 @@ class TestMleFull:
         p = res.params
         # the stationary pair satisfies N = lambda alpha / b exactly
         assert st.N == pytest.approx(p.lam * p.alpha / p.b, rel=1e-12)
-        slope = dlog_dalpha("L11", obs, st, p.alpha)
+        slope = dlog_dalpha("L11", st, p.alpha)
         assert abs(slope) * p.alpha < 1e-5
         # W law is Gamma(alpha Y, b + lambda) with the matching mean
         assert isinstance(res.w_dist, GammaDist)
@@ -138,7 +138,7 @@ class TestCommon:
 
     def test_root_closest_to_mixed_alpha(self):
         obs, st = model_observation(8)
-        mixed_alpha, _ = mle_alpha(obs, st, "L5")
+        mixed_alpha, _ = mle_alpha(st, "L5")
         res = match_B(obs, st)
         if res.ok and len(res.diagnostics["alpha_roots"]) > 1:
             picked = res.params.alpha

@@ -180,7 +180,7 @@ class TestJointDensity:
         edges = np.array([0.05, 0.15, 0.3, 0.5, 0.8, 1.2])
         hist, _ = np.histogram(w_samples, bins=edges, density=True)
         centers = 0.5 * (edges[1:] + edges[:-1])
-        dens = np.exp(log_L2(obs, st, centers, params))
+        dens = np.exp(log_L2(st, centers, params))
         # compare shapes: normalize both across the bins
         hist = hist / hist.sum()
         dens = dens / dens.sum()

@@ -79,7 +79,7 @@ class TestSolveRoot:
 
         monkeypatch.setattr(inference, "solve_root", counting)
         obs = load_observation(fixture_path("regular_large.json"))
-        inference.alpha_slope_maxima("L5", obs, summarize(obs))
+        inference.alpha_slope_maxima("L5", summarize(obs))
         assert counts and max(counts) <= 12
 
     def test_random_monotone_functions(self):
