@@ -21,6 +21,24 @@ PROPORTIONALITY_TOL = 1e-10
 
 _X_SUM_TOL = 1e-12
 
+# The log-Gamma terms of the reduced likelihoods (likelihoods.py) are
+# w log Gamma(alpha s + o) over the columns of one term table,
+#
+#     N      alpha  alpha Y | x(i)     | alpha X + N  alpha + N  alpha  N
+#     (0, N) (1, 0) (Y, 0)  | (x, 0)   | (X, N)       (1, N)     (1, 0) (0, N)
+#     w = 1  1      -1      | -count   | 1            -1         1      1
+#
+# with one column per distinct sampled x.  The terms of each likelihood's
+# log value, and of its alpha derivatives, which drop the constant
+# log Gamma(N), are one run of columns: TERM_RUNS[name][k] is the slice
+# of the run for the k-th derivative, whose weights are w s^k.  Only the
+# runs of L4 and L8 hold the alpha Y column, which needs Y > 0.
+TERM_RUNS = {"L4": (slice(0, -4), slice(1, -4), slice(1, -4)),
+             "L5": (slice(3, None), slice(3, -1), slice(3, -1)),
+             "L8": (slice(2, -4),) * 3,
+             "L9": (slice(3, -2),) * 3,
+             "L11": (slice(3, -4),) * 3}
+
 
 def _as_float_vector(v, name: str) -> np.ndarray:
     arr = np.asarray(v, dtype=float)
@@ -173,6 +191,19 @@ def load_observation(path: str) -> Observation:
     return Dataset.from_json(obj).observe()
 
 
+def _term_table(x_values: np.ndarray, x_counts: np.ndarray, n: int, x_sum: float,
+                y: float) -> np.ndarray:
+    """SummaryStats.terms: the rows s, o, w, w s, w s^2 of the term table,
+    each of shape (1, K), so that alpha-by-term blocks meet them shape for
+    shape."""
+    scales = np.concatenate([[0.0, 1.0, y], x_values, [x_sum, 1.0, 1.0, 0.0]])
+    offsets = np.concatenate([[n, 0.0, 0.0], np.zeros(len(x_values)), [n, n, 0.0, n]])
+    w = np.concatenate([[1.0, 1.0, -1.0], -x_counts, [1.0, -1.0, 1.0, 1.0]])
+    table = np.stack([scales, offsets, w, w * scales, w * scales ** 2])[:, None, :]
+    table.setflags(write=False)
+    return table
+
+
 @dataclass(frozen=True)
 class SummaryStats:
     """Derived statistics of an observation.
@@ -188,6 +219,13 @@ class SummaryStats:
     ``x_counts`` their multiplicities (as floats, since they weight sums):
     the model sees the sampled base measure only through this multiset, so
     every sum over the sample of a function of x(i) alone runs over them.
+
+    ``U_rel`` = U - X log V = sum_S x(i) log(p(i) / V), unchanged when p
+    is rescaled.  ``terms`` is the term table of the reduced likelihoods
+    (TERM_RUNS): the k-th alpha derivative of log L``name``, for L4, L5,
+    L8, L9 and L11, is sum_j w_j s_j^k f_k(alpha s_j + o_j) over its run
+    of columns plus terms elementary in alpha, with f_0 = log Gamma,
+    f_1 = digamma and f_2 = trigamma.
     """
 
     M: int
@@ -197,9 +235,11 @@ class SummaryStats:
     T: float
     X: float
     Y: float
+    U_rel: float
     phi: dict[int, int] = field(compare=False)
     x_values: np.ndarray = field(compare=False)
     x_counts: np.ndarray = field(compare=False)
+    terms: np.ndarray = field(compare=False)
     delta_S: float = 0.0
     spread: float = 0.0
 
@@ -243,8 +283,10 @@ def summarize(obs: Observation) -> SummaryStats:
         delta_S = 0.0
     else:
         delta_S = max(0.0, T - X * np.log(X) - U + X * np.log(V))
-    return SummaryStats(M=M, N=N, V=V, U=U, T=T, X=X, Y=Y, phi=phi,
+    return SummaryStats(M=M, N=N, V=V, U=U, T=T, X=X, Y=Y,
+                        U_rel=float(np.dot(x, log_p - np.log(V))), phi=phi,
                         x_values=x_values, x_counts=x_counts,
+                        terms=_term_table(x_values, x_counts, N, X, Y),
                         delta_S=delta_S, spread=spread)
 
 

@@ -49,9 +49,14 @@ from .special import log_beta
 DEFAULT_GRID_POINTS = 201
 
 # alpha search window in log alpha before declaring the maximum at infinity,
-# and the log-alpha grid on which the likelihood slopes are scanned
+# and the log-alpha grid on which the likelihood slopes are scanned; alpha
+# is exp(t) by math.exp, as the root finds in t evaluate it, so a slope at
+# a grid point is the scan's entry bit for bit
 ALPHA_T_BOUNDS = (-30.0, 50.0)
-_SLOPE_SCAN_POINTS = 241
+_SLOPE_SCAN_T = np.linspace(*ALPHA_T_BOUNDS, 241)
+_SLOPE_SCAN_ALPHA = np.array([math.exp(t) for t in _SLOPE_SCAN_T])
+_SLOPE_SCAN_T.setflags(write=False)
+_SLOPE_SCAN_ALPHA.setflags(write=False)
 
 # the profile W grid spans these mixed-method quantiles, widened by a
 # factor 2, then by factors of 8 at most _SPAN_STEPS times per end until
@@ -96,6 +101,22 @@ class InferenceReport:
     diagnostics: dict = field(default_factory=dict, compare=False)
 
 
+def _slope_scan(which: str, stats: SummaryStats) -> tuple[np.ndarray, list[float], int]:
+    """alpha_slope_maxima's slopes on the scan grid and maxima, plus the
+    number of scalar slope evaluations its root finds made."""
+    slopes = np.asarray(dlog_dalpha(which, stats, _SLOPE_SCAN_ALPHA))
+    evals = 0
+
+    def slope(t: float) -> float:
+        nonlocal evals
+        evals += 1
+        return dlog_dalpha(which, stats, math.exp(t))
+
+    maxima = [math.exp(solve_root(slope, (_SLOPE_SCAN_T[k], _SLOPE_SCAN_T[k + 1])))
+              for k in np.nonzero((slopes[:-1] > 0.0) & (slopes[1:] <= 0.0))[0]]
+    return slopes, maxima, evals
+
+
 def alpha_slope_maxima(which: str, stats: SummaryStats
                        ) -> tuple[np.ndarray, np.ndarray, list[float]]:
     """Every local maximum in alpha of log L``which`` inside ALPHA_T_BOUNDS.
@@ -106,15 +127,18 @@ def alpha_slope_maxima(which: str, stats: SummaryStats
     to cancellation at huge alpha, while their digamma-based slopes stay
     accurate.  Returns (grid, slopes on the grid, maxima in grid order).
     """
-    grid = np.exp(np.linspace(*ALPHA_T_BOUNDS, _SLOPE_SCAN_POINTS))
-    slopes = np.asarray(dlog_dalpha(which, stats, grid))
+    slopes, maxima, _ = _slope_scan(which, stats)
+    return _SLOPE_SCAN_ALPHA, slopes, maxima
 
-    def slope(t: float) -> float:
-        return float(dlog_dalpha(which, stats, math.exp(t)))
 
-    maxima = [math.exp(solve_root(slope, (math.log(grid[k]), math.log(grid[k + 1]))))
-              for k in np.nonzero((slopes[:-1] > 0.0) & (slopes[1:] <= 0.0))[0]]
-    return grid, slopes, maxima
+def _mle_alpha(stats: SummaryStats, base: str) -> tuple[float, bool, int]:
+    """mle_alpha, plus the scalar slope evaluations of its root finds."""
+    if base not in ("L5", "L9"):
+        raise ValueError("base must be L5 or L9")
+    if stats.is_proportional:
+        return math.inf, True, 0
+    slopes, maxima, evals = _slope_scan(base, stats)
+    return (*_highest_maximum(base, stats, slopes, maxima), evals)
 
 
 def mle_alpha(stats: SummaryStats, base: str = "L5") -> tuple[float, bool]:
@@ -129,20 +153,18 @@ def mle_alpha(stats: SummaryStats, base: str = "L5") -> tuple[float, bool]:
     so every local maximum (alpha_slope_maxima) is a candidate and the
     highest wins.
     """
-    if base not in ("L5", "L9"):
-        raise ValueError("base must be L5 or L9")
-    if stats.is_proportional:
-        return math.inf, True
-    return _highest_maximum(base, stats, *alpha_slope_maxima(base, stats))
+    return _mle_alpha(stats, base)[:2]
 
 
-def _highest_maximum(base: str, stats: SummaryStats, grid: np.ndarray,
-                     slopes: np.ndarray, candidates: list[float]) -> tuple[float, bool]:
-    """mle_alpha read off the slope scan of log L``base`` (alpha_slope_maxima)."""
+def _highest_maximum(base: str, stats: SummaryStats, slopes: np.ndarray,
+                     candidates: list[float]) -> tuple[float, bool]:
+    """mle_alpha read off the slope scan of log L``base`` (_slope_scan)."""
     if not candidates:
         # slope everywhere positive is the near-singular escape; anything
         # else leaves the boundary of the search window
-        return (math.inf, True) if slopes[-1] > 0.0 else (float(grid[0]), False)
+        if slopes[-1] > 0.0:
+            return math.inf, True
+        return float(_SLOPE_SCAN_ALPHA[0]), False
     fn = log_L5 if base == "L5" else log_L9
     values = [float(fn(stats, a)) for a in candidates]
     return candidates[int(np.argmax(values))], True
@@ -178,14 +200,15 @@ def infer_mixed(obs: Observation, stats: SummaryStats,
 
     W/V ~ Beta-prime(alpha Y, alpha X + N) and W/Z ~ Beta(alpha Y,
     alpha X + N), with means alpha Y V / (alpha X + N - 1) and
-    alpha Y / (alpha + N).
+    alpha Y / (alpha + N).  The diagnostic ``evals`` counts the scalar
+    slope evaluations of the alpha root finds.
     """
     singular = _singular_report("mixed", stats)
     if singular is not None:
         return singular
-    alpha, converged = mle_alpha(stats, base)
+    alpha, converged, evals = _mle_alpha(stats, base)
     w_dist = _mixed_w_dist(stats, alpha)
-    diag = {"base": base, "converged": converged,
+    diag = {"base": base, "converged": converged, "evals": evals,
             "mean_w_over_z": alpha * stats.Y / (alpha + stats.N)}
     if alpha * stats.X + stats.N <= 1.0:
         diag["mean_undefined"] = True
@@ -278,21 +301,21 @@ def _mass_check(w_dist: BetaPrimeDist) -> float:
     return float(total)
 
 
-def _alpha_marginal_mode(stats: SummaryStats, grid: np.ndarray,
-                         slopes: np.ndarray, alpha_star: float) -> float:
+def _alpha_marginal_mode(stats: SummaryStats, slopes: np.ndarray,
+                         alpha_star: float) -> float:
     """Mode of the alpha posterior L5(alpha) / alpha.
 
     It is a root of alpha dlogL5/dalpha - 1 in t = log alpha: the
     descending crossing nearest ``alpha_star`` on the L5 slope scan
-    (``grid``, ``slopes`` from alpha_slope_maxima), polished by bracketed
+    (``slopes`` from _slope_scan), polished by bracketed
     Newton steps on the analytic curvature.  A scan with no such crossing
     puts the mode at an end of ALPHA_T_BOUNDS.
     """
-    t_grid = np.linspace(*ALPHA_T_BOUNDS, _SLOPE_SCAN_POINTS)
-    h = grid * slopes - 1.0
+    t_grid = _SLOPE_SCAN_T
+    h = _SLOPE_SCAN_ALPHA * slopes - 1.0
     down = np.nonzero((h[:-1] > 0.0) & (h[1:] <= 0.0))[0]
     if not len(down):
-        return math.inf if h[-1] > 0.0 else float(grid[0])
+        return math.inf if h[-1] > 0.0 else float(_SLOPE_SCAN_ALPHA[0])
     k = down[np.argmin(np.abs(t_grid[down] - math.log(alpha_star)))]
 
     def h_and_slope(t):
@@ -320,14 +343,14 @@ def infer_bayes(obs: Observation, stats: SummaryStats) -> InferenceReport:
     singular = _singular_report("bayes", stats)
     if singular is not None:
         return singular
-    grid, slopes, maxima = alpha_slope_maxima("L5", stats)
-    alpha_star, _ = _highest_maximum("L5", stats, grid, slopes, maxima)
+    slopes, maxima, _ = _slope_scan("L5", stats)
+    alpha_star, _ = _highest_maximum("L5", stats, slopes, maxima)
     alphas, weights, log_evidence = _alpha_window_nodes(stats)
     a, b = alphas * stats.Y, alphas * stats.X + stats.N
     w_dist = BetaPrimeDist(a, b, stats.V, weights=weights)
     diag = {"mass_check": _mass_check(w_dist), "log_evidence": log_evidence,
             "alpha_mle": alpha_star, "alpha_nodes": len(alphas)}
-    mode = _alpha_marginal_mode(stats, grid, slopes, alpha_star)
+    mode = _alpha_marginal_mode(stats, slopes, alpha_star)
     return InferenceReport(method="bayes", w_dist=w_dist,
                            z_dist=ShiftedDist(w_dist, stats.V),
                            w_over_z_dist=BetaDist(a, b, weights=weights),

@@ -42,7 +42,7 @@ import numpy as np
 from .data import Observation, SummaryStats
 from .distributions import GammaDist, PointMass
 from .estimators import _ztp_mean, rb_poisson_lambda
-from .inference import alpha_slope_maxima, mle_alpha
+from .inference import _SLOPE_SCAN_ALPHA, _slope_scan, mle_alpha
 from .likelihoods import (_BLOCK_ELEMS, ModelParams, dlog_dalpha, log_L11,
                           stationary_b_lambda)
 from .solvers import newton_bracketed, solve_root
@@ -93,27 +93,28 @@ def mle_full(obs: Observation, stats: SummaryStats) -> MomentMatchResult:
     A slope still positive at the upper search bound is the
     maximum-at-infinity boundary verdict, and proportional data
     (Delta_S = 0) is that boundary case by construction, so it is decided
-    up front rather than hunted numerically.
+    up front rather than hunted numerically.  The diagnostic ``evals``
+    counts the scalar slope evaluations of the root finds.
     """
     if stats.is_proportional:
         return _result("MLE", stats, None, [math.nan],
-                       {"status": "boundary",
+                       {"status": "boundary", "evals": 0,
                         "reason": "maximum at alpha -> infinity (Delta_S = 0)"})
-    grid, slopes, candidates = alpha_slope_maxima("L11", stats)
+    slopes, candidates, evals = _slope_scan("L11", stats)
     if not candidates:
         if slopes[-1] > 0.0:
             return _result("MLE", stats, None, [math.nan],
-                           {"status": "boundary",
+                           {"status": "boundary", "evals": evals,
                             "reason": "maximum at alpha -> infinity"})
         # slope negative everywhere: the maximum sits at the lower bound
         return _result("MLE", stats, None, [math.nan],
-                       {"status": "boundary",
+                       {"status": "boundary", "evals": evals,
                         "reason": "maximum at alpha -> 0"})
     values = [float(log_L11(stats, a)) for a in candidates]
     tail_escapes = slopes[-1] > 0.0
-    if tail_escapes and float(log_L11(stats, grid[-1])) > max(values):
+    if tail_escapes and float(log_L11(stats, _SLOPE_SCAN_ALPHA[-1])) > max(values):
         return _result("MLE", stats, None, [math.nan],
-                       {"status": "boundary",
+                       {"status": "boundary", "evals": evals,
                         "reason": "maximum at alpha -> infinity"})
     alpha = candidates[int(np.argmax(values))]
     b, lam = stationary_b_lambda(stats, alpha)
@@ -121,7 +122,7 @@ def mle_full(obs: Observation, stats: SummaryStats) -> MomentMatchResult:
     residuals = [slope * alpha / max(1.0, abs(max(values)))]
     return _result("MLE", stats, ModelParams(alpha, b, lam), residuals,
                    {"status": "ok", "log_l11": max(values),
-                    "n_local_maxima": len(candidates)})
+                    "n_local_maxima": len(candidates), "evals": evals})
 
 
 def _distinct(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

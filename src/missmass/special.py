@@ -15,13 +15,13 @@ from scipy import special
 
 def _positive(z, name: str) -> np.ndarray:
     z = np.asarray(z, dtype=float)
-    if not np.all(z > 0.0):
+    if not (z > 0.0).all():
         raise ValueError(f"{name} requires a positive argument")
     return z
 
 
 def _out(val):
-    return float(val) if np.ndim(val) == 0 else val
+    return float(val) if val.ndim == 0 else val
 
 
 def log_gamma(z):

@@ -17,6 +17,7 @@ from missmass.inference import (ALPHA_T_BOUNDS, alpha_slope_maxima,
                                 mle_alpha)
 from missmass.likelihoods import (ModelParams, d2log_dalpha2, dlog_dalpha,
                                   log_L4, log_L5, log_L8, log_L9)
+from missmass.moments import moment_match
 from missmass.simulate import simulate_model
 
 
@@ -276,6 +277,30 @@ class TestBayesAlphaMode:
             np.size(alpha) > 1 and scans.append(which)) or real(which, s, alpha, **kw))
         infer_bayes(obs, st)
         assert scans == ["L5"]
+
+
+class TestSolverWork:
+    @pytest.mark.parametrize("name", ["gt_example", "regular_small", "regular_large"])
+    def test_one_scan_and_few_slope_evaluations(self, name, monkeypatch):
+        # mixed (L5, L9) and the plain MLE each scan the slope once, then
+        # refine each local maximum in at most 12 scalar slope evaluations
+        obs, st = fixture_observation(name)
+        maxima = {which: len(alpha_slope_maxima(which, st)[2])
+                  for which in ("L5", "L9", "L11")}
+        scans = []
+        real = inference.dlog_dalpha
+        monkeypatch.setattr(inference, "dlog_dalpha", lambda which, s, alpha, **kw: (
+            np.size(alpha) > 1 and scans.append(which)) or real(which, s, alpha, **kw))
+        for which in ("L5", "L9", "L11"):
+            scans.clear()
+            if which == "L11":
+                diag = moment_match(obs, st, "MLE").diagnostics
+                assert diag["n_local_maxima"] == maxima[which]
+            else:
+                diag = infer_mixed(obs, st, which).diagnostics
+            assert scans == [which]
+            assert maxima[which] >= 1
+            assert 0 < diag["evals"] <= 12 * maxima[which]
 
 
 def spread_observation():

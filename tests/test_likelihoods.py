@@ -9,12 +9,13 @@ from hypothesis import strategies as hs
 from scipy.special import gammaln, polygamma, psi
 
 from conftest import random_observation
-from missmass import likelihoods
-from missmass.data import Observation, kl_delta, summarize
+from missmass import inference, likelihoods
+from missmass.data import TERM_RUNS, Observation, kl_delta, summarize
 from missmass.inference import alpha_slope_maxima, mle_alpha
 from missmass.likelihoods import (ModelParams, d2log_dalpha2, dlog_dalpha,
                                   log_L2, log_L3, log_L4, log_L5, log_L8,
                                   log_L9, log_L11, stationary_b_lambda)
+from missmass.moments import moment_match
 from missmass.solvers import integrate_semi_infinite
 
 mp.mp.dps = 50
@@ -349,6 +350,47 @@ class TestSufficientStatistics:
         assert np.all(np.diff(st.x_values) > 0.0)
 
 
+class TestScalarMatchesScan:
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(obs=sample_observations())
+    def test_grid_points_bit_for_bit(self, obs):
+        # the root finds of alpha_slope_maxima take their bracket signs from
+        # the scan and evaluate the slope at the bracket ends afresh, at
+        # alpha = exp(t) of the grid's t
+        st = summarize(obs)
+        for which in ("L5", "L9", "L11"):
+            grid, slopes, _ = alpha_slope_maxima(which, st)
+            curvatures = d2log_dalpha2(which, st, grid)
+            for k, t in enumerate(inference._SLOPE_SCAN_T):
+                alpha = math.exp(t)
+                assert alpha == grid[k]
+                assert dlog_dalpha(which, st, alpha) == slopes[k], (which, k)
+                assert d2log_dalpha2(which, st, alpha) == curvatures[k], (which, k)
+
+
+class TestRescaling:
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(obs=sample_observations())
+    def test_alpha_mle_is_scale_free(self, obs):
+        # p -> k p leaves alpha-hat alone and scales b and lambda by 1/k
+        st = summarize(obs)
+        alphas = [mle_alpha(st, base)[0] for base in ("L5", "L9")]
+        mle = moment_match(obs, st, "MLE")
+        for k in (1e-100, 3.0, 1e100):
+            scaled = Observation(domain_size=obs.domain_size, x=obs.x,
+                                 indices=obs.indices, p_obs=obs.p_obs * k,
+                                 counts=obs.counts)
+            sk = summarize(scaled)
+            for base, alpha in zip(("L5", "L9"), alphas):
+                assert mle_alpha(sk, base)[0] == pytest.approx(alpha, rel=1e-10)
+            res = moment_match(scaled, sk, "MLE")
+            assert res.diagnostics["status"] == mle.diagnostics["status"]
+            if mle.params is not None:
+                assert res.params.alpha == pytest.approx(mle.params.alpha, rel=1e-10)
+                assert res.params.b == pytest.approx(mle.params.b / k, rel=1e-10)
+                assert res.params.lam == pytest.approx(mle.params.lam / k, rel=1e-10)
+
+
 class TestBlocking:
     def _all_values(self, st, grid):
         w = 0.8 * st.V
@@ -363,33 +405,34 @@ class TestBlocking:
     def test_row_blocks_are_bit_identical(self, rng, monkeypatch):
         # a block of two alpha rows splits the 50-point grid into 25 blocks
         st = summarize(random_observation(rng, d=30, m=9, extra_counts=5))
+        # the slope terms of each likelihood: 9 x columns plus 0-3 others
+        widths = {st.terms[0, 0, runs[1]].size for runs in TERM_RUNS.values()}
+        assert widths == {9, 10, 11, 12}
         grid = np.exp(np.linspace(-6.0, 9.0, 50))
         single = self._all_values(st, grid)
         blocks = []
-        monkeypatch.setattr(likelihoods, "_BLOCK_ELEMS", 2 * len(st.x_values))
+        monkeypatch.setattr(likelihoods, "_BLOCK_ELEMS", 2 * max(widths))
         real = likelihoods.digamma
-        # the alpha-by-x blocks are the 2-D arguments
+        # the alpha-by-term blocks are the 2-D arguments
         monkeypatch.setattr(likelihoods, "digamma", lambda a: (
             np.ndim(a) == 2 and blocks.append(np.shape(a))) or real(a))
         blocked = self._all_values(st, grid)
-        assert blocks and set(blocks) == {(2, len(st.x_values))}
+        assert blocks and set(blocks) == {(2, width) for width in widths}
         assert len(blocks) == 25 * 5  # one slope per likelihood
         for one, many in zip(single, blocked):
             assert np.array_equal(one, many)
 
     def test_column_blocks_split_one_row(self, rng, monkeypatch):
-        # more distinct x than a block holds: each alpha row is summed in
-        # column slices, which reorders the additions only
+        # more terms than a block holds: each alpha row is summed in column
+        # slices, which reorders the additions only
         st = summarize(random_observation(rng, d=30, m=9, extra_counts=5))
         assert len(st.x_values) == 9
         grid = np.exp(np.linspace(-6.0, 9.0, 7))
-        single = [fn(st, grid) for fn in (likelihoods._shape_sum,
-                                          likelihoods._digamma_sum,
-                                          likelihoods._trigamma_sum)]
+        # L11's run of the term table is the shape sum alone,
+        # -sum_S log Gamma(alpha x), and its digamma and trigamma companions
+        single = [likelihoods._term_sum(st, grid, order, "L11") for order in (0, 1, 2)]
         monkeypatch.setattr(likelihoods, "_BLOCK_ELEMS", 4)
-        blocked = [fn(st, grid) for fn in (likelihoods._shape_sum,
-                                           likelihoods._digamma_sum,
-                                           likelihoods._trigamma_sum)]
+        blocked = [likelihoods._term_sum(st, grid, order, "L11") for order in (0, 1, 2)]
         for one, many in zip(single, blocked):
             np.testing.assert_allclose(many, one, rtol=1e-14, atol=0.0)
 
