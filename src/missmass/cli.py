@@ -129,16 +129,10 @@ def _cmd_estimate(args) -> int:
     elif args.method in ("rb-exact", "rb-poisson"):
         weights = rb_exact(obs) if args.method == "rb-exact" else rb_poisson_weights(obs)
         res = rb_z_equation(obs, weights, variant=args.variant, pi=args.pi)
-    elif args.method == "gt":
-        gt = good_turing_classic(obs)
-        out = {"method": "gt", "Z": gt.z, "W": gt.w, "W_over_Z": gt.w_over_z,
-               "diagnostics": {}}
-        _emit(out, args.out)
-        return 0
-    elif args.method == "gt-rb":
-        gtr = good_turing_rb(obs)
-        out = {"method": "gt-rb", "Z": gtr.z, "W": gtr.w,
-               "W_over_Z": gtr.w_over_z, "diagnostics": {}}
+    elif args.method in ("gt", "gt-rb"):
+        gt = (good_turing_classic if args.method == "gt" else good_turing_rb)(obs)
+        out = {"method": args.method, "Z": gt.z, "W": gt.w,
+               "W_over_Z": gt.w_over_z, "diagnostics": {}}
         _emit(out, args.out)
         return 0
     elif args.method == "gtoulmin":
@@ -198,7 +192,7 @@ def _cmd_infer(args) -> int:
     if args.method == "bayes":
         report = infer_bayes(obs, stats)
     elif args.method == "profile":
-        report = infer_profile(obs, stats, grid_points=args.grid_points)
+        report = infer_profile(obs, stats)
     elif args.method == "mixed":
         report = infer_mixed(obs, stats, base=args.base)
     elif args.method in ("mle", "moment-match"):
@@ -315,9 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
                      choices=["bayes", "profile", "mixed", "mle", "moment-match"])
     inf.add_argument("--base", default="L5", choices=["L5", "L9"])
     inf.add_argument("--strategy", default="C", choices=["A", "B", "C", "MLE"])
-    inf.add_argument("--grid-points", type=int, default=201,
-                     help="W grid size of the profile route (bayes and "
-                          "mixed are closed-form laws and use no grid)")
     inf.add_argument("--out-csv", help="posterior grid CSV (W, density, cumulative)")
     inf.add_argument("--out-json", help="summary JSON path (default stdout)")
     inf.set_defaults(fn=_cmd_infer)

@@ -81,6 +81,11 @@ class RBWeights:
         return np.array([self.v[int(i)] for i in obs.indices])
 
 
+def _require_observations(obs: Observation) -> None:
+    if obs.m < 1:
+        raise ValueError("no observations")
+
+
 def inclusion_probability(p, n: int, z, form: str = "poisson"):
     """First-order inclusion probability pi(i; Z), vectorized over p."""
     p = np.asarray(p, dtype=float)
@@ -172,8 +177,7 @@ def _solve_ipw(obs: Observation, q: np.ndarray, c: float, form: str,
 
 
 def _ipw(obs: Observation, form: str, method: str) -> EstimateResult:
-    if obs.m < 1:
-        raise ValueError("no observations")
+    _require_observations(obs)
     if obs.m == obs.n:
         return EstimateResult(math.inf, method, {"reason": _SINGLETONS})
     diag: dict = {}
@@ -227,9 +231,8 @@ def rb_exact(obs: Observation) -> RBWeights:
     by a factor, which can vanish on the circle.  O(M N) time in column
     blocks.  M = N (v = 1) and M = 1 (v = N) are closed forms.
     """
+    _require_observations(obs)
     m, n = obs.m, obs.n
-    if m < 1:
-        raise ValueError("no observations")
     p = obs.p_obs
     log_n_fact = log_gamma(float(n + 1))
     if m == n:
@@ -293,6 +296,7 @@ def rb_poisson_weights(obs: Observation) -> RBWeights:
 def rb_mean_estimate(obs: Observation, f: Mapping[int, float],
                      weights: RBWeights) -> float:
     """Rao-Blackwellized sample mean (1/N) sum_S v(i) f(i)."""
+    _require_observations(obs)
     vals = np.array([f[int(i)] for i in obs.indices])
     return float(np.dot(weights.aligned(obs), vals)) / obs.n
 
@@ -309,6 +313,7 @@ def rb_z_equation(obs: Observation, weights: RBWeights,
     """
     if variant not in ("V_over_Z", "M_over_Z"):
         raise ValueError(f"unknown variant {variant!r}")
+    _require_observations(obs)
     method = f"rb-z-{variant}"
     if obs.m == obs.n:
         return EstimateResult(math.inf, method, {"reason": _SINGLETONS})
@@ -333,42 +338,41 @@ def rb_z_equation(obs: Observation, weights: RBWeights,
 # ---------------------------------------------------------------------------
 # Good-Turing family
 
-GoodTuringClassic = namedtuple("GoodTuringClassic", ["w_over_z", "z", "w"])
-GoodTuringRB = namedtuple("GoodTuringRB", ["z", "w", "w_over_z"])
+GoodTuring = namedtuple("GoodTuring", ["z", "w", "w_over_z"])
 
 
-def good_turing_classic(obs: Observation) -> GoodTuringClassic:
+def good_turing_classic(obs: Observation) -> GoodTuring:
     """The classic estimator W/Z = Phi_1 / N with the implied Z and W.
 
     Z = V N / (N - Phi_1) and W = V Phi_1 / (N - Phi_1); all singletons
     (Phi_1 = N) push Z and W to infinity.
     """
-    if obs.m < 1:
-        raise ValueError("no observations")
+    _require_observations(obs)
     phi1 = int(np.sum(obs.counts == 1))
     n, v = obs.n, obs.v
     if phi1 == n:
-        return GoodTuringClassic(1.0, math.inf, math.inf)
+        return GoodTuring(math.inf, math.inf, 1.0)
     w_over_z = phi1 / n
     z = v * n / (n - phi1)
     w = v * phi1 / (n - phi1)
-    return GoodTuringClassic(w_over_z, z, w)
+    return GoodTuring(z, w, w_over_z)
 
 
-def good_turing_rb(obs: Observation) -> GoodTuringRB:
+def good_turing_rb(obs: Observation) -> GoodTuring:
     """Rao-Blackwellized Good-Turing in the Poisson approximation.
 
     Z solves Z = sum_S p(i) / (1 - exp(-N p(i)/Z)) (the Poisson IPW fixed
     point) and W = sum_S p(i) / (exp(N p(i)/Z) - 1), which equals Z - V
     identically.  N = M is singular: Z, W -> inf with W/Z = 1.
     """
+    _require_observations(obs)
     if obs.m == obs.n:
-        return GoodTuringRB(math.inf, math.inf, 1.0)
+        return GoodTuring(math.inf, math.inf, 1.0)
     p, n = obs.p_obs, obs.n
     z = ipw_poisson(obs).value
     # p / (e^{N p / Z} - 1) = p e^{-N p / Z} / pi(i; Z)
     w = float(_over_pi(p, n, "poisson")(p * np.exp(-n * p / z), z).sum())
-    return GoodTuringRB(z, w, w / z)
+    return GoodTuring(z, w, w / z)
 
 
 def good_toulmin_rb(obs: Observation, lam: float) -> float:
@@ -378,6 +382,7 @@ def good_toulmin_rb(obs: Observation, lam: float) -> float:
     from rb_poisson_lambda.  lambda = 0 is the degenerate all-singleton
     limit in which every term tends to 1/N and the sum to 1.
     """
+    _require_observations(obs)
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
     if lam == 0.0:
@@ -419,6 +424,7 @@ def harmonic_mean(obs: Observation, h: Mapping[int, float], H: float,
     variance_indicator diagnostic (min over S of (p(i)/h(i)) (H/Z)), not
     mitigated.
     """
+    _require_observations(obs)
     if H <= 0:
         raise ValueError("H must be positive")
     hv = np.array([h[int(i)] for i in obs.indices], dtype=float)
@@ -478,6 +484,7 @@ def mixture_estimate(obs: Observation, r_components, w, gamma: float,
     R(j) = sum_S r(i, j) / pi(i; Z), plus the v-weighted form when
     Rao-Blackwell weights are supplied.
     """
+    _require_observations(obs)
     if not 0.0 <= gamma <= 1.0:
         raise ValueError("gamma must be in [0, 1]")
     r = np.asarray(r_components, dtype=float)

@@ -17,6 +17,12 @@ matching Beta(alpha Y, alpha X + N)) under three weightings of alpha:
   * mixed    -- the single atom at the maximum-likelihood alpha of L5 (or
                 L9).
 
+Every route, and the plain MLE of L11 in moments.py, finds its alpha by
+one search on one log-alpha grid (_alpha_maximum), with one verdict:
+interior, alpha -> infinity, or the lower end.  The Bayes alpha mode is
+the same search on the L5 slopes shifted by -1/alpha, and the same grid
+carries the Bayes window's log L5 and the profile's alpha column.
+
 The routes read the data only through its SummaryStats.  ``obs`` stays in
 their signatures so that every inference entry point is called as
 (obs, stats), moment matching included, which reads the unsampled x and
@@ -25,16 +31,18 @@ the masses from it.
 Singular cases are detected up front: Y = 0 pins W at 0 exactly, and
 p proportional to x on the sample (Delta_S = 0) collapses every posterior
 to the point mass at Y * r, r = V / X.  With M >= 2 sampled points that
-is the alpha -> infinity limit.  A single point (M = 1) is proportional
-trivially and maps to the same point mass by convention, not because
-alpha-hat is infinite: L5 is flat in alpha there when N = 1 and peaks at
-alpha -> 0 when N >= 2.
+is the alpha -> infinity limit, which the mixed route also reports
+(singular case "alpha_infinite") when its alpha search finds the maximum
+at infinity.  A single point (M = 1) is proportional trivially and maps to
+the same point mass by convention, not because alpha-hat is infinite: L5
+is flat in alpha there when N = 1 and peaks at alpha -> 0 when N >= 2.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,25 +50,29 @@ from .data import Observation, SummaryStats
 from .distributions import (BetaDist, BetaPrimeDist, GriddedDist, PointMass,
                             ShiftedDist)
 from .likelihoods import (d2log_dalpha2, dlog_dalpha, log_L5, log_L8,
-                          log_L9)
+                          log_L9, log_L11)
 from .solvers import newton_bracketed, solve_root
 from .special import log_beta
 
-DEFAULT_GRID_POINTS = 201
-
 # alpha search window in log alpha before declaring the maximum at infinity,
-# and the log-alpha grid on which the likelihood slopes are scanned; alpha
-# is exp(t) by math.exp, as the root finds in t evaluate it, so a slope at
-# a grid point is the scan's entry bit for bit
+# and the log-alpha grid of every alpha search, of the Bayes window and of
+# the profile's alpha column; alpha is exp(t) by math.exp, as the root
+# finds in t evaluate it, so a slope at a grid point is the scan's entry
+# bit for bit
 ALPHA_T_BOUNDS = (-30.0, 50.0)
 _SLOPE_SCAN_T = np.linspace(*ALPHA_T_BOUNDS, 241)
 _SLOPE_SCAN_ALPHA = np.array([math.exp(t) for t in _SLOPE_SCAN_T])
 _SLOPE_SCAN_T.setflags(write=False)
 _SLOPE_SCAN_ALPHA.setflags(write=False)
+# the two verdicts of an alpha search without an interior maximum
+_AT_INFINITY = "maximum at alpha -> infinity"
+_AT_LOWER_END = "maximum at alpha -> 0"
 
-# the profile W grid spans these mixed-method quantiles, widened by a
-# factor 2, then by factors of 8 at most _SPAN_STEPS times per end until
-# the per-log-W envelope is _SPAN_NATS below its value at the mixed median
+# the profile W grid has _W_GRID_POINTS points spanning these mixed-method
+# quantiles, widened by a factor 2, then by factors of 8 at most
+# _SPAN_STEPS times per end until the per-log-W envelope is _SPAN_NATS
+# below its value at the mixed median
+_W_GRID_POINTS = 201
 _GRID_Q_LO = 1e-4
 _GRID_Q_HI = 1.0 - 1e-4
 _SPAN_STEPS = 12
@@ -68,16 +80,13 @@ _SPAN_NATS = 30.0
 # and starts no lower than V times this: below it W/Z nears the subnormal
 # floats, and the W/Z density, which can grow as (W/Z)^-1, overflows
 _MIN_W_OVER_V = 1e-300
-# the profile's log-alpha grid over ALPHA_T_BOUNDS, and the log-alpha step
-# at which its Newton polish (and that of the Bayes alpha mode) stops
-_PROFILE_ALPHA_POINTS = 241
+# the log-alpha step at which the profile's Newton polish stops
 _PROFILE_T_TOL = 1e-12
 
-# Bayes alpha nodes: scan ALPHA_T_BOUNDS at _SCAN_POINTS, keep the window
-# within _WINDOW_NATS of the L5 maximum, cover it with BAYES_PANELS
+# Bayes alpha nodes: keep the window where log L5 on the scan grid is
+# within _WINDOW_NATS of its maximum, cover it with BAYES_PANELS
 # Gauss-Legendre panels of _PANEL_NODES nodes (the checks on the window are
 # in _alpha_window_nodes)
-_SCAN_POINTS = 801
 _WINDOW_NATS = 40.0
 BAYES_PANELS = 16
 _PANEL_NODES = 16
@@ -101,44 +110,61 @@ class InferenceReport:
     diagnostics: dict = field(default_factory=dict, compare=False)
 
 
-def _slope_scan(which: str, stats: SummaryStats) -> tuple[np.ndarray, list[float], int]:
-    """alpha_slope_maxima's slopes on the scan grid and maxima, plus the
-    number of scalar slope evaluations its root finds made."""
-    slopes = np.asarray(dlog_dalpha(which, stats, _SLOPE_SCAN_ALPHA))
+class AlphaMaximum(NamedTuple):
+    """The answer of an alpha search (_alpha_maximum)."""
+
+    alpha: float
+    value: float
+    maxima: list[float]
+    evals: int
+    reason: str | None = None
+
+
+def _alpha_maximum(which: str, stats: SummaryStats, slopes: np.ndarray | None = None,
+                   prior: float = 0.0) -> AlphaMaximum:
+    """The highest maximum in alpha of log L``which`` - ``prior`` log alpha.
+
+    Every descending zero crossing of ``slopes`` - prior / alpha (slopes:
+    dlog_dalpha(which) on the scan grid, computed when not given) is
+    refined by a root find in t = log alpha.  The slope is read rather than
+    the value, for the maxima and the verdict alike, because the
+    likelihoods lose all precision to cancellation at huge alpha while
+    their digamma-based slopes stay accurate.  Without a crossing the
+    ``reason`` is _AT_INFINITY (alpha = inf) when the slope is positive at
+    the top of ALPHA_T_BOUNDS, else _AT_LOWER_END, and ``value`` is nan.
+    """
+    if slopes is None:
+        slopes = np.asarray(dlog_dalpha(which, stats, _SLOPE_SCAN_ALPHA))
+    if prior:
+        slopes = slopes - prior / _SLOPE_SCAN_ALPHA
     evals = 0
 
     def slope(t: float) -> float:
         nonlocal evals
         evals += 1
-        return dlog_dalpha(which, stats, math.exp(t))
+        alpha = math.exp(t)
+        return dlog_dalpha(which, stats, alpha) - prior / alpha
 
     maxima = [math.exp(solve_root(slope, (_SLOPE_SCAN_T[k], _SLOPE_SCAN_T[k + 1])))
               for k in np.nonzero((slopes[:-1] > 0.0) & (slopes[1:] <= 0.0))[0]]
-    return slopes, maxima, evals
+    if not maxima:
+        if slopes[-1] > 0.0:
+            return AlphaMaximum(math.inf, math.nan, maxima, evals, _AT_INFINITY)
+        return AlphaMaximum(float(_SLOPE_SCAN_ALPHA[0]), math.nan, maxima, evals,
+                            _AT_LOWER_END)
+    log_l = {"L5": log_L5, "L9": log_L9, "L11": log_L11}[which]
+    values = [float(log_l(stats, a)) - prior * math.log(a) for a in maxima]
+    k = int(np.argmax(values))
+    return AlphaMaximum(maxima[k], values[k], maxima, evals)
 
 
 def alpha_slope_maxima(which: str, stats: SummaryStats
                        ) -> tuple[np.ndarray, np.ndarray, list[float]]:
-    """Every local maximum in alpha of log L``which`` inside ALPHA_T_BOUNDS.
-
-    The analytic slope is scanned on a log-alpha grid, and each descending
-    zero crossing is refined by a root find in log alpha.  The slope is
-    used rather than the value because the likelihoods lose all precision
-    to cancellation at huge alpha, while their digamma-based slopes stay
-    accurate.  Returns (grid, slopes on the grid, maxima in grid order).
-    """
-    slopes, maxima, _ = _slope_scan(which, stats)
-    return _SLOPE_SCAN_ALPHA, slopes, maxima
-
-
-def _mle_alpha(stats: SummaryStats, base: str) -> tuple[float, bool, int]:
-    """mle_alpha, plus the scalar slope evaluations of its root finds."""
-    if base not in ("L5", "L9"):
-        raise ValueError("base must be L5 or L9")
-    if stats.is_proportional:
-        return math.inf, True, 0
-    slopes, maxima, evals = _slope_scan(base, stats)
-    return (*_highest_maximum(base, stats, slopes, maxima), evals)
+    """Every local maximum in alpha of log L``which`` inside ALPHA_T_BOUNDS,
+    as _alpha_maximum finds them.  Returns (grid, slopes on the grid,
+    maxima in grid order)."""
+    slopes = np.asarray(dlog_dalpha(which, stats, _SLOPE_SCAN_ALPHA))
+    return _SLOPE_SCAN_ALPHA, slopes, _alpha_maximum(which, stats, slopes).maxima
 
 
 def mle_alpha(stats: SummaryStats, base: str = "L5") -> tuple[float, bool]:
@@ -150,24 +176,15 @@ def mle_alpha(stats: SummaryStats, base: str = "L5") -> tuple[float, bool]:
     (N = 1) or peaks at alpha -> 0 (N >= 2).  Away from that case the
     maximum is interior, but the objectives are not always log-concave
     (small samples with uneven base measure can carry two local maxima),
-    so every local maximum (alpha_slope_maxima) is a candidate and the
-    highest wins.
+    so every local maximum is a candidate and the highest wins
+    (_alpha_maximum).
     """
-    return _mle_alpha(stats, base)[:2]
-
-
-def _highest_maximum(base: str, stats: SummaryStats, slopes: np.ndarray,
-                     candidates: list[float]) -> tuple[float, bool]:
-    """mle_alpha read off the slope scan of log L``base`` (_slope_scan)."""
-    if not candidates:
-        # slope everywhere positive is the near-singular escape; anything
-        # else leaves the boundary of the search window
-        if slopes[-1] > 0.0:
-            return math.inf, True
-        return float(_SLOPE_SCAN_ALPHA[0]), False
-    fn = log_L5 if base == "L5" else log_L9
-    values = [float(fn(stats, a)) for a in candidates]
-    return candidates[int(np.argmax(values))], True
+    if base not in ("L5", "L9"):
+        raise ValueError("base must be L5 or L9")
+    if stats.is_proportional:
+        return math.inf, True
+    best = _alpha_maximum(base, stats)
+    return best.alpha, best.reason != _AT_LOWER_END
 
 
 def _singular_report(method: str, stats: SummaryStats) -> InferenceReport | None:
@@ -179,14 +196,20 @@ def _singular_report(method: str, stats: SummaryStats) -> InferenceReport | None
                                alpha_summary=math.nan,
                                singular_case="Y_zero")
     if stats.is_proportional:
-        r = stats.proportional_scale
-        w_val = stats.Y * r
-        return InferenceReport(method=method, w_dist=PointMass(w_val),
-                               z_dist=PointMass(stats.V + w_val),
-                               w_over_z_dist=PointMass(stats.Y),
-                               alpha_summary=math.inf,
-                               singular_case="DeltaS_zero")
+        return _alpha_infinity_report(method, stats, "DeltaS_zero", {})
     return None
+
+
+def _alpha_infinity_report(method: str, stats: SummaryStats, case: str,
+                           diagnostics: dict) -> InferenceReport:
+    """The alpha -> infinity limit of BetaPrime(alpha Y, alpha X + N;
+    V): the point mass at W = Y V / X, with Z = V + W and W/Z = Y."""
+    w_val = stats.Y * stats.proportional_scale
+    return InferenceReport(method=method, w_dist=PointMass(w_val),
+                           z_dist=PointMass(stats.V + w_val),
+                           w_over_z_dist=PointMass(stats.Y),
+                           alpha_summary=math.inf, singular_case=case,
+                           diagnostics=diagnostics)
 
 
 def _mixed_w_dist(stats: SummaryStats, alpha: float) -> BetaPrimeDist:
@@ -201,14 +224,22 @@ def infer_mixed(obs: Observation, stats: SummaryStats,
     W/V ~ Beta-prime(alpha Y, alpha X + N) and W/Z ~ Beta(alpha Y,
     alpha X + N), with means alpha Y V / (alpha X + N - 1) and
     alpha Y / (alpha + N).  The diagnostic ``evals`` counts the scalar
-    slope evaluations of the alpha root finds.
+    slope evaluations of the alpha root finds.  A maximum at alpha ->
+    infinity gives that limit's point mass, singular case
+    "alpha_infinite", with the verdict as ``reason``.
     """
+    if base not in ("L5", "L9"):
+        raise ValueError("base must be L5 or L9")
     singular = _singular_report("mixed", stats)
     if singular is not None:
         return singular
-    alpha, converged, evals = _mle_alpha(stats, base)
+    best = _alpha_maximum(base, stats)
+    alpha = best.alpha
+    if best.reason == _AT_INFINITY:
+        return _alpha_infinity_report("mixed", stats, "alpha_infinite", {
+            "base": base, "evals": best.evals, "reason": best.reason})
     w_dist = _mixed_w_dist(stats, alpha)
-    diag = {"base": base, "converged": converged, "evals": evals,
+    diag = {"base": base, "converged": best.reason is None, "evals": best.evals,
             "mean_w_over_z": alpha * stats.Y / (alpha + stats.N)}
     if alpha * stats.X + stats.N <= 1.0:
         diag["mean_undefined"] = True
@@ -234,30 +265,36 @@ def _w_over_z_gridded(grid: np.ndarray, log_density: np.ndarray,
                                         log_density + 2.0 * log_z - log_v)
 
 
-def _alpha_window_nodes(stats: SummaryStats) -> tuple[np.ndarray, np.ndarray, float]:
+def _alpha_window_nodes(stats: SummaryStats, best: AlphaMaximum
+                        ) -> tuple[np.ndarray, np.ndarray, float]:
     """Node set of the Bayes alpha integral: (alpha_j, weights, log evidence).
 
     The window in t = log alpha is where log L5 lies within _WINDOW_NATS of
-    its maximum on a scan of ALPHA_T_BOUNDS, widened by one scan step each
-    side; BAYES_PANELS Gauss-Legendre panels of _PANEL_NODES nodes cover it.
-    The 1/alpha prior is the flat measure in t, so the weights are
-    L5(alpha_j) times the node weights, normalized; the log of their sum is
-    the evidence.  The call fails with a stated reason when the window
-    reaches the upper end of the scan (L5 has not decayed there); when log
-    L5 in the window moves by more than _JITTER_NATS under a relative alpha
-    step of _JITTER_STEP (near-proportional samples put the window at alpha
-    so large that log L5 is rounding noise); or when L5 at the lower end
-    exceeds _TAIL_SHARE of the evidence: below that end L5 falls as
-    alpha^(M-1), M >= 2, so the tail it drops is smaller still.
+    its maximum ``best``; root finds bracketed by the scan grid place its
+    ends, and BAYES_PANELS Gauss-Legendre panels of _PANEL_NODES nodes
+    cover it.  The 1/alpha prior is the flat measure in t, so the weights
+    are L5(alpha_j) times the node weights, normalized; the log of their
+    sum is the evidence.  The call fails with a stated reason when the
+    maximum is not interior or the window reaches the upper end of the
+    grid (L5 has not decayed there); when log L5 in the window moves by
+    more than _JITTER_NATS under a relative alpha step of _JITTER_STEP
+    (near-proportional samples put the window at alpha so large that log
+    L5 is rounding noise); or when L5 at the lower end exceeds _TAIL_SHARE
+    of the evidence: below that end L5 falls as alpha^(M-1), M >= 2, so
+    the tail it drops is smaller still.
     """
-    scan = np.linspace(*ALPHA_T_BOUNDS, _SCAN_POINTS)
-    log_scan = np.asarray(log_L5(stats, np.exp(scan)))
-    inside = np.nonzero(log_scan >= np.max(log_scan) - _WINDOW_NATS)[0]
-    if inside[-1] == len(scan) - 1:
+    # the scan grid with the maximum inserted in order; no point is inside
+    # without an interior maximum, whose value is then nan
+    level, t_star = best.value - _WINDOW_NATS, math.log(best.alpha)
+    at = int(np.searchsorted(_SLOPE_SCAN_T, t_star))
+    t_scan = np.insert(_SLOPE_SCAN_T, at, t_star)
+    log_scan = np.insert(log_L5(stats, _SLOPE_SCAN_ALPHA), at, best.value)
+    inside = np.nonzero(log_scan >= level)[0]
+    if not len(inside) or inside[-1] == len(t_scan) - 1:
         raise ValueError(
             "L5 does not decay inside the log-alpha window "
             f"{ALPHA_T_BOUNDS}: the sample is too close to proportional")
-    alpha_in = np.exp(scan[inside])
+    alpha_in = np.exp(t_scan[inside])
     jitter = float(np.max(np.abs(
         log_L5(stats, alpha_in * (1.0 + _JITTER_STEP)) - log_scan[inside])))
     if jitter > _JITTER_NATS:
@@ -265,8 +302,14 @@ def _alpha_window_nodes(stats: SummaryStats) -> tuple[np.ndarray, np.ndarray, fl
             f"log L5 changes by {jitter:.3g} nats under a relative alpha step "
             f"of {_JITTER_STEP:g}: at alpha up to {alpha_in[-1]:.3g} it is "
             "rounding noise, the sample being too close to proportional")
-    edges = np.linspace(scan[max(inside[0] - 1, 0)],
-                        scan[inside[-1] + 1], BAYES_PANELS + 1)
+
+    def excess(t: float) -> float:
+        return float(log_L5(stats, math.exp(t))) - level
+
+    lo = t_scan[0] if inside[0] == 0 else solve_root(
+        excess, (t_scan[inside[0] - 1], t_scan[inside[0]]))
+    hi = solve_root(excess, (t_scan[inside[-1]], t_scan[inside[-1] + 1]))
+    edges = np.linspace(lo, hi, BAYES_PANELS + 1)
     nodes, node_weights = np.polynomial.legendre.leggauss(_PANEL_NODES)
     half = 0.5 * np.diff(edges)[:, None]
     t = (0.5 * (edges[1:] + edges[:-1])[:, None] + half * nodes).ravel()
@@ -301,34 +344,6 @@ def _mass_check(w_dist: BetaPrimeDist) -> float:
     return float(total)
 
 
-def _alpha_marginal_mode(stats: SummaryStats, slopes: np.ndarray,
-                         alpha_star: float) -> float:
-    """Mode of the alpha posterior L5(alpha) / alpha.
-
-    It is a root of alpha dlogL5/dalpha - 1 in t = log alpha: the
-    descending crossing nearest ``alpha_star`` on the L5 slope scan
-    (``slopes`` from _slope_scan), polished by bracketed
-    Newton steps on the analytic curvature.  A scan with no such crossing
-    puts the mode at an end of ALPHA_T_BOUNDS.
-    """
-    t_grid = _SLOPE_SCAN_T
-    h = _SLOPE_SCAN_ALPHA * slopes - 1.0
-    down = np.nonzero((h[:-1] > 0.0) & (h[1:] <= 0.0))[0]
-    if not len(down):
-        return math.inf if h[-1] > 0.0 else float(_SLOPE_SCAN_ALPHA[0])
-    k = down[np.argmin(np.abs(t_grid[down] - math.log(alpha_star)))]
-
-    def h_and_slope(t):
-        alpha = np.exp(t)
-        slope = alpha * dlog_dalpha("L5", stats, alpha)
-        return slope - 1.0, slope + alpha * alpha * d2log_dalpha2("L5", stats, alpha)
-
-    t = newton_bracketed(h_and_slope, [0.5 * (t_grid[k] + t_grid[k + 1])],
-                         [t_grid[k]], [t_grid[k + 1]], increasing=False,
-                         tol=_PROFILE_T_TOL)
-    return float(np.exp(t[0]))
-
-
 def infer_bayes(obs: Observation, stats: SummaryStats) -> InferenceReport:
     """Fully Bayesian posterior for W under the (alpha b lambda)^-1 prior.
 
@@ -338,43 +353,45 @@ def infer_bayes(obs: Observation, stats: SummaryStats) -> InferenceReport:
     Beta(alpha Y, alpha X + N): the mixed method's law, averaged over
     alpha instead of taken at one alpha.  The alpha integral runs on a
     fixed Gauss-Legendre node set in log alpha (_alpha_window_nodes), so
-    CDF, mean and quantiles are exact for that node set.
+    CDF, mean and quantiles are exact for that node set.  The reported
+    alpha is the mode of L5(alpha) / alpha, found by the alpha search on
+    the same L5 slopes as the maximum-likelihood alpha, shifted by
+    -1/alpha.
     """
     singular = _singular_report("bayes", stats)
     if singular is not None:
         return singular
-    slopes, maxima, _ = _slope_scan("L5", stats)
-    alpha_star, _ = _highest_maximum("L5", stats, slopes, maxima)
-    alphas, weights, log_evidence = _alpha_window_nodes(stats)
+    slopes = np.asarray(dlog_dalpha("L5", stats, _SLOPE_SCAN_ALPHA))
+    best = _alpha_maximum("L5", stats, slopes)
+    alphas, weights, log_evidence = _alpha_window_nodes(stats, best)
     a, b = alphas * stats.Y, alphas * stats.X + stats.N
     w_dist = BetaPrimeDist(a, b, stats.V, weights=weights)
     diag = {"mass_check": _mass_check(w_dist), "log_evidence": log_evidence,
-            "alpha_mle": alpha_star, "alpha_nodes": len(alphas)}
-    mode = _alpha_marginal_mode(stats, slopes, alpha_star)
+            "alpha_mle": best.alpha, "alpha_nodes": len(alphas)}
+    mode = _alpha_maximum("L5", stats, slopes, prior=1.0).alpha
     return InferenceReport(method="bayes", w_dist=w_dist,
                            z_dist=ShiftedDist(w_dist, stats.V),
                            w_over_z_dist=BetaDist(a, b, weights=weights),
                            alpha_summary=mode, diagnostics=diag)
 
 
-def _profile_envelope(stats: SummaryStats,
+def _profile_envelope(stats: SummaryStats, column: np.ndarray,
                       w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """max over alpha of log L8(W, alpha) at every W of ``w``.
 
     Returns (argmax alpha, max log L8, argmax at the top of the window).
     log L8 = log L9(alpha) + log BetaPrime(W; alpha Y, alpha X + N, V) is
-    evaluated as one alpha-by-W matrix on a log-alpha grid over
-    ALPHA_T_BOUNDS.  L8 is log-concave in alpha, so each column's maximum
-    lies between the grid neighbours of its argmax; bracketed Newton steps
-    in log alpha on the analytic slope and curvature polish every column at
-    once.
+    evaluated as one alpha-by-W matrix on the scan grid, whose alpha
+    column log L9 - log B(alpha Y, alpha X + N) is ``column``.  L8 is
+    log-concave in alpha, so each W's maximum lies between the grid
+    neighbours of its argmax; bracketed Newton steps in log alpha on the
+    analytic slope and curvature polish every W at once.
     """
-    t_grid = np.linspace(*ALPHA_T_BOUNDS, _PROFILE_ALPHA_POINTS)
-    grid = np.exp(t_grid)
-    ay, bx = grid * stats.Y, grid * stats.X + stats.N
+    ay = _SLOPE_SCAN_ALPHA * stats.Y
+    bx = _SLOPE_SCAN_ALPHA * stats.X + stats.N
     surface = np.multiply.outer(ay - 1.0, np.log(w / stats.V))
     surface -= np.multiply.outer(ay + bx, np.log1p(w / stats.V))
-    surface += (log_L9(stats, grid) - log_beta(ay, bx))[:, None]
+    surface += column[:, None]
     k = np.argmax(surface, axis=0)
 
     def slope_and_curvature(t):
@@ -382,6 +399,7 @@ def _profile_envelope(stats: SummaryStats,
         return (dlog_dalpha("L8", stats, alpha, w=w),
                 alpha * d2log_dalpha2("L8", stats, alpha))
 
+    t_grid = _SLOPE_SCAN_T
     t = newton_bracketed(slope_and_curvature, t_grid[k],
                          t_grid[np.maximum(k - 1, 0)],
                          t_grid[np.minimum(k + 1, len(t_grid) - 1)],
@@ -390,26 +408,34 @@ def _profile_envelope(stats: SummaryStats,
     return alpha, log_L8(stats, w, alpha), k == len(t_grid) - 1
 
 
-def infer_profile(obs: Observation, stats: SummaryStats,
-                  grid_points: int = DEFAULT_GRID_POINTS) -> InferenceReport:
+def infer_profile(obs: Observation, stats: SummaryStats) -> InferenceReport:
     """Profile likelihood posterior: sup over alpha of L8 at every W.
 
-    The log-W grid spans the mixed method's quantiles at the L9 maximum,
-    widened by 2; profiling alpha fattens the tails, so each end is pushed
-    outward by factors of 8 until the per-unit-log-W envelope has fallen
-    _SPAN_NATS below its value at the mixed median, the lower end stopping
-    at V * _MIN_W_OVER_V.  All probes, then all grid points, are profiled
-    at once (_profile_envelope).  The curve is normalized by its own
+    The log-W grid of _W_GRID_POINTS points spans the mixed method's
+    quantiles at the L9 maximum, widened by 2; profiling alpha fattens the
+    tails, so each end is pushed outward by factors of 8 until the
+    per-unit-log-W envelope has fallen _SPAN_NATS below its value at the
+    mixed median, the lower end stopping at V * _MIN_W_OVER_V.  All
+    probes, then all grid points, are profiled at once (_profile_envelope)
+    against one alpha column.  The curve is normalized by its own
     quadrature, being an unnormalized density by construction.  The
     diagnostics give how far the envelope at each grid end sits below its
     median value (span_drop_lo_nats, span_drop_hi_nats); status
     "short_span" flags a drop under _SPAN_NATS, where the law depends on
-    where the grid is cut.
+    where the grid is cut.  An L9 maximum at alpha -> infinity fails with
+    that verdict as the reason.
     """
     singular = _singular_report("profile", stats)
     if singular is not None:
         return singular
-    alpha_star, _ = mle_alpha(stats, "L9")
+    best = _alpha_maximum("L9", stats)
+    if best.reason == _AT_INFINITY:
+        raise ValueError(f"profile likelihood L9 has its {best.reason}: the "
+                         "sample is too close to proportional")
+    alpha_star = best.alpha
+    column = (log_L9(stats, _SLOPE_SCAN_ALPHA)
+              - log_beta(_SLOPE_SCAN_ALPHA * stats.Y,
+                         _SLOPE_SCAN_ALPHA * stats.X + stats.N))
 
     ref = _mixed_w_dist(stats, alpha_star)
     median = ref.quantile(0.5)
@@ -417,7 +443,7 @@ def infer_profile(obs: Observation, stats: SummaryStats,
     lo_probes = ref.quantile(_GRID_Q_LO) / 2.0 / steps
     hi_probes = ref.quantile(_GRID_Q_HI) * 2.0 * steps
     probes = np.concatenate([[median], lo_probes, hi_probes])
-    _, env, _ = _profile_envelope(stats, probes)
+    _, env, _ = _profile_envelope(stats, column, probes)
     per_log_w = env + np.log(probes)
     low_enough = per_log_w <= per_log_w[0] - _SPAN_NATS
 
@@ -428,9 +454,9 @@ def infer_profile(obs: Observation, stats: SummaryStats,
     lo = max(span_end(lo_probes, low_enough[1:_SPAN_STEPS + 1], 1.0 / 8.0),
              stats.V * _MIN_W_OVER_V)
     hi = span_end(hi_probes, low_enough[_SPAN_STEPS + 1:], 8.0)
-    grid = np.exp(np.linspace(math.log(lo), math.log(hi), grid_points))
+    grid = np.exp(np.linspace(math.log(lo), math.log(hi), _W_GRID_POINTS))
 
-    alphas, log_l10, at_top = _profile_envelope(stats, grid)
+    alphas, log_l10, at_top = _profile_envelope(stats, column, grid)
     if np.any(at_top):
         raise ArithmeticError(
             "profile maximization diverged at finite W with Delta_S > 0")

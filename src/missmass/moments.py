@@ -42,8 +42,8 @@ import numpy as np
 from .data import Observation, SummaryStats
 from .distributions import GammaDist, PointMass
 from .estimators import _ztp_mean, rb_poisson_lambda
-from .inference import _SLOPE_SCAN_ALPHA, _slope_scan, mle_alpha
-from .likelihoods import (_BLOCK_ELEMS, ModelParams, dlog_dalpha, log_L11,
+from .inference import _alpha_maximum, mle_alpha
+from .likelihoods import (_BLOCK_ELEMS, ModelParams, dlog_dalpha,
                           stationary_b_lambda)
 from .solvers import newton_bracketed, solve_root
 from .special import digamma
@@ -87,42 +87,33 @@ def _result(strategy: str, stats: SummaryStats, params: ModelParams | None,
 def mle_full(obs: Observation, stats: SummaryStats) -> MomentMatchResult:
     """Plain maximum likelihood: maximize L11 over alpha, safeguarded.
 
-    The profile is not guaranteed concave, so every local maximum on a
-    dense log-alpha slope scan is a candidate (alpha_slope_maxima, a
-    dense-grid version of multi-starting), and the best L11 value wins.
-    A slope still positive at the upper search bound is the
-    maximum-at-infinity boundary verdict, and proportional data
-    (Delta_S = 0) is that boundary case by construction, so it is decided
-    up front rather than hunted numerically.  The diagnostic ``evals``
-    counts the scalar slope evaluations of the root finds.
+    The profile is not guaranteed concave, so every local maximum on the
+    slope scan of the alpha search the inference routes share
+    (inference._alpha_maximum, a dense-grid version of multi-starting) is
+    a candidate, and the best L11 value wins.  The verdict reads slopes
+    only, as for L5 and L9: without an interior maximum, a slope still
+    positive at the upper search bound is the maximum-at-infinity boundary
+    verdict, and any other slope the maximum at alpha -> 0.  Proportional
+    data (Delta_S = 0) is that boundary case by construction, so it is
+    decided up front rather than hunted numerically.  The diagnostic
+    ``evals`` counts the scalar slope evaluations of the root finds.
     """
     if stats.is_proportional:
         return _result("MLE", stats, None, [math.nan],
                        {"status": "boundary", "evals": 0,
                         "reason": "maximum at alpha -> infinity (Delta_S = 0)"})
-    slopes, candidates, evals = _slope_scan("L11", stats)
-    if not candidates:
-        if slopes[-1] > 0.0:
-            return _result("MLE", stats, None, [math.nan],
-                           {"status": "boundary", "evals": evals,
-                            "reason": "maximum at alpha -> infinity"})
-        # slope negative everywhere: the maximum sits at the lower bound
+    best = _alpha_maximum("L11", stats)
+    if best.reason is not None:
         return _result("MLE", stats, None, [math.nan],
-                       {"status": "boundary", "evals": evals,
-                        "reason": "maximum at alpha -> 0"})
-    values = [float(log_L11(stats, a)) for a in candidates]
-    tail_escapes = slopes[-1] > 0.0
-    if tail_escapes and float(log_L11(stats, _SLOPE_SCAN_ALPHA[-1])) > max(values):
-        return _result("MLE", stats, None, [math.nan],
-                       {"status": "boundary", "evals": evals,
-                        "reason": "maximum at alpha -> infinity"})
-    alpha = candidates[int(np.argmax(values))]
+                       {"status": "boundary", "evals": best.evals,
+                        "reason": best.reason})
+    alpha = best.alpha
     b, lam = stationary_b_lambda(stats, alpha)
     slope = float(dlog_dalpha("L11", stats, alpha))
-    residuals = [slope * alpha / max(1.0, abs(max(values)))]
+    residuals = [slope * alpha / max(1.0, abs(best.value))]
     return _result("MLE", stats, ModelParams(alpha, b, lam), residuals,
-                   {"status": "ok", "log_l11": max(values),
-                    "n_local_maxima": len(candidates), "evals": evals})
+                   {"status": "ok", "log_l11": best.value,
+                    "n_local_maxima": len(best.maxima), "evals": best.evals})
 
 
 def _distinct(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

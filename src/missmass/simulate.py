@@ -9,16 +9,13 @@ revealed masses), provides conditional samplers for checking them, and
 builds a fully enumerable toy statistical-physics mixture with an exact
 partition function.
 
-Randomness uses counter-based Philox streams keyed by (seed, chunk) so
-replicate batches are reproducible and order-independent under the
-MISSMASS_THREADS parallel path.
+Randomness uses counter-based Philox streams keyed by (seed, chunk), so
+replicate batches are reproducible chunk by chunk.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,14 +28,6 @@ from .special import digamma, log_gamma
 GEN_ORDERS = ("p-c", "z-dirichlet", "c-p")
 
 _BATCH_CHUNK = 20_000
-
-
-def worker_count() -> int:
-    """Parallelism cap from MISSMASS_THREADS (default 1)."""
-    try:
-        return max(1, int(os.environ.get("MISSMASS_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _rng(seed, *key) -> np.random.Generator:
@@ -128,25 +117,15 @@ def simulate_model_batch(x, params: ModelParams, order: str, n_reps: int,
     """Replicate draws reduced to the summary observables.
 
     Returns arrays of length n_reps for M, N, U, V, W, X, Y, Z.  Work is
-    split into fixed chunks with independently keyed streams, so results
-    do not depend on the thread count.
+    split into fixed chunks of _BATCH_CHUNK replicates, each drawn from
+    its own keyed stream.
     """
     x = np.asarray(x, dtype=float)
-    chunks = [(k, min(_BATCH_CHUNK, n_reps - start))
-              for k, start in enumerate(range(0, n_reps, _BATCH_CHUNK))]
-
-    def run(chunk) -> dict[str, np.ndarray]:
-        k, size = chunk
+    parts = []
+    for k, start in enumerate(range(0, n_reps, _BATCH_CHUNK)):
         rng = _rng(rng_seed, k)
-        p, c = _draw_model(x, params, order, rng, size=size)
-        return _reduce_batch(x, p, c)
-
-    workers = worker_count()
-    if workers > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(run, chunks))
-    else:
-        parts = [run(ch) for ch in chunks]
+        p, c = _draw_model(x, params, order, rng, size=min(_BATCH_CHUNK, n_reps - start))
+        parts.append(_reduce_batch(x, p, c))
     return {key: np.concatenate([part[key] for part in parts])
             for key in parts[0]}
 

@@ -22,6 +22,17 @@ def run_cli(capsys, *argv):
 
 
 class TestEstimate:
+    @pytest.mark.parametrize("method", ["ipw-fixed", "ipw-poisson", "rb-exact",
+                                        "rb-poisson", "gt", "gt-rb", "gtoulmin", "hm"])
+    def test_empty_sample_fails_with_a_reason(self, method, capsys, tmp_path):
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps({"domain_size": 2, "x": [0.5, 0.5], "entries": []}))
+        h_file = tmp_path / "h.json"
+        h_file.write_text("[0.5, 0.5]")
+        code, out, err = run_cli(capsys, "estimate", "--in", str(path), "--method", method,
+                                 "--h-file", str(h_file), "--H", "1")
+        assert (code, out, err) == (1, "", "error: no observations\n")
+
     def test_good_turing_fixture(self, capsys):
         code, out, _ = run_cli(capsys, "estimate", "--in",
                                fixture_path("gt_example.json"), "--method", "gt")
@@ -121,6 +132,27 @@ class TestInfer:
         qs = payload["quantiles"]
         assert qs["5"] == qs["95"] == pytest.approx(1.2)
 
+    @pytest.mark.parametrize("base", ["L5", "L9"])
+    def test_mixed_at_alpha_infinity(self, base, capsys, tmp_path):
+        # p = 2 x exp(0, +1e-9, -1e-9): a spread above the proportionality
+        # tolerance whose alpha-hat is infinite; the law is the limit point
+        # mass W = Y V / X = 0.8, with no NaN anywhere
+        x = [0.2, 0.3, 0.1, 0.4]
+        p = [2.0 * xi * math.exp(e) for xi, e in zip(x, (0.0, 1e-9, -1e-9))]
+        path = tmp_path / "near.json"
+        path.write_text(json.dumps({"domain_size": 4, "x": x, "entries": [
+            {"i": i, "p": p[i], "c": c} for i, c in enumerate((2, 1, 3))]}))
+        code, out, _ = run_cli(capsys, "infer", "--in", str(path),
+                               "--method", "mixed", "--base", base)
+        assert code == 0 and "nan" not in out
+        payload = json.loads(out)
+        assert payload["singular_case"] == "alpha_infinite"
+        assert payload["alpha"] == "inf"
+        assert payload["diagnostics"]["reason"] == "maximum at alpha -> infinity"
+        assert payload["mean_W"] == pytest.approx(0.8, rel=1e-8)
+        assert payload["mean_W_over_Z"] == pytest.approx(0.4, rel=1e-8)
+        assert set(payload["quantiles"].values()) == {payload["mean_W"]}
+
     def test_full_coverage_fixture(self, capsys):
         code, out, _ = run_cli(capsys, "infer", "--in",
                                fixture_path("full_coverage.json"),
@@ -173,22 +205,11 @@ class TestInfer:
     def test_profile_runs(self, capsys, tmp_path):
         code, out, _ = run_cli(capsys, "infer", "--in",
                                fixture_path("regular_small.json"),
-                               "--method", "profile", "--grid-points", "101")
+                               "--method", "profile")
         assert code == 0
         payload = json.loads(out)
         assert payload["method"] == "profile"
         assert payload["quantiles"]["50"] > 0
-
-    def test_bayes_runs(self, capsys):
-        code, out, _ = run_cli(capsys, "infer", "--in",
-                               fixture_path("regular_small.json"),
-                               "--method", "bayes", "--grid-points", "51")
-        assert code == 0
-        payload = json.loads(out)
-        assert payload["method"] == "bayes"
-        # --grid-points sizes the profile grid only; the Bayes law has no
-        # grid, and its mass check lands far inside this bound
-        assert payload["diagnostics"]["mass_check"] == pytest.approx(1.0, abs=0.05)
 
     def test_bayes_csv_output(self, capsys, tmp_path):
         csv = tmp_path / "bayes.csv"

@@ -703,3 +703,27 @@ def test_inclusion_probability_forms():
     assert fix == pytest.approx(1 - (1 - p / 2.0) ** 4)
     with pytest.raises(ValueError):
         inclusion_probability(p, 4, 2.0, "nope")
+
+
+EMPTY = Observation(domain_size=3, x=np.array([0.2, 0.3, 0.5]),
+                    indices=np.array([], dtype=int), p_obs=np.array([]),
+                    counts=np.array([], dtype=int))
+
+
+@pytest.mark.parametrize("estimate", [
+    ipw_fixed_n, ipw_poisson, rb_exact, rb_poisson_lambda, rb_poisson_weights,
+    good_turing_classic, good_turing_rb,
+    lambda obs: good_toulmin_rb(obs, 1.0),
+    lambda obs: rb_mean_estimate(obs, {}, RBWeights(v={})),
+    lambda obs: rb_z_equation(obs, RBWeights(v={})),
+    lambda obs: rb_z_equation(obs, RBWeights(v={}), variant="M_over_Z", pi="fixed-n"),
+    lambda obs: harmonic_mean(obs, {}, 1.0, mode="classic"),
+    lambda obs: harmonic_mean(obs, {}, 1.0, mode="rb_linear", weights=RBWeights(v={})),
+    lambda obs: harmonic_mean(obs, {}, 1.0, mode="ipw_nonlinear"),
+    lambda obs: mixture_estimate(obs, np.zeros((0, 1)), [1.0], 0.0),
+], ids=["ipw-fixed-n", "ipw-poisson", "rb-exact", "rb-lambda", "rb-poisson",
+        "gt", "gt-rb", "gtoulmin", "rb-mean", "rb-z-V", "rb-z-M", "hm-classic",
+        "hm-rb-linear", "hm-ipw", "mixture"])
+def test_empty_sample_has_no_estimate(estimate):
+    with pytest.raises(ValueError, match="^no observations$"):
+        estimate(EMPTY)

@@ -1,0 +1,119 @@
+"""The CLI's estimate and infer JSON on every fixture, against a record.
+
+fixture_outputs.json holds the exit code, stdout and stderr of each
+command below on each of the 8 fixtures.  Every output must match it byte
+for byte, except the Bayes route's, whose numbers may move by 1e-10
+relative (its alpha quadrature and mode are rounding-sensitive).  A change
+that means to move numbers regenerates the record with
+
+    PYTHONPATH=src python tests/test_fixture_outputs.py
+
+and gives the reason in CHANGES.md.
+"""
+
+import contextlib
+import io
+import json
+import math
+import sys
+from pathlib import Path
+
+import pytest
+
+from missmass import cli
+
+HERE = Path(__file__).resolve().parent
+RECORD = HERE / "fixture_outputs.json"
+FIXTURES = sorted(p.stem for p in (HERE.parent / "fixtures").glob("*.json"))
+
+# the argument sets of the benchmark's fixture matrix; hm takes h = x, H = 1
+ESTIMATE_ARGS = {
+    "ipw-fixed": ["--method", "ipw-fixed"],
+    "ipw-poisson": ["--method", "ipw-poisson"],
+    "rb-exact": ["--method", "rb-exact"],
+    "rb-exact-fixed-n-M": ["--method", "rb-exact", "--pi", "fixed-n",
+                           "--variant", "M_over_Z"],
+    "rb-poisson": ["--method", "rb-poisson"],
+    "gt": ["--method", "gt"],
+    "gt-rb": ["--method", "gt-rb"],
+    "gtoulmin": ["--method", "gtoulmin"],
+    "hm": ["--method", "hm", "--H", "1"],
+}
+INFER_ARGS = {
+    "bayes": ["--method", "bayes"],
+    "profile": ["--method", "profile"],
+    "mixed-L5": ["--method", "mixed"],
+    "mixed-L9": ["--method", "mixed", "--base", "L9"],
+    "mle": ["--method", "mle"],
+    "moment-A": ["--method", "moment-match", "--strategy", "A"],
+    "moment-B": ["--method", "moment-match", "--strategy", "B"],
+    "moment-C": ["--method", "moment-match", "--strategy", "C"],
+}
+BAYES_RTOL = 1e-10
+
+
+def commands():
+    for fixture in FIXTURES:
+        for cmd in ESTIMATE_ARGS:
+            yield f"estimate:{cmd}:{fixture}"
+        for cmd in INFER_ARGS:
+            yield f"infer:{cmd}:{fixture}"
+
+
+def run(key: str, workdir: Path) -> dict:
+    verb, cmd, fixture = key.split(":")
+    path = HERE.parent / "fixtures" / f"{fixture}.json"
+    argv = [verb, "--in", str(path)]
+    if verb == "estimate":
+        argv += ESTIMATE_ARGS[cmd]
+        if cmd == "hm":
+            h_file = workdir / f"h_{fixture}.json"
+            h_file.write_text(json.dumps({"h": json.loads(path.read_text())["x"]}))
+            argv += ["--h-file", str(h_file)]
+    else:
+        argv += INFER_ARGS[cmd]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.main(argv)
+    return {"rc": rc, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+def assert_close(got, want, where=""):
+    """Equal JSON values, numbers within BAYES_RTOL relative."""
+    if isinstance(want, dict):
+        assert list(got) == list(want), where
+        for key in want:
+            assert_close(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), where
+        for k, (g, w) in enumerate(zip(got, want)):
+            assert_close(g, w, f"{where}[{k}]")
+    elif isinstance(want, (int, float)) and not isinstance(want, bool):
+        assert type(got) in (int, float) and math.isclose(
+            got, want, rel_tol=BAYES_RTOL, abs_tol=0.0), f"{where}: {got} != {want}"
+    else:
+        assert got == want, where
+
+
+@pytest.fixture(scope="module")
+def record():
+    return json.loads(RECORD.read_text())
+
+
+@pytest.mark.parametrize("key", list(commands()))
+def test_output_matches_record(key, record, tmp_path):
+    got, want = run(key, tmp_path), record[key]
+    if key.startswith("infer:bayes:") and want["rc"] == 0:
+        assert (got["rc"], got["stderr"]) == (0, want["stderr"])
+        assert_close(json.loads(got["stdout"]), json.loads(want["stdout"]))
+    else:
+        assert got == want
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        outputs = {key: run(key, Path(tmp)) for key in commands()}
+    RECORD.write_text(json.dumps(outputs, indent=1) + "\n")
+    print(f"wrote {len(outputs)} outputs to {RECORD}", file=sys.stderr)

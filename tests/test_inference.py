@@ -138,6 +138,67 @@ class TestSingularCases:
             assert rep.z_dist.value == pytest.approx(st.V)
 
 
+def near_proportional_observation(spread=1e-9):
+    """p = 2 x exp(0, +spread/2, -spread/2) on three of four points: the
+    spread exceeds PROPORTIONALITY_TOL, and alpha-hat is infinite."""
+    x = np.array([0.2, 0.3, 0.1, 0.4])
+    p = 2.0 * x[:3] * np.exp(np.array([0.0, spread, -spread]))
+    return Observation(domain_size=4, x=x, indices=np.arange(3), p_obs=p,
+                       counts=np.array([2, 1, 3]))
+
+
+class TestAlphaVerdict:
+    @pytest.mark.parametrize("base", ["L5", "L9"])
+    def test_mixed_at_alpha_infinity_is_the_limit_point_mass(self, base):
+        # BetaPrime(alpha Y, alpha X + N; V) tends to the point mass at
+        # Y V / X = 0.8 as alpha -> infinity
+        obs = near_proportional_observation()
+        st = summarize(obs)
+        assert not st.is_proportional
+        rep = infer_mixed(obs, st, base)
+        assert rep.singular_case == "alpha_infinite"
+        assert math.isinf(rep.alpha_summary)
+        assert rep.diagnostics["reason"] == "maximum at alpha -> infinity"
+        assert rep.w_dist.value == pytest.approx(0.8, rel=1e-8)
+        assert rep.w_dist.value == st.Y * st.V / st.X
+        assert rep.z_dist.value == st.V + rep.w_dist.value
+        assert rep.w_over_z_dist.value == st.Y
+
+    def test_profile_states_the_alpha_infinity_reason(self):
+        obs = near_proportional_observation()
+        with pytest.raises(ValueError, match="alpha -> infinity"):
+            infer_profile(obs, summarize(obs))
+
+    def test_verdict_reads_slopes_only(self):
+        # near-proportional samples put log L5, L9 and L11 at huge alpha in
+        # cancellation noise; for every likelihood an interior slope maximum
+        # is the answer, whatever the value at the top of the grid reads, and
+        # without one a slope still rising there is alpha -> infinity
+        rng = np.random.default_rng(0)
+        for _ in range(60):
+            d = int(rng.integers(4, 8))
+            m = int(rng.integers(2, d))
+            x = rng.dirichlet(np.ones(d))
+            idx = np.sort(rng.choice(d, m, replace=False))
+            p = 2.0 * x[idx] * np.exp(10 ** rng.uniform(-9.5, -4) * rng.standard_normal(m))
+            obs = Observation(domain_size=d, x=x, indices=idx, p_obs=p,
+                              counts=rng.integers(1, 4, m))
+            st = summarize(obs)
+            if st.is_proportional:
+                continue
+            for which in ("L5", "L9", "L11"):
+                _, slopes, maxima = alpha_slope_maxima(which, st)
+                if which == "L11":
+                    diag = moment_match(obs, st, "MLE").diagnostics
+                    assert diag["status"] == ("ok" if maxima else "boundary")
+                    assert diag.get("n_local_maxima", 0) == len(maxima)
+                else:
+                    rep = infer_mixed(obs, st, which)
+                    at_infinity = not maxima and slopes[-1] > 0.0
+                    assert (rep.singular_case == "alpha_infinite") == at_infinity
+                    assert (rep.alpha_summary in maxima) == bool(maxima)
+
+
 class TestBayes:
     def test_posterior_mass_and_median(self):
         _, obs, st = model_observation(1)
@@ -268,15 +329,41 @@ class TestBayesAlphaMode:
         assert abs(alpha * dlog_dalpha("L5", st, alpha) - 1.0) < 1e-8
 
     def test_one_slope_scan(self, monkeypatch):
-        # the maximum-likelihood alpha and the posterior mode read the same
-        # 241-point scan of the L5 slope
+        # every route scans its alpha slope once on the shared grid: Bayes
+        # reads the maximum-likelihood alpha and the posterior mode off one
+        # L5 scan, and the profile builds its alpha column from one L9 grid
+        # call
         obs, st = fixture_observation("regular_small")
-        scans = []
-        real = inference.dlog_dalpha
-        monkeypatch.setattr(inference, "dlog_dalpha", lambda which, s, alpha, **kw: (
-            np.size(alpha) > 1 and scans.append(which)) or real(which, s, alpha, **kw))
-        infer_bayes(obs, st)
-        assert scans == ["L5"]
+        scans = record_grid_calls(monkeypatch)
+        for route, expected in [(lambda: infer_bayes(obs, st), ["L5"]),
+                                (lambda: infer_profile(obs, st), ["L9", "log_L9"]),
+                                (lambda: infer_mixed(obs, st, "L5"), ["L5"]),
+                                (lambda: infer_mixed(obs, st, "L9"), ["L9"]),
+                                (lambda: moment_match(obs, st, "MLE"), ["L11"])]:
+            scans.clear()
+            route()
+            assert scans == expected
+
+
+def record_grid_calls(monkeypatch):
+    """Record the alpha-array calls of dlog_dalpha without W (by likelihood
+    name) and of log_L9 (as "log_L9") that the inference module makes."""
+    calls = []
+    slope, log_l9 = inference.dlog_dalpha, inference.log_L9
+
+    def counted_slope(which, s, alpha, **kw):
+        if np.size(alpha) > 1 and kw.get("w") is None:
+            calls.append(which)
+        return slope(which, s, alpha, **kw)
+
+    def counted_log_l9(s, alpha):
+        if np.size(alpha) > 1:
+            calls.append("log_L9")
+        return log_l9(s, alpha)
+
+    monkeypatch.setattr(inference, "dlog_dalpha", counted_slope)
+    monkeypatch.setattr(inference, "log_L9", counted_log_l9)
+    return calls
 
 
 class TestSolverWork:
@@ -287,10 +374,7 @@ class TestSolverWork:
         obs, st = fixture_observation(name)
         maxima = {which: len(alpha_slope_maxima(which, st)[2])
                   for which in ("L5", "L9", "L11")}
-        scans = []
-        real = inference.dlog_dalpha
-        monkeypatch.setattr(inference, "dlog_dalpha", lambda which, s, alpha, **kw: (
-            np.size(alpha) > 1 and scans.append(which)) or real(which, s, alpha, **kw))
+        scans = record_grid_calls(monkeypatch)
         for which in ("L5", "L9", "L11"):
             scans.clear()
             if which == "L11":

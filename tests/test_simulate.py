@@ -1,5 +1,4 @@
 import math
-import os
 
 import numpy as np
 import pytest
@@ -12,7 +11,7 @@ from missmass.simulate import (effective_states, expected_count,
                                prob_zero_count, sample_count_given_s_p,
                                sample_given_s, simulate_explicit,
                                simulate_model, simulate_model_batch,
-                               toy_physics_dataset, worker_count)
+                               toy_physics_dataset)
 
 PARAMS = ModelParams(2.0, 1.0, 5.0)
 X8 = np.full(8, 1 / 8)
@@ -214,15 +213,3 @@ class TestToyPhysics:
         assert effective_states(np.ones(10)) == pytest.approx(10.0)
         assert effective_states([1.0, 0.0, 0.0]) == pytest.approx(1.0)
 
-
-class TestBatchDeterminism:
-    def test_threads_do_not_change_results(self):
-        base = simulate_model_batch(X8, PARAMS, "p-c", 25_000, rng_seed=14)
-        os.environ["MISSMASS_THREADS"] = "4"
-        try:
-            assert worker_count() == 4
-            threaded = simulate_model_batch(X8, PARAMS, "p-c", 25_000, rng_seed=14)
-        finally:
-            del os.environ["MISSMASS_THREADS"]
-        for key in base:
-            assert np.array_equal(base[key], threaded[key])
