@@ -214,11 +214,8 @@ def _cmd_infer(args) -> int:
 
     w = report.w_dist
     quantiles = {str(q): w.quantile(q / 100.0) for q in (5, 25, 50, 75, 95)}
-    mean_w_over_z = (report.w_over_z_dist.mean
-                     if not isinstance(report.w_over_z_dist, PointMass)
-                     else report.w_over_z_dist.value)
     out = {"method": report.method, "alpha": report.alpha_summary,
-           "mean_W": w.mean, "mean_W_over_Z": mean_w_over_z,
+           "mean_W": w.mean, "mean_W_over_Z": report.w_over_z_dist.mean,
            "quantiles": quantiles, "singular_case": report.singular_case}
     for key, val in report.diagnostics.items():
         if isinstance(val, (int, float, str, bool)):
@@ -315,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify", help="run the oracle suites")
     ver.add_argument("--full", action="store_true",
-                     help="full-size suites (slower)")
+                     help="run each check at its acceptance criterion's size (slower)")
     ver.add_argument("--seed", type=int, default=0)
     ver.set_defaults(fn=_cmd_verify)
     return parser

@@ -39,8 +39,6 @@ from .data import Observation
 from .solvers import solve_root
 from .special import log_gamma
 
-PI_FORMS = ("poisson", "fixed-n")
-
 # a Z equation whose root lies above this multiple of its scale (V, plus
 # the known anchor of a mixture) has no finite solution; the cap scales
 # with p, so the verdict and the work done to reach it do too
@@ -291,14 +289,6 @@ def rb_poisson_weights(obs: Observation) -> RBWeights:
     with v = N exactly, the identity lambda solves, for a single point."""
     vals = [obs.n] if obs.m == 1 else _ztp_mean(rb_poisson_lambda(obs) * obs.p_obs)
     return RBWeights(v={int(i): float(val) for i, val in zip(obs.indices, vals)})
-
-
-def rb_mean_estimate(obs: Observation, f: Mapping[int, float],
-                     weights: RBWeights) -> float:
-    """Rao-Blackwellized sample mean (1/N) sum_S v(i) f(i)."""
-    _require_observations(obs)
-    vals = np.array([f[int(i)] for i in obs.indices])
-    return float(np.dot(weights.aligned(obs), vals)) / obs.n
 
 
 def rb_z_equation(obs: Observation, weights: RBWeights,

@@ -5,9 +5,8 @@ three equivalent orders (masses first, total mass first, or counts first);
 explicit-p simulation draws counts over a given mass vector at fixed N or
 as a Poisson process.  The module also evaluates every closed-form
 expectation of the model (unconditional, given S, and given S with the
-revealed masses), provides conditional samplers for checking them, and
-builds a fully enumerable toy statistical-physics mixture with an exact
-partition function.
+revealed masses) and builds a fully enumerable toy statistical-physics
+mixture with an exact partition function.
 
 Randomness uses counter-based Philox streams keyed by (seed, chunk), so
 replicate batches are reproducible chunk by chunk.
@@ -23,9 +22,7 @@ import numpy as np
 from .data import Dataset
 from .estimators import _ztp_mean
 from .likelihoods import ModelParams
-from .special import digamma, log_gamma
-
-GEN_ORDERS = ("p-c", "z-dirichlet", "c-p")
+from .special import digamma
 
 _BATCH_CHUNK = 20_000
 
@@ -210,96 +207,6 @@ def expected_values(x, params: ModelParams, cond: str = "prior",
         return {"N": float(np.sum(_ztp_mean(lam * np.asarray(p_s, dtype=float))))}
 
     raise ValueError(f"unknown conditioning {cond!r}")
-
-
-def prob_zero_count(x, params: ModelParams) -> np.ndarray:
-    """P(c(i) = 0) = (1 + lambda/b)^(-alpha x(i)) per point."""
-    a = params.alpha * np.asarray(x, dtype=float)
-    return np.exp(-a * math.log1p(params.lam / params.b))
-
-
-def expected_count(x, params: ModelParams) -> np.ndarray:
-    """E(c(i)) = lambda alpha x(i) / b per point."""
-    return params.lam * params.alpha * np.asarray(x, dtype=float) / params.b
-
-
-# ---------------------------------------------------------------------------
-# conditional samplers (oracles for the given-S expectation block)
-
-
-def sample_given_s(x, params: ModelParams, s, n_reps: int,
-                   rng_seed: int = 0) -> dict[str, np.ndarray]:
-    """Replicates of (N, U, V, W, Z) conditional on the sample set S.
-
-    Points in S draw counts from the zero-truncated negative binomial and
-    masses from Gamma(a + c, b + lambda); points outside S draw masses
-    from Gamma(a, b + lambda), their law given c = 0.
-    """
-    x = np.asarray(x, dtype=float)
-    alpha, b, lam = params.alpha, params.b, params.lam
-    mask = np.zeros(len(x), dtype=bool)
-    mask[np.asarray(s)] = True
-    a_in, a_out = alpha * x[mask], alpha * x[~mask]
-    rng = _rng(rng_seed, 0)
-
-    c = rng.negative_binomial(a_in, b / (b + lam), size=(n_reps, len(a_in)))
-    for _ in range(10_000):
-        zero = c == 0
-        if not zero.any():
-            break
-        c[zero] = rng.negative_binomial(np.broadcast_to(a_in, c.shape)[zero],
-                                        b / (b + lam))
-    else:
-        raise RuntimeError("zero-truncated negative binomial rejection stalled")
-    p_in = rng.gamma(a_in + c, 1.0 / (b + lam))
-    p_out = rng.gamma(a_out, 1.0 / (b + lam), size=(n_reps, len(a_out)))
-
-    v = p_in.sum(axis=1)
-    w = p_out.sum(axis=1)
-    u = (x[mask] * np.log(p_in)).sum(axis=1)
-    return {"N": c.sum(axis=1), "U": u, "V": v, "W": w, "Z": v + w}
-
-
-def sample_count_given_s_p(p_s, lam: float, n_reps: int,
-                           rng_seed: int = 0) -> np.ndarray:
-    """Replicates of N given (S, p on S): zero-truncated Poisson counts."""
-    p_s = np.asarray(p_s, dtype=float)
-    rng = _rng(rng_seed, 0)
-    c = rng.poisson(lam * p_s, size=(n_reps, len(p_s)))
-    for _ in range(10_000):
-        zero = c == 0
-        if not zero.any():
-            break
-        c[zero] = rng.poisson(np.broadcast_to(lam * p_s, c.shape)[zero])
-    else:
-        raise RuntimeError("zero-truncated Poisson rejection stalled")
-    return c.sum(axis=1)
-
-
-# ---------------------------------------------------------------------------
-# joint density
-
-
-def log_joint_density(dataset: Dataset, params: ModelParams) -> float:
-    """log of the joint density of (p, c) under the model (all factors).
-
-    Points with x(i) = 0 carry unit mass at p = c = 0; a zero mass at a
-    point with positive base measure has probability zero under the
-    continuous Gamma law, hence -inf.
-    """
-    x, p, c = dataset.x, dataset.p, dataset.c
-    alpha, b, lam = params.alpha, params.b, params.lam
-    a = alpha * x
-    pos = a > 0
-    if np.any(p[~pos] != 0) or np.any(c[~pos] != 0):
-        return -math.inf
-    if np.any(p[pos] <= 0):
-        return -math.inf
-    ap, pp, cp = a[pos], p[pos], c[pos]
-    val = (np.dot(ap, math.log(b) * np.ones_like(ap)) - np.sum(log_gamma(ap))
-           + np.dot(ap - 1.0, np.log(pp)) - (b + lam) * np.sum(pp)
-           + np.dot(cp, np.log(lam * pp)) - np.sum(log_gamma(cp + 1.0)))
-    return float(val)
 
 
 # ---------------------------------------------------------------------------

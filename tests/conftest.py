@@ -3,35 +3,10 @@ import pathlib
 import numpy as np
 import pytest
 
-from missmass.data import Observation
+# every test draws its samples from the oracle module's helpers
+from missmass.verify import proportional_observation, random_observation  # noqa: F401
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
-
-
-def random_observation(rng, d=10, m=None, extra_counts=None) -> Observation:
-    """A generic observation: Dirichlet base measure, lognormal masses,
-    counts of 1 plus a few repeats."""
-    x = rng.dirichlet(np.ones(d))
-    if m is None:
-        m = int(rng.integers(2, min(d, 7)))
-    idx = np.sort(rng.choice(d, size=m, replace=False))
-    p = rng.lognormal(0.0, 1.0, m)
-    c = np.ones(m, dtype=np.int64)
-    if extra_counts is None:
-        extra_counts = int(rng.integers(0, 2 * m))
-    for _ in range(extra_counts):
-        c[rng.integers(0, m)] += 1
-    return Observation(domain_size=d, x=x, indices=idx, p_obs=p, counts=c)
-
-
-def proportional_observation(rng, d=8, m=3, scale=3.0) -> Observation:
-    """p = scale * x on the sample: the Delta_S = 0 singular case."""
-    x = rng.dirichlet(np.ones(d))
-    idx = np.sort(rng.choice(d, size=m, replace=False))
-    c = np.ones(m, dtype=np.int64)
-    c[0] += 1
-    return Observation(domain_size=d, x=x, indices=idx,
-                       p_obs=scale * x[idx], counts=c)
 
 
 @pytest.fixture

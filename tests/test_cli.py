@@ -227,6 +227,15 @@ class TestInfer:
 
 
 class TestVerifyCommand:
+    def test_repeat_call_prints_identical_output(self, capsys):
+        # no timing and no state carried over from the first call may reach
+        # the table
+        code1, out1, _ = run_cli(capsys, "verify")
+        code2, out2, _ = run_cli(capsys, "verify")
+        assert code1 == code2 == 0
+        assert out1 == out2
+        assert out1.rstrip().endswith("PASS")
+
     def test_failing_check_names_its_exception(self, capsys, monkeypatch):
         from missmass import verify
 

@@ -13,11 +13,10 @@ from missmass.estimators import (RBWeights, expected_phi, good_toulmin_rb,
                                  good_turing_classic, good_turing_rb,
                                  harmonic_mean, inclusion_probability,
                                  ipw_fixed_n, ipw_poisson, mixture_estimate,
-                                 rb_exact, rb_mean_estimate,
-                                 rb_poisson_lambda, rb_poisson_weights,
-                                 rb_z_equation)
+                                 rb_exact, rb_poisson_lambda,
+                                 rb_poisson_weights, rb_z_equation)
 from missmass.solvers import solve_root
-from missmass.verify import random_counts, saddle_point_gap
+from missmass.verify import brute_force_rb, random_counts, saddle_point_gap
 
 
 SPREAD_P = [1e-200, 1.0, 1e200]
@@ -50,30 +49,6 @@ def make_obs(ps, cs, d=None, x=None):
     return Observation(domain_size=d, x=np.asarray(x, float),
                        indices=np.arange(m), p_obs=np.asarray(ps, float),
                        counts=np.asarray(cs))
-
-
-def brute_force_rb(ps, n):
-    """Enumerate all count vectors >= 1 summing to n: normalizer and E(c)."""
-    ps = np.asarray(ps, float)
-    m = len(ps)
-    total = 0.0
-    exp_c = np.zeros(m)
-
-    def rec(i, left, acc):
-        nonlocal total, exp_c
-        if i == m - 1:
-            vec = acc + [left]
-            w = math.factorial(n)
-            for pj, k in zip(ps, vec):
-                w *= pj ** k / math.factorial(k)
-            total += w
-            exp_c += w * np.array(vec, float)
-            return
-        for k in range(1, left - (m - i - 1) + 1):
-            rec(i + 1, left - k, acc + [k])
-
-    rec(0, n, [])
-    return total, exp_c / total
 
 
 def mpmath_rb(ps, n, dps=50):
@@ -353,26 +328,6 @@ class TestRbPoissonLambda:
             assert np.sum(mu / -np.expm1(-mu)) == pytest.approx(obs.n, rel=1e-12)
             weights = rb_exact(obs).aligned(obs)
             assert weights.sum() == pytest.approx(obs.n, rel=1e-9)
-
-
-class TestRbMean:
-    def test_constant_function(self, rng):
-        obs = random_observation(rng, extra_counts=4)
-        w = rb_exact(obs)
-        f = {int(i): 1.0 for i in obs.indices}
-        assert rb_mean_estimate(obs, f, w) == pytest.approx(1.0, rel=1e-10)
-
-    def test_singletons_reduce_to_sample_mean(self, rng):
-        obs = random_observation(rng, m=4, extra_counts=0)
-        w = rb_exact(obs)
-        f = {int(i): float(v) for i, v in zip(obs.indices, rng.normal(size=4))}
-        plain = sum(f[int(i)] * c for i, c in zip(obs.indices, obs.counts)) / obs.n
-        assert rb_mean_estimate(obs, f, w) == pytest.approx(plain, rel=1e-12)
-
-    def test_symmetric_pair(self):
-        obs = make_obs([1.0, 1.0], [1, 2])
-        w = rb_exact(obs)
-        assert rb_mean_estimate(obs, {0: 1.0, 1: 0.0}, w) == pytest.approx(0.5, rel=1e-12)
 
 
 class TestRbZEquation:
@@ -714,7 +669,6 @@ EMPTY = Observation(domain_size=3, x=np.array([0.2, 0.3, 0.5]),
     ipw_fixed_n, ipw_poisson, rb_exact, rb_poisson_lambda, rb_poisson_weights,
     good_turing_classic, good_turing_rb,
     lambda obs: good_toulmin_rb(obs, 1.0),
-    lambda obs: rb_mean_estimate(obs, {}, RBWeights(v={})),
     lambda obs: rb_z_equation(obs, RBWeights(v={})),
     lambda obs: rb_z_equation(obs, RBWeights(v={}), variant="M_over_Z", pi="fixed-n"),
     lambda obs: harmonic_mean(obs, {}, 1.0, mode="classic"),
@@ -722,7 +676,7 @@ EMPTY = Observation(domain_size=3, x=np.array([0.2, 0.3, 0.5]),
     lambda obs: harmonic_mean(obs, {}, 1.0, mode="ipw_nonlinear"),
     lambda obs: mixture_estimate(obs, np.zeros((0, 1)), [1.0], 0.0),
 ], ids=["ipw-fixed-n", "ipw-poisson", "rb-exact", "rb-lambda", "rb-poisson",
-        "gt", "gt-rb", "gtoulmin", "rb-mean", "rb-z-V", "rb-z-M", "hm-classic",
+        "gt", "gt-rb", "gtoulmin", "rb-z-V", "rb-z-M", "hm-classic",
         "hm-rb-linear", "hm-ipw", "mixture"])
 def test_empty_sample_has_no_estimate(estimate):
     with pytest.raises(ValueError, match="^no observations$"):

@@ -6,33 +6,26 @@ from scipy import stats as spstats
 
 from missmass.data import Dataset, summarize
 from missmass.likelihoods import ModelParams, log_L2
-from missmass.simulate import (effective_states, expected_count,
-                               expected_values, log_joint_density,
-                               prob_zero_count, sample_count_given_s_p,
-                               sample_given_s, simulate_explicit,
-                               simulate_model, simulate_model_batch,
-                               toy_physics_dataset)
+from missmass.simulate import (effective_states, expected_values,
+                               simulate_explicit, simulate_model,
+                               simulate_model_batch, toy_physics_dataset)
+from missmass.verify import expectation_misses, within_4se
 
 PARAMS = ModelParams(2.0, 1.0, 5.0)
 X8 = np.full(8, 1 / 8)
 
 
-def _within_4se(values, target):
-    se = max(values.std(ddof=1) / math.sqrt(len(values)), 1e-12)
-    return abs(values.mean() - target) <= 4.0 * se
-
-
 class TestSimulateModel:
     def test_mean_total_mass(self):
         batch = simulate_model_batch(X8, PARAMS, "p-c", 10_000, rng_seed=1)
-        assert _within_4se(batch["Z"], PARAMS.alpha / PARAMS.b)
+        assert within_4se(batch["Z"], PARAMS.alpha / PARAMS.b)
 
     @pytest.mark.parametrize("order", ["p-c", "z-dirichlet", "c-p"])
     def test_orders_match_observable_means(self, order):
         batch = simulate_model_batch(X8, PARAMS, order, 20_000, rng_seed=2)
         ev = expected_values(X8, PARAMS, "prior")
         for key in ("M", "N", "V"):
-            assert _within_4se(batch[key], ev[key]), (order, key)
+            assert within_4se(batch[key], ev[key]), (order, key)
 
     def test_concentration_at_large_rate(self):
         # b -> inf at fixed alpha/b: Z concentrates at the mean
@@ -67,7 +60,7 @@ class TestSimulateExplicit:
         p = np.array([1.0, 2.0, 3.0])
         totals = np.array([simulate_explicit(p, rate=2.5, rng_seed=s).c.sum()
                            for s in range(2000)])
-        assert _within_4se(totals.astype(float), 2.5 * p.sum())
+        assert within_4se(totals.astype(float), 2.5 * p.sum())
 
     def test_single_point(self):
         ds = simulate_explicit(np.array([5.0]), n=5, rng_seed=6)
@@ -94,29 +87,16 @@ class TestSimulateExplicit:
 
 
 class TestExpectedValues:
-    def test_zero_count_probability_complement(self):
-        p0 = prob_zero_count(X8, PARAMS)
-        assert np.allclose(p0 + (1 - p0), 1.0)
-        assert np.all(1 - p0 <= expected_count(X8, PARAMS) + 1e-15)
-
+    # expectation_misses draws the prior with its seed, given S with seed + 1
+    # and given (S, p on S) with seed + 2
     def test_prior_against_monte_carlo(self):
-        batch = simulate_model_batch(X8, PARAMS, "p-c", 30_000, rng_seed=8)
-        ev = expected_values(X8, PARAMS, "prior")
-        for key, target in ev.items():
-            assert _within_4se(batch[key], target), key
+        assert expectation_misses(8, 30_000, ("prior",)) == []
 
     def test_given_s_against_monte_carlo(self):
-        s = [0, 2, 5]
-        cond = sample_given_s(X8, PARAMS, s, 30_000, rng_seed=9)
-        ev = expected_values(X8, PARAMS, "given_s", s=s)
-        for key, target in ev.items():
-            assert _within_4se(cond[key], target), key
+        assert expectation_misses(8, 30_000, ("given_s",)) == []
 
     def test_given_sp_against_monte_carlo(self):
-        p_s = np.array([0.5, 1.2, 0.3])
-        ns = sample_count_given_s_p(p_s, PARAMS.lam, 30_000, rng_seed=10)
-        target = expected_values(X8, PARAMS, "given_sp", s=[0, 1, 2], p_s=p_s)["N"]
-        assert _within_4se(ns.astype(float), target)
+        assert expectation_misses(8, 30_000, ("given_sp",)) == []
 
     def test_conditioning_validation(self):
         with pytest.raises(ValueError):
@@ -128,23 +108,6 @@ class TestExpectedValues:
 
 
 class TestJointDensity:
-    def test_factorizes_over_points(self):
-        ds1 = Dataset(x=[0.6, 0.4], p=[1.0, 0.5], c=[2, 0])
-        ds2 = Dataset(x=[0.3, 0.7], p=[0.2, 2.0], c=[1, 3])
-        joint = Dataset(x=[0.3, 0.2, 0.15, 0.35],
-                        p=[1.0, 0.5, 0.2, 2.0], c=[2, 0, 1, 3])
-        params = ModelParams(2.0, 1.0, 5.0)
-        # the shape parameters a(i) = alpha x(i) must line up: use one
-        # dataset whose x halves match
-        half = ModelParams(1.0, 1.0, 5.0)
-        lhs = log_joint_density(joint, params)
-        rhs = (log_joint_density(ds1, half) + log_joint_density(ds2, half))
-        assert lhs == pytest.approx(rhs, rel=1e-12)
-
-    def test_zero_mass_at_positive_base(self):
-        ds = Dataset(x=[0.5, 0.5], p=[1.0, 0.0], c=[1, 0])
-        assert log_joint_density(ds, PARAMS) == -math.inf
-
     def test_marginal_count_is_negative_binomial(self):
         # integrate the one-point joint density over p: the count marginal
         # is NegBinomial(a, b/(b+lambda))
