@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__
 from .data import Observation, load_observation, summarize
-from .distributions import GriddedDist, PointMass
+from .distributions import PointMass
 from .estimators import (good_toulmin_rb, good_turing_classic, good_turing_rb,
                          harmonic_mean, ipw_fixed_n, ipw_poisson,
                          rb_exact, rb_poisson_lambda, rb_poisson_weights,
@@ -171,10 +171,9 @@ def _cmd_estimate(args) -> int:
 
 
 def _grid_for_csv(dist) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rows of the posterior CSV: the profile's own grid, the point mass,
-    or a Beta-prime law (one atom or the Bayes mixture) at 201 quantiles."""
-    if isinstance(dist, GriddedDist):
-        return dist.w_grid, dist.density, dist.cdf
+    """Rows of the posterior CSV: the point mass, or a continuous law (a
+    Beta-prime atom, the Bayes mixture or the profile law) at 201 quantile
+    levels."""
     if isinstance(dist, PointMass):
         w = np.array([dist.value])
         return w, np.array([math.inf]), np.array([1.0])

@@ -1,15 +1,17 @@
 """Probability laws for the missing mass and derived quantities.
 
 Closed forms (point mass, Gamma, Beta, Beta-prime), weighted mixtures of
-Beta or Beta-prime atoms (the Bayes posterior is one), and a gridded
-density (the profile curve).  Every law exposes ``mean`` and
-``quantile(q)``; Beta and Beta-prime laws also take an array of levels,
-Beta-prime laws expose ``cdf``, and gridded laws expose their density and
-CDF.
+Beta or Beta-prime atoms (the Bayes posterior is one), and a continuous
+law of u = log(W / scale) given by its density on Gauss-Legendre panels
+(the profile curve), seen as the law of W or of W/Z.  Every law exposes
+``mean`` and ``quantile(q)``; Beta, Beta-prime and panel laws also take an
+array of levels and expose ``log_pdf``, and Beta-prime and panel laws
+expose ``cdf``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -18,8 +20,6 @@ from scipy.special import betainc, betaincinv, expit, gammaincinv, log_expit
 
 from .solvers import newton_bracketed
 from .special import log_beta, log_gamma
-
-GRID_NORM_TOL = 1e-6
 
 # mixture quantiles are solved in u = logit(s) to this width, a relative
 # 1e-12 in W / scale; expit(-+_U_END) is exactly 0 and 1 in float64
@@ -238,72 +238,133 @@ class BetaPrimeDist(_BetaAtoms):
                          - self._atom_log_b()) - math.log(self.scale)
 
 
-@dataclass(frozen=True, eq=False)
-class GriddedDist:
-    """Density tabulated on a strictly increasing grid, trapezoid-normalized.
+@functools.lru_cache(maxsize=None)
+def _panel_rule(n: int) -> tuple[np.ndarray, ...]:
+    """Gauss-Legendre nodes and weights; node values -> Chebyshev
+    coefficients of the polynomial through them, and of its integral."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    to_chebyshev = np.linalg.inv(np.polynomial.chebyshev.chebvander(x, n - 1)).T
+    rule = (x, w, to_chebyshev,
+            to_chebyshev @ np.polynomial.chebyshev.chebint(np.eye(n), lbnd=-1, axis=1))
+    for val in rule:
+        val.setflags(write=False)
+    return rule
 
-    ``log_norm`` records the log of the raw integral that was divided out,
-    so callers can recover the unnormalized scale (e.g. an evidence value).
+
+@dataclass(frozen=True, eq=False)
+class LogScaleDist:
+    """Law of W = scale e^u, or with ``w_over_z`` of W/Z = expit(u): the
+    log density of u (up to a constant) at the ``nodes``, Gauss-Legendre
+    nodes of panels between ``edges`` in v = asinh((u - center) / width),
+    where the density of v is a polynomial.  Below the panels it is the
+    exponential of rate ``tail_rate`` through the first node, the tail
+    (center - u)^-(tail_rate + 1) of mass ``tail_mass``; above, zero.
     """
 
-    w_grid: np.ndarray
-    density: np.ndarray
-    log_norm: float = 0.0
+    center: float
+    width: float
+    edges: np.ndarray
+    log_density: np.ndarray
+    tail_rate: float
+    scale: float = 1.0
+    w_over_z: bool = False
+
+    @staticmethod
+    def nodes(center: float, width: float, edges, n: int) -> np.ndarray:
+        """The u of n Gauss-Legendre nodes on each panel, a row per panel."""
+        edges = np.asarray(edges, dtype=float)
+        v = edges[:-1, None] + 0.5 * np.diff(edges)[:, None] * (1.0 + _panel_rule(n)[0])
+        return center + width * np.sinh(v)
 
     def __post_init__(self):
-        grid = np.asarray(self.w_grid, dtype=float)
-        dens = np.asarray(self.density, dtype=float)
-        if grid.ndim != 1 or grid.shape != dens.shape or len(grid) < 3:
-            raise ValueError("grid and density must be equal-length vectors")
-        if np.any(np.diff(grid) <= 0):
-            raise ValueError("grid must be strictly increasing")
-        if np.any(dens < 0):
-            raise ValueError("density must be nonnegative")
-        total = float(np.trapezoid(dens, grid))
-        if abs(total - 1.0) > GRID_NORM_TOL:
-            raise ValueError(f"density integrates to {total}, not 1")
-        grid.setflags(write=False)
-        dens.setflags(write=False)
-        object.__setattr__(self, "w_grid", grid)
-        object.__setattr__(self, "density", dens)
-        # cumulative trapezoid, clipped monotone into [0, 1]
-        seg = 0.5 * (dens[1:] + dens[:-1]) * np.diff(grid)
-        cdf = np.concatenate([[0.0], np.cumsum(seg)])
-        cdf /= cdf[-1]
-        cdf.setflags(write=False)
-        object.__setattr__(self, "_cdf", cdf)
+        edges = np.array(self.edges, dtype=float)
+        log_u = np.array(self.log_density, dtype=float)
+        if np.any(np.diff(edges) <= 0) or log_u.shape[:-1] != (len(edges) - 1,):
+            raise ValueError("edges must increase, with one row of node values per panel")
+        x, w, to_chebyshev, to_integral = _panel_rule(log_u.shape[-1])
+        half = 0.5 * np.diff(edges)[:, None]
+        v = edges[:-1, None] + half * (1.0 + x)
+        # the density of v at the nodes (du/dv = width cosh v), then the
+        # Chebyshev coefficients of each panel's density and CDF in xi
+        dens = np.exp(log_u - np.max(log_u)) * np.cosh(v)
+        tail = dens[0, 0] * math.exp(self.tail_rate * (edges[0] - v[0, 0])) / self.tail_rate
+        total = tail + np.sum(dens * half * w)
+        integral = dens * half @ to_integral / total
+        starts = tail / total + np.concatenate([[0.0], np.cumsum(integral.sum(axis=1))])
+        # the CDF at the nodes, where the quantile solves start
+        at_nodes = starts[:-1, None] + integral @ np.cos(
+            np.outer(np.arange(len(x) + 1), np.arccos(x)))
+        for name, val in (("edges", edges), ("log_density", log_u), ("_v", v),
+                          ("_dens", dens @ to_chebyshev / total), ("_integral", integral),
+                          ("_starts", starts), ("_at_nodes", at_nodes),
+                          ("_weights", dens * half * w / total), ("tail_mass", tail / total)):
+            object.__setattr__(self, name, val)
 
-    @classmethod
-    def from_log_density(cls, w_grid, log_density) -> "GriddedDist":
-        grid = np.asarray(w_grid, dtype=float)
-        logd = np.asarray(log_density, dtype=float)
-        m = float(np.max(logd))
-        if not np.isfinite(m):
-            raise ValueError("log density has no finite values")
-        raw = np.exp(logd - m)
-        total = float(np.trapezoid(raw, grid))
-        return cls(w_grid=grid, density=raw / total,
-                   log_norm=math.log(total) + m)
+    def _at(self, v, j=None):
+        """CDF and density of v at each v: by the polynomials of panel j,
+        or of the panel of v, with the tail below and nothing above."""
+        edges, at_j = self.edges, j
+        if j is None:
+            j = np.clip(np.searchsorted(edges, v, side="right") - 1, 0, len(edges) - 2)
+        xi = np.clip(2.0 * (v - edges[j]) / (edges[j + 1] - edges[j]) - 1.0, -1.0, 1.0)
+        terms = np.cos(np.multiply.outer(np.arccos(xi), np.arange(self._integral.shape[1])))
+        cdf = self._starts[j] + np.sum(terms * self._integral[j], axis=-1)
+        density = np.sum(terms[..., :-1] * self._dens[j], axis=-1)
+        if at_j is not None:
+            return cdf, density
+        tail = self.tail_mass * np.exp(self.tail_rate * np.minimum(v - edges[0], 0.0))
+        below, above = v < edges[0], v >= edges[-1]
+        return (np.where(below, tail, np.where(above, 1.0, cdf)),
+                np.where(below, self.tail_rate * tail, np.where(above, 0.0, density)))
 
-    @property
-    def cdf(self) -> np.ndarray:
-        return self._cdf  # type: ignore[attr-defined]
+    def _v_of(self, x):
+        with np.errstate(divide="ignore"):
+            u = np.log(x) - np.log1p(-x) if self.w_over_z else np.log(x / self.scale)
+        return np.arcsinh((u - self.center) / self.width)
+
+    def u_quantile(self, q):
+        """u = log(W / scale) at each level of q, by Newton steps in v from
+        the CDF interpolated between nodes (closed form in the tail)."""
+        q = _levels(q)
+        levels = np.atleast_1d(q)
+        start = np.interp(levels, np.append(self._at_nodes, 1.0), np.append(self._v, self.edges[-1]))
+        j = np.clip(np.searchsorted(self._starts, levels, side="right") - 1,
+                    0, len(self.edges) - 2)
+
+        def excess_and_slope(v):
+            cdf, density = self._at(v, j)
+            return cdf - levels, density
+
+        v = newton_bracketed(excess_and_slope, start, self.edges[j], self.edges[j + 1],
+                             increasing=True, tol=_U_TOL)
+        with np.errstate(divide="ignore"):
+            v_tail = self.edges[0] + np.log(levels / self.tail_mass) / self.tail_rate
+        v = np.where(levels < self.tail_mass, v_tail, v)
+        return _like_levels(self.center + self.width * np.sinh(v), q)
+
+    def quantile(self, q):
+        u = self.u_quantile(q)
+        return _like_levels(expit(u) if self.w_over_z else self.scale * np.exp(u), q)
+
+    def cdf(self, x):
+        return self._at(self._v_of(np.asarray(x, dtype=float)))[0][()]
+
+    def log_pdf(self, x):
+        x = np.asarray(x, dtype=float)
+        v = self._v_of(x)
+        with np.errstate(divide="ignore"):
+            return (np.log(np.maximum(self._at(v)[1], 0.0)) - np.log(self.width * np.cosh(v))
+                    - np.log(x) - (np.log1p(-x) if self.w_over_z else 0.0))[()]
 
     @property
     def mean(self) -> float:
-        return float(np.trapezoid(self.w_grid * self.density, self.w_grid))
-
-    def quantile(self, q: float) -> float:
-        if not 0.0 < q < 1.0:
-            raise ValueError("quantile level must be in (0, 1)")
-        cdf = self.cdf
-        j = int(np.searchsorted(cdf, q, side="left"))
-        j = min(max(j, 1), len(cdf) - 1)
-        c0, c1 = cdf[j - 1], cdf[j]
-        w0, w1 = self.w_grid[j - 1], self.w_grid[j]
-        if c1 == c0:
-            return float(w1)
-        return float(w0 + (q - c0) / (c1 - c0) * (w1 - w0))
+        u = self.center + self.width * np.sinh(self._v)
+        if self.w_over_z:
+            return float(np.sum(self._weights * expit(u)))
+        # in log space: e^u alone can overflow where the weight is tiny
+        with np.errstate(divide="ignore"):
+            return float(np.exp(np.logaddexp.reduce(np.log(self._weights) + u, axis=None))
+                         * self.scale)
 
 
 @dataclass(frozen=True)

@@ -12,8 +12,8 @@ matching Beta(alpha Y, alpha X + N)) under three weightings of alpha:
   * bayes    -- the mixture over alpha with weights L5(alpha) / alpha (the
                 1/alpha prior; b, lambda are integrated out inside L5);
   * profile  -- the envelope over alpha of L9(alpha) BetaPrime(W; alpha)
-                (b, lambda profiled out inside L9), tabulated on a W grid
-                and normalized by its own quadrature;
+                (b, lambda profiled out inside L9): one continuous law of
+                u = log(W / V), on panels with an analytic lower tail;
   * mixed    -- the single atom at the maximum-likelihood alpha of L5 (or
                 L9).
 
@@ -41,13 +41,13 @@ is flat in alpha there when N = 1 and peaks at alpha -> 0 when N >= 2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
 
 from .data import Observation, SummaryStats
-from .distributions import (BetaDist, BetaPrimeDist, GriddedDist, PointMass,
+from .distributions import (BetaDist, BetaPrimeDist, LogScaleDist, PointMass,
                             ShiftedDist)
 from .likelihoods import (d2log_dalpha2, dlog_dalpha, log_L5, log_L8,
                           log_L9, log_L11)
@@ -68,20 +68,19 @@ _SLOPE_SCAN_ALPHA.setflags(write=False)
 _AT_INFINITY = "maximum at alpha -> infinity"
 _AT_LOWER_END = "maximum at alpha -> 0"
 
-# the profile W grid has _W_GRID_POINTS points spanning these mixed-method
-# quantiles, widened by a factor 2, then by factors of 8 at most
-# _SPAN_STEPS times per end until the per-log-W envelope is _SPAN_NATS
-# below its value at the mixed median
-_W_GRID_POINTS = 201
-_GRID_Q_LO = 1e-4
-_GRID_Q_HI = 1.0 - 1e-4
-_SPAN_STEPS = 12
-_SPAN_NATS = 30.0
-# and starts no lower than V times this: below it W/Z nears the subnormal
-# floats, and the W/Z density, which can grow as (W/Z)^-1, overflows
-_MIN_W_OVER_V = 1e-300
-# the log-alpha step at which the profile's Newton polish stops
-_PROFILE_T_TOL = 1e-12
+# the profile law's panels in v = asinh((u - mode) / width) end a probe
+# past the last within _PROFILE_DROP nats of the top (above the mode, for
+# the mean's weight W times the density), the lower no lower than where
+# alpha falls under _TAIL_ALPHA (L9 ~ alpha^M: a power-law tail beyond);
+# edges on each side end * expm1(s k / P) / expm1(s), s = _PANEL_STRETCH;
+# alpha polishes stop at a step of _PROFILE_T_TOL, the error its square
+_PROFILE_PROBES = np.arange(-32.0, 33.0, 2.0)
+_PROFILE_DROP = 40.0
+_TAIL_ALPHA = 1e-8
+_PROFILE_PANELS = (8, 5)
+_PROFILE_NODES = 16
+_PANEL_STRETCH = 1.8
+_PROFILE_T_TOL = 1e-6
 
 # Bayes alpha nodes: keep the window where log L5 on the scan grid is
 # within _WINDOW_NATS of its maximum, cover it with BAYES_PANELS
@@ -212,11 +211,6 @@ def _alpha_infinity_report(method: str, stats: SummaryStats, case: str,
                            diagnostics=diagnostics)
 
 
-def _mixed_w_dist(stats: SummaryStats, alpha: float) -> BetaPrimeDist:
-    return BetaPrimeDist(a=alpha * stats.Y, b=alpha * stats.X + stats.N,
-                         scale=stats.V)
-
-
 def infer_mixed(obs: Observation, stats: SummaryStats,
                 base: str = "L5") -> InferenceReport:
     """Closed-form conditional law at the maximum-likelihood alpha.
@@ -238,7 +232,7 @@ def infer_mixed(obs: Observation, stats: SummaryStats,
     if best.reason == _AT_INFINITY:
         return _alpha_infinity_report("mixed", stats, "alpha_infinite", {
             "base": base, "evals": best.evals, "reason": best.reason})
-    w_dist = _mixed_w_dist(stats, alpha)
+    w_dist = BetaPrimeDist(a=alpha * stats.Y, b=alpha * stats.X + stats.N, scale=stats.V)
     diag = {"base": base, "converged": best.reason is None, "evals": best.evals,
             "mean_w_over_z": alpha * stats.Y / (alpha + stats.N)}
     if alpha * stats.X + stats.N <= 1.0:
@@ -249,20 +243,6 @@ def infer_mixed(obs: Observation, stats: SummaryStats,
                                                   alpha * stats.X + stats.N),
                            alpha_summary=alpha,
                            diagnostics=diag)
-
-
-def _w_over_z_gridded(grid: np.ndarray, log_density: np.ndarray,
-                      v: float) -> GriddedDist:
-    """Law of s = W / (V + W) from a log density of W tabulated on a grid.
-
-    The Jacobian dW/ds = (V + W)^2 / V is applied in log space, with
-    log(V + W) taken by logaddexp, so masses spanning the float range
-    cannot overflow it.
-    """
-    log_w, log_v = np.log(grid), math.log(v)
-    log_z = np.logaddexp(log_v, log_w)
-    return GriddedDist.from_log_density(np.exp(log_w - log_z),
-                                        log_density + 2.0 * log_z - log_v)
 
 
 def _alpha_window_nodes(stats: SummaryStats, best: AlphaMaximum
@@ -375,55 +355,76 @@ def infer_bayes(obs: Observation, stats: SummaryStats) -> InferenceReport:
                            alpha_summary=mode, diagnostics=diag)
 
 
-def _profile_envelope(stats: SummaryStats, column: np.ndarray,
-                      w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """max over alpha of log L8(W, alpha) at every W of ``w``.
+def _profile_column(stats: SummaryStats) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """c(alpha) = log L9 - log B(alpha Y, alpha X + N) on the scan grid, its
+    alpha-slope (that of log L8 at W = V, plus log 2) and its t-slope."""
+    a, b = _SLOPE_SCAN_ALPHA * stats.Y, _SLOPE_SCAN_ALPHA * stats.X + stats.N
+    return (log_L9(stats, _SLOPE_SCAN_ALPHA) - log_beta(a, b),
+            dlog_dalpha("L8", stats, _SLOPE_SCAN_ALPHA, w=stats.V) + math.log(2.0),
+            _SLOPE_SCAN_ALPHA * d2log_dalpha2("L8", stats, _SLOPE_SCAN_ALPHA))
 
-    Returns (argmax alpha, max log L8, argmax at the top of the window).
-    log L8 = log L9(alpha) + log BetaPrime(W; alpha Y, alpha X + N, V) is
-    evaluated as one alpha-by-W matrix on the scan grid, whose alpha
-    column log L9 - log B(alpha Y, alpha X + N) is ``column``.  L8 is
-    log-concave in alpha, so each W's maximum lies between the grid
-    neighbours of its argmax; bracketed Newton steps in log alpha on the
-    analytic slope and curvature polish every W at once.
-    """
-    ay = _SLOPE_SCAN_ALPHA * stats.Y
-    bx = _SLOPE_SCAN_ALPHA * stats.X + stats.N
-    surface = np.multiply.outer(ay - 1.0, np.log(w / stats.V))
-    surface -= np.multiply.outer(ay + bx, np.log1p(w / stats.V))
-    surface += column[:, None]
-    k = np.argmax(surface, axis=0)
 
-    def slope_and_curvature(t):
-        alpha = np.exp(t)
-        return (dlog_dalpha("L8", stats, alpha, w=w),
-                alpha * d2log_dalpha2("L8", stats, alpha))
+def _profile_envelope(stats: SummaryStats, column: tuple, u: np.ndarray
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(argmax, max, argmax at the top of the grid) over alpha of the per-u
+    log density g = log L8 + log W + const = c + a u - (a + b) softplus(u),
+    a = alpha Y, b = alpha X + N, at every u = log(W / V), forming no W.
+    dg/dalpha falls (L8 is log-concave), so grid slopes bracket the
+    maximum; Newton steps in log alpha with interpolated curvature polish."""
+    _, slope, curvature = column
+    softplus = np.logaddexp(0.0, u)
+    target = softplus - stats.Y * u
+    top = len(_SLOPE_SCAN_T) - 1
+    k = np.searchsorted(-slope, -target) - 1
+    lo = np.clip(k, 0, top - 1)
+    (e_lo, e_hi), (d_lo, d_hi) = slope[[lo, lo + 1]] - target, curvature[[lo, lo + 1]]
+    t_lo, step = _SLOPE_SCAN_T[lo], _SLOPE_SCAN_T[1] - _SLOPE_SCAN_T[0]
 
-    t_grid = _SLOPE_SCAN_T
-    t = newton_bracketed(slope_and_curvature, t_grid[k],
-                         t_grid[np.maximum(k - 1, 0)],
-                         t_grid[np.minimum(k + 1, len(t_grid) - 1)],
-                         increasing=False, tol=_PROFILE_T_TOL)
-    alpha = np.exp(t)
-    return alpha, log_L8(stats, w, alpha), k == len(t_grid) - 1
+    def excess_and_slope(t):
+        return (dlog_dalpha("L8", stats, np.exp(t), w=stats.V) + math.log(2.0) - target,
+                d_lo + (d_hi - d_lo) * (t - t_lo) / step)
+
+    start = t_lo + step * np.clip(e_lo / np.where(e_lo > e_hi, e_lo - e_hi, 1.0), 0.0, 1.0)
+    alpha = np.exp(newton_bracketed(excess_and_slope, start, t_lo, t_lo + step,
+                                    increasing=False, tol=_PROFILE_T_TOL))
+    ay = alpha * stats.Y
+    g = (log_L8(stats, stats.V, alpha) + math.log(stats.V) + ay * u
+         - (ay + alpha * stats.X + stats.N) * (softplus - math.log(2.0)))
+    return alpha, g, k == top
+
+
+def _profile_mode(stats: SummaryStats, column: tuple) -> float:
+    """The alpha of the envelope at the mode of the per-u density: g peaks
+    at u = log(a / b), leaving h = c + a log a + b log b - (a + b) log(a + b)
+    to maximize in alpha."""
+    alpha = _SLOPE_SCAN_ALPHA
+    a, b = alpha * stats.Y, alpha * stats.X + stats.N
+    h = column[0] + a * np.log(a) + b * np.log(b) - (a + b) * np.log(a + b)
+    slopes = column[1] + stats.Y * np.log(a) + stats.X * np.log(b) - np.log(a + b)
+    down = np.nonzero((slopes[:-1] > 0.0) & (slopes[1:] <= 0.0))[0]
+    if not len(down):
+        return float(alpha[np.argmax(h)])
+    k = down[np.argmax(h[down])]
+
+    def slope(t: float) -> float:
+        alpha = math.exp(t)
+        a, b = alpha * stats.Y, alpha * stats.X + stats.N
+        return (dlog_dalpha("L8", stats, alpha, w=stats.V) + math.log(2.0)
+                + stats.Y * math.log(a) + stats.X * math.log(b) - math.log(a + b))
+
+    return math.exp(solve_root(slope, (_SLOPE_SCAN_T[k], _SLOPE_SCAN_T[k + 1])))
 
 
 def infer_profile(obs: Observation, stats: SummaryStats) -> InferenceReport:
     """Profile likelihood posterior: sup over alpha of L8 at every W.
 
-    The log-W grid of _W_GRID_POINTS points spans the mixed method's
-    quantiles at the L9 maximum, widened by 2; profiling alpha fattens the
-    tails, so each end is pushed outward by factors of 8 until the
-    per-unit-log-W envelope has fallen _SPAN_NATS below its value at the
-    mixed median, the lower end stopping at V * _MIN_W_OVER_V.  All
-    probes, then all grid points, are profiled at once (_profile_envelope)
-    against one alpha column.  The curve is normalized by its own
-    quadrature, being an unnormalized density by construction.  The
-    diagnostics give how far the envelope at each grid end sits below its
-    median value (span_drop_lo_nats, span_drop_hi_nats); status
-    "short_span" flags a drop under _SPAN_NATS, where the law depends on
-    where the grid is cut.  An L9 maximum at alpha -> infinity fails with
-    that verdict as the reason.
+    One law of u = log(W / V) (LogScaleDist) with views W = V e^u, Z = V + W
+    and W/Z = expit(u): the envelope at Gauss-Legendre nodes on panels in
+    v = asinh((u - u_mode) / width), width^-2 its curvature at the mode.
+    Below the mode it falls as (u_mode - u)^-(M+1) (L9 ~ alpha^M, the
+    maximizing alpha ~ 1 / (u_mode - u)), carried analytically past the
+    panels as ``tail_mass``.  An L9 maximum at alpha -> infinity fails with
+    that verdict, one of the envelope at the grid top with ArithmeticError.
     """
     singular = _singular_report("profile", stats)
     if singular is not None:
@@ -432,45 +433,34 @@ def infer_profile(obs: Observation, stats: SummaryStats) -> InferenceReport:
     if best.reason == _AT_INFINITY:
         raise ValueError(f"profile likelihood L9 has its {best.reason}: the "
                          "sample is too close to proportional")
-    alpha_star = best.alpha
-    column = (log_L9(stats, _SLOPE_SCAN_ALPHA)
-              - log_beta(_SLOPE_SCAN_ALPHA * stats.Y,
-                         _SLOPE_SCAN_ALPHA * stats.X + stats.N))
+    column = _profile_column(stats)
+    mode_alpha = _profile_mode(stats, column)
+    a, b = mode_alpha * stats.Y, mode_alpha * stats.X + stats.N
+    # the envelope's curvature in u: g's, eased by the move of the alpha
+    width = (a * b / (a + b) + (stats.Y - a / (a + b)) ** 2
+             / d2log_dalpha2("L8", stats, mode_alpha)) ** -0.5
+    center = math.log(a / b)
 
-    ref = _mixed_w_dist(stats, alpha_star)
-    median = ref.quantile(0.5)
-    steps = 8.0 ** np.arange(_SPAN_STEPS)
-    lo_probes = ref.quantile(_GRID_Q_LO) / 2.0 / steps
-    hi_probes = ref.quantile(_GRID_Q_HI) * 2.0 * steps
-    probes = np.concatenate([[median], lo_probes, hi_probes])
-    _, env, _ = _profile_envelope(stats, column, probes)
-    per_log_w = env + np.log(probes)
-    low_enough = per_log_w <= per_log_w[0] - _SPAN_NATS
-
-    def span_end(probe_values, below, factor):
-        hit = np.nonzero(below)[0]
-        return probe_values[hit[0]] if len(hit) else probe_values[-1] * factor
-
-    lo = max(span_end(lo_probes, low_enough[1:_SPAN_STEPS + 1], 1.0 / 8.0),
-             stats.V * _MIN_W_OVER_V)
-    hi = span_end(hi_probes, low_enough[_SPAN_STEPS + 1:], 8.0)
-    grid = np.exp(np.linspace(math.log(lo), math.log(hi), _W_GRID_POINTS))
-
-    alphas, log_l10, at_top = _profile_envelope(stats, column, grid)
+    v = _PROFILE_PROBES
+    u = center + width * np.sinh(v)
+    alphas, log_v, _ = _profile_envelope(stats, column, u)
+    log_v += np.log(np.cosh(v))
+    kept = np.nonzero(log_v + np.maximum(u - center, 0.0) > np.max(log_v) - _PROFILE_DROP)[0]
+    step = v[1] - v[0]
+    ends = (min(max(v[kept[0]] - step, v[alphas >= _TAIL_ALPHA][0]), -step),
+            v[kept[-1]] + step)
+    lower, upper = (end * np.expm1(_PANEL_STRETCH * np.linspace(0.0, 1.0, panels + 1))
+                    / math.expm1(_PANEL_STRETCH) for end, panels in zip(ends, _PROFILE_PANELS))
+    edges = np.concatenate([lower[::-1], upper[1:]])
+    nodes = LogScaleDist.nodes(center, width, edges, _PROFILE_NODES)
+    _, log_density, at_top = _profile_envelope(stats, column, nodes)
     if np.any(at_top):
-        raise ArithmeticError(
-            "profile maximization diverged at finite W with Delta_S > 0")
-
-    w_dist = GriddedDist.from_log_density(grid, log_l10)
-    mode_alpha = float(alphas[int(np.argmax(log_l10))])
-    drop_lo, drop_hi = per_log_w[0] - (log_l10[[0, -1]] + np.log(grid[[0, -1]]))
-    short = min(drop_lo, drop_hi) < _SPAN_NATS
+        raise ArithmeticError("profile maximization diverged at finite W with Delta_S > 0")
+    w_dist = LogScaleDist(center, width, edges, log_density, stats.M, stats.V)
     return InferenceReport(method="profile", w_dist=w_dist,
                            z_dist=ShiftedDist(w_dist, stats.V),
-                           w_over_z_dist=_w_over_z_gridded(grid, log_l10, stats.V),
+                           w_over_z_dist=replace(w_dist, w_over_z=True),
                            alpha_summary=mode_alpha,
-                           diagnostics={"status": "short_span" if short else "ok",
-                                        "span_drop_lo_nats": float(drop_lo),
-                                        "span_drop_hi_nats": float(drop_hi),
-                                        "alpha_mle": alpha_star,
+                           diagnostics={"tail_mass": w_dist.tail_mass,
+                                        "alpha_mle": best.alpha,
                                         "alpha_at_mode": mode_alpha})

@@ -415,11 +415,12 @@ def check_expectations(seed: int, reps: int) -> bool:
     return not expectation_misses(seed, reps)
 
 
-def check_coverage_oracle(rng, reps: int) -> bool:
+def check_coverage_oracle(seed0: int, reps: int) -> bool:
     """The conditional law of W given S at the true parameters is exactly
     Gamma(alpha Y, b + lambda); its 90% interval must cover at the nominal
-    rate.  This validates the simulation and quantile plumbing that the
-    calibration criterion builds on."""
+    rate over draws seeded seed0, seed0 + 1, ...  This validates the
+    simulation and quantile plumbing that the calibration criterion builds
+    on."""
     from scipy.special import gammaincinv
 
     params = ModelParams(2.0, 1.0, 5.0)
@@ -427,7 +428,7 @@ def check_coverage_oracle(rng, reps: int) -> bool:
     x = np.full(50, 1 / 50)
     hits = 0
     used = 0
-    seed = 0
+    seed = seed0 - 1
     while used < reps:
         seed += 1
         p, c = _draw_model(x, params, "p-c", _rng(seed, 0), None)
@@ -464,8 +465,8 @@ def toy_physics_errors(n_states: int, reps: int, seed0: int) -> dict[float, floa
             for gamma, z in estimates.items()}
 
 
-def check_toy_physics(rng, reps: int) -> bool:
-    return all(abs(err) <= 0.15 for err in toy_physics_errors(512, reps, 1000).values())
+def check_toy_physics(seed0: int, reps: int) -> bool:
+    return all(abs(err) <= 0.15 for err in toy_physics_errors(512, reps, seed0).values())
 
 
 def saddle_point_gap(n_values=(48, 480, 4800), m=20, sigma=1.0, seed=0) -> dict:
@@ -483,7 +484,8 @@ def saddle_point_gap(n_values=(48, 480, 4800), m=20, sigma=1.0, seed=0) -> dict:
 
 def run_verification(fast: bool = True, seed: int = 0) -> list[tuple[str, bool, str]]:
     """Every check, at its small size or (fast=False) at the size of its
-    acceptance criterion; the rng-driven ones share one stream from seed."""
+    acceptance criterion; the rng-driven ones share one stream from seed,
+    the seeded ones run at seed plus their constant."""
     rng = np.random.default_rng(seed)
 
     def size(small, criterion):
@@ -499,11 +501,11 @@ def run_verification(fast: bool = True, seed: int = 0) -> list[tuple[str, bool, 
         ("ipw unbiasedness", lambda: check_ipw_unbiased(rng, size(20_000, 100_000))),
         ("mixed closed form", lambda: check_mixed_closed_form(rng, size(5, 20))),
         ("generative equivalence",
-         lambda: check_generative_equivalence(137, size(20_000, 100_000))),
-        ("expectation formulas", lambda: check_expectations(23, size(10_000, 100_000))),
+         lambda: check_generative_equivalence(137 + seed, size(20_000, 100_000))),
+        ("expectation formulas", lambda: check_expectations(23 + seed, size(10_000, 100_000))),
         ("coverage oracle (true-parameter law)",
-         lambda: check_coverage_oracle(rng, size(200, 500))),
-        ("toy physics ground truth", lambda: check_toy_physics(rng, size(40, 200))),
+         lambda: check_coverage_oracle(1 + seed, size(200, 500))),
+        ("toy physics ground truth", lambda: check_toy_physics(1000 + seed, size(40, 200))),
     ]
     results = []
     for name, fn in checks:

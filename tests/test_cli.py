@@ -11,6 +11,8 @@ import pytest
 
 from conftest import FIXTURES, fixture_path
 from missmass.cli import main, render_json
+from missmass.data import load_observation, summarize
+from missmass.inference import infer_profile
 
 ALL_FIXTURES = sorted(f.name for f in FIXTURES.glob("*.json"))
 
@@ -226,7 +228,57 @@ class TestInfer:
         assert np.all(rows[:, 1] > 0)
 
 
+    def test_profile_csv_output(self, capsys, tmp_path):
+        # rows at quantile levels of the profile law of W: rising, each
+        # cumulative value the law's CDF at the row's W
+        csv = tmp_path / "profile.csv"
+        path = fixture_path("gt_example.json")
+        code, _, _ = run_cli(capsys, "infer", "--in", path, "--method", "profile",
+                             "--out-csv", str(csv))
+        assert code == 0
+        lines = csv.read_text().strip().splitlines()
+        assert lines[0] == "W,density,cumulative"
+        rows = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
+        assert len(rows) >= 100
+        assert np.all(np.diff(rows[:, 0]) > 0)
+        assert np.all(np.diff(rows[:, 2]) > 0)
+        assert np.all(rows[:, 1] > 0)
+        obs = load_observation(path)
+        law = infer_profile(obs, summarize(obs)).w_dist
+        np.testing.assert_allclose(law.cdf(rows[:, 0]), rows[:, 2], rtol=0.0, atol=1e-12)
+
+
 class TestVerifyCommand:
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_seeded_rows_follow_the_seed(self, monkeypatch, seed):
+        # the four seeded rows run at --seed plus the seeds they were
+        # written with, so --seed 0 keeps their draws
+        from missmass import verify
+
+        seen = {}
+
+        def recorder(name, result):
+            def record(*args):
+                seen[name] = args
+                return result
+            return record
+
+        seeded = ("check_generative_equivalence", "check_expectations")
+        for name in dir(verify):
+            if name.startswith("check_") and name not in seeded:
+                monkeypatch.setattr(verify, name, lambda *args: True)
+        monkeypatch.setattr(verify, "generative_order_p_value", recorder("generative", 1.0))
+        monkeypatch.setattr(verify, "expectation_misses", recorder("expectations", []))
+        monkeypatch.setattr(verify, "check_coverage_oracle", recorder("coverage", True))
+        monkeypatch.setattr(verify, "check_toy_physics", recorder("toy", True))
+        results = verify.run_verification(seed=seed)
+        assert all(passed for _, passed, _ in results)
+        assert seen["generative"][0] == 137 + seed
+        assert seen["expectations"][0] == 23 + seed
+        # the coverage draws are seeded 1 + seed, 2 + seed, ...
+        assert seen["coverage"][0] == 1 + seed
+        assert seen["toy"][0] == 1000 + seed
+
     def test_repeat_call_prints_identical_output(self, capsys):
         # no timing and no state carried over from the first call may reach
         # the table

@@ -1,11 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import integrate, special, stats
 
 from missmass.distributions import (BetaDist, BetaPrimeDist, GammaDist,
-                                    GriddedDist, PointMass, ShiftedDist)
+                                    LogScaleDist, PointMass, ShiftedDist)
 
 
 def test_point_mass():
@@ -50,36 +51,76 @@ def test_beta_prime_pdf_normalizes():
     assert total == pytest.approx(1.0, abs=1e-4)
 
 
-class TestGridded:
-    def test_normalization_invariant(self):
-        grid = np.linspace(0.1, 5.0, 301)
-        dens = np.exp(-grid)
-        dist = GriddedDist.from_log_density(grid, np.log(dens))
-        assert np.trapezoid(dist.density, dist.w_grid) == pytest.approx(1.0, abs=1e-12)
-        # raw scale is recoverable from log_norm
-        raw = np.trapezoid(dens, grid)
-        assert dist.log_norm == pytest.approx(math.log(raw), rel=1e-12)
+class TestLogScaleDist:
+    """u = c + w t / sqrt(r), t Student's t with r degrees of freedom: the
+    density of u is (1 + ((u - c) / w)^2)^-((r + 1) / 2), which is
+    w cosh(v)^-r in v = asinh((u - c) / w), with the power-law lower tail
+    (c - u)^-(r + 1) that the law carries past its first panel."""
 
-    def test_rejects_unnormalized(self):
-        grid = np.linspace(0.0, 1.0, 11)
-        with pytest.raises(ValueError):
-            GriddedDist(w_grid=grid, density=np.full(11, 3.0))
+    c, w, r, scale = -1.5, 0.7, 3.0, 2.0
 
-    def test_quantiles_monotone_and_consistent(self):
-        grid = np.exp(np.linspace(-6, 6, 801))
-        # lognormal density in w
-        dens = np.exp(-0.5 * np.log(grid) ** 2) / (grid * math.sqrt(2 * math.pi))
-        dist = GriddedDist.from_log_density(grid, np.log(dens))
-        qs = [dist.quantile(q) for q in (0.05, 0.25, 0.5, 0.75, 0.95)]
-        assert all(a < b for a, b in zip(qs, qs[1:]))
-        assert qs[2] == pytest.approx(1.0, rel=1e-3)
-        assert dist.mean == pytest.approx(math.exp(0.5), rel=1e-3)
+    def law(self, v_lo=-16.0, v_hi=16.0, panels=10):
+        edges = np.concatenate([np.linspace(v_lo, 0.0, panels + 1),
+                                np.linspace(0.0, v_hi, panels + 1)[1:]])
+        u = LogScaleDist.nodes(self.c, self.w, edges, 16)
+        log_density = -0.5 * (self.r + 1) * np.log1p(((u - self.c) / self.w) ** 2)
+        return LogScaleDist(self.c, self.w, edges, log_density, tail_rate=self.r,
+                            scale=self.scale)
 
-    def test_median_finite(self):
-        grid = np.linspace(1.0, 2.0, 101)
-        dist = GriddedDist(w_grid=grid, density=np.full(101, 1.0))
-        assert math.isfinite(dist.quantile(0.5))
-        assert dist.quantile(0.5) == pytest.approx(1.5, rel=1e-12)
+    def u_exact(self, q):
+        return self.c + self.w * stats.t.ppf(q, self.r) / math.sqrt(self.r)
+
+    def test_quantiles_and_cdf_are_the_t_law(self):
+        law = self.law()
+        q = np.array([1e-6, 0.01, 0.05, 0.5, 0.95, 0.99, 1 - 1e-6])
+        np.testing.assert_allclose(law.u_quantile(q), self.u_exact(q), rtol=1e-9)
+        np.testing.assert_allclose(law.quantile(q), self.scale * np.exp(self.u_exact(q)),
+                                   rtol=1e-8)
+        np.testing.assert_allclose(law.cdf(law.quantile(q)), q, rtol=1e-12, atol=1e-15)
+        assert law.quantile(0.5) == pytest.approx(self.scale * math.exp(self.c), rel=1e-12)
+
+    def test_analytic_lower_tail(self):
+        # panels from v = -6 leave a tail of ~1e-8, carried as e^(r v) in v,
+        # which is the t tail up to a relative e^(2 v) ~ 1e-5
+        law = self.law(v_lo=-6.0)
+        assert law.tail_mass == pytest.approx(
+            stats.t.cdf(-math.sinh(6.0) * math.sqrt(self.r), self.r), rel=1e-4)
+        q = np.array([1e-12, 1e-10, 0.5 * law.tail_mass])
+        np.testing.assert_allclose(law.u_quantile(q), self.u_exact(q), rtol=1e-4)
+        assert law.cdf(law.quantile(q[-1])) == pytest.approx(q[-1], rel=1e-12)
+        # the deeper ones lie below the float range of W
+        assert np.all(law.quantile(q[:2]) == 0.0)
+        assert law.u_quantile(1.0001 * law.tail_mass) > law.u_quantile(law.tail_mass)
+
+    def test_views_of_one_law(self):
+        law = self.law()
+        ratio = replace(law, w_over_z=True)
+        q = np.array([0.05, 0.5, 0.95])
+        w_q = law.quantile(q)
+        np.testing.assert_allclose(ratio.quantile(q), w_q / (self.scale + w_q), rtol=1e-13)
+        np.testing.assert_allclose(ratio.cdf(ratio.quantile(q)), q, rtol=1e-12)
+
+        def expect(g):
+            # E g(u) under the t law, by quadrature in t
+            f = lambda t: g(self.c + self.w * t / math.sqrt(self.r)) * stats.t.pdf(t, self.r)
+            return integrate.quad(f, -np.inf, np.inf, epsabs=0, epsrel=1e-12, limit=200)[0]
+
+        assert ratio.mean == pytest.approx(expect(special.expit), rel=1e-9)
+        # E e^u is infinite under the t law, finite with no mass above v = 2
+        t_hi = math.sinh(2.0) * math.sqrt(self.r)
+        truncated = self.law(v_hi=2.0)
+        mean = integrate.quad(
+            lambda t: math.exp(self.c + self.w * t / math.sqrt(self.r)) * stats.t.pdf(t, self.r),
+            -np.inf, t_hi, epsabs=0, epsrel=1e-12, limit=200)[0] / stats.t.cdf(t_hi, self.r)
+        assert truncated.mean == pytest.approx(self.scale * mean, rel=1e-9)
+
+    def test_density_is_the_cdf_slope(self):
+        law = self.law()
+        for view in (law, replace(law, w_over_z=True)):
+            lo, hi = view.quantile(0.05), view.quantile(0.95)
+            mass = integrate.quad(lambda x: math.exp(view.log_pdf(x)), lo, hi,
+                                  epsabs=0, epsrel=1e-12, limit=200)[0]
+            assert mass == pytest.approx(0.9, rel=1e-10)
 
 
 def test_shifted_quantiles_exact():

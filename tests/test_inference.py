@@ -6,17 +6,17 @@ import pytest
 from scipy import stats as spstats
 
 from scipy import integrate
-from scipy.special import betainc, gammaln
+from scipy.special import betainc, betaln, expit, gammaln
 
 from conftest import fixture_path, proportional_observation, random_observation
 from missmass import inference
 from missmass.data import Observation, load_observation, summarize
-from missmass.distributions import BetaDist, BetaPrimeDist, PointMass
+from missmass.distributions import BetaDist, BetaPrimeDist, LogScaleDist, PointMass
 from missmass.inference import (ALPHA_T_BOUNDS, alpha_slope_maxima,
                                 infer_bayes, infer_mixed, infer_profile,
                                 mle_alpha)
 from missmass.likelihoods import (ModelParams, d2log_dalpha2, dlog_dalpha,
-                                  log_L4, log_L5, log_L8, log_L9)
+                                  log_L4, log_L5, log_L9)
 from missmass.moments import moment_match
 from missmass.simulate import simulate_model
 
@@ -403,107 +403,172 @@ class TestProfile:
         assert changes == 1
 
     def test_mode_agreement_with_bayes(self):
-        # compare density-per-unit-log-W modes on the profile's W grid; the
+        # compare density-per-unit-log-W modes: the profile law's is its
+        # centre, the Bayes mixture's the maximum on a dense log-W grid; the
         # W-space density is singular at the origin whenever small alpha
         # carries weight
         _, obs, st = model_observation(3, d=40, alpha=8.0, lam=30.0)
         rb = infer_bayes(obs, st)
         rp = infer_profile(obs, st)
-        grid = rp.w_dist.w_grid
-        profile_mode = grid[np.argmax(rp.w_dist.density * grid)]
+        profile_mode = st.V * math.exp(rp.w_dist.center)
+        grid = np.exp(np.linspace(*np.log(rp.w_dist.quantile(np.array([1e-3, 1 - 1e-3]))),
+                                  20_001))
         bayes_mode = grid[np.argmax(rb.w_dist.log_pdf(grid) + np.log(grid))]
         assert profile_mode == pytest.approx(bayes_mode, rel=0.1)
 
     def test_envelope_reaches_grid_maximum(self):
-        # the polished sup over alpha of log L8 at every W of the profile
-        # grid is no lower than the maximum over a dense log-alpha grid
+        # the polished sup over alpha of the per-u log density at every node
+        # of the profile law is no lower than the maximum over a dense
+        # log-alpha grid, log L9 - log B(a, b) + a u - (a + b) softplus(u)
         _, obs, st = model_observation(2)
-        rep = infer_profile(obs, st)
-        w_grid = rep.w_dist.w_grid
-        polished = np.log(rep.w_dist.density) + rep.w_dist.log_norm
+        law = infer_profile(obs, st).w_dist
+        u = LogScaleDist.nodes(law.center, law.width, law.edges, law.log_density.shape[-1])
+        polished, u = law.log_density.ravel(), u.ravel()
         alphas = np.exp(np.linspace(*ALPHA_T_BOUNDS, 40_001))[:, None]
-        for k in range(0, len(w_grid), 25):
-            block = w_grid[k:k + 25][None, :]
-            dense = np.max(log_L8(st, block, alphas), axis=0)
+        a, b = alphas * st.Y, alphas * st.X + st.N
+        column = log_L9(st, alphas) - betaln(a, b)
+        for k in range(0, len(u), 25):
+            block = u[None, k:k + 25]
+            dense = np.max(column + a * block - (a + b) * np.logaddexp(0.0, block), axis=0)
             assert np.all(polished[k:k + 25] >= dense - 1e-9)
 
     def test_normalized_by_own_quadrature(self):
+        # the law's mass: its panels' Gauss-Legendre sums of the density at
+        # the nodes plus the analytic tail, e^(M v) in v through the first
+        # node; its CDF at every panel edge is that running sum
         _, obs, st = model_observation(2)
-        rep = infer_profile(obs, st)
-        assert np.trapezoid(rep.w_dist.density, rep.w_dist.w_grid) == pytest.approx(
-            1.0, abs=1e-9)
+        law = infer_profile(obs, st).w_dist
+        x, w = np.polynomial.legendre.leggauss(law.log_density.shape[-1])
+        half = 0.5 * np.diff(law.edges)[:, None]
+        v = 0.5 * (law.edges[1:] + law.edges[:-1])[:, None] + half * x
+        # density in v: the density of u times du/dv = width cosh v
+        dens_v = np.exp(law.log_density - np.max(law.log_density)) * law.width * np.cosh(v)
+        panels = np.sum(half * w * dens_v, axis=1)
+        tail = dens_v[0, 0] * math.exp(st.M * (law.edges[0] - v[0, 0])) / st.M
+        total = tail + np.sum(panels)
+        assert law.tail_mass == pytest.approx(tail / total, rel=1e-12)
+        w_edges = st.V * np.exp(law.center + law.width * np.sinh(law.edges))
+        cumulative = (tail + np.concatenate([[0.0], np.cumsum(panels)])) / total
+        # the edges where W is a positive float
+        representable = w_edges > 0.0
+        assert np.sum(representable) >= len(panels) // 2
+        np.testing.assert_allclose(law.cdf(w_edges[representable]), cumulative[representable],
+                                   rtol=0.0, atol=1e-12)
 
     @pytest.mark.parametrize("name", ["regular_small.json", "regular_large.json"])
     def test_w_over_z_is_the_transformed_w_law(self, name):
-        # s = W / (V + W) with density f_W (V + W)^2 / V, normalized by the
-        # trapezoid rule on the s grid
+        # W/Z = W / (V + W), quantile by quantile, and the mean of the
+        # same law of u
         obs = load_observation(fixture_path(name))
         st = summarize(obs)
         rep = infer_profile(obs, st)
-        w, v = rep.w_dist.w_grid, st.V
-        dens = rep.w_dist.density * (v + w) ** 2 / v
-        s = w / (v + w)
-        np.testing.assert_allclose(rep.w_over_z_dist.w_grid, s, rtol=1e-12)
-        np.testing.assert_allclose(rep.w_over_z_dist.density,
-                                   dens / np.trapezoid(dens, s), rtol=1e-12)
+        q = np.array([1e-4, 0.05, 0.25, 0.5, 0.75, 0.95, 1 - 1e-4])
+        w_q = rep.w_dist.quantile(q)
+        np.testing.assert_allclose(rep.w_over_z_dist.quantile(q), w_q / (st.V + w_q),
+                                   rtol=1e-12)
+        np.testing.assert_allclose(rep.z_dist.quantile(0.5), st.V + w_q[3], rtol=1e-15)
+        assert 0.0 < rep.w_over_z_dist.mean < 1.0
 
     def test_w_over_z_across_the_float_range(self):
-        # masses 1e-200 .. 1e200: (V + W)^2 and the W/Z density at
-        # subnormal W/Z both overflow unless kept in log space or off the grid
+        # masses 1e-200 .. 1e200: the W/Z q05 is about e^-1208, 0 in
+        # float64, and the law of u holds it exactly
         obs = spread_observation()
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             rep = infer_profile(obs, summarize(obs))
             wz = rep.w_over_z_dist
             values = [wz.mean] + [wz.quantile(q) for q in (0.05, 0.5, 0.95)]
+            u_05 = wz.u_quantile(0.05)
         assert np.all(np.isfinite(values))
-        assert 0.0 < values[1] < values[2] < values[3] < 1.0
+        assert u_05 == pytest.approx(-1208.0, abs=2.0)
+        assert values[1] == expit(u_05)
+        assert values[1] <= values[2] < values[3] < 1.0
         assert math.isfinite(rep.w_dist.mean)
 
+    def test_tiny_unsampled_base_measure(self):
+        # Y = 1e-11 spreads the law of u over ~1e5 nats; its panels reach u
+        # where e^u overflows, yet the W mean, taken in log space, is finite
+        x = np.array([0.6, 0.4 - 1e-11, 1e-11])
+        obs = Observation(domain_size=3, x=x, indices=np.array([0, 1]),
+                          p_obs=np.array([2.0, 7.0]), counts=np.array([3, 2]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rep = infer_profile(obs, summarize(obs))
+            means = [rep.w_dist.mean, rep.w_over_z_dist.mean]
+        assert rep.w_dist.center + rep.w_dist.width * math.sinh(rep.w_dist.edges[-1]) > 710.0
+        assert all(math.isfinite(m) and m > 0.0 for m in means)
 
-    @pytest.mark.parametrize("case", ["regular_large", "spread"])
-    def test_span_drops_are_the_envelope_at_the_grid_ends(self, case):
-        # per-log-W envelope, maximized on a dense log-alpha grid, at the
-        # mixed median and at both ends of the profile's W grid
-        obs = spread_observation() if case == "spread" else load_observation(
-            fixture_path(case + ".json"))
+
+def profile_gate_samples():
+    """The samples of the profile law's exactness gates: three fixtures, a
+    Gamma-Poisson draw with M = 193 over 20 000 equal points, and masses
+    spanning 1e-200 .. 1e200."""
+    samples = {name: load_observation(fixture_path(name + ".json"))
+               for name in ("gt_example", "regular_small", "regular_large")}
+    x = np.full(20_000, 1.0 / 20_000)
+    samples["gamma_poisson"] = simulate_model(x, ModelParams(2000.0, 1.0, 0.1), "p-c",
+                                              rng_seed=2).observe()
+    samples["spread"] = spread_observation()
+    return samples
+
+
+PROFILE_GATE = profile_gate_samples()
+LEVELS = np.array([0.05, 0.25, 0.5, 0.75, 0.95])
+
+
+@pytest.mark.parametrize("name", list(PROFILE_GATE))
+class TestProfileExactness:
+    def report(self, name):
+        obs = PROFILE_GATE[name]
         st = summarize(obs)
-        rep = infer_profile(obs, st)
-        grid = rep.w_dist.w_grid
-        w = np.array([infer_mixed(obs, st, base="L9").w_dist.quantile(0.5),
-                      grid[0], grid[-1]])
-        alphas = np.exp(np.linspace(*ALPHA_T_BOUNDS, 40_001))[:, None]
-        per_log_w = np.max(log_L8(st, w[None, :], alphas), axis=0) + np.log(w)
-        diag = rep.diagnostics
-        drops = per_log_w[0] - per_log_w[1:]
-        assert diag["span_drop_lo_nats"] == pytest.approx(drops[0], abs=1e-3)
-        assert diag["span_drop_hi_nats"] == pytest.approx(drops[1], abs=1e-3)
-        assert diag["span_drop_hi_nats"] >= 30.0
-        short = min(diag["span_drop_lo_nats"], diag["span_drop_hi_nats"]) < 30.0
-        assert diag["status"] == ("short_span" if short else "ok")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            return st, infer_profile(obs, st)
 
-    def test_span_cut_by_the_float_floor_is_short(self):
-        # the lower end stops at V * 1e-300 = 1e-100, where the envelope is
-        # still within 2 nats of its value at the mixed median
-        rep = infer_profile(spread_observation(), summarize(spread_observation()))
-        assert rep.w_dist.w_grid[0] == pytest.approx(1e-100)
-        assert rep.diagnostics["span_drop_lo_nats"] == pytest.approx(1.9, abs=0.1)
-        assert rep.diagnostics["status"] == "short_span"
+    def test_quantiles_against_quadrature_of_the_envelope(self, name):
+        # the law's CDF at its reported quantiles, against scipy's quad of
+        # the envelope between them (the package imports no scipy.integrate)
+        st, rep = self.report(name)
+        law = rep.w_dist
+        column = inference._profile_column(st)
+        top = float(np.max(law.log_density))
+
+        def density(u):
+            return math.exp(inference._profile_envelope(st, column, np.array([u]))[1][0] - top)
+
+        cuts = [-np.inf, *law.u_quantile(LEVELS), np.inf]
+        pieces = [integrate.quad(density, a, b, epsabs=0.0, epsrel=1e-11, limit=400)[0]
+                  for a, b in zip(cuts[:-1], cuts[1:])]
+        cdf = np.cumsum(pieces)[:-1] / np.sum(pieces)
+        assert np.max(np.abs(cdf - LEVELS)) < 1e-6
+
+    def test_doubling_the_panels(self, name, monkeypatch):
+        st, rep = self.report(name)
+        lower, upper = inference._PROFILE_PANELS
+        monkeypatch.setattr(inference, "_PROFILE_PANELS", (2 * lower, 2 * upper))
+        _, fine = self.report(name)
+        np.testing.assert_allclose(fine.w_dist.u_quantile(LEVELS),
+                                   rep.w_dist.u_quantile(LEVELS), rtol=0.0, atol=1e-8)
+        for law, fine_law in ((rep.w_dist, fine.w_dist),
+                              (rep.w_over_z_dist, fine.w_over_z_dist)):
+            assert fine_law.mean == pytest.approx(law.mean, rel=1e-8)
+            np.testing.assert_allclose(fine_law.quantile(LEVELS), law.quantile(LEVELS),
+                                       rtol=1e-8)
 
 
 class TestEquivariance:
     @pytest.mark.parametrize("method", ["mixed", "bayes", "profile"])
     def test_mass_rescaling_scales_quantiles(self, method):
+        # p -> k p scales every W quantile by k, k spanning the float range
         _, obs, st = model_observation(1, d=20, alpha=4.0, lam=8.0)
-        s = 3.0
-        scaled_obs = Observation(domain_size=obs.domain_size, x=obs.x,
-                                 indices=obs.indices, p_obs=s * obs.p_obs,
-                                 counts=obs.counts)
-        scaled_st = summarize(scaled_obs)
         fn = {"mixed": infer_mixed, "bayes": infer_bayes,
               "profile": infer_profile}[method]
         rep = fn(obs, st)
-        rep_s = fn(scaled_obs, scaled_st)
-        for q in (0.1, 0.5, 0.9):
-            assert rep_s.w_dist.quantile(q) == pytest.approx(
-                s * rep.w_dist.quantile(q), rel=5e-3)
+        for k in (3.0, 1e-100, 1e100):
+            scaled_obs = Observation(domain_size=obs.domain_size, x=obs.x,
+                                     indices=obs.indices, p_obs=k * obs.p_obs,
+                                     counts=obs.counts)
+            rep_s = fn(scaled_obs, summarize(scaled_obs))
+            for q in (0.1, 0.5, 0.9):
+                assert rep_s.w_dist.quantile(q) == pytest.approx(
+                    k * rep.w_dist.quantile(q), rel=1e-10)
