@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__
 from .data import Observation, load_observation, summarize
-from .distributions import PointMass
+from .distributions import PointMass, cdf_table
 from .estimators import (good_toulmin_rb, good_turing_classic, good_turing_rb,
                          harmonic_mean, ipw_fixed_n, ipw_poisson,
                          rb_exact, rb_poisson_lambda, rb_poisson_weights,
@@ -170,19 +170,29 @@ def _cmd_estimate(args) -> int:
 # infer
 
 
-def _grid_for_csv(dist) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rows of the posterior CSV: the point mass, or a continuous law (a
-    Beta-prime atom, the Bayes mixture or the profile law) at 201 quantile
-    levels."""
+# the posterior CSV holds rows of the law's CDF table between these
+# levels, with CDF steps of at most _CSV_STEP
+_CSV_LEVELS = (1e-4, 1.0 - 1e-4)
+_CSV_STEP = 1.0 / 200.0
+
+
+def _csv_rows(dist) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows (W, density, cumulative) of the posterior CSV: the point mass,
+    or a continuous law of W (a Beta-prime atom, the Bayes mixture or the
+    profile law) at W = scale e^u for the rows u of its CDF table
+    (cdf_table), each cumulative the law's CDF at that W.  Rows whose W
+    underflows to 0 or repeats the W of the row before are dropped."""
     if isinstance(dist, PointMass):
-        w = np.array([dist.value])
-        return w, np.array([math.inf]), np.array([1.0])
-    qs = np.linspace(1e-4, 1.0 - 1e-4, 201)
-    grid = dist.quantile(qs)
-    # levels whose quantile underflows to the same W keep their first row
-    keep = np.concatenate([[True], np.diff(grid) > 0])
-    grid, qs = grid[keep], qs[keep]
-    return grid, np.exp(dist.log_pdf(np.maximum(grid, 1e-300))), qs
+        return np.array([dist.value]), np.array([math.inf]), np.array([1.0])
+    u, cdf, density = cdf_table(dist, _CSV_STEP, _CSV_LEVELS)
+    w = dist.scale * np.exp(u)
+    keep = np.diff(w, prepend=0.0) > 0.0
+    u, w, cdf, density = u[keep], w[keep], cdf[keep], density[keep]
+    # the law's CDF at W reads u back as log(W / scale): the table's value
+    # wherever that is the row's u, one more CDF pass on the other rows
+    off = np.log(w / dist.scale) != u
+    cdf[off] = dist.cdf(w[off])
+    return w, density / w, cdf
 
 
 def _cmd_infer(args) -> int:
@@ -212,7 +222,9 @@ def _cmd_infer(args) -> int:
         raise ValueError(f"unknown method {args.method!r}")
 
     w = report.w_dist
-    quantiles = {str(q): w.quantile(q / 100.0) for q in (5, 25, 50, 75, 95)}
+    percents = (5, 25, 50, 75, 95)
+    quantiles = dict(zip(map(str, percents),
+                         w.quantile(np.array(percents) / 100.0).tolist()))
     out = {"method": report.method, "alpha": report.alpha_summary,
            "mean_W": w.mean, "mean_W_over_Z": report.w_over_z_dist.mean,
            "quantiles": quantiles, "singular_case": report.singular_case}
@@ -222,7 +234,7 @@ def _cmd_infer(args) -> int:
     _emit(out, args.out_json)
 
     if args.out_csv:
-        grid, dens, cum = _grid_for_csv(w)
+        grid, dens, cum = _csv_rows(w)
         with open(args.out_csv, "w") as fh:
             fh.write("W,density,cumulative\n")
             for gw, gd, gc in zip(grid, dens, cum):

@@ -4,9 +4,12 @@ Closed forms (point mass, Gamma, Beta, Beta-prime), weighted mixtures of
 Beta or Beta-prime atoms (the Bayes posterior is one), and a continuous
 law of u = log(W / scale) given by its density on Gauss-Legendre panels
 (the profile curve), seen as the law of W or of W/Z.  Every law exposes
-``mean`` and ``quantile(q)``; Beta, Beta-prime and panel laws also take an
-array of levels and expose ``log_pdf``, and Beta-prime and panel laws
-expose ``cdf``.
+``mean`` and ``quantile(q)`` for a level or an array of levels; Gamma,
+Beta, Beta-prime and panel laws expose ``log_pdf``, and Beta-prime and
+panel laws ``cdf``.  ``cdf_table`` tabulates the exact CDF of a Beta,
+Beta-prime or panel law in u: a mixture solves its quantiles between the
+rows of its own table and checks its mass on them (``mass_check``), and
+the CLI writes its posterior CSV from one.
 """
 
 from __future__ import annotations
@@ -16,15 +19,36 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betainc, betaincinv, expit, gammaincinv, log_expit
+from scipy.special import betainc, betaincinv, expit, gammaincinv
 
 from .solvers import newton_bracketed
-from .special import log_beta, log_gamma
+from .special import digamma, log_beta, log_gamma, trigamma
 
 # mixture quantiles are solved in u = logit(s) to this width, a relative
 # 1e-12 in W / scale; expit(-+_U_END) is exactly 0 and 1 in float64
 _U_TOL = 1e-12
 _U_END = 750.0
+# a mixture's CDF table starts from _START_ROWS rows over +-_START_SD
+# standard deviations of u and bisects down to CDF steps of _TABLE_STEP;
+# any table also bisects an interval whose trapezoid of end densities
+# misses its CDF step by more than _TABLE_FIT of the step bound, so that
+# Gauss-Legendre panels on its intervals resolve the density
+_START_ROWS = 9
+_START_SD = 8.0
+_TABLE_STEP = 1.0 / 8.0
+_TABLE_FIT = 1.0 / 16.0
+# _stirling_remainder's switch from log_gamma to the asymptotic series
+_STIRLING_SWITCH = 20.0
+# mass_check integrates the density on the CDF table's intervals between
+# the rows at _MASS_TAIL and 1 - _MASS_TAIL, from no lower than
+# _MASS_FLOOR: below it s = W / Z nears the float underflow, and the mass
+# that small-alpha atoms put at s^(alpha Y) there is read from the CDF;
+# _MASS_NODES Gauss-Legendre nodes per interval, _MASS_CHUNK intervals per
+# density pass, which keeps its nodes-by-atoms arrays small
+_MASS_TAIL = 1e-3
+_MASS_FLOOR = -700.0
+_MASS_NODES = 32
+_MASS_CHUNK = 4
 
 
 @dataclass(frozen=True)
@@ -35,10 +59,9 @@ class PointMass:
     def mean(self) -> float:
         return self.value
 
-    def quantile(self, q: float) -> float:
-        if not 0.0 < q < 1.0:
-            raise ValueError("quantile level must be in (0, 1)")
-        return self.value
+    def quantile(self, q):
+        q = _levels(q)
+        return _like_levels(np.full(np.shape(q), self.value), q)
 
 
 @dataclass(frozen=True)
@@ -56,10 +79,9 @@ class GammaDist:
     def mean(self) -> float:
         return self.shape / self.rate
 
-    def quantile(self, q: float) -> float:
-        if not 0.0 < q < 1.0:
-            raise ValueError("quantile level must be in (0, 1)")
-        return float(gammaincinv(self.shape, q)) / self.rate
+    def quantile(self, q):
+        q = _levels(q)
+        return _like_levels(gammaincinv(self.shape, q) / self.rate, q)
 
     def log_pdf(self, w):
         w = np.asarray(w, dtype=float)
@@ -73,11 +95,15 @@ class _BetaAtoms:
     With ``weights`` None, ``a`` and ``b`` are numbers: one atom, with
     closed-form quantiles.  With ``weights``, ``a``, ``b`` and ``weights``
     are equal-length vectors and the weights are normalized to sum to 1.
-    Mixture quantiles are solved in u = logit(s), which is log(W / scale)
-    in the Beta-prime view.
+    Both are laws of u = logit(s), which is log(W / scale) in the
+    Beta-prime view: a mixture's quantiles are solved in u between the
+    rows of its CDF table (``table``), built once per law.
     """
 
     def _check_atoms(self, what: str) -> None:
+        # the density terms and the CDF table, built at first use; a view
+        # on the same atoms (BetaPrimeDist.ratio_law) shares them
+        object.__setattr__(self, "_cache", {})
         if self.weights is None:
             if self.a <= 0 or self.b <= 0:
                 raise ValueError(f"{what} parameters must be positive")
@@ -111,42 +137,144 @@ class _BetaAtoms:
         with np.errstate(divide="ignore"):
             return np.logaddexp.reduce(log_atoms + np.log(self.weights), axis=-1)
 
+    def _sum_atoms(self, per_atom):
+        """sum_j w_j per_atom_j over the last axis; a row's sum does not
+        depend on the other rows, so a level solves alike alone or in an
+        array."""
+        return per_atom if self.weights is None else np.sum(per_atom * self.weights, axis=-1)
+
     def _cdf_s(self, s):
         """sum_j w_j I_s(a_j, b_j), vectorized over s."""
-        if self.weights is None:
-            return betainc(self.a, self.b, s)
-        s = np.asarray(s, dtype=float)
-        return (self.weights @ betainc(self.a[:, None], self.b[:, None],
-                                       s.reshape(1, -1))).reshape(s.shape)
+        return self._sum_atoms(betainc(self.a, self.b, self._at_atoms(s)))
 
-    def _logit_quantile(self, q) -> np.ndarray:
-        """u = logit(s) at which the mixture CDF reaches each level of q.
+    def _u_density(self, u):
+        """dF/du = sum_j w_j s^a_j (1 - s)^b_j / B(a_j, b_j), s = expit(u).
 
-        The mixture quantile lies between the smallest and the largest atom
-        quantile; where those bracket ends fail (an atom quantile that
-        underflows, or betaincinv rounding) they fall back to +-_U_END,
-        where the CDF is exactly 0 and 1.  Bracketed Newton steps on dF/du
-        then end for every level in (0, 1); a level whose quantile lies
-        below the smallest positive s ends at the underflow threshold.
+        Each term is exp(c - b d - (a + b) log(1 + q (e^-d - 1))) in
+        d = u - log(a / b), q = b / (a + b), with c its log at d = 0 from
+        Stirling remainders: the terms of size a log s that cancel in the
+        plain form never appear.
         """
-        q = np.atleast_1d(np.asarray(q, dtype=float))
-        a, b = self.a[:, None], self.b[:, None]
-        with np.errstate(divide="ignore"):
-            s_atoms = betaincinv(a, b, q)
-            u_atoms = np.log(s_atoms) - np.log1p(-s_atoms)
-        lo = np.clip(np.min(u_atoms, axis=0), -_U_END, _U_END)
-        hi = np.clip(np.max(u_atoms, axis=0), -_U_END, _U_END)
-        lo = np.where(self._cdf_s(expit(lo)) <= q, lo, -_U_END)
-        hi = np.where(self._cdf_s(expit(hi)) >= q, hi, _U_END)
+        if "density" not in self._cache:
+            self._cache["density"] = _beta_density_terms(self.a, self.b)
+        mode, q, c = self._cache["density"]
+        # in place on the nodes-by-atoms arrays, which the mass check makes
+        # large: log1p(q expm1(-d)) with e^-d kept finite (past -d = 700 the
+        # rest is -d - 700 to rounding), then the exponent
+        minus_d = np.atleast_1d(mode - self._at_atoms(u))
+        log_term = np.minimum(minus_d, 700.0)
+        np.log1p(q * np.expm1(log_term, out=log_term), out=log_term)
+        log_term += np.maximum(minus_d - 700.0, 0.0)
+        log_term *= self.a + self.b
+        minus_d *= self.b
+        minus_d += c
+        minus_d -= log_term
+        return self._sum_atoms(np.exp(minus_d, out=minus_d))
 
-        def excess_and_slope(u):
-            # dF/du = sum_j w_j s^a_j (1 - s)^b_j / B(a_j, b_j)
-            slope = self.weights @ np.exp(a * log_expit(u) + b * log_expit(-u)
-                                          - self._log_b[:, None])
-            return self._cdf_s(expit(u)) - q, slope
+    def _u_cdf(self, u):
+        """The CDF of u = logit(s) and its density, at each u."""
+        return self._cdf_s(expit(u)), self._u_density(u)
 
-        return newton_bracketed(excess_and_slope, 0.5 * (lo + hi), lo, hi,
-                                increasing=True, tol=_U_TOL)
+
+    def _start_rows(self) -> np.ndarray:
+        """u rows a table starts from: _START_ROWS rows over +-_START_SD
+        standard deviations about the mean of u (per atom psi(a) - psi(b)
+        with variance psi'(a) + psi'(b)), and +-_U_END."""
+        weights = 1.0 if self.weights is None else self.weights
+        means = digamma(self.a) - digamma(self.b)
+        mean = np.sum(weights * means)
+        sd = min(math.sqrt(np.sum(weights * (trigamma(self.a) + trigamma(self.b)
+                                             + (means - mean) ** 2))), _U_END)
+        rows = np.clip(mean + sd * np.linspace(-_START_SD, _START_SD, _START_ROWS),
+                       -_U_END, _U_END)
+        return np.unique(np.concatenate([[-_U_END], rows, [_U_END]]))
+
+    def table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The law's CDF table, cdf_table(self, _TABLE_STEP), built once."""
+        if "table" not in self._cache:
+            self._cache["table"] = cdf_table(self, _TABLE_STEP)
+        return self._cache["table"]
+
+    def u_quantile(self, q):
+        """u = logit(s) at each level of q.
+
+        One atom: from betaincinv.  A mixture: each level lies between two
+        rows of ``table``; bracketed Newton steps on the exact mixture CDF
+        start from the step off the row nearer in level (by that row's
+        density) and end within _U_TOL.  A level whose quantile lies below
+        the smallest positive s ends at the underflow threshold.
+        """
+        q = _levels(q)
+        if self.weights is None:
+            with np.errstate(divide="ignore"):
+                s = betaincinv(self.a, self.b, q)
+                return _like_levels(np.log(s) - np.log1p(-s), q)
+        levels = np.atleast_1d(q)
+        u, cdf, density = self.table()
+        k = np.clip(np.searchsorted(cdf, levels, side="right") - 1, 0, len(u) - 2)
+        lo, hi = u[k], u[k + 1]
+        near = np.where(levels - cdf[k] <= cdf[k + 1] - levels, k, k + 1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            start = u[near] + (levels - cdf[near]) / density[near]
+        start = np.where((start > lo) & (start < hi), start, 0.5 * (lo + hi))
+
+        def excess_and_slope(x):
+            cdf_x, density_x = self._u_cdf(x)
+            return cdf_x - levels, density_x
+
+        return _like_levels(newton_bracketed(excess_and_slope, start, lo, hi,
+                                             increasing=True, tol=_U_TOL), q)
+
+
+def _stirling_remainder(x):
+    """log Gamma(x) - (x - 1/2) log x + x - log(2 pi) / 2, x > 0: from
+    log_gamma below _STIRLING_SWITCH, by four terms of its asymptotic series
+    (error below 2e-15) above."""
+    small = np.minimum(x, _STIRLING_SWITCH)
+    big = np.maximum(x, _STIRLING_SWITCH)
+    inv2 = big ** -2.0
+    return np.where(x < _STIRLING_SWITCH,
+                    log_gamma(small) - (small - 0.5) * np.log(small) + small
+                    - 0.5 * math.log(2.0 * math.pi),
+                    (1.0 / 12.0 - inv2 * (1.0 / 360.0 - inv2 * (1.0 / 1260.0 - inv2 / 1680.0)))
+                    / big)
+
+
+def _beta_density_terms(a, b):
+    """(log(a / b), b / n, log of the u density of Beta(a, b) at d = 0),
+    n = a + b, for _BetaAtoms._u_density."""
+    n = a + b
+    log_peak = (0.5 * np.log(a * b / (2.0 * math.pi * n)) + _stirling_remainder(n)
+                - _stirling_remainder(a) - _stirling_remainder(b))
+    return np.log(a / b), b / n, log_peak
+
+
+def cdf_table(law, max_step: float, levels=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows (u, F(u), dF/du) of the law of u = log(W / scale) (logit(s) for
+    a Beta law), rising in u, with every CDF step at most ``max_step``.
+
+    The rows start at the law's start rows, or at its quantiles at the two
+    ``levels``; then every interval whose CDF step exceeds ``max_step``, or
+    whose trapezoid of end densities misses that step by more than
+    ``max_step`` * _TABLE_FIT, is bisected in u, with one CDF-and-density
+    pass per round over the new midpoints.  Each F is the law's exact CDF
+    at the row's u.
+    """
+    u = law._start_rows() if levels is None else np.atleast_1d(law.u_quantile(levels))
+    cdf, density = law._u_cdf(u)
+    while True:
+        step = np.diff(cdf)
+        trapezoid = 0.5 * (density[:-1] + density[1:]) * np.diff(u)
+        split = np.nonzero((step > max_step)
+                           | (np.abs(trapezoid - step) > max_step * _TABLE_FIT))[0]
+        mid = 0.5 * (u[split] + u[split + 1])
+        inside = (mid > u[split]) & (mid < u[split + 1])
+        split, mid = split[inside], mid[inside]
+        if not len(split):
+            return u, cdf, density
+        cdf_mid, density_mid = law._u_cdf(mid)
+        u, cdf, density = (np.insert(rows, split + 1, new) for rows, new in
+                           ((u, mid), (cdf, cdf_mid), (density, density_mid)))
 
 
 def _levels(q):
@@ -187,7 +315,7 @@ class BetaDist(_BetaAtoms):
         q = _levels(q)
         if self.weights is None:
             return _like_levels(betaincinv(self.a, self.b, q), q)
-        return _like_levels(expit(self._logit_quantile(q)), q)
+        return _like_levels(expit(self.u_quantile(q)), q)
 
     def log_pdf(self, s):
         s = self._at_atoms(s)
@@ -226,11 +354,43 @@ class BetaPrimeDist(_BetaAtoms):
         if self.weights is None:
             s = betaincinv(self.a, self.b, q)
             return _like_levels(self.scale * s / (1.0 - s), q)
-        return _like_levels(self.scale * np.exp(self._logit_quantile(q)), q)
+        return _like_levels(self.scale * np.exp(self.u_quantile(q)), q)
+
+    def ratio_law(self) -> BetaDist:
+        """The law of W / (scale + W): the Beta law on the same atoms,
+        sharing this law's CDF table (its u is the same)."""
+        # the atoms are checked and normalized already; a new BetaDist would
+        # normalize the weights again, which can move their last bits
+        law = object.__new__(BetaDist)
+        vars(law).update({key: val for key, val in vars(self).items() if key != "scale"})
+        return law
+
+    def mass_check(self) -> tuple[float, float]:
+        """Total mass of the law, found apart from its CDF formula, and the
+        worst |integral of the density - CDF step| over one table interval.
+
+        The density of u = log(W / scale) is integrated by _MASS_NODES
+        Gauss-Legendre nodes on each interval of the law's CDF table from
+        its last row at or below _MASS_TAIL (or its first at or above
+        u = _MASS_FLOOR, if higher) to its first at or above
+        1 - _MASS_TAIL; the two tails outside are the table's CDF there.
+        """
+        u, cdf, _ = self.table()
+        lo = max(int(np.searchsorted(cdf, _MASS_TAIL, side="right")) - 1,
+                 int(np.searchsorted(u, _MASS_FLOOR)))
+        hi = max(int(np.searchsorted(cdf, 1.0 - _MASS_TAIL)), lo + 1)
+        nodes, node_weights = _panel_rule(_MASS_NODES)[:2]
+        half = 0.5 * np.diff(u[lo:hi + 1])[:, None]
+        x = 0.5 * (u[lo:hi] + u[lo + 1:hi + 1])[:, None] + half * nodes
+        pieces = np.concatenate([(self._u_density(x[k:k + _MASS_CHUNK]) * half[k:k + _MASS_CHUNK])
+                                 @ node_weights for k in range(0, len(x), _MASS_CHUNK)])
+        worst = float(np.max(np.abs(pieces - np.diff(cdf[lo:hi + 1]))))
+        return float(cdf[lo] + np.sum(pieces) + (1.0 - cdf[hi])), worst
 
     def cdf(self, w):
-        w = np.asarray(w, dtype=float)
-        return self._cdf_s(w / (self.scale + w))
+        # through u = log(w / scale), as the rows of a CDF table
+        with np.errstate(divide="ignore"):
+            return self._cdf_s(expit(np.log(np.asarray(w, dtype=float) / self.scale)))
 
     def log_pdf(self, w):
         t = self._at_atoms(w) / self.scale
@@ -317,6 +477,12 @@ class LogScaleDist:
         return (np.where(below, tail, np.where(above, 1.0, cdf)),
                 np.where(below, self.tail_rate * tail, np.where(above, 0.0, density)))
 
+    def _u_cdf(self, u):
+        """The CDF of u and its density dF/du, at each u."""
+        v = np.arcsinh((np.asarray(u, dtype=float) - self.center) / self.width)
+        cdf, density = self._at(v)
+        return cdf, density / (self.width * np.cosh(v))
+
     def _v_of(self, x):
         with np.errstate(divide="ignore"):
             u = np.log(x) - np.log1p(-x) if self.w_over_z else np.log(x / self.scale)
@@ -381,6 +547,6 @@ class ShiftedDist:
     def mean(self) -> float:
         return self.base.mean + self.shift
 
-    def quantile(self, q: float) -> float:
+    def quantile(self, q):
         return self.base.quantile(q) + self.shift
 

@@ -73,7 +73,9 @@ _AT_LOWER_END = "maximum at alpha -> 0"
 # the mean's weight W times the density), the lower no lower than where
 # alpha falls under _TAIL_ALPHA (L9 ~ alpha^M: a power-law tail beyond);
 # edges on each side end * expm1(s k / P) / expm1(s), s = _PANEL_STRETCH;
-# alpha polishes stop at a step of _PROFILE_T_TOL, the error its square
+# alpha polishes stop at a step of _PROFILE_T_TOL, the error its square; a
+# panel whose two highest Chebyshev terms exceed _PANEL_TOL of the mass is
+# halved, for up to _PANEL_ROUNDS rounds
 _PROFILE_PROBES = np.arange(-32.0, 33.0, 2.0)
 _PROFILE_DROP = 40.0
 _TAIL_ALPHA = 1e-8
@@ -81,6 +83,8 @@ _PROFILE_PANELS = (8, 5)
 _PROFILE_NODES = 16
 _PANEL_STRETCH = 1.8
 _PROFILE_T_TOL = 1e-6
+_PANEL_TOL = 1e-10
+_PANEL_ROUNDS = 8
 
 # Bayes alpha nodes: keep the window where log L5 on the scan grid is
 # within _WINDOW_NATS of its maximum, cover it with BAYES_PANELS
@@ -92,10 +96,6 @@ _PANEL_NODES = 16
 _TAIL_SHARE = 1e-12
 _JITTER_STEP = 1e-10
 _JITTER_NATS = 1.0
-# mass_check integrates the W density between the quantiles at these levels
-# by panels of _MASS_NODES Gauss-Legendre nodes in log W
-_MASS_LEVELS = (1e-3, 0.01, 0.05, 0.15, 0.3, 0.5, 0.7, 0.85, 0.95, 0.99, 0.999)
-_MASS_NODES = 32
 
 
 @dataclass(frozen=True)
@@ -303,27 +303,6 @@ def _alpha_window_nodes(stats: SummaryStats, best: AlphaMaximum
     return np.exp(t), np.exp(log_terms - log_evidence), log_evidence
 
 
-def _mass_check(w_dist: BetaPrimeDist) -> float:
-    """Total mass of the W law, found apart from its CDF formula.
-
-    The density is integrated over log W by Gauss-Legendre panels between
-    the law's quantiles at _MASS_LEVELS (floored at W = V e^-700, below
-    which the density of a small-alpha spike is not representable); the
-    two tails outside those cut points are added from the CDF.
-    """
-    cuts = np.maximum(w_dist.quantile(np.array(_MASS_LEVELS)),
-                      w_dist.scale * math.exp(-700.0))
-    log_cuts = np.log(cuts)
-    nodes, node_weights = np.polynomial.legendre.leggauss(_MASS_NODES)
-    total = float(w_dist.cdf(cuts[0])) + float(1.0 - w_dist.cdf(cuts[-1]))
-    # one panel at a time keeps the nodes-by-atoms density array small
-    for lo, hi in zip(log_cuts[:-1], log_cuts[1:]):
-        half = 0.5 * (hi - lo)
-        x = 0.5 * (lo + hi) + half * nodes
-        total += half * float(np.exp(w_dist.log_pdf(np.exp(x)) + x) @ node_weights)
-    return float(total)
-
-
 def infer_bayes(obs: Observation, stats: SummaryStats) -> InferenceReport:
     """Fully Bayesian posterior for W under the (alpha b lambda)^-1 prior.
 
@@ -333,7 +312,12 @@ def infer_bayes(obs: Observation, stats: SummaryStats) -> InferenceReport:
     Beta(alpha Y, alpha X + N): the mixed method's law, averaged over
     alpha instead of taken at one alpha.  The alpha integral runs on a
     fixed Gauss-Legendre node set in log alpha (_alpha_window_nodes), so
-    CDF, mean and quantiles are exact for that node set.  The reported
+    CDF, mean and quantiles are exact for that node set; the W and W/Z
+    laws share one CDF table in u = log(W / V), which brackets their
+    quantile solves and places the panels of BetaPrimeDist.mass_check:
+    ``mass_check`` is the total mass by quadrature of the density, and
+    ``mass_check_worst`` the largest |quadrature - CDF step| over one table
+    interval.  The reported
     alpha is the mode of L5(alpha) / alpha, found by the alpha search on
     the same L5 slopes as the maximum-likelihood alpha, shifted by
     -1/alpha.
@@ -346,12 +330,13 @@ def infer_bayes(obs: Observation, stats: SummaryStats) -> InferenceReport:
     alphas, weights, log_evidence = _alpha_window_nodes(stats, best)
     a, b = alphas * stats.Y, alphas * stats.X + stats.N
     w_dist = BetaPrimeDist(a, b, stats.V, weights=weights)
-    diag = {"mass_check": _mass_check(w_dist), "log_evidence": log_evidence,
+    mass, worst = w_dist.mass_check()
+    diag = {"mass_check": mass, "mass_check_worst": worst, "log_evidence": log_evidence,
             "alpha_mle": best.alpha, "alpha_nodes": len(alphas)}
     mode = _alpha_maximum("L5", stats, slopes, prior=1.0).alpha
     return InferenceReport(method="bayes", w_dist=w_dist,
                            z_dist=ShiftedDist(w_dist, stats.V),
-                           w_over_z_dist=BetaDist(a, b, weights=weights),
+                           w_over_z_dist=w_dist.ratio_law(),
                            alpha_summary=mode, diagnostics=diag)
 
 
@@ -415,6 +400,15 @@ def _profile_mode(stats: SummaryStats, column: tuple) -> float:
     return math.exp(solve_root(slope, (_SLOPE_SCAN_T[k], _SLOPE_SCAN_T[k + 1])))
 
 
+def _envelope_at(stats: SummaryStats, column: tuple, u: np.ndarray) -> np.ndarray:
+    """The envelope's log density at u; ArithmeticError where its alpha
+    reaches the top of the grid."""
+    _, log_density, at_top = _profile_envelope(stats, column, u)
+    if np.any(at_top):
+        raise ArithmeticError("profile maximization diverged at finite W with Delta_S > 0")
+    return log_density
+
+
 def infer_profile(obs: Observation, stats: SummaryStats) -> InferenceReport:
     """Profile likelihood posterior: sup over alpha of L8 at every W.
 
@@ -423,7 +417,9 @@ def infer_profile(obs: Observation, stats: SummaryStats) -> InferenceReport:
     v = asinh((u - u_mode) / width), width^-2 its curvature at the mode.
     Below the mode it falls as (u_mode - u)^-(M+1) (L9 ~ alpha^M, the
     maximizing alpha ~ 1 / (u_mode - u)), carried analytically past the
-    panels as ``tail_mass``.  An L9 maximum at alpha -> infinity fails with
+    panels as ``tail_mass``.  A panel whose polynomial does not resolve the
+    envelope (a steep flank near u = logit(Y) on small uneven samples) is
+    halved.  An L9 maximum at alpha -> infinity fails with
     that verdict, one of the envelope at the grid top with ArithmeticError.
     """
     singular = _singular_report("profile", stats)
@@ -452,11 +448,23 @@ def infer_profile(obs: Observation, stats: SummaryStats) -> InferenceReport:
     lower, upper = (end * np.expm1(_PANEL_STRETCH * np.linspace(0.0, 1.0, panels + 1))
                     / math.expm1(_PANEL_STRETCH) for end, panels in zip(ends, _PROFILE_PANELS))
     edges = np.concatenate([lower[::-1], upper[1:]])
-    nodes = LogScaleDist.nodes(center, width, edges, _PROFILE_NODES)
-    _, log_density, at_top = _profile_envelope(stats, column, nodes)
-    if np.any(at_top):
-        raise ArithmeticError("profile maximization diverged at finite W with Delta_S > 0")
+    log_density = _envelope_at(stats, column,
+                               LogScaleDist.nodes(center, width, edges, _PROFILE_NODES))
     w_dist = LogScaleDist(center, width, edges, log_density, stats.M, stats.V)
+    # halve each panel whose two highest Chebyshev terms exceed _PANEL_TOL
+    # of the mass (a flank too steep for its polynomial), with one envelope
+    # call at the new panels' nodes per round
+    for _ in range(_PANEL_ROUNDS):
+        half = 0.5 * np.diff(edges)
+        coarse = np.max(np.abs(w_dist._dens[:, -2:]), axis=1) * half > _PANEL_TOL
+        if not np.any(coarse):
+            break
+        edges = np.insert(edges, np.nonzero(coarse)[0] + 1, edges[:-1][coarse] + half[coarse])
+        fresh = np.repeat(coarse, np.where(coarse, 2, 1))
+        log_density = np.repeat(log_density, np.where(coarse, 2, 1), axis=0)
+        log_density[fresh] = _envelope_at(
+            stats, column, LogScaleDist.nodes(center, width, edges, _PROFILE_NODES)[fresh])
+        w_dist = LogScaleDist(center, width, edges, log_density, stats.M, stats.V)
     return InferenceReport(method="profile", w_dist=w_dist,
                            z_dist=ShiftedDist(w_dist, stats.V),
                            w_over_z_dist=replace(w_dist, w_over_z=True),

@@ -12,7 +12,7 @@ import pytest
 from conftest import FIXTURES, fixture_path
 from missmass.cli import main, render_json
 from missmass.data import load_observation, summarize
-from missmass.inference import infer_profile
+from missmass.inference import infer_mixed, infer_profile
 
 ALL_FIXTURES = sorted(f.name for f in FIXTURES.glob("*.json"))
 
@@ -165,15 +165,12 @@ class TestInfer:
 
     def test_csv_output(self, capsys, tmp_path):
         csv = tmp_path / "post.csv"
-        code, out, _ = run_cli(capsys, "infer", "--in",
-                               fixture_path("regular_small.json"),
+        path = fixture_path("regular_small.json")
+        code, out, _ = run_cli(capsys, "infer", "--in", path,
                                "--method", "mixed", "--out-csv", str(csv))
         assert code == 0
-        lines = csv.read_text().strip().splitlines()
-        assert lines[0] == "W,density,cumulative"
-        rows = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
-        assert np.all(np.diff(rows[:, 0]) > 0)
-        assert np.all(np.diff(rows[:, 2]) >= 0)
+        obs = load_observation(path)
+        check_table_rows(csv, infer_mixed(obs, summarize(obs)).w_dist)
 
     def test_moment_match_strategy(self, capsys):
         code, out, _ = run_cli(capsys, "infer", "--in",
@@ -229,23 +226,30 @@ class TestInfer:
 
 
     def test_profile_csv_output(self, capsys, tmp_path):
-        # rows at quantile levels of the profile law of W: rising, each
-        # cumulative value the law's CDF at the row's W
         csv = tmp_path / "profile.csv"
         path = fixture_path("gt_example.json")
         code, _, _ = run_cli(capsys, "infer", "--in", path, "--method", "profile",
                              "--out-csv", str(csv))
         assert code == 0
-        lines = csv.read_text().strip().splitlines()
-        assert lines[0] == "W,density,cumulative"
-        rows = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
-        assert len(rows) >= 100
-        assert np.all(np.diff(rows[:, 0]) > 0)
-        assert np.all(np.diff(rows[:, 2]) > 0)
-        assert np.all(rows[:, 1] > 0)
         obs = load_observation(path)
-        law = infer_profile(obs, summarize(obs)).w_dist
-        np.testing.assert_allclose(law.cdf(rows[:, 0]), rows[:, 2], rtol=0.0, atol=1e-12)
+        check_table_rows(csv, infer_profile(obs, summarize(obs)).w_dist)
+
+
+def check_table_rows(csv, law):
+    """Rows of the law's CDF table between its 1e-4 and 1 - 1e-4 quantiles:
+    rising, in CDF steps of at most 1/200, each cumulative value the law's
+    CDF at the row's W."""
+    lines = csv.read_text().strip().splitlines()
+    assert lines[0] == "W,density,cumulative"
+    rows = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
+    assert len(rows) >= 200
+    assert np.all(np.diff(rows[:, 0]) > 0)
+    assert np.all(np.diff(rows[:, 2]) > 0)
+    assert np.max(np.diff(rows[:, 2])) <= 1.0 / 200.0
+    assert rows[0, 2] == pytest.approx(1e-4, abs=1e-12)
+    assert rows[-1, 2] == pytest.approx(1.0 - 1e-4, abs=1e-12)
+    assert np.all(rows[:, 1] > 0)
+    np.testing.assert_allclose(law.cdf(rows[:, 0]), rows[:, 2], rtol=0.0, atol=1e-15)
 
 
 class TestVerifyCommand:

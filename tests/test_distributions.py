@@ -6,15 +6,18 @@ import pytest
 from scipy import integrate, special, stats
 
 from missmass.distributions import (BetaDist, BetaPrimeDist, GammaDist,
-                                    LogScaleDist, PointMass, ShiftedDist)
+                                    LogScaleDist, PointMass, ShiftedDist, cdf_table)
 
 
 def test_point_mass():
     pm = PointMass(2.5)
     assert pm.mean == 2.5
     assert pm.quantile(0.05) == pm.quantile(0.95) == 2.5
+    assert pm.quantile(np.array([0.05, 0.5, 0.95])).tolist() == [2.5, 2.5, 2.5]
     with pytest.raises(ValueError):
         pm.quantile(0.0)
+    with pytest.raises(ValueError):
+        pm.quantile(np.array([0.5, 1.0]))
 
 
 def test_gamma_against_scipy():
@@ -23,6 +26,8 @@ def test_gamma_against_scipy():
     for q in (0.05, 0.5, 0.95):
         assert g.quantile(q) == pytest.approx(
             stats.gamma.ppf(q, 2.3, scale=1 / 1.7), rel=1e-10)
+    levels = np.array([0.05, 0.5, 0.95])
+    assert g.quantile(levels).tolist() == [g.quantile(q) for q in levels]
     w = np.array([0.3, 1.0, 4.0])
     assert np.allclose(np.exp(g.log_pdf(w)),
                        stats.gamma.pdf(w, 2.3, scale=1 / 1.7), rtol=1e-12)
@@ -121,6 +126,35 @@ class TestLogScaleDist:
             mass = integrate.quad(lambda x: math.exp(view.log_pdf(x)), lo, hi,
                                   epsabs=0, epsrel=1e-12, limit=200)[0]
             assert mass == pytest.approx(0.9, rel=1e-10)
+
+
+class TestCdfTable:
+    def test_mixture_table_rows_are_exact(self):
+        law = BetaPrimeDist(np.array([0.4, 3.0, 40.0]), np.array([6.0, 9.0, 30.0]), 2.0,
+                            weights=np.array([0.2, 0.5, 0.3]))
+        u, cdf, density = law.table()
+        assert (cdf[0], cdf[-1]) == (0.0, 1.0)
+        assert np.all(np.diff(u) > 0) and np.max(np.diff(cdf)) <= 1.0 / 8.0
+        s = special.expit(u)
+        np.testing.assert_allclose(
+            cdf, special.betainc(law.a, law.b, s[:, None]) @ law.weights, rtol=0, atol=1e-15)
+        # dF/du = the Beta density of s times ds/du = s (1 - s), inside the
+        # end rows, where s is exactly 0 and 1 (scipy's pdf loses relative
+        # precision far out, where 1 - s is rounded)
+        s = s[1:-1, None]
+        pdf = stats.beta.pdf(s, law.a, law.b) * s * (1 - s) @ law.weights
+        np.testing.assert_allclose(density[1:-1], pdf, rtol=0, atol=1e-13 * np.max(pdf))
+        # the W / Z view reads the same table
+        assert law.ratio_law().table() is law.table()
+
+    @pytest.mark.parametrize("law", [BetaPrimeDist(2.5, 7.0, 3.0),
+                                     TestLogScaleDist().law()], ids=["atom", "panels"])
+    def test_rows_between_levels(self, law):
+        u, cdf, _ = cdf_table(law, 1.0 / 200.0, (1e-4, 1.0 - 1e-4))
+        assert cdf[0] == pytest.approx(1e-4, abs=1e-12)
+        assert cdf[-1] == pytest.approx(1.0 - 1e-4, abs=1e-12)
+        assert np.max(np.diff(cdf)) <= 1.0 / 200.0
+        np.testing.assert_allclose(law.cdf(law.scale * np.exp(u)), cdf, rtol=0, atol=1e-14)
 
 
 def test_shifted_quantiles_exact():
