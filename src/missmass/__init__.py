@@ -10,8 +10,7 @@ __version__ = "0.1.0"
 
 from .data import (Dataset, Observation, SummaryStats, kl_delta,
                    load_observation, summarize)
-from .distributions import (BetaDist, BetaPrimeDist, GammaDist, LogScaleDist,
-                            PointMass, ShiftedDist)
+from .distributions import GammaDist, LawView, LogScaleDist, PointMass
 from .estimators import (EstimateResult, RBWeights, good_toulmin_rb,
                          good_turing_classic, good_turing_rb, harmonic_mean,
                          inclusion_probability, ipw_fixed_n, ipw_poisson,

@@ -176,22 +176,23 @@ _CSV_LEVELS = (1e-4, 1.0 - 1e-4)
 _CSV_STEP = 1.0 / 200.0
 
 
-def _csv_rows(dist) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _csv_rows(view) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Rows (W, density, cumulative) of the posterior CSV: the point mass,
-    or a continuous law of W (a Beta-prime atom, the Bayes mixture or the
-    profile law) at W = scale e^u for the rows u of its CDF table
-    (cdf_table), each cumulative the law's CDF at that W.  Rows whose W
-    underflows to 0 or repeats the W of the row before are dropped."""
-    if isinstance(dist, PointMass):
-        return np.array([dist.value]), np.array([math.inf]), np.array([1.0])
-    u, cdf, density = cdf_table(dist, _CSV_STEP, _CSV_LEVELS)
-    w = dist.scale * np.exp(u)
+    or the W view of a law of u = log(W / scale) (a Beta atom, the Bayes
+    mixture or the profile law) at W = scale e^u for the rows u of the
+    law's CDF table (cdf_table), each cumulative the view's CDF at that W.
+    Rows whose W underflows to 0 or repeats the W of the row before are
+    dropped."""
+    if isinstance(view, PointMass):
+        return np.array([view.value]), np.array([math.inf]), np.array([1.0])
+    u, cdf, density = cdf_table(view.law, _CSV_STEP, _CSV_LEVELS)
+    w = view.scale * np.exp(u)
     keep = np.diff(w, prepend=0.0) > 0.0
     u, w, cdf, density = u[keep], w[keep], cdf[keep], density[keep]
-    # the law's CDF at W reads u back as log(W / scale): the table's value
+    # the view's CDF at W reads u back as log(W / scale): the table's value
     # wherever that is the row's u, one more CDF pass on the other rows
-    off = np.log(w / dist.scale) != u
-    cdf[off] = dist.cdf(w[off])
+    off = np.log(w / view.scale) != u
+    cdf[off] = view.cdf(w[off])
     return w, density / w, cdf
 
 

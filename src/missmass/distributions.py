@@ -1,15 +1,18 @@
 """Probability laws for the missing mass and derived quantities.
 
-Closed forms (point mass, Gamma, Beta, Beta-prime), weighted mixtures of
-Beta or Beta-prime atoms (the Bayes posterior is one), and a continuous
-law of u = log(W / scale) given by its density on Gauss-Legendre panels
-(the profile curve), seen as the law of W or of W/Z.  Every law exposes
-``mean`` and ``quantile(q)`` for a level or an array of levels; Gamma,
-Beta, Beta-prime and panel laws expose ``log_pdf``, and Beta-prime and
-panel laws ``cdf``.  ``cdf_table`` tabulates the exact CDF of a Beta,
-Beta-prime or panel law in u: a mixture solves its quantiles between the
-rows of its own table and checks its mass on them (``mass_check``), and
-the CLI writes its posterior CSV from one.
+W, Z = V + W and W/Z are fixed maps of one random variable u = log(W / V):
+W = V e^u, Z = V + W and W/Z = expit(u).  A posterior is one law of u,
+read through ``LawView``s, one per quantity.  There are two laws of u: a
+Beta law of s = W/Z = expit(u) or a weighted mixture of them (the mixed
+route's single atom, the Bayes posterior), and a continuous law given by
+its density on Gauss-Legendre panels (``LogScaleDist``, the profile
+curve).  Each law answers its CDF and density in u, ``u_quantile`` and
+the means of V e^u and expit(u); a view maps those to the ``quantile``,
+``cdf``, ``mean`` and ``log_pdf`` of its quantity.  ``cdf_table``
+tabulates the exact CDF of a law in u: a mixture solves its quantiles
+between the rows of its own table and checks its mass on them
+(``mass_check``), and the CLI writes its posterior CSV from one.  Point
+masses (singular cases) and Gamma laws (moment matching) stand alone.
 """
 
 from __future__ import annotations
@@ -19,10 +22,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betainc, betaincinv, expit, gammaincinv
+from scipy.special import betainc, betaincinv, expit, gammaincinv, logit
 
 from .solvers import newton_bracketed
-from .special import digamma, log_beta, log_gamma, trigamma
+from .special import digamma, log_gamma, trigamma
 
 # mixture quantiles are solved in u = logit(s) to this width, a relative
 # 1e-12 in W / scale; expit(-+_U_END) is exactly 0 and 1 in float64
@@ -89,36 +92,39 @@ class GammaDist:
                 + (self.shape - 1.0) * np.log(w) - self.rate * w)
 
 
+@dataclass(frozen=True, eq=False)
 class _BetaAtoms:
-    """A Beta(a, b) law of s in (0, 1), or a weighted mixture of Beta laws.
+    """A Beta(a, b) law of s = W / Z, or a weighted mixture of Beta laws,
+    as the law of u = logit(s) = log(W / V).
 
     With ``weights`` None, ``a`` and ``b`` are numbers: one atom, with
     closed-form quantiles.  With ``weights``, ``a``, ``b`` and ``weights``
-    are equal-length vectors and the weights are normalized to sum to 1.
-    Both are laws of u = logit(s), which is log(W / scale) in the
-    Beta-prime view: a mixture's quantiles are solved in u between the
-    rows of its CDF table (``table``), built once per law.
+    are equal-length vectors and the weights are normalized to sum to 1; a
+    mixture's quantiles are solved in u between the rows of its CDF table
+    (``table``), built once per law.
     """
 
-    def _check_atoms(self, what: str) -> None:
-        # the density terms and the CDF table, built at first use; a view
-        # on the same atoms (BetaPrimeDist.ratio_law) shares them
+    a: float
+    b: float
+    weights: np.ndarray | None = None
+
+    def __post_init__(self):
+        # the density terms and the CDF table, built at first use
         object.__setattr__(self, "_cache", {})
         if self.weights is None:
             if self.a <= 0 or self.b <= 0:
-                raise ValueError(f"{what} parameters must be positive")
+                raise ValueError("Beta parameters must be positive")
             return
         a, b, w = (np.array(v, dtype=float) for v in (self.a, self.b, self.weights))
         if a.ndim != 1 or a.shape != b.shape or a.shape != w.shape or not len(a):
             raise ValueError("a, b and weights must be equal-length vectors")
         if not (np.all(a > 0) and np.all(b > 0)
                 and np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-            raise ValueError(f"{what} parameters must be positive")
+            raise ValueError("Beta parameters must be positive")
         if not (np.all(w >= 0) and np.all(np.isfinite(w)) and np.sum(w) > 0):
             raise ValueError("weights must be nonnegative with a positive sum")
         w /= np.sum(w)
-        for name, val in (("a", a), ("b", b), ("weights", w),
-                          ("_log_b", log_beta(a, b))):
+        for name, val in (("a", a), ("b", b), ("weights", w)):
             val.setflags(write=False)
             object.__setattr__(self, name, val)
 
@@ -126,16 +132,6 @@ class _BetaAtoms:
         """x as a float array, with a last axis over the atoms of a mixture."""
         x = np.asarray(x, dtype=float)
         return x if self.weights is None else x[..., None]
-
-    def _atom_log_b(self):
-        return log_beta(self.a, self.b) if self.weights is None else self._log_b
-
-    def _mix(self, log_atoms):
-        """Weighted sum over the atoms of per-atom log densities."""
-        if self.weights is None:
-            return log_atoms
-        with np.errstate(divide="ignore"):
-            return np.logaddexp.reduce(log_atoms + np.log(self.weights), axis=-1)
 
     def _sum_atoms(self, per_atom):
         """sum_j w_j per_atom_j over the last axis; a row's sum does not
@@ -160,21 +156,23 @@ class _BetaAtoms:
         mode, q, c = self._cache["density"]
         # in place on the nodes-by-atoms arrays, which the mass check makes
         # large: log1p(q expm1(-d)) with e^-d kept finite (past -d = 700 the
-        # rest is -d - 700 to rounding), then the exponent
+        # exponent falls as -a (-d - 700) to rounding, so u = -inf gives 0),
+        # then the exponent
         minus_d = np.atleast_1d(mode - self._at_atoms(u))
-        log_term = np.minimum(minus_d, 700.0)
-        np.log1p(q * np.expm1(log_term, out=log_term), out=log_term)
-        log_term += np.maximum(minus_d - 700.0, 0.0)
+        far = np.maximum(minus_d - 700.0, 0.0)
+        np.minimum(minus_d, 700.0, out=minus_d)
+        log_term = np.log1p(q * np.expm1(minus_d))
         log_term *= self.a + self.b
         minus_d *= self.b
         minus_d += c
         minus_d -= log_term
-        return self._sum_atoms(np.exp(minus_d, out=minus_d))
+        far *= self.a
+        minus_d -= far
+        return self._sum_atoms(np.exp(minus_d, out=minus_d)).reshape(np.shape(u))
 
     def _u_cdf(self, u):
         """The CDF of u = logit(s) and its density, at each u."""
         return self._cdf_s(expit(u)), self._u_density(u)
-
 
     def _start_rows(self) -> np.ndarray:
         """u rows a table starts from: _START_ROWS rows over +-_START_SD
@@ -206,9 +204,7 @@ class _BetaAtoms:
         """
         q = _levels(q)
         if self.weights is None:
-            with np.errstate(divide="ignore"):
-                s = betaincinv(self.a, self.b, q)
-                return _like_levels(np.log(s) - np.log1p(-s), q)
+            return _like_levels(logit(betaincinv(self.a, self.b, q)), q)
         levels = np.atleast_1d(q)
         u, cdf, density = self.table()
         k = np.clip(np.searchsorted(cdf, levels, side="right") - 1, 0, len(u) - 2)
@@ -224,6 +220,43 @@ class _BetaAtoms:
 
         return _like_levels(newton_bracketed(excess_and_slope, start, lo, hi,
                                              increasing=True, tol=_U_TOL), q)
+
+    def mean_exp(self, scale: float) -> float:
+        """E[scale e^u] = scale sum_j w_j a_j / (b_j - 1); inf if any
+        b_j <= 1."""
+        if np.any(self.b <= 1.0):
+            return math.inf
+        if self.weights is None:
+            return scale * self.a / (self.b - 1.0)
+        return float(scale * (self.weights @ (self.a / (self.b - 1.0))))
+
+    def mean_expit(self) -> float:
+        """E[expit(u)] = sum_j w_j a_j / (a_j + b_j)."""
+        if self.weights is None:
+            return self.a / (self.a + self.b)
+        return float(self.weights @ (self.a / (self.a + self.b)))
+
+    def mass_check(self) -> tuple[float, float]:
+        """Total mass of the law, found apart from its CDF formula, and the
+        worst |integral of the density - CDF step| over one table interval.
+
+        The density of u is integrated by _MASS_NODES Gauss-Legendre nodes
+        on each interval of the law's CDF table from its last row at or
+        below _MASS_TAIL (or its first at or above u = _MASS_FLOOR, if
+        higher) to its first at or above 1 - _MASS_TAIL; the two tails
+        outside are the table's CDF there.
+        """
+        u, cdf, _ = self.table()
+        lo = max(int(np.searchsorted(cdf, _MASS_TAIL, side="right")) - 1,
+                 int(np.searchsorted(u, _MASS_FLOOR)))
+        hi = max(int(np.searchsorted(cdf, 1.0 - _MASS_TAIL)), lo + 1)
+        nodes, node_weights = _panel_rule(_MASS_NODES)[:2]
+        half = 0.5 * np.diff(u[lo:hi + 1])[:, None]
+        x = 0.5 * (u[lo:hi] + u[lo + 1:hi + 1])[:, None] + half * nodes
+        pieces = np.concatenate([(self._u_density(x[k:k + _MASS_CHUNK]) * half[k:k + _MASS_CHUNK])
+                                 @ node_weights for k in range(0, len(x), _MASS_CHUNK)])
+        worst = float(np.max(np.abs(pieces - np.diff(cdf[lo:hi + 1]))))
+        return float(cdf[lo] + np.sum(pieces) + (1.0 - cdf[hi])), worst
 
 
 def _stirling_remainder(x):
@@ -250,8 +283,8 @@ def _beta_density_terms(a, b):
 
 
 def cdf_table(law, max_step: float, levels=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rows (u, F(u), dF/du) of the law of u = log(W / scale) (logit(s) for
-    a Beta law), rising in u, with every CDF step at most ``max_step``.
+    """Rows (u, F(u), dF/du) of a law of u = log(W / V), rising in u, with
+    every CDF step at most ``max_step``.
 
     The rows start at the law's start rows, or at its quantiles at the two
     ``levels``; then every interval whose CDF step exceeds ``max_step``, or
@@ -277,9 +310,15 @@ def cdf_table(law, max_step: float, levels=None) -> tuple[np.ndarray, np.ndarray
                            ((u, mid), (cdf, cdf_mid), (density, density_mid)))
 
 
+def _single(q) -> bool:
+    """Whether q is one level; a float is checked first because np.ndim of
+    a Python float costs a microsecond, a third of a one-atom quantile."""
+    return isinstance(q, float) or np.ndim(q) == 0
+
+
 def _levels(q):
     """Validate quantile levels: a number or an array, each in (0, 1)."""
-    if np.ndim(q) == 0:
+    if _single(q):
         if not 0.0 < q < 1.0:
             raise ValueError("quantile level must be in (0, 1)")
         return q
@@ -291,111 +330,7 @@ def _levels(q):
 
 def _like_levels(val, q):
     """A float for a single level, an array for an array of levels."""
-    return float(np.asarray(val).reshape(())) if np.ndim(q) == 0 else np.asarray(val)
-
-
-@dataclass(frozen=True, eq=False)
-class BetaDist(_BetaAtoms):
-    """Beta(a, b), or the mixture sum_j w_j Beta(a_j, b_j) (see _BetaAtoms)."""
-
-    a: float
-    b: float
-    weights: np.ndarray | None = None
-
-    def __post_init__(self):
-        self._check_atoms("Beta")
-
-    @property
-    def mean(self) -> float:
-        if self.weights is None:
-            return self.a / (self.a + self.b)
-        return float(self.weights @ (self.a / (self.a + self.b)))
-
-    def quantile(self, q):
-        q = _levels(q)
-        if self.weights is None:
-            return _like_levels(betaincinv(self.a, self.b, q), q)
-        return _like_levels(expit(self.u_quantile(q)), q)
-
-    def log_pdf(self, s):
-        s = self._at_atoms(s)
-        return self._mix((self.a - 1.0) * np.log(s) + (self.b - 1.0) * np.log1p(-s)
-                         - self._atom_log_b())
-
-
-@dataclass(frozen=True, eq=False)
-class BetaPrimeDist(_BetaAtoms):
-    """Scaled Beta-prime: W = scale * t with density t^(a-1) (1+t)^(-a-b),
-    or the mixture of such laws with one common scale (see _BetaAtoms).
-
-    W / (scale + W) then follows the Beta law with the same atoms.
-    """
-
-    a: float
-    b: float
-    scale: float = 1.0
-    weights: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.scale <= 0:
-            raise ValueError("Beta-prime parameters must be positive")
-        self._check_atoms("Beta-prime")
-
-    @property
-    def mean(self) -> float:
-        if np.any(self.b <= 1.0):
-            return math.inf
-        if self.weights is None:
-            return self.scale * self.a / (self.b - 1.0)
-        return float(self.scale * (self.weights @ (self.a / (self.b - 1.0))))
-
-    def quantile(self, q):
-        q = _levels(q)
-        if self.weights is None:
-            s = betaincinv(self.a, self.b, q)
-            return _like_levels(self.scale * s / (1.0 - s), q)
-        return _like_levels(self.scale * np.exp(self.u_quantile(q)), q)
-
-    def ratio_law(self) -> BetaDist:
-        """The law of W / (scale + W): the Beta law on the same atoms,
-        sharing this law's CDF table (its u is the same)."""
-        # the atoms are checked and normalized already; a new BetaDist would
-        # normalize the weights again, which can move their last bits
-        law = object.__new__(BetaDist)
-        vars(law).update({key: val for key, val in vars(self).items() if key != "scale"})
-        return law
-
-    def mass_check(self) -> tuple[float, float]:
-        """Total mass of the law, found apart from its CDF formula, and the
-        worst |integral of the density - CDF step| over one table interval.
-
-        The density of u = log(W / scale) is integrated by _MASS_NODES
-        Gauss-Legendre nodes on each interval of the law's CDF table from
-        its last row at or below _MASS_TAIL (or its first at or above
-        u = _MASS_FLOOR, if higher) to its first at or above
-        1 - _MASS_TAIL; the two tails outside are the table's CDF there.
-        """
-        u, cdf, _ = self.table()
-        lo = max(int(np.searchsorted(cdf, _MASS_TAIL, side="right")) - 1,
-                 int(np.searchsorted(u, _MASS_FLOOR)))
-        hi = max(int(np.searchsorted(cdf, 1.0 - _MASS_TAIL)), lo + 1)
-        nodes, node_weights = _panel_rule(_MASS_NODES)[:2]
-        half = 0.5 * np.diff(u[lo:hi + 1])[:, None]
-        x = 0.5 * (u[lo:hi] + u[lo + 1:hi + 1])[:, None] + half * nodes
-        pieces = np.concatenate([(self._u_density(x[k:k + _MASS_CHUNK]) * half[k:k + _MASS_CHUNK])
-                                 @ node_weights for k in range(0, len(x), _MASS_CHUNK)])
-        worst = float(np.max(np.abs(pieces - np.diff(cdf[lo:hi + 1]))))
-        return float(cdf[lo] + np.sum(pieces) + (1.0 - cdf[hi])), worst
-
-    def cdf(self, w):
-        # through u = log(w / scale), as the rows of a CDF table
-        with np.errstate(divide="ignore"):
-            return self._cdf_s(expit(np.log(np.asarray(w, dtype=float) / self.scale)))
-
-    def log_pdf(self, w):
-        t = self._at_atoms(w) / self.scale
-        return self._mix((self.a - 1.0) * np.log(t) - (self.a + self.b) * np.log1p(t)
-                         - self._atom_log_b()) - math.log(self.scale)
+    return float(np.asarray(val).reshape(())) if _single(q) else np.asarray(val)
 
 
 @functools.lru_cache(maxsize=None)
@@ -413,11 +348,11 @@ def _panel_rule(n: int) -> tuple[np.ndarray, ...]:
 
 @dataclass(frozen=True, eq=False)
 class LogScaleDist:
-    """Law of W = scale e^u, or with ``w_over_z`` of W/Z = expit(u): the
-    log density of u (up to a constant) at the ``nodes``, Gauss-Legendre
-    nodes of panels between ``edges`` in v = asinh((u - center) / width),
-    where the density of v is a polynomial.  Below the panels it is the
-    exponential of rate ``tail_rate`` through the first node, the tail
+    """Law of u = log(W / V) given by the log density of u (up to a
+    constant) at the ``nodes``, Gauss-Legendre nodes of panels between
+    ``edges`` in v = asinh((u - center) / width), where the density of v is
+    a polynomial.  Below the panels it is the exponential of rate
+    ``tail_rate`` through the first node, the tail
     (center - u)^-(tail_rate + 1) of mass ``tail_mass``; above, zero.
     """
 
@@ -426,8 +361,6 @@ class LogScaleDist:
     edges: np.ndarray
     log_density: np.ndarray
     tail_rate: float
-    scale: float = 1.0
-    w_over_z: bool = False
 
     @staticmethod
     def nodes(center: float, width: float, edges, n: int) -> np.ndarray:
@@ -483,14 +416,13 @@ class LogScaleDist:
         cdf, density = self._at(v)
         return cdf, density / (self.width * np.cosh(v))
 
-    def _v_of(self, x):
-        with np.errstate(divide="ignore"):
-            u = np.log(x) - np.log1p(-x) if self.w_over_z else np.log(x / self.scale)
-        return np.arcsinh((u - self.center) / self.width)
+    def _u_density(self, u):
+        """dF/du at each u."""
+        return self._u_cdf(u)[1]
 
     def u_quantile(self, q):
-        """u = log(W / scale) at each level of q, by Newton steps in v from
-        the CDF interpolated between nodes (closed form in the tail)."""
+        """u at each level of q, by Newton steps in v from the CDF
+        interpolated between nodes (closed form in the tail)."""
         q = _levels(q)
         levels = np.atleast_1d(q)
         start = np.interp(levels, np.append(self._at_nodes, 1.0), np.append(self._v, self.edges[-1]))
@@ -508,45 +440,84 @@ class LogScaleDist:
         v = np.where(levels < self.tail_mass, v_tail, v)
         return _like_levels(self.center + self.width * np.sinh(v), q)
 
-    def quantile(self, q):
-        u = self.u_quantile(q)
-        return _like_levels(expit(u) if self.w_over_z else self.scale * np.exp(u), q)
+    def _node_u(self):
+        return self.center + self.width * np.sinh(self._v)
 
-    def cdf(self, x):
-        return self._at(self._v_of(np.asarray(x, dtype=float)))[0][()]
-
-    def log_pdf(self, x):
-        x = np.asarray(x, dtype=float)
-        v = self._v_of(x)
+    def mean_exp(self, scale: float) -> float:
+        """E[scale e^u], in log space: e^u alone can overflow where the
+        weight is tiny."""
         with np.errstate(divide="ignore"):
-            return (np.log(np.maximum(self._at(v)[1], 0.0)) - np.log(self.width * np.cosh(v))
-                    - np.log(x) - (np.log1p(-x) if self.w_over_z else 0.0))[()]
+            return float(np.exp(np.logaddexp.reduce(np.log(self._weights) + self._node_u(),
+                                                    axis=None)) * scale)
 
-    @property
-    def mean(self) -> float:
-        u = self.center + self.width * np.sinh(self._v)
-        if self.w_over_z:
-            return float(np.sum(self._weights * expit(u)))
-        # in log space: e^u alone can overflow where the weight is tiny
-        with np.errstate(divide="ignore"):
-            return float(np.exp(np.logaddexp.reduce(np.log(self._weights) + u, axis=None))
-                         * self.scale)
+    def mean_expit(self) -> float:
+        """E[expit(u)]."""
+        return float(np.sum(self._weights * expit(self._node_u())))
 
 
-@dataclass(frozen=True)
-class ShiftedDist:
-    """A law translated by a constant offset; quantiles shift exactly.
+# the quantities a LawView shows: W = V e^u, Z = V + W and W/Z = expit(u)
+VIEWS = ("W", "Z", "W/Z")
 
-    Used for Z = V + W so that z-quantiles equal w-quantiles plus V.
+
+@dataclass(frozen=True, eq=False)
+class LawView:
+    """The law of W = scale e^u, Z = scale + W or W/Z = expit(u)
+    (``which``) for u drawn from ``law``, a law of u = log(W / scale).
+
+    The views of one law share it, and with it its CDF table.  The law's
+    own attributes (its parameters, ``u_quantile``, ``table``,
+    ``mass_check``) read through the view.
     """
 
-    base: object
-    shift: float
+    law: object
+    scale: float
+    which: str = "W"
+
+    def __post_init__(self):
+        if not self.scale > 0:
+            raise ValueError("scale must be positive")
+        if self.which not in VIEWS:
+            raise ValueError(f"which must be one of {VIEWS}")
+
+    def __getattr__(self, name):
+        # only names the view lacks; "law" itself while a copy is being built
+        if name == "law" or name.startswith("__"):
+            raise AttributeError(name)
+        return getattr(self.law, name)
+
+    def quantile(self, q):
+        # u is a float for a single level, an array for an array of levels
+        u = self.law.u_quantile(q)
+        if self.which == "W/Z":
+            x = expit(u)
+        else:
+            x = self.scale * np.exp(u)
+            if self.which == "Z":
+                x = self.scale + x
+        return float(x) if isinstance(u, float) else x
+
+    def _u_and_log_slope(self, x):
+        """u at x and log |dx/du|: log W for W and Z, log(s (1 - s)) for
+        s = W/Z."""
+        x = np.asarray(x, dtype=float)
+        with np.errstate(divide="ignore"):
+            if self.which == "W/Z":
+                log_s, log_1ms = np.log(x), np.log1p(-x)
+                return log_s - log_1ms, log_s + log_1ms
+            w = x if self.which == "W" else x - self.scale
+            return np.log(w / self.scale), np.log(w)
+
+    def cdf(self, x):
+        return self.law._u_cdf(self._u_and_log_slope(x)[0])[0][()]
+
+    def log_pdf(self, x):
+        u, log_slope = self._u_and_log_slope(x)
+        with np.errstate(divide="ignore"):
+            return (np.log(np.maximum(self.law._u_density(u), 0.0)) - log_slope)[()]
 
     @property
     def mean(self) -> float:
-        return self.base.mean + self.shift
-
-    def quantile(self, q):
-        return self.base.quantile(q) + self.shift
-
+        if self.which == "W/Z":
+            return self.law.mean_expit()
+        w = self.law.mean_exp(self.scale)
+        return w if self.which == "W" else w + self.scale

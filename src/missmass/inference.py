@@ -6,16 +6,18 @@ one closed-form law,
     L4(W, alpha) = L5(alpha) BetaPrime(W; alpha Y, alpha X + N, scale V),
     L8(W, alpha) = L9(alpha) BetaPrime(W; alpha Y, alpha X + N, scale V),
 
-so the three routes are one alpha-indexed Beta-prime family (W/Z is the
-matching Beta(alpha Y, alpha X + N)) under three weightings of alpha:
+so the three routes are one alpha-indexed Beta-prime family under three
+weightings of alpha.  Each route builds one law of u = log(W / V) (W/Z =
+expit(u) is Beta(alpha Y, alpha X + N) at each alpha) and reports its W,
+Z = V + W and W/Z views (distributions.LawView):
 
   * bayes    -- the mixture over alpha with weights L5(alpha) / alpha (the
                 1/alpha prior; b, lambda are integrated out inside L5);
   * profile  -- the envelope over alpha of L9(alpha) BetaPrime(W; alpha)
                 (b, lambda profiled out inside L9): one continuous law of
                 u = log(W / V), on panels with an analytic lower tail;
-  * mixed    -- the single atom at the maximum-likelihood alpha of L5 (or
-                L9).
+  * mixed    -- the single Beta atom at the maximum-likelihood alpha of
+                L5 (or L9).
 
 Every route, and the plain MLE of L11 in moments.py, finds its alpha by
 one search on one log-alpha grid (_alpha_maximum), with one verdict:
@@ -41,14 +43,13 @@ is flat in alpha there when N = 1 and peaks at alpha -> 0 when N >= 2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
 from .data import Observation, SummaryStats
-from .distributions import (BetaDist, BetaPrimeDist, LogScaleDist, PointMass,
-                            ShiftedDist)
+from .distributions import VIEWS, LawView, LogScaleDist, PointMass, _BetaAtoms
 from .likelihoods import (d2log_dalpha2, dlog_dalpha, log_L5, log_L8,
                           log_L9, log_L11)
 from .solvers import newton_bracketed, solve_root
@@ -211,14 +212,23 @@ def _alpha_infinity_report(method: str, stats: SummaryStats, case: str,
                            diagnostics=diagnostics)
 
 
+def _law_report(method: str, law, stats: SummaryStats, alpha: float,
+                diagnostics: dict) -> InferenceReport:
+    """The W, Z and W/Z views of one law of u = log(W / V)."""
+    w, z, w_over_z = (LawView(law, stats.V, which) for which in VIEWS)
+    return InferenceReport(method=method, w_dist=w, z_dist=z, w_over_z_dist=w_over_z,
+                           alpha_summary=alpha, diagnostics=diagnostics)
+
+
 def infer_mixed(obs: Observation, stats: SummaryStats,
                 base: str = "L5") -> InferenceReport:
     """Closed-form conditional law at the maximum-likelihood alpha.
 
     W/V ~ Beta-prime(alpha Y, alpha X + N) and W/Z ~ Beta(alpha Y,
-    alpha X + N), with means alpha Y V / (alpha X + N - 1) and
-    alpha Y / (alpha + N).  The diagnostic ``evals`` counts the scalar
-    slope evaluations of the alpha root finds.  A maximum at alpha ->
+    alpha X + N), one Beta atom in u = logit(W/Z), with means
+    alpha Y V / (alpha X + N - 1) and alpha Y / (alpha + N).  The
+    diagnostic ``evals`` counts the scalar slope evaluations of the alpha
+    root finds.  A maximum at alpha ->
     infinity gives that limit's point mass, singular case
     "alpha_infinite", with the verdict as ``reason``.
     """
@@ -232,17 +242,11 @@ def infer_mixed(obs: Observation, stats: SummaryStats,
     if best.reason == _AT_INFINITY:
         return _alpha_infinity_report("mixed", stats, "alpha_infinite", {
             "base": base, "evals": best.evals, "reason": best.reason})
-    w_dist = BetaPrimeDist(a=alpha * stats.Y, b=alpha * stats.X + stats.N, scale=stats.V)
-    diag = {"base": base, "converged": best.reason is None, "evals": best.evals,
-            "mean_w_over_z": alpha * stats.Y / (alpha + stats.N)}
+    diag = {"base": base, "converged": best.reason is None, "evals": best.evals}
     if alpha * stats.X + stats.N <= 1.0:
         diag["mean_undefined"] = True
-    return InferenceReport(method="mixed", w_dist=w_dist,
-                           z_dist=ShiftedDist(w_dist, stats.V),
-                           w_over_z_dist=BetaDist(alpha * stats.Y,
-                                                  alpha * stats.X + stats.N),
-                           alpha_summary=alpha,
-                           diagnostics=diag)
+    return _law_report("mixed", _BetaAtoms(alpha * stats.Y, alpha * stats.X + stats.N),
+                       stats, alpha, diag)
 
 
 def _alpha_window_nodes(stats: SummaryStats, best: AlphaMaximum
@@ -312,15 +316,14 @@ def infer_bayes(obs: Observation, stats: SummaryStats) -> InferenceReport:
     Beta(alpha Y, alpha X + N): the mixed method's law, averaged over
     alpha instead of taken at one alpha.  The alpha integral runs on a
     fixed Gauss-Legendre node set in log alpha (_alpha_window_nodes), so
-    CDF, mean and quantiles are exact for that node set; the W and W/Z
-    laws share one CDF table in u = log(W / V), which brackets their
-    quantile solves and places the panels of BetaPrimeDist.mass_check:
+    CDF, mean and quantiles are exact for that node set; the views share
+    the mixture's one CDF table in u = log(W / V), which brackets their
+    quantile solves and places the panels of its mass check:
     ``mass_check`` is the total mass by quadrature of the density, and
     ``mass_check_worst`` the largest |quadrature - CDF step| over one table
-    interval.  The reported
-    alpha is the mode of L5(alpha) / alpha, found by the alpha search on
-    the same L5 slopes as the maximum-likelihood alpha, shifted by
-    -1/alpha.
+    interval.  The reported alpha is the mode of L5(alpha) / alpha, found
+    by the alpha search on the same L5 slopes as the maximum-likelihood
+    alpha, shifted by -1/alpha.
     """
     singular = _singular_report("bayes", stats)
     if singular is not None:
@@ -329,15 +332,12 @@ def infer_bayes(obs: Observation, stats: SummaryStats) -> InferenceReport:
     best = _alpha_maximum("L5", stats, slopes)
     alphas, weights, log_evidence = _alpha_window_nodes(stats, best)
     a, b = alphas * stats.Y, alphas * stats.X + stats.N
-    w_dist = BetaPrimeDist(a, b, stats.V, weights=weights)
-    mass, worst = w_dist.mass_check()
+    law = _BetaAtoms(a, b, weights)
+    mass, worst = law.mass_check()
     diag = {"mass_check": mass, "mass_check_worst": worst, "log_evidence": log_evidence,
             "alpha_mle": best.alpha, "alpha_nodes": len(alphas)}
     mode = _alpha_maximum("L5", stats, slopes, prior=1.0).alpha
-    return InferenceReport(method="bayes", w_dist=w_dist,
-                           z_dist=ShiftedDist(w_dist, stats.V),
-                           w_over_z_dist=w_dist.ratio_law(),
-                           alpha_summary=mode, diagnostics=diag)
+    return _law_report("bayes", law, stats, mode, diag)
 
 
 def _profile_column(stats: SummaryStats) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -450,13 +450,13 @@ def infer_profile(obs: Observation, stats: SummaryStats) -> InferenceReport:
     edges = np.concatenate([lower[::-1], upper[1:]])
     log_density = _envelope_at(stats, column,
                                LogScaleDist.nodes(center, width, edges, _PROFILE_NODES))
-    w_dist = LogScaleDist(center, width, edges, log_density, stats.M, stats.V)
+    law = LogScaleDist(center, width, edges, log_density, stats.M)
     # halve each panel whose two highest Chebyshev terms exceed _PANEL_TOL
     # of the mass (a flank too steep for its polynomial), with one envelope
     # call at the new panels' nodes per round
     for _ in range(_PANEL_ROUNDS):
         half = 0.5 * np.diff(edges)
-        coarse = np.max(np.abs(w_dist._dens[:, -2:]), axis=1) * half > _PANEL_TOL
+        coarse = np.max(np.abs(law._dens[:, -2:]), axis=1) * half > _PANEL_TOL
         if not np.any(coarse):
             break
         edges = np.insert(edges, np.nonzero(coarse)[0] + 1, edges[:-1][coarse] + half[coarse])
@@ -464,11 +464,6 @@ def infer_profile(obs: Observation, stats: SummaryStats) -> InferenceReport:
         log_density = np.repeat(log_density, np.where(coarse, 2, 1), axis=0)
         log_density[fresh] = _envelope_at(
             stats, column, LogScaleDist.nodes(center, width, edges, _PROFILE_NODES)[fresh])
-        w_dist = LogScaleDist(center, width, edges, log_density, stats.M, stats.V)
-    return InferenceReport(method="profile", w_dist=w_dist,
-                           z_dist=ShiftedDist(w_dist, stats.V),
-                           w_over_z_dist=replace(w_dist, w_over_z=True),
-                           alpha_summary=mode_alpha,
-                           diagnostics={"tail_mass": w_dist.tail_mass,
-                                        "alpha_mle": best.alpha,
-                                        "alpha_at_mode": mode_alpha})
+        law = LogScaleDist(center, width, edges, log_density, stats.M)
+    return _law_report("profile", law, stats, mode_alpha,
+                       {"tail_mass": law.tail_mass, "alpha_mle": best.alpha})

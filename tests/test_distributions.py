@@ -1,12 +1,12 @@
 import math
-from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate, special, stats
 
-from missmass.distributions import (BetaDist, BetaPrimeDist, GammaDist,
-                                    LogScaleDist, PointMass, ShiftedDist, cdf_table)
+from missmass.distributions import (GammaDist, LawView, LogScaleDist, PointMass,
+                                    _BetaAtoms, cdf_table)
 
 
 def test_point_mass():
@@ -34,23 +34,25 @@ def test_gamma_against_scipy():
 
 
 def test_beta_against_scipy():
-    b = BetaDist(0.8, 11.0)
+    b = LawView(_BetaAtoms(0.8, 11.0), 1.0, "W/Z")
     assert b.mean == pytest.approx(0.8 / 11.8)
     for q in (0.05, 0.5, 0.95):
         assert b.quantile(q) == pytest.approx(stats.beta.ppf(q, 0.8, 11.0), rel=1e-10)
 
 
 def test_beta_prime_is_transformed_beta():
-    bp = BetaPrimeDist(a=1.4, b=9.0, scale=2.0)
+    bp = LawView(_BetaAtoms(1.4, 9.0), 2.0)
     for q in (0.1, 0.5, 0.9):
         s = stats.beta.ppf(q, 1.4, 9.0)
         assert bp.quantile(q) == pytest.approx(2.0 * s / (1 - s), rel=1e-10)
     assert bp.mean == pytest.approx(2.0 * 1.4 / 8.0)
-    assert BetaPrimeDist(a=1.0, b=0.9).mean == math.inf
+    assert LawView(_BetaAtoms(1.0, 0.9), 1.0).mean == math.inf
+    # W = 0 is u = -inf, where the density of u is 0
+    assert bp.cdf(0.0) == 0.0 and bp.cdf(math.inf) == 1.0
 
 
 def test_beta_prime_pdf_normalizes():
-    bp = BetaPrimeDist(a=0.9, b=7.0, scale=3.0)
+    bp = LawView(_BetaAtoms(0.9, 7.0), 3.0)
     w = np.exp(np.linspace(-16, 6, 4001))
     total = np.trapezoid(np.exp(bp.log_pdf(w)), w)
     assert total == pytest.approx(1.0, abs=1e-4)
@@ -69,8 +71,8 @@ class TestLogScaleDist:
                                 np.linspace(0.0, v_hi, panels + 1)[1:]])
         u = LogScaleDist.nodes(self.c, self.w, edges, 16)
         log_density = -0.5 * (self.r + 1) * np.log1p(((u - self.c) / self.w) ** 2)
-        return LogScaleDist(self.c, self.w, edges, log_density, tail_rate=self.r,
-                            scale=self.scale)
+        return LawView(LogScaleDist(self.c, self.w, edges, log_density, tail_rate=self.r),
+                       self.scale)
 
     def u_exact(self, q):
         return self.c + self.w * stats.t.ppf(q, self.r) / math.sqrt(self.r)
@@ -99,7 +101,7 @@ class TestLogScaleDist:
 
     def test_views_of_one_law(self):
         law = self.law()
-        ratio = replace(law, w_over_z=True)
+        ratio = LawView(law.law, self.scale, "W/Z")
         q = np.array([0.05, 0.5, 0.95])
         w_q = law.quantile(q)
         np.testing.assert_allclose(ratio.quantile(q), w_q / (self.scale + w_q), rtol=1e-13)
@@ -121,7 +123,7 @@ class TestLogScaleDist:
 
     def test_density_is_the_cdf_slope(self):
         law = self.law()
-        for view in (law, replace(law, w_over_z=True)):
+        for view in (LawView(law.law, self.scale, which) for which in ("W", "Z", "W/Z")):
             lo, hi = view.quantile(0.05), view.quantile(0.95)
             mass = integrate.quad(lambda x: math.exp(view.log_pdf(x)), lo, hi,
                                   epsabs=0, epsrel=1e-12, limit=200)[0]
@@ -130,8 +132,8 @@ class TestLogScaleDist:
 
 class TestCdfTable:
     def test_mixture_table_rows_are_exact(self):
-        law = BetaPrimeDist(np.array([0.4, 3.0, 40.0]), np.array([6.0, 9.0, 30.0]), 2.0,
-                            weights=np.array([0.2, 0.5, 0.3]))
+        law = _BetaAtoms(np.array([0.4, 3.0, 40.0]), np.array([6.0, 9.0, 30.0]),
+                         np.array([0.2, 0.5, 0.3]))
         u, cdf, density = law.table()
         assert (cdf[0], cdf[-1]) == (0.0, 1.0)
         assert np.all(np.diff(u) > 0) and np.max(np.diff(cdf)) <= 1.0 / 8.0
@@ -144,22 +146,30 @@ class TestCdfTable:
         s = s[1:-1, None]
         pdf = stats.beta.pdf(s, law.a, law.b) * s * (1 - s) @ law.weights
         np.testing.assert_allclose(density[1:-1], pdf, rtol=0, atol=1e-13 * np.max(pdf))
-        # the W / Z view reads the same table
-        assert law.ratio_law().table() is law.table()
 
-    @pytest.mark.parametrize("law", [BetaPrimeDist(2.5, 7.0, 3.0),
+    @pytest.mark.parametrize("law", [LawView(_BetaAtoms(2.5, 7.0), 3.0),
                                      TestLogScaleDist().law()], ids=["atom", "panels"])
     def test_rows_between_levels(self, law):
-        u, cdf, _ = cdf_table(law, 1.0 / 200.0, (1e-4, 1.0 - 1e-4))
+        u, cdf, _ = cdf_table(law.law, 1.0 / 200.0, (1e-4, 1.0 - 1e-4))
         assert cdf[0] == pytest.approx(1e-4, abs=1e-12)
         assert cdf[-1] == pytest.approx(1.0 - 1e-4, abs=1e-12)
         assert np.max(np.diff(cdf)) <= 1.0 / 200.0
         np.testing.assert_allclose(law.cdf(law.scale * np.exp(u)), cdf, rtol=0, atol=1e-14)
 
 
-def test_shifted_quantiles_exact():
-    base = GammaDist(shape=3.0, rate=2.0)
-    sh = ShiftedDist(base, 5.0)
-    for q in (0.05, 0.5, 0.95):
-        assert sh.quantile(q) == base.quantile(q) + 5.0
-    assert sh.mean == base.mean + 5.0
+@pytest.mark.parametrize("a, b", [(2e4, 3e4), (1.9e4, 150.0), (2.2e4, 22_040.0), (5e3, 8e3)])
+def test_beta_log_pdf_against_mpmath(a, b):
+    # the W and W/Z densities at large a, where the plain
+    # a log s + b log(1 - s) sum loses ~1e-10 to cancellation
+    scale = 2.5
+    w_view, s_view = LawView(_BetaAtoms(a, b), scale), LawView(_BetaAtoms(a, b), scale, "W/Z")
+    with mpmath.workdps(50):
+        log_b = mpmath.log(mpmath.beta(a, b))
+        for q in (0.05, 0.5, 0.95):
+            w = w_view.quantile(q)
+            t = mpmath.mpf(w) / scale
+            exact = (a - 1) * mpmath.log(t) - (a + b) * mpmath.log1p(t) - log_b - mpmath.log(scale)
+            assert abs(w_view.log_pdf(w) - float(exact)) < 5e-13
+            s = mpmath.mpf(s_view.quantile(q))
+            exact = (a - 1) * mpmath.log(s) + (b - 1) * mpmath.log1p(-s) - log_b
+            assert abs(s_view.log_pdf(float(s)) - float(exact)) < 5e-13

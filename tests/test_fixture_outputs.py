@@ -8,7 +8,10 @@ that means to move numbers regenerates the record with
 
     PYTHONPATH=src python tests/test_fixture_outputs.py
 
-and gives the reason in CHANGES.md.
+which first prints, to stderr, each command whose output changed with the
+largest relative move of any JSON number in it (and "keys changed" where
+its keys or text differ), and
+gives the reason in CHANGES.md.
 """
 
 import contextlib
@@ -110,10 +113,50 @@ def test_output_matches_record(key, record, tmp_path):
         assert got == want
 
 
+def largest_move(got, want) -> tuple[float, bool]:
+    """The largest relative move of any JSON number that got and want
+    both hold, and whether any key, length or non-number differs."""
+    if isinstance(want, (dict, list)) and type(got) is type(want):
+        if isinstance(want, dict):
+            pairs = [(got[key], want[key]) for key in want if key in got]
+            changed = list(got) != list(want)
+        else:
+            pairs, changed = list(zip(got, want)), len(got) != len(want)
+        moves = [largest_move(g, w) for g, w in pairs]
+        return (max((m for m, _ in moves), default=0.0),
+                changed or any(c for _, c in moves))
+    if type(got) not in (int, float) or type(want) not in (int, float):
+        return 0.0, got != want
+    if got == want or (math.isnan(got) and math.isnan(want)):
+        return 0.0, False
+    if not (math.isfinite(got) and math.isfinite(want)):
+        return math.inf, False
+    return abs(got - want) / max(abs(got), abs(want)), False
+
+
+def record_move(got, want) -> str:
+    """How a command's output moved from its record."""
+    if want is None:
+        return "new"
+
+    def parsed(rec):
+        try:
+            return dict(rec, stdout=json.loads(rec["stdout"]))
+        except ValueError:
+            return rec
+
+    move, changed = largest_move(parsed(got), parsed(want))
+    return ("keys changed, " if changed else "") + f"largest relative move {move:.3g}"
+
+
 if __name__ == "__main__":
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
         outputs = {key: run(key, Path(tmp)) for key in commands()}
+    old = json.loads(RECORD.read_text()) if RECORD.exists() else {}
+    for key, got in outputs.items():
+        if got != old.get(key):
+            print(f"{key}: {record_move(got, old.get(key))}", file=sys.stderr)
     RECORD.write_text(json.dumps(outputs, indent=1) + "\n")
     print(f"wrote {len(outputs)} outputs to {RECORD}", file=sys.stderr)

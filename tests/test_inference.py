@@ -15,7 +15,7 @@ from scipy.special import betainc, betaln, expit, gammaln
 from conftest import fixture_path, proportional_observation, random_observation
 from missmass import cli, distributions, inference
 from missmass.data import Observation, load_observation, summarize
-from missmass.distributions import BetaDist, BetaPrimeDist, LogScaleDist, PointMass
+from missmass.distributions import LawView, LogScaleDist, PointMass, _BetaAtoms
 from missmass.inference import (ALPHA_T_BOUNDS, alpha_slope_maxima,
                                 infer_bayes, infer_mixed, infer_profile,
                                 mle_alpha)
@@ -82,15 +82,14 @@ class TestMixed:
         # alpha = 2, X = Y = 0.5, N = 9: E(W/Z) = 1/11 and
         # E(W/V) = alpha Y / (alpha X + N - 1) = 1/9
         a, x_frac, n = 2.0, 0.5, 9
-        wz = BetaDist(a * (1 - x_frac), a * x_frac + n)
-        assert wz.mean == pytest.approx(1.0 / 11.0, rel=1e-12)
-        wv = BetaPrimeDist(a * (1 - x_frac), a * x_frac + n, scale=1.0)
-        assert wv.mean == pytest.approx(1.0 / 9.0, rel=1e-12)
+        law = _BetaAtoms(a * (1 - x_frac), a * x_frac + n)
+        assert LawView(law, 1.0, "W/Z").mean == pytest.approx(1.0 / 11.0, rel=1e-12)
+        assert LawView(law, 1.0, "W").mean == pytest.approx(1.0 / 9.0, rel=1e-12)
 
     def test_beta_density_normalizes_with_matching_mean(self):
         a, b = 1.3, 11.0
         s = np.linspace(1e-9, 1 - 1e-9, 20001)
-        dens = np.exp(BetaDist(a, b).log_pdf(s))
+        dens = np.exp(LawView(_BetaAtoms(a, b), 1.0, "W/Z").log_pdf(s))
         assert np.trapezoid(dens, s) == pytest.approx(1.0, abs=1e-4)
         assert np.trapezoid(s * dens, s) == pytest.approx(a / (a + b), abs=1e-4)
 
@@ -108,8 +107,7 @@ class TestMixed:
         _, obs, st = model_observation(1)
         rep = infer_mixed(obs, st)
         assert rep.singular_case is None
-        assert isinstance(rep.w_dist, BetaPrimeDist)
-        assert isinstance(rep.w_over_z_dist, BetaDist)
+        assert isinstance(rep.w_dist.law, _BetaAtoms)
         assert rep.w_dist.a == pytest.approx(rep.alpha_summary * st.Y)
         for q in (0.05, 0.5, 0.95):
             assert rep.z_dist.quantile(q) == pytest.approx(
@@ -303,10 +301,10 @@ class TestBayesMixture:
 
     def test_one_atom_mixture_is_the_closed_form(self):
         a, b, v = 0.7, 9.0, 2.5
-        single = BetaPrimeDist(a, b, v)
-        mixtures = (BetaPrimeDist(np.array([a]), np.array([b]), v, weights=np.array([1.0])),
-                    BetaPrimeDist(np.array([a, a]), np.array([b, b]), v,
-                                  weights=np.array([0.3, 0.7])))
+        single = LawView(_BetaAtoms(a, b), v)
+        mixtures = (LawView(_BetaAtoms(np.array([a]), np.array([b]), np.array([1.0])), v),
+                    LawView(_BetaAtoms(np.array([a, a]), np.array([b, b]),
+                                       np.array([0.3, 0.7])), v))
         w = single.quantile(LEVELS)
         for mix in mixtures:
             assert np.allclose(mix.quantile(LEVELS), w, rtol=1e-10, atol=0.0)
@@ -567,16 +565,13 @@ class TestProfile:
 
     @pytest.mark.parametrize("name", ["regular_small.json", "regular_large.json"])
     def test_w_over_z_is_the_transformed_w_law(self, name):
-        # W/Z = W / (V + W), quantile by quantile, and the mean of the
-        # same law of u
+        # Z = V + W at the median, and the W/Z mean of the same law of u;
+        # the quantiles of all three views are test_views_of_one_law's
         obs = load_observation(fixture_path(name))
         st = summarize(obs)
         rep = infer_profile(obs, st)
-        q = np.array([1e-4, 0.05, 0.25, 0.5, 0.75, 0.95, 1 - 1e-4])
-        w_q = rep.w_dist.quantile(q)
-        np.testing.assert_allclose(rep.w_over_z_dist.quantile(q), w_q / (st.V + w_q),
-                                   rtol=1e-12)
-        np.testing.assert_allclose(rep.z_dist.quantile(0.5), st.V + w_q[3], rtol=1e-15)
+        np.testing.assert_allclose(rep.z_dist.quantile(0.5), st.V + rep.w_dist.quantile(0.5),
+                                   rtol=1e-15)
         assert 0.0 < rep.w_over_z_dist.mean < 1.0
 
     def test_w_over_z_across_the_float_range(self):
@@ -701,3 +696,28 @@ class TestEquivariance:
             for q in (0.1, 0.5, 0.9):
                 assert rep_s.w_dist.quantile(q) == pytest.approx(
                     k * rep.w_dist.quantile(q), rel=1e-10)
+                # W/Z = W / (V + W) does not move
+                assert rep_s.w_over_z_dist.quantile(q) == pytest.approx(
+                    rep.w_over_z_dist.quantile(q), rel=1e-10)
+            assert rep_s.w_over_z_dist.mean == pytest.approx(rep.w_over_z_dist.mean, rel=1e-10)
+
+
+ROUTES = {"bayes": infer_bayes, "profile": infer_profile, "mixed": infer_mixed}
+
+
+@pytest.mark.parametrize("case", ["regular_small", "regular_large"])
+@pytest.mark.parametrize("route", list(ROUTES))
+def test_views_of_one_law(route, case):
+    # W, Z = V + W and W/Z = W / (V + W) are three views of one law of u
+    obs, st = fixture_observation(case)
+    rep = ROUTES[route](obs, st)
+    w, z, w_over_z = rep.w_dist, rep.z_dist, rep.w_over_z_dist
+    assert w.law is z.law is w_over_z.law
+    w_q = w.quantile(LEVELS)
+    assert z.quantile(LEVELS).tolist() == (st.V + w_q).tolist()
+    assert [z.quantile(q) for q in LEVELS] == [st.V + w.quantile(q) for q in LEVELS]
+    np.testing.assert_allclose(w_over_z.quantile(LEVELS), w_q / (st.V + w_q),
+                               rtol=1e-12, atol=0.0)
+    assert z.mean == st.V + w.mean
+    for view in (w, z, w_over_z):
+        np.testing.assert_allclose(view.cdf(view.quantile(LEVELS)), LEVELS, rtol=0.0, atol=1e-12)
