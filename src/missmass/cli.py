@@ -18,8 +18,8 @@ import numpy as np
 from . import __version__
 from .data import Observation, load_observation, summarize
 from .distributions import PointMass, cdf_table
-from .estimators import (good_toulmin_rb, good_turing_classic, good_turing_rb,
-                         harmonic_mean, ipw_fixed_n, ipw_poisson,
+from .estimators import (_result, good_toulmin_rb, good_turing_classic,
+                         good_turing_rb, harmonic_mean, ipw_fixed_n, ipw_poisson,
                          rb_exact, rb_poisson_lambda, rb_poisson_weights,
                          rb_z_equation)
 from .inference import infer_bayes, infer_mixed, infer_profile
@@ -109,60 +109,42 @@ def _cmd_simulate(args) -> int:
 # estimate
 
 
-def _load_h(args, obs: Observation) -> dict[int, float]:
-    if not args.h_file:
-        raise ValueError("harmonic mean requires --h-file")
+def _hm(obs: Observation, args):
+    if not args.h_file or args.big_h is None:
+        raise ValueError("harmonic mean requires --h-file and --H")
     with open(args.h_file) as fh:
         hv = json.load(fh)
-    h = np.asarray(hv["h"] if isinstance(hv, dict) else hv, dtype=float)
-    return {int(i): float(h[int(i)]) for i in obs.indices}
+    h = np.asarray(hv.get("h") if isinstance(hv, dict) else hv, dtype=float)
+    if h.shape != (obs.domain_size,):
+        raise ValueError(f"--h-file needs {obs.domain_size} numbers, as [...] or {{\"h\": [...]}}")
+    return harmonic_mean(obs, {int(i): float(h[i]) for i in obs.indices}, args.big_h,
+                         mode=args.hm_mode, pi=args.pi)
+
+
+def _gtoulmin(obs: Observation, args):
+    lam = rb_poisson_lambda(obs)
+    return _result(obs, "good-toulmin-rb", {"lambda": lam, "note": "Z derived from W/Z and V"},
+                   w_over_z=good_toulmin_rb(obs, lam))
+
+
+# method name -> (observation, parsed arguments) -> EstimateResult
+ESTIMATES = {
+    "ipw-fixed": lambda obs, args: ipw_fixed_n(obs),
+    "ipw-poisson": lambda obs, args: ipw_poisson(obs),
+    "rb-exact": lambda obs, args: rb_z_equation(obs, rb_exact(obs), args.variant, args.pi),
+    "rb-poisson": lambda obs, args: rb_z_equation(obs, rb_poisson_weights(obs),
+                                                  args.variant, args.pi),
+    "gt": lambda obs, args: good_turing_classic(obs),
+    "gt-rb": lambda obs, args: good_turing_rb(obs),
+    "gtoulmin": _gtoulmin,
+    "hm": _hm,
+}
 
 
 def _cmd_estimate(args) -> int:
-    obs = load_observation(args.infile)
-    v = obs.v
-    diagnostics: dict = {}
-    if args.method == "ipw-fixed":
-        res = ipw_fixed_n(obs)
-    elif args.method == "ipw-poisson":
-        res = ipw_poisson(obs)
-    elif args.method in ("rb-exact", "rb-poisson"):
-        weights = rb_exact(obs) if args.method == "rb-exact" else rb_poisson_weights(obs)
-        res = rb_z_equation(obs, weights, variant=args.variant, pi=args.pi)
-    elif args.method in ("gt", "gt-rb"):
-        gt = (good_turing_classic if args.method == "gt" else good_turing_rb)(obs)
-        out = {"method": args.method, "Z": gt.z, "W": gt.w,
-               "W_over_Z": gt.w_over_z, "diagnostics": {}}
-        _emit(out, args.out)
-        return 0
-    elif args.method == "gtoulmin":
-        lam = rb_poisson_lambda(obs)
-        w_over_z = good_toulmin_rb(obs, lam)
-        z = math.inf if w_over_z >= 1.0 else v / (1.0 - w_over_z)
-        out = {"method": "gtoulmin", "Z": z,
-               "W": z - v if math.isfinite(z) else math.inf,
-               "W_over_Z": w_over_z,
-               "diagnostics": {"lambda": lam, "note": "Z derived from W/Z and V"}}
-        _emit(out, args.out)
-        return 0
-    elif args.method == "hm":
-        h = _load_h(args, obs)
-        if args.big_h is None:
-            raise ValueError("harmonic mean requires --H")
-        res = harmonic_mean(obs, h, args.big_h, mode=args.hm_mode, pi=args.pi)
-    else:
-        raise ValueError(f"unknown method {args.method!r}")
-
-    z = res.value
-    diagnostics.update(res.diagnostics)
-    if math.isfinite(z):
-        w = z - v
-        w_over_z = 1.0 - v / z if z > 0 else math.nan
-    else:
-        w, w_over_z = math.inf, 1.0
-    out = {"method": args.method, "Z": z, "W": w, "W_over_Z": w_over_z,
-           "diagnostics": diagnostics}
-    _emit(out, args.out)
+    res = ESTIMATES[args.method](load_observation(args.infile), args)
+    _emit({"method": args.method, "Z": res.value, "W": res.w, "W_over_Z": res.w_over_z,
+           "diagnostics": res.diagnostics}, args.out)
     return 0
 
 
@@ -299,9 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     est = sub.add_parser("estimate", help="point estimates of Z and W")
     est.add_argument("--in", dest="infile", required=True,
                      help="observation or dataset JSON")
-    est.add_argument("--method", required=True,
-                     choices=["ipw-fixed", "ipw-poisson", "rb-exact",
-                              "rb-poisson", "gt", "gt-rb", "gtoulmin", "hm"])
+    est.add_argument("--method", required=True, choices=list(ESTIMATES))
     est.add_argument("--pi", default="poisson", choices=["poisson", "fixed-n"])
     est.add_argument("--variant", default="V_over_Z",
                      choices=["V_over_Z", "M_over_Z"])

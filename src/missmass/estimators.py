@@ -21,9 +21,10 @@ of two DFT coefficients after tilting the counts to zero-truncated
 Poisson(lambda p) at the saddle-point rate lambda.  The saddle-point
 approximation keeps only the tilt: v = lambda p / (1 - exp(-lambda p)).
 
-All estimators are equivariant under rescaling of p, and the purely
-self-consistent ones are uninformative (+inf) when every sampled point is
-a singleton.
+Each estimator of Z returns an EstimateResult: Z, W = Z - V and W/Z from
+its primary output (Z, or W/Z for Good-Turing; good_toulmin_rb gives W/Z
+alone).  All are equivariant under rescaling of p, and the purely
+self-consistent ones are +inf, with a reason, on all-singleton samples.
 """
 
 from __future__ import annotations
@@ -55,13 +56,38 @@ _MU_TINY, _MU_BIG = np.finfo(float).tiny, 700.0
 
 @dataclass(frozen=True)
 class EstimateResult:
+    """A point estimate: Z (``value``), W = Z - V and W/Z."""
+
     value: float
+    w: float
+    w_over_z: float
     method: str
     diagnostics: dict = field(default_factory=dict, compare=False)
+
+    z = property(lambda self: self.value)  # read-only alias of value
 
     @property
     def is_finite(self) -> bool:
         return math.isfinite(self.value)
+
+
+def _result(obs: Observation, method: str, diagnostics: dict, z: float | None = None,
+            w: float | None = None, w_over_z: float | None = None) -> EstimateResult:
+    """The estimate from Z, with W = Z - V and W/Z = 1 - V/Z where not
+    given, or from W/Z alone, with Z = V / (1 - W/Z).  W/Z = 1, which the
+    Good-Turing family reaches only on all singletons, and any infinite Z
+    give W = inf and W/Z = 1; a boundary Z = 0 gives W/Z = nan."""
+    v = obs.v if None in (z, w, w_over_z) else None
+    if z is None:
+        z = math.inf if w_over_z >= 1.0 else v / (1.0 - w_over_z)
+        if math.isinf(z):
+            diagnostics.setdefault("reason", _SINGLETONS)
+    if not math.isfinite(z):
+        return EstimateResult(z, math.inf, 1.0, method, diagnostics)
+    w = z - v if w is None else w
+    if w_over_z is None:
+        w_over_z = 1.0 - v / z if z > 0 else math.nan
+    return EstimateResult(z, w, w_over_z, method, diagnostics)
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,15 +140,15 @@ def _over_pi(p: np.ndarray, n: int, form: str):
     return over_pi
 
 
-def _solve_z(f, obs: Observation, form: str, diag: dict, scale: float | None = None) -> float:
+def _solve_z(f, obs: Observation, form: str, diag: dict, c: float = 0.0) -> float:
     """Root in Z of an estimating equation f, positive below its root and
     negative above it.
 
     From V the search doubles Z until f turns negative or, where f(V) < 0,
     takes the one bracket down to the lower limit of Z: V 1e-12, or just
     above max p under fixed-n, where pi(i; Z) reaches 1.  Brent's method
-    refines the bracket.  Past _UPPER_CAP * scale (V by default) the
-    verdict is _NO_SOLUTION (+inf); with f(limit) <= 0 it is _BOUNDARY (0).
+    refines the bracket.  Past _UPPER_CAP (V + c), c a mixture's known anchor,
+    the verdict is _NO_SOLUTION (+inf); with f(limit) <= 0 it is _BOUNDARY (0).
     diag gets the evaluations, the bracket steps and, for a root, the
     plugged-back residual.  Each Z is evaluated once: the bracket ends and
     the root Brent's method returns are points already evaluated.
@@ -147,7 +173,7 @@ def _solve_z(f, obs: Observation, form: str, diag: dict, scale: float | None = N
         while counted(hi) > 0.0:
             hi *= 2.0
             diag["iterations"] += 1
-            if hi > _UPPER_CAP * (v if scale is None else scale):
+            if hi > _UPPER_CAP * (v + c):
                 diag["reason"] = _NO_SOLUTION
                 return math.inf
         bracket = (hi / 2.0, hi)
@@ -170,17 +196,15 @@ def _solve_ipw(obs: Observation, q: np.ndarray, c: float, form: str,
     """Z solving Z = c + sum_S q(i) / pi(i; Z); the right side over Z falls
     in Z, so the root is unique and, for q <= p and c >= 0, at least V."""
     over_pi = _over_pi(obs.p_obs, obs.n, form)
-    return _solve_z(lambda z: c + float(over_pi(q, z).sum()) - z, obs, form, diag,
-                    scale=obs.v + c)
+    return _solve_z(lambda z: c + float(over_pi(q, z).sum()) - z, obs, form, diag, c)
 
 
 def _ipw(obs: Observation, form: str, method: str) -> EstimateResult:
     _require_observations(obs)
     if obs.m == obs.n:
-        return EstimateResult(math.inf, method, {"reason": _SINGLETONS})
+        return _result(obs, method, {"reason": _SINGLETONS}, math.inf)
     diag: dict = {}
-    root = _solve_ipw(obs, obs.p_obs, 0.0, form, diag)
-    return EstimateResult(root, method, diag)
+    return _result(obs, method, diag, _solve_ipw(obs, obs.p_obs, 0.0, form, diag))
 
 
 def ipw_fixed_n(obs: Observation) -> EstimateResult:
@@ -306,7 +330,7 @@ def rb_z_equation(obs: Observation, weights: RBWeights,
     _require_observations(obs)
     method = f"rb-z-{variant}"
     if obs.m == obs.n:
-        return EstimateResult(math.inf, method, {"reason": _SINGLETONS})
+        return _result(obs, method, {"reason": _SINGLETONS}, math.inf)
     p, n, v_obs, m_obs = obs.p_obs, obs.n, obs.v, obs.m
     w = weights.aligned(obs)
     diag: dict = {}
@@ -322,16 +346,13 @@ def rb_z_equation(obs: Observation, weights: RBWeights,
         def f(z):
             return m_obs - float(z / n * np.dot(w, 1.0 / over_pi(p, z)))
 
-    return EstimateResult(_solve_z(f, obs, pi, diag), method, diag)
+    return _result(obs, method, diag, _solve_z(f, obs, pi, diag))
 
 
 # ---------------------------------------------------------------------------
 # Good-Turing family
 
-GoodTuring = namedtuple("GoodTuring", ["z", "w", "w_over_z"])
-
-
-def good_turing_classic(obs: Observation) -> GoodTuring:
+def good_turing_classic(obs: Observation) -> EstimateResult:
     """The classic estimator W/Z = Phi_1 / N with the implied Z and W.
 
     Z = V N / (N - Phi_1) and W = V Phi_1 / (N - Phi_1); all singletons
@@ -341,43 +362,40 @@ def good_turing_classic(obs: Observation) -> GoodTuring:
     phi1 = int(np.sum(obs.counts == 1))
     n, v = obs.n, obs.v
     if phi1 == n:
-        return GoodTuring(math.inf, math.inf, 1.0)
-    w_over_z = phi1 / n
-    z = v * n / (n - phi1)
-    w = v * phi1 / (n - phi1)
-    return GoodTuring(z, w, w_over_z)
+        return _result(obs, "good-turing-classic", {"reason": _SINGLETONS}, math.inf)
+    return _result(obs, "good-turing-classic", {}, v * n / (n - phi1),
+                   w=v * phi1 / (n - phi1), w_over_z=phi1 / n)
 
 
-def good_turing_rb(obs: Observation) -> GoodTuring:
+def good_turing_rb(obs: Observation) -> EstimateResult:
     """Rao-Blackwellized Good-Turing in the Poisson approximation.
 
-    Z solves Z = sum_S p(i) / (1 - exp(-N p(i)/Z)) (the Poisson IPW fixed
-    point) and W = sum_S p(i) / (exp(N p(i)/Z) - 1), which equals Z - V
-    identically.  N = M is singular: Z, W -> inf with W/Z = 1.
+    Z is the Poisson IPW root, with its solver diagnostics, and
+    W = sum_S p(i) / (exp(N p(i)/Z) - 1), summed, not taken as the equal
+    Z - V.  N = M is singular: Z, W -> inf with W/Z = 1.
     """
-    _require_observations(obs)
-    if obs.m == obs.n:
-        return GoodTuring(math.inf, math.inf, 1.0)
-    p, n = obs.p_obs, obs.n
-    z = ipw_poisson(obs).value
+    ipw = ipw_poisson(obs)
+    if not ipw.is_finite:
+        return _result(obs, "good-turing-rb", ipw.diagnostics, ipw.value)
+    p, n, z = obs.p_obs, obs.n, ipw.value
     # p / (e^{N p / Z} - 1) = p e^{-N p / Z} / pi(i; Z)
     w = float(_over_pi(p, n, "poisson")(p * np.exp(-n * p / z), z).sum())
-    return GoodTuring(z, w, w / z)
+    return _result(obs, "good-turing-rb", ipw.diagnostics, z, w=w, w_over_z=w / z)
 
 
 def good_toulmin_rb(obs: Observation, lam: float) -> float:
     """Rao-Blackwellized Good-Toulmin estimate of W/Z.
 
     sum_S (1 - exp(-lambda p(i)/N)) / (exp(lambda p(i)) - 1), with lambda
-    from rb_poisson_lambda.  lambda = 0 is the degenerate all-singleton
-    limit in which every term tends to 1/N and the sum to 1.
+    from rb_poisson_lambda; a term whose lambda p(i) underflows takes its
+    limit 1/N.  lambda = 0 is the all-singleton limit, where the sum is 1.
     """
     _require_observations(obs)
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
     if lam == 0.0:
         return 1.0
-    lp = lam * obs.p_obs
+    lp = np.maximum(lam * obs.p_obs, _MU_TINY)
     return float(np.sum(-np.expm1(-lp / obs.n) / np.expm1(lp)))
 
 
@@ -395,6 +413,16 @@ def expected_phi(obs: Observation, lam: float, k: int) -> float:
 
 # ---------------------------------------------------------------------------
 # harmonic mean / reciprocal importance sampling
+
+
+def _anchor(obs: Observation, h: Mapping[int, float] | None, H: float | None) -> np.ndarray:
+    """The anchor h on the sample, checked along with its known total H."""
+    if h is None or H is None or not 0.0 < H < math.inf:
+        raise ValueError(f"the anchor needs h and a finite H > 0, got H = {H}")
+    hv = np.array([h[int(i)] for i in obs.indices], dtype=float)
+    if not (hv.min() >= 0.0 and hv.max() < math.inf):  # a nan fails both
+        raise ValueError("h must be finite and nonnegative")
+    return hv
 
 
 def harmonic_mean(obs: Observation, h: Mapping[int, float], H: float,
@@ -415,24 +443,18 @@ def harmonic_mean(obs: Observation, h: Mapping[int, float], H: float,
     mitigated.
     """
     _require_observations(obs)
-    if H <= 0:
-        raise ValueError("H must be positive")
-    hv = np.array([h[int(i)] for i in obs.indices], dtype=float)
-    if np.any(hv < 0):
-        raise ValueError("h must be nonnegative")
+    hv = _anchor(obs, h, H)
     p, n = obs.p_obs, obs.n
     method = f"harmonic-mean-{mode}"
     diag: dict = {}
 
     if mode in ("classic", "rb_linear"):
-        if mode == "classic":
-            denom = float(np.dot(obs.counts, hv / p))
-        else:
-            if weights is None:
-                raise ValueError("rb_linear mode requires RBWeights")
-            denom = float(np.dot(weights.aligned(obs), hv / p))
+        if mode == "rb_linear" and weights is None:
+            raise ValueError("rb_linear mode requires RBWeights")
+        counts = obs.counts if mode == "classic" else weights.aligned(obs)
+        denom = float(np.dot(counts, hv / p))
         if denom == 0.0:
-            return EstimateResult(math.inf, method, {"reason": "zero denominator"})
+            return _result(obs, method, {"reason": "zero denominator"}, math.inf)
         z = n * H / denom
     elif mode == "ipw_nonlinear":
         over_pi = _over_pi(p, n, pi)
@@ -442,7 +464,7 @@ def harmonic_mean(obs: Observation, h: Mapping[int, float], H: float,
 
     if z > 0 and np.all(hv > 0):
         diag["variance_indicator"] = float(np.min(p / hv * (H / z)))
-    return EstimateResult(z, method, diag)
+    return _result(obs, method, diag, z)
 
 
 # ---------------------------------------------------------------------------
@@ -487,9 +509,7 @@ def mixture_estimate(obs: Observation, r_components, w, gamma: float,
         raise ValueError("inconsistent mixture decomposition: r @ w != p")
     gh, c = np.zeros(obs.m), 0.0
     if gamma > 0.0:
-        if h is None or H is None or H <= 0:
-            raise ValueError("gamma > 0 requires the anchor h and H > 0")
-        gh = gamma * np.array([h[int(i)] for i in obs.indices], dtype=float)
+        gh = gamma * _anchor(obs, h, H)
         if np.any(gh - p > tol):
             raise ValueError("gamma h exceeds p: the equation is not monotone")
         c = gamma * H
@@ -507,4 +527,4 @@ def mixture_estimate(obs: Observation, r_components, w, gamma: float,
         R = _over_pi(p, n, pi)(r.T, z).sum(axis=1)
         if weights is not None:
             R_rb = np.asarray(r.T @ (weights.aligned(obs) / p)) * z / n
-    return MixtureResult(EstimateResult(z, method, diag), R, R_rb)
+    return MixtureResult(_result(obs, method, diag, z), R, R_rb)

@@ -9,9 +9,9 @@ import time
 import numpy as np
 import pytest
 
-from conftest import FIXTURES, fixture_path
-from missmass.cli import main, render_json
-from missmass.data import load_observation, summarize
+from conftest import FIXTURES, fixture_path, random_observation
+from missmass.cli import ESTIMATES, build_parser, main, render_json
+from missmass.data import Observation, load_observation, summarize
 from missmass.inference import infer_mixed, infer_profile
 
 ALL_FIXTURES = sorted(f.name for f in FIXTURES.glob("*.json"))
@@ -120,6 +120,56 @@ class TestEstimate:
                                "--h-file", str(h), "--H", "1.2")
         assert code == 0
         assert json.loads(out)["method"] == "hm"
+
+    @pytest.mark.parametrize("h, big_h, message", [
+        ([0.2] * 5, "1", "--h-file needs 6 numbers"),
+        (None, "1", "--h-file needs 6 numbers"),
+        ([0.2] * 6, "nan", "the anchor needs h and a finite H > 0, got H = nan"),
+        ([0.2] * 6, "inf", "the anchor needs h and a finite H > 0, got H = inf"),
+        ([math.nan] * 6, "1", "h must be finite and nonnegative"),
+        ([math.inf] * 6, "1", "h must be finite and nonnegative"),
+    ], ids=["h-short", "h-key-missing", "H-nan", "H-inf", "h-nan", "h-inf"])
+    def test_harmonic_mean_rejects_a_bad_anchor(self, h, big_h, message, capsys, tmp_path):
+        # regular_small has 6 domain points; h = None passes the fixture
+        # itself, a JSON object without "h", as the h-file
+        path = fixture_path("regular_small.json")
+        h_file = tmp_path / "h.json"
+        h_file.write_text(json.dumps(h) if h is not None else pathlib.Path(path).read_text())
+        code, out, err = run_cli(capsys, "estimate", "--in", path, "--method", "hm",
+                                 "--h-file", str(h_file), "--H", big_h)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("method", list(ESTIMATES))
+def test_every_estimate_is_equivariant_and_states_its_singular_case(method, rng, tmp_path):
+    """Each entry of the estimate table (hm with h = x, H = 1): p -> k p
+    scales Z and W by k and keeps W/Z; on an all-singleton sample every
+    method but the anchored harmonic mean gives Z = W = inf and W/Z = 1
+    with a reason."""
+    def estimate(obs):
+        h_file = tmp_path / "h.json"
+        h_file.write_text(json.dumps(obs.x.tolist()))
+        args = build_parser().parse_args(["estimate", "--in", "-", "--method", method,
+                                          "--h-file", str(h_file), "--H", "1"])
+        return ESTIMATES[method](obs, args)
+
+    for _ in range(10):
+        obs = random_observation(rng, extra_counts=int(rng.integers(1, 8)))
+        k = 10.0 ** rng.uniform(-3.0, 3.0)
+        scaled = Observation(domain_size=obs.domain_size, x=obs.x, indices=obs.indices,
+                             p_obs=k * obs.p_obs, counts=obs.counts)
+        base, res = estimate(obs), estimate(scaled)
+        assert res.is_finite and "reason" not in res.diagnostics
+        assert res.value == pytest.approx(k * base.value, rel=1e-9)
+        assert res.w == pytest.approx(k * base.w, rel=1e-9)
+        assert res.w_over_z == pytest.approx(base.w_over_z, rel=1e-9)
+    res = estimate(random_observation(rng, extra_counts=0))
+    if method == "hm":
+        assert res.is_finite
+    else:
+        assert (res.value, res.w, res.w_over_z) == (math.inf, math.inf, 1.0)
+        assert res.diagnostics["reason"] == "all sampled points are singletons"
 
 
 class TestInfer:

@@ -426,6 +426,16 @@ class TestGoodToulmin:
         expected = (1 - math.exp(-lam / 2.0)) / (math.exp(lam) - 1.0)
         assert good_toulmin_rb(obs, lam) == pytest.approx(expected, rel=1e-12)
 
+    def test_masses_spanning_the_float_range(self):
+        # lambda p underflows to 0 at p = 1e-200, where the term (0 / 0 as
+        # written) takes its limit 1 / N, as it does at p = 1
+        obs = make_obs(SPREAD_P, [1, 1, 3])
+        lam = rb_poisson_lambda(obs)
+        assert lam * SPREAD_P[0] == 0.0
+        lp = lam * SPREAD_P[2]
+        expected = 2.0 / 5.0 - math.expm1(-lp / 5.0) / math.expm1(lp)
+        assert good_toulmin_rb(obs, lam) == pytest.approx(expected, rel=1e-12)
+
     def test_joint_rescale_invariance(self, rng):
         obs = random_observation(rng, extra_counts=5)
         lam = rb_poisson_lambda(obs)
@@ -453,6 +463,18 @@ class TestExpectedPhi:
 
 
 class TestHarmonicMean:
+    @pytest.mark.parametrize("h0, big_h", [(0.5, math.nan), (0.5, math.inf), (0.5, 0.0),
+                                            (math.nan, 1.0), (math.inf, 1.0), (-0.5, 1.0)])
+    def test_anchor_must_be_finite(self, h0, big_h):
+        # the harmonic mean and the mixture read the anchor through one check
+        obs = make_obs([1.0, 2.0], [2, 1])
+        anchor = {0: h0, 1: 0.25}
+        r = np.column_stack([obs.p_obs / 2, obs.p_obs / 2])
+        for estimate in (lambda: harmonic_mean(obs, anchor, big_h, mode="ipw_nonlinear"),
+                         lambda: mixture_estimate(obs, r, [1.0, 1.0], 0.5, h=anchor, H=big_h)):
+            with pytest.raises(ValueError, match="finite"):
+                estimate()
+
     def test_classic_self_consistency(self):
         ps = np.array([1.0, 2.0, 3.0])
         z_true = 10.0

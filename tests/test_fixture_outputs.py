@@ -8,10 +8,10 @@ that means to move numbers regenerates the record with
 
     PYTHONPATH=src python tests/test_fixture_outputs.py
 
-which first prints, to stderr, each command whose output changed with the
-largest relative move of any JSON number in it (and "keys changed" where
-its keys or text differ), and
-gives the reason in CHANGES.md.
+which first prints, to stderr, each command whose output changed: the
+keys added or removed, by path ("+diagnostics.reason"), any other text
+that differs, and the largest relative move of any JSON number in it.  A
+failing test prints the same line.  Give the reason in CHANGES.md.
 """
 
 import contextlib
@@ -109,44 +109,58 @@ def test_output_matches_record(key, record, tmp_path):
     if key.startswith("infer:bayes:") and want["rc"] == 0:
         assert (got["rc"], got["stderr"]) == (0, want["stderr"])
         assert_close(json.loads(got["stdout"]), json.loads(want["stdout"]))
-    else:
-        assert got == want
+    elif got != want:
+        pytest.fail(f"{key} moved from its record: {record_move(got, want)}")
 
 
-def largest_move(got, want) -> tuple[float, bool]:
+def largest_move(got, want, path: str = "") -> tuple[float, list[str]]:
     """The largest relative move of any JSON number that got and want
-    both hold, and whether any key, length or non-number differs."""
+    both hold, and every other difference by its path below ``path``:
+    "+path" / "-path" for a key added / removed, "path (order)" for
+    reordered keys, "path (length)" for a list and "path" for a
+    non-number."""
     if isinstance(want, (dict, list)) and type(got) is type(want):
+        def below(key):
+            return f"{path}.{key}" if path else str(key)
+
         if isinstance(want, dict):
-            pairs = [(got[key], want[key]) for key in want if key in got]
-            changed = list(got) != list(want)
+            changes = ([f"+{below(key)}" for key in got if key not in want]
+                       + [f"-{below(key)}" for key in want if key not in got])
+            if not changes and list(got) != list(want):
+                changes.append(f"{path} (order)")
+            moves = [largest_move(got[key], want[key], below(key))
+                     for key in want if key in got]
         else:
-            pairs, changed = list(zip(got, want)), len(got) != len(want)
-        moves = [largest_move(g, w) for g, w in pairs]
+            changes = [] if len(got) == len(want) else [f"{path} (length)"]
+            moves = [largest_move(g, w, below(k)) for k, (g, w) in enumerate(zip(got, want))]
         return (max((m for m, _ in moves), default=0.0),
-                changed or any(c for _, c in moves))
+                changes + [c for _, more in moves for c in more])
     if type(got) not in (int, float) or type(want) not in (int, float):
-        return 0.0, got != want
+        return 0.0, [path] if got != want else []
     if got == want or (math.isnan(got) and math.isnan(want)):
-        return 0.0, False
+        return 0.0, []
     if not (math.isfinite(got) and math.isfinite(want)):
-        return math.inf, False
-    return abs(got - want) / max(abs(got), abs(want)), False
+        return math.inf, []
+    return abs(got - want) / max(abs(got), abs(want)), []
 
 
 def record_move(got, want) -> str:
-    """How a command's output moved from its record."""
+    """How a command's output moved from its record: the paths that
+    differ (those in its JSON stdout relative to that JSON), then the
+    largest relative move of a number."""
     if want is None:
         return "new"
 
     def parsed(rec):
         try:
-            return dict(rec, stdout=json.loads(rec["stdout"]))
+            return json.loads(rec["stdout"])
         except ValueError:
-            return rec
+            return rec["stdout"]
 
-    move, changed = largest_move(parsed(got), parsed(want))
-    return ("keys changed, " if changed else "") + f"largest relative move {move:.3g}"
+    move, changes = largest_move(parsed(got), parsed(want))
+    changes = [c.strip() or "stdout" for c in changes]
+    changes += [key for key in ("rc", "stderr") if got[key] != want[key]]
+    return ", ".join(changes + [f"largest relative move {move:.3g}"])
 
 
 if __name__ == "__main__":
