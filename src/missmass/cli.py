@@ -109,16 +109,38 @@ def _cmd_simulate(args) -> int:
 # estimate
 
 
+# the estimate options that only some methods read: flag -> (dest, default,
+# the methods that read it).  Their parser default is None, so that an
+# option given to a method that does not read it is refused, not ignored.
+METHOD_OPTIONS = {
+    "--pi": ("pi", "poisson", ("rb-exact", "rb-poisson", "hm")),
+    "--variant": ("variant", "V_over_Z", ("rb-exact", "rb-poisson")),
+    "--h-file": ("h_file", None, ("hm",)),
+    "--H": ("big_h", None, ("hm",)),
+    "--hm-mode": ("hm_mode", "ipw_nonlinear", ("hm",)),
+}
+
+
+def _option(args, flag: str):
+    """The value of a METHOD_OPTIONS flag: as given, else its default."""
+    dest, default, _ = METHOD_OPTIONS[flag]
+    value = getattr(args, dest)
+    return default if value is None else value
+
+
 def _hm(obs: Observation, args):
     if not args.h_file or args.big_h is None:
         raise ValueError("harmonic mean requires --h-file and --H")
     with open(args.h_file) as fh:
         hv = json.load(fh)
-    h = np.asarray(hv.get("h") if isinstance(hv, dict) else hv, dtype=float)
-    if h.shape != (obs.domain_size,):
+    try:
+        h = np.asarray(hv.get("h") if isinstance(hv, dict) else hv, dtype=float)
+    except (TypeError, ValueError):
+        h = None
+    if h is None or h.shape != (obs.domain_size,):
         raise ValueError(f"--h-file needs {obs.domain_size} numbers, as [...] or {{\"h\": [...]}}")
     return harmonic_mean(obs, {int(i): float(h[i]) for i in obs.indices}, args.big_h,
-                         mode=args.hm_mode, pi=args.pi)
+                         mode=_option(args, "--hm-mode"), pi=_option(args, "--pi"))
 
 
 def _gtoulmin(obs: Observation, args):
@@ -127,13 +149,17 @@ def _gtoulmin(obs: Observation, args):
                    w_over_z=good_toulmin_rb(obs, lam))
 
 
+def _rb(weights):
+    return lambda obs, args: rb_z_equation(obs, weights(obs), _option(args, "--variant"),
+                                           _option(args, "--pi"))
+
+
 # method name -> (observation, parsed arguments) -> EstimateResult
 ESTIMATES = {
     "ipw-fixed": lambda obs, args: ipw_fixed_n(obs),
     "ipw-poisson": lambda obs, args: ipw_poisson(obs),
-    "rb-exact": lambda obs, args: rb_z_equation(obs, rb_exact(obs), args.variant, args.pi),
-    "rb-poisson": lambda obs, args: rb_z_equation(obs, rb_poisson_weights(obs),
-                                                  args.variant, args.pi),
+    "rb-exact": _rb(rb_exact),
+    "rb-poisson": _rb(rb_poisson_weights),
     "gt": lambda obs, args: good_turing_classic(obs),
     "gt-rb": lambda obs, args: good_turing_rb(obs),
     "gtoulmin": _gtoulmin,
@@ -142,6 +168,11 @@ ESTIMATES = {
 
 
 def _cmd_estimate(args) -> int:
+    for flag, (dest, _, readers) in METHOD_OPTIONS.items():
+        if getattr(args, dest) is not None and args.method not in readers:
+            print(f"error: {flag} is read only by --method {', '.join(readers)}, "
+                  f"not by {args.method}", file=sys.stderr)
+            return 2
     res = ESTIMATES[args.method](load_observation(args.infile), args)
     _emit({"method": args.method, "Z": res.value, "W": res.w, "W_over_Z": res.w_over_z,
            "diagnostics": res.diagnostics}, args.out)
@@ -282,13 +313,14 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--in", dest="infile", required=True,
                      help="observation or dataset JSON")
     est.add_argument("--method", required=True, choices=list(ESTIMATES))
-    est.add_argument("--pi", default="poisson", choices=["poisson", "fixed-n"])
-    est.add_argument("--variant", default="V_over_Z",
-                     choices=["V_over_Z", "M_over_Z"])
-    est.add_argument("--h-file", help="JSON array (or {'h': [...]}) over the domain")
-    est.add_argument("--H", dest="big_h", type=float, help="known total of h")
-    est.add_argument("--hm-mode", default="ipw_nonlinear",
-                     choices=["classic", "rb_linear", "ipw_nonlinear"])
+    est.add_argument("--pi", choices=["poisson", "fixed-n"],
+                     help="inclusion probabilities (default poisson; rb-*, hm)")
+    est.add_argument("--variant", choices=["V_over_Z", "M_over_Z"],
+                     help="Rao-Blackwell Z equation (default V_over_Z; rb-*)")
+    est.add_argument("--h-file", help="JSON array (or {'h': [...]}) over the domain (hm)")
+    est.add_argument("--H", dest="big_h", type=float, help="known total of h (hm)")
+    est.add_argument("--hm-mode", choices=["classic", "rb_linear", "ipw_nonlinear"],
+                     help="harmonic mean form (default ipw_nonlinear; hm)")
     est.add_argument("--out", help="output path (default stdout)")
     est.set_defaults(fn=_cmd_estimate)
 

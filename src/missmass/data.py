@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from functools import cached_property
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -38,6 +39,8 @@ TERM_RUNS = {"L4": (slice(0, -4), slice(1, -4), slice(1, -4)),
              "L8": (slice(2, -4),) * 3,
              "L9": (slice(3, -2),) * 3,
              "L11": (slice(3, -4),) * 3}
+# the columns of the term table by name, the x columns as one
+_COLUMNS = ("N", "alpha", "alpha Y", "x", "alpha X + N", "alpha + N", "alpha", "N")
 
 
 def _as_float_vector(v, name: str) -> np.ndarray:
@@ -193,15 +196,34 @@ def load_observation(path: str) -> Observation:
 
 def _term_table(x_values: np.ndarray, x_counts: np.ndarray, n: int, x_sum: float,
                 y: float) -> np.ndarray:
-    """SummaryStats.terms: the rows s, o, w, w s, w s^2 of the term table,
-    each of shape (1, K), so that alpha-by-term blocks meet them shape for
-    shape."""
+    """SummaryStats.terms: the rows s, o, w, w s, w s^2 of the term table."""
     scales = np.concatenate([[0.0, 1.0, y], x_values, [x_sum, 1.0, 1.0, 0.0]])
     offsets = np.concatenate([[n, 0.0, 0.0], np.zeros(len(x_values)), [n, n, 0.0, n]])
     w = np.concatenate([[1.0, 1.0, -1.0], -x_counts, [1.0, -1.0, 1.0, 1.0]])
-    table = np.stack([scales, offsets, w, w * scales, w * scales ** 2])[:, None, :]
+    table = np.stack([scales, offsets, w, w * scales, w * scales ** 2])
     table.setflags(write=False)
     return table
+
+
+class TermRun(NamedTuple):
+    """One run of term-table columns (TERM_RUNS) as contiguous vectors:
+    scales s, offsets o and weights w s^k.
+
+    Every column has s >= 0, o >= 0 and s + o > 0, and o > 0 makes
+    alpha s + o positive at any alpha > 0.  ``s_min`` is the smallest s of
+    the run's o = 0 columns: those of x (the smallest is x_values[0], at
+    most 1), of alpha (s = 1) and of alpha Y.  Float multiplication is
+    monotone in each factor, so every alpha s + o of the run is positive
+    exactly when min(alpha) s_min > 0, NaN, zero, negative and
+    underflowing alpha included.  ``has_constant`` marks the s = 0 column
+    log Gamma(N), where alpha = inf gives inf * 0 = NaN.
+    """
+
+    scales: np.ndarray
+    offsets: np.ndarray
+    weights: np.ndarray
+    s_min: float
+    has_constant: bool
 
 
 @dataclass(frozen=True)
@@ -225,7 +247,8 @@ class SummaryStats:
     (TERM_RUNS): the k-th alpha derivative of log L``name``, for L4, L5,
     L8, L9 and L11, is sum_j w_j s_j^k f_k(alpha s_j + o_j) over its run
     of columns plus terms elementary in alpha, with f_0 = log Gamma,
-    f_1 = digamma and f_2 = trigamma.
+    f_1 = digamma and f_2 = trigamma.  ``term_run`` gives one run as
+    vectors, built on first use.
     """
 
     M: int
@@ -253,6 +276,24 @@ class SummaryStats:
         """The coefficient r with p = r x on the sample; meaningful only
         in the proportional case, where it equals V / X."""
         return self.V / self.X
+
+    @cached_property
+    def _term_runs(self) -> dict[tuple[str, int], TermRun]:
+        return {}
+
+    def term_run(self, name: str, order: int) -> TermRun:
+        """The run of ``terms`` columns of the ``order``-th alpha derivative
+        of log L``name`` (TERM_RUNS), built once per sample."""
+        run = self._term_runs.get((name, order))
+        if run is None:
+            cols = TERM_RUNS[name][order]
+            names = _COLUMNS[cols]
+            s_min = float(self.x_values[0])
+            if "alpha Y" in names:
+                s_min = min(s_min, self.Y)
+            run = self._term_runs[name, order] = TermRun(
+                *(self.terms[row, cols] for row in (0, 1, 2 + order)), s_min, "N" in names)
+        return run
 
 
 def summarize(obs: Observation) -> SummaryStats:

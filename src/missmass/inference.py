@@ -145,7 +145,10 @@ def _alpha_maximum(which: str, stats: SummaryStats, slopes: np.ndarray | None = 
         alpha = math.exp(t)
         return dlog_dalpha(which, stats, alpha) - prior / alpha
 
-    maxima = [math.exp(solve_root(slope, (_SLOPE_SCAN_T[k], _SLOPE_SCAN_T[k + 1])))
+    # the root finds start from the scan's slopes at the bracket ends, which
+    # a scalar evaluation reproduces bit for bit
+    maxima = [math.exp(solve_root(slope, (_SLOPE_SCAN_T[k], _SLOPE_SCAN_T[k + 1]),
+                                  (slopes[k], slopes[k + 1])))
               for k in np.nonzero((slopes[:-1] > 0.0) & (slopes[1:] <= 0.0))[0]]
     if not maxima:
         if slopes[-1] > 0.0:
@@ -154,7 +157,7 @@ def _alpha_maximum(which: str, stats: SummaryStats, slopes: np.ndarray | None = 
                             _AT_LOWER_END)
     log_l = {"L5": log_L5, "L9": log_L9, "L11": log_L11}[which]
     values = [float(log_l(stats, a)) - prior * math.log(a) for a in maxima]
-    k = int(np.argmax(values))
+    k = max(range(len(values)), key=values.__getitem__)  # the first on ties
     return AlphaMaximum(maxima[k], values[k], maxima, evals)
 
 
@@ -290,9 +293,14 @@ def _alpha_window_nodes(stats: SummaryStats, best: AlphaMaximum
     def excess(t: float) -> float:
         return float(log_L5(stats, math.exp(t))) - level
 
-    lo = t_scan[0] if inside[0] == 0 else solve_root(
-        excess, (t_scan[inside[0] - 1], t_scan[inside[0]]))
-    hi = solve_root(excess, (t_scan[inside[-1]], t_scan[inside[-1] + 1]))
+    def window_end(i: int) -> float:
+        # a grid point's excess is the scan's entry bit for bit; the
+        # inserted maximum's is not, as exp(log(alpha)) may differ from alpha
+        seeds = None if at in (i, i + 1) else (log_scan[i] - level, log_scan[i + 1] - level)
+        return solve_root(excess, (t_scan[i], t_scan[i + 1]), seeds)
+
+    lo = t_scan[0] if inside[0] == 0 else window_end(inside[0] - 1)
+    hi = window_end(inside[-1])
     edges = np.linspace(lo, hi, BAYES_PANELS + 1)
     nodes, node_weights = np.polynomial.legendre.leggauss(_PANEL_NODES)
     half = 0.5 * np.diff(edges)[:, None]
@@ -390,14 +398,18 @@ def _profile_mode(stats: SummaryStats, column: tuple) -> float:
     if not len(down):
         return float(alpha[np.argmax(h)])
     k = down[np.argmax(h[down])]
+    return math.exp(solve_root(lambda t: _profile_mode_slope(stats, t),
+                               (_SLOPE_SCAN_T[k], _SLOPE_SCAN_T[k + 1]),
+                               (slopes[k], slopes[k + 1])))
 
-    def slope(t: float) -> float:
-        alpha = math.exp(t)
-        a, b = alpha * stats.Y, alpha * stats.X + stats.N
-        return (dlog_dalpha("L8", stats, alpha, w=stats.V) + math.log(2.0)
-                + stats.Y * math.log(a) + stats.X * math.log(b) - math.log(a + b))
 
-    return math.exp(solve_root(slope, (_SLOPE_SCAN_T[k], _SLOPE_SCAN_T[k + 1])))
+def _profile_mode_slope(stats: SummaryStats, t: float) -> float:
+    """The alpha-slope of _profile_mode's h at one alpha = exp(t): at a grid
+    point, the scan's entry bit for bit."""
+    alpha = math.exp(t)
+    a, b = alpha * stats.Y, alpha * stats.X + stats.N
+    return (dlog_dalpha("L8", stats, alpha, w=stats.V) + math.log(2.0)
+            + stats.Y * math.log(a) + stats.X * math.log(b) - math.log(a + b))
 
 
 def _envelope_at(stats: SummaryStats, column: tuple, u: np.ndarray) -> np.ndarray:

@@ -26,23 +26,29 @@ log(V + W), ...).  The log-Gamma terms are the shape sum over the distinct
 sampled x, log Gamma(alpha), log Gamma(alpha X + N), log Gamma(alpha + N),
 the constant log Gamma(N) and log Gamma(alpha Y): one term table per
 SummaryStats (data.TERM_RUNS), of which each likelihood uses one run of
-columns.  A value, slope or curvature is then one log_gamma, digamma or
-trigamma call on the alpha-by-term arguments, reduced with the weights w,
-w s or w s^2, and the elementary terms are added after.  A scalar L5 slope
-costs about 11 us on the 2-vCPU benchmark container, down from about 34 us
-when it made four special-function calls (the shape sum, psi(alpha),
-psi(alpha X + N), psi(alpha + N)), each with its own positivity check.
+columns.  A value, slope or curvature is then one scipy.special call
+(gammaln, psi or zeta(2, .)) on the alpha-by-term arguments, reduced with
+the weights w, w s or w s^2, and the elementary terms are added after.
+One multiply checks that every argument is positive: a column with o > 0
+is positive at any alpha > 0, and float multiplication is monotone, so
+all of alpha s + o are positive exactly when min(alpha) s_min > 0, s_min
+the smallest scale of the run's o = 0 columns (data.TermRun).  A scalar
+L5 slope costs about 6 us on the 2-vCPU benchmark container, down
+from about 13 us through the array path with an elementwise check, and
+34 us as four special-function calls (the shape sum, psi(alpha),
+psi(alpha X + N), psi(alpha + N)), each with its own check.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
+from scipy import special
 
-from .data import TERM_RUNS, SummaryStats
-from .special import digamma, log_gamma, trigamma
+from .data import SummaryStats
 
 # sums over the log-Gamma terms run in blocks of at most this many
 # alpha-by-term elements (1 MB per float64 temporary)
@@ -70,6 +76,13 @@ def _as_alpha(alpha):
     return np.asarray(alpha, dtype=float)[()]
 
 
+# f_k of the k-th alpha derivative's term sum (data.SummaryStats), called
+# straight from scipy: the run's own check (_term_sum) replaces the
+# per-element positivity compare of the special.py wrappers
+_TERM_FNS = (special.gammaln, special.psi, partial(special.zeta, 2.0))
+_TERM_FN_NAMES = ("log_gamma", "digamma", "trigamma")
+
+
 def _term_sum(stats: SummaryStats, alpha, order: int, which: str):
     """sum_j w_j s_j^k f(alpha s_j + o_j) over the run of term-table columns
     of log L``which`` (data.TERM_RUNS), at every alpha of an array: f is
@@ -77,22 +90,32 @@ def _term_sum(stats: SummaryStats, alpha, order: int, which: str):
     log-Gamma part of log L``which`` or of its k-th alpha derivative.
     ``alpha`` is a numpy array or float (_as_alpha).
 
-    The sum runs in blocks of at most _BLOCK_ELEMS alpha-by-term elements:
-    whole rows of alpha while one row fits in a block, so a row's sum does
-    not depend on the block size, else column slices of one row at a time,
-    added left to right.  Every x distinct keeps the cost O(M) per alpha.
+    A scalar alpha is one call on the run's vectors.  An array runs in
+    blocks of at most _BLOCK_ELEMS alpha-by-term elements: whole rows of
+    alpha while one row fits in a block, so a row's sum does not depend on
+    the block size and equals the scalar sum bit for bit, else column
+    slices of one row at a time, added left to right.  Every x distinct
+    keeps the cost O(M) per alpha.
     """
-    run = stats.terms[:, :, TERM_RUNS[which][order]]
-    scales, offsets, weights = run[0], run[1], run[2 + order]
-    fn = (log_gamma, digamma, trigamma)[order]
-    width = scales.shape[1]
+    run = stats.term_run(which, order)
+    scales, offsets, weights = run.scales, run.offsets, run.weights
+    width = len(scales)
+    if alpha.ndim == 0:
+        lo = hi = alpha
+    else:
+        lo, hi = alpha.min(initial=math.inf), alpha.max(initial=-math.inf)
+    if not (lo * run.s_min > 0.0 and (hi < math.inf or not run.has_constant)):
+        raise ValueError(f"{_TERM_FN_NAMES[order]} requires a positive argument")
+    fn = _TERM_FNS[order]
+    if alpha.ndim == 0 and width <= _BLOCK_ELEMS:
+        return np.add.reduce(fn(alpha * scales + offsets) * weights)
     cols = min(width, _BLOCK_ELEMS)
     rows = max(1, _BLOCK_ELEMS // cols)
     # a run that fits in one block is used whole, and a single block's sums
     # are not copied: on a small table that bookkeeping would cost more
     # than the sum itself
     parts = ([(scales, offsets, weights)] if cols == width else
-             [(scales[:, j:j + cols], offsets[:, j:j + cols], weights[:, j:j + cols])
+             [(scales[j:j + cols], offsets[j:j + cols], weights[j:j + cols])
               for j in range(0, width, cols)])
     column = alpha.reshape(-1, 1)
     sums = []

@@ -139,7 +139,10 @@ def _match_outer_alpha(u_residual, scan_values: np.ndarray,
     (``scan_values``) by solve_root, calling ``u_residual`` on one alpha at
     a time, and return the root closest (in log) to the mixed-method alpha.
     ``mixed_alpha`` computes that alpha; it is called only when there are
-    two roots or more to choose from."""
+    two roots or more to choose from.  The root finds evaluate their
+    bracket ends afresh: a one-alpha call of ``u_residual`` differs from
+    its scan entry in the last digits on some samples (the matrix products
+    of an array pass), so the scan's values would move the roots."""
     lo, hi = scan_values[:-1], scan_values[1:]
     change = np.isfinite(lo) & np.isfinite(hi) & ((lo == 0.0) | ((lo < 0) != (hi < 0)))
     roots = [solve_root(lambda a: float(u_residual(np.array([a]))[0]),

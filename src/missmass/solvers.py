@@ -44,23 +44,26 @@ T_LOWER = -30.0
 T_UPPER = 50.0
 
 
-def solve_root(f: Callable[[float], float], bracket: tuple[float, float]) -> float:
+def solve_root(f: Callable[[float], float], bracket: tuple[float, float],
+               f_bracket: tuple[float, float] | None = None) -> float:
     """Root of f on [lo, hi] by Brent's method.
 
-    Requires f(lo) * f(hi) <= 0.  Each step interpolates, inversely
-    quadratic through the last three points or by the secant through the
-    last two, and is taken when it stays within three quarters of the
-    bracket and moves less than half as far as the step before last;
-    otherwise the bracket is bisected.  No step is shorter than half the
-    stopping width.  Iteration stops when the bracket that holds the sign
-    change is within _REL_TOL relative to the root location, and returns
-    its end with the smaller |f|; an end point or iterate where f is
-    exactly zero is returned at once.
+    Requires f(lo) * f(hi) <= 0; ``f_bracket`` gives (f(lo), f(hi)) when
+    the caller holds them already (a scan's entries), and f is then not
+    called at the ends.  Each step interpolates, inversely quadratic
+    through the last three points or by the secant through the last two,
+    and is taken when it stays within three quarters of the bracket and
+    moves less than half as far as the step before last; otherwise the
+    bracket is bisected.  No step is shorter than half the stopping width.
+    Iteration stops when the bracket that holds the sign change is within
+    _REL_TOL relative to the root location, and returns its end with the
+    smaller |f|; an end point or iterate where f is exactly zero is
+    returned at once.
     """
     a, b = float(bracket[0]), float(bracket[1])
     if not a < b:
         raise BracketError(f"empty bracket ({a}, {b})")
-    fa, fb = f(a), f(b)
+    fa, fb = (f(a), f(b)) if f_bracket is None else map(float, f_bracket)
     if fa == 0.0:
         return a
     if fb == 0.0:

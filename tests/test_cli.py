@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import FIXTURES, fixture_path, random_observation
-from missmass.cli import ESTIMATES, build_parser, main, render_json
+from missmass.cli import ESTIMATES, METHOD_OPTIONS, build_parser, main, render_json
 from missmass.data import Observation, load_observation, summarize
 from missmass.inference import infer_mixed, infer_profile
 
@@ -31,8 +31,9 @@ class TestEstimate:
         path.write_text(json.dumps({"domain_size": 2, "x": [0.5, 0.5], "entries": []}))
         h_file = tmp_path / "h.json"
         h_file.write_text("[0.5, 0.5]")
+        anchor = ["--h-file", str(h_file), "--H", "1"] if method == "hm" else []
         code, out, err = run_cli(capsys, "estimate", "--in", str(path), "--method", method,
-                                 "--h-file", str(h_file), "--H", "1")
+                                 *anchor)
         assert (code, out, err) == (1, "", "error: no observations\n")
 
     def test_good_turing_fixture(self, capsys):
@@ -128,7 +129,10 @@ class TestEstimate:
         ([0.2] * 6, "inf", "the anchor needs h and a finite H > 0, got H = inf"),
         ([math.nan] * 6, "1", "h must be finite and nonnegative"),
         ([math.inf] * 6, "1", "h must be finite and nonnegative"),
-    ], ids=["h-short", "h-key-missing", "H-nan", "H-inf", "h-nan", "h-inf"])
+        ({"h": {"a": 1}}, "1", "--h-file needs 6 numbers"),
+        ({"h": ["a"] * 6}, "1", "--h-file needs 6 numbers"),
+    ], ids=["h-short", "h-key-missing", "H-nan", "H-inf", "h-nan", "h-inf", "h-object",
+            "h-strings"])
     def test_harmonic_mean_rejects_a_bad_anchor(self, h, big_h, message, capsys, tmp_path):
         # regular_small has 6 domain points; h = None passes the fixture
         # itself, a JSON object without "h", as the h-file
@@ -139,6 +143,31 @@ class TestEstimate:
                                  "--h-file", str(h_file), "--H", big_h)
         assert (code, out) == (1, "")
         assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--pi", "fixed-n"), ("--variant", "M_over_Z"), ("--h-file", None),
+        ("--H", "1.2"), ("--hm-mode", "classic")])
+    def test_an_option_the_method_ignores_is_refused(self, flag, value, capsys, tmp_path):
+        h_file = tmp_path / "h.json"
+        h_file.write_text(json.dumps([0.2] * 6))
+        anchor = {"--h-file": str(h_file), "--H": "1.2"}
+        value = value or anchor[flag]
+        readers = METHOD_OPTIONS[flag][2]
+        for method in ESTIMATES:
+            argv = ["estimate", "--in", fixture_path("regular_small.json"),
+                    "--method", method, flag, value]
+            if method in readers:
+                if method == "hm":
+                    argv += [item for pair in anchor.items() if pair[0] != flag
+                             for item in pair]
+                code, out, err = run_cli(capsys, *argv)
+                assert (code, err) == (0, ""), (method, err)
+                continue
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (2, "")
+            assert err == (f"error: {flag} is read only by --method {', '.join(readers)}, "
+                           f"not by {method}\n")
 
 
 @pytest.mark.parametrize("method", list(ESTIMATES))

@@ -7,6 +7,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 from scipy import stats as spstats
 
 from scipy import integrate
@@ -495,6 +497,80 @@ class TestSolverWork:
             assert 0 < diag["evals"] <= 12 * maxima[which]
 
 
+SEEDED_SAMPLES = ["all_singletons", "dataset_model_draw", "delta_s_zero", "full_coverage",
+                  "gt_example", "regular_large", "regular_small", "single_point", "distinct9"]
+
+
+def seeded_sample(name):
+    """A fixture, or "distinct9": nine distinct x over 30 points."""
+    if name == "distinct9":
+        obs = random_observation(np.random.default_rng(20250808), d=30, m=9, extra_counts=5)
+        st = summarize(obs)
+        assert len(st.x_values) == 9
+        return obs, st
+    return fixture_observation(name)
+
+
+@pytest.mark.parametrize("name", SEEDED_SAMPLES)
+class TestSeededRootFinds:
+    """The alpha root finds start from the scan's values at their bracket
+    ends (solve_root's f_bracket), so a scalar evaluation at a grid point
+    must be the scan's entry bit for bit."""
+
+    def test_scalar_evaluations_are_the_scan_entries(self, name):
+        _, st = seeded_sample(name)
+        grid = inference._SLOPE_SCAN_ALPHA
+        # (scan on the grid, the same quantity at one t = log alpha) per
+        # seeded site: the alpha searches of mixed, the plain MLE and the
+        # Bayes alpha-MLE, the Bayes mode (the L5 slope shifted by the
+        # 1/alpha prior), the Bayes window's log L5 and the profile mode
+        sites = {which: (dlog_dalpha(which, st, grid),
+                         lambda t, which=which: dlog_dalpha(which, st, math.exp(t)))
+                 for which in ("L5", "L9", "L11")}
+        sites["L5 mode"] = (dlog_dalpha("L5", st, grid) - 1.0 / grid,
+                            lambda t: dlog_dalpha("L5", st, math.exp(t)) - 1.0 / math.exp(t))
+        sites["log L5"] = (log_L5(st, grid), lambda t: float(log_L5(st, math.exp(t))))
+        if st.Y > 0.0:
+            # the profile mode's slope scan, as _profile_mode forms it
+            a, b = grid * st.Y, grid * st.X + st.N
+            scan = (inference._profile_column(st)[1] + st.Y * np.log(a)
+                    + st.X * np.log(b) - np.log(a + b))
+            sites["profile mode"] = (scan, lambda t: inference._profile_mode_slope(st, t))
+        for k, t in enumerate(inference._SLOPE_SCAN_T):
+            assert math.exp(t) == grid[k]
+            for site, (scan, scalar) in sites.items():
+                assert scalar(t) == scan[k], (site, k)
+
+    def test_seeded_root_finds_skip_the_bracket_ends(self, name, monkeypatch):
+        obs, st = seeded_sample(name)
+        real, seeded = inference.solve_root, []
+
+        def spy(f, bracket, f_bracket=None):
+            points = []
+
+            def counted(t):
+                points.append(t)
+                return f(t)
+
+            root = real(counted, bracket, f_bracket)
+            if f_bracket is not None:
+                seeded.append(bracket)
+                assert not set(points) & set(bracket)
+                assert [f(end) for end in bracket] == list(f_bracket)
+            return root
+
+        monkeypatch.setattr(inference, "solve_root", spy)
+        infer_mixed(obs, st, "L5")
+        infer_mixed(obs, st, "L9")
+        moment_match(obs, st, "MLE")
+        with contextlib.suppress(ValueError):
+            infer_bayes(obs, st)
+        with contextlib.suppress(ValueError):
+            infer_profile(obs, st)
+        if not (st.is_proportional or st.Y == 0.0):
+            assert seeded
+
+
 def spread_observation():
     """Masses 1e-200, 1 and 1e200 on three of five equal-x points."""
     return Observation(domain_size=5, x=np.full(5, 0.2), indices=np.array([0, 1, 2]),
@@ -700,6 +776,25 @@ class TestEquivariance:
                 assert rep_s.w_over_z_dist.quantile(q) == pytest.approx(
                     rep.w_over_z_dist.quantile(q), rel=1e-10)
             assert rep_s.w_over_z_dist.mean == pytest.approx(rep.w_over_z_dist.mean, rel=1e-10)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(seed=hs.integers(0, 2 ** 32 - 1), d=hs.integers(3, 30),
+       extra_counts=hs.integers(0, 12), log10_k=hs.floats(-100.0, 100.0))
+def test_mixed_route_is_equivariant(seed, d, extra_counts, log10_k):
+    # p -> k p keeps alpha and scales every W quantile by k, on both bases
+    rng = np.random.default_rng(seed)
+    obs = random_observation(rng, d=d, m=int(rng.integers(1, d)), extra_counts=extra_counts)
+    k = 10.0 ** log10_k
+    scaled = Observation(domain_size=obs.domain_size, x=obs.x, indices=obs.indices,
+                         p_obs=k * obs.p_obs, counts=obs.counts)
+    for base in ("L5", "L9"):
+        rep = infer_mixed(obs, summarize(obs), base)
+        rep_k = infer_mixed(scaled, summarize(scaled), base)
+        assert rep_k.singular_case == rep.singular_case
+        assert rep_k.alpha_summary == pytest.approx(rep.alpha_summary, rel=1e-10)
+        np.testing.assert_allclose(rep_k.w_dist.quantile(LEVELS),
+                                   k * rep.w_dist.quantile(LEVELS), rtol=1e-10, atol=0.0)
 
 
 ROUTES = {"bayes": infer_bayes, "profile": infer_profile, "mixed": infer_mixed}

@@ -405,16 +405,16 @@ class TestBlocking:
         # a block of two alpha rows splits the 50-point grid into 25 blocks
         st = summarize(random_observation(rng, d=30, m=9, extra_counts=5))
         # the slope terms of each likelihood: 9 x columns plus 0-3 others
-        widths = {st.terms[0, 0, runs[1]].size for runs in TERM_RUNS.values()}
+        widths = {st.terms[0, runs[1]].size for runs in TERM_RUNS.values()}
         assert widths == {9, 10, 11, 12}
         grid = np.exp(np.linspace(-6.0, 9.0, 50))
         single = self._all_values(st, grid)
         blocks = []
         monkeypatch.setattr(likelihoods, "_BLOCK_ELEMS", 2 * max(widths))
-        real = likelihoods.digamma
+        log_gamma, real, trigamma = likelihoods._TERM_FNS
         # the alpha-by-term blocks are the 2-D arguments
-        monkeypatch.setattr(likelihoods, "digamma", lambda a: (
-            np.ndim(a) == 2 and blocks.append(np.shape(a))) or real(a))
+        monkeypatch.setattr(likelihoods, "_TERM_FNS", (log_gamma, lambda a: (
+            np.ndim(a) == 2 and blocks.append(np.shape(a))) or real(a), trigamma))
         blocked = self._all_values(st, grid)
         assert blocks and set(blocks) == {(2, width) for width in widths}
         assert len(blocks) == 25 * 5  # one slope per likelihood
@@ -432,8 +432,49 @@ class TestBlocking:
         single = [likelihoods._term_sum(st, grid, order, "L11") for order in (0, 1, 2)]
         monkeypatch.setattr(likelihoods, "_BLOCK_ELEMS", 4)
         blocked = [likelihoods._term_sum(st, grid, order, "L11") for order in (0, 1, 2)]
-        for one, many in zip(single, blocked):
+        for order, (one, many) in enumerate(zip(single, blocked)):
             np.testing.assert_allclose(many, one, rtol=1e-14, atol=0.0)
+            # a scalar alpha takes the same column slices
+            assert likelihoods._term_sum(st, grid[3], order, "L11") == many[3]
+
+
+class TestPositivityCheck:
+    # x = (0.495, 0.495, 0.01) with the first two points sampled: Y = 0.01,
+    # so at alpha = 1e-322 alpha Y underflows to 0 while alpha x does not
+    ALL_RUNS = {(which, order) for which in TERM_RUNS for order in range(3)}
+    RAISES = {0.0: ALL_RUNS, -1.0: ALL_RUNS, math.nan: ALL_RUNS, 5e-324: ALL_RUNS,
+              1e-322: {(which, order) for which in ("L4", "L8") for order in range(3)},
+              math.inf: {("L4", 0), ("L5", 0)}, 2.5: set()}
+
+    @pytest.mark.parametrize("alpha", list(RAISES))
+    def test_refuses_where_an_argument_is_not_positive(self, alpha):
+        # the run's one-multiply check refuses a scalar alpha, or an array
+        # holding it, exactly where some alpha s + o of the run is not
+        # positive, with the message of the special function it guards
+        st = summarize(Observation(domain_size=3, x=np.array([0.495, 0.495, 0.01]),
+                                   indices=np.array([0, 1]), p_obs=np.array([1.0, 2.0]),
+                                   counts=np.array([2, 1])))
+        raised = set()
+        for which, runs in TERM_RUNS.items():
+            for order, cols in enumerate(runs):
+                scales, offsets = st.terms[0, cols], st.terms[1, cols]
+                fn_name = ("log_gamma", "digamma", "trigamma")[order]
+                for arg in (alpha, np.array([2.0, alpha, 3.0])):
+                    with np.errstate(invalid="ignore"):
+                        positive = np.all(np.multiply.outer(arg, scales) + offsets > 0.0)
+                    a = likelihoods._as_alpha(arg)
+                    if positive:
+                        with np.errstate(all="ignore"):  # inf - inf at alpha near 0
+                            likelihoods._term_sum(st, a, order, which)
+                        continue
+                    raised.add((which, order))
+                    with pytest.raises(ValueError,
+                                       match=f"^{fn_name} requires a positive argument$"):
+                        likelihoods._term_sum(st, a, order, which)
+        assert raised == self.RAISES[alpha]
+        if ("L4", 1) in raised:
+            with pytest.raises(ValueError, match="^digamma requires a positive argument$"):
+                dlog_dalpha("L4", st, alpha, w=st.V)
 
 
 def test_likelihood_layer_takes_no_observation():

@@ -12,7 +12,7 @@ from missmass.solvers import (_REL_TOL, BracketError, DivergenceError,
 from missmass.special import log_beta, log_gamma
 
 
-def counted_root(f, bracket):
+def counted_root(f, bracket, f_bracket=None):
     """solve_root on f, returning (root, number of f evaluations)."""
     calls = []
 
@@ -20,7 +20,7 @@ def counted_root(f, bracket):
         calls.append(x)
         return f(x)
 
-    return solve_root(g, bracket), len(calls)
+    return solve_root(g, bracket, f_bracket), len(calls)
 
 
 # functions that defeat interpolation: a jump, a ninth-order zero, an
@@ -72,8 +72,8 @@ class TestSolveRoot:
         # the L5 slope in log alpha, as mle_alpha refines it
         counts = []
 
-        def counting(f, bracket):
-            root, evals = counted_root(f, bracket)
+        def counting(f, bracket, f_bracket=None):
+            root, evals = counted_root(f, bracket, f_bracket)
             counts.append(evals)
             return root
 
@@ -99,6 +99,23 @@ class TestSolveRoot:
                        root * 2.0 ** rng.uniform(0.1, 20.0))
             found = solve_root(lambda x: sign * shape(x, root, k), bracket)
             assert abs(found - root) <= _REL_TOL * root
+
+    def test_seeded_ends_are_not_evaluated(self):
+        # given f at the bracket ends, solve_root takes the same steps to
+        # the same root without calling f there: two evaluations fewer
+        rng = np.random.default_rng(20240611)
+        for _ in range(50):
+            root, k = math.exp(rng.uniform(-20.0, 20.0)), rng.uniform(0.2, 3.0)
+
+            def f(x):
+                return (x / root) ** k - 1.0
+
+            lo, hi = root * 2.0 ** -rng.uniform(0.1, 20.0), root * 2.0 ** rng.uniform(0.1, 20.0)
+            plain, plain_evals = counted_root(f, (lo, hi))
+            calls = []
+            seeded = solve_root(lambda x: calls.append(x) or f(x), (lo, hi), (f(lo), f(hi)))
+            assert seeded == plain
+            assert len(calls) == plain_evals - 2 and lo not in calls and hi not in calls
 
     @pytest.mark.parametrize("name", sorted(HOSTILE_CASES))
     def test_worst_case_evaluations(self, name):
