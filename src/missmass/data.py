@@ -165,11 +165,12 @@ class Observation:
     def m(self) -> int:
         return len(self.indices)
 
-    @property
+    # the arrays are read-only, so each total is summed once
+    @cached_property
     def n(self) -> int:
         return int(self.counts.sum())
 
-    @property
+    @cached_property
     def v(self) -> float:
         return float(self.p_obs.sum())
 

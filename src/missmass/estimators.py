@@ -102,7 +102,13 @@ class RBWeights:
     log_f_n: float | None = None
 
     def aligned(self, obs: Observation) -> np.ndarray:
-        return np.array([self.v[int(i)] for i in obs.indices])
+        return _lookup(self.v, obs)
+
+
+def _lookup(m: Mapping[int, float], obs: Observation) -> np.ndarray:
+    """m at the sampled indices as floats (None gives NaN), looked up at
+    C level: a missing index raises KeyError with that index."""
+    return np.array(list(map(m.__getitem__, obs.indices.tolist())), dtype=float)
 
 
 def _require_observations(obs: Observation) -> None:
@@ -122,20 +128,62 @@ def inclusion_probability(p, n: int, z, form: str = "poisson"):
     raise ValueError(f"unknown inclusion form {form!r}")
 
 
+def _inclusion(p: np.ndarray, n: int, form: str):
+    """The map Z -> pi(i; Z) over the sampled masses p, for one solve.
+
+    It runs inclusion_probability's ufuncs in the same order, so every
+    value is the same bit for bit, but takes -N p once and writes each
+    step into one buffer, which the next call overwrites.
+    """
+    buf = np.empty_like(p)
+    if form == "poisson":
+        neg_np = -n * p
+
+        def incl(z):
+            np.divide(neg_np, z, out=buf)
+            np.expm1(buf, out=buf)
+            return np.negative(buf, out=buf)
+    elif form == "fixed-n":
+        top = p.max()
+
+        def incl(z):
+            np.divide(p, z, out=buf)
+            np.minimum(buf, 1.0, out=buf)
+            np.negative(buf, out=buf)
+            # only Z <= max p reaches log1p(-1) = -inf (inclusion exactly 1),
+            # and entering errstate costs more than the log1p itself
+            if z > top:
+                np.log1p(buf, out=buf)
+            else:
+                with np.errstate(divide="ignore"):
+                    np.log1p(buf, out=buf)
+            np.multiply(n, buf, out=buf)
+            np.expm1(buf, out=buf)
+            return np.negative(buf, out=buf)
+    else:
+        raise ValueError(f"unknown inclusion form {form!r}")
+    return incl
+
+
 def _over_pi(p: np.ndarray, n: int, form: str):
     """The map (q, Z) -> q / pi(i; Z) over the sampled masses p.
 
     q is an array over S, or has S as its last axis.  Where pi underflows
     below the smallest normal double, q / pi takes its small-rate limit
-    q Z / (N p), which is finite even where 1 / pi is not.
+    q Z / (N p), which is finite even where 1 / pi is not, and +inf past
+    the float range.  A q over S is divided into _inclusion's buffer,
+    which the next call overwrites.
     """
     low = int(p.argmin())  # pi rises with p, so it is smallest here
+    pi = _inclusion(p, n, form)
 
     def over_pi(q, z):
-        incl = inclusion_probability(p, n, z, form)
+        incl = pi(z)
         if incl[low] >= _MU_TINY:
-            return q / incl
-        return np.divide(q, incl, out=q / p * (z / n), where=incl >= _MU_TINY)
+            return np.divide(q, incl, out=incl if q.shape == incl.shape else None)
+        with np.errstate(over="ignore"):
+            limit = q / p * (z / n)
+        return np.divide(q, incl, out=limit, where=incl >= _MU_TINY)
 
     return over_pi
 
@@ -196,7 +244,8 @@ def _solve_ipw(obs: Observation, q: np.ndarray, c: float, form: str,
     """Z solving Z = c + sum_S q(i) / pi(i; Z); the right side over Z falls
     in Z, so the root is unique and, for q <= p and c >= 0, at least V."""
     over_pi = _over_pi(obs.p_obs, obs.n, form)
-    return _solve_z(lambda z: c + float(over_pi(q, z).sum()) - z, obs, form, diag, c)
+    return _solve_z(lambda z: c + float(np.add.reduce(over_pi(q, z))) - z,
+                    obs, form, diag, c)
 
 
 def _ipw(obs: Observation, form: str, method: str) -> EstimateResult:
@@ -258,7 +307,7 @@ def rb_exact(obs: Observation) -> RBWeights:
     p = obs.p_obs
     log_n_fact = log_gamma(float(n + 1))
     if m == n:
-        return RBWeights(v={int(i): 1.0 for i in obs.indices},
+        return RBWeights(v=dict.fromkeys(obs.indices.tolist(), 1.0),
                          log_f_n=float(log_n_fact + np.sum(np.log(p))))
     if m == 1:
         return RBWeights(v={int(obs.indices[0]): float(n)}, log_f_n=n * math.log(p[0]))
@@ -294,8 +343,7 @@ def rb_exact(obs: Observation) -> RBWeights:
     # sum_j log(e^mu_j - 1) - M log lambda = sum_j (log p_j + mu_j - log ztp_j)
     log_f_n = (log_n_fact + (m - n) * math.log(lam) + math.log(total / size)
                + float(np.sum(np.log(p) + mu - np.log(ztp))))
-    return RBWeights(v={int(i): float(val) for i, val in zip(obs.indices, vals)},
-                     log_f_n=log_f_n)
+    return RBWeights(v=dict(zip(obs.indices.tolist(), vals.tolist())), log_f_n=log_f_n)
 
 
 def rb_poisson_lambda(obs: Observation) -> float:
@@ -311,8 +359,11 @@ def rb_poisson_lambda(obs: Observation) -> float:
 def rb_poisson_weights(obs: Observation) -> RBWeights:
     """Saddle-point approximation v(i) = lambda p(i) / (1 - exp(-lambda p(i))),
     with v = N exactly, the identity lambda solves, for a single point."""
-    vals = [obs.n] if obs.m == 1 else _ztp_mean(rb_poisson_lambda(obs) * obs.p_obs)
-    return RBWeights(v={int(i): float(val) for i, val in zip(obs.indices, vals)})
+    if obs.m == 1:
+        vals = [float(obs.n)]
+    else:
+        vals = _ztp_mean(rb_poisson_lambda(obs) * obs.p_obs).tolist()
+    return RBWeights(v=dict(zip(obs.indices.tolist(), vals)))
 
 
 def rb_z_equation(obs: Observation, weights: RBWeights,
@@ -337,14 +388,17 @@ def rb_z_equation(obs: Observation, weights: RBWeights,
 
     # each residual falls in Z
     if variant == "V_over_Z":
+        incl = _inclusion(p, n, pi)
+
         def f(z):
-            return v_obs - float(z / n * np.dot(w, inclusion_probability(p, n, z, pi)))
+            return v_obs - float(z / n * np.dot(w, incl(z)))
     else:
         # pi / p as the reciprocal of p / pi, which keeps its limit Z / N
         over_pi = _over_pi(p, n, pi)
 
         def f(z):
-            return m_obs - float(z / n * np.dot(w, 1.0 / over_pi(p, z)))
+            p_over_pi = over_pi(p, z)
+            return m_obs - float(z / n * np.dot(w, np.divide(1.0, p_over_pi, out=p_over_pi)))
 
     return _result(obs, method, diag, _solve_z(f, obs, pi, diag))
 
@@ -379,7 +433,7 @@ def good_turing_rb(obs: Observation) -> EstimateResult:
         return _result(obs, "good-turing-rb", ipw.diagnostics, ipw.value)
     p, n, z = obs.p_obs, obs.n, ipw.value
     # p / (e^{N p / Z} - 1) = p e^{-N p / Z} / pi(i; Z)
-    w = float(_over_pi(p, n, "poisson")(p * np.exp(-n * p / z), z).sum())
+    w = float(np.add.reduce(_over_pi(p, n, "poisson")(p * np.exp(-n * p / z), z)))
     return _result(obs, "good-turing-rb", ipw.diagnostics, z, w=w, w_over_z=w / z)
 
 
@@ -405,9 +459,10 @@ def expected_phi(obs: Observation, lam: float, k: int) -> float:
         raise ValueError("k must be >= 1")
     if lam <= 0:
         raise ValueError("lambda must be positive")
-    lp = lam * obs.p_obs
-    # log(e^x - 1) = x + log1p(-e^-x)
-    log_terms = k * np.log(lp) - log_gamma(float(k + 1)) - lp - np.log1p(-np.exp(-lp))
+    # a rate below the smallest normal double takes its small-rate limit,
+    # as in _ztp_mean; log(e^x - 1) = x + log(-expm1(-x)) stays finite there
+    lp = np.maximum(lam * obs.p_obs, _MU_TINY)
+    log_terms = k * np.log(lp) - log_gamma(float(k + 1)) - lp - np.log(-np.expm1(-lp))
     return float(np.sum(np.exp(log_terms)))
 
 
@@ -419,7 +474,7 @@ def _anchor(obs: Observation, h: Mapping[int, float] | None, H: float | None) ->
     """The anchor h on the sample, checked along with its known total H."""
     if h is None or H is None or not 0.0 < H < math.inf:
         raise ValueError(f"the anchor needs h and a finite H > 0, got H = {H}")
-    hv = np.array([h[int(i)] for i in obs.indices], dtype=float)
+    hv = _lookup(h, obs)
     if not (hv.min() >= 0.0 and hv.max() < math.inf):  # a nan fails both
         raise ValueError("h must be finite and nonnegative")
     return hv
@@ -458,7 +513,7 @@ def harmonic_mean(obs: Observation, h: Mapping[int, float], H: float,
         z = n * H / denom
     elif mode == "ipw_nonlinear":
         over_pi = _over_pi(p, n, pi)
-        z = _solve_z(lambda z: H - float(over_pi(hv, z).sum()), obs, pi, diag)
+        z = _solve_z(lambda z: H - float(np.add.reduce(over_pi(hv, z))), obs, pi, diag)
     else:
         raise ValueError(f"unknown mode {mode!r}")
 

@@ -4,10 +4,13 @@ import os
 import pathlib
 import subprocess
 import sys
+import tempfile
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from conftest import FIXTURES, fixture_path, random_observation
 from missmass.cli import ESTIMATES, METHOD_OPTIONS, build_parser, main, render_json
@@ -199,6 +202,48 @@ def test_every_estimate_is_equivariant_and_states_its_singular_case(method, rng,
     else:
         assert (res.value, res.w, res.w_over_z) == (math.inf, math.inf, 1.0)
         assert res.diagnostics["reason"] == "all sampled points are singletons"
+
+
+@hs.composite
+def spread_rescalings(draw):
+    """(observation, k): M = 1..12 points with k = 10^U(-100, 100) and
+    masses p spanning 1e-300..1e300, drawn so that k p stays in that range."""
+    m = draw(hs.integers(1, 12))
+    d = m + draw(hs.integers(0, 5))
+    log10_k = draw(hs.floats(-100.0, 100.0))
+    lo, hi = -300.0 + max(0.0, -log10_k), 300.0 - max(0.0, log10_k)
+    u = np.array(draw(hs.lists(hs.floats(0.0, 1.0), min_size=m, max_size=m)))
+    counts = draw(hs.lists(hs.integers(1, 4), min_size=m, max_size=m))
+    obs = Observation(domain_size=d, x=np.full(d, 1.0 / d), indices=np.arange(m),
+                      p_obs=10.0 ** (lo + u * (hi - lo)), counts=counts)
+    return obs, 10.0 ** log10_k
+
+
+@pytest.mark.parametrize("method", list(ESTIMATES))
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(draw=spread_rescalings())
+def test_every_estimate_is_equivariant_across_the_float_range(method, draw):
+    """p -> k p scales Z by k and keeps every verdict, for each entry of the
+    estimate table (hm with h = x, H = 1).  The roots hold Z to 1e-10
+    relative, so W = Z - V and W/Z are compared on the scale of Z."""
+    obs, k = draw
+    scaled = Observation(domain_size=obs.domain_size, x=obs.x, indices=obs.indices,
+                         p_obs=k * obs.p_obs, counts=obs.counts)
+    with tempfile.TemporaryDirectory() as tmp:
+        h_file = pathlib.Path(tmp) / "h.json"
+        h_file.write_text(json.dumps(obs.x.tolist()))
+        args = build_parser().parse_args(["estimate", "--in", "-", "--method", method,
+                                          "--h-file", str(h_file), "--H", "1"])
+        base, res = ESTIMATES[method](obs, args), ESTIMATES[method](scaled, args)
+    assert res.diagnostics.get("reason") == base.diagnostics.get("reason")
+    if not base.is_finite or base.value == 0.0:
+        assert res.value == base.value
+        assert res.w == pytest.approx(k * base.w, rel=1e-12)
+        assert res.w_over_z == pytest.approx(base.w_over_z, nan_ok=True)
+        return
+    assert res.value == pytest.approx(k * base.value, rel=1e-9)
+    assert res.w == pytest.approx(k * base.w, rel=0.0, abs=1e-9 * res.value)
+    assert res.w_over_z == pytest.approx(base.w_over_z, rel=0.0, abs=1e-9)
 
 
 class TestInfer:

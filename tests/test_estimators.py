@@ -4,6 +4,8 @@ import time
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 from scipy.optimize import brentq
 
 from conftest import fixture_path, random_observation
@@ -461,6 +463,20 @@ class TestExpectedPhi:
         obs = make_obs([1.0], [2])
         assert expected_phi(obs, 1.0, 1) == pytest.approx(1.0 / (math.e - 1.0), rel=1e-12)
 
+    def test_masses_spanning_the_float_range(self):
+        # lambda p underflows for the smallest point and falls below 1e-16
+        # for the middle one; each term takes its small-rate limit, 1 for
+        # k = 1 and 0 above, instead of NaN
+        obs = make_obs(SPREAD_P, [1, 1, 3])
+        lam = rb_poisson_lambda(obs)
+        with mpmath.workdps(50):
+            mu = [mpmath.mpf(lam) * mpmath.mpf(p) for p in SPREAD_P]
+            for k in (1, 2, 3):
+                oracle = mpmath.fsum(m ** k / mpmath.factorial(k) / mpmath.expm1(m)
+                                     for m in mu)
+                assert expected_phi(obs, lam, k) == pytest.approx(float(oracle), rel=1e-12)
+        assert expected_phi(obs, lam, 1) == pytest.approx(2.1785606278779, rel=1e-12)
+
 
 class TestHarmonicMean:
     @pytest.mark.parametrize("h0, big_h", [(0.5, math.nan), (0.5, math.inf), (0.5, 0.0),
@@ -670,6 +686,116 @@ def test_solved_roots_have_tiny_residuals(rng):
             assert res.is_finite and "reason" not in res.diagnostics, name
             assert res.diagnostics["evals"] > 0 and res.diagnostics["iterations"] >= 0
             assert abs(res.diagnostics["residual"]) <= 1e-8 * scales[name], name
+
+
+def reference_over_pi(p, n, form):
+    """q / pi(i; Z) on inclusion_probability, with its small-rate limit
+    q Z / (N p) where pi underflows: the residuals' reference."""
+    def over_pi(q, z):
+        incl = inclusion_probability(p, n, z, form)
+        if incl[p.argmin()] >= np.finfo(float).tiny:
+            return q / incl
+        return np.divide(q, incl, out=q / p * (z / n), where=incl >= np.finfo(float).tiny)
+    return over_pi
+
+
+@hs.composite
+def spread_observations(draw):
+    """M = 1..60 points with p = 10^U(-300, 300) and counts 1..4."""
+    m = draw(hs.integers(1, 60))
+    log10_p = draw(hs.lists(hs.floats(-300.0, 300.0), min_size=m, max_size=m))
+    counts = draw(hs.lists(hs.integers(1, 4), min_size=m, max_size=m))
+    return make_obs(10.0 ** np.array(log10_p), counts)
+
+
+class TestLeanResidual:
+    """Each Z equation's residual, as handed to the solver, equals one built
+    on inclusion_probability bit for bit, and the sample lookups equal the
+    comprehensions they replace, errors included."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(obs=spread_observations(), form=hs.sampled_from(["poisson", "fixed-n"]),
+           gamma=hs.floats(0.05, 1.0))
+    def test_residuals_equal_the_reference(self, obs, form, gamma):
+        p, n, v, m = obs.p_obs, obs.n, obs.v, obs.m
+        over_pi = reference_over_pi(p, n, form)
+        saddle = rb_poisson_weights(obs)
+        w = saddle.aligned(obs)
+        quarter = {int(i): 0.25 * float(x) for i, x in zip(obs.indices, p)}
+        anchor = {int(i): 0.4 * float(x) for i, x in zip(obs.indices, p)}
+        r = np.column_stack([0.4 * p, 0.6 * p])
+        big_h = 0.6 * v
+        q_mix = np.maximum(p - gamma * (0.4 * p), 0.0)
+        cases = {
+            "ipw": (lambda: estimators._ipw(obs, form, "ipw"),
+                    lambda z: float(over_pi(p, z).sum()) - z),
+            "mixture": (lambda: mixture_estimate(obs, r, [1.0, 1.0], gamma, h=anchor,
+                                                 H=big_h, pi=form),
+                        lambda z: gamma * big_h + float(over_pi(q_mix, z).sum()) - z),
+            "rb-z-V": (lambda: rb_z_equation(obs, saddle, "V_over_Z", form),
+                       lambda z: v - float(z / n * np.dot(
+                           w, inclusion_probability(p, n, z, form)))),
+            "rb-z-M": (lambda: rb_z_equation(obs, saddle, "M_over_Z", form),
+                       lambda z: m - float(z / n * np.dot(w, 1.0 / over_pi(p, z)))),
+            "hm": (lambda: harmonic_mean(obs, quarter, v, "ipw_nonlinear", pi=form),
+                   lambda z: v - float(over_pi(0.25 * p, z).sum())),
+        }
+        # V, both lower limits of the search and points up to 1e18 V, the
+        # cap, where every pi has underflowed for a wide enough spread
+        zs = [v, v * 1e-12, max(float(p.max()) * (1 + 1e-12), v * 1e-12), 1.5 * v]
+        zs += [v * 10.0 ** e for e in (1, 3, 6, 12, 18)]
+        zs = [z for z in zs if math.isfinite(z) and (form == "poisson" or z > p.max())]
+        for name, (estimate, reference) in cases.items():
+            residuals = []
+            solve = estimators._solve_z
+
+            def capture(f, *args, **kwargs):
+                residuals.append(f)
+                return solve(f, *args, **kwargs)
+
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(estimators, "_solve_z", capture)
+                estimate()
+            assert len(residuals) == (0 if m == n and name in ("ipw", "rb-z-V", "rb-z-M")
+                                      else 1), name
+            for f in residuals:
+                for z in zs:
+                    assert f(z) == reference(z), (name, z)
+
+    def test_lookups_equal_the_comprehensions(self):
+        obs = Observation(domain_size=8, x=np.full(8, 0.125), indices=[1, 4, 6],
+                          p_obs=[1.0, 2.0, 3.0], counts=[2, 1, 1])
+
+        def outcome(fn):
+            try:
+                return fn()
+            except Exception as exc:  # the type and text are compared
+                return type(exc), str(exc)
+
+        v = {1: 0.5, 4: 2.25, 6: 1.25, 7: 9.0}
+        got = RBWeights(v=v).aligned(obs)
+        assert got.dtype == float
+        assert got.tolist() == np.array([v[int(i)] for i in obs.indices]).tolist()
+        missing = {1: 0.5, 6: 1.25}
+        assert outcome(lambda: RBWeights(v=missing).aligned(obs)) == (KeyError, "4")
+        assert outcome(lambda: RBWeights(v=missing).aligned(obs)) == outcome(
+            lambda: [missing[int(i)] for i in obs.indices])
+
+        def old_anchor(h):
+            hv = np.array([h[int(i)] for i in obs.indices], dtype=float)
+            if not (hv.min() >= 0.0 and hv.max() < math.inf):
+                raise ValueError("h must be finite and nonnegative")
+            return hv.tolist()
+
+        h = [0.0, 0.1, 0.0, 0.0, 0.2, 0.0, 0.3, 0.0]
+        anchors = [dict(enumerate(h)), h, np.array(h), {1: 0.1, 6: 0.3},
+                   {1: 0.1, 4: None, 6: 0.3}, {1: 0.1, 4: math.nan, 6: 0.3},
+                   {1: 0.1, 4: -0.2, 6: 0.3}, {1: 0.1, 4: math.inf, 6: 0.3}]
+        for anchor in anchors:
+            want = outcome(lambda: old_anchor(anchor))
+            assert outcome(lambda: estimators._anchor(obs, anchor, 1.0).tolist()) == want
+        assert outcome(lambda: estimators._anchor(obs, anchors[4], 1.0)) == (
+            ValueError, "h must be finite and nonnegative")
 
 
 def test_inclusion_probability_forms():

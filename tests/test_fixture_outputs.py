@@ -11,7 +11,13 @@ that means to move numbers regenerates the record with
 which first prints, to stderr, each command whose output changed: the
 keys added or removed, by path ("+diagnostics.reason"), any other text
 that differs, and the largest relative move of any JSON number in it.  A
-failing test prints the same line.  Give the reason in CHANGES.md.
+failing test prints the same line.  Give the reason in CHANGES.md.  A
+change that means to move nothing shows that the record still holds with
+
+    PYTHONPATH=src python tests/test_fixture_outputs.py --check
+
+which prints the same lines, writes nothing, and exits 1 if any output,
+Bayes included, differs from its record by a byte.
 """
 
 import contextlib
@@ -164,13 +170,25 @@ def record_move(got, want) -> str:
 
 
 if __name__ == "__main__":
+    import argparse
     import tempfile
 
+    parser = argparse.ArgumentParser(description="Regenerate the CLI output record.")
+    parser.add_argument("--check", action="store_true",
+                        help="print each move, write nothing, exit 1 on any move")
+    check = parser.parse_args().check
     with tempfile.TemporaryDirectory() as tmp:
         outputs = {key: run(key, Path(tmp)) for key in commands()}
     old = json.loads(RECORD.read_text()) if RECORD.exists() else {}
-    for key, got in outputs.items():
-        if got != old.get(key):
-            print(f"{key}: {record_move(got, old.get(key))}", file=sys.stderr)
+    moved = [key for key in outputs if outputs[key] != old.get(key)]
+    for key in moved:
+        print(f"{key}: {record_move(outputs[key], old.get(key))}", file=sys.stderr)
+    gone = [key for key in old if key not in outputs]
+    for key in gone:
+        print(f"{key}: removed", file=sys.stderr)
+    if check:
+        print(f"{len(moved)} of {len(outputs)} outputs moved, {len(gone)} removed",
+              file=sys.stderr)
+        sys.exit(1 if moved or gone else 0)
     RECORD.write_text(json.dumps(outputs, indent=1) + "\n")
     print(f"wrote {len(outputs)} outputs to {RECORD}", file=sys.stderr)
