@@ -24,7 +24,7 @@ from .moments import (MomentMatchResult, match_A, match_B, match_C, mle_full,
                       moment_match)
 from .simulate import (expected_values, simulate_explicit, simulate_model,
                        simulate_model_batch, toy_physics_dataset)
-from .solvers import integrate_semi_infinite, maximize_unimodal, solve_root
+from .solvers import integrate_semi_infinite, solve_root
 from .special import digamma, log_beta, log_gamma, trigamma
 
 __all__ = [name for name in dir() if not name.startswith("_")]

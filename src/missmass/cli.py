@@ -91,7 +91,7 @@ def _cmd_simulate(args) -> int:
         x = np.asarray(src["x"], dtype=float) if "x" in src else None
         ds = simulate_explicit(p, n=args.n, rate=args.rate,
                                rng_seed=args.seed, x=x)
-    elif args.model == "toy-physics":
+    else:  # toy-physics
         temps = [float(t) for t in args.temps.split(",")]
         toy = toy_physics_dataset(args.n_states, temps, coupling=args.coupling,
                                   rng_seed=args.seed)
@@ -99,8 +99,6 @@ def _cmd_simulate(args) -> int:
             8, int(4 * toy.z_exact ** 2 / float(np.sum(toy.dataset.p ** 2))))
         ds = simulate_explicit(toy.dataset.p, n=n, rng_seed=args.seed + 1,
                                x=toy.dataset.x)
-    else:
-        raise ValueError(f"unknown model {args.model!r}")
     _emit(ds.to_json(), args.out)
     return 0
 
@@ -109,21 +107,28 @@ def _cmd_simulate(args) -> int:
 # estimate
 
 
-# the estimate options that only some methods read: flag -> (dest, default,
-# the methods that read it).  Their parser default is None, so that an
-# option given to a method that does not read it is refused, not ignored.
+# subcommand -> flag -> (dest, default, the methods that read it) for the
+# options only some methods read.  Their parser default is None, so that
+# one given to a method that does not read it is refused, not ignored.
 METHOD_OPTIONS = {
-    "--pi": ("pi", "poisson", ("rb-exact", "rb-poisson", "hm")),
-    "--variant": ("variant", "V_over_Z", ("rb-exact", "rb-poisson")),
-    "--h-file": ("h_file", None, ("hm",)),
-    "--H": ("big_h", None, ("hm",)),
-    "--hm-mode": ("hm_mode", "ipw_nonlinear", ("hm",)),
+    "estimate": {
+        "--pi": ("pi", "poisson", ("rb-exact", "rb-poisson", "hm")),
+        "--variant": ("variant", "V_over_Z", ("rb-exact", "rb-poisson")),
+        "--h-file": ("h_file", None, ("hm",)),
+        "--H": ("big_h", None, ("hm",)),
+        "--hm-mode": ("hm_mode", "ipw_nonlinear", ("hm",)),
+    },
+    "infer": {
+        "--base": ("base", "L5", ("mixed",)),
+        "--strategy": ("strategy", "C", ("moment-match",)),
+        "--out-csv": ("out_csv", None, ("bayes", "profile", "mixed")),
+    },
 }
 
 
 def _option(args, flag: str):
     """The value of a METHOD_OPTIONS flag: as given, else its default."""
-    dest, default, _ = METHOD_OPTIONS[flag]
+    dest, default, _ = METHOD_OPTIONS[args.command][flag]
     value = getattr(args, dest)
     return default if value is None else value
 
@@ -139,8 +144,12 @@ def _hm(obs: Observation, args):
         h = None
     if h is None or h.shape != (obs.domain_size,):
         raise ValueError(f"--h-file needs {obs.domain_size} numbers, as [...] or {{\"h\": [...]}}")
+    mode, pi = _option(args, "--hm-mode"), _option(args, "--pi")
+    weights = None
+    if mode == "rb_linear":
+        weights = (rb_exact if pi == "fixed-n" else rb_poisson_weights)(obs)
     return harmonic_mean(obs, {int(i): float(h[i]) for i in obs.indices}, args.big_h,
-                         mode=_option(args, "--hm-mode"), pi=_option(args, "--pi"))
+                         mode=mode, weights=weights, pi=pi)
 
 
 def _gtoulmin(obs: Observation, args):
@@ -168,11 +177,6 @@ ESTIMATES = {
 
 
 def _cmd_estimate(args) -> int:
-    for flag, (dest, _, readers) in METHOD_OPTIONS.items():
-        if getattr(args, dest) is not None and args.method not in readers:
-            print(f"error: {flag} is read only by --method {', '.join(readers)}, "
-                  f"not by {args.method}", file=sys.stderr)
-            return 2
     res = ESTIMATES[args.method](load_observation(args.infile), args)
     _emit({"method": args.method, "Z": res.value, "W": res.w, "W_over_Z": res.w_over_z,
            "diagnostics": res.diagnostics}, args.out)
@@ -217,9 +221,9 @@ def _cmd_infer(args) -> int:
     elif args.method == "profile":
         report = infer_profile(obs, stats)
     elif args.method == "mixed":
-        report = infer_mixed(obs, stats, base=args.base)
-    elif args.method in ("mle", "moment-match"):
-        strategy = "MLE" if args.method == "mle" else args.strategy
+        report = infer_mixed(obs, stats, base=_option(args, "--base"))
+    else:  # mle, moment-match
+        strategy = "MLE" if args.method == "mle" else _option(args, "--strategy")
         res = moment_match(obs, stats, strategy)
         out = {"method": args.method, "strategy": strategy,
                "status": res.diagnostics.get("status", "ok"),
@@ -232,8 +236,6 @@ def _cmd_infer(args) -> int:
                                if isinstance(val, (int, float, str, bool, list))}}
         _emit(out, args.out_json)
         return 0
-    else:
-        raise ValueError(f"unknown method {args.method!r}")
 
     w = report.w_dist
     percents = (5, 25, 50, 75, 95)
@@ -320,7 +322,8 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--h-file", help="JSON array (or {'h': [...]}) over the domain (hm)")
     est.add_argument("--H", dest="big_h", type=float, help="known total of h (hm)")
     est.add_argument("--hm-mode", choices=["classic", "rb_linear", "ipw_nonlinear"],
-                     help="harmonic mean form (default ipw_nonlinear; hm)")
+                     help="harmonic mean form (default ipw_nonlinear; hm); rb_linear "
+                     "weighs by rb-exact under --pi fixed-n, else by rb-poisson")
     est.add_argument("--out", help="output path (default stdout)")
     est.set_defaults(fn=_cmd_estimate)
 
@@ -328,9 +331,12 @@ def build_parser() -> argparse.ArgumentParser:
     inf.add_argument("--in", dest="infile", required=True)
     inf.add_argument("--method", required=True,
                      choices=["bayes", "profile", "mixed", "mle", "moment-match"])
-    inf.add_argument("--base", default="L5", choices=["L5", "L9"])
-    inf.add_argument("--strategy", default="C", choices=["A", "B", "C", "MLE"])
-    inf.add_argument("--out-csv", help="posterior grid CSV (W, density, cumulative)")
+    inf.add_argument("--base", choices=["L5", "L9"],
+                     help="marginal likelihood (default L5; mixed)")
+    inf.add_argument("--strategy", choices=["A", "B", "C", "MLE"],
+                     help="moment strategy (default C; moment-match)")
+    inf.add_argument("--out-csv", help="posterior grid CSV (W, density, cumulative; "
+                     "bayes, profile, mixed)")
     inf.add_argument("--out-json", help="summary JSON path (default stdout)")
     inf.set_defaults(fn=_cmd_infer)
 
@@ -348,6 +354,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    for flag, (dest, _, readers) in METHOD_OPTIONS.get(args.command, {}).items():
+        if getattr(args, dest) is not None and args.method not in readers:
+            print(f"error: {flag} is read only by --method {', '.join(readers)}, "
+                  f"not by {args.method}", file=sys.stderr)
+            return 2
     try:
         return args.fn(args)
     except json.JSONDecodeError as exc:

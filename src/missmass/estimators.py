@@ -196,7 +196,8 @@ def _solve_z(f, obs: Observation, form: str, diag: dict, c: float = 0.0) -> floa
     takes the one bracket down to the lower limit of Z: V 1e-12, or just
     above max p under fixed-n, where pi(i; Z) reaches 1.  Brent's method
     refines the bracket.  Past _UPPER_CAP (V + c), c a mixture's known anchor,
-    the verdict is _NO_SOLUTION (+inf); with f(limit) <= 0 it is _BOUNDARY (0).
+    or where Z doubles past the float range, the verdict is _NO_SOLUTION
+    (+inf); with f(limit) <= 0 it is _BOUNDARY (0).
     diag gets the evaluations, the bracket steps and, for a root, the
     plugged-back residual.  Each Z is evaluated once: the bracket ends and
     the root Brent's method returns are points already evaluated.
@@ -221,7 +222,8 @@ def _solve_z(f, obs: Observation, form: str, diag: dict, c: float = 0.0) -> floa
         while counted(hi) > 0.0:
             hi *= 2.0
             diag["iterations"] += 1
-            if hi > _UPPER_CAP * (v + c):
+            # the ratio, as _UPPER_CAP (V + c) overflows for V above ~1.8e290
+            if hi == math.inf or hi / (v + c) > _UPPER_CAP:
                 diag["reason"] = _NO_SOLUTION
                 return math.inf
         bracket = (hi / 2.0, hi)

@@ -22,9 +22,11 @@ log rho) and the V equation gives b (A, B: closed form; C, at its fixed
 lambda: an inner solve in log b).  The residual takes an array of alphas,
 and the inner solves are bracketed Newton steps on analytic slopes for all
 of them at once, so the alpha scan is one array pass; sums over points run
-over the distinct x values.  Each sign change on the scan is refined by a
-scalar root find.  The U equation may admit several roots; all are
-reported and the root closest to the mixed-method alpha is returned.
+over the distinct x values, row by row, so each scan entry is the one-alpha
+residual bit for bit.  Each sign change on the scan is refined by a scalar
+root find seeded with the scan's values at its ends.  The U equation may
+admit several roots; all are reported and the root closest to the
+mixed-method alpha is returned.
 ``evals`` counts residual evaluations, inner and outer, an array pass once.
 
 These strategies are experimental: they are exact on their defining
@@ -124,6 +126,12 @@ def _distinct(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return values, counts.astype(float)
 
 
+def _row_sums(m: np.ndarray, w: np.ndarray) -> np.ndarray:
+    # row by row, unlike a matrix product, so a scan entry is bit for bit
+    # the one-alpha value
+    return np.add.reduce(m * w, axis=-1)
+
+
 def _scan(u_residual, width: int) -> np.ndarray:
     """``u_residual`` on _ALPHA_SCAN, in row blocks that keep each
     alpha-by-x temporary within _BLOCK_ELEMS elements."""
@@ -136,17 +144,15 @@ def _match_outer_alpha(u_residual, scan_values: np.ndarray,
                        mixed_alpha: Callable[[], float],
                        diagnostics: dict) -> float | None:
     """Refine every sign change of the U residual on the alpha scan
-    (``scan_values``) by solve_root, calling ``u_residual`` on one alpha at
-    a time, and return the root closest (in log) to the mixed-method alpha.
+    (``scan_values``) by solve_root, seeded with the scan's values at the
+    bracket ends and calling ``u_residual`` on one alpha at a time, and
+    return the root closest (in log) to the mixed-method alpha.
     ``mixed_alpha`` computes that alpha; it is called only when there are
-    two roots or more to choose from.  The root finds evaluate their
-    bracket ends afresh: a one-alpha call of ``u_residual`` differs from
-    its scan entry in the last digits on some samples (the matrix products
-    of an array pass), so the scan's values would move the roots."""
+    two roots or more to choose from."""
     lo, hi = scan_values[:-1], scan_values[1:]
     change = np.isfinite(lo) & np.isfinite(hi) & ((lo == 0.0) | ((lo < 0) != (hi < 0)))
     roots = [solve_root(lambda a: float(u_residual(np.array([a]))[0]),
-                        (_ALPHA_SCAN[k], _ALPHA_SCAN[k + 1]))
+                        (_ALPHA_SCAN[k], _ALPHA_SCAN[k + 1]), (lo[k], hi[k]))
              for k in np.nonzero(change)[0]]
     diagnostics["alpha_roots"] = roots
     if len(roots) < 2:
@@ -192,8 +198,8 @@ def _a_moments(values: np.ndarray, weights: np.ndarray, alpha: np.ndarray,
     log1p_rho = np.log1p(rho)
     a = np.multiply.outer(alpha, values)
     la = a * log1p_rho[:, None]
-    sum_q = np.exp(-la) @ weights
-    u_plus_logb = log1p_rho * sum_q + (digamma(a) * -np.expm1(-la)) @ weights
+    sum_q = _row_sums(np.exp(-la), weights)
+    u_plus_logb = log1p_rho * sum_q + _row_sums(digamma(a) * -np.expm1(-la), weights)
     return u_plus_logb, alpha * (1.0 - sum_q / (1.0 + rho))
 
 
@@ -235,8 +241,8 @@ def _b_expected_n(values: np.ndarray, counts: np.ndarray, alpha: np.ndarray,
     a = np.multiply.outer(alpha, values)
     la = a * np.log1p(rho)[:, None]
     r = a * rho[:, None] / -np.expm1(-la)
-    en = r @ counts
-    return en, en - (r * r * np.exp(-la)) @ counts / (1.0 + rho)
+    en = _row_sums(r, counts)
+    return en, en - _row_sums(r * r * np.exp(-la), counts) / (1.0 + rho)
 
 
 def _b_v_times_b(values: np.ndarray, counts: np.ndarray, alpha: np.ndarray,
@@ -251,7 +257,7 @@ def _b_v_times_b(values: np.ndarray, counts: np.ndarray, alpha: np.ndarray,
         t = np.where(log1p_rho > 0.0,
                      a * -np.expm1(-(a + 1.0) * log1p_rho) / one_minus_e, a + 1.0)
         dt = a * e * (one_minus_e - a * rho[:, None]) / one_minus_e ** 2
-        return t @ counts, rho / (1.0 + rho) / (1.0 + rho) * (dt @ counts)
+        return _row_sums(t, counts), rho / (1.0 + rho) / (1.0 + rho) * _row_sums(dt, counts)
 
 
 def _b_conditional_u(values: np.ndarray, counts: np.ndarray, alpha: np.ndarray,
@@ -263,7 +269,7 @@ def _b_conditional_u(values: np.ndarray, counts: np.ndarray, alpha: np.ndarray,
     log1p_rho = np.log1p(rho)[:, None]
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         tail = np.where(log1p_rho > 0.0, log1p_rho / np.expm1(a * log1p_rho), 1.0 / a)
-    return (digamma(a) + tail) @ (values * counts)
+    return _row_sums(digamma(a) + tail, values * counts)
 
 
 def _solve_b_rho(values: np.ndarray, counts: np.ndarray, alpha: np.ndarray,

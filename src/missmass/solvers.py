@@ -2,12 +2,13 @@
 
 Root finding on a bracket by Brent's method (inverse quadratic
 interpolation, secant and bisection steps on a shrinking bracket, stopping
-once the bracket is within _REL_TOL relative to the root), maximization of
-unimodal functions in log-argument space, and quadrature over (0, inf)
-done entirely in log space.  The densities this package integrates have
-power-law behavior at 0 and exponential or power tails at infinity; the
-substitution t = log(u) turns both ends into exponentially decaying tails
-that composite Gauss-Legendre panels resolve.
+once the bracket is within _REL_TOL relative to the root), bracketed
+Newton steps for arrays of monotone functions, and quadrature over
+(0, inf) done entirely in log space.  The densities this package
+integrates have power-law behavior at 0 and exponential or power tails at
+infinity; the substitution t = log(u) turns both ends into exponentially
+decaying tails that composite Gauss-Legendre panels resolve, laid out from
+the mode that one array scan in t finds.
 """
 
 from __future__ import annotations
@@ -31,17 +32,11 @@ class DivergenceError(RuntimeError):
     """Integrand is not integrable (tail decays too slowly or grows)."""
 
 
-# relative bracket width at which the root finders and the golden-section
-# search stop, their iteration budget, and the Gauss-Legendre nodes per
-# quadrature panel
+# relative bracket width at which the root finders stop, their iteration
+# budget, and the Gauss-Legendre nodes per quadrature panel
 _REL_TOL = 1e-10
 _MAX_ITER = 200
 _QUAD_POINTS = 257
-
-# expansion limits in t = log(argument); hitting the upper limit while the
-# function still ascends is the "maximum at infinity" verdict
-T_LOWER = -30.0
-T_UPPER = 50.0
 
 
 def solve_root(f: Callable[[float], float], bracket: tuple[float, float],
@@ -147,83 +142,6 @@ def newton_bracketed(fn: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
     raise ConvergenceError("newton_bracketed: max_iter exceeded")
 
 
-def maximize_unimodal(g: Callable[[float], float],
-                      t_init: float = 0.0,
-                      t_bounds: tuple[float, float] = (T_LOWER, T_UPPER),
-                      ) -> tuple[float, float]:
-    """Maximize a unimodal function of u > 0 supplied as g(t), t = log u.
-
-    Returns (argmax_u, max_value).  If the bracket expansion reaches the
-    upper t bound while g still ascends, the maximum is at infinity and the
-    sentinel (math.inf, boundary value) is returned.  Hitting the lower
-    bound returns the boundary point itself.
-    """
-    t_lo, t_hi = t_bounds
-    t0 = min(max(float(t_init), t_lo), t_hi)
-    g0 = g(t0)
-    if not np.isfinite(g0):
-        # find a finite starting point on a coarse scan
-        grid = np.linspace(t_lo, t_hi, 41)
-        vals = np.array([g(t) for t in grid])
-        if not np.any(np.isfinite(vals)):
-            raise ConvergenceError("maximize_unimodal: no finite values found")
-        k = int(np.nanargmax(np.where(np.isfinite(vals), vals, -np.inf)))
-        t0, g0 = float(grid[k]), float(vals[k])
-
-    # walk uphill with doubling steps until a descent on both sides
-    step = 1.0
-    a, b, c = t0 - step, t0, t0 + step
-    ga, gb, gc = g(max(a, t_lo)), g0, g(min(c, t_hi))
-    a, c = max(a, t_lo), min(c, t_hi)
-    it = 0
-    while not (gb >= ga and gb >= gc):
-        it += 1
-        if it > _MAX_ITER:
-            raise ConvergenceError("maximize_unimodal: bracketing failed")
-        if gc > gb:
-            a, ga = b, gb
-            b, gb = c, gc
-            step *= 2.0
-            c = b + step
-            if c >= t_hi:
-                gc_hi = g(t_hi)
-                if gc_hi >= gb:
-                    return math.inf, gc_hi
-                c, gc = t_hi, gc_hi
-            else:
-                gc = g(c)
-        else:
-            c, gc = b, gb
-            b, gb = a, ga
-            step *= 2.0
-            a = b - step
-            if a <= t_lo:
-                ga_lo = g(t_lo)
-                if ga_lo >= gb:
-                    return math.exp(t_lo), ga_lo
-                a, ga = t_lo, ga_lo
-            else:
-                ga = g(a)
-
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = c - invphi * (c - a)
-    x2 = a + invphi * (c - a)
-    f1, f2 = g(x1), g(x2)
-    for _ in range(_MAX_ITER):
-        if (c - a) <= _REL_TOL:
-            break
-        if f1 >= f2:
-            c, x2, f2 = x2, x1, f1
-            x1 = c - invphi * (c - a)
-            f1 = g(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (c - a)
-            f2 = g(x2)
-    t_star = x1 if f1 >= f2 else x2
-    return math.exp(t_star), max(f1, f2)
-
-
 @lru_cache(maxsize=1)
 def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(_QUAD_POINTS)
@@ -247,22 +165,26 @@ def integrate_semi_infinite(log_f: Callable[[np.ndarray], np.ndarray],
                             mode_hint: float) -> float:
     """log of integral_0^inf f(u) du for a unimodal integrable density.
 
-    ``log_f`` must accept numpy arrays.  The mode is located near
-    ``mode_hint`` in t = log u space; composite Gauss-Legendre panels are
-    laid outward from it until the tail panels contribute less than 1e-12
-    of the running total.
+    ``log_f`` must accept numpy arrays.  The mode in t = log u is the
+    argmax of log f(e^t) + t on one array pass over a t grid around
+    ``mode_hint``; an argmax at the grid's top is the "increases toward
+    infinity" verdict.  Composite Gauss-Legendre panels are laid outward
+    from the mode until the tail panels contribute less than 1e-12 of the
+    running total.
     """
-    def g_scalar(t: float) -> float:
-        u = math.exp(min(max(t, _T_EVAL_MIN), _T_EVAL_MAX))
-        val = log_f(np.asarray([u]))
-        return float(np.asarray(val).ravel()[0]) + t
-
+    # the mode scan: t from log(mode_hint) - 90 to the larger of 50 and
+    # log(mode_hint) + 60, at steps of at most 1/8
     t_init = math.log(mode_hint) if mode_hint > 0 else 0.0
-    u_star, _ = maximize_unimodal(g_scalar, t_init=t_init,
-                                  t_bounds=(t_init - 90.0, max(T_UPPER, t_init + 60.0)))
-    if math.isinf(u_star):
+    t_lo, t_hi = t_init - 90.0, max(50.0, t_init + 60.0)
+    t = np.linspace(t_lo, t_hi, math.ceil(8.0 * (t_hi - t_lo)) + 1)
+    g = np.asarray(log_f(np.exp(np.clip(t, _T_EVAL_MIN, _T_EVAL_MAX)))) + t
+    g[np.isnan(g)] = -math.inf
+    k = int(np.argmax(g))
+    if g[k] == -math.inf:
+        raise ConvergenceError("integrate_semi_infinite: no finite values found")
+    if k == len(t) - 1:
         raise DivergenceError("integrand increases toward infinity")
-    t_star = math.log(u_star)
+    t_star = float(t[k])
 
     nodes, weights = _gauss_legendre()
     log_w = np.log(weights)

@@ -15,6 +15,7 @@ from hypothesis import strategies as hs
 from conftest import FIXTURES, fixture_path, random_observation
 from missmass.cli import ESTIMATES, METHOD_OPTIONS, build_parser, main, render_json
 from missmass.data import Observation, load_observation, summarize
+from missmass.estimators import harmonic_mean, rb_exact, rb_poisson_weights
 from missmass.inference import infer_mixed, infer_profile
 
 ALL_FIXTURES = sorted(f.name for f in FIXTURES.glob("*.json"))
@@ -156,7 +157,7 @@ class TestEstimate:
         h_file.write_text(json.dumps([0.2] * 6))
         anchor = {"--h-file": str(h_file), "--H": "1.2"}
         value = value or anchor[flag]
-        readers = METHOD_OPTIONS[flag][2]
+        readers = METHOD_OPTIONS["estimate"][flag][2]
         for method in ESTIMATES:
             argv = ["estimate", "--in", fixture_path("regular_small.json"),
                     "--method", method, flag, value]
@@ -171,6 +172,27 @@ class TestEstimate:
             assert (code, out) == (2, "")
             assert err == (f"error: {flag} is read only by --method {', '.join(readers)}, "
                            f"not by {method}\n")
+
+
+    @pytest.mark.parametrize("fixture", ["gt_example", "all_singletons"])
+    @pytest.mark.parametrize("pi, weights", [("fixed-n", rb_exact),
+                                             (None, rb_poisson_weights)])
+    def test_rb_linear_harmonic_mean(self, fixture, pi, weights, capsys, tmp_path):
+        # h = x, H = 1; the weights follow --pi, and on an all-singleton
+        # sample they are the counts, so the form is the classic one
+        path = fixture_path(f"{fixture}.json")
+        obs = load_observation(path)
+        h_file = tmp_path / "h.json"
+        h_file.write_text(json.dumps(obs.x.tolist()))
+        argv = ["estimate", "--in", path, "--method", "hm", "--h-file", str(h_file),
+                "--H", "1", "--hm-mode", "rb_linear"] + (["--pi", pi] if pi else [])
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        h = {int(i): float(obs.x[i]) for i in obs.indices}
+        want = harmonic_mean(obs, h, 1.0, "rb_linear", weights(obs))
+        assert json.loads(out)["Z"] == float(format(want.value, ".17g"))
+        if fixture == "all_singletons":
+            assert want.value == harmonic_mean(obs, h, 1.0, "classic").value
 
 
 @pytest.mark.parametrize("method", list(ESTIMATES))
@@ -296,6 +318,23 @@ class TestInfer:
         obs = load_observation(path)
         check_table_rows(csv, infer_mixed(obs, summarize(obs)).w_dist)
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--base", "L9"), ("--strategy", "A"), ("--out-csv", "post.csv")])
+    def test_an_option_the_method_ignores_is_refused(self, flag, value, capsys, tmp_path):
+        readers = METHOD_OPTIONS["infer"][flag][2]
+        for method in ("bayes", "profile", "mixed", "mle", "moment-match"):
+            target = tmp_path / f"{method}.csv"
+            argv = ["infer", "--in", fixture_path("regular_small.json"), "--method", method,
+                    flag, str(target) if flag == "--out-csv" else value]
+            code, out, err = run_cli(capsys, *argv)
+            if method in readers:
+                assert (code, err) == (0, ""), (method, err)
+                continue
+            assert (code, out) == (2, "")
+            assert err == (f"error: {flag} is read only by --method {', '.join(readers)}, "
+                           f"not by {method}\n")
+            assert not target.exists()
+
     def test_moment_match_strategy(self, capsys):
         code, out, _ = run_cli(capsys, "infer", "--in",
                                fixture_path("regular_large.json"),
@@ -310,8 +349,9 @@ class TestInfer:
         ("delta_s_zero.json", "moment-match", "no-root"),
         ("regular_small.json", "mle", "ok")])
     def test_moment_output_keeps_diagnostics(self, capsys, fixture, method, status):
+        strategy = ["--strategy", "C"] if method == "moment-match" else []
         code, out, _ = run_cli(capsys, "infer", "--in", fixture_path(fixture),
-                               "--method", method, "--strategy", "C")
+                               "--method", method, *strategy)
         assert code == 0
         payload = json.loads(out)
         diag = payload["diagnostics"]

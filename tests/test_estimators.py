@@ -532,6 +532,16 @@ class TestHarmonicMean:
         res = harmonic_mean(obs, {0: 0.0, 1: 0.0}, 1.0, mode="classic")
         assert math.isinf(res.value)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale", [1.0, 1e295, 1e300])
+    def test_no_finite_solution_near_the_float_limit(self, scale):
+        # h = 0 on the sample: Z doubles from V without a root, and the
+        # verdict comes before Z, or the cap times V, overflows
+        obs = make_obs([scale, 2.0 * scale, 3.0 * scale], [2, 1, 3])
+        res = harmonic_mean(obs, {0: 0.0, 1: 0.0, 2: 0.0}, 1e295, mode="ipw_nonlinear")
+        assert res.value == math.inf
+        assert res.diagnostics["reason"] == "no finite solution"
+
 
 def two_part_mixture(obs, rng):
     """Split p on S into a known part h = u p, u ~ U(0, 1), and the rest."""

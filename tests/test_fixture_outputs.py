@@ -10,8 +10,10 @@ that means to move numbers regenerates the record with
 
 which first prints, to stderr, each command whose output changed: the
 keys added or removed, by path ("+diagnostics.reason"), any other text
-that differs, and the largest relative move of any JSON number in it.  A
-failing test prints the same line.  Give the reason in CHANGES.md.  A
+that differs, the old and new value of each integer that moved
+("diagnostics.evals 9 -> 7") and of each number below ABS_FLOOR in size
+(residuals at rounding noise), and the largest relative move of any other
+JSON number in it.  A failing test prints the same line.  Give the reason in CHANGES.md.  A
 change that means to move nothing shows that the record still holds with
 
     PYTHONPATH=src python tests/test_fixture_outputs.py --check
@@ -119,12 +121,19 @@ def test_output_matches_record(key, record, tmp_path):
         pytest.fail(f"{key} moved from its record: {record_move(got, want)}")
 
 
+# numbers below this size are reported with their values, as integers are,
+# not by their relative move: every such number in the record is a solver
+# residual, a tail mass or a mass check, whose relative move says nothing
+ABS_FLOOR = 1e-9
+
+
 def largest_move(got, want, path: str = "") -> tuple[float, list[str]]:
     """The largest relative move of any JSON number that got and want
     both hold, and every other difference by its path below ``path``:
     "+path" / "-path" for a key added / removed, "path (order)" for
-    reordered keys, "path (length)" for a list and "path" for a
-    non-number."""
+    reordered keys, "path (length)" for a list, "path" for a non-number,
+    and "path want -> got" for an integer or a number below ABS_FLOOR in
+    both, which the relative move leaves out."""
     if isinstance(want, (dict, list)) and type(got) is type(want):
         def below(key):
             return f"{path}.{key}" if path else str(key)
@@ -145,15 +154,26 @@ def largest_move(got, want, path: str = "") -> tuple[float, list[str]]:
         return 0.0, [path] if got != want else []
     if got == want or (math.isnan(got) and math.isnan(want)):
         return 0.0, []
+    if type(got) is type(want) is int or max(abs(got), abs(want)) < ABS_FLOOR:
+        return 0.0, [f"{path} {want!r} -> {got!r}"]
     if not (math.isfinite(got) and math.isfinite(want)):
         return math.inf, []
     return abs(got - want) / max(abs(got), abs(want)), []
 
 
+def test_report_lists_integers_and_tiny_numbers_by_value():
+    want = {"params": [2.0, 3.0], "residuals": [-1.5e-16, 0.0], "evals": 9}
+    got = {"params": [2.0 * (1 + 2e-15), 3.0], "residuals": [1.5e-16, 0.0], "evals": 7}
+    move, changes = largest_move(got, want)
+    assert move == pytest.approx(2e-15, rel=1e-3)
+    assert changes == ["residuals.0 -1.5e-16 -> 1.5e-16", "evals 9 -> 7"]
+
+
 def record_move(got, want) -> str:
     """How a command's output moved from its record: the paths that
-    differ (those in its JSON stdout relative to that JSON), then the
-    largest relative move of a number."""
+    differ (those in its JSON stdout relative to that JSON), with the
+    old and new values of integers and of numbers below ABS_FLOOR, then
+    the largest relative move of any other number."""
     if want is None:
         return "new"
 

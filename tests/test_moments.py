@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import fixture_path, proportional_observation
+from conftest import FIXTURES, fixture_path, proportional_observation
+from missmass import moments
 from missmass.data import Observation, load_observation, summarize
 from missmass.distributions import GammaDist
 from missmass.estimators import rb_poisson_lambda
@@ -13,6 +14,8 @@ from missmass.moments import (_ALPHA_SCAN, _distinct, _match_outer_alpha,
                               _solve_b_rho, _solve_c_b, match_A, match_B,
                               match_C, mle_full, moment_match)
 from missmass.simulate import simulate_model
+from missmass.solvers import solve_root
+from missmass.verify import random_observation
 
 
 def model_observation(seed, d=30, alpha=4.0, b=1.0, lam=8.0):
@@ -249,3 +252,61 @@ class TestOuterAlpha:
         assert _match_outer_alpha(positive, positive(_ALPHA_SCAN), lambda: 1.0,
                                   diag) is None
         assert diag["alpha_roots"] == []
+
+
+def scan_samples():
+    rng = np.random.default_rng(2501)
+    return ([load_observation(str(p)) for p in sorted(FIXTURES.glob("*.json"))]
+            + [random_observation(rng, d=int(rng.integers(6, 14))) for _ in range(12)])
+
+
+class TestSeededRootFinds:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_scan_entries_are_one_alpha_residuals(self, monkeypatch):
+        # the root finds take their bracket ends from the scan, so a scan
+        # entry must be what a one-alpha call returns, bit for bit
+        seen = []
+
+        def spy(u_residual, scan_values, *rest):
+            seen.append((u_residual, scan_values))
+            return _match_outer_alpha(u_residual, scan_values, *rest)
+
+        monkeypatch.setattr(moments, "_match_outer_alpha", spy)
+        for obs in scan_samples():
+            st = summarize(obs)
+            for strategy in ("A", "B", "C"):
+                seen.clear()
+                moment_match(obs, st, strategy)
+                for u_residual, scan_values in seen:
+                    for k in range(0, len(_ALPHA_SCAN), 4):
+                        one = u_residual(_ALPHA_SCAN[k:k + 1])[0]
+                        assert one == scan_values[k] or (
+                            math.isnan(one) and math.isnan(scan_values[k])), (strategy, k)
+
+    def test_root_finds_do_not_evaluate_the_scan_points(self, monkeypatch):
+        calls = []
+
+        def spy(f, bracket, f_bracket=None):
+            assert f_bracket is not None
+
+            def counted(a):
+                calls.append(a)
+                return f(a)
+
+            return solve_root(counted, bracket, f_bracket)
+
+        monkeypatch.setattr(moments, "solve_root", spy)
+        obs = load_observation(fixture_path("regular_large.json"))
+        st = summarize(obs)
+        for strategy in ("A", "B", "C"):
+            assert moment_match(obs, st, strategy).ok
+        assert calls and not set(calls) & set(_ALPHA_SCAN)
+
+    @pytest.mark.parametrize("fixture, strategy, bound", [
+        ("single_point", "A", 7), ("full_coverage", "B", 69), ("gt_example", "C", 49)])
+    def test_evals(self, fixture, strategy, bound):
+        # 9, 85 and 63 when each root find evaluated its bracket ends afresh
+        obs = load_observation(fixture_path(f"{fixture}.json"))
+        res = moment_match(obs, summarize(obs), strategy)
+        assert res.ok
+        assert res.diagnostics["evals"] <= bound

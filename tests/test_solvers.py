@@ -7,8 +7,7 @@ from conftest import fixture_path
 from missmass import inference
 from missmass.data import load_observation, summarize
 from missmass.solvers import (_REL_TOL, BracketError, DivergenceError,
-                              integrate_semi_infinite, maximize_unimodal,
-                              newton_bracketed, solve_root)
+                              integrate_semi_infinite, newton_bracketed, solve_root)
 from missmass.special import log_beta, log_gamma
 
 
@@ -144,31 +143,6 @@ class TestNewtonBracketed:
         assert root[0] == pytest.approx(1.0, abs=1e-11)
 
 
-class TestMaximizeUnimodal:
-    def test_log_parabola(self):
-        # -(log a)^2 peaks at a = 1
-        argmax, val = maximize_unimodal(lambda t: -t * t)
-        assert argmax == pytest.approx(1.0, rel=1e-8)
-        assert val == pytest.approx(0.0, abs=1e-15)
-
-    def test_shifted_peak(self):
-        argmax, _ = maximize_unimodal(lambda t: -(t - 2.0) ** 2, t_init=-3.0)
-        assert argmax == pytest.approx(math.exp(2.0), rel=1e-8)
-
-    def test_monotone_returns_infinity_sentinel(self):
-        argmax, _ = maximize_unimodal(lambda t: 0.1 * t)
-        assert math.isinf(argmax)
-
-    def test_derivative_sign_at_argmax(self):
-        # a smooth likelihood-like shape: derivative changes sign exactly
-        # at the maximizer
-        g = lambda t: -math.exp(t) * 0.3 + 2.5 * t
-        argmax, _ = maximize_unimodal(g)
-        t_star = math.log(argmax)
-        h = 1e-6
-        assert (g(t_star + h) - g(t_star - h)) / (2 * h) == pytest.approx(0.0, abs=1e-5)
-
-
 class TestIntegrateSemiInfinite:
     def test_exponential(self):
         assert integrate_semi_infinite(lambda u: -u, 1.0) == pytest.approx(0.0, abs=1e-12)
@@ -193,4 +167,21 @@ class TestIntegrateSemiInfinite:
     def test_divergent_integrand(self):
         with pytest.raises(DivergenceError):
             integrate_semi_infinite(lambda u: 0.0 * u, 1.0)
+
+    @pytest.mark.parametrize("log_f, why", [
+        (lambda u: 0.5 * np.log(u), "increases toward infinity"),
+        (lambda u: -np.log(u), "tail did not decay")])
+    def test_rising_or_flat_integrand_diverges(self, log_f, why):
+        # f(e^t) e^t rises as e^(1.5 t), or is flat in t
+        with pytest.raises(DivergenceError, match=why):
+            integrate_semi_infinite(log_f, 1.0)
+
+    @pytest.mark.parametrize("offset", [-0.1, 0.0, 0.06, 0.125])
+    def test_peak_at_the_lower_end_of_the_mode_scan(self, offset):
+        # a log-normal peak within one scan step of t = log(hint) - 90, the
+        # lowest t the mode scan evaluates; its integral is sqrt(2 pi) s
+        c, s = -90.0 + offset, 0.3
+        val = integrate_semi_infinite(
+            lambda u: -0.5 * ((np.log(u) - c) / s) ** 2 - np.log(u), 1.0)
+        assert val == pytest.approx(math.log(math.sqrt(2.0 * math.pi) * s), abs=1e-12)
 
