@@ -8,8 +8,8 @@ under a Gamma-Poisson mass model.
 
 __version__ = "0.1.0"
 
-from .data import (Dataset, Observation, SummaryStats, kl_delta,
-                   load_observation, summarize)
+from .data import (Dataset, Observation, SummaryStats, load_observation,
+                   summarize)
 from .distributions import GammaDist, LawView, LogScaleDist, PointMass
 from .estimators import (EstimateResult, RBWeights, good_toulmin_rb,
                          good_turing_classic, good_turing_rb, harmonic_mean,
@@ -24,7 +24,6 @@ from .moments import (MomentMatchResult, match_A, match_B, match_C, mle_full,
                       moment_match)
 from .simulate import (expected_values, simulate_explicit, simulate_model,
                        simulate_model_batch, toy_physics_dataset)
-from .solvers import integrate_semi_infinite, solve_root
-from .special import digamma, log_beta, log_gamma, trigamma
+from .solvers import solve_root
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -330,27 +330,3 @@ def summarize(obs: Observation) -> SummaryStats:
                         x_values=x_values, x_counts=x_counts,
                         terms=_term_table(x_values, x_counts, N, X, Y),
                         delta_S=delta_S, spread=spread)
-
-
-def kl_delta(stats: SummaryStats, w):
-    """Scaled KL divergence Delta between (x on S, Y) and (p on S, W)/Z.
-
-    Delta = T + Y log Y - U - Y log W + log(V + W), with the 0 log 0
-    convention when Y = 0.  W = 0 with Y > 0 gives +inf (the divergence is
-    infinite, not an error).  Vectorized over w.
-    """
-    w_arr = np.asarray(w, dtype=float)
-    scalar = w_arr.ndim == 0
-    w_arr = np.atleast_1d(w_arr)
-    if np.any(w_arr < 0):
-        raise ValueError("W must be nonnegative")
-    if stats.Y == 0.0:
-        if np.any(w_arr != 0):
-            raise ValueError("Y = 0 requires W = 0")
-        val = np.full(w_arr.shape, stats.T - stats.U + np.log(stats.V))
-    else:
-        ylogy = stats.Y * np.log(stats.Y)
-        with np.errstate(divide="ignore"):
-            val = (stats.T + ylogy - stats.U
-                   - stats.Y * np.log(w_arr) + np.log(stats.V + w_arr))
-    return float(val[0]) if scalar else val

@@ -75,7 +75,7 @@ class GammaDist:
     rate: float
 
     def __post_init__(self):
-        if self.shape <= 0 or self.rate <= 0:
+        if not (self.shape > 0 and self.rate > 0):  # a nan fails too
             raise ValueError("shape and rate must be positive")
 
     @property
@@ -112,7 +112,7 @@ class _BetaAtoms:
         # the density terms and the CDF table, built at first use
         object.__setattr__(self, "_cache", {})
         if self.weights is None:
-            if self.a <= 0 or self.b <= 0:
+            if not (self.a > 0 and self.b > 0):  # a nan fails too
                 raise ValueError("Beta parameters must be positive")
             return
         a, b, w = (np.array(v, dtype=float) for v in (self.a, self.b, self.weights))

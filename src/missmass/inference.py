@@ -161,15 +161,6 @@ def _alpha_maximum(which: str, stats: SummaryStats, slopes: np.ndarray | None = 
     return AlphaMaximum(maxima[k], values[k], maxima, evals)
 
 
-def alpha_slope_maxima(which: str, stats: SummaryStats
-                       ) -> tuple[np.ndarray, np.ndarray, list[float]]:
-    """Every local maximum in alpha of log L``which`` inside ALPHA_T_BOUNDS,
-    as _alpha_maximum finds them.  Returns (grid, slopes on the grid,
-    maxima in grid order)."""
-    slopes = np.asarray(dlog_dalpha(which, stats, _SLOPE_SCAN_ALPHA))
-    return _SLOPE_SCAN_ALPHA, slopes, _alpha_maximum(which, stats, slopes).maxima
-
-
 def mle_alpha(stats: SummaryStats, base: str = "L5") -> tuple[float, bool]:
     """Maximum likelihood alpha from L5 or L9.
 

@@ -43,12 +43,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
-from scipy import special
 
 from .data import SummaryStats
+from .special import digamma, log_gamma, trigamma
 
 # sums over the log-Gamma terms run in blocks of at most this many
 # alpha-by-term elements (1 MB per float64 temporary)
@@ -76,10 +75,10 @@ def _as_alpha(alpha):
     return np.asarray(alpha, dtype=float)[()]
 
 
-# f_k of the k-th alpha derivative's term sum (data.SummaryStats), called
-# straight from scipy: the run's own check (_term_sum) replaces the
-# per-element positivity compare of the special.py wrappers
-_TERM_FNS = (special.gammaln, special.psi, partial(special.zeta, 2.0))
+# f_k of the k-th alpha derivative's term sum (data.SummaryStats); the
+# functions check no argument, so the run's one multiply (_term_sum) is
+# the positivity check
+_TERM_FNS = (log_gamma, digamma, trigamma)
 _TERM_FN_NAMES = ("log_gamma", "digamma", "trigamma")
 
 

@@ -176,6 +176,14 @@ def _widen(fn, end: np.ndarray, step: float, limit: float, wrong_sign: float,
     return end
 
 
+def _check_digamma(values: np.ndarray) -> None:
+    """Refuse x values at which digamma(alpha x) would be called on 0: the
+    smallest alpha any residual sees times the smallest x must be positive
+    (float multiplication is monotone, so every alpha x then is)."""
+    if not _ALPHA_SCAN[0] * values.min() > 0.0:
+        raise ValueError("digamma requires a positive argument")
+
+
 def _no_params(strategy: str, stats: SummaryStats, diag: dict, status: str = "no-root",
                reason: str = "the U residual does not change sign on the alpha scan "
                f"[{_ALPHA_SCAN[0]:.4g}, {_ALPHA_SCAN[-1]:.4g}]") -> MomentMatchResult:
@@ -211,6 +219,7 @@ def match_A(obs: Observation, stats: SummaryStats) -> MomentMatchResult:
     over the full domain.
     """
     values, counts = _distinct(obs.x[obs.x > 0])
+    _check_digamma(values)
     weights = values * counts
     n, u, v = stats.N, stats.U, stats.V
     diag: dict = {"evals": 0}
@@ -293,6 +302,7 @@ def _solve_b_rho(values: np.ndarray, counts: np.ndarray, alpha: np.ndarray,
 def match_B(obs: Observation, stats: SummaryStats) -> MomentMatchResult:
     """Match observed (N, U, V) to their expectations conditional on S."""
     values, counts = stats.x_values, stats.x_counts
+    _check_digamma(values)
     n, u, v = stats.N, stats.U, stats.V
     diag: dict = {"evals": 0}
 
@@ -354,6 +364,7 @@ def match_C(obs: Observation, stats: SummaryStats) -> MomentMatchResult:
         return _no_params("C", stats, diag, "lambda_zero",
                           "all sampled points are singletons")
     values, counts = stats.x_values, stats.x_counts
+    _check_digamma(values)
     u, v = stats.U, stats.V
 
     def u_residual(alpha: np.ndarray) -> np.ndarray:

@@ -189,8 +189,8 @@ def expected_values(x, params: ModelParams, cond: str = "prior",
 
     if cond == "given_s":
         a_in = a[mask]
-        if np.any(a_in <= 0):
-            raise ValueError("sampled points must have positive base measure")
+        if not a_in.min(initial=math.inf) > 0.0:  # a nan fails too
+            raise ValueError("digamma requires a positive argument")
         seen = -np.expm1(-a_in * log1p_rho)
         with np.errstate(over="ignore"):
             growth = np.expm1(a_in * log1p_rho)

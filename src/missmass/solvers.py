@@ -1,20 +1,14 @@
-"""Scalar numerics shared by the estimators and the inference routes.
+"""Root finders shared by the estimators and the inference routes.
 
 Root finding on a bracket by Brent's method (inverse quadratic
 interpolation, secant and bisection steps on a shrinking bracket, stopping
-once the bracket is within _REL_TOL relative to the root), bracketed
-Newton steps for arrays of monotone functions, and quadrature over
-(0, inf) done entirely in log space.  The densities this package
-integrates have power-law behavior at 0 and exponential or power tails at
-infinity; the substitution t = log(u) turns both ends into exponentially
-decaying tails that composite Gauss-Legendre panels resolve, laid out from
-the mode that one array scan in t finds.
+once the bracket is within _REL_TOL relative to the root), and bracketed
+Newton steps for arrays of monotone functions.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -28,15 +22,10 @@ class ConvergenceError(RuntimeError):
     """Iteration budget exhausted before reaching tolerance."""
 
 
-class DivergenceError(RuntimeError):
-    """Integrand is not integrable (tail decays too slowly or grows)."""
-
-
-# relative bracket width at which the root finders stop, their iteration
-# budget, and the Gauss-Legendre nodes per quadrature panel
+# relative bracket width at which the root finders stop, and their
+# iteration budget
 _REL_TOL = 1e-10
 _MAX_ITER = 200
-_QUAD_POINTS = 257
 
 
 def solve_root(f: Callable[[float], float], bracket: tuple[float, float],
@@ -140,88 +129,3 @@ def newton_bracketed(fn: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
         if not np.any(active):
             return x
     raise ConvergenceError("newton_bracketed: max_iter exceeded")
-
-
-@lru_cache(maxsize=1)
-def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(_QUAD_POINTS)
-
-
-# panel layout in t: a cluster of narrow panels around the mode, then
-# geometrically widening panels outward so that slowly decaying tails
-# (rate s: integrand ~ exp(s*t)) are covered in O(log(1/s)) panels
-_CENTER_HALF = 1.0
-_CENTER_SPLIT = 5
-_GROWTH = 1.5
-_MAX_PANELS = 200
-_LOG_CUTOFF = math.log(1e-12)
-# keep exp(t) finite and nonzero; below -740 the argument u is not
-# representable in float64 at all
-_T_EVAL_MAX = 705.0
-_T_EVAL_MIN = -740.0
-
-
-def integrate_semi_infinite(log_f: Callable[[np.ndarray], np.ndarray],
-                            mode_hint: float) -> float:
-    """log of integral_0^inf f(u) du for a unimodal integrable density.
-
-    ``log_f`` must accept numpy arrays.  The mode in t = log u is the
-    argmax of log f(e^t) + t on one array pass over a t grid around
-    ``mode_hint``; an argmax at the grid's top is the "increases toward
-    infinity" verdict.  Composite Gauss-Legendre panels are laid outward
-    from the mode until the tail panels contribute less than 1e-12 of the
-    running total.
-    """
-    # the mode scan: t from log(mode_hint) - 90 to the larger of 50 and
-    # log(mode_hint) + 60, at steps of at most 1/8
-    t_init = math.log(mode_hint) if mode_hint > 0 else 0.0
-    t_lo, t_hi = t_init - 90.0, max(50.0, t_init + 60.0)
-    t = np.linspace(t_lo, t_hi, math.ceil(8.0 * (t_hi - t_lo)) + 1)
-    g = np.asarray(log_f(np.exp(np.clip(t, _T_EVAL_MIN, _T_EVAL_MAX)))) + t
-    g[np.isnan(g)] = -math.inf
-    k = int(np.argmax(g))
-    if g[k] == -math.inf:
-        raise ConvergenceError("integrate_semi_infinite: no finite values found")
-    if k == len(t) - 1:
-        raise DivergenceError("integrand increases toward infinity")
-    t_star = float(t[k])
-
-    nodes, weights = _gauss_legendre()
-    log_w = np.log(weights)
-
-    def panel(t_left: float, t_right: float) -> float:
-        half = 0.5 * (t_right - t_left)
-        mid = 0.5 * (t_right + t_left)
-        t = mid + half * nodes
-        u = np.exp(np.clip(t, _T_EVAL_MIN, _T_EVAL_MAX))
-        vals = np.asarray(log_f(u)) + t + log_w
-        m = np.max(vals)
-        if m == math.inf:
-            raise DivergenceError("integrand is unbounded")
-        if not np.isfinite(m):
-            return -math.inf
-        return m + math.log(np.sum(np.exp(vals - m))) + math.log(half)
-
-    # center cluster
-    edges = np.linspace(t_star - _CENTER_HALF, t_star + _CENTER_HALF,
-                        _CENTER_SPLIT + 1)
-    log_total = -math.inf
-    for k in range(_CENTER_SPLIT):
-        log_total = np.logaddexp(log_total, panel(edges[k], edges[k + 1]))
-
-    for direction in (+1, -1):
-        edge = t_star + direction * _CENTER_HALF
-        width = 2.0 * _CENTER_HALF / _CENTER_SPLIT
-        for k in range(_MAX_PANELS):
-            width *= _GROWTH
-            nxt = edge + direction * width
-            contrib = panel(*((edge, nxt) if direction > 0 else (nxt, edge)))
-            log_total = np.logaddexp(log_total, contrib)
-            edge = nxt
-            if contrib < log_total + _LOG_CUTOFF:
-                break
-        else:
-            raise DivergenceError(
-                "tail did not decay within the panel budget "
-                f"(direction {direction:+d})")
-    return float(log_total)

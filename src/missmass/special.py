@@ -1,44 +1,19 @@
-"""Log-gamma, digamma, trigamma and log-beta on the positive reals.
+"""Log-gamma, digamma, trigamma and log-beta: one name for each.
 
-Thin wrappers over ``scipy.special`` that refuse a non-positive argument
-and return a float for a scalar one.  The likelihood chain evaluates sums
-like ``sum_i x(i) * psi(alpha * x(i))`` on whole alpha grids at once, so
-every function takes arrays; shape arguments ``alpha * x(i)`` can be
-arbitrarily close to zero.
+These are ``scipy.special``'s gammaln, psi, zeta(2, .) and betaln, bound
+under the names the package uses; this module defines no function.  They
+check no argument: every call site passes positive arguments by
+construction, or checks its one smallest argument where input from
+outside reaches it (the moment strategies and simulate.expected_values
+refuse alpha x(i) = 0, the likelihood term sums check their run,
+likelihoods._term_sum).  On a scalar they return a numpy float.
 """
 
-from __future__ import annotations
+from functools import partial
 
-import numpy as np
-from scipy import special
+from scipy.special import betaln, gammaln, psi, zeta
 
-
-def _positive(z, name: str) -> np.ndarray:
-    z = np.asarray(z, dtype=float)
-    if not (z > 0.0).all():
-        raise ValueError(f"{name} requires a positive argument")
-    return z
-
-
-def _out(val):
-    return float(val) if val.ndim == 0 else val
-
-
-def log_gamma(z):
-    """log Gamma(z) for z > 0, scalar or array."""
-    return _out(special.gammaln(_positive(z, "log_gamma")))
-
-
-def digamma(z):
-    """psi(z) = d/dz log Gamma(z) for z > 0, scalar or array."""
-    return _out(special.psi(_positive(z, "digamma")))
-
-
-def trigamma(z):
-    """psi'(z) for z > 0, scalar or array: the Hurwitz zeta(2, z)."""
-    return _out(special.zeta(2.0, _positive(z, "trigamma")))
-
-
-def log_beta(a, b):
-    """log B(a, b) for a, b > 0."""
-    return _out(special.betaln(_positive(a, "log_beta"), _positive(b, "log_beta")))
+log_gamma = gammaln
+digamma = psi
+trigamma = partial(zeta, 2.0)
+log_beta = betaln

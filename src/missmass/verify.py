@@ -1,5 +1,5 @@
 """Oracle checks shared by the acceptance criteria and the ``verify`` CLI
-subcommand.
+subcommand, and the oracles they compare against.
 
 Each check compares the package with an independent oracle: brute-force
 enumeration, series expansion, quadrature or Monte Carlo.  It is written
@@ -10,25 +10,38 @@ criteria call them with their own seeds and sizes; ``run_verification``
 ``--full`` at the criteria's sizes.  It returns (name, passed, error)
 triples; error is empty unless the check raised, and then names the
 exception's type and message.
+
+The oracles that no route calls live here too, where only the checks and
+the tests load them: the quadrature over (0, inf), done entirely in log
+space, the scaled KL divergence Delta(W) (kl_delta) and the list of every
+local alpha maximum (alpha_slope_maxima).  The densities the quadrature
+integrates have power-law behavior at 0 and exponential or power tails at
+infinity; the substitution t = log(u) turns both ends into exponentially
+decaying tails that composite Gauss-Legendre panels resolve, laid out from
+the mode that one array scan in t finds.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 
-from .data import Dataset, Observation, summarize
+from .data import Dataset, Observation, SummaryStats, summarize
 from .distributions import PointMass
 from .estimators import (good_turing_rb, ipw_fixed_n, ipw_poisson,
                          mixture_estimate, rb_exact, rb_poisson_weights)
-from .inference import infer_bayes, infer_mixed, infer_profile
-from .likelihoods import ModelParams, d2log_dalpha2, log_L4, log_L5, log_L8, log_L9
+from .inference import (_SLOPE_SCAN_ALPHA, _alpha_maximum, infer_bayes,
+                        infer_mixed, infer_profile)
+from .likelihoods import (ModelParams, d2log_dalpha2, dlog_dalpha, log_L4,
+                          log_L5, log_L8, log_L9)
 from .moments import match_C
 from .simulate import (_draw_model, _rng, effective_states, expected_values,
                        simulate_explicit, simulate_model_batch,
                        toy_physics_dataset)
-from .solvers import integrate_semi_infinite
+from .solvers import ConvergenceError
 from .special import log_beta
 
 # ---------------------------------------------------------------------------
@@ -77,6 +90,134 @@ def _uniform_observation(p: np.ndarray, counts: np.ndarray, d: int) -> Observati
 
 # ---------------------------------------------------------------------------
 # oracles
+
+
+class DivergenceError(RuntimeError):
+    """Integrand is not integrable (tail decays too slowly or grows)."""
+
+
+# Gauss-Legendre nodes per quadrature panel
+_QUAD_POINTS = 257
+
+
+@lru_cache(maxsize=1)
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    return np.polynomial.legendre.leggauss(_QUAD_POINTS)
+
+
+# panel layout in t: a cluster of narrow panels around the mode, then
+# geometrically widening panels outward so that slowly decaying tails
+# (rate s: integrand ~ exp(s*t)) are covered in O(log(1/s)) panels
+_CENTER_HALF = 1.0
+_CENTER_SPLIT = 5
+_GROWTH = 1.5
+_MAX_PANELS = 200
+_LOG_CUTOFF = math.log(1e-12)
+# keep exp(t) finite and nonzero; below -740 the argument u is not
+# representable in float64 at all
+_T_EVAL_MAX = 705.0
+_T_EVAL_MIN = -740.0
+
+
+def integrate_semi_infinite(log_f: Callable[[np.ndarray], np.ndarray],
+                            mode_hint: float) -> float:
+    """log of integral_0^inf f(u) du for a unimodal integrable density.
+
+    ``log_f`` must accept numpy arrays.  The mode in t = log u is the
+    argmax of log f(e^t) + t on one array pass over a t grid around
+    ``mode_hint``; an argmax at the grid's top is the "increases toward
+    infinity" verdict.  Composite Gauss-Legendre panels are laid outward
+    from the mode until the tail panels contribute less than 1e-12 of the
+    running total.
+    """
+    # the mode scan: t from log(mode_hint) - 90 to the larger of 50 and
+    # log(mode_hint) + 60, at steps of at most 1/8
+    t_init = math.log(mode_hint) if mode_hint > 0 else 0.0
+    t_lo, t_hi = t_init - 90.0, max(50.0, t_init + 60.0)
+    t = np.linspace(t_lo, t_hi, math.ceil(8.0 * (t_hi - t_lo)) + 1)
+    g = np.asarray(log_f(np.exp(np.clip(t, _T_EVAL_MIN, _T_EVAL_MAX)))) + t
+    g[np.isnan(g)] = -math.inf
+    k = int(np.argmax(g))
+    if g[k] == -math.inf:
+        raise ConvergenceError("integrate_semi_infinite: no finite values found")
+    if k == len(t) - 1:
+        raise DivergenceError("integrand increases toward infinity")
+    t_star = float(t[k])
+
+    nodes, weights = _gauss_legendre()
+    log_w = np.log(weights)
+
+    def panel(t_left: float, t_right: float) -> float:
+        half = 0.5 * (t_right - t_left)
+        mid = 0.5 * (t_right + t_left)
+        t = mid + half * nodes
+        u = np.exp(np.clip(t, _T_EVAL_MIN, _T_EVAL_MAX))
+        vals = np.asarray(log_f(u)) + t + log_w
+        m = np.max(vals)
+        if m == math.inf:
+            raise DivergenceError("integrand is unbounded")
+        if not np.isfinite(m):
+            return -math.inf
+        return m + math.log(np.sum(np.exp(vals - m))) + math.log(half)
+
+    # center cluster
+    edges = np.linspace(t_star - _CENTER_HALF, t_star + _CENTER_HALF,
+                        _CENTER_SPLIT + 1)
+    log_total = -math.inf
+    for k in range(_CENTER_SPLIT):
+        log_total = np.logaddexp(log_total, panel(edges[k], edges[k + 1]))
+
+    for direction in (+1, -1):
+        edge = t_star + direction * _CENTER_HALF
+        width = 2.0 * _CENTER_HALF / _CENTER_SPLIT
+        for k in range(_MAX_PANELS):
+            width *= _GROWTH
+            nxt = edge + direction * width
+            contrib = panel(*((edge, nxt) if direction > 0 else (nxt, edge)))
+            log_total = np.logaddexp(log_total, contrib)
+            edge = nxt
+            if contrib < log_total + _LOG_CUTOFF:
+                break
+        else:
+            raise DivergenceError(
+                "tail did not decay within the panel budget "
+                f"(direction {direction:+d})")
+    return float(log_total)
+
+
+def kl_delta(stats: SummaryStats, w):
+    """Scaled KL divergence Delta between (x on S, Y) and (p on S, W)/Z.
+
+    Delta = T + Y log Y - U - Y log W + log(V + W), with the 0 log 0
+    convention when Y = 0.  W = 0 with Y > 0 gives +inf (the divergence is
+    infinite, not an error).  Vectorized over w.  The alpha slope of log L4
+    tends to -Delta(W) as alpha grows (acceptance criterion 5).
+    """
+    w_arr = np.asarray(w, dtype=float)
+    scalar = w_arr.ndim == 0
+    w_arr = np.atleast_1d(w_arr)
+    if np.any(w_arr < 0):
+        raise ValueError("W must be nonnegative")
+    if stats.Y == 0.0:
+        if np.any(w_arr != 0):
+            raise ValueError("Y = 0 requires W = 0")
+        val = np.full(w_arr.shape, stats.T - stats.U + np.log(stats.V))
+    else:
+        ylogy = stats.Y * np.log(stats.Y)
+        with np.errstate(divide="ignore"):
+            val = (stats.T + ylogy - stats.U
+                   - stats.Y * np.log(w_arr) + np.log(stats.V + w_arr))
+    return float(val[0]) if scalar else val
+
+
+def alpha_slope_maxima(which: str, stats: SummaryStats
+                       ) -> tuple[np.ndarray, np.ndarray, list[float]]:
+    """Every local maximum in alpha of log L``which`` inside
+    inference.ALPHA_T_BOUNDS, as inference._alpha_maximum finds them.
+    Returns (grid, slopes on the grid, maxima in grid order)."""
+    slopes = np.asarray(dlog_dalpha(which, stats, _SLOPE_SCAN_ALPHA))
+    return _SLOPE_SCAN_ALPHA, slopes, _alpha_maximum(which, stats, slopes).maxima
+
 
 
 def brute_force_rb(p: np.ndarray, n: int) -> tuple[float, np.ndarray]:

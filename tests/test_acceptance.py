@@ -11,15 +11,15 @@ import time
 import mpmath as mp
 import numpy as np
 
-from missmass.data import Dataset, Observation, kl_delta, summarize
+from missmass.data import Dataset, Observation, summarize
 from missmass.inference import ALPHA_T_BOUNDS, infer_mixed, mle_alpha
 from missmass.likelihoods import ModelParams, d2log_dalpha2, dlog_dalpha, log_L5, log_L9
 from missmass.verify import (check_beta_identity, check_expectations,
                              check_generating_function, check_ipw_unbiased,
                              check_mixed_closed_form, check_rb_exact,
                              check_singular_cases, concavity_worst,
-                             generative_order_p_value, random_observation,
-                             toy_physics_errors)
+                             generative_order_p_value, kl_delta,
+                             random_observation, toy_physics_errors)
 
 
 def _report(num: int, label: str, passed: bool) -> None:

@@ -573,3 +573,15 @@ def test_import_leaves_heavy_scipy_modules_unloaded():
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_import_leaves_the_oracles_unloaded():
+    # the oracles and their quadrature live in missmass.verify, which only
+    # the verify subcommand imports
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    probe = ("import sys, missmass; a = 'missmass.verify' in sys.modules; "
+             "import missmass.cli; print(a, 'missmass.verify' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False False"

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import fixture_path, proportional_observation, random_observation
-from missmass.data import (Dataset, Observation, kl_delta, load_observation,
-                           summarize)
+from missmass.data import Dataset, Observation, load_observation, summarize
+from missmass.verify import kl_delta
 
 
 class TestDatasetValidation:

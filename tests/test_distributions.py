@@ -33,6 +33,16 @@ def test_gamma_against_scipy():
                        stats.gamma.pdf(w, 2.3, scale=1 / 1.7), rtol=1e-12)
 
 
+@pytest.mark.parametrize("build", [
+    lambda v: GammaDist(v, 1.0), lambda v: GammaDist(1.0, v),
+    lambda v: _BetaAtoms(v, 2.0), lambda v: _BetaAtoms(2.0, v),
+    lambda v: _BetaAtoms(np.array([v, 2.0]), np.array([2.0, 2.0]), np.ones(2))])
+@pytest.mark.parametrize("value", [0.0, -1.0, math.nan])
+def test_laws_refuse_a_parameter_that_is_not_positive(build, value):
+    with pytest.raises(ValueError, match="must be positive"):
+        build(value)
+
+
 def test_beta_against_scipy():
     b = LawView(_BetaAtoms(0.8, 11.0), 1.0, "W/Z")
     assert b.mean == pytest.approx(0.8 / 11.8)

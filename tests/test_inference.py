@@ -18,13 +18,13 @@ from conftest import fixture_path, proportional_observation, random_observation
 from missmass import cli, distributions, inference
 from missmass.data import Observation, load_observation, summarize
 from missmass.distributions import LawView, LogScaleDist, PointMass, _BetaAtoms
-from missmass.inference import (ALPHA_T_BOUNDS, alpha_slope_maxima,
-                                infer_bayes, infer_mixed, infer_profile,
-                                mle_alpha)
+from missmass.inference import (ALPHA_T_BOUNDS, infer_bayes, infer_mixed,
+                                infer_profile, mle_alpha)
 from missmass.likelihoods import (ModelParams, d2log_dalpha2, dlog_dalpha,
                                   log_L4, log_L5, log_L9)
 from missmass.moments import moment_match
 from missmass.simulate import simulate_model
+from missmass.verify import alpha_slope_maxima
 
 
 def model_observation(seed, d=30, alpha=6.0, b=1.0, lam=10.0):

@@ -10,14 +10,14 @@ from scipy.special import gammaln, polygamma, psi
 
 from conftest import random_observation
 from missmass import inference, likelihoods
-from missmass.data import TERM_RUNS, Observation, kl_delta, summarize
-from missmass.inference import alpha_slope_maxima, mle_alpha
+from missmass.data import TERM_RUNS, Observation, summarize
+from missmass.inference import mle_alpha
 from missmass.likelihoods import (ModelParams, d2log_dalpha2, dlog_dalpha,
                                   log_L2, log_L3, log_L4, log_L5, log_L8,
                                   log_L9, log_L11, stationary_b_lambda)
 from missmass.moments import moment_match
-from missmass.solvers import integrate_semi_infinite
-from missmass.verify import beta_identity_gap
+from missmass.verify import (alpha_slope_maxima, beta_identity_gap,
+                             integrate_semi_infinite, kl_delta)
 
 mp.mp.dps = 50
 

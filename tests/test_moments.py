@@ -1,10 +1,11 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
 from conftest import FIXTURES, fixture_path, proportional_observation
-from missmass import moments
+from missmass import cli, inference, moments
 from missmass.data import Observation, load_observation, summarize
 from missmass.distributions import GammaDist
 from missmass.estimators import rb_poisson_lambda
@@ -119,6 +120,35 @@ class TestMatchC:
         res = match_C(obs, st)
         assert res.params is None
         assert res.diagnostics["status"] == "lambda_zero"
+
+
+class TestSubnormalBaseMeasure:
+    # x(0) = 5e-324 is a positive base measure, but alpha x(0) underflows to
+    # 0 at every alpha <= 1/2, where digamma(alpha x(0)) has its pole
+    X = [5e-324, 0.5, 0.5]
+
+    def _obs(self):
+        return Observation(domain_size=3, x=np.array(self.X), indices=np.array([0, 1]),
+                           p_obs=np.array([1.0, 2.0]), counts=np.array([2, 1]))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("route", [match_A, match_B, match_C, inference.infer_bayes,
+                                       inference.infer_profile, inference.infer_mixed])
+    def test_routes_refuse(self, route):
+        obs = self._obs()
+        with pytest.raises(ValueError, match="^digamma requires a positive argument$"):
+            route(obs, summarize(obs))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_cli_refuses(self, capsys, tmp_path):
+        path = tmp_path / "subnormal.json"
+        path.write_text(json.dumps({"domain_size": 3, "x": self.X, "entries": [
+            {"i": 0, "p": 1.0, "c": 2}, {"i": 1, "p": 2.0, "c": 1}]}))
+        code = cli.main(["infer", "--in", str(path), "--method", "moment-match",
+                         "--strategy", "B"])
+        out = capsys.readouterr()
+        assert (code, out.out, out.err) == (
+            1, "", "error: digamma requires a positive argument\n")
 
 
 class TestCommon:

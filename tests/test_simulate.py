@@ -106,12 +106,19 @@ class TestExpectedValues:
         with pytest.raises(ValueError):
             expected_values(X8, PARAMS, "nope")
 
+    @pytest.mark.parametrize("x0", [0.0, 5e-324, math.nan])
+    def test_given_s_refuses_a_zero_digamma_argument(self, x0):
+        # alpha x(0) is 0, underflows to 0 (alpha = 0.5) or is nan
+        x = np.array([x0, 0.5, 0.5])
+        with pytest.raises(ValueError, match="^digamma requires a positive argument$"):
+            expected_values(x, ModelParams(0.5, 1.0, 2.0), "given_s", s=[0, 1])
+
 
 class TestJointDensity:
     def test_marginal_count_is_negative_binomial(self):
         # integrate the one-point joint density over p: the count marginal
         # is NegBinomial(a, b/(b+lambda))
-        from missmass.solvers import integrate_semi_infinite
+        from missmass.verify import integrate_semi_infinite
         alpha, b, lam = 1.6, 0.9, 2.4
         x1 = 0.35
         a = alpha * x1

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from conftest import fixture_path
-from missmass import inference
+from missmass import inference, verify
 from missmass.data import load_observation, summarize
-from missmass.solvers import (_REL_TOL, BracketError, DivergenceError,
-                              integrate_semi_infinite, newton_bracketed, solve_root)
+from missmass.solvers import _REL_TOL, BracketError, newton_bracketed, solve_root
 from missmass.special import log_beta, log_gamma
+from missmass.verify import DivergenceError, integrate_semi_infinite
 
 
 def counted_root(f, bracket, f_bracket=None):
@@ -78,7 +78,7 @@ class TestSolveRoot:
 
         monkeypatch.setattr(inference, "solve_root", counting)
         obs = load_observation(fixture_path("regular_large.json"))
-        inference.alpha_slope_maxima("L5", summarize(obs))
+        verify.alpha_slope_maxima("L5", summarize(obs))
         assert counts and max(counts) <= 12
 
     def test_random_monotone_functions(self):
