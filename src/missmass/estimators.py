@@ -5,16 +5,22 @@ Rao-Blackwellization.  A point i with mass p(i) enters the sample with
 inclusion probability
 
     pi(i; Z) = 1 - (1 - p(i)/Z)^N      (fixed sample size N)
-    pi(i; Z) = 1 - exp(-N p(i) / Z)    (Poisson sampling, lambda = N/Z)
+    pi(i; Z) = 1 - exp(-lambda p(i))   (Poisson sampling, lambda = N/Z)
 
 and weighting observed masses by 1/pi gives estimating equations for Z.
-Every such equation here (IPW, the mixture, the Rao-Blackwellized Z
-equations, the nonlinear harmonic mean and, through lambda = N / Z, the
-saddle-point rate) falls through zero once in Z and is solved by one
-search from V, with one set of verdicts: all sampled points are
-singletons, no finite solution (+inf), or a boundary solution at the
-lower limit of Z (0).  Each q / pi term takes its limit q Z / (N p) where
-pi underflows, so masses may span the float range.
+Under Poisson sampling the IPW and mixture equations are, in the rate
+lambda, the saddle-point equation c lambda + sum_S w(i) h(lambda p(i)) = N
+with h(mu) = mu / (1 - exp(-mu)), w = q / p in [0, 1] and c >= 0.  It is
+convex and increasing in lambda, so Newton's method solves it from the
+weighted Good-Turing rate without a bracket, in about four evaluations.
+Every other equation here (IPW and the mixture under fixed-n, the
+Rao-Blackwellized Z equations and the nonlinear harmonic mean) falls
+through zero once in Z and is solved by one search from V.  Both solves
+share one set of verdicts: all sampled points are singletons, no finite
+solution (+inf), or a boundary solution at the lower limit of Z (0).  The
+Poisson forms work on lambda p, never on N p, and each q / pi term takes
+its limit q Z / (N p) where pi underflows, so masses may span the float
+range.
 Exact Rao-Blackwellization replaces the observed counts by their
 expectation under the truncated multinomial given (S, p on S, N): a ratio
 of two DFT coefficients after tilting the counts to zero-truncated
@@ -30,6 +36,7 @@ self-consistent ones are +inf, with a reason, on all-singleton samples.
 from __future__ import annotations
 
 import math
+import sys
 from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import Mapping
@@ -37,7 +44,7 @@ from typing import Mapping
 import numpy as np
 
 from .data import Observation
-from .solvers import solve_root
+from .solvers import ConvergenceError, solve_root
 from .special import log_gamma
 
 # a Z equation whose root lies above this multiple of its scale (V, plus
@@ -48,10 +55,13 @@ _UPPER_CAP = 1e18
 _SINGLETONS = "all sampled points are singletons"
 _NO_SOLUTION = "no finite solution"
 _BOUNDARY = "boundary: solution at or below the lower limit of Z"
-# a rate lambda p, N p / Z or an inclusion probability below the smallest
-# normal double takes its small-rate limit; above _MU_BIG, exp(-lambda p z)
-# can overflow where Re z < 0
+# a rate lambda p or an inclusion probability below the smallest normal
+# double takes its small-rate limit; above _MU_BIG, exp(-lambda p z) can
+# overflow where Re z < 0
 _MU_TINY, _MU_BIG = np.finfo(float).tiny, 700.0
+# a rate solve ends at a Newton step below this fraction of lambda, and
+# gives up after _MAX_NEWTON steps
+_RATE_TOL, _MAX_NEWTON = 1e-14, 100
 
 
 @dataclass(frozen=True)
@@ -120,7 +130,7 @@ def inclusion_probability(p, n: int, z, form: str = "poisson"):
     """First-order inclusion probability pi(i; Z), vectorized over p."""
     p = np.asarray(p, dtype=float)
     if form == "poisson":
-        return -np.expm1(-n * p / z)
+        return -np.expm1(-p * (n / z))
     if form == "fixed-n":
         # p = z gives log1p(-1) = -inf and inclusion exactly 1
         with np.errstate(divide="ignore"):
@@ -132,15 +142,15 @@ def _inclusion(p: np.ndarray, n: int, form: str):
     """The map Z -> pi(i; Z) over the sampled masses p, for one solve.
 
     It runs inclusion_probability's ufuncs in the same order, so every
-    value is the same bit for bit, but takes -N p once and writes each
-    step into one buffer, which the next call overwrites.
+    value is the same bit for bit, but takes -p once and writes each step
+    into one buffer, which the next call overwrites.
     """
     buf = np.empty_like(p)
     if form == "poisson":
-        neg_np = -n * p
+        neg_p = -p
 
         def incl(z):
-            np.divide(neg_np, z, out=buf)
+            np.multiply(neg_p, n / z, out=buf)
             np.expm1(buf, out=buf)
             return np.negative(buf, out=buf)
     elif form == "fixed-n":
@@ -241,13 +251,86 @@ def _solve_z(f, obs: Observation, form: str, diag: dict, c: float = 0.0) -> floa
     return root
 
 
+def _rate_equation(p: np.ndarray, n: int, w: np.ndarray, c: float):
+    """The map lambda -> (G, lambda G') for the rate equation
+
+        G(lambda) = c lambda + sum_S w(i) h(lambda p(i)) - N,  h(mu) = mu / (1 - e^-mu)
+
+    over the sampled masses p, with lambda G' = c lambda + sum_S w (h - h (h - mu)),
+    as mu h'(mu) = h (1 - (h - mu)).  h is _ztp_mean's, with its limit 1
+    where lambda p underflows.  Each call writes into buffers that the next
+    call overwrites.
+    """
+    neg_p = -p
+    low = int(p.argmin())  # lambda p is smallest here
+    neg_mu, h, hg = np.empty_like(p), np.empty_like(p), np.empty_like(p)
+
+    def f(lam):
+        np.multiply(neg_p, lam, out=neg_mu)
+        if neg_mu[low] > -_MU_TINY:
+            np.minimum(neg_mu, -_MU_TINY, out=neg_mu)
+        np.expm1(neg_mu, out=h)
+        np.divide(neg_mu, h, out=h)
+        np.add(h, neg_mu, out=hg)
+        np.multiply(h, hg, out=hg)
+        total = c * lam + float(np.dot(w, h))
+        return total - n, total - float(np.dot(w, hg))
+
+    return f
+
+
+def _solve_rate(f, lam: float, lam_min: float, diag: dict) -> float:
+    """Root in lambda of a rate equation G = 0 by Newton's method, from lam.
+
+    f gives G and lambda G' (_rate_equation).  G is convex and increasing,
+    so from any positive start the first step lands at or above the root
+    and every later iterate falls to it: no bracket is needed.  The solve
+    ends where a step falls below _RATE_TOL lambda, or where a later
+    iterate has G <= 0, which only rounding gives.  At or below lam_min,
+    where Z = N / lambda passes _UPPER_CAP (V + c) or the float range, the
+    verdict is _NO_SOLUTION (rate 0): every iterate after the first lies
+    at or above the root, and a start at or above half of it, so the
+    root's Z lies past that limit, or past half of it.  diag gets the
+    evaluations, the Newton steps and the plugged-back residual
+    G / lambda, in Z units.
+    """
+    diag.update(evals=0, iterations=0)
+    while lam > lam_min:
+        g, slope = f(lam)
+        diag["evals"] += 1
+        step = g / slope
+        if abs(step) <= _RATE_TOL or (step <= 0.0 and diag["iterations"]):
+            diag["residual"] = g / lam
+            return lam
+        if diag["iterations"] == _MAX_NEWTON:
+            raise ConvergenceError(f"rate solve: no convergence in {_MAX_NEWTON} Newton steps")
+        lam -= lam * step
+        diag["iterations"] += 1
+    diag["reason"] = _NO_SOLUTION
+    return 0.0
+
+
 def _solve_ipw(obs: Observation, q: np.ndarray, c: float, form: str,
                diag: dict) -> float:
     """Z solving Z = c + sum_S q(i) / pi(i; Z); the right side over Z falls
-    in Z, so the root is unique and, for q <= p and c >= 0, at least V."""
-    over_pi = _over_pi(obs.p_obs, obs.n, form)
-    return _solve_z(lambda z: c + float(np.add.reduce(over_pi(q, z))) - z,
-                    obs, form, diag, c)
+    in Z, so the root is unique and, for q <= p and c >= 0, at least V.
+
+    Under Poisson sampling, with lambda = N / Z and w = q / p, this is the
+    rate equation c lambda + sum_S w(i) h(lambda p(i)) = N, solved from
+    the weighted Good-Turing rate (N - sum of w over singletons) / (c + sum_S q),
+    at or above half the root since 1 + mu / 2 <= h(mu) <= 1 + mu.
+    """
+    p, n = obs.p_obs, obs.n
+    if form != "poisson":
+        over_pi = _over_pi(p, n, form)
+        return _solve_z(lambda z: c + float(np.add.reduce(over_pi(q, z))) - z,
+                        obs, form, diag, c)
+    w = q / p
+    start = (n - float(np.add.reduce(w[obs.counts == 1]))) / (c + float(np.add.reduce(q)))
+    # a Z past the cap, or past the float range where the cap overflows
+    lam_min = n / min(_UPPER_CAP * (obs.v + c), sys.float_info.max)
+    lam = _solve_rate(_rate_equation(p, n, w, c), start, lam_min, diag)
+    return n / lam if lam > 0.0 else math.inf
 
 
 def _ipw(obs: Observation, form: str, method: str) -> EstimateResult:
@@ -269,7 +352,8 @@ def ipw_fixed_n(obs: Observation) -> EstimateResult:
 
 
 def ipw_poisson(obs: Observation) -> EstimateResult:
-    """Z solving Z = sum_S p(i) / (1 - exp(-N p(i)/Z))."""
+    """Z solving Z = sum_S p(i) / (1 - exp(-N p(i)/Z)), solved as the
+    saddle-point equation in the rate lambda = N / Z (rb_poisson_lambda)."""
     return _ipw(obs, "poisson", "ipw-poisson")
 
 
@@ -351,9 +435,9 @@ def rb_exact(obs: Observation) -> RBWeights:
 def rb_poisson_lambda(obs: Observation) -> float:
     """The rate lambda solving N = sum_S lambda p(i) / (1 - exp(-lambda p(i))).
 
-    With lambda = N / Z this is the Poisson IPW equation, so lambda is
-    N / ipw_poisson(obs) and shares its root; M = N (Z = +inf) gives
-    lambda = 0.
+    This is the saddle-point equation, and with lambda = N / Z the Poisson
+    IPW equation, which ipw_poisson solves in lambda by Newton's method;
+    lambda is N / ipw_poisson(obs).  M = N (Z = +inf) gives lambda = 0.
     """
     return obs.n / ipw_poisson(obs).value
 
@@ -427,15 +511,18 @@ def good_turing_rb(obs: Observation) -> EstimateResult:
     """Rao-Blackwellized Good-Turing in the Poisson approximation.
 
     Z is the Poisson IPW root, with its solver diagnostics, and
-    W = sum_S p(i) / (exp(N p(i)/Z) - 1), summed, not taken as the equal
-    Z - V.  N = M is singular: Z, W -> inf with W/Z = 1.
+    W = sum_S p(i) / (exp(lambda p(i)) - 1) at lambda = N / Z, summed, not
+    taken as the equal Z - V.  N = M is singular: Z, W -> inf with W/Z = 1.
     """
     ipw = ipw_poisson(obs)
     if not ipw.is_finite:
         return _result(obs, "good-turing-rb", ipw.diagnostics, ipw.value)
-    p, n, z = obs.p_obs, obs.n, ipw.value
-    # p / (e^{N p / Z} - 1) = p e^{-N p / Z} / pi(i; Z)
-    w = float(np.add.reduce(_over_pi(p, n, "poisson")(p * np.exp(-n * p / z), z)))
+    z = ipw.value
+    lam = obs.n / z
+    # p / (e^mu - 1) = h(mu) e^-mu / lambda at mu = lambda p, with h's
+    # small-rate limit, so the term is 1 / lambda where mu underflows
+    mu = lam * obs.p_obs
+    w = float(np.add.reduce(_ztp_mean(mu) * np.exp(-mu))) / lam
     return _result(obs, "good-turing-rb", ipw.diagnostics, z, w=w, w_over_z=w / z)
 
 
@@ -491,10 +578,11 @@ def harmonic_mean(obs: Observation, h: Mapping[int, float], H: float,
     mode "rb_linear":     Z = N H / sum_S v(i) h(i) / p(i)
     mode "ipw_nonlinear": H = sum_S h(i) / pi(i; Z) solved for Z
 
-    The nonlinear equation is solved like every other Z equation here, with
-    the same verdicts: where the sampled h already reach H at Z = V the
-    root lies below V, and at the lower limit of Z it is the boundary
-    verdict (Z = 0).  Terms with p(i)/Z << h(i)/H give the estimator
+    The nonlinear equation has no convex rate form (sum_S h / pi falls in
+    lambda = N / Z), so it is solved by the search from V, with the
+    verdicts every Z equation shares: where the sampled h already reach H
+    at Z = V the root lies below V, and at the lower limit of Z it is the
+    boundary verdict (Z = 0).  Terms with p(i)/Z << h(i)/H give the estimator
     unbounded variance; that pathology is reported through the
     variance_indicator diagnostic (min over S of (p(i)/h(i)) (H/Z)), not
     mitigated.
@@ -545,7 +633,10 @@ def mixture_estimate(obs: Observation, r_components, w, gamma: float,
     which is unbiased at the true Z for every gamma in [0, 1].  With
     gamma h <= p, which every mixture component satisfies, each term of
     (right side) / Z falls in Z, so the root is unique; since pi <= 1 and
-    H >= sum_S h it is never below V.  gamma = 0 is the IPW estimator;
+    H >= sum_S h it is never below V.  Under Poisson sampling it is solved
+    as the rate equation gamma H lambda + sum_S w(i) h(lambda p(i)) = N,
+    w = 1 - gamma h / p, by Newton's method, like ipw_poisson; under
+    fixed-n by the search from V.  gamma = 0 is the IPW estimator;
     gamma = 1 is the known total H plus the IPW estimate of the remainder
     p - h.  The pure harmonic anchor H = sum_S h / pi(i; Z) is
     harmonic_mean(mode="ipw_nonlinear").  M = N has no finite root only

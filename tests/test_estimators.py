@@ -17,6 +17,9 @@ from missmass.estimators import (RBWeights, expected_phi, good_toulmin_rb,
                                  ipw_fixed_n, ipw_poisson, mixture_estimate,
                                  rb_exact, rb_poisson_lambda,
                                  rb_poisson_weights, rb_z_equation)
+from missmass.likelihoods import ModelParams
+from missmass.simulate import (effective_states, simulate_explicit, simulate_model,
+                               toy_physics_dataset)
 from missmass.solvers import solve_root
 from missmass.verify import brute_force_rb, random_counts, saddle_point_gap
 
@@ -51,6 +54,15 @@ def make_obs(ps, cs, d=None, x=None):
     return Observation(domain_size=d, x=np.asarray(x, float),
                        indices=np.arange(m), p_obs=np.asarray(ps, float),
                        counts=np.asarray(cs))
+
+
+@hs.composite
+def spread_observations(draw):
+    """M = 1..60 points with p = 10^U(-300, 300) and counts 1..4."""
+    m = draw(hs.integers(1, 60))
+    log10_p = draw(hs.lists(hs.floats(-300.0, 300.0), min_size=m, max_size=m))
+    counts = draw(hs.lists(hs.integers(1, 4), min_size=m, max_size=m))
+    return make_obs(10.0 ** np.array(log10_p), counts)
 
 
 def mpmath_rb(ps, n, dps=50):
@@ -136,6 +148,20 @@ class TestIpw:
             assert res.value == math.inf
             assert res.diagnostics["reason"] == "no finite solution"
             assert res.diagnostics["evals"] == 60
+
+    @pytest.mark.filterwarnings("error")
+    def test_root_past_the_float_range(self):
+        # Z = 6.6 s passes the largest double at s = 3e307, so the Poisson
+        # rate solve gives the verdict the search from V gives where
+        # doubling Z leaves the float range
+        obs = make_obs([3e307, 3e307, 3e307], [1, 1, 2])
+        r = obs.p_obs.reshape(-1, 1)
+        for res in (ipw_poisson(obs), good_turing_rb(obs),
+                    mixture_estimate(obs, r, [1.0], 0.0).z):
+            assert res.value == math.inf
+            assert res.diagnostics["reason"] == "no finite solution"
+        assert ipw_poisson(make_obs([1.0, 1.0, 1.0], [1, 1, 2])).value == pytest.approx(
+            6.6022, abs=1e-4)
 
     def test_masses_spanning_the_float_range(self):
         # N p / Z underflows for the smallest point; each q / pi term takes
@@ -318,6 +344,34 @@ class TestRbPoissonLambda:
         if lam > 0.0:
             assert np.sum(estimators._ztp_mean(lam * obs.p_obs)) == pytest.approx(
                 obs.n, rel=1e-9)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(obs=spread_observations())
+    def test_newton_reaches_the_saddle_point(self, obs):
+        # the rate solve needs no bracket and ends within six evaluations at
+        # sum_S h(lambda p) = N, exactly summed, on masses over the float range
+        res = ipw_poisson(obs)
+        if obs.m == obs.n:
+            assert math.isinf(res.value)
+            return
+        assert res.diagnostics["evals"] <= 6
+        mu = rb_poisson_lambda(obs) * obs.p_obs
+        assert abs(math.fsum(estimators._ztp_mean(mu)) / obs.n - 1.0) <= 1e-13
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_rb_z_equation_shares_the_ipw_root(self, seed):
+        # at Z = N / lambda, sum_S v pi = sum_S lambda p = lambda V for the
+        # saddle-point weights, so the V / Z equation's root, found by the
+        # search from V, is the rate solve's
+        rng = np.random.default_rng(seed)
+        draws = [random_observation(rng, extra_counts=int(rng.integers(1, 10)))
+                 for _ in range(20)]
+        draws += [make_obs(10.0 ** rng.uniform(-300.0, 300.0, m), rng.integers(1, 5, m))
+                  for m in rng.integers(1, 40, 20)]
+        for obs in draws:
+            z = ipw_poisson(obs).value
+            rb = rb_z_equation(obs, rb_poisson_weights(obs)).value
+            assert rb == z if math.isinf(z) else abs(rb / z - 1.0) <= 1e-10
 
     def test_large_counts(self):
         # every rate is large, so N = sum_S lambda p(i) holds at N / V only
@@ -682,6 +736,113 @@ class TestMixture:
         assert mix.R_rb is not None and mix.R_rb.shape == (2,)
 
 
+@pytest.mark.filterwarnings("error")
+def test_poisson_estimates_scale_to_the_float_limit():
+    # N p overflows at s = 1e307 (6 * 3e307); every Poisson form works on
+    # lambda p = p (N / Z), which stays in range, so Z / s does not move.
+    # Every root lies below 9 s, within the float range at s = 1e307.
+    def estimates(s):
+        obs = make_obs([s, 2.0 * s, 3.0 * s], [2, 2, 2])
+        p, v = obs.p_obs, obs.v
+        anchor = {i: 0.75 * float(x) for i, x in enumerate(p)}
+        r = np.column_stack([0.4 * p, 0.6 * p])
+        gt_rb = good_turing_rb(obs)
+        return {
+            "ipw": ipw_poisson(obs).value / s,
+            "gt-rb": gt_rb.value / s,
+            "gt-rb W": gt_rb.w / s,
+            "gtoulmin": good_toulmin_rb(obs, rb_poisson_lambda(obs)),
+            "rb-poisson": rb_z_equation(obs, rb_poisson_weights(obs)).value / s,
+            "rb-exact": rb_z_equation(obs, rb_exact(obs)).value / s,
+            "rb-z-M": rb_z_equation(obs, rb_exact(obs), variant="M_over_Z").value / s,
+            "hm": harmonic_mean(obs, anchor, v, mode="ipw_nonlinear").value / s,
+            "mixture-0": mixture_estimate(obs, r, [1.0, 1.0], 0.0).z.value / s,
+            "mixture-0.5": mixture_estimate(obs, r, [1.0, 1.0], 0.5, h=anchor,
+                                            H=v).z.value / s,
+        }
+
+    base = estimates(1.0)
+    assert base["ipw"] == pytest.approx(7.7023, abs=1e-4)
+    for s in (1e300, 1e307):
+        for name, value in estimates(s).items():
+            assert value == pytest.approx(base[name], rel=1e-12), (name, s)
+
+
+def calibration_draws(seed0: int, reps: int):
+    """Observations of Gamma-Poisson draws, (alpha, b, lambda) = (2, 1, 5) and
+    (2, 1, 20) in turn, with x uniform on 50 points (expected N = 10 and 40);
+    draws with no sampled point are left out."""
+    x = np.full(50, 1.0 / 50)
+    params = [ModelParams(2.0, 1.0, 5.0), ModelParams(2.0, 1.0, 20.0)]
+    for k in range(reps):
+        ds = simulate_model(x, params[k % 2], "p-c", rng_seed=seed0 + k)
+        if ds.c.sum():
+            yield ds.observe()
+
+
+def assert_point_estimates_consistent(obs):
+    """Sum_S v = N for both Rao-Blackwell weightings, Z = V + W for both
+    Good-Turing estimators, 0 <= W/Z <= 1 for Good-Toulmin, and Z > 0 or
+    +inf from every Z equation, each to 1e-12."""
+    n, v = obs.n, obs.v
+    zs = [ipw_fixed_n(obs).value, ipw_poisson(obs).value]
+    for weights in (rb_poisson_weights(obs), rb_exact(obs)):
+        assert math.fsum(weights.v.values()) == pytest.approx(n, rel=1e-12)
+        zs.append(rb_z_equation(obs, weights).value)
+    for res in (good_turing_classic(obs), good_turing_rb(obs)):
+        zs.append(res.value)
+        if math.isinf(res.value):
+            assert math.isinf(res.w) and res.w_over_z == 1.0
+        else:
+            assert res.value == pytest.approx(v + res.w, rel=1e-12)
+    assert 0.0 <= good_toulmin_rb(obs, rb_poisson_lambda(obs)) <= 1.0
+    assert all(z > 0.0 for z in zs), zs
+
+
+class TestCalibrationDesign:
+    """The per-request checks of the calibration Monte Carlo design, on
+    draws seeded here, at 1e-12."""
+
+    def test_replicates(self):
+        draws = list(calibration_draws(610000, 2100))
+        assert len(draws) >= 2000
+        for obs in draws:
+            assert_point_estimates_consistent(obs)
+
+    @pytest.mark.parametrize("ps, cs", [
+        ([0.02, 0.05, 0.01], [1, 1, 1]),                      # M = N
+        ([0.03], [7]),                                        # M = 1
+        (list(np.linspace(0.01, 0.2, 30)), [2] + [1] * 29),   # N = M + 1
+        ([5e-324, 0.04, 0.02], [1, 3, 2]),                    # lambda p subnormal
+    ], ids=["M=N", "M=1", "N=M+1", "subnormal-rate"])
+    def test_edge_cases(self, ps, cs):
+        assert_point_estimates_consistent(make_obs(ps, cs, d=50))
+
+    def test_a_subnormal_rate_is_sampled(self):
+        obs = make_obs([5e-324, 0.04, 0.02], [1, 3, 2], d=50)
+        assert 0.0 < rb_poisson_lambda(obs) * 5e-324 < np.finfo(float).tiny
+
+    def test_toy_medians(self):
+        # the toy mixture's medians over 24 draws, at gamma = 0 and 1 and
+        # for the classic harmonic mean, stay within 15 % of the enumerated Z
+        toy = toy_physics_dataset(4096, [3.0, 1.0, 0.5])
+        n = int(4 * effective_states(toy.dataset.p))
+        h_all = toy.r[:, 0] * toy.w[0]
+        big_h = float(toy.r_totals[0] * toy.w[0])
+        for group in range(2):
+            found = {0.0: [], 1.0: [], "hm": []}
+            for k in range(24):
+                obs = simulate_explicit(toy.dataset.p, n=n, rng_seed=620000 + 24 * group + k,
+                                        x=toy.dataset.x).observe()
+                h = {int(i): float(h_all[i]) for i in obs.indices}
+                for gamma in (0.0, 1.0):
+                    found[gamma].append(mixture_estimate(obs, toy.r[obs.indices], toy.w,
+                                                         gamma, h=h, H=big_h).z.value)
+                found["hm"].append(harmonic_mean(obs, h, big_h).value)
+            for key, zs in found.items():
+                assert abs(np.median(zs) / toy.z_exact - 1.0) <= 0.15, key
+
+
 def test_solved_roots_have_tiny_residuals(rng):
     # every solved estimator equation reports its solver work and a
     # plugged-back residual that is negligible on the scale of the
@@ -709,19 +870,23 @@ def reference_over_pi(p, n, form):
     return over_pi
 
 
-@hs.composite
-def spread_observations(draw):
-    """M = 1..60 points with p = 10^U(-300, 300) and counts 1..4."""
-    m = draw(hs.integers(1, 60))
-    log10_p = draw(hs.lists(hs.floats(-300.0, 300.0), min_size=m, max_size=m))
-    counts = draw(hs.lists(hs.integers(1, 4), min_size=m, max_size=m))
-    return make_obs(10.0 ** np.array(log10_p), counts)
+def reference_rate(p, n, w, c):
+    """G(lambda) = c lambda + sum_S w h(lambda p) - N and lambda G'(lambda),
+    with h(mu) = mu / (1 - e^-mu) as in _ztp_mean and mu h'(mu) =
+    h - h (h - mu): the rate equations' reference."""
+    def rate(lam):
+        mu = np.maximum(lam * p, np.finfo(float).tiny)
+        h = mu / -np.expm1(-mu)
+        total = c * lam + float(np.dot(w, h))
+        return total - n, total - float(np.dot(w, h * (h - mu)))
+    return rate
 
 
 class TestLeanResidual:
-    """Each Z equation's residual, as handed to the solver, equals one built
-    on inclusion_probability bit for bit, and the sample lookups equal the
-    comprehensions they replace, errors included."""
+    """Each Z equation's residual, as handed to its solver, equals one built
+    on inclusion_probability or, for the Poisson IPW and mixture rate
+    equations, on _ztp_mean's formula, bit for bit; and the sample lookups
+    equal the comprehensions they replace, errors included."""
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(obs=spread_observations(), form=hs.sampled_from(["poisson", "fixed-n"]),
@@ -736,11 +901,14 @@ class TestLeanResidual:
         r = np.column_stack([0.4 * p, 0.6 * p])
         big_h = 0.6 * v
         q_mix = np.maximum(p - gamma * (0.4 * p), 0.0)
+        rate = form == "poisson"
         cases = {
             "ipw": (lambda: estimators._ipw(obs, form, "ipw"),
+                    reference_rate(p, n, p / p, 0.0) if rate else
                     lambda z: float(over_pi(p, z).sum()) - z),
             "mixture": (lambda: mixture_estimate(obs, r, [1.0, 1.0], gamma, h=anchor,
                                                  H=big_h, pi=form),
+                        reference_rate(p, n, q_mix / p, gamma * big_h) if rate else
                         lambda z: gamma * big_h + float(over_pi(q_mix, z).sum()) - z),
             "rb-z-V": (lambda: rb_z_equation(obs, saddle, "V_over_Z", form),
                        lambda z: v - float(z / n * np.dot(
@@ -755,22 +923,26 @@ class TestLeanResidual:
         zs = [v, v * 1e-12, max(float(p.max()) * (1 + 1e-12), v * 1e-12), 1.5 * v]
         zs += [v * 10.0 ** e for e in (1, 3, 6, 12, 18)]
         zs = [z for z in zs if math.isfinite(z) and (form == "poisson" or z > p.max())]
+        # the rates of those Z, from the cap to the lower limit
+        lams = [n / z for z in zs]
         for name, (estimate, reference) in cases.items():
-            residuals = []
-            solve = estimators._solve_z
-
-            def capture(f, *args, **kwargs):
-                residuals.append(f)
-                return solve(f, *args, **kwargs)
-
+            captured = {"_solve_z": [], "_solve_rate": []}
             with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(estimators, "_solve_z", capture)
+                for solver, found in captured.items():
+                    def capture(f, *args, solve=getattr(estimators, solver), found=found):
+                        found.append(f)
+                        return solve(f, *args)
+
+                    patch.setattr(estimators, solver, capture)
                 estimate()
-            assert len(residuals) == (0 if m == n and name in ("ipw", "rb-z-V", "rb-z-M")
-                                      else 1), name
-            for f in residuals:
-                for z in zs:
-                    assert f(z) == reference(z), (name, z)
+            by_rate = rate and name in ("ipw", "mixture")
+            used, unused = ("_solve_rate", "_solve_z") if by_rate else ("_solve_z", "_solve_rate")
+            assert len(captured[used]) == (0 if m == n and name in ("ipw", "rb-z-V", "rb-z-M")
+                                           else 1), name
+            assert not captured[unused], name
+            for f in captured[used]:
+                for x in lams if by_rate else zs:
+                    assert f(x) == reference(x), (name, x)
 
     def test_lookups_equal_the_comprehensions(self):
         obs = Observation(domain_size=8, x=np.full(8, 0.125), indices=[1, 4, 6],
