@@ -18,10 +18,9 @@ import numpy as np
 from . import __version__
 from .data import Observation, load_observation, summarize
 from .distributions import PointMass, cdf_table
-from .estimators import (_result, good_toulmin_rb, good_turing_classic,
+from .estimators import (_good_toulmin, _result, _scaled_rate, good_turing_classic,
                          good_turing_rb, harmonic_mean, ipw_fixed_n, ipw_poisson,
-                         rb_exact, rb_poisson_lambda, rb_poisson_weights,
-                         rb_z_equation)
+                         rb_exact, rb_poisson_weights, rb_z_equation)
 from .inference import infer_bayes, infer_mixed, infer_profile
 from .likelihoods import ModelParams
 from .moments import moment_match
@@ -153,9 +152,12 @@ def _hm(obs: Observation, args):
 
 
 def _gtoulmin(obs: Observation, args):
-    lam = rb_poisson_lambda(obs)
-    return _result(obs, "good-toulmin-rb", {"lambda": lam, "note": "Z derived from W/Z and V"},
-                   w_over_z=good_toulmin_rb(obs, lam))
+    # lambda p from the scaled rate, which is finite where lambda = N / Z overflows
+    z = ipw_poisson(obs).value
+    lam, p, _ = _scaled_rate(obs, z)
+    return _result(obs, "good-toulmin-rb",
+                   {"lambda": obs.n / z, "note": "Z derived from W/Z and V"},
+                   w_over_z=_good_toulmin(obs, lam, p))
 
 
 def _rb(weights):

@@ -20,7 +20,8 @@ share one set of verdicts: all sampled points are singletons, no finite
 solution (+inf), or a boundary solution at the lower limit of Z (0).  The
 Poisson forms work on lambda p, never on N p, and each q / pi term takes
 its limit q Z / (N p) where pi underflows, so masses may span the float
-range.
+range; where the rate N / Z nears the float maximum they run on masses and
+Z scaled by a power of two (_exponent), which is exact.
 Exact Rao-Blackwellization replaces the observed counts by their
 expectation under the truncated multinomial given (S, p on S, N): a ratio
 of two DFT coefficients after tilting the counts to zero-truncated
@@ -62,6 +63,9 @@ _MU_TINY, _MU_BIG = np.finfo(float).tiny, 700.0
 # a rate solve ends at a Newton step below this fraction of lambda, and
 # gives up after _MAX_NEWTON steps
 _RATE_TOL, _MAX_NEWTON = 1e-14, 100
+# where N / V passes this, the Poisson forms run on masses scaled by 2^-e
+# (_exponent)
+_RATE_LIMIT = sys.float_info.max / 4.0
 
 
 @dataclass(frozen=True)
@@ -138,19 +142,36 @@ def inclusion_probability(p, n: int, z, form: str = "poisson"):
     raise ValueError(f"unknown inclusion form {form!r}")
 
 
+def _exponent(n: int, v: float) -> int:
+    """0, or where N / V passes _RATE_LIMIT, the binary exponent e of V.
+
+    The Poisson forms then run on the masses and on Z scaled by 2^-e, which
+    is exact: lambda p is unchanged, and the scaled rate N / Z, whose Newton
+    iterates stay below 3 N / V, is finite.
+    """
+    return math.frexp(v)[1] if n / v > _RATE_LIMIT else 0
+
+
 def _inclusion(p: np.ndarray, n: int, form: str):
     """The map Z -> pi(i; Z) over the sampled masses p, for one solve.
 
     It runs inclusion_probability's ufuncs in the same order, so every
     value is the same bit for bit, but takes -p once and writes each step
-    into one buffer, which the next call overwrites.
+    into one buffer, which the next call overwrites.  Below the Z where
+    N / Z passes _RATE_LIMIT, lambda p is formed on masses and Z scaled by
+    2^-e, e the binary exponent of Z, which is exact and keeps the rate
+    finite.
     """
     buf = np.empty_like(p)
     if form == "poisson":
-        neg_p = -p
+        neg_p, z_small = -p, n / _RATE_LIMIT
 
         def incl(z):
-            np.multiply(neg_p, n / z, out=buf)
+            if z < z_small:
+                e = math.frexp(z)[1]
+                np.multiply(np.ldexp(neg_p, -e), n / math.ldexp(z, -e), out=buf)
+            else:
+                np.multiply(neg_p, n / z, out=buf)
             np.expm1(buf, out=buf)
             return np.negative(buf, out=buf)
     elif form == "fixed-n":
@@ -210,22 +231,27 @@ def _solve_z(f, obs: Observation, form: str, diag: dict, c: float = 0.0) -> floa
     (+inf); with f(limit) <= 0 it is _BOUNDARY (0).
     diag gets the evaluations, the bracket steps and, for a root, the
     plugged-back residual.  Each Z is evaluated once: the bracket ends and
-    the root Brent's method returns are points already evaluated.
+    the root Brent's method returns are points already evaluated.  Where
+    N / V passes _RATE_LIMIT the search runs on Z scaled by 2^-e, as the
+    Poisson forms do (_exponent), which keeps Brent's stopping width
+    relative where Z is below 1e-300.
     """
     diag.update(evals=0, iterations=0)
     seen: dict = {}
+    e = _exponent(obs.n, obs.v)
+    g = f if e == 0 else lambda z: f(math.ldexp(z, e))
 
     def counted(z):
         if z not in seen:
             diag["evals"] += 1
-            seen[z] = f(z)
+            seen[z] = g(z)
         return seen[z]
 
-    v = obs.v
+    v, c = math.ldexp(obs.v, -e), math.ldexp(c, -e)
     fv = counted(v)
     if fv == 0.0:
         diag["residual"] = 0.0
-        return v
+        return obs.v
     if fv > 0.0:
         hi = 2.0 * v
         diag["iterations"] = 1
@@ -240,7 +266,7 @@ def _solve_z(f, obs: Observation, form: str, diag: dict, c: float = 0.0) -> floa
     else:
         limit = v * 1e-12
         if form == "fixed-n":
-            limit = max(float(obs.p_obs.max()) * (1 + 1e-12), limit)
+            limit = max(math.ldexp(float(obs.p_obs.max()), -e) * (1 + 1e-12), limit)
         diag["iterations"] = 1
         if limit >= v or counted(limit) <= 0.0:
             diag["reason"] = _BOUNDARY
@@ -248,7 +274,7 @@ def _solve_z(f, obs: Observation, form: str, diag: dict, c: float = 0.0) -> floa
         bracket = (limit, v)
     root = solve_root(counted, bracket)
     diag["residual"] = float(counted(root))
-    return root
+    return math.ldexp(root, e)
 
 
 def _rate_equation(p: np.ndarray, n: int, w: np.ndarray, c: float):
@@ -318,7 +344,9 @@ def _solve_ipw(obs: Observation, q: np.ndarray, c: float, form: str,
     Under Poisson sampling, with lambda = N / Z and w = q / p, this is the
     rate equation c lambda + sum_S w(i) h(lambda p(i)) = N, solved from
     the weighted Good-Turing rate (N - sum of w over singletons) / (c + sum_S q),
-    at or above half the root since 1 + mu / 2 <= h(mu) <= 1 + mu.
+    at or above half the root since 1 + mu / 2 <= h(mu) <= 1 + mu, on the
+    masses scaled by 2^-e (_exponent); the root and its residual are scaled
+    back.
     """
     p, n = obs.p_obs, obs.n
     if form != "poisson":
@@ -326,11 +354,19 @@ def _solve_ipw(obs: Observation, q: np.ndarray, c: float, form: str,
         return _solve_z(lambda z: c + float(np.add.reduce(over_pi(q, z))) - z,
                         obs, form, diag, c)
     w = q / p
-    start = (n - float(np.add.reduce(w[obs.counts == 1]))) / (c + float(np.add.reduce(q)))
-    # a Z past the cap, or past the float range where the cap overflows
-    lam_min = n / min(_UPPER_CAP * (obs.v + c), sys.float_info.max)
+    v, sum_q = obs.v, float(np.add.reduce(q))
+    e = _exponent(n, v)
+    if e:
+        p, v, c, sum_q = (np.ldexp(p, -e), math.ldexp(v, -e), math.ldexp(c, -e),
+                          math.ldexp(sum_q, -e))
+    start = (n - float(np.add.reduce(w[obs.counts == 1]))) / (c + sum_q)
+    # a Z past the cap, or past the float range where the cap overflows;
+    # e <= 0, so a scaled Z in range is in range scaled back
+    lam_min = n / min(_UPPER_CAP * (v + c), sys.float_info.max)
     lam = _solve_rate(_rate_equation(p, n, w, c), start, lam_min, diag)
-    return n / lam if lam > 0.0 else math.inf
+    if e and "residual" in diag:
+        diag["residual"] = math.ldexp(diag["residual"], e)
+    return math.ldexp(n / lam, e) if lam > 0.0 else math.inf
 
 
 def _ipw(obs: Observation, form: str, method: str) -> EstimateResult:
@@ -397,8 +433,8 @@ def rb_exact(obs: Observation) -> RBWeights:
                          log_f_n=float(log_n_fact + np.sum(np.log(p))))
     if m == 1:
         return RBWeights(v={int(obs.indices[0]): float(n)}, log_f_n=n * math.log(p[0]))
-    lam = rb_poisson_lambda(obs)
-    mu = lam * p
+    lam, p_scaled, e = _scaled_rate(obs, ipw_poisson(obs).value)
+    mu = lam * p_scaled
     size, half, cols = 2 * n + 64, n + 32, max(1, _BLOCK_ELEMS // m)
     total, loo = 0.0, np.zeros(m)
     for k in range(0, half + 1, cols):
@@ -427,7 +463,8 @@ def rb_exact(obs: Observation) -> RBWeights:
     ztp = _ztp_mean(mu)
     vals = np.where(mu < _MU_TINY, 1.0, ztp * loo / total)
     # sum_j log(e^mu_j - 1) - M log lambda = sum_j (log p_j + mu_j - log ztp_j)
-    log_f_n = (log_n_fact + (m - n) * math.log(lam) + math.log(total / size)
+    log_f_n = (log_n_fact + (m - n) * (math.log(lam) - e * math.log(2.0))
+               + math.log(total / size)
                + float(np.sum(np.log(p) + mu - np.log(ztp))))
     return RBWeights(v=dict(zip(obs.indices.tolist(), vals.tolist())), log_f_n=log_f_n)
 
@@ -437,9 +474,19 @@ def rb_poisson_lambda(obs: Observation) -> float:
 
     This is the saddle-point equation, and with lambda = N / Z the Poisson
     IPW equation, which ipw_poisson solves in lambda by Newton's method;
-    lambda is N / ipw_poisson(obs).  M = N (Z = +inf) gives lambda = 0.
+    lambda is N / ipw_poisson(obs).  M = N (Z = +inf) gives lambda = 0, and
+    a rate past the float range gives +inf; the estimators here form
+    lambda p from _scaled_rate instead, which stays finite there.
     """
     return obs.n / ipw_poisson(obs).value
+
+
+def _scaled_rate(obs: Observation, z: float) -> tuple[float, np.ndarray, int]:
+    """The rate N / Z on the masses scaled by 2^-e (_exponent), those masses
+    and e: lambda p is their product, exactly, and the rate is finite
+    where N / Z overflows."""
+    e = _exponent(obs.n, obs.v)
+    return obs.n / math.ldexp(z, -e), np.ldexp(obs.p_obs, -e) if e else obs.p_obs, e
 
 
 def rb_poisson_weights(obs: Observation) -> RBWeights:
@@ -448,7 +495,8 @@ def rb_poisson_weights(obs: Observation) -> RBWeights:
     if obs.m == 1:
         vals = [float(obs.n)]
     else:
-        vals = _ztp_mean(rb_poisson_lambda(obs) * obs.p_obs).tolist()
+        lam, p, _ = _scaled_rate(obs, ipw_poisson(obs).value)
+        vals = _ztp_mean(lam * p).tolist()
     return RBWeights(v=dict(zip(obs.indices.tolist(), vals)))
 
 
@@ -479,10 +527,14 @@ def rb_z_equation(obs: Observation, weights: RBWeights,
         def f(z):
             return v_obs - float(z / n * np.dot(w, incl(z)))
     else:
-        # pi / p as the reciprocal of p / pi, which keeps its limit Z / N
+        # pi / p as the reciprocal of p / pi, which keeps its limit Z / N;
+        # on masses and Z scaled by 2^-e, as p / pi can be subnormal
+        e = _exponent(n, v_obs)
+        p = np.ldexp(p, -e)
         over_pi = _over_pi(p, n, pi)
 
         def f(z):
+            z = math.ldexp(z, -e)
             p_over_pi = over_pi(p, z)
             return m_obs - float(z / n * np.dot(w, np.divide(1.0, p_over_pi, out=p_over_pi)))
 
@@ -495,7 +547,8 @@ def rb_z_equation(obs: Observation, weights: RBWeights,
 def good_turing_classic(obs: Observation) -> EstimateResult:
     """The classic estimator W/Z = Phi_1 / N with the implied Z and W.
 
-    Z = V N / (N - Phi_1) and W = V Phi_1 / (N - Phi_1); all singletons
+    Z = V N / (N - Phi_1) and W = V Phi_1 / (N - Phi_1), each ratio taken
+    before its product with V, which can overflow; all singletons
     (Phi_1 = N) push Z and W to infinity.
     """
     _require_observations(obs)
@@ -503,8 +556,8 @@ def good_turing_classic(obs: Observation) -> EstimateResult:
     n, v = obs.n, obs.v
     if phi1 == n:
         return _result(obs, "good-turing-classic", {"reason": _SINGLETONS}, math.inf)
-    return _result(obs, "good-turing-classic", {}, v * n / (n - phi1),
-                   w=v * phi1 / (n - phi1), w_over_z=phi1 / n)
+    return _result(obs, "good-turing-classic", {}, v * (n / (n - phi1)),
+                   w=v * (phi1 / (n - phi1)), w_over_z=phi1 / n)
 
 
 def good_turing_rb(obs: Observation) -> EstimateResult:
@@ -518,11 +571,11 @@ def good_turing_rb(obs: Observation) -> EstimateResult:
     if not ipw.is_finite:
         return _result(obs, "good-turing-rb", ipw.diagnostics, ipw.value)
     z = ipw.value
-    lam = obs.n / z
+    lam, p, e = _scaled_rate(obs, z)
     # p / (e^mu - 1) = h(mu) e^-mu / lambda at mu = lambda p, with h's
     # small-rate limit, so the term is 1 / lambda where mu underflows
-    mu = lam * obs.p_obs
-    w = float(np.add.reduce(_ztp_mean(mu) * np.exp(-mu))) / lam
+    mu = lam * p
+    w = math.ldexp(float(np.add.reduce(_ztp_mean(mu) * np.exp(-mu))) / lam, e)
     return _result(obs, "good-turing-rb", ipw.diagnostics, z, w=w, w_over_z=w / z)
 
 
@@ -533,12 +586,18 @@ def good_toulmin_rb(obs: Observation, lam: float) -> float:
     from rb_poisson_lambda; a term whose lambda p(i) underflows takes its
     limit 1/N.  lambda = 0 is the all-singleton limit, where the sum is 1.
     """
+    return _good_toulmin(obs, lam, obs.p_obs)
+
+
+def _good_toulmin(obs: Observation, lam: float, p: np.ndarray) -> float:
+    """good_toulmin_rb at the rate lam on the masses p, obs.p_obs or those
+    of _scaled_rate."""
     _require_observations(obs)
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
     if lam == 0.0:
         return 1.0
-    lp = np.maximum(lam * obs.p_obs, _MU_TINY)
+    lp = np.maximum(lam * p, _MU_TINY)
     return float(np.sum(-np.expm1(-lp / obs.n) / np.expm1(lp)))
 
 
@@ -600,7 +659,8 @@ def harmonic_mean(obs: Observation, h: Mapping[int, float], H: float,
         denom = float(np.dot(counts, hv / p))
         if denom == 0.0:
             return _result(obs, method, {"reason": "zero denominator"}, math.inf)
-        z = n * H / denom
+        ratio = denom / H  # N H can overflow; a ratio of 0 puts Z past it
+        z = n / ratio if ratio > 0.0 else math.inf
     elif mode == "ipw_nonlinear":
         over_pi = _over_pi(p, n, pi)
         z = _solve_z(lambda z: H - float(np.add.reduce(over_pi(hv, z))), obs, pi, diag)
@@ -674,5 +734,5 @@ def mixture_estimate(obs: Observation, r_components, w, gamma: float,
     if math.isfinite(z):
         R = _over_pi(p, n, pi)(r.T, z).sum(axis=1)
         if weights is not None:
-            R_rb = np.asarray(r.T @ (weights.aligned(obs) / p)) * z / n
+            R_rb = np.asarray(r.T @ (weights.aligned(obs) / p)) * (z / n)
     return MixtureResult(_result(obs, method, diag, z), R, R_rb)

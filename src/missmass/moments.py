@@ -10,23 +10,26 @@ Strategies:
          Unlike the Bayes-marginal and profile objectives, L11 is not
          guaranteed concave, so the search is safeguarded by multi-start.
   A   -- match observed (N, U, V) to their unconditional model priors,
-         summing over the whole domain.
+         summing over the whole domain.  Its U equation carries
+         E(X) log b where the observed U carries X log b, so unlike B, C
+         and the MLE it is not equivariant under p -> k p.
   B   -- match (N, U, V) to their conditional expectations given S.
   C   -- match N to E(N | S, p on S), which fixes lambda alone (the same
          equation as the Rao-Blackwell Poisson rate), then (alpha, b)
          from strategy B's U and V equations at that lambda.
 
-Each strategy reduces its system to a residual of the U equation in alpha:
-the N equation pins rho = lambda / b (A: N / alpha; B: an inner solve in
-log rho) and the V equation gives b (A, B: closed form; C, at its fixed
-lambda: an inner solve in log b).  The residual takes an array of alphas,
-and the inner solves are bracketed Newton steps on analytic slopes for all
-of them at once, so the alpha scan is one array pass; sums over points run
-over the distinct x values, row by row, so each scan entry is the one-alpha
-residual bit for bit.  Each sign change on the scan is refined by a scalar
-root find seeded with the scan's values at its ends.  The U equation may
-admit several roots; all are reported and the root closest to the
-mixed-method alpha is returned.
+The expectations are simulate.py's formulas, the ones expected_values
+evaluates, and one routine (_fit) fits every strategy to them.  Each
+strategy pins rho = lambda / b by its N equation (A: N / alpha; B: an
+inner solve in log rho) and b by its V equation (A, B: closed form; C, at
+its fixed lambda: an inner solve in log b), leaving a residual of the U
+equation in alpha.  The residual takes an array of alphas, and the inner
+solves are bracketed Newton steps on analytic slopes for all of them at
+once, so the alpha scan is one array pass; each scan entry is the
+one-alpha residual bit for bit.  Each sign change on the scan is refined
+by a scalar root find seeded with the scan's values at its ends.  The U
+equation may admit several roots; all are reported and the root closest
+to the mixed-method alpha is returned.
 ``evals`` counts residual evaluations, inner and outer, an array pass once.
 
 These strategies are experimental: they are exact on their defining
@@ -37,6 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -47,8 +51,9 @@ from .estimators import _ztp_mean, rb_poisson_lambda
 from .inference import _alpha_maximum, mle_alpha
 from .likelihoods import (_BLOCK_ELEMS, ModelParams, dlog_dalpha,
                           stationary_b_lambda)
+from .simulate import (_given_s_n, _given_s_u, _given_s_v_times_b, _prior_n_v,
+                       _prior_u)
 from .solvers import newton_bracketed, solve_root
-from .special import digamma
 
 RESIDUAL_TOL = 1e-8
 
@@ -126,12 +131,6 @@ def _distinct(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return values, counts.astype(float)
 
 
-def _row_sums(m: np.ndarray, w: np.ndarray) -> np.ndarray:
-    # row by row, unlike a matrix product, so a scan entry is bit for bit
-    # the one-alpha value
-    return np.add.reduce(m * w, axis=-1)
-
-
 def _scan(u_residual, width: int) -> np.ndarray:
     """``u_residual`` on _ALPHA_SCAN, in row blocks that keep each
     alpha-by-x temporary within _BLOCK_ELEMS elements."""
@@ -191,24 +190,42 @@ def _no_params(strategy: str, stats: SummaryStats, diag: dict, status: str = "no
     return _result(strategy, stats, None, [math.nan] * 3, diag)
 
 
-def _relative_residuals(stats: SummaryStats, en: float, eu: float,
-                        ev: float) -> list[float]:
-    return [(en - stats.N) / stats.N, (eu - stats.U) / max(1.0, abs(stats.U)),
-            (ev - stats.V) / stats.V]
+def _fit(strategy: str, stats: SummaryStats, values: np.ndarray, pin, expect_u,
+         expect_nv, diag: dict, lam: float | None = None) -> MomentMatchResult:
+    """The fit every strategy shares.  ``pin`` maps an array of alphas to
+    the (b, rho) its N and V equations give, ``expect_u`` maps (alpha, rho)
+    to E(U) + X log b and the X that term carries (observed, or E(X) before
+    sampling), and ``expect_nv`` to E(N) and b E(V).  The U residual
+    E(U) - U is scanned on _ALPHA_SCAN, over the distinct x ``values``, and
+    its roots refined (_match_outer_alpha).  At the chosen alpha the
+    parameters are (alpha, b, rho b), or ``lam`` where lambda is fixed, and
+    the residuals are those of the N, U and V equations relative to the
+    observed values."""
+    def u_residual(alpha: np.ndarray) -> np.ndarray:
+        diag["evals"] += 1
+        b, rho = pin(alpha)
+        eu, x = expect_u(alpha, rho)
+        return eu - x * np.log(b) - stats.U
 
-
-def _a_moments(values: np.ndarray, weights: np.ndarray, alpha: np.ndarray,
-               rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """E(U) + log b and b E(V) of strategy A at arrays alpha, rho = lambda/b:
-    with a = alpha x and q = (1 + rho)^-a over the domain, these are
-    sum x (log(1 + rho) q + psi(a) (1 - q)) and
-    alpha (1 - sum x q / (1 + rho)); ``weights`` are x times multiplicity."""
-    log1p_rho = np.log1p(rho)
-    a = np.multiply.outer(alpha, values)
-    la = a * log1p_rho[:, None]
-    sum_q = _row_sums(np.exp(-la), weights)
-    u_plus_logb = log1p_rho * sum_q + _row_sums(digamma(a) * -np.expm1(-la), weights)
-    return u_plus_logb, alpha * (1.0 - sum_q / (1.0 + rho))
+    _check_digamma(values)
+    alpha = _match_outer_alpha(u_residual, _scan(u_residual, len(values)),
+                               lambda: mle_alpha(stats, "L5")[0], diag)
+    if alpha is None:
+        return _no_params(strategy, stats, diag)
+    b, rho = (float(m[0]) for m in pin(np.array([alpha])))
+    lam = rho * b if lam is None else lam
+    if lam <= 0:
+        return _no_params(strategy, stats, diag, "lambda_zero",
+                          "all sampled points are singletons")
+    params = ModelParams(alpha, b, lam)
+    one, rho = np.array([alpha]), np.array([lam / b])
+    eu, x = expect_u(one, rho)
+    en, v_times_b = (float(m[0]) for m in expect_nv(one, rho))
+    diag["status"] = "ok"
+    return _result(strategy, stats, params, [
+        (en - stats.N) / stats.N,
+        (float((eu - x * math.log(b))[0]) - stats.U) / max(1.0, abs(stats.U)),
+        (v_times_b / b - stats.V) / stats.V], diag)
 
 
 def match_A(obs: Observation, stats: SummaryStats) -> MomentMatchResult:
@@ -219,66 +236,13 @@ def match_A(obs: Observation, stats: SummaryStats) -> MomentMatchResult:
     over the full domain.
     """
     values, counts = _distinct(obs.x[obs.x > 0])
-    _check_digamma(values)
-    weights = values * counts
-    n, u, v = stats.N, stats.U, stats.V
-    diag: dict = {"evals": 0}
 
-    def u_residual(alpha: np.ndarray) -> np.ndarray:
-        diag["evals"] += 1
-        u_plus_logb, v_times_b = _a_moments(values, weights, alpha, n / alpha)
-        return u_plus_logb - np.log(v_times_b / v) - u
+    def pin(alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        rho = stats.N / alpha
+        return _prior_n_v(values, counts, alpha, rho)[1] / stats.V, rho
 
-    alpha = _match_outer_alpha(u_residual, _scan(u_residual, len(values)),
-                               lambda: mle_alpha(stats, "L5")[0], diag)
-    if alpha is None:
-        return _no_params("A", stats, diag)
-    u_plus_logb, v_times_b = (float(m[0]) for m in _a_moments(
-        values, weights, np.array([alpha]), np.array([n / alpha])))
-    b = v_times_b / v
-    params = ModelParams(alpha, b, n / alpha * b)
-    diag["status"] = "ok"
-    return _result("A", stats, params, _relative_residuals(
-        stats, params.lam * alpha / b, u_plus_logb - math.log(b), v_times_b / b), diag)
-
-
-def _b_expected_n(values: np.ndarray, counts: np.ndarray, alpha: np.ndarray,
-                  rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """E(N | S) of strategy B and its log-rho slope at arrays alpha, rho > 0:
-    sum r and sum r (1 - r e / (1 + rho)), with a = alpha x,
-    e = (1 + rho)^-a and r = a rho / (1 - e).  No digamma is needed."""
-    a = np.multiply.outer(alpha, values)
-    la = a * np.log1p(rho)[:, None]
-    r = a * rho[:, None] / -np.expm1(-la)
-    en = _row_sums(r, counts)
-    return en, en - _row_sums(r * r * np.exp(-la), counts) / (1.0 + rho)
-
-
-def _b_v_times_b(values: np.ndarray, counts: np.ndarray, alpha: np.ndarray,
-                 rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """b E(V | S) of strategy B and its log-rho slope at arrays alpha, rho:
-    sum a (1 - e / (1 + rho)) / (1 - e), its terms a + 1 at rho = 0, and
-    rho / (1 + rho)^2 sum a e ((1 - e) - a rho) / (1 - e)^2."""
-    a = np.multiply.outer(alpha, values)
-    log1p_rho = np.log1p(rho)[:, None]
-    e, one_minus_e = np.exp(-a * log1p_rho), -np.expm1(-a * log1p_rho)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.where(log1p_rho > 0.0,
-                     a * -np.expm1(-(a + 1.0) * log1p_rho) / one_minus_e, a + 1.0)
-        dt = a * e * (one_minus_e - a * rho[:, None]) / one_minus_e ** 2
-        return _row_sums(t, counts), rho / (1.0 + rho) / (1.0 + rho) * _row_sums(dt, counts)
-
-
-def _b_conditional_u(values: np.ndarray, counts: np.ndarray, alpha: np.ndarray,
-                     rho: np.ndarray) -> np.ndarray:
-    """E(U | S) + X log b of strategy B at arrays alpha, rho:
-    sum x (psi(a) + log(1 + rho) / ((1 + rho)^a - 1)), the ratio being
-    1/a at rho = 0 and 0 once the power overflows."""
-    a = np.multiply.outer(alpha, values)
-    log1p_rho = np.log1p(rho)[:, None]
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        tail = np.where(log1p_rho > 0.0, log1p_rho / np.expm1(a * log1p_rho), 1.0 / a)
-    return _row_sums(digamma(a) + tail, values * counts)
+    return _fit("A", stats, values, pin, partial(_prior_u, values, counts),
+                partial(_prior_n_v, values, counts), {"evals": 0})
 
 
 def _solve_b_rho(values: np.ndarray, counts: np.ndarray, alpha: np.ndarray,
@@ -290,49 +254,29 @@ def _solve_b_rho(values: np.ndarray, counts: np.ndarray, alpha: np.ndarray,
     if n != counts.sum():
         def g(log_rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             diag["evals"] += 1
-            en, slope = _b_expected_n(values, counts, alpha, np.exp(log_rho))
+            en, slope = _given_s_n(values, counts, alpha, np.exp(log_rho))
             return en - n, slope
 
         hi = np.log(n / (alpha * (values @ counts)))  # E(N | S) > rho alpha X
         lo = _widen(g, hi - 30.0, -30.0, -700.0, 1.0, "rho")
         rho = np.exp(newton_bracketed(g, hi, lo, hi, increasing=True, tol=_LOG_TOL))
-    return _b_v_times_b(values, counts, alpha, rho)[0] / v, rho
+    return _given_s_v_times_b(values, counts, alpha, rho)[0] / v, rho
+
+
+def _given_s_expectations(stats: SummaryStats):
+    """expect_u and expect_nv of _fit for strategy B, and the expect_u of C."""
+    values, counts = stats.x_values, stats.x_counts
+    return (lambda alpha, rho: (_given_s_u(values, counts, alpha, rho), stats.X),
+            lambda alpha, rho: (_given_s_n(values, counts, alpha, rho)[0],
+                                _given_s_v_times_b(values, counts, alpha, rho)[0]))
 
 
 def match_B(obs: Observation, stats: SummaryStats) -> MomentMatchResult:
     """Match observed (N, U, V) to their expectations conditional on S."""
     values, counts = stats.x_values, stats.x_counts
-    _check_digamma(values)
-    n, u, v = stats.N, stats.U, stats.V
     diag: dict = {"evals": 0}
-
-    def u_residual(alpha: np.ndarray) -> np.ndarray:
-        diag["evals"] += 1
-        b, rho = _solve_b_rho(values, counts, alpha, n, v, diag)
-        return _b_conditional_u(values, counts, alpha, rho) - stats.X * np.log(b) - u
-
-    alpha = _match_outer_alpha(u_residual, _scan(u_residual, len(values)),
-                               lambda: mle_alpha(stats, "L5")[0], diag)
-    if alpha is None:
-        return _no_params("B", stats, diag)
-    b, rho = (float(m[0]) for m in _solve_b_rho(values, counts, np.array([alpha]),
-                                                n, v, diag))
-    if rho * b <= 0:
-        return _no_params("B", stats, diag, "lambda_zero",
-                          "all sampled points are singletons")
-    params = ModelParams(alpha, b, rho * b)
-    diag["status"] = "ok"
-    return _result("B", stats, params, _residuals_b(values, counts, stats, params), diag)
-
-
-def _residuals_b(values: np.ndarray, counts: np.ndarray, stats: SummaryStats,
-                 params: ModelParams) -> list[float]:
-    alpha, rho = np.array([params.alpha]), np.array([params.lam / params.b])
-    en = float(_b_expected_n(values, counts, alpha, rho)[0][0])
-    v_times_b = float(_b_v_times_b(values, counts, alpha, rho)[0][0])
-    eu = (float(_b_conditional_u(values, counts, alpha, rho)[0])
-          - stats.X * math.log(params.b))
-    return _relative_residuals(stats, en, eu, v_times_b / params.b)
+    return _fit("B", stats, values, lambda alpha: _solve_b_rho(
+        values, counts, alpha, stats.N, stats.V, diag), *_given_s_expectations(stats), diag)
 
 
 def _solve_c_b(values: np.ndarray, counts: np.ndarray, alpha: np.ndarray,
@@ -342,7 +286,7 @@ def _solve_c_b(values: np.ndarray, counts: np.ndarray, alpha: np.ndarray,
     def f(log_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         diag["evals"] += 1
         b = np.exp(log_b)
-        v_times_b, slope = _b_v_times_b(values, counts, alpha, lam / b)
+        v_times_b, slope = _given_s_v_times_b(values, counts, alpha, lam / b)
         return v_times_b / b - v, -(v_times_b + slope) / b
 
     scale = np.log((alpha * (values @ counts) + counts.sum()) / v)
@@ -363,27 +307,19 @@ def match_C(obs: Observation, stats: SummaryStats) -> MomentMatchResult:
     if lam == 0.0:
         return _no_params("C", stats, diag, "lambda_zero",
                           "all sampled points are singletons")
+    if lam == math.inf:
+        return _no_params("C", stats, diag, "lambda_overflow",
+                          "lambda = N / Z passes the float range")
     values, counts = stats.x_values, stats.x_counts
-    _check_digamma(values)
-    u, v = stats.U, stats.V
 
-    def u_residual(alpha: np.ndarray) -> np.ndarray:
-        diag["evals"] += 1
-        b = _solve_c_b(values, counts, alpha, lam, v, diag)
-        return _b_conditional_u(values, counts, alpha, lam / b) - stats.X * np.log(b) - u
+    def pin(alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        b = _solve_c_b(values, counts, alpha, lam, stats.V, diag)
+        return b, lam / b
 
-    alpha = _match_outer_alpha(u_residual, _scan(u_residual, len(values)),
-                               lambda: mle_alpha(stats, "L5")[0], diag)
-    if alpha is None:
-        return _no_params("C", stats, diag)
-    b = float(_solve_c_b(values, counts, np.array([alpha]), lam, v, diag)[0])
-    params = ModelParams(alpha, b, lam)
-    diag["status"] = "ok"
-    # N residual restates the lambda equation in p-space
-    en = float(np.sum(_ztp_mean(lam * obs.p_obs)))
-    resid_b = _residuals_b(values, counts, stats, params)
-    residuals = [(en - stats.N) / stats.N, resid_b[1], resid_b[2]]
-    return _result("C", stats, params, residuals, diag)
+    expect_u, expect_nv = _given_s_expectations(stats)
+    # the N residual restates the lambda equation in p-space
+    return _fit("C", stats, values, pin, expect_u, lambda alpha, rho: (
+        [np.sum(_ztp_mean(lam * obs.p_obs))], expect_nv(alpha, rho)[1]), diag, lam)
 
 
 def moment_match(obs: Observation, stats: SummaryStats,

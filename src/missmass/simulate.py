@@ -5,8 +5,9 @@ three equivalent orders (masses first, total mass first, or counts first);
 explicit-p simulation draws counts over a given mass vector at fixed N or
 as a Poisson process.  The module also evaluates every closed-form
 expectation of the model (unconditional, given S, and given S with the
-revealed masses) and builds a fully enumerable toy statistical-physics
-mixture with an exact partition function.
+revealed masses), in the one copy the moment strategies solve and the
+Monte Carlo oracle checks, and builds a fully enumerable toy
+statistical-physics mixture with an exact partition function.
 
 Randomness uses counter-based Philox streams keyed by (seed, chunk), so
 replicate batches are reproducible chunk by chunk.
@@ -145,7 +146,75 @@ def _reduce_batch(x: np.ndarray, p: np.ndarray, c: np.ndarray) -> dict[str, np.n
 
 
 # ---------------------------------------------------------------------------
-# expectation formulas
+# expectation formulas, which moments.py's strategies solve: each takes
+# arrays alpha and rho = lambda / b and sums over the distinct x ``values``
+# of multiplicities ``counts`` row by row, so an entry is the one-alpha
+# value bit for bit.  With a = alpha x, q = (1 + rho)^-a is P(c(i) = 0).
+
+
+def _row_sums(m: np.ndarray, w: np.ndarray) -> np.ndarray:
+    return np.add.reduce(m * w, axis=-1)
+
+
+def _prior_n_v(values: np.ndarray, counts: np.ndarray, alpha: np.ndarray,
+               rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """E(N) and b E(V) before sampling: alpha rho sum x and
+    alpha (sum x - sum x q / (1 + rho))."""
+    weights = values * counts
+    total = weights.sum()
+    a = np.multiply.outer(alpha, values)
+    sum_q = _row_sums(np.exp(-a * np.log1p(rho)[:, None]), weights)
+    return alpha * rho * total, alpha * (total - sum_q / (1.0 + rho))
+
+
+def _prior_u(values: np.ndarray, counts: np.ndarray, alpha: np.ndarray,
+             rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """E(U) + E(X) log b and E(X) before sampling:
+    sum x (psi(a) (1 - q) + log(1 + rho) q) and sum x (1 - q)."""
+    weights = values * counts
+    log1p_rho = np.log1p(rho)
+    a = np.multiply.outer(alpha, values)
+    la = a * log1p_rho[:, None]
+    seen = -np.expm1(-la)
+    return (log1p_rho * _row_sums(np.exp(-la), weights)
+            + _row_sums(digamma(a) * seen, weights), _row_sums(seen, weights))
+
+
+def _given_s_n(values: np.ndarray, counts: np.ndarray, alpha: np.ndarray,
+               rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """E(N | S) and its log-rho slope at rho > 0: sum r and
+    sum r (1 - r q / (1 + rho)), with r = a rho / (1 - q)."""
+    a = np.multiply.outer(alpha, values)
+    la = a * np.log1p(rho)[:, None]
+    r = a * rho[:, None] / -np.expm1(-la)
+    en = _row_sums(r, counts)
+    return en, en - _row_sums(r * r * np.exp(-la), counts) / (1.0 + rho)
+
+
+def _given_s_v_times_b(values: np.ndarray, counts: np.ndarray, alpha: np.ndarray,
+                       rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """b E(V | S) and its log-rho slope: sum a (1 - q / (1 + rho)) / (1 - q),
+    its terms a + 1 at rho = 0, and
+    rho / (1 + rho)^2 sum a q ((1 - q) - a rho) / (1 - q)^2."""
+    a = np.multiply.outer(alpha, values)
+    log1p_rho = np.log1p(rho)[:, None]
+    e, one_minus_e = np.exp(-a * log1p_rho), -np.expm1(-a * log1p_rho)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.where(log1p_rho > 0.0,
+                     a * -np.expm1(-(a + 1.0) * log1p_rho) / one_minus_e, a + 1.0)
+        dt = a * e * (one_minus_e - a * rho[:, None]) / one_minus_e ** 2
+        return _row_sums(t, counts), rho / (1.0 + rho) / (1.0 + rho) * _row_sums(dt, counts)
+
+
+def _given_s_u(values: np.ndarray, counts: np.ndarray, alpha: np.ndarray,
+               rho: np.ndarray) -> np.ndarray:
+    """E(U | S) + X log b: sum x (psi(a) + log(1 + rho) / ((1 + rho)^a - 1)),
+    the ratio being 1/a at rho = 0 and 0 once the power overflows."""
+    a = np.multiply.outer(alpha, values)
+    log1p_rho = np.log1p(rho)[:, None]
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        tail = np.where(log1p_rho > 0.0, log1p_rho / np.expm1(a * log1p_rho), 1.0 / a)
+    return _row_sums(digamma(a) + tail, values * counts)
 
 
 def expected_values(x, params: ModelParams, cond: str = "prior",
@@ -160,25 +229,22 @@ def expected_values(x, params: ModelParams, cond: str = "prior",
     x = np.asarray(x, dtype=float)
     alpha, b, lam = params.alpha, params.b, params.lam
     a = alpha * x
-    rho = lam / b
-    log1p_rho = math.log1p(rho)
+    log1p_rho = math.log1p(lam / b)
+    one, rho = np.array([alpha]), np.array([lam / b])
 
     if cond == "prior":
         pos = a > 0
-        ap = a[pos]
-        q = np.exp(-ap * log1p_rho)        # P(c(i) = 0)
-        q1 = np.exp(-(ap + 1.0) * log1p_rho)
-        seen = -np.expm1(-ap * log1p_rho)  # P(c(i) >= 1)
-        e_u = float(np.dot(x[pos] * (digamma(ap) - math.log(b)), seen)
-                    + np.dot(x[pos] * log1p_rho, q))
+        ap, xp, ones = a[pos], x[pos], np.ones(int(pos.sum()))
+        (e_n,), (v_times_b,) = _prior_n_v(xp, ones, one, rho)
+        (u_plus_x_log_b,), (e_x,) = _prior_u(xp, ones, one, rho)
         return {
-            "M": float(np.sum(seen)),
-            "N": lam * alpha / b,
-            "U": e_u,
-            "V": float(np.dot(ap / b, -np.expm1(-(ap + 1.0) * log1p_rho))),
-            "W": float(np.dot(ap / b, q1)),
-            "X": float(np.dot(x[pos], seen)),
-            "Y": float(np.dot(x[pos], q)) + float(np.sum(x[~pos])),
+            "M": float(np.sum(-np.expm1(-ap * log1p_rho))),
+            "N": float(e_n),
+            "U": float(u_plus_x_log_b - e_x * math.log(b)),
+            "V": float(v_times_b / b),
+            "W": float(np.dot(ap / b, np.exp(-(ap + 1.0) * log1p_rho))),
+            "X": float(e_x),
+            "Y": float(np.dot(xp, np.exp(-ap * log1p_rho))) + float(np.sum(x[~pos])),
             "Z": alpha / b,
         }
 
@@ -188,18 +254,14 @@ def expected_values(x, params: ModelParams, cond: str = "prior",
     mask[np.asarray(s)] = True
 
     if cond == "given_s":
-        a_in = a[mask]
-        if not a_in.min(initial=math.inf) > 0.0:  # a nan fails too
+        if not a[mask].min(initial=math.inf) > 0.0:  # a nan fails too
             raise ValueError("digamma requires a positive argument")
-        seen = -np.expm1(-a_in * log1p_rho)
-        with np.errstate(over="ignore"):
-            growth = np.expm1(a_in * log1p_rho)
-        e_n = float(np.sum(rho * a_in / seen))
-        e_u = float(np.dot(x[mask], digamma(a_in) - math.log(b)
-                           + log1p_rho / growth))
-        e_v = float(np.sum(a_in / b * -np.expm1(-(a_in + 1.0) * log1p_rho) / seen))
+        x_s, ones = x[mask], np.ones(int(mask.sum()))
+        e_v = float(_given_s_v_times_b(x_s, ones, one, rho)[0][0] / b)
         e_w = float(np.sum(a[~mask] / (b + lam)))
-        return {"N": e_n, "U": e_u, "V": e_v, "W": e_w, "Z": e_v + e_w}
+        return {"N": float(_given_s_n(x_s, ones, one, rho)[0][0]),
+                "U": float(_given_s_u(x_s, ones, one, rho)[0] - x_s.sum() * math.log(b)),
+                "V": e_v, "W": e_w, "Z": e_v + e_w}
 
     if cond == "given_sp":
         if p_s is None:

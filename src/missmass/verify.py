@@ -527,14 +527,13 @@ def check_generative_equivalence(seed: int, reps: int) -> bool:
     return generative_order_p_value(seed, reps) > 0.001
 
 
-def expectation_misses(seed: int, reps: int,
-                       conds=("prior", "given_s", "given_sp")) -> list[str]:
+def expectation_misses(seed: int, reps: int, conds=("prior", "given_s", "given_sp"),
+                       params: ModelParams = ModelParams(2.0, 1.0, 5.0)) -> list[str]:
     """The expectations ("cond:key") whose Monte Carlo mean over reps draws
     lies more than 4 standard errors from the formula, on 8 equal points at
-    alpha = 2, b = 1, lambda = 5.  "prior" draws with seed, "given_s" (S =
+    ``params`` (alpha, b, lambda).  "prior" draws with seed, "given_s" (S =
     {0, 2, 5}) with seed + 1, "given_sp" (p on S = 0.5, 1.2, 0.3) with seed + 2."""
     x = np.full(8, 1 / 8)
-    params = ModelParams(2.0, 1.0, 5.0)
     s, p_s = [0, 2, 5], np.array([0.5, 1.2, 0.3])
     draws = {
         "prior": lambda: simulate_model_batch(x, params, "p-c", reps, rng_seed=seed),

@@ -9,7 +9,7 @@ from hypothesis import strategies as hs
 from scipy.optimize import brentq
 
 from conftest import fixture_path, random_observation
-from missmass import estimators
+from missmass import cli, estimators
 from missmass.data import Observation, load_observation
 from missmass.estimators import (RBWeights, expected_phi, good_toulmin_rb,
                                  good_turing_classic, good_turing_rb,
@@ -766,6 +766,67 @@ def test_poisson_estimates_scale_to_the_float_limit():
     for s in (1e300, 1e307):
         for name, value in estimates(s).items():
             assert value == pytest.approx(base[name], rel=1e-12), (name, s)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("s, count", [(1e-300, 2), (1e-306, 400), (1e-309, 2)])
+def test_poisson_estimates_scale_to_the_smallest_masses(s, count):
+    # N / V passes the float range at s = 1e-306 with counts 400 (N / V =
+    # 2e308) and at s = 1e-309 (subnormal masses); the rate is solved on
+    # masses scaled by a power of two, and lambda p formed from that rate
+    def estimates(s):
+        obs = make_obs([s, 2.0 * s, 3.0 * s], [count] * 3)
+        p, v = obs.p_obs, obs.v
+        anchor = {i: 0.75 * float(x) for i, x in enumerate(p)}
+        r = np.column_stack([0.4 * p, 0.6 * p])
+        gt_rb, saddle, exact = good_turing_rb(obs), rb_poisson_weights(obs), rb_exact(obs)
+        return {
+            "ipw": ipw_poisson(obs).value / s,
+            "gt-rb": gt_rb.value / s,
+            "gt-rb W": gt_rb.w / s,
+            "gtoulmin": cli.ESTIMATES["gtoulmin"](obs, None).w_over_z,
+            "rb-poisson": rb_z_equation(obs, saddle).value / s,
+            "rb-exact": rb_z_equation(obs, exact).value / s,
+            "rb-z-M": rb_z_equation(obs, exact, variant="M_over_Z").value / s,
+            "hm": harmonic_mean(obs, anchor, v, mode="ipw_nonlinear").value / s,
+            "mixture-0": mixture_estimate(obs, r, [1.0, 1.0], 0.0).z.value / s,
+            "mixture-0.5": mixture_estimate(obs, r, [1.0, 1.0], 0.5, h=anchor,
+                                            H=v).z.value / s,
+            **{f"rb-poisson v{i}": x for i, x in enumerate(saddle.aligned(obs))},
+            **{f"rb-exact v{i}": x for i, x in enumerate(exact.aligned(obs))},
+        }
+
+    base = estimates(1.0)
+    for name, value in estimates(s).items():
+        assert value == pytest.approx(base[name], rel=1e-12, abs=1e-12), name
+    if count == 400:
+        assert rb_poisson_lambda(make_obs([s, 2.0 * s, 3.0 * s], [count] * 3)) == math.inf
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_closed_forms_scale_to_the_float_limit():
+    # V N, N H and the mixture's R_rb times Z overflow near the float
+    # maximum; each ratio is taken first
+    def estimates(s, counts):
+        obs = make_obs([s, 2.0 * s, 3.0 * s], counts)
+        h = {i: 0.75 * float(x) for i, x in enumerate(obs.p_obs)}
+        r = np.column_stack([0.4 * obs.p_obs, 0.6 * obs.p_obs])
+        gt, saddle = good_turing_classic(obs), rb_poisson_weights(obs)
+        r_rb = mixture_estimate(obs, r, [1.0, 1.0], 0.0, weights=saddle).R_rb / s
+        return {
+            "gt": gt.value / s, "gt W": gt.w / s,
+            "hm classic": harmonic_mean(obs, h, obs.v).value / s,
+            "hm rb_linear": harmonic_mean(obs, h, obs.v, mode="rb_linear",
+                                          weights=saddle).value / s,
+            "R_rb 0": r_rb[0], "R_rb 1": r_rb[1],
+        }
+
+    for counts in ([2, 2, 2], [1, 2, 3]):
+        base = estimates(1.0, counts)
+        assert base["hm classic"] == pytest.approx(8.0, rel=1e-15)
+        for s in (1e300, 1e307):
+            for name, value in estimates(s, counts).items():
+                assert value == pytest.approx(base[name], rel=1e-12), (name, s, counts)
 
 
 def calibration_draws(seed0: int, reps: int):

@@ -1,11 +1,12 @@
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from conftest import FIXTURES, fixture_path, proportional_observation
-from missmass import cli, inference, moments
+from missmass import cli, inference, moments, simulate
 from missmass.data import Observation, load_observation, summarize
 from missmass.distributions import GammaDist
 from missmass.estimators import rb_poisson_lambda
@@ -70,6 +71,27 @@ class TestMatchA:
         assert len(alphas) >= 18
         assert np.median(alphas) == pytest.approx(3.0, rel=0.25)
 
+    def test_parameter_recovery_away_from_b_one(self):
+        # the U equation carries E(X) log b; with log b alone in its place
+        # the median fitted (alpha, b) here was (0.63, 1.11)
+        fits = []
+        for seed in range(40):
+            obs, st = model_observation(200 + seed, d=300, alpha=3.0, b=5.0, lam=200.0)
+            res = match_A(obs, st)
+            if res.ok:
+                fits.append((res.params.alpha, res.params.b))
+        assert len(fits) >= 30
+        alpha, b = np.median(fits, axis=0)
+        assert alpha == pytest.approx(3.0, rel=0.25)
+        assert b == pytest.approx(5.0, rel=0.25)
+
+    def test_single_point_sample(self):
+        # M = 1: the U residual does not change sign on the scan
+        obs = load_observation(fixture_path("single_point.json"))
+        res = match_A(obs, summarize(obs))
+        assert res.params is None
+        assert res.diagnostics["status"] == "no-root"
+
 
 class TestMatchB:
     def test_residual_plugback(self):
@@ -120,6 +142,16 @@ class TestMatchC:
         res = match_C(obs, st)
         assert res.params is None
         assert res.diagnostics["status"] == "lambda_zero"
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_rate_past_the_float_range(self):
+        # lambda = N / Z = 2e308 overflows, which is not the lambda = 0 of
+        # an all-singleton sample
+        obs = Observation(domain_size=5, x=np.full(5, 0.2), indices=np.arange(3),
+                          p_obs=1e-306 * np.array([1.0, 2.0, 3.0]), counts=[400] * 3)
+        res = match_C(obs, summarize(obs))
+        assert res.params is None
+        assert res.diagnostics["status"] == "lambda_overflow"
 
 
 class TestSubnormalBaseMeasure:
@@ -333,10 +365,70 @@ class TestSeededRootFinds:
         assert calls and not set(calls) & set(_ALPHA_SCAN)
 
     @pytest.mark.parametrize("fixture, strategy, bound", [
-        ("single_point", "A", 7), ("full_coverage", "B", 69), ("gt_example", "C", 49)])
+        ("regular_small", "A", 7), ("full_coverage", "B", 69), ("gt_example", "C", 49)])
     def test_evals(self, fixture, strategy, bound):
-        # 9, 85 and 63 when each root find evaluated its bracket ends afresh
+        # B and C took 85 and 63 when each root find evaluated its bracket
+        # ends afresh
         obs = load_observation(fixture_path(f"{fixture}.json"))
         res = moment_match(obs, summarize(obs), strategy)
         assert res.ok
         assert res.diagnostics["evals"] <= bound
+
+
+def simulate_functions_called(fn) -> set[str]:
+    """The names of the functions of simulate.py that fn() calls."""
+    called = set()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename == simulate.__file__:
+            called.add(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return called
+
+
+class TestOneCopyOfTheExpectations:
+    def test_strategies_solve_the_formulas_expected_values_evaluates(self):
+        obs = load_observation(fixture_path("regular_small.json"))
+        st = summarize(obs)
+        params = ModelParams(2.0, 3.0, 15.0)
+        prior = simulate_functions_called(
+            lambda: simulate.expected_values(obs.x, params, "prior"))
+        given_s = simulate_functions_called(
+            lambda: simulate.expected_values(obs.x, params, "given_s", s=obs.indices))
+        assert prior == {"expected_values", "_prior_n_v", "_prior_u", "_row_sums"}
+        assert given_s == {"expected_values", "_given_s_n", "_given_s_v_times_b",
+                           "_given_s_u", "_row_sums"}
+        for match, formulas in ((match_A, prior), (match_B, given_s), (match_C, given_s)):
+            assert match(obs, st).ok
+            assert simulate_functions_called(lambda: match(obs, st)) == formulas - {
+                "expected_values"}
+        assert not hasattr(moments, "digamma")
+
+
+def equivariance_samples():
+    rng = np.random.default_rng(2901)
+    return ([load_observation(str(p)) for p in sorted(FIXTURES.glob("*.json"))]
+            + [random_observation(rng, d=int(rng.integers(6, 14))) for _ in range(10)])
+
+
+@pytest.mark.parametrize("strategy", ["B", "C", "MLE"])
+def test_scale_equivariance(strategy):
+    # under p -> k p, alpha and the verdict stay and b and lambda scale by
+    # 1/k (A is not equivariant: U moves by X log k, the log b term of its
+    # equation by E(X) log k)
+    for obs in equivariance_samples():
+        base = moment_match(obs, summarize(obs), strategy)
+        for k in (2.0 ** 40, 2.0 ** -40, 1e100, 1e-100):
+            scaled = Observation(domain_size=obs.domain_size, x=obs.x, indices=obs.indices,
+                                 p_obs=k * obs.p_obs, counts=obs.counts)
+            res = moment_match(scaled, summarize(scaled), strategy)
+            assert res.diagnostics["status"] == base.diagnostics["status"], k
+            if base.params is not None:
+                assert res.params.alpha == pytest.approx(base.params.alpha, rel=1e-9)
+                assert res.params.b * k == pytest.approx(base.params.b, rel=1e-9)
+                assert res.params.lam * k == pytest.approx(base.params.lam, rel=1e-9)

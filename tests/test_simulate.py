@@ -98,6 +98,12 @@ class TestExpectedValues:
     def test_given_sp_against_monte_carlo(self):
         assert expectation_misses(8, 30_000, ("given_sp",)) == []
 
+    def test_against_monte_carlo_away_from_b_one(self):
+        # log b = 0 at b = 1 hides every term that carries it
+        params = ModelParams(2.0, 3.0, 15.0)
+        assert expectation_misses(8, 100_000, ("prior",), params) == []
+        assert expectation_misses(8, 30_000, ("given_s", "given_sp"), params) == []
+
     def test_conditioning_validation(self):
         with pytest.raises(ValueError):
             expected_values(X8, PARAMS, "given_s")
