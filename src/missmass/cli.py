@@ -18,7 +18,7 @@ import numpy as np
 from . import __version__
 from .data import Observation, load_observation, summarize
 from .distributions import PointMass, cdf_table
-from .estimators import (_good_toulmin, _result, _scaled_rate, good_turing_classic,
+from .estimators import (_good_toulmin, _poisson_rate, _result, good_turing_classic,
                          good_turing_rb, harmonic_mean, ipw_fixed_n, ipw_poisson,
                          rb_exact, rb_poisson_weights, rb_z_equation)
 from .inference import infer_bayes, infer_mixed, infer_profile
@@ -152,11 +152,10 @@ def _hm(obs: Observation, args):
 
 
 def _gtoulmin(obs: Observation, args):
-    # lambda p from the scaled rate, which is finite where lambda = N / Z overflows
-    z = ipw_poisson(obs).value
-    lam, p, _ = _scaled_rate(obs, z)
+    # lambda p from the rate in scaled units, finite where lambda = N / Z overflows
+    ipw, lam, p, _ = _poisson_rate(obs)
     return _result(obs, "good-toulmin-rb",
-                   {"lambda": obs.n / z, "note": "Z derived from W/Z and V"},
+                   {"lambda": obs.n / ipw.value, "note": "Z derived from W/Z and V"},
                    w_over_z=_good_toulmin(obs, lam, p))
 
 

@@ -20,8 +20,8 @@ share one set of verdicts: all sampled points are singletons, no finite
 solution (+inf), or a boundary solution at the lower limit of Z (0).  The
 Poisson forms work on lambda p, never on N p, and each q / pi term takes
 its limit q Z / (N p) where pi underflows, so masses may span the float
-range; where the rate N / Z nears the float maximum they run on masses and
-Z scaled by a power of two (_exponent), which is exact.
+range; where V is below 2^-900 every equation runs on masses scaled by an
+exact power of two (_units), which keeps the rate N / Z finite.
 Exact Rao-Blackwellization replaces the observed counts by their
 expectation under the truncated multinomial given (S, p on S, N): a ratio
 of two DFT coefficients after tilting the counts to zero-truncated
@@ -63,9 +63,8 @@ _MU_TINY, _MU_BIG = np.finfo(float).tiny, 700.0
 # a rate solve ends at a Newton step below this fraction of lambda, and
 # gives up after _MAX_NEWTON steps
 _RATE_TOL, _MAX_NEWTON = 1e-14, 100
-# where N / V passes this, the Poisson forms run on masses scaled by 2^-e
-# (_exponent)
-_RATE_LIMIT = sys.float_info.max / 4.0
+# below this V every equation runs on masses scaled by a power of two (_units)
+_SMALL_V = 2.0 ** -900
 
 
 @dataclass(frozen=True)
@@ -142,14 +141,26 @@ def inclusion_probability(p, n: int, z, form: str = "poisson"):
     raise ValueError(f"unknown inclusion form {form!r}")
 
 
-def _exponent(n: int, v: float) -> int:
-    """0, or where N / V passes _RATE_LIMIT, the binary exponent e of V.
+def _units(obs: Observation) -> tuple[np.ndarray, float, int]:
+    """The sampled masses and V in the units every equation runs in, and e.
 
-    The Poisson forms then run on the masses and on Z scaled by 2^-e, which
-    is exact: lambda p is unchanged, and the scaled rate N / Z, whose Newton
-    iterates stay below 3 N / V, is finite.
+    e is 0, or where V is below _SMALL_V, the binary exponent of V.  The
+    masses, V and any anchor are scaled by 2^-e, and each root or result in
+    Z units is scaled back by 2^e.  That is exact, so every pi(i; Z),
+    lambda p and ratio is unchanged, while the rate N / Z stays finite and
+    the search's stopping width, absolute below 1e-300, relative.
     """
-    return math.frexp(v)[1] if n / v > _RATE_LIMIT else 0
+    if obs.v >= _SMALL_V:
+        return obs.p_obs, obs.v, 0
+    e = math.frexp(obs.v)[1]
+    return np.ldexp(obs.p_obs, -e), math.ldexp(obs.v, -e), e
+
+
+def _unscale(z: float, e: int, diag: dict) -> float:
+    """A Z found in the units of _units, and its residual, scaled back."""
+    if e and "residual" in diag:
+        diag["residual"] = math.ldexp(diag["residual"], e)
+    return math.ldexp(z, e)
 
 
 def _inclusion(p: np.ndarray, n: int, form: str):
@@ -157,21 +168,14 @@ def _inclusion(p: np.ndarray, n: int, form: str):
 
     It runs inclusion_probability's ufuncs in the same order, so every
     value is the same bit for bit, but takes -p once and writes each step
-    into one buffer, which the next call overwrites.  Below the Z where
-    N / Z passes _RATE_LIMIT, lambda p is formed on masses and Z scaled by
-    2^-e, e the binary exponent of Z, which is exact and keeps the rate
-    finite.
+    into one buffer, which the next call overwrites.
     """
     buf = np.empty_like(p)
     if form == "poisson":
-        neg_p, z_small = -p, n / _RATE_LIMIT
+        neg_p = -p
 
         def incl(z):
-            if z < z_small:
-                e = math.frexp(z)[1]
-                np.multiply(np.ldexp(neg_p, -e), n / math.ldexp(z, -e), out=buf)
-            else:
-                np.multiply(neg_p, n / z, out=buf)
+            np.multiply(neg_p, n / z, out=buf)
             np.expm1(buf, out=buf)
             return np.negative(buf, out=buf)
     elif form == "fixed-n":
@@ -219,9 +223,10 @@ def _over_pi(p: np.ndarray, n: int, form: str):
     return over_pi
 
 
-def _solve_z(f, obs: Observation, form: str, diag: dict, c: float = 0.0) -> float:
+def _solve_z(f, p: np.ndarray, v: float, form: str, diag: dict, c: float = 0.0) -> float:
     """Root in Z of an estimating equation f, positive below its root and
-    negative above it.
+    negative above it, with the masses p, V and c in the units of _units,
+    and the root in those units too.
 
     From V the search doubles Z until f turns negative or, where f(V) < 0,
     takes the one bracket down to the lower limit of Z: V 1e-12, or just
@@ -231,27 +236,21 @@ def _solve_z(f, obs: Observation, form: str, diag: dict, c: float = 0.0) -> floa
     (+inf); with f(limit) <= 0 it is _BOUNDARY (0).
     diag gets the evaluations, the bracket steps and, for a root, the
     plugged-back residual.  Each Z is evaluated once: the bracket ends and
-    the root Brent's method returns are points already evaluated.  Where
-    N / V passes _RATE_LIMIT the search runs on Z scaled by 2^-e, as the
-    Poisson forms do (_exponent), which keeps Brent's stopping width
-    relative where Z is below 1e-300.
+    the root Brent's method returns are points already evaluated.
     """
     diag.update(evals=0, iterations=0)
     seen: dict = {}
-    e = _exponent(obs.n, obs.v)
-    g = f if e == 0 else lambda z: f(math.ldexp(z, e))
 
     def counted(z):
         if z not in seen:
             diag["evals"] += 1
-            seen[z] = g(z)
+            seen[z] = f(z)
         return seen[z]
 
-    v, c = math.ldexp(obs.v, -e), math.ldexp(c, -e)
     fv = counted(v)
     if fv == 0.0:
         diag["residual"] = 0.0
-        return obs.v
+        return v
     if fv > 0.0:
         hi = 2.0 * v
         diag["iterations"] = 1
@@ -266,7 +265,7 @@ def _solve_z(f, obs: Observation, form: str, diag: dict, c: float = 0.0) -> floa
     else:
         limit = v * 1e-12
         if form == "fixed-n":
-            limit = max(math.ldexp(float(obs.p_obs.max()), -e) * (1 + 1e-12), limit)
+            limit = max(float(p.max()) * (1 + 1e-12), limit)
         diag["iterations"] = 1
         if limit >= v or counted(limit) <= 0.0:
             diag["reason"] = _BOUNDARY
@@ -274,7 +273,7 @@ def _solve_z(f, obs: Observation, form: str, diag: dict, c: float = 0.0) -> floa
         bracket = (limit, v)
     root = solve_root(counted, bracket)
     diag["residual"] = float(counted(root))
-    return math.ldexp(root, e)
+    return root
 
 
 def _rate_equation(p: np.ndarray, n: int, w: np.ndarray, c: float):
@@ -336,45 +335,51 @@ def _solve_rate(f, lam: float, lam_min: float, diag: dict) -> float:
     return 0.0
 
 
-def _solve_ipw(obs: Observation, q: np.ndarray, c: float, form: str,
-               diag: dict) -> float:
+def _solve_ipw(obs: Observation, p: np.ndarray, v: float, q: np.ndarray, c: float,
+               form: str, diag: dict) -> float:
     """Z solving Z = c + sum_S q(i) / pi(i; Z); the right side over Z falls
     in Z, so the root is unique and, for q <= p and c >= 0, at least V.
+    The masses p, V, q and c are in the units of _units, and so is Z.
 
     Under Poisson sampling, with lambda = N / Z and w = q / p, this is the
     rate equation c lambda + sum_S w(i) h(lambda p(i)) = N, solved from
     the weighted Good-Turing rate (N - sum of w over singletons) / (c + sum_S q),
-    at or above half the root since 1 + mu / 2 <= h(mu) <= 1 + mu, on the
-    masses scaled by 2^-e (_exponent); the root and its residual are scaled
-    back.
+    at or above half the root since 1 + mu / 2 <= h(mu) <= 1 + mu.
     """
-    p, n = obs.p_obs, obs.n
+    n = obs.n
     if form != "poisson":
         over_pi = _over_pi(p, n, form)
         return _solve_z(lambda z: c + float(np.add.reduce(over_pi(q, z))) - z,
-                        obs, form, diag, c)
+                        p, v, form, diag, c)
     w = q / p
-    v, sum_q = obs.v, float(np.add.reduce(q))
-    e = _exponent(n, v)
-    if e:
-        p, v, c, sum_q = (np.ldexp(p, -e), math.ldexp(v, -e), math.ldexp(c, -e),
-                          math.ldexp(sum_q, -e))
-    start = (n - float(np.add.reduce(w[obs.counts == 1]))) / (c + sum_q)
+    start = (n - float(np.add.reduce(w[obs.counts == 1]))) / (c + float(np.add.reduce(q)))
     # a Z past the cap, or past the float range where the cap overflows;
     # e <= 0, so a scaled Z in range is in range scaled back
     lam_min = n / min(_UPPER_CAP * (v + c), sys.float_info.max)
     lam = _solve_rate(_rate_equation(p, n, w, c), start, lam_min, diag)
-    if e and "residual" in diag:
-        diag["residual"] = math.ldexp(diag["residual"], e)
-    return math.ldexp(n / lam, e) if lam > 0.0 else math.inf
+    return n / lam if lam > 0.0 else math.inf
 
 
-def _ipw(obs: Observation, form: str, method: str) -> EstimateResult:
+def _ipw(obs: Observation, form: str) -> tuple[EstimateResult, float, np.ndarray, int]:
+    """The IPW estimate under form, with its Z and the sampled masses in
+    the units of _units, and e."""
     _require_observations(obs)
-    if obs.m == obs.n:
-        return _result(obs, method, {"reason": _SINGLETONS}, math.inf)
+    p, v, e = _units(obs)
     diag: dict = {}
-    return _result(obs, method, diag, _solve_ipw(obs, obs.p_obs, 0.0, form, diag))
+    if obs.m == obs.n:
+        diag["reason"] = _SINGLETONS
+        z = math.inf
+    else:
+        z = _solve_ipw(obs, p, v, p, 0.0, form, diag)
+    return _result(obs, f"ipw-{form}", diag, _unscale(z, e, diag)), z, p, e
+
+
+def _poisson_rate(obs: Observation) -> tuple[EstimateResult, float, np.ndarray, int]:
+    """ipw_poisson's estimate, with its rate lambda = N / Z and the sampled
+    masses in the units of _units, and e: lambda p is their product,
+    exactly, and lambda is finite where N / Z overflows (0 where Z = +inf)."""
+    ipw, z, p, e = _ipw(obs, "poisson")
+    return ipw, obs.n / z, p, e
 
 
 def ipw_fixed_n(obs: Observation) -> EstimateResult:
@@ -384,13 +389,13 @@ def ipw_fixed_n(obs: Observation) -> EstimateResult:
     the identity as an equation gives the estimator.  M = N has no finite
     solution.
     """
-    return _ipw(obs, "fixed-n", "ipw-fixed-n")
+    return _ipw(obs, "fixed-n")[0]
 
 
 def ipw_poisson(obs: Observation) -> EstimateResult:
     """Z solving Z = sum_S p(i) / (1 - exp(-N p(i)/Z)), solved as the
     saddle-point equation in the rate lambda = N / Z (rb_poisson_lambda)."""
-    return _ipw(obs, "poisson", "ipw-poisson")
+    return _ipw(obs, "poisson")[0]
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +438,7 @@ def rb_exact(obs: Observation) -> RBWeights:
                          log_f_n=float(log_n_fact + np.sum(np.log(p))))
     if m == 1:
         return RBWeights(v={int(obs.indices[0]): float(n)}, log_f_n=n * math.log(p[0]))
-    lam, p_scaled, e = _scaled_rate(obs, ipw_poisson(obs).value)
+    _, lam, p_scaled, e = _poisson_rate(obs)
     mu = lam * p_scaled
     size, half, cols = 2 * n + 64, n + 32, max(1, _BLOCK_ELEMS // m)
     total, loo = 0.0, np.zeros(m)
@@ -476,17 +481,9 @@ def rb_poisson_lambda(obs: Observation) -> float:
     IPW equation, which ipw_poisson solves in lambda by Newton's method;
     lambda is N / ipw_poisson(obs).  M = N (Z = +inf) gives lambda = 0, and
     a rate past the float range gives +inf; the estimators here form
-    lambda p from _scaled_rate instead, which stays finite there.
+    lambda p from _poisson_rate instead, which stays finite there.
     """
     return obs.n / ipw_poisson(obs).value
-
-
-def _scaled_rate(obs: Observation, z: float) -> tuple[float, np.ndarray, int]:
-    """The rate N / Z on the masses scaled by 2^-e (_exponent), those masses
-    and e: lambda p is their product, exactly, and the rate is finite
-    where N / Z overflows."""
-    e = _exponent(obs.n, obs.v)
-    return obs.n / math.ldexp(z, -e), np.ldexp(obs.p_obs, -e) if e else obs.p_obs, e
 
 
 def rb_poisson_weights(obs: Observation) -> RBWeights:
@@ -495,7 +492,7 @@ def rb_poisson_weights(obs: Observation) -> RBWeights:
     if obs.m == 1:
         vals = [float(obs.n)]
     else:
-        lam, p, _ = _scaled_rate(obs, ipw_poisson(obs).value)
+        _, lam, p, _ = _poisson_rate(obs)
         vals = _ztp_mean(lam * p).tolist()
     return RBWeights(v=dict(zip(obs.indices.tolist(), vals)))
 
@@ -516,7 +513,7 @@ def rb_z_equation(obs: Observation, weights: RBWeights,
     method = f"rb-z-{variant}"
     if obs.m == obs.n:
         return _result(obs, method, {"reason": _SINGLETONS}, math.inf)
-    p, n, v_obs, m_obs = obs.p_obs, obs.n, obs.v, obs.m
+    (p, v, e), n, m = _units(obs), obs.n, obs.m
     w = weights.aligned(obs)
     diag: dict = {}
 
@@ -525,20 +522,19 @@ def rb_z_equation(obs: Observation, weights: RBWeights,
         incl = _inclusion(p, n, pi)
 
         def f(z):
-            return v_obs - float(z / n * np.dot(w, incl(z)))
+            return v - float(z / n * np.dot(w, incl(z)))
     else:
-        # pi / p as the reciprocal of p / pi, which keeps its limit Z / N;
-        # on masses and Z scaled by 2^-e, as p / pi can be subnormal
-        e = _exponent(n, v_obs)
-        p = np.ldexp(p, -e)
+        # pi / p as the reciprocal of p / pi, which keeps its limit Z / N
         over_pi = _over_pi(p, n, pi)
 
         def f(z):
-            z = math.ldexp(z, -e)
             p_over_pi = over_pi(p, z)
-            return m_obs - float(z / n * np.dot(w, np.divide(1.0, p_over_pi, out=p_over_pi)))
+            return m - float(z / n * np.dot(w, np.divide(1.0, p_over_pi, out=p_over_pi)))
 
-    return _result(obs, method, diag, _solve_z(f, obs, pi, diag))
+    z = _solve_z(f, p, v, pi, diag)
+    # the M / Z residual counts points, which the scale leaves alone
+    return _result(obs, method, diag,
+                   math.ldexp(z, e) if variant == "M_over_Z" else _unscale(z, e, diag))
 
 
 # ---------------------------------------------------------------------------
@@ -567,16 +563,15 @@ def good_turing_rb(obs: Observation) -> EstimateResult:
     W = sum_S p(i) / (exp(lambda p(i)) - 1) at lambda = N / Z, summed, not
     taken as the equal Z - V.  N = M is singular: Z, W -> inf with W/Z = 1.
     """
-    ipw = ipw_poisson(obs)
+    ipw, lam, p, e = _poisson_rate(obs)
     if not ipw.is_finite:
         return _result(obs, "good-turing-rb", ipw.diagnostics, ipw.value)
-    z = ipw.value
-    lam, p, e = _scaled_rate(obs, z)
     # p / (e^mu - 1) = h(mu) e^-mu / lambda at mu = lambda p, with h's
     # small-rate limit, so the term is 1 / lambda where mu underflows
     mu = lam * p
     w = math.ldexp(float(np.add.reduce(_ztp_mean(mu) * np.exp(-mu))) / lam, e)
-    return _result(obs, "good-turing-rb", ipw.diagnostics, z, w=w, w_over_z=w / z)
+    return _result(obs, "good-turing-rb", ipw.diagnostics, ipw.value, w=w,
+                   w_over_z=w / ipw.value)
 
 
 def good_toulmin_rb(obs: Observation, lam: float) -> float:
@@ -591,7 +586,7 @@ def good_toulmin_rb(obs: Observation, lam: float) -> float:
 
 def _good_toulmin(obs: Observation, lam: float, p: np.ndarray) -> float:
     """good_toulmin_rb at the rate lam on the masses p, obs.p_obs or those
-    of _scaled_rate."""
+    in the units of _units."""
     _require_observations(obs)
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
@@ -618,14 +613,16 @@ def expected_phi(obs: Observation, lam: float, k: int) -> float:
 # harmonic mean / reciprocal importance sampling
 
 
-def _anchor(obs: Observation, h: Mapping[int, float] | None, H: float | None) -> np.ndarray:
-    """The anchor h on the sample, checked along with its known total H."""
+def _anchor(obs: Observation, h: Mapping[int, float] | None, H: float | None,
+            e: int) -> tuple[np.ndarray, float]:
+    """The anchor h on the sample and its known total H, checked, and
+    scaled by 2^-e as the masses are (_units)."""
     if h is None or H is None or not 0.0 < H < math.inf:
         raise ValueError(f"the anchor needs h and a finite H > 0, got H = {H}")
     hv = _lookup(h, obs)
     if not (hv.min() >= 0.0 and hv.max() < math.inf):  # a nan fails both
         raise ValueError("h must be finite and nonnegative")
-    return hv
+    return (np.ldexp(hv, -e), math.ldexp(H, -e)) if e else (hv, H)
 
 
 def harmonic_mean(obs: Observation, h: Mapping[int, float], H: float,
@@ -647,8 +644,8 @@ def harmonic_mean(obs: Observation, h: Mapping[int, float], H: float,
     mitigated.
     """
     _require_observations(obs)
-    hv = _anchor(obs, h, H)
-    p, n = obs.p_obs, obs.n
+    (p, v, e), n = _units(obs), obs.n
+    hv, H = _anchor(obs, h, H, e)
     method = f"harmonic-mean-{mode}"
     diag: dict = {}
 
@@ -663,13 +660,13 @@ def harmonic_mean(obs: Observation, h: Mapping[int, float], H: float,
         z = n / ratio if ratio > 0.0 else math.inf
     elif mode == "ipw_nonlinear":
         over_pi = _over_pi(p, n, pi)
-        z = _solve_z(lambda z: H - float(np.add.reduce(over_pi(hv, z))), obs, pi, diag)
+        z = _solve_z(lambda z: H - float(np.add.reduce(over_pi(hv, z))), p, v, pi, diag)
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
     if z > 0 and np.all(hv > 0):
         diag["variance_indicator"] = float(np.min(p / hv * (H / z)))
-    return _result(obs, method, diag, z)
+    return _result(obs, method, diag, _unscale(z, e, diag))
 
 
 # ---------------------------------------------------------------------------
@@ -711,16 +708,16 @@ def mixture_estimate(obs: Observation, r_components, w, gamma: float,
     w = np.asarray(w, dtype=float)
     if r.ndim != 2 or r.shape[0] != obs.m or r.shape[1] != len(w):
         raise ValueError("r_components must have shape (M, J) matching w")
-    p, n = obs.p_obs, obs.n
-    tol = 1e-9 * np.maximum(p, 1e-300)
-    if np.any(np.abs(r @ w - p) > tol):
+    # both checks are relative to p, so they hold alike at every scale
+    if np.any(np.abs(r @ w - obs.p_obs) > 1e-9 * obs.p_obs):
         raise ValueError("inconsistent mixture decomposition: r @ w != p")
+    (p, v, e), n = _units(obs), obs.n
     gh, c = np.zeros(obs.m), 0.0
     if gamma > 0.0:
-        gh = gamma * _anchor(obs, h, H)
-        if np.any(gh - p > tol):
+        hv, big_h = _anchor(obs, h, H, e)
+        gh, c = gamma * hv, gamma * big_h
+        if np.any(gh - p > 1e-9 * p):
             raise ValueError("gamma h exceeds p: the equation is not monotone")
-        c = gamma * H
 
     method = f"mixture-gamma-{gamma:g}"
     diag: dict = {"gamma": gamma}
@@ -729,10 +726,11 @@ def mixture_estimate(obs: Observation, r_components, w, gamma: float,
         z = math.inf
     else:
         # the clamp absorbs rounding in gamma h <= p; at gamma = 0, q is p
-        z = _solve_ipw(obs, np.maximum(p - gh, 0.0), c, pi, diag)
+        z = _solve_ipw(obs, p, v, np.maximum(p - gh, 0.0), c, pi, diag)
     R, R_rb = np.full(len(w), math.inf), None
     if math.isfinite(z):
+        # r / pi and r / p Z are in the units of r: the scale cancels
         R = _over_pi(p, n, pi)(r.T, z).sum(axis=1)
         if weights is not None:
             R_rb = np.asarray(r.T @ (weights.aligned(obs) / p)) * (z / n)
-    return MixtureResult(_result(obs, method, diag, z), R, R_rb)
+    return MixtureResult(_result(obs, method, diag, _unscale(z, e, diag)), R, R_rb)

@@ -62,6 +62,8 @@ RESIDUAL_TOL = 1e-8
 _ALPHA_SCAN = np.exp(np.linspace(-7.0, 9.0, 65))
 # the inner Newton solves in log rho and log b stop at this step
 _LOG_TOL = 1e-12
+# strategy C's b is a normal float: log b lies in this range
+_LOG_B = np.log([np.finfo(float).tiny, np.finfo(float).max])
 
 
 @dataclass(frozen=True)
@@ -162,17 +164,18 @@ def _match_outer_alpha(u_residual, scan_values: np.ndarray,
     return min(roots, key=lambda r: abs(math.log(r / target)))
 
 
-def _widen(fn, end: np.ndarray, step: float, limit: float, wrong_sign: float,
-           what: str) -> np.ndarray:
-    """Move each bracket end by ``step`` while fn there has ``wrong_sign``;
-    a move past ``limit`` means there is no bracket."""
+def _widen(fn, end: np.ndarray, step: float, limit: float,
+           wrong_sign: float) -> tuple[np.ndarray, np.ndarray]:
+    """Move each bracket end by ``step``, but not past ``limit``, while fn
+    there has ``wrong_sign``.  Returns the ends and a mask of those where fn
+    has the wrong sign at ``limit``: there is no bracket."""
+    clamp = np.maximum if step < 0.0 else np.minimum
+    end = clamp(end, limit)
     wrong = np.sign(fn(end)[0]) == wrong_sign
-    while np.any(wrong):
-        end = np.where(wrong, end + step, end)
-        if np.any((end[wrong] - limit) * step > 0.0):
-            raise ValueError(f"could not bracket {what}")
+    while np.any(wrong & (end != limit)):
+        end = clamp(np.where(wrong, end + step, end), limit)
         wrong = np.sign(fn(end)[0]) == wrong_sign
-    return end
+    return end, wrong
 
 
 def _check_digamma(values: np.ndarray) -> None:
@@ -249,7 +252,8 @@ def _solve_b_rho(values: np.ndarray, counts: np.ndarray, alpha: np.ndarray,
                  n: int, v: float, diag: dict) -> tuple[np.ndarray, np.ndarray]:
     """Inner solve of strategy B at every alpha of an array: rho from the N
     equation (increasing in log rho, from M at rho -> 0), then b from the V
-    equation in closed form.  Returns (b, rho)."""
+    equation in closed form, +inf where it passes the float range (where
+    the U residual is then -inf).  Returns (b, rho)."""
     rho = np.zeros_like(alpha)  # the M = N limit
     if n != counts.sum():
         def g(log_rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -258,9 +262,12 @@ def _solve_b_rho(values: np.ndarray, counts: np.ndarray, alpha: np.ndarray,
             return en - n, slope
 
         hi = np.log(n / (alpha * (values @ counts)))  # E(N | S) > rho alpha X
-        lo = _widen(g, hi - 30.0, -30.0, -700.0, 1.0, "rho")
+        lo, unbracketed = _widen(g, hi - 30.0, -30.0, -700.0, 1.0)
+        if np.any(unbracketed):
+            raise ValueError("could not bracket rho")
         rho = np.exp(newton_bracketed(g, hi, lo, hi, increasing=True, tol=_LOG_TOL))
-    return _given_s_v_times_b(values, counts, alpha, rho)[0] / v, rho
+    with np.errstate(over="ignore"):
+        return _given_s_v_times_b(values, counts, alpha, rho)[0] / v, rho
 
 
 def _given_s_expectations(stats: SummaryStats):
@@ -282,17 +289,23 @@ def match_B(obs: Observation, stats: SummaryStats) -> MomentMatchResult:
 def _solve_c_b(values: np.ndarray, counts: np.ndarray, alpha: np.ndarray,
                lam: float, v: float, diag: dict) -> np.ndarray:
     """Inner solve of strategy C at every alpha of an array: b from the V
-    equation at fixed lambda, decreasing in log b."""
+    equation at fixed lambda, decreasing in log b.  The bracket widens from
+    log((alpha X + M) / V) within _LOG_B; where the root lies past it, b
+    is nan, and so is the U residual at that alpha."""
     def f(log_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         diag["evals"] += 1
-        b = np.exp(log_b)
-        v_times_b, slope = _given_s_v_times_b(values, counts, alpha, lam / b)
-        return v_times_b / b - v, -(v_times_b + slope) / b
+        # lambda / b and b E(V | S) / b may overflow; inf keeps f's sign
+        with np.errstate(over="ignore"):
+            b = np.exp(log_b)
+            v_times_b, slope = _given_s_v_times_b(values, counts, alpha, lam / b)
+            return v_times_b / b - v, -(v_times_b + slope) / b
 
-    scale = np.log((alpha * (values @ counts) + counts.sum()) / v)
-    lo = _widen(f, scale - 40.0, -40.0, -600.0, -1.0, "b")
-    hi = _widen(f, scale + 40.0, 40.0, 600.0, 1.0, "b")
-    return np.exp(newton_bracketed(f, scale, lo, hi, increasing=False, tol=_LOG_TOL))
+    with np.errstate(over="ignore"):
+        scale = np.clip(np.log((alpha * (values @ counts) + counts.sum()) / v), *_LOG_B)
+    lo, below = _widen(f, scale - 40.0, -40.0, _LOG_B[0], -1.0)
+    hi, above = _widen(f, scale + 40.0, 40.0, _LOG_B[1], 1.0)
+    log_b = newton_bracketed(f, scale, lo, hi, increasing=False, tol=_LOG_TOL)
+    return np.where(below | above, np.nan, np.exp(log_b))
 
 
 def match_C(obs: Observation, stats: SummaryStats) -> MomentMatchResult:

@@ -4,7 +4,7 @@ import time
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hs
 from scipy.optimize import brentq
 
@@ -678,6 +678,22 @@ class TestMixture:
         with pytest.raises(ValueError, match="inconsistent"):
             mixture_estimate(obs, r, [1.0, 1.0], 0.0)
 
+    @pytest.mark.parametrize("s", [1.0, 1e-305, 1e-309])
+    def test_checks_are_relative_at_every_scale(self, s):
+        # r @ w = 0.9 p and gamma h = 1.1 p are refused, the exact
+        # decomposition and gamma h = p accepted, however small p is
+        obs = make_obs([s, 2.0 * s, 3.0 * s], [2, 1, 3])
+        p = obs.p_obs
+        exact = np.column_stack([0.4 * p, 0.6 * p])
+        with pytest.raises(ValueError, match="inconsistent"):
+            mixture_estimate(obs, np.column_stack([0.45 * p, 0.45 * p]), [1.0, 1.0], 0.0)
+        with pytest.raises(ValueError, match="exceeds p"):
+            mixture_estimate(obs, exact, [1.0, 1.0], 1.0, h=dict(enumerate(1.1 * p)), H=obs.v)
+        anchor = dict(enumerate(p))
+        assert math.isfinite(mixture_estimate(obs, exact, [1.0, 1.0], 0.0).z.value)
+        assert math.isfinite(mixture_estimate(obs, exact, [1.0, 1.0], 1.0, h=anchor,
+                                              H=2.0 * obs.v).z.value)
+
     def test_singletons_infinite(self):
         # M = N: no finite root without the anchor, and the anchor alone
         # fixes one
@@ -769,17 +785,23 @@ def test_poisson_estimates_scale_to_the_float_limit():
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("s, count", [(1e-300, 2), (1e-306, 400), (1e-309, 2)])
+@pytest.mark.parametrize("s, count", [(1e-300, 2), (1e-306, 400), (1e-309, 2), (1e-288, 2),
+                                      (1e-304, 2), (1e-306, 2), (1e-307, 2), (1e-308, 2)])
 def test_poisson_estimates_scale_to_the_smallest_masses(s, count):
     # N / V passes the float range at s = 1e-306 with counts 400 (N / V =
-    # 2e308) and at s = 1e-309 (subnormal masses); the rate is solved on
-    # masses scaled by a power of two, and lambda p formed from that rate
+    # 2e308) and at s = 1e-309 (subnormal masses), and below V = 1e-300
+    # Brent's stopping width turns absolute; every equation, Poisson and
+    # fixed-n, runs on masses scaled by a power of two where V < 2^-900,
+    # and lambda p is formed from the rate in those units
     def estimates(s):
         obs = make_obs([s, 2.0 * s, 3.0 * s], [count] * 3)
         p, v = obs.p_obs, obs.v
         anchor = {i: 0.75 * float(x) for i, x in enumerate(p)}
+        fifth = {i: 0.2 * s for i in range(3)}
         r = np.column_stack([0.4 * p, 0.6 * p])
         gt_rb, saddle, exact = good_turing_rb(obs), rb_poisson_weights(obs), rb_exact(obs)
+        closed = {mode: harmonic_mean(obs, fifth, s, mode, weights=saddle)
+                  for mode in ("classic", "rb_linear")}
         return {
             "ipw": ipw_poisson(obs).value / s,
             "gt-rb": gt_rb.value / s,
@@ -792,6 +814,16 @@ def test_poisson_estimates_scale_to_the_smallest_masses(s, count):
             "mixture-0": mixture_estimate(obs, r, [1.0, 1.0], 0.0).z.value / s,
             "mixture-0.5": mixture_estimate(obs, r, [1.0, 1.0], 0.5, h=anchor,
                                             H=v).z.value / s,
+            "ipw-fixed-n": ipw_fixed_n(obs).value / s,
+            "mixture-fixed-n": mixture_estimate(obs, r, [1.0, 1.0], 0.5, h=anchor, H=v,
+                                                pi="fixed-n").z.value / s,
+            **{f"rb-z-{variant} {pi}": rb_z_equation(obs, saddle, variant, pi).value / s
+               for variant, pi in (("V_over_Z", "fixed-n"), ("M_over_Z", "poisson"),
+                                   ("M_over_Z", "fixed-n"))},
+            **{f"hm {pi}": harmonic_mean(obs, anchor, v, "ipw_nonlinear", pi=pi).value / s
+               for pi in ("poisson", "fixed-n")},
+            **{f"hm {mode}": res.value / s for mode, res in closed.items()},
+            **{f"hm {mode} W/Z": res.w_over_z for mode, res in closed.items()},
             **{f"rb-poisson v{i}": x for i, x in enumerate(saddle.aligned(obs))},
             **{f"rb-exact v{i}": x for i, x in enumerate(exact.aligned(obs))},
         }
@@ -799,8 +831,14 @@ def test_poisson_estimates_scale_to_the_smallest_masses(s, count):
     base = estimates(1.0)
     for name, value in estimates(s).items():
         assert value == pytest.approx(base[name], rel=1e-12, abs=1e-12), name
+    obs = make_obs([s, 2.0 * s, 3.0 * s], [count] * 3)
     if count == 400:
-        assert rb_poisson_lambda(make_obs([s, 2.0 * s, 3.0 * s], [count] * 3)) == math.inf
+        assert rb_poisson_lambda(obs) == math.inf
+    # a residual in Z units is scaled back with its root
+    quarter = {i: 0.25 * float(x) for i, x in enumerate(obs.p_obs)}
+    for res in (ipw_poisson(obs), ipw_fixed_n(obs), rb_z_equation(obs, rb_exact(obs)),
+                harmonic_mean(obs, quarter, obs.v, "ipw_nonlinear")):
+        assert abs(res.diagnostics["residual"]) <= 1e-8 * res.value, res.method
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -943,41 +981,55 @@ def reference_rate(p, n, w, c):
     return rate
 
 
+# one explicit sample whose V lies below 2^-900, with a subnormal mass
+SMALL_V_OBS = make_obs([1e-300, 3e-305, 2e-309], [2, 1, 3])
+
+
 class TestLeanResidual:
     """Each Z equation's residual, as handed to its solver, equals one built
     on inclusion_probability or, for the Poisson IPW and mixture rate
-    equations, on _ztp_mean's formula, bit for bit; and the sample lookups
+    equations, on _ztp_mean's formula, bit for bit, on the masses and Z the
+    solve runs on: scaled by 2^-e, e the binary exponent of V, where V is
+    below 2^-900, with the anchors scaled alike.  And the sample lookups
     equal the comprehensions they replace, errors included."""
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(obs=spread_observations(), form=hs.sampled_from(["poisson", "fixed-n"]),
            gamma=hs.floats(0.05, 1.0))
+    @example(obs=SMALL_V_OBS, form="poisson", gamma=0.5)
+    @example(obs=SMALL_V_OBS, form="fixed-n", gamma=0.5)
     def test_residuals_equal_the_reference(self, obs, form, gamma):
-        p, n, v, m = obs.p_obs, obs.n, obs.v, obs.m
+        e = math.frexp(obs.v)[1] if obs.v < 2.0 ** -900 else 0
+
+        def scaled(x):
+            return np.ldexp(x, -e)
+
+        p, v, n, m = scaled(obs.p_obs), float(scaled(obs.v)), obs.n, obs.m
         over_pi = reference_over_pi(p, n, form)
         saddle = rb_poisson_weights(obs)
         w = saddle.aligned(obs)
-        quarter = {int(i): 0.25 * float(x) for i, x in zip(obs.indices, p)}
-        anchor = {int(i): 0.4 * float(x) for i, x in zip(obs.indices, p)}
-        r = np.column_stack([0.4 * p, 0.6 * p])
-        big_h = 0.6 * v
-        q_mix = np.maximum(p - gamma * (0.4 * p), 0.0)
+        quarter = {int(i): 0.25 * float(x) for i, x in zip(obs.indices, obs.p_obs)}
+        anchor = {int(i): 0.4 * float(x) for i, x in zip(obs.indices, obs.p_obs)}
+        r = np.column_stack([0.4 * obs.p_obs, 0.6 * obs.p_obs])
+        big_h = 0.6 * obs.v
+        q_mix = np.maximum(p - gamma * scaled(0.4 * obs.p_obs), 0.0)
+        c_mix = gamma * float(scaled(big_h))
         rate = form == "poisson"
         cases = {
-            "ipw": (lambda: estimators._ipw(obs, form, "ipw"),
+            "ipw": (lambda: estimators._ipw(obs, form),
                     reference_rate(p, n, p / p, 0.0) if rate else
                     lambda z: float(over_pi(p, z).sum()) - z),
             "mixture": (lambda: mixture_estimate(obs, r, [1.0, 1.0], gamma, h=anchor,
                                                  H=big_h, pi=form),
-                        reference_rate(p, n, q_mix / p, gamma * big_h) if rate else
-                        lambda z: gamma * big_h + float(over_pi(q_mix, z).sum()) - z),
+                        reference_rate(p, n, q_mix / p, c_mix) if rate else
+                        lambda z: c_mix + float(over_pi(q_mix, z).sum()) - z),
             "rb-z-V": (lambda: rb_z_equation(obs, saddle, "V_over_Z", form),
                        lambda z: v - float(z / n * np.dot(
                            w, inclusion_probability(p, n, z, form)))),
             "rb-z-M": (lambda: rb_z_equation(obs, saddle, "M_over_Z", form),
                        lambda z: m - float(z / n * np.dot(w, 1.0 / over_pi(p, z)))),
-            "hm": (lambda: harmonic_mean(obs, quarter, v, "ipw_nonlinear", pi=form),
-                   lambda z: v - float(over_pi(0.25 * p, z).sum())),
+            "hm": (lambda: harmonic_mean(obs, quarter, obs.v, "ipw_nonlinear", pi=form),
+                   lambda z: v - float(over_pi(scaled(0.25 * obs.p_obs), z).sum())),
         }
         # V, both lower limits of the search and points up to 1e18 V, the
         # cap, where every pi has underflowed for a wide enough spread
@@ -1036,8 +1088,8 @@ class TestLeanResidual:
                    {1: 0.1, 4: -0.2, 6: 0.3}, {1: 0.1, 4: math.inf, 6: 0.3}]
         for anchor in anchors:
             want = outcome(lambda: old_anchor(anchor))
-            assert outcome(lambda: estimators._anchor(obs, anchor, 1.0).tolist()) == want
-        assert outcome(lambda: estimators._anchor(obs, anchors[4], 1.0)) == (
+            assert outcome(lambda: estimators._anchor(obs, anchor, 1.0, 0)[0].tolist()) == want
+        assert outcome(lambda: estimators._anchor(obs, anchors[4], 1.0, 0)) == (
             ValueError, "h must be finite and nonnegative")
 
 

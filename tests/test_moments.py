@@ -253,11 +253,22 @@ class TestArrayInnerSolves:
         with pytest.raises(ValueError, match="could not bracket rho"):
             _solve_b_rho(*_distinct(np.array([0.1, 0.2, 0.3])), np.array([0.5, 2.0]),
                          2, 1.0, {"evals": 0})
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_c_brackets_b_over_the_float_range(self):
         # alpha X far below M e^-40 with lambda / b overflowing: b E(V | S)
-        # is alpha X, and b would have to fall below e^-600
-        with pytest.raises(ValueError, match="could not bracket b"):
-            _solve_c_b(*_distinct(np.array([1e-16, 2e-16, 3e-16])),
-                       np.array([math.exp(-7.0)]), 1e200, 1e250, {"evals": 0})
+        # is alpha X, so b = alpha X / V = e^-617
+        alpha = math.exp(-7.0)
+        b = _solve_c_b(*_distinct(np.array([1e-16, 2e-16, 3e-16])), np.array([alpha]),
+                       1e200, 1e250, {"evals": 0})
+        assert b[0] == pytest.approx(alpha * 6e-16 / 1e250, rel=1e-12)
+        # at V = 1e-306, b lies in [alpha X, alpha X + M] / V: in the float
+        # range for alpha = 1, past its maximum for alpha = 8000, where b is nan
+        b = _solve_c_b(*_distinct(np.full(3, 0.2)), np.array([1.0, 8000.0]), 1e306, 1e-306,
+                       {"evals": 0})
+        _, v_times_b = conditional_n_and_v_times_b(np.full(3, 0.2), 1.0, 1e306 / b[0])
+        assert v_times_b / b[0] == pytest.approx(1e-306, rel=1e-9)
+        assert math.isnan(b[1])
 
     def test_solver_work_counter(self):
         # the nested scalar root finds these array passes replaced made 4081
@@ -432,3 +443,25 @@ def test_scale_equivariance(strategy):
                 assert res.params.alpha == pytest.approx(base.params.alpha, rel=1e-9)
                 assert res.params.b * k == pytest.approx(base.params.b, rel=1e-9)
                 assert res.params.lam * k == pytest.approx(base.params.lam, rel=1e-9)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("strategy", ["B", "C", "MLE"])
+@pytest.mark.parametrize("count, scales", [(2, (1e-306, 1e-300, 1e300, 1e307)),
+                                           (400, (1e-300, 1e300, 1e307))])
+def test_scale_equivariance_at_the_float_extremes(strategy, count, scales):
+    # p = s (1, 2, 3): b and lambda near the float limits, and for C b
+    # E(V | S) / b past them on the way to the bracket
+    def fit(s):
+        obs = Observation(domain_size=5, x=np.full(5, 0.2), indices=np.arange(3),
+                          p_obs=s * np.array([1.0, 2.0, 3.0]), counts=[count] * 3)
+        return moment_match(obs, summarize(obs), strategy)
+
+    base = fit(1.0)
+    assert base.ok
+    for s in scales:
+        res = fit(s)
+        assert res.ok, s
+        assert res.params.alpha == pytest.approx(base.params.alpha, rel=1e-9), s
+        assert res.params.b * s == pytest.approx(base.params.b, rel=1e-9), s
+        assert res.params.lam * s == pytest.approx(base.params.lam, rel=1e-9), s
