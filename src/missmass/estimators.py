@@ -8,20 +8,19 @@ inclusion probability
     pi(i; Z) = 1 - exp(-lambda p(i))   (Poisson sampling, lambda = N/Z)
 
 and weighting observed masses by 1/pi gives estimating equations for Z.
-Under Poisson sampling the IPW and mixture equations are, in the rate
-lambda, the saddle-point equation c lambda + sum_S w(i) h(lambda p(i)) = N
-with h(mu) = mu / (1 - exp(-mu)), w = q / p in [0, 1] and c >= 0.  It is
-convex and increasing in lambda, so Newton's method solves it from the
-weighted Good-Turing rate without a bracket, in about four evaluations.
-Every other equation here (IPW and the mixture under fixed-n, the
-Rao-Blackwellized Z equations and the nonlinear harmonic mean) falls
-through zero once in Z and is solved by one search from V.  Both solves
-share one set of verdicts: all sampled points are singletons, no finite
-solution (+inf), or a boundary solution at the lower limit of Z (0).  The
-Poisson forms work on lambda p, never on N p, and each q / pi term takes
-its limit q Z / (N p) where pi underflows, so masses may span the float
-range; where V is below 2^-900 every equation runs on masses scaled by an
-exact power of two (_units), which keeps the rate N / Z finite.
+In the rate lambda = N / Z each is a convex equation in mu = lambda p,
+through h(mu) = mu / pi(mu), which is increasing and convex under both
+forms: c lambda + sum_S w h(lambda p) = N for IPW and the mixtures,
+sum_S (h / p) h(lambda p) = H lambda for the nonlinear harmonic mean, and
+lambda V (or lambda M) = sum_S v pi(lambda p) (/ p) for the
+Rao-Blackwellized equations.  One Newton loop (_solve_rate) solves them
+all without a bracket, from the side of the root where its iterates fall
+monotonically to it.  Every solve shares one set of verdicts: all sampled
+points are singletons, no finite solution (+inf), or a boundary solution
+at the lower limit of Z (0).  The forms work on lambda p, never on N p,
+and h takes its limit 1 where lambda p underflows, so masses may span the
+float range; where V is below 2^-900 every equation runs on masses scaled
+by an exact power of two (_units), which keeps the rate N / Z finite.
 Exact Rao-Blackwellization replaces the observed counts by their
 expectation under the truncated multinomial given (S, p on S, N): a ratio
 of two DFT coefficients after tilting the counts to zero-truncated
@@ -45,26 +44,29 @@ from typing import Mapping
 import numpy as np
 
 from .data import Observation
-from .solvers import ConvergenceError, solve_root
+from .solvers import ConvergenceError
 from .special import log_gamma
 
 # a Z equation whose root lies above this multiple of its scale (V, plus
-# the known anchor of a mixture) has no finite solution; the cap scales
-# with p, so the verdict and the work done to reach it do too
+# any known anchor) has no finite solution: the floor of every rate solve,
+# which scales with p, so the verdict and the work done to reach it do too
 _UPPER_CAP = 1e18
 # the verdicts every Z equation shares
 _SINGLETONS = "all sampled points are singletons"
 _NO_SOLUTION = "no finite solution"
 _BOUNDARY = "boundary: solution at or below the lower limit of Z"
-# a rate lambda p or an inclusion probability below the smallest normal
-# double takes its small-rate limit; above _MU_BIG, exp(-lambda p z) can
+# a rate lambda p below the smallest normal double takes its small-rate
+# limit; above _MU_BIG, exp(-lambda p z) can
 # overflow where Re z < 0
 _MU_TINY, _MU_BIG = np.finfo(float).tiny, 700.0
 # a rate solve ends at a Newton step below this fraction of lambda, and
 # gives up after _MAX_NEWTON steps
 _RATE_TOL, _MAX_NEWTON = 1e-14, 100
-# below this V every equation runs on masses scaled by a power of two (_units)
-_SMALL_V = 2.0 ** -900
+# below this V every equation runs on masses scaled by a power of two
+# (_units), which keeps an anchor's values below 2^_ANCHOR_EXP
+_SMALL_V, _ANCHOR_EXP = 2.0 ** -900, 960
+# mu / N stays below 1 under fixed-n, so log(1 - mu / N) stays finite
+_X_TOP = 1.0 - 2.0 ** -53
 
 
 @dataclass(frozen=True)
@@ -141,18 +143,22 @@ def inclusion_probability(p, n: int, z, form: str = "poisson"):
     raise ValueError(f"unknown inclusion form {form!r}")
 
 
-def _units(obs: Observation) -> tuple[np.ndarray, float, int]:
+def _units(obs: Observation, top: float = 0.0) -> tuple[np.ndarray, float, int]:
     """The sampled masses and V in the units every equation runs in, and e.
 
-    e is 0, or where V is below _SMALL_V, the binary exponent of V.  The
-    masses, V and any anchor are scaled by 2^-e, and each root or result in
-    Z units is scaled back by 2^e.  That is exact, so every pi(i; Z),
-    lambda p and ratio is unchanged, while the rate N / Z stays finite and
-    the search's stopping width, absolute below 1e-300, relative.
+    e is 0, or where V is below _SMALL_V, the binary exponent of V, raised
+    where needed, up to 0, so that an anchor's largest value top, scaled
+    alike, stays below 2^_ANCHOR_EXP: Z up to 2^64 times it, past the cap,
+    stays finite.  The masses, V and any anchor are scaled by 2^-e, and
+    each root or result in Z units is scaled back by 2^e.  That is exact,
+    so every lambda p and ratio is unchanged, while the rate N / Z stays
+    finite.
     """
     if obs.v >= _SMALL_V:
         return obs.p_obs, obs.v, 0
     e = math.frexp(obs.v)[1]
+    if top > 0.0:
+        e = min(max(e, math.frexp(top)[1] - _ANCHOR_EXP), 0)
     return np.ldexp(obs.p_obs, -e), math.ldexp(obs.v, -e), e
 
 
@@ -163,176 +169,145 @@ def _unscale(z: float, e: int, diag: dict) -> float:
     return math.ldexp(z, e)
 
 
-def _inclusion(p: np.ndarray, n: int, form: str):
-    """The map Z -> pi(i; Z) over the sampled masses p, for one solve.
+def _kernel(p: np.ndarray, n: int, form: str):
+    """The map lambda -> (h, s) over the sampled masses p, for one solve,
+    with h(mu) = mu / pi(mu) and s = 1 - mu h'(mu) / h at mu = lambda p:
 
-    It runs inclusion_probability's ufuncs in the same order, so every
-    value is the same bit for bit, but takes -p once and writes each step
-    into one buffer, which the next call overwrites.
+        poisson:  pi = 1 - e^-mu,          s = h - mu = h e^-mu
+        fixed-n:  pi = 1 - (1 - mu/N)^N,   s = h (1 - mu/N)^(N-1),  mu <= N
+
+    h is increasing and convex from h(0) = 1, and 0 <= s <= 1, so
+    d = h - mu h' = h s lies in [0, h].  Where mu
+    underflows h takes its limit 1 (mu is clamped at the smallest normal
+    double, which changes nothing else: h rounds to 1 below 2^-53), and
+    under fixed-n mu / N is clamped below 1 (_X_TOP), where pi rounds to 1
+    for N >= 2.  Each call writes into buffers that the next call
+    overwrites.
     """
-    buf = np.empty_like(p)
+    low = int(p.argmin())  # mu is smallest here
+    neg, h, s = np.empty_like(p), np.empty_like(p), np.empty_like(p)
     if form == "poisson":
         neg_p = -p
 
-        def incl(z):
-            np.multiply(neg_p, n / z, out=buf)
-            np.expm1(buf, out=buf)
-            return np.negative(buf, out=buf)
+        def kernel(lam):
+            np.multiply(neg_p, lam, out=neg)  # -mu
+            if neg[low] > -_MU_TINY:
+                np.minimum(neg, -_MU_TINY, out=neg)
+            np.expm1(neg, out=h)
+            np.divide(neg, h, out=h)
+            return h, np.add(h, neg, out=s)
     elif form == "fixed-n":
-        top = p.max()
+        neg_p, log_t, high = -p, np.empty_like(p), int(p.argmax())  # mu is largest here
 
-        def incl(z):
-            np.divide(p, z, out=buf)
-            np.minimum(buf, 1.0, out=buf)
-            np.negative(buf, out=buf)
-            # only Z <= max p reaches log1p(-1) = -inf (inclusion exactly 1),
-            # and entering errstate costs more than the log1p itself
-            if z > top:
-                np.log1p(buf, out=buf)
-            else:
-                with np.errstate(divide="ignore"):
-                    np.log1p(buf, out=buf)
-            np.multiply(n, buf, out=buf)
-            np.expm1(buf, out=buf)
-            return np.negative(buf, out=buf)
+        def kernel(lam):
+            np.multiply(neg_p, lam / n, out=neg)  # -mu / N
+            if neg[low] > -_MU_TINY:
+                np.minimum(neg, -_MU_TINY, out=neg)
+            if neg[high] < -_X_TOP:
+                np.maximum(neg, -_X_TOP, out=neg)
+            np.log1p(neg, out=log_t)  # log t, t = 1 - mu / N
+            np.multiply(log_t, n, out=h)
+            np.expm1(h, out=h)  # -pi
+            np.multiply(neg, n, out=s)
+            np.divide(s, h, out=h)
+            np.multiply(log_t, n - 1, out=s)
+            np.exp(s, out=s)
+            return h, np.multiply(s, h, out=s)
     else:
         raise ValueError(f"unknown inclusion form {form!r}")
-    return incl
+    return kernel
 
 
-def _over_pi(p: np.ndarray, n: int, form: str):
-    """The map (q, Z) -> q / pi(i; Z) over the sampled masses p.
+def _rate_equation(kernel, w: np.ndarray, c: float, n: float = 0.0, per_mass: bool = False):
+    """The map lambda -> (G, lambda G', lambda G' - G) for the rate equation
 
-    q is an array over S, or has S as its last axis.  Where pi underflows
-    below the smallest normal double, q / pi takes its small-rate limit
-    q Z / (N p), which is finite even where 1 / pi is not, and +inf past
-    the float range.  A q over S is divided into _inclusion's buffer,
-    which the next call overwrites.
+        G(lambda) = c lambda + sum_S w(i) f(lambda p(i)) - n
+
+    with f the kernel's h or, per mass, pi(i) / p(i) = lambda / h, which
+    keeps its limit lambda where lambda p underflows.  As mu h' = h - d,
+    d = h s, lambda G' = c lambda + sum_S w (h - d), or per mass
+    lambda (c + sum_S w s / h).  The difference, n - sum_S w d or
+    n + lambda sum_S w (d - h) / h^2, is summed without the terms that
+    cancel in it, so a long Newton step keeps every digit.
     """
-    low = int(p.argmin())  # pi rises with p, so it is smallest here
-    pi = _inclusion(p, n, form)
-
-    def over_pi(q, z):
-        incl = pi(z)
-        if incl[low] >= _MU_TINY:
-            return np.divide(q, incl, out=incl if q.shape == incl.shape else None)
-        with np.errstate(over="ignore"):
-            limit = q / p * (z / n)
-        return np.divide(q, incl, out=limit, where=incl >= _MU_TINY)
-
-    return over_pi
-
-
-def _solve_z(f, p: np.ndarray, v: float, form: str, diag: dict, c: float = 0.0) -> float:
-    """Root in Z of an estimating equation f, positive below its root and
-    negative above it, with the masses p, V and c in the units of _units,
-    and the root in those units too.
-
-    From V the search doubles Z until f turns negative or, where f(V) < 0,
-    takes the one bracket down to the lower limit of Z: V 1e-12, or just
-    above max p under fixed-n, where pi(i; Z) reaches 1.  Brent's method
-    refines the bracket.  Past _UPPER_CAP (V + c), c a mixture's known anchor,
-    or where Z doubles past the float range, the verdict is _NO_SOLUTION
-    (+inf); with f(limit) <= 0 it is _BOUNDARY (0).
-    diag gets the evaluations, the bracket steps and, for a root, the
-    plugged-back residual.  Each Z is evaluated once: the bracket ends and
-    the root Brent's method returns are points already evaluated.
-    """
-    diag.update(evals=0, iterations=0)
-    seen: dict = {}
-
-    def counted(z):
-        if z not in seen:
-            diag["evals"] += 1
-            seen[z] = f(z)
-        return seen[z]
-
-    fv = counted(v)
-    if fv == 0.0:
-        diag["residual"] = 0.0
-        return v
-    if fv > 0.0:
-        hi = 2.0 * v
-        diag["iterations"] = 1
-        while counted(hi) > 0.0:
-            hi *= 2.0
-            diag["iterations"] += 1
-            # the ratio, as _UPPER_CAP (V + c) overflows for V above ~1.8e290
-            if hi == math.inf or hi / (v + c) > _UPPER_CAP:
-                diag["reason"] = _NO_SOLUTION
-                return math.inf
-        bracket = (hi / 2.0, hi)
-    else:
-        limit = v * 1e-12
-        if form == "fixed-n":
-            limit = max(float(p.max()) * (1 + 1e-12), limit)
-        diag["iterations"] = 1
-        if limit >= v or counted(limit) <= 0.0:
-            diag["reason"] = _BOUNDARY
-            return 0.0
-        bracket = (limit, v)
-    root = solve_root(counted, bracket)
-    diag["residual"] = float(counted(root))
-    return root
-
-
-def _rate_equation(p: np.ndarray, n: int, w: np.ndarray, c: float):
-    """The map lambda -> (G, lambda G') for the rate equation
-
-        G(lambda) = c lambda + sum_S w(i) h(lambda p(i)) - N,  h(mu) = mu / (1 - e^-mu)
-
-    over the sampled masses p, with lambda G' = c lambda + sum_S w (h - h (h - mu)),
-    as mu h'(mu) = h (1 - (h - mu)).  h is _ztp_mean's, with its limit 1
-    where lambda p underflows.  Each call writes into buffers that the next
-    call overwrites.
-    """
-    neg_p = -p
-    low = int(p.argmin())  # lambda p is smallest here
-    neg_mu, h, hg = np.empty_like(p), np.empty_like(p), np.empty_like(p)
+    if not per_mass:
+        def f(lam):
+            h, s = kernel(lam)
+            d = np.multiply(s, h, out=s)
+            total, wd = c * lam + float(np.dot(w, h)), float(np.dot(w, d))
+            if c >= 0.0:
+                return total - n, total - wd, n - wd
+            # the falling harmonic form, whose weights h / p are unbounded:
+            # mu h' = h - d term by term, where the sums of h and d cancel
+            return total - n, c * lam + float(np.dot(w, np.subtract(h, d, out=d))), n - wd
+        return f
+    inv = np.empty_like(w)
 
     def f(lam):
-        np.multiply(neg_p, lam, out=neg_mu)
-        if neg_mu[low] > -_MU_TINY:
-            np.minimum(neg_mu, -_MU_TINY, out=neg_mu)
-        np.expm1(neg_mu, out=h)
-        np.divide(neg_mu, h, out=h)
-        np.add(h, neg_mu, out=hg)
-        np.multiply(h, hg, out=hg)
-        total = c * lam + float(np.dot(w, h))
-        return total - n, total - float(np.dot(w, hg))
-
+        h, s = kernel(lam)
+        np.divide(1.0, h, out=inv)
+        w_inv = float(np.dot(w, inv))
+        w_d = float(np.dot(w, np.multiply(s, inv, out=s)))  # d / h^2 = s / h
+        return lam * (c + w_inv) - n, lam * (c + w_d), n + lam * (w_d - w_inv)
     return f
 
 
-def _solve_rate(f, lam: float, lam_min: float, diag: dict) -> float:
-    """Root in lambda of a rate equation G = 0 by Newton's method, from lam.
+def _solve_rate(f, lam: float, n: int, scale: float, diag: dict,
+                lam_max: float = math.inf) -> float:
+    """Z = N / lambda at the root of a convex rate equation G = 0, found by
+    Newton's method from lam, in the units of _units.
 
-    f gives G and lambda G' (_rate_equation).  G is convex and increasing,
-    so from any positive start the first step lands at or above the root
-    and every later iterate falls to it: no bracket is needed.  The solve
-    ends where a step falls below _RATE_TOL lambda, or where a later
-    iterate has G <= 0, which only rounding gives.  At or below lam_min,
-    where Z = N / lambda passes _UPPER_CAP (V + c) or the float range, the
-    verdict is _NO_SOLUTION (rate 0): every iterate after the first lies
-    at or above the root, and a start at or above half of it, so the
-    root's Z lies past that limit, or past half of it.  diag gets the
-    evaluations, the Newton steps and the plugged-back residual
-    G / lambda, in Z units.
+    f gives G, lambda G' and their difference (_rate_equation).  Each
+    iterate is lambda - lambda G / lambda G', or lambda (lambda G' - G) /
+    lambda G' for a step down past half of lambda.  Where G rises through
+    its root, every iterate after the first lies right of it (G > 0) and
+    falls to it; where G falls, the start lies left of it (G > 0) and every
+    iterate rises to it.  The solve ends at a step below _RATE_TOL lambda,
+    or at a later iterate with G <= 0, which only rounding gives.  A first
+    G that is negative and falling puts the root right of lam: the next
+    iterate is lam_max, the rate at the lower limit of Z, which no iterate
+    passes, and an iterate held there is the _BOUNDARY verdict (Z = 0).
+    Where Z passes _UPPER_CAP scale, or the float range, the verdict is
+    _NO_SOLUTION (+inf): rising, every iterate after the first lies at or
+    above the root and a start at or above half of it.  e <= 0, so a Z in
+    range is in range scaled back.  diag gets the evaluations, the Newton
+    steps and the plugged-back residual G / lambda, in Z units.
     """
+    lam_min = n / min(_UPPER_CAP * scale, sys.float_info.max)
     diag.update(evals=0, iterations=0)
     while lam > lam_min:
-        g, slope = f(lam)
+        g, slope, rest = f(lam)
         diag["evals"] += 1
         step = g / slope
-        if abs(step) <= _RATE_TOL or (step <= 0.0 and diag["iterations"]):
-            diag["residual"] = g / lam
-            return lam
+        if abs(step) <= _RATE_TOL:
+            break
+        if g < 0.0 and slope <= 0.0:
+            new = lam_max
+        else:  # a step down past half of lambda keeps its digits from the difference
+            new = lam * (rest / slope) if step > 0.5 else lam - lam * step
+        if lam == lam_max and new >= lam:
+            diag["reason"] = _BOUNDARY
+            return 0.0
+        if g <= 0.0 and diag["iterations"]:
+            break
         if diag["iterations"] == _MAX_NEWTON:
             raise ConvergenceError(f"rate solve: no convergence in {_MAX_NEWTON} Newton steps")
-        lam -= lam * step
+        lam = min(new, lam_max)
         diag["iterations"] += 1
-    diag["reason"] = _NO_SOLUTION
-    return 0.0
+    else:
+        diag["reason"] = _NO_SOLUTION
+        return math.inf
+    diag["residual"] = g / lam
+    return n / lam
+
+
+def _rate_ceiling(p: np.ndarray, n: int, v: float, form: str) -> float:
+    """The rate at the lower limit of Z: V 1e-12, or under fixed-n just
+    above max p, where pi(i; Z) reaches 1."""
+    limit = v * 1e-12
+    if form == "fixed-n":
+        limit = max(float(p.max()) * (1 + 1e-12), limit)
+    return n / limit
 
 
 def _solve_ipw(obs: Observation, p: np.ndarray, v: float, q: np.ndarray, c: float,
@@ -341,23 +316,21 @@ def _solve_ipw(obs: Observation, p: np.ndarray, v: float, q: np.ndarray, c: floa
     in Z, so the root is unique and, for q <= p and c >= 0, at least V.
     The masses p, V, q and c are in the units of _units, and so is Z.
 
-    Under Poisson sampling, with lambda = N / Z and w = q / p, this is the
-    rate equation c lambda + sum_S w(i) h(lambda p(i)) = N, solved from
-    the weighted Good-Turing rate (N - sum of w over singletons) / (c + sum_S q),
-    at or above half the root since 1 + mu / 2 <= h(mu) <= 1 + mu.
+    With lambda = N / Z and w = q / p, this is the rate equation
+    c lambda + sum_S w(i) h(lambda p(i)) = N, convex and increasing.  Under
+    Poisson sampling it is solved from the weighted Good-Turing rate
+    (N - sum of w over singletons) / (c + sum_S q), at or above half the
+    root since 1 + mu / 2 <= h(mu) <= 1 + mu; under fixed-n from
+    N / (c + sum_S q), at or right of the root since h(mu) >= mu, and at
+    most N / V, within mu <= N.
     """
     n = obs.n
-    if form != "poisson":
-        over_pi = _over_pi(p, n, form)
-        return _solve_z(lambda z: c + float(np.add.reduce(over_pi(q, z))) - z,
-                        p, v, form, diag, c)
-    w = q / p
-    start = (n - float(np.add.reduce(w[obs.counts == 1]))) / (c + float(np.add.reduce(q)))
-    # a Z past the cap, or past the float range where the cap overflows;
-    # e <= 0, so a scaled Z in range is in range scaled back
-    lam_min = n / min(_UPPER_CAP * (v + c), sys.float_info.max)
-    lam = _solve_rate(_rate_equation(p, n, w, c), start, lam_min, diag)
-    return n / lam if lam > 0.0 else math.inf
+    w, q_c = q / p, c + float(np.add.reduce(q))
+    if form == "poisson":
+        start = (n - float(np.add.reduce(w[obs.counts == 1]))) / q_c
+    else:
+        start = n / q_c
+    return _solve_rate(_rate_equation(_kernel(p, n, form), w, c, n), start, n, v + c, diag)
 
 
 def _ipw(obs: Observation, form: str) -> tuple[EstimateResult, float, np.ndarray, int]:
@@ -505,7 +478,16 @@ def rb_z_equation(obs: Observation, weights: RBWeights,
     variant "M_over_Z": M/Z = (1/N) sum_S v(i) pi(i; Z) / p(i)
 
     Both sides are evaluated with V (or M) observed, leaving a nonlinear
-    equation for Z.  M = N leaves the equations uninformative (+inf).
+    equation for Z.  In the rate lambda = N / Z they read
+
+        V lambda = sum_S v(i) pi(lambda p(i))   or   M lambda = sum_S (v(i) / p(i)) pi(lambda p(i))
+
+    pi is concave in lambda, so each difference is convex, with roots at
+    lambda = 0 and at the estimate (v >= 1 and sum_S v = N > M for the
+    Rao-Blackwell weights).  It is solved from N / V, right of the root
+    unless the root's Z lies below V; there the solve starts from the
+    lower limit of Z instead, and a root past it is the boundary verdict.
+    M = N leaves the equations uninformative (+inf).
     """
     if variant not in ("V_over_Z", "M_over_Z"):
         raise ValueError(f"unknown variant {variant!r}")
@@ -513,25 +495,13 @@ def rb_z_equation(obs: Observation, weights: RBWeights,
     method = f"rb-z-{variant}"
     if obs.m == obs.n:
         return _result(obs, method, {"reason": _SINGLETONS}, math.inf)
-    (p, v, e), n, m = _units(obs), obs.n, obs.m
+    (p, v, e), n = _units(obs), obs.n
+    # sum_S v pi (/ p) = lambda sum_S v p / h (lambda sum_S v / h)
     w = weights.aligned(obs)
+    w, c = (-w * p, v) if variant == "V_over_Z" else (-w, obs.m)
     diag: dict = {}
-
-    # each residual falls in Z
-    if variant == "V_over_Z":
-        incl = _inclusion(p, n, pi)
-
-        def f(z):
-            return v - float(z / n * np.dot(w, incl(z)))
-    else:
-        # pi / p as the reciprocal of p / pi, which keeps its limit Z / N
-        over_pi = _over_pi(p, n, pi)
-
-        def f(z):
-            p_over_pi = over_pi(p, z)
-            return m - float(z / n * np.dot(w, np.divide(1.0, p_over_pi, out=p_over_pi)))
-
-    z = _solve_z(f, p, v, pi, diag)
+    z = _solve_rate(_rate_equation(_kernel(p, n, pi), w, c, per_mass=True), n / v, n, v,
+                    diag, _rate_ceiling(p, n, v, pi))
     # the M / Z residual counts points, which the scale leaves alone
     return _result(obs, method, diag,
                    math.ldexp(z, e) if variant == "M_over_Z" else _unscale(z, e, diag))
@@ -613,16 +583,18 @@ def expected_phi(obs: Observation, lam: float, k: int) -> float:
 # harmonic mean / reciprocal importance sampling
 
 
-def _anchor(obs: Observation, h: Mapping[int, float] | None, H: float | None,
-            e: int) -> tuple[np.ndarray, float]:
-    """The anchor h on the sample and its known total H, checked, and
-    scaled by 2^-e as the masses are (_units)."""
+def _anchor(obs: Observation, h: Mapping[int, float] | None,
+            H: float | None) -> tuple[np.ndarray, float, int, np.ndarray, float]:
+    """_units for a sample with an anchor: the masses, V and e, and the
+    anchor h on the sample and its known total H, checked and scaled by
+    2^-e as the masses are, which keeps them finite."""
     if h is None or H is None or not 0.0 < H < math.inf:
         raise ValueError(f"the anchor needs h and a finite H > 0, got H = {H}")
     hv = _lookup(h, obs)
     if not (hv.min() >= 0.0 and hv.max() < math.inf):  # a nan fails both
         raise ValueError("h must be finite and nonnegative")
-    return (np.ldexp(hv, -e), math.ldexp(H, -e)) if e else (hv, H)
+    p, v, e = _units(obs, max(H, float(hv.max())))
+    return p, v, e, np.ldexp(hv, -e), math.ldexp(H, -e)
 
 
 def harmonic_mean(obs: Observation, h: Mapping[int, float], H: float,
@@ -634,18 +606,22 @@ def harmonic_mean(obs: Observation, h: Mapping[int, float], H: float,
     mode "rb_linear":     Z = N H / sum_S v(i) h(i) / p(i)
     mode "ipw_nonlinear": H = sum_S h(i) / pi(i; Z) solved for Z
 
-    The nonlinear equation has no convex rate form (sum_S h / pi falls in
-    lambda = N / Z), so it is solved by the search from V, with the
-    verdicts every Z equation shares: where the sampled h already reach H
-    at Z = V the root lies below V, and at the lower limit of Z it is the
-    boundary verdict (Z = 0).  Terms with p(i)/Z << h(i)/H give the estimator
-    unbounded variance; that pathology is reported through the
+    1 / pi is convex and falls in lambda = N / Z, so the nonlinear equation
+    is the convex, decreasing rate equation
+
+        sum_S (h(i) / p(i)) h(lambda p(i)) - H lambda = 0
+
+    solved from sum_S (h / p) / H, left of the root since h >= 1.  Where
+    the sampled h already reach H, sum_S h / pi >= H at every Z, and a root
+    at or past the lower limit of Z is the boundary verdict (Z = 0).  The
+    cap on Z is relative to V + H.  Terms with p(i)/Z << h(i)/H give the
+    estimator unbounded variance; that pathology is reported through the
     variance_indicator diagnostic (min over S of (p(i)/h(i)) (H/Z)), not
     mitigated.
     """
     _require_observations(obs)
-    (p, v, e), n = _units(obs), obs.n
-    hv, H = _anchor(obs, h, H, e)
+    p, v, e, hv, H = _anchor(obs, h, H)
+    n = obs.n
     method = f"harmonic-mean-{mode}"
     diag: dict = {}
 
@@ -659,8 +635,13 @@ def harmonic_mean(obs: Observation, h: Mapping[int, float], H: float,
         ratio = denom / H  # N H can overflow; a ratio of 0 puts Z past it
         z = n / ratio if ratio > 0.0 else math.inf
     elif mode == "ipw_nonlinear":
-        over_pi = _over_pi(p, n, pi)
-        z = _solve_z(lambda z: H - float(np.add.reduce(over_pi(hv, z))), p, v, pi, diag)
+        if float(np.add.reduce(hv)) >= H:
+            diag.update(evals=0, iterations=0, reason=_BOUNDARY)
+            z = 0.0
+        else:
+            a, lam_max = hv / p, _rate_ceiling(p, n, v, pi)
+            z = _solve_rate(_rate_equation(_kernel(p, n, pi), a, -H),
+                            min(float(np.add.reduce(a)) / H, lam_max), n, v + H, diag, lam_max)
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
@@ -690,15 +671,15 @@ def mixture_estimate(obs: Observation, r_components, w, gamma: float,
     which is unbiased at the true Z for every gamma in [0, 1].  With
     gamma h <= p, which every mixture component satisfies, each term of
     (right side) / Z falls in Z, so the root is unique; since pi <= 1 and
-    H >= sum_S h it is never below V.  Under Poisson sampling it is solved
-    as the rate equation gamma H lambda + sum_S w(i) h(lambda p(i)) = N,
-    w = 1 - gamma h / p, by Newton's method, like ipw_poisson; under
-    fixed-n by the search from V.  gamma = 0 is the IPW estimator;
+    H >= sum_S h it is never below V.  It is solved as the rate equation
+    gamma H lambda + sum_S w(i) h(lambda p(i)) = N, w = 1 - gamma h / p,
+    by Newton's method, like IPW.  gamma = 0 is the IPW estimator;
     gamma = 1 is the known total H plus the IPW estimate of the remainder
     p - h.  The pure harmonic anchor H = sum_S h / pi(i; Z) is
     harmonic_mean(mode="ipw_nonlinear").  M = N has no finite root only
     where gamma sum_S h = 0.  Component totals are recovered by IPW,
-    R(j) = sum_S r(i, j) / pi(i; Z), plus the v-weighted form when
+    R(j) = sum_S r(i, j) / pi(i; Z) = sum_S (r(i, j) / p(i)) h(lambda p(i)) / lambda,
+    finite where 1 / pi is not, plus the v-weighted form when
     Rao-Blackwell weights are supplied.
     """
     _require_observations(obs)
@@ -711,13 +692,14 @@ def mixture_estimate(obs: Observation, r_components, w, gamma: float,
     # both checks are relative to p, so they hold alike at every scale
     if np.any(np.abs(r @ w - obs.p_obs) > 1e-9 * obs.p_obs):
         raise ValueError("inconsistent mixture decomposition: r @ w != p")
-    (p, v, e), n = _units(obs), obs.n
-    gh, c = np.zeros(obs.m), 0.0
     if gamma > 0.0:
-        hv, big_h = _anchor(obs, h, H, e)
+        p, v, e, hv, big_h = _anchor(obs, h, H)
         gh, c = gamma * hv, gamma * big_h
         if np.any(gh - p > 1e-9 * p):
             raise ValueError("gamma h exceeds p: the equation is not monotone")
+    else:
+        (p, v, e), gh, c = _units(obs), np.zeros(obs.m), 0.0
+    n = obs.n
 
     method = f"mixture-gamma-{gamma:g}"
     diag: dict = {"gamma": gamma}
@@ -729,8 +711,10 @@ def mixture_estimate(obs: Observation, r_components, w, gamma: float,
         z = _solve_ipw(obs, p, v, np.maximum(p - gh, 0.0), c, pi, diag)
     R, R_rb = np.full(len(w), math.inf), None
     if math.isfinite(z):
-        # r / pi and r / p Z are in the units of r: the scale cancels
-        R = _over_pi(p, n, pi)(r.T, z).sum(axis=1)
+        # r / pi = (r / p) h / lambda, in the units of r once scaled back
+        lam = n / z
+        h_root = _kernel(p, n, pi)(lam)[0]
+        R = np.ldexp((r.T / obs.p_obs) @ h_root / lam, e)
         if weights is not None:
             R_rb = np.asarray(r.T @ (weights.aligned(obs) / p)) * (z / n)
     return MixtureResult(_result(obs, method, diag, _unscale(z, e, diag)), R, R_rb)

@@ -62,6 +62,8 @@ RESIDUAL_TOL = 1e-8
 _ALPHA_SCAN = np.exp(np.linspace(-7.0, 9.0, 65))
 # the inner Newton solves in log rho and log b stop at this step
 _LOG_TOL = 1e-12
+# the verdict of every strategy where lambda passes the float range
+_OVERFLOW = ("lambda_overflow", "lambda = N / Z passes the float range")
 # strategy C's b is a normal float: log b lies in this range
 _LOG_B = np.log([np.finfo(float).tiny, np.finfo(float).max])
 
@@ -104,7 +106,8 @@ def mle_full(obs: Observation, stats: SummaryStats) -> MomentMatchResult:
     positive at the upper search bound is the maximum-at-infinity boundary
     verdict, and any other slope the maximum at alpha -> 0.  Proportional
     data (Delta_S = 0) is that boundary case by construction, so it is
-    decided up front rather than hunted numerically.  The diagnostic
+    decided up front rather than hunted numerically.  A stationary lambda
+    past the float range is the lambda_overflow verdict.  The diagnostic
     ``evals`` counts the scalar slope evaluations of the root finds.
     """
     if stats.is_proportional:
@@ -118,6 +121,8 @@ def mle_full(obs: Observation, stats: SummaryStats) -> MomentMatchResult:
                         "reason": best.reason})
     alpha = best.alpha
     b, lam = stationary_b_lambda(stats, alpha)
+    if not math.isfinite(lam):
+        return _no_params("MLE", stats, {"evals": best.evals}, *_OVERFLOW)
     slope = float(dlog_dalpha("L11", stats, alpha))
     residuals = [slope * alpha / max(1.0, abs(best.value))]
     return _result("MLE", stats, ModelParams(alpha, b, lam), residuals,
@@ -190,7 +195,7 @@ def _no_params(strategy: str, stats: SummaryStats, diag: dict, status: str = "no
                reason: str = "the U residual does not change sign on the alpha scan "
                f"[{_ALPHA_SCAN[0]:.4g}, {_ALPHA_SCAN[-1]:.4g}]") -> MomentMatchResult:
     diag.update(status=status, reason=reason)
-    return _result(strategy, stats, None, [math.nan] * 3, diag)
+    return _result(strategy, stats, None, [math.nan] * (1 if strategy == "MLE" else 3), diag)
 
 
 def _fit(strategy: str, stats: SummaryStats, values: np.ndarray, pin, expect_u,
@@ -203,7 +208,8 @@ def _fit(strategy: str, stats: SummaryStats, values: np.ndarray, pin, expect_u,
     its roots refined (_match_outer_alpha).  At the chosen alpha the
     parameters are (alpha, b, rho b), or ``lam`` where lambda is fixed, and
     the residuals are those of the N, U and V equations relative to the
-    observed values."""
+    observed values.  A fitted lambda past the float range gets strategy
+    C's lambda_overflow verdict, without parameters."""
     def u_residual(alpha: np.ndarray) -> np.ndarray:
         diag["evals"] += 1
         b, rho = pin(alpha)
@@ -220,6 +226,8 @@ def _fit(strategy: str, stats: SummaryStats, values: np.ndarray, pin, expect_u,
     if lam <= 0:
         return _no_params(strategy, stats, diag, "lambda_zero",
                           "all sampled points are singletons")
+    if not math.isfinite(lam):
+        return _no_params(strategy, stats, diag, *_OVERFLOW)
     params = ModelParams(alpha, b, lam)
     one, rho = np.array([alpha]), np.array([lam / b])
     eu, x = expect_u(one, rho)
@@ -242,7 +250,9 @@ def match_A(obs: Observation, stats: SummaryStats) -> MomentMatchResult:
 
     def pin(alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         rho = stats.N / alpha
-        return _prior_n_v(values, counts, alpha, rho)[1] / stats.V, rho
+        # b is +inf where it passes the float range, as in strategy B
+        with np.errstate(over="ignore"):
+            return _prior_n_v(values, counts, alpha, rho)[1] / stats.V, rho
 
     return _fit("A", stats, values, pin, partial(_prior_u, values, counts),
                 partial(_prior_n_v, values, counts), {"evals": 0})
@@ -321,8 +331,7 @@ def match_C(obs: Observation, stats: SummaryStats) -> MomentMatchResult:
         return _no_params("C", stats, diag, "lambda_zero",
                           "all sampled points are singletons")
     if lam == math.inf:
-        return _no_params("C", stats, diag, "lambda_overflow",
-                          "lambda = N / Z passes the float range")
+        return _no_params("C", stats, diag, *_OVERFLOW)
     values, counts = stats.x_values, stats.x_counts
 
     def pin(alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -69,8 +69,8 @@ class TestEstimate:
 
     @pytest.mark.parametrize("method", ["ipw-poisson", "rb-poisson", "hm"])
     def test_solver_work_reported(self, capsys, tmp_path, method):
-        # bracket doubling, root find and residual check; the bisecting
-        # root finder this replaced spent about 35 evaluations per root
+        # Newton steps in the rate and the residual check; the bisecting
+        # root finder of an earlier design spent about 35 evaluations per root
         path = fixture_path("regular_large.json")
         anchor = []
         if method == "hm":

@@ -124,10 +124,10 @@ class TestIpw:
         assert ipw_poisson(obs).value == pytest.approx(oracle, rel=1e-8)
 
     def test_scale_equivariance(self, rng):
-        # every search limit is relative to V, so rescaling p rescales Z and
-        # keeps the verdict and the solver work; scaling by a power of two
-        # is exact, while any other factor rounds p, which can move Brent's
-        # last iterate onto or off an exact zero of the residual
+        # every start and limit of a rate solve is relative to V, so
+        # rescaling p rescales Z and keeps the verdict and the solver work;
+        # scaling by a power of two is exact, while any other factor rounds
+        # p, which can move the last Newton iterate onto or off the stop
         for _ in range(5):
             obs = random_observation(rng, extra_counts=4)
             base = z_equations(obs)
@@ -141,19 +141,20 @@ class TestIpw:
                     gap = abs(res.diagnostics["evals"] - ref.diagnostics["evals"])
                     assert gap <= (0 if exact else 1), name
         # h = 0 on the sample: the harmonic equation has no root, and the
-        # search gives up at the same multiple of V at every scale
+        # verdict and the work done to reach it are the same at every scale
+        evals = set()
         for k in (1e-30, 1.0, 1e30):
             obs = make_obs([k, 2.0 * k, 3.0 * k], [2, 1, 3])
             res = harmonic_mean(obs, {0: 0.0, 1: 0.0, 2: 0.0}, k, mode="ipw_nonlinear")
             assert res.value == math.inf
             assert res.diagnostics["reason"] == "no finite solution"
-            assert res.diagnostics["evals"] == 60
+            evals.add(res.diagnostics["evals"])
+        assert len(evals) == 1
 
     @pytest.mark.filterwarnings("error")
     def test_root_past_the_float_range(self):
-        # Z = 6.6 s passes the largest double at s = 3e307, so the Poisson
-        # rate solve gives the verdict the search from V gives where
-        # doubling Z leaves the float range
+        # Z = 6.6 s passes the largest double at s = 3e307, so the rate
+        # solve falls below its floor: the no-finite-solution verdict
         obs = make_obs([3e307, 3e307, 3e307], [1, 1, 2])
         r = obs.p_obs.reshape(-1, 1)
         for res in (ipw_poisson(obs), good_turing_rb(obs),
@@ -313,6 +314,49 @@ class TestRbExact:
         assert np.all(np.abs(approx / exact - 1.0) < 0.02)
 
 
+def units_exponent(obs):
+    """e of the units every Z equation runs in: the binary exponent of V
+    where V is below 2^-900, else 0."""
+    return math.frexp(obs.v)[1] if obs.v < 2.0 ** -900 else 0
+
+
+# the most evaluations a rate solve took on test_newton_reaches_every_root's
+# draws, over both forms
+EVAL_BOUND = {"ipw": 6, "mixture": 6, "rb-z-V": 6, "rb-z-M": 6, "hm": 4}
+
+
+def rate_equations(obs, form):
+    """Every Z equation on obs under form, with the terms of its rate
+    equation at a rate lambda in the units of _units: IPW, the gamma = 0.5
+    mixture (h = 0.4 p, H = 0.6 V), both Rao-Blackwellized variants with
+    the saddle-point weights, and the nonlinear harmonic mean (h = p / 4,
+    H = V)."""
+    e = units_exponent(obs)
+    p, v, n = np.ldexp(obs.p_obs, -e), math.ldexp(obs.v, -e), obs.n
+    saddle = rb_poisson_weights(obs).aligned(obs)
+    anchor = {int(i): 0.4 * float(x) for i, x in zip(obs.indices, obs.p_obs)}
+    quarter = {int(i): 0.25 * float(x) for i, x in zip(obs.indices, obs.p_obs)}
+    r = np.column_stack([0.4 * obs.p_obs, 0.6 * obs.p_obs])
+    q, c = p - 0.5 * np.ldexp(0.4 * obs.p_obs, -e), 0.5 * math.ldexp(0.6 * obs.v, -e)
+
+    def h(lam):
+        return reference_h(p, n, lam, form)[0]
+
+    return {
+        "ipw": ((ipw_poisson if form == "poisson" else ipw_fixed_n)(obs),
+                lambda lam: [*(h(lam)), -n]),
+        "mixture": (mixture_estimate(obs, r, [1.0, 1.0], 0.5, h=anchor, H=0.6 * obs.v,
+                                     pi=form).z,
+                    lambda lam: [c * lam, *(q / p * h(lam)), -n]),
+        "rb-z-V": (rb_z_equation(obs, rb_poisson_weights(obs), "V_over_Z", form),
+                   lambda lam: [v, *(-saddle * p / h(lam))]),
+        "rb-z-M": (rb_z_equation(obs, rb_poisson_weights(obs), "M_over_Z", form),
+                   lambda lam: [obs.m, *(-saddle / h(lam))]),
+        "hm": (harmonic_mean(obs, quarter, obs.v, "ipw_nonlinear", pi=form),
+               lambda lam: [-v * lam, *(np.ldexp(0.25 * obs.p_obs, -e) / p * h(lam))]),
+    }
+
+
 class TestRbPoissonLambda:
     def test_single_point(self):
         lam = rb_poisson_lambda(make_obs([1.0], [2]))
@@ -346,6 +390,23 @@ class TestRbPoissonLambda:
                 obs.n, rel=1e-9)
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(obs=spread_observations(), form=hs.sampled_from(["poisson", "fixed-n"]))
+    def test_newton_reaches_every_root(self, obs, form):
+        # every Z equation is one Newton solve in the rate, without a
+        # bracket, on masses over the float range: its rate equation, summed
+        # exactly at lambda = N / Z, vanishes to 1e-12 of its largest terms,
+        # within EVAL_BOUND evaluations (the most seen on these draws)
+        for name, (res, terms) in rate_equations(obs, form).items():
+            reason = res.diagnostics.get("reason")
+            if reason is not None:
+                assert reason in (estimators._SINGLETONS, estimators._BOUNDARY), name
+                continue
+            assert res.diagnostics["evals"] <= EVAL_BOUND[name], (name, res.diagnostics)
+            lam = obs.n / math.ldexp(res.value, -units_exponent(obs))
+            parts = terms(lam)
+            assert abs(math.fsum(parts)) <= 1e-12 * math.fsum(np.abs(parts)), name
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(obs=spread_observations())
     def test_newton_reaches_the_saddle_point(self, obs):
         # the rate solve needs no bracket and ends within six evaluations at
@@ -361,8 +422,8 @@ class TestRbPoissonLambda:
     @pytest.mark.parametrize("seed", range(4))
     def test_rb_z_equation_shares_the_ipw_root(self, seed):
         # at Z = N / lambda, sum_S v pi = sum_S lambda p = lambda V for the
-        # saddle-point weights, so the V / Z equation's root, found by the
-        # search from V, is the rate solve's
+        # saddle-point weights, so the V / Z equation's root, found from
+        # N / V, is the one the IPW solve finds from the Good-Turing rate
         rng = np.random.default_rng(seed)
         draws = [random_observation(rng, extra_counts=int(rng.integers(1, 10)))
                  for _ in range(20)]
@@ -589,8 +650,8 @@ class TestHarmonicMean:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("scale", [1.0, 1e295, 1e300])
     def test_no_finite_solution_near_the_float_limit(self, scale):
-        # h = 0 on the sample: Z doubles from V without a root, and the
-        # verdict comes before Z, or the cap times V, overflows
+        # h = 0 on the sample: the rate equation's only root is lambda = 0,
+        # and the verdict comes without forming Z, or the cap times V + H
         obs = make_obs([scale, 2.0 * scale, 3.0 * scale], [2, 1, 3])
         res = harmonic_mean(obs, {0: 0.0, 1: 0.0, 2: 0.0}, 1e295, mode="ipw_nonlinear")
         assert res.value == math.inf
@@ -754,9 +815,10 @@ class TestMixture:
 
 @pytest.mark.filterwarnings("error")
 def test_poisson_estimates_scale_to_the_float_limit():
-    # N p overflows at s = 1e307 (6 * 3e307); every Poisson form works on
-    # lambda p = p (N / Z), which stays in range, so Z / s does not move.
-    # Every root lies below 9 s, within the float range at s = 1e307.
+    # N p overflows at s = 1e307 (6 * 3e307); every form, Poisson and
+    # fixed-n, works on lambda p = p (N / Z), which stays in range, so Z / s
+    # does not move.  Every root lies below 9 s, within the float range at
+    # s = 1e307.
     def estimates(s):
         obs = make_obs([s, 2.0 * s, 3.0 * s], [2, 2, 2])
         p, v = obs.p_obs, obs.v
@@ -775,6 +837,14 @@ def test_poisson_estimates_scale_to_the_float_limit():
             "mixture-0": mixture_estimate(obs, r, [1.0, 1.0], 0.0).z.value / s,
             "mixture-0.5": mixture_estimate(obs, r, [1.0, 1.0], 0.5, h=anchor,
                                             H=v).z.value / s,
+            "ipw-fixed-n": ipw_fixed_n(obs).value / s,
+            "mixture-fixed-n": mixture_estimate(obs, r, [1.0, 1.0], 0.5, h=anchor, H=v,
+                                                pi="fixed-n").z.value / s,
+            **{f"rb-z-{variant} fixed-n": rb_z_equation(obs, rb_exact(obs), variant,
+                                                        "fixed-n").value / s
+               for variant in ("V_over_Z", "M_over_Z")},
+            "hm fixed-n": harmonic_mean(obs, anchor, v, "ipw_nonlinear",
+                                        pi="fixed-n").value / s,
         }
 
     base = estimates(1.0)
@@ -784,15 +854,34 @@ def test_poisson_estimates_scale_to_the_float_limit():
             assert value == pytest.approx(base[name], rel=1e-12), (name, s)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("pi", ["poisson", "fixed-n"])
+def test_an_anchor_past_the_float_range_from_v_stays_finite(pi):
+    # H / V = 1.7e309 passes the largest double, so no power of two puts
+    # both near 1; the scale keeps H finite, and Z, far above V, is in
+    # range.  Every lambda p underflows at the root, where pi = lambda p.
+    obs = make_obs(1e-280 * np.array([1.0, 2.0, 3.0]), [2, 2, 2])
+    p, big_h = obs.p_obs, 1e30
+    h, half = dict(enumerate(p)), dict(enumerate(p / 2))
+    # N H / sum_S c h / p, and N H / M where every pi takes its small-rate limit
+    assert harmonic_mean(obs, h, big_h, "classic", pi=pi).value == pytest.approx(
+        big_h, rel=1e-12)
+    assert harmonic_mean(obs, h, big_h, "ipw_nonlinear", pi=pi).value == pytest.approx(
+        obs.n * big_h / obs.m, rel=1e-12)
+    # gamma = 1: Z = H + sum_S (p / 2) / pi = H + Z M / (2 N)
+    mix = mixture_estimate(obs, p.reshape(-1, 1), [1.0], 1.0, h=half, H=big_h, pi=pi)
+    assert mix.z.value == pytest.approx(big_h / (1.0 - obs.m / (2.0 * obs.n)), rel=1e-12)
+    assert mix.R[0] == pytest.approx(2.0 * (mix.z.value - big_h), rel=1e-12)
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("s, count", [(1e-300, 2), (1e-306, 400), (1e-309, 2), (1e-288, 2),
                                       (1e-304, 2), (1e-306, 2), (1e-307, 2), (1e-308, 2)])
 def test_poisson_estimates_scale_to_the_smallest_masses(s, count):
     # N / V passes the float range at s = 1e-306 with counts 400 (N / V =
-    # 2e308) and at s = 1e-309 (subnormal masses), and below V = 1e-300
-    # Brent's stopping width turns absolute; every equation, Poisson and
-    # fixed-n, runs on masses scaled by a power of two where V < 2^-900,
-    # and lambda p is formed from the rate in those units
+    # 2e308) and at s = 1e-309 (subnormal masses); every equation, Poisson
+    # and fixed-n, runs on masses scaled by a power of two where
+    # V < 2^-900, and lambda p is formed from the rate in those units
     def estimates(s):
         obs = make_obs([s, 2.0 * s, 3.0 * s], [count] * 3)
         p, v = obs.p_obs, obs.v
@@ -958,26 +1047,36 @@ def test_solved_roots_have_tiny_residuals(rng):
             assert abs(res.diagnostics["residual"]) <= 1e-8 * scales[name], name
 
 
-def reference_over_pi(p, n, form):
-    """q / pi(i; Z) on inclusion_probability, with its small-rate limit
-    q Z / (N p) where pi underflows: the residuals' reference."""
-    def over_pi(q, z):
-        incl = inclusion_probability(p, n, z, form)
-        if incl[p.argmin()] >= np.finfo(float).tiny:
-            return q / incl
-        return np.divide(q, incl, out=q / p * (z / n), where=incl >= np.finfo(float).tiny)
-    return over_pi
-
-
-def reference_rate(p, n, w, c):
-    """G(lambda) = c lambda + sum_S w h(lambda p) - N and lambda G'(lambda),
-    with h(mu) = mu / (1 - e^-mu) as in _ztp_mean and mu h'(mu) =
-    h - h (h - mu): the rate equations' reference."""
-    def rate(lam):
-        mu = np.maximum(lam * p, np.finfo(float).tiny)
+def reference_h(p, n, lam, form):
+    """h(mu) = mu / pi(mu) and s = 1 - mu h'(mu) / h at mu = lambda p, with
+    h's limit 1 where lambda p underflows: for Poisson sampling _ztp_mean's
+    formula and s = h - mu, under fixed-n from t = 1 - mu / N, kept below
+    1, and s = h t^(N - 1)."""
+    tiny = np.finfo(float).tiny
+    if form == "poisson":
+        mu = np.maximum(lam * p, tiny)
         h = mu / -np.expm1(-mu)
-        total = c * lam + float(np.dot(w, h))
-        return total - n, total - float(np.dot(w, h * (h - mu)))
+        return h, h - mu
+    x = np.clip(p * (lam / n), tiny, 1.0 - 2.0 ** -53)
+    log_t = np.log1p(-x)
+    h = n * x / -np.expm1(n * log_t)
+    return h, np.exp((n - 1) * log_t) * h
+
+
+def reference_rate(p, n, form, w, c, target=0.0, per_mass=False):
+    """G(lambda) = c lambda + sum_S w f(lambda p) - target, lambda G'(lambda)
+    and their difference, with f = h, or per mass pi / p = lambda / h, from
+    reference_h and d = h - mu h' = h s: the rate equations' reference."""
+    def rate(lam):
+        h, s = reference_h(p, n, lam, form)
+        if per_mass:
+            w_inv, w_d = float(np.dot(w, 1.0 / h)), float(np.dot(w, s * (1.0 / h)))
+            return (lam * (c + w_inv) - target, lam * (c + w_d),
+                    target + lam * (w_d - w_inv))
+        d = s * h
+        total, wd = c * lam + float(np.dot(w, h)), float(np.dot(w, d))
+        slope = total - wd if c >= 0.0 else c * lam + float(np.dot(w, h - d))
+        return total - target, slope, target - wd
     return rate
 
 
@@ -986,12 +1085,11 @@ SMALL_V_OBS = make_obs([1e-300, 3e-305, 2e-309], [2, 1, 3])
 
 
 class TestLeanResidual:
-    """Each Z equation's residual, as handed to its solver, equals one built
-    on inclusion_probability or, for the Poisson IPW and mixture rate
-    equations, on _ztp_mean's formula, bit for bit, on the masses and Z the
-    solve runs on: scaled by 2^-e, e the binary exponent of V, where V is
-    below 2^-900, with the anchors scaled alike.  And the sample lookups
-    equal the comprehensions they replace, errors included."""
+    """Each Z equation's rate map, as handed to _solve_rate, equals one
+    built on reference_h, bit for bit, on the masses and rates the solve
+    runs on: scaled by 2^-e, e the binary exponent of V, where V is below
+    2^-900, with the anchors scaled alike.  And the sample lookups equal
+    the comprehensions they replace, errors included."""
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(obs=spread_observations(), form=hs.sampled_from(["poisson", "fixed-n"]),
@@ -1005,7 +1103,6 @@ class TestLeanResidual:
             return np.ldexp(x, -e)
 
         p, v, n, m = scaled(obs.p_obs), float(scaled(obs.v)), obs.n, obs.m
-        over_pi = reference_over_pi(p, n, form)
         saddle = rb_poisson_weights(obs)
         w = saddle.aligned(obs)
         quarter = {int(i): 0.25 * float(x) for i, x in zip(obs.indices, obs.p_obs)}
@@ -1014,48 +1111,39 @@ class TestLeanResidual:
         big_h = 0.6 * obs.v
         q_mix = np.maximum(p - gamma * scaled(0.4 * obs.p_obs), 0.0)
         c_mix = gamma * float(scaled(big_h))
-        rate = form == "poisson"
         cases = {
             "ipw": (lambda: estimators._ipw(obs, form),
-                    reference_rate(p, n, p / p, 0.0) if rate else
-                    lambda z: float(over_pi(p, z).sum()) - z),
+                    reference_rate(p, n, form, p / p, 0.0, n)),
             "mixture": (lambda: mixture_estimate(obs, r, [1.0, 1.0], gamma, h=anchor,
                                                  H=big_h, pi=form),
-                        reference_rate(p, n, q_mix / p, c_mix) if rate else
-                        lambda z: c_mix + float(over_pi(q_mix, z).sum()) - z),
+                        reference_rate(p, n, form, q_mix / p, c_mix, n)),
             "rb-z-V": (lambda: rb_z_equation(obs, saddle, "V_over_Z", form),
-                       lambda z: v - float(z / n * np.dot(
-                           w, inclusion_probability(p, n, z, form)))),
+                       reference_rate(p, n, form, -w * p, v, per_mass=True)),
             "rb-z-M": (lambda: rb_z_equation(obs, saddle, "M_over_Z", form),
-                       lambda z: m - float(z / n * np.dot(w, 1.0 / over_pi(p, z)))),
+                       reference_rate(p, n, form, -w, m, per_mass=True)),
             "hm": (lambda: harmonic_mean(obs, quarter, obs.v, "ipw_nonlinear", pi=form),
-                   lambda z: v - float(over_pi(scaled(0.25 * obs.p_obs), z).sum())),
+                   reference_rate(p, n, form, scaled(0.25 * obs.p_obs) / p, -v)),
         }
-        # V, both lower limits of the search and points up to 1e18 V, the
-        # cap, where every pi has underflowed for a wide enough spread
+        # the rates of Z from V to 1e18 V, the cap, where every pi has
+        # underflowed for a wide enough spread, and of both lower limits of
+        # Z, within mu <= N under fixed-n
         zs = [v, v * 1e-12, max(float(p.max()) * (1 + 1e-12), v * 1e-12), 1.5 * v]
-        zs += [v * 10.0 ** e for e in (1, 3, 6, 12, 18)]
-        zs = [z for z in zs if math.isfinite(z) and (form == "poisson" or z > p.max())]
-        # the rates of those Z, from the cap to the lower limit
-        lams = [n / z for z in zs]
+        zs += [v * 10.0 ** k for k in (1, 3, 6, 12, 18)]
+        lams = [n / z for z in zs if math.isfinite(z) and (form == "poisson" or z >= p.max())]
         for name, (estimate, reference) in cases.items():
-            captured = {"_solve_z": [], "_solve_rate": []}
+            found = []
             with pytest.MonkeyPatch.context() as patch:
-                for solver, found in captured.items():
-                    def capture(f, *args, solve=getattr(estimators, solver), found=found):
-                        found.append(f)
-                        return solve(f, *args)
+                def capture(f, *args, solve=estimators._solve_rate):
+                    found.append(f)
+                    return solve(f, *args)
 
-                    patch.setattr(estimators, solver, capture)
+                patch.setattr(estimators, "_solve_rate", capture)
                 estimate()
-            by_rate = rate and name in ("ipw", "mixture")
-            used, unused = ("_solve_rate", "_solve_z") if by_rate else ("_solve_z", "_solve_rate")
-            assert len(captured[used]) == (0 if m == n and name in ("ipw", "rb-z-V", "rb-z-M")
-                                           else 1), name
-            assert not captured[unused], name
-            for f in captured[used]:
-                for x in lams if by_rate else zs:
-                    assert f(x) == reference(x), (name, x)
+            assert len(found) == (0 if m == n and name in ("ipw", "rb-z-V", "rb-z-M")
+                                  else 1), name
+            for f in found:
+                for lam in lams:
+                    assert f(lam) == reference(lam), (name, lam)
 
     def test_lookups_equal_the_comprehensions(self):
         obs = Observation(domain_size=8, x=np.full(8, 0.125), indices=[1, 4, 6],
@@ -1088,9 +1176,40 @@ class TestLeanResidual:
                    {1: 0.1, 4: -0.2, 6: 0.3}, {1: 0.1, 4: math.inf, 6: 0.3}]
         for anchor in anchors:
             want = outcome(lambda: old_anchor(anchor))
-            assert outcome(lambda: estimators._anchor(obs, anchor, 1.0, 0)[0].tolist()) == want
-        assert outcome(lambda: estimators._anchor(obs, anchors[4], 1.0, 0)) == (
+            assert outcome(lambda: estimators._anchor(obs, anchor, 1.0)[3].tolist()) == want
+        assert outcome(lambda: estimators._anchor(obs, anchors[4], 1.0)) == (
             ValueError, "h must be finite and nonnegative")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(n=hs.integers(1, 10 ** 6), x=hs.floats(1e-12, 1.0))
+@example(n=1, x=1.0)
+@example(n=10 ** 6, x=1.0)
+def test_fixed_n_kernel_is_increasing_and_convex(n, x):
+    # h_N(mu) = mu / (1 - (1 - mu/N)^N) on 0 < mu <= N is increasing and
+    # convex, and d = h - mu h' >= 0: at 40 digits these hold, and
+    # the float kernel matches to 1e-12 and keeps them to 4e-15 relative
+    def exact(mu):
+        return mu / (1 - (1 - mu / n) ** n)
+
+    mu = n * x
+    with mpmath.workdps(40):
+        m = mpmath.mpf(mu)
+        value, slope, curve = (mpmath.diff(exact, m, k) if m < n else
+                               mpmath.diff(exact, m, k, direction=-1) for k in range(3))
+        # to the 40-digit noise of the numerical derivatives
+        noise = mpmath.mpf(10) ** -30 * value
+        assert slope >= -noise and curve >= -noise and value - m * slope >= -noise
+    delta = 1e-3 * min(mu, n - mu) if mu < n else 1e-3 * mu
+    mus = np.array([mu - delta, mu, mu + delta] if mu < n else [mu - 2 * delta, mu - delta, mu])
+    h, s = (k.copy() for k in estimators._kernel(mus, n, "fixed-n")(1.0))
+    d = h * s
+    k = 1 if mu < n else 2
+    assert h[k] == pytest.approx(float(value), rel=1e-12)
+    assert d[k] == pytest.approx(float(value - m * slope), rel=1e-9, abs=1e-12 * float(value))
+    assert np.all(np.diff(h) >= -4e-15 * h[1:])
+    assert h[0] + h[2] - 2.0 * h[1] >= -4e-15 * h[1]
+    assert np.all(d >= 0.0) and np.all(d <= h * (1 + 4e-15))
 
 
 def test_inclusion_probability_forms():

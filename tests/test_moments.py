@@ -465,3 +465,16 @@ def test_scale_equivariance_at_the_float_extremes(strategy, count, scales):
         assert res.params.alpha == pytest.approx(base.params.alpha, rel=1e-9), s
         assert res.params.b * s == pytest.approx(base.params.b, rel=1e-9), s
         assert res.params.lam * s == pytest.approx(base.params.lam, rel=1e-9), s
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("strategy", ["A", "B", "C", "MLE"])
+def test_a_rate_past_the_float_range_is_one_verdict(strategy):
+    # p = 1e-306 (1, 2, 3) with counts 400 puts N / V = 2e308 past the
+    # largest double: every strategy answers as C does, without parameters
+    obs = Observation(domain_size=5, x=np.full(5, 0.2), indices=np.arange(3),
+                      p_obs=1e-306 * np.array([1.0, 2.0, 3.0]), counts=[400] * 3)
+    res = moment_match(obs, summarize(obs), strategy)
+    assert res.params is None and res.w_dist is None and not res.ok
+    assert res.diagnostics["status"] == "lambda_overflow"
+    assert res.diagnostics["reason"] == "lambda = N / Z passes the float range"
