@@ -110,14 +110,29 @@ class RBWeights:
     """Expected counts v(i) given (S, p on S, N), concentrated on S.
 
     ``log_f_n`` is the log of the truncated multinomial normalizer; None
-    for the Poisson approximation, which does not fix N.
+    for the Poisson approximation, which does not fix N.  Weights computed
+    from an observation keep it as ``obs``, their values as an array over
+    its S (``values``) and the rate lambda their tilt used, in the units of
+    _units (``rate``; None where no tilt was needed).
     """
 
     v: dict[int, float]
     log_f_n: float | None = None
+    obs: Observation | None = field(default=None, repr=False)
+    values: np.ndarray | None = field(default=None, repr=False)
+    rate: float | None = None
+
+    @classmethod
+    def of(cls, obs: Observation, values: np.ndarray, log_f_n: float | None = None,
+           rate: float | None = None) -> RBWeights:
+        """The weights ``values`` over the sample of ``obs``."""
+        values = np.array(values, dtype=float)
+        values.setflags(write=False)
+        return cls(dict(zip(obs.indices.tolist(), values.tolist())), log_f_n, obs, values, rate)
 
     def aligned(self, obs: Observation) -> np.ndarray:
-        return _lookup(self.v, obs)
+        """v at the sampled indices of obs, in its order."""
+        return self.values if obs is self.obs else _lookup(self.v, obs)
 
 
 def _lookup(m: Mapping[int, float], obs: Observation) -> np.ndarray:
@@ -407,10 +422,9 @@ def rb_exact(obs: Observation) -> RBWeights:
     p = obs.p_obs
     log_n_fact = log_gamma(float(n + 1))
     if m == n:
-        return RBWeights(v=dict.fromkeys(obs.indices.tolist(), 1.0),
-                         log_f_n=float(log_n_fact + np.sum(np.log(p))))
+        return RBWeights.of(obs, np.ones(m), float(log_n_fact + np.sum(np.log(p))))
     if m == 1:
-        return RBWeights(v={int(obs.indices[0]): float(n)}, log_f_n=n * math.log(p[0]))
+        return RBWeights.of(obs, [float(n)], n * math.log(p[0]))
     _, lam, p_scaled, e = _poisson_rate(obs)
     mu = lam * p_scaled
     size, half, cols = 2 * n + 64, n + 32, max(1, _BLOCK_ELEMS // m)
@@ -444,7 +458,7 @@ def rb_exact(obs: Observation) -> RBWeights:
     log_f_n = (log_n_fact + (m - n) * (math.log(lam) - e * math.log(2.0))
                + math.log(total / size)
                + float(np.sum(np.log(p) + mu - np.log(ztp))))
-    return RBWeights(v=dict(zip(obs.indices.tolist(), vals.tolist())), log_f_n=log_f_n)
+    return RBWeights.of(obs, vals, log_f_n, lam)
 
 
 def rb_poisson_lambda(obs: Observation) -> float:
@@ -463,11 +477,9 @@ def rb_poisson_weights(obs: Observation) -> RBWeights:
     """Saddle-point approximation v(i) = lambda p(i) / (1 - exp(-lambda p(i))),
     with v = N exactly, the identity lambda solves, for a single point."""
     if obs.m == 1:
-        vals = [float(obs.n)]
-    else:
-        _, lam, p, _ = _poisson_rate(obs)
-        vals = _ztp_mean(lam * p).tolist()
-    return RBWeights(v=dict(zip(obs.indices.tolist(), vals)))
+        return RBWeights.of(obs, [float(obs.n)])
+    _, lam, p, _ = _poisson_rate(obs)
+    return RBWeights.of(obs, _ztp_mean(lam * p), rate=lam)
 
 
 def rb_z_equation(obs: Observation, weights: RBWeights,
@@ -487,7 +499,16 @@ def rb_z_equation(obs: Observation, weights: RBWeights,
     Rao-Blackwell weights).  It is solved from N / V, right of the root
     unless the root's Z lies below V; there the solve starts from the
     lower limit of Z instead, and a root past it is the boundary verdict.
-    M = N leaves the equations uninformative (+inf).
+    Weights computed from ``obs`` itself are read as their array, and under
+    the Poisson form the solve starts from the rate of their tilt: for the
+    saddle-point weights v = lambda p / pi(lambda p) that rate is the root
+    of both variants (sum_S v pi = lambda V, sum_S (v / p) pi = lambda M),
+    and the exact weights, tilted at the same rate, have their root next to
+    it.  The fixed-n form keeps N / V: its pi is at least the Poisson one,
+    so for saddle-point weights the tilt's rate lies at or left of its
+    root, where the equation can still fall and Newton's method would first
+    jump to the lower limit of Z.  M = N leaves the equations uninformative
+    (+inf).
     """
     if variant not in ("V_over_Z", "M_over_Z"):
         raise ValueError(f"unknown variant {variant!r}")
@@ -500,7 +521,10 @@ def rb_z_equation(obs: Observation, weights: RBWeights,
     w = weights.aligned(obs)
     w, c = (-w * p, v) if variant == "V_over_Z" else (-w, obs.m)
     diag: dict = {}
-    z = _solve_rate(_rate_equation(_kernel(p, n, pi), w, c, per_mass=True), n / v, n, v,
+    start = n / v
+    if pi == "poisson" and weights.obs is obs and weights.rate is not None:
+        start = weights.rate
+    z = _solve_rate(_rate_equation(_kernel(p, n, pi), w, c, per_mass=True), start, n, v,
                     diag, _rate_ceiling(p, n, v, pi))
     # the M / Z residual counts points, which the scale leaves alone
     return _result(obs, method, diag,

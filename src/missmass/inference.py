@@ -47,6 +47,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
+from scipy.special import betainc, expit
 
 from .data import Observation, SummaryStats
 from .distributions import VIEWS, LawView, LogScaleDist, PointMass, _BetaAtoms
@@ -87,16 +88,24 @@ _PROFILE_T_TOL = 1e-6
 _PANEL_TOL = 1e-10
 _PANEL_ROUNDS = 8
 
-# Bayes alpha nodes: keep the window where log L5 on the scan grid is
-# within _WINDOW_NATS of its maximum, cover it with BAYES_PANELS
-# Gauss-Legendre panels of _PANEL_NODES nodes (the checks on the window are
-# in _alpha_window_nodes)
+# Bayes alpha nodes: the window in t = log alpha where log L5 is within
+# _WINDOW_NATS of its maximum, walked on the scan grid outward from the
+# maximum in blocks of _FIRST_BLOCK, twice that, ... points a side; on it the
+# trapezoidal rule from _FIRST_NODES nodes, doubled up to BAYES_NODES until a
+# doubling moves the log evidence, the W/Z mean (relative) and the CDF at the
+# _PROBE_SDS probes by less than _GATE_MOVE (the checks on the window are in
+# _alpha_window)
 _WINDOW_NATS = 40.0
-BAYES_PANELS = 16
-_PANEL_NODES = 16
+_FIRST_BLOCK = 2
+_FIRST_NODES = 16
+BAYES_NODES = 256
+_GATE_MOVE = 1e-8
+_PROBE_SDS = np.array([-2.0, 0.0, 2.0])
 _TAIL_SHARE = 1e-12
 _JITTER_STEP = 1e-10
 _JITTER_NATS = 1.0
+_NO_DECAY = ("L5 does not decay inside the log-alpha window "
+             f"{ALPHA_T_BOUNDS}: the sample is too close to proportional")
 
 
 @dataclass(frozen=True)
@@ -243,38 +252,60 @@ def infer_mixed(obs: Observation, stats: SummaryStats,
                        stats, alpha, diag)
 
 
-def _alpha_window_nodes(stats: SummaryStats, best: AlphaMaximum
-                        ) -> tuple[np.ndarray, np.ndarray, float]:
-    """Node set of the Bayes alpha integral: (alpha_j, weights, log evidence).
+def _walk(stats: SummaryStats, order: range, level: float, monotone: np.ndarray
+          ) -> list[tuple[float, float]]:
+    """(t, log L5) at the scan-grid points ``order``, outward from the
+    maximum, up to the first below ``level`` from which ``monotone`` says L5
+    falls on outward to the grid's end: every point above the level on that
+    side is among them.  Evaluated in blocks of _FIRST_BLOCK, twice that,
+    ... points."""
+    walked, start, size = [], 0, _FIRST_BLOCK
+    while start < len(order):
+        block = np.array(order[start:start + size])
+        values = log_L5(stats, _SLOPE_SCAN_ALPHA[block])
+        walked += zip(_SLOPE_SCAN_T[block].tolist(), values.tolist())
+        done = np.nonzero((values < level) & monotone[block])[0]
+        if len(done):
+            return walked[:start + done[0] + 1]
+        start, size = start + size, 2 * size
+    return walked
 
-    The window in t = log alpha is where log L5 lies within _WINDOW_NATS of
-    its maximum ``best``; root finds bracketed by the scan grid place its
-    ends, and BAYES_PANELS Gauss-Legendre panels of _PANEL_NODES nodes
-    cover it.  The 1/alpha prior is the flat measure in t, so the weights
-    are L5(alpha_j) times the node weights, normalized; the log of their
-    sum is the evidence.  The call fails with a stated reason when the
-    maximum is not interior or the window reaches the upper end of the
-    grid (L5 has not decayed there); when log L5 in the window moves by
-    more than _JITTER_NATS under a relative alpha step of _JITTER_STEP
-    (near-proportional samples put the window at alpha so large that log
-    L5 is rounding noise); or when L5 at the lower end exceeds _TAIL_SHARE
-    of the evidence: below that end L5 falls as alpha^(M-1), M >= 2, so
-    the tail it drops is smaller still.
+
+def _alpha_window(stats: SummaryStats, best: AlphaMaximum, slopes: np.ndarray
+                  ) -> tuple[float, float, float]:
+    """The Bayes window (lo, hi) in t = log alpha, where log L5 lies within
+    _WINDOW_NATS of its maximum ``best``, and log L5 at the lowest grid point
+    walked.
+
+    log L5 is evaluated on the scan grid outward from the maximum's cell
+    (_walk); a side stops at the first point below the level from which the
+    scan's L5 ``slopes`` show L5 falling to the end of the grid, so every
+    grid point above the level is walked, and root finds bracketed by the
+    grid place the ends.  The call fails with a stated reason when the
+    maximum is not interior or the window reaches the upper end of the grid
+    (L5 has not decayed there); or when log L5 at the walked points above
+    the level moves by more than _JITTER_NATS under a relative alpha step of
+    _JITTER_STEP (near-proportional samples put the window at alpha so large
+    that log L5 is rounding noise).
     """
-    # the scan grid with the maximum inserted in order; no point is inside
-    # without an interior maximum, whose value is then nan
+    if best.reason is not None:
+        raise ValueError(_NO_DECAY)
     level, t_star = best.value - _WINDOW_NATS, math.log(best.alpha)
     at = int(np.searchsorted(_SLOPE_SCAN_T, t_star))
-    t_scan = np.insert(_SLOPE_SCAN_T, at, t_star)
-    log_scan = np.insert(log_L5(stats, _SLOPE_SCAN_ALPHA), at, best.value)
-    inside = np.nonzero(log_scan >= level)[0]
-    if not len(inside) or inside[-1] == len(t_scan) - 1:
-        raise ValueError(
-            "L5 does not decay inside the log-alpha window "
-            f"{ALPHA_T_BOUNDS}: the sample is too close to proportional")
-    alpha_in = np.exp(t_scan[inside])
+    # L5 falls from each grid point to the top of the grid / rises to it
+    # from the bottom
+    falls = np.logical_and.accumulate(slopes[::-1] <= 0.0)[::-1]
+    rises = np.logical_and.accumulate(slopes >= 0.0)
+    falls[-1] = rises[0] = True
+    peak = (t_star, best.value)
+    up = [peak] + _walk(stats, range(at, len(slopes)), level, falls)
+    down = [peak] + _walk(stats, range(at - 1, -1, -1), level, rises)
+    if up[-1][1] >= level:
+        raise ValueError(_NO_DECAY)
+    inside = [p for p in down[:0:-1] + up if p[1] >= level]
+    alpha_in = np.exp([t for t, _ in inside])
     jitter = float(np.max(np.abs(
-        log_L5(stats, alpha_in * (1.0 + _JITTER_STEP)) - log_scan[inside])))
+        log_L5(stats, alpha_in * (1.0 + _JITTER_STEP)) - [v for _, v in inside])))
     if jitter > _JITTER_NATS:
         raise ValueError(
             f"log L5 changes by {jitter:.3g} nats under a relative alpha step "
@@ -284,26 +315,92 @@ def _alpha_window_nodes(stats: SummaryStats, best: AlphaMaximum
     def excess(t: float) -> float:
         return float(log_L5(stats, math.exp(t))) - level
 
-    def window_end(i: int) -> float:
-        # a grid point's excess is the scan's entry bit for bit; the
-        # inserted maximum's is not, as exp(log(alpha)) may differ from alpha
-        seeds = None if at in (i, i + 1) else (log_scan[i] - level, log_scan[i + 1] - level)
-        return solve_root(excess, (t_scan[i], t_scan[i + 1]), seeds)
+    def window_end(side: list) -> float:
+        # between the farthest point above the level and the next one out; a
+        # grid point's excess is the walk's entry bit for bit, the maximum's
+        # is not, as exp(log(alpha)) may differ from alpha
+        k = max(i for i, (_, v) in enumerate(side) if v >= level)
+        (t_in, v_in), (t_out, v_out) = side[k], side[k + 1]
+        seeds = None if k == 0 else (v_in - level, v_out - level)
+        if t_out < t_in:
+            (t_in, t_out), seeds = (t_out, t_in), seeds and seeds[::-1]
+        return solve_root(excess, (t_in, t_out), seeds)
 
-    lo = t_scan[0] if inside[0] == 0 else window_end(inside[0] - 1)
-    hi = window_end(inside[-1])
-    edges = np.linspace(lo, hi, BAYES_PANELS + 1)
-    nodes, node_weights = np.polynomial.legendre.leggauss(_PANEL_NODES)
-    half = 0.5 * np.diff(edges)[:, None]
-    t = (0.5 * (edges[1:] + edges[:-1])[:, None] + half * nodes).ravel()
-    log_terms = log_L5(stats, np.exp(t)) + np.log(half * node_weights).ravel()
-    log_evidence = float(np.logaddexp.reduce(log_terms))
-    if log_scan[0] - log_evidence > math.log(_TAIL_SHARE):
+    lo = down[-1][0] if down[-1][1] >= level else window_end(down)
+    return lo, window_end(up), down[-1][1]
+
+
+def _interleave(old: np.ndarray, new: np.ndarray) -> np.ndarray:
+    """old[0], new[0], old[1], new[1], ... along the first axis."""
+    out = np.empty((2 * len(old),) + old.shape[1:])
+    out[0::2], out[1::2] = old, new
+    return out
+
+
+def _alpha_window_nodes(stats: SummaryStats, best: AlphaMaximum, slopes: np.ndarray
+                        ) -> tuple[np.ndarray, np.ndarray, float]:
+    """Node set of the Bayes alpha integral: (alpha_j, weights, log evidence).
+
+    The 1/alpha prior is the flat measure in t = log alpha, so on the
+    window (_alpha_window) the integral is the trapezoidal rule in t:
+    equally spaced nodes from its lower end, weighted by L5 (half at that
+    end) and normalized; the log of their sum times the spacing is the
+    evidence.  The upper end, where L5 is e^-_WINDOW_NATS of its maximum,
+    is left out, so a halving of the spacing keeps every node and doubles
+    their count.  L5 at the lower end is as small, or, where the window
+    reaches the grid bottom, below _TAIL_SHARE of the evidence, and the
+    rule's error on an analytic integrand that vanishes at both ends falls
+    geometrically in the node count: each halving at least squares it.  So
+    the rule starts at _FIRST_NODES nodes and doubles, up to
+    BAYES_NODES, until one doubling moves the log evidence, the W/Z mean
+    (relative) and the CDF of W/Z at three probes by less than _GATE_MOVE:
+    the next doubling would move them by about its square.  The probes sit
+    at _PROBE_SDS logit-scale widths from the center of the Beta law at the
+    maximum.  The call fails, with a stated reason, on the window's checks,
+    or when L5 at the lowest grid point walked, which bounds L5 at the
+    bottom of the grid, exceeds _TAIL_SHARE of the evidence: below that end
+    L5 falls as alpha^(M-1), M >= 2, so the tail it drops is smaller still.
+    """
+    lo, hi, log_low = _alpha_window(stats, best, slopes)
+    a_top, b_top = best.alpha * stats.Y, best.alpha * stats.X + stats.N
+    probes = expit(math.log(a_top / b_top)
+                   + _PROBE_SDS * math.sqrt(1.0 / a_top + 1.0 / b_top))
+
+    def sample(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # log L5 and the integrands of the W/Z mean and the probe CDFs
+        alpha = np.exp(t)
+        a, b = alpha * stats.Y, alpha * stats.X + stats.N
+        return log_L5(stats, alpha), np.column_stack(
+            [a / (a + b), betainc(a[:, None], b[:, None], probes)])
+
+    def rule(log_l: np.ndarray, g: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+        log_terms = np.concatenate([[log_l[0] - math.log(2.0)], log_l[1:]])
+        log_sum = float(np.logaddexp.reduce(log_terms))
+        weights = np.exp(log_terms - log_sum)
+        return log_sum, weights, weights @ g
+
+    nodes = _FIRST_NODES
+    t = lo + (hi - lo) / nodes * np.arange(nodes)
+    log_l, g = sample(t)
+    log_sum, weights, answers = rule(log_l, g)
+    while nodes < BAYES_NODES:
+        fresh = t + 0.5 * (hi - lo) / nodes
+        fresh_l, fresh_g = sample(fresh)
+        t, log_l, g = _interleave(t, fresh), _interleave(log_l, fresh_l), _interleave(g, fresh_g)
+        nodes *= 2
+        coarse, coarse_answers = log_sum, answers
+        log_sum, weights, answers = rule(log_l, g)
+        moves = (abs(log_sum - coarse - math.log(2.0)), abs(answers[0] / coarse_answers[0] - 1.0),
+                 *np.abs(answers[1:] - coarse_answers[1:]))
+        if max(moves) < _GATE_MOVE:
+            break
+    log_evidence = log_sum + math.log((hi - lo) / nodes)
+    if log_low - log_evidence > math.log(_TAIL_SHARE):
         raise ValueError(
             "the alpha posterior keeps mass below the log-alpha window "
             f"{ALPHA_T_BOUNDS}: L5 there is "
-            f"{math.exp(log_scan[0] - log_evidence):.3g} of the evidence")
-    return np.exp(t), np.exp(log_terms - log_evidence), log_evidence
+            f"{math.exp(log_low - log_evidence):.3g} of the evidence")
+    return np.exp(t), weights, log_evidence
 
 
 def infer_bayes(obs: Observation, stats: SummaryStats) -> InferenceReport:
@@ -314,8 +411,8 @@ def infer_bayes(obs: Observation, stats: SummaryStats) -> InferenceReport:
     posterior L5(alpha) / alpha, and W/Z the same mixture of
     Beta(alpha Y, alpha X + N): the mixed method's law, averaged over
     alpha instead of taken at one alpha.  The alpha integral runs on a
-    fixed Gauss-Legendre node set in log alpha (_alpha_window_nodes), so
-    CDF, mean and quantiles are exact for that node set; the views share
+    trapezoidal node set in log alpha (_alpha_window_nodes), so CDF, mean
+    and quantiles are exact for that node set; the views share
     the mixture's one CDF table in u = log(W / V), which brackets their
     quantile solves and places the panels of its mass check:
     ``mass_check`` is the total mass by quadrature of the density, and
@@ -329,7 +426,7 @@ def infer_bayes(obs: Observation, stats: SummaryStats) -> InferenceReport:
         return singular
     slopes = np.asarray(dlog_dalpha("L5", stats, _SLOPE_SCAN_ALPHA))
     best = _alpha_maximum("L5", stats, slopes)
-    alphas, weights, log_evidence = _alpha_window_nodes(stats, best)
+    alphas, weights, log_evidence = _alpha_window_nodes(stats, best, slopes)
     a, b = alphas * stats.Y, alphas * stats.X + stats.N
     law = _BetaAtoms(a, b, weights)
     mass, worst = law.mass_check()
@@ -341,11 +438,25 @@ def infer_bayes(obs: Observation, stats: SummaryStats) -> InferenceReport:
 
 def _profile_column(stats: SummaryStats) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """c(alpha) = log L9 - log B(alpha Y, alpha X + N) on the scan grid, its
-    alpha-slope (that of log L8 at W = V, plus log 2) and its t-slope."""
+    alpha-slope (that of log L8 at W = V, plus log 2) and its t-slope, nan
+    until _curvature fills the entries a bracket reads."""
     a, b = _SLOPE_SCAN_ALPHA * stats.Y, _SLOPE_SCAN_ALPHA * stats.X + stats.N
     return (log_L9(stats, _SLOPE_SCAN_ALPHA) - log_beta(a, b),
             dlog_dalpha("L8", stats, _SLOPE_SCAN_ALPHA, w=stats.V) + math.log(2.0),
-            _SLOPE_SCAN_ALPHA * d2log_dalpha2("L8", stats, _SLOPE_SCAN_ALPHA))
+            np.full(len(_SLOPE_SCAN_ALPHA), math.nan))
+
+
+def _curvature(stats: SummaryStats, column: tuple, k: np.ndarray) -> np.ndarray:
+    """The column's t-slope alpha d2 log L8 / d alpha2 at grid indices k,
+    each entry evaluated once, on its first read: a row's term sum does not
+    depend on the other rows of the call, so an entry is the full grid's
+    bit for bit."""
+    curvature = column[2]
+    fresh = np.unique(k[np.isnan(curvature[k])])
+    if len(fresh):
+        alpha = _SLOPE_SCAN_ALPHA[fresh]
+        curvature[fresh] = alpha * d2log_dalpha2("L8", stats, alpha)
+    return curvature[k]
 
 
 def _profile_envelope(stats: SummaryStats, column: tuple, u: np.ndarray
@@ -355,13 +466,14 @@ def _profile_envelope(stats: SummaryStats, column: tuple, u: np.ndarray
     a = alpha Y, b = alpha X + N, at every u = log(W / V), forming no W.
     dg/dalpha falls (L8 is log-concave), so grid slopes bracket the
     maximum; Newton steps in log alpha with interpolated curvature polish."""
-    _, slope, curvature = column
+    slope = column[1]
     softplus = np.logaddexp(0.0, u)
     target = softplus - stats.Y * u
     top = len(_SLOPE_SCAN_T) - 1
     k = np.searchsorted(-slope, -target) - 1
     lo = np.clip(k, 0, top - 1)
-    (e_lo, e_hi), (d_lo, d_hi) = slope[[lo, lo + 1]] - target, curvature[[lo, lo + 1]]
+    e_lo, e_hi = slope[[lo, lo + 1]] - target
+    d_lo, d_hi = _curvature(stats, column, np.stack([lo, lo + 1]))
     t_lo, step = _SLOPE_SCAN_T[lo], _SLOPE_SCAN_T[1] - _SLOPE_SCAN_T[0]
 
     def excess_and_slope(t):

@@ -70,7 +70,9 @@ class TestEstimate:
     @pytest.mark.parametrize("method", ["ipw-poisson", "rb-poisson", "hm"])
     def test_solver_work_reported(self, capsys, tmp_path, method):
         # Newton steps in the rate and the residual check; the bisecting
-        # root finder of an earlier design spent about 35 evaluations per root
+        # root finder of an earlier design spent about 35 evaluations per root.
+        # rb-poisson starts at its root, the rate its saddle-point weights
+        # were tilted at, and may take no step
         path = fixture_path("regular_large.json")
         anchor = []
         if method == "hm":
@@ -82,7 +84,8 @@ class TestEstimate:
         assert code == 0
         diag = json.loads(out)["diagnostics"]
         assert 0 < diag["evals"] <= 20
-        assert diag["iterations"] >= 1 and "residual" in diag and "reason" not in diag
+        assert diag["iterations"] >= (method != "rb-poisson")
+        assert "residual" in diag and "reason" not in diag
 
     def test_rb_exact_large_sample(self, capsys, tmp_path):
         rng = np.random.default_rng(3)

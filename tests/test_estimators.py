@@ -470,6 +470,24 @@ class TestRbZEquation:
         b = rb_z_equation(obs, w, variant="M_over_Z").value
         assert a == pytest.approx(b, rel=1e-8)
 
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(obs=spread_observations())
+    def test_seeded_roots_equal_the_unseeded(self, obs):
+        # weights of obs itself start a Poisson-form solve at the rate of
+        # their tilt, the same values as a bare mapping at N / V.  Each
+        # solve stops within a Newton step of 1e-14 of its root, from
+        # either side, and the M / Z residual sums M terms near 1, whose
+        # rounding blurs the root by a few more ulps
+        for weights in (rb_exact(obs), rb_poisson_weights(obs)):
+            bare = RBWeights(v=weights.v, log_f_n=weights.log_f_n)
+            for variant in ("V_over_Z", "M_over_Z"):
+                for pi in ("poisson", "fixed-n"):
+                    seeded = rb_z_equation(obs, weights, variant, pi)
+                    plain = rb_z_equation(obs, bare, variant, pi)
+                    assert seeded.diagnostics.get("reason") == plain.diagnostics.get("reason")
+                    assert seeded.value == pytest.approx(plain.value, rel=4e-14, abs=0.0)
+                    assert seeded.diagnostics.get("evals", 0) <= plain.diagnostics.get("evals", 0)
+
 
 class TestGoodTuring:
     def test_classic_plugin(self):

@@ -286,9 +286,12 @@ class TestBayesMixture:
 
     @pytest.mark.parametrize("case", ["gt_example", "regular_large"])
     def test_doubling_alpha_nodes_moves_no_quantile(self, case, monkeypatch):
+        # a gate that never passes runs to the cap: one doubling past the
+        # gate's choice
         obs, st = fixture_observation(case)
         base = infer_bayes(obs, st)
-        monkeypatch.setattr(inference, "BAYES_PANELS", 2 * inference.BAYES_PANELS)
+        monkeypatch.setattr(inference, "_GATE_MOVE", 0.0)
+        monkeypatch.setattr(inference, "BAYES_NODES", 2 * base.diagnostics["alpha_nodes"])
         doubled = infer_bayes(obs, st)
         assert doubled.diagnostics["alpha_nodes"] == 2 * base.diagnostics["alpha_nodes"]
         assert np.allclose(doubled.w_dist.quantile(LEVELS),
@@ -428,6 +431,51 @@ class TestBayesCost:
         infer_bayes(obs, st).w_dist.quantile(LEVELS)
         assert calls["betaincinv"] == 0
         assert 0 < calls["cdf_s"] <= passes
+
+
+def record_alphas(monkeypatch, name):
+    """The alpha values, one entry per array element, at which the
+    inference module evaluates its function ``name``."""
+    alphas = []
+    fn = getattr(inference, name)
+
+    def counted(*args, **kw):
+        alphas.extend(np.ravel(args[-1]).tolist())
+        return fn(*args, **kw)
+
+    monkeypatch.setattr(inference, name, counted)
+    return alphas
+
+
+class TestAlphaWork:
+    # counts, not timings: log L5 values of the Bayes route (its alpha scan
+    # reads slopes only) and curvature values of the profile
+    @pytest.mark.parametrize("case, most", [("wide", 262), ("gt_example", 400)])
+    def test_bayes_log_l5_evaluations(self, case, most, monkeypatch):
+        obs, st = bayes_gate_observation(case)
+        alphas = record_alphas(monkeypatch, "log_L5")
+        rep = infer_bayes(obs, st)
+        assert rep.diagnostics["alpha_nodes"] < len(alphas) <= most
+
+    @pytest.mark.parametrize("case", ["wide", "gt_example", "regular_small"])
+    def test_profile_curvature_only_where_a_bracket_reads_it(self, case, monkeypatch):
+        obs, st = bayes_gate_observation(case)
+        read = []
+        curvature = inference._curvature
+
+        def recorded(stats, column, k):
+            read.extend(np.ravel(k).tolist())
+            return curvature(stats, column, k)
+
+        monkeypatch.setattr(inference, "_curvature", recorded)
+        alphas = record_alphas(monkeypatch, "d2log_dalpha2")
+        infer_profile(obs, st)
+        grid = set(inference._SLOPE_SCAN_ALPHA.tolist())
+        on_grid = [a for a in alphas if a in grid]
+        # each read grid entry once, plus the one curvature at the mode
+        assert sorted(on_grid) == sorted(set(inference._SLOPE_SCAN_ALPHA[read].tolist()))
+        assert len(alphas) == len(on_grid) + 1
+        assert len(on_grid) < len(grid) // 2
 
 
 class TestBayesAlphaMode:
