@@ -91,7 +91,8 @@ def _result(obs: Observation, method: str, diagnostics: dict, z: float | None = 
     """The estimate from Z, with W = Z - V and W/Z = 1 - V/Z where not
     given, or from W/Z alone, with Z = V / (1 - W/Z).  W/Z = 1, which the
     Good-Turing family reaches only on all singletons, and any infinite Z
-    give W = inf and W/Z = 1; a boundary Z = 0 gives W/Z = nan."""
+    give W = inf and W/Z = 1; a boundary Z = 0 gives W/Z = nan, and 0 < Z < V
+    the diagnostic ``below_v``, as a ratio estimator can put Z below V."""
     v = obs.v if None in (z, w, w_over_z) else None
     if z is None:
         z = math.inf if w_over_z >= 1.0 else v / (1.0 - w_over_z)
@@ -100,6 +101,8 @@ def _result(obs: Observation, method: str, diagnostics: dict, z: float | None = 
     if not math.isfinite(z):
         return EstimateResult(z, math.inf, 1.0, method, diagnostics)
     w = z - v if w is None else w
+    if w < 0.0 < z:
+        diagnostics["below_v"] = True
     if w_over_z is None:
         w_over_z = 1.0 - v / z if z > 0 else math.nan
     return EstimateResult(z, w, w_over_z, method, diagnostics)

@@ -20,10 +20,11 @@ Z = V + W and W/Z views (distributions.LawView):
                 L5 (or L9).
 
 Every route, and the plain MLE of L11 in moments.py, finds its alpha by
-one search on one log-alpha grid (_alpha_maximum), with one verdict:
-interior, alpha -> infinity, or the lower end.  The Bayes alpha mode is
-the same search on the L5 slopes shifted by -1/alpha, and the same grid
-carries the Bayes window's log L5 and the profile's alpha column.
+one search on one log-alpha grid (_scan_maximum), with one verdict:
+interior, alpha -> infinity, or the lower end; the Bayes alpha mode and
+the profile's alpha at its mode are that search on other slopes.  The
+grid carries the Bayes window's log L5 and the profile's one alpha column,
+the L8 slope at W = V, which brackets the envelope's alpha for secant steps.
 
 The routes read the data only through its SummaryStats.  ``obs`` stays in
 their signatures so that every inference entry point is called as
@@ -54,11 +55,10 @@ from .distributions import VIEWS, LawView, LogScaleDist, PointMass, _BetaAtoms
 from .likelihoods import (d2log_dalpha2, dlog_dalpha, log_L5, log_L8,
                           log_L9, log_L11)
 from .solvers import newton_bracketed, solve_root
-from .special import log_beta
 
 # alpha search window in log alpha before declaring the maximum at infinity,
 # and the log-alpha grid of every alpha search, of the Bayes window and of
-# the profile's alpha column; alpha is exp(t) by math.exp, as the root
+# the profile's slope column; alpha is exp(t) by math.exp, as the root
 # finds in t evaluate it, so a slope at a grid point is the scan's entry
 # bit for bit
 ALPHA_T_BOUNDS = (-30.0, 50.0)
@@ -75,7 +75,8 @@ _AT_LOWER_END = "maximum at alpha -> 0"
 # the mean's weight W times the density), the lower no lower than where
 # alpha falls under _TAIL_ALPHA (L9 ~ alpha^M: a power-law tail beyond);
 # edges on each side end * expm1(s k / P) / expm1(s), s = _PANEL_STRETCH;
-# alpha polishes stop at a step of _PROFILE_T_TOL, the error its square; a
+# alpha's secant polish stops at a step of _PROFILE_T_TOL, the envelope's
+# error about its square (g is stationary in alpha at the maximum); a
 # panel whose two highest Chebyshev terms exceed _PANEL_TOL of the mass is
 # halved, for up to _PANEL_ROUNDS rounds
 _PROFILE_PROBES = np.arange(-32.0, 33.0, 2.0)
@@ -131,32 +132,45 @@ class AlphaMaximum(NamedTuple):
 
 def _alpha_maximum(which: str, stats: SummaryStats, slopes: np.ndarray | None = None,
                    prior: float = 0.0) -> AlphaMaximum:
-    """The highest maximum in alpha of log L``which`` - ``prior`` log alpha.
-
-    Every descending zero crossing of ``slopes`` - prior / alpha (slopes:
-    dlog_dalpha(which) on the scan grid, computed when not given) is
-    refined by a root find in t = log alpha.  The slope is read rather than
-    the value, for the maxima and the verdict alike, because the
-    likelihoods lose all precision to cancellation at huge alpha while
-    their digamma-based slopes stay accurate.  Without a crossing the
-    ``reason`` is _AT_INFINITY (alpha = inf) when the slope is positive at
-    the top of ALPHA_T_BOUNDS, else _AT_LOWER_END, and ``value`` is nan.
-    """
+    """The highest maximum in alpha of log L``which`` - ``prior`` log alpha
+    (_scan_maximum); ``slopes`` are dlog_dalpha(which) on the scan grid."""
     if slopes is None:
         slopes = np.asarray(dlog_dalpha(which, stats, _SLOPE_SCAN_ALPHA))
     if prior:
         slopes = slopes - prior / _SLOPE_SCAN_ALPHA
-    evals = 0
+    log_l = {"L5": log_L5, "L9": log_L9, "L11": log_L11}[which]
 
     def slope(t: float) -> float:
-        nonlocal evals
-        evals += 1
         alpha = math.exp(t)
         return dlog_dalpha(which, stats, alpha) - prior / alpha
 
+    return _scan_maximum(slopes, slope,
+                         lambda a: float(log_l(stats, a)) - prior * math.log(a))
+
+
+def _scan_maximum(slopes: np.ndarray, slope, value) -> AlphaMaximum:
+    """The highest maximum in alpha of a function given by its ``slopes`` on
+    the scan grid, its slope ``slope(t)`` at t = log alpha and ``value(alpha)``.
+
+    Every descending zero crossing of ``slopes`` is refined by a root find
+    in t, and ``value`` picks among the maxima; ``evals`` counts the calls
+    of ``slope``.  The slope is read rather than the value, for the maxima
+    and the verdict alike, because the likelihoods lose all precision to
+    cancellation at huge alpha while their digamma-based slopes stay
+    accurate.  Without a crossing the ``reason`` is _AT_INFINITY (alpha =
+    inf) when the slope is positive at the top of ALPHA_T_BOUNDS, else
+    _AT_LOWER_END, and ``value`` is nan.
+    """
+    evals = 0
+
+    def counted(t: float) -> float:
+        nonlocal evals
+        evals += 1
+        return slope(t)
+
     # the root finds start from the scan's slopes at the bracket ends, which
     # a scalar evaluation reproduces bit for bit
-    maxima = [math.exp(solve_root(slope, (_SLOPE_SCAN_T[k], _SLOPE_SCAN_T[k + 1]),
+    maxima = [math.exp(solve_root(counted, (_SLOPE_SCAN_T[k], _SLOPE_SCAN_T[k + 1]),
                                   (slopes[k], slopes[k + 1])))
               for k in np.nonzero((slopes[:-1] > 0.0) & (slopes[1:] <= 0.0))[0]]
     if not maxima:
@@ -164,8 +178,7 @@ def _alpha_maximum(which: str, stats: SummaryStats, slopes: np.ndarray | None = 
             return AlphaMaximum(math.inf, math.nan, maxima, evals, _AT_INFINITY)
         return AlphaMaximum(float(_SLOPE_SCAN_ALPHA[0]), math.nan, maxima, evals,
                             _AT_LOWER_END)
-    log_l = {"L5": log_L5, "L9": log_L9, "L11": log_L11}[which]
-    values = [float(log_l(stats, a)) - prior * math.log(a) for a in maxima]
+    values = [value(a) for a in maxima]
     k = max(range(len(values)), key=values.__getitem__)  # the first on ties
     return AlphaMaximum(maxima[k], values[k], maxima, evals)
 
@@ -436,52 +449,40 @@ def infer_bayes(obs: Observation, stats: SummaryStats) -> InferenceReport:
     return _law_report("bayes", law, stats, mode, diag)
 
 
-def _profile_column(stats: SummaryStats) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """c(alpha) = log L9 - log B(alpha Y, alpha X + N) on the scan grid, its
-    alpha-slope (that of log L8 at W = V, plus log 2) and its t-slope, nan
-    until _curvature fills the entries a bracket reads."""
-    a, b = _SLOPE_SCAN_ALPHA * stats.Y, _SLOPE_SCAN_ALPHA * stats.X + stats.N
-    return (log_L9(stats, _SLOPE_SCAN_ALPHA) - log_beta(a, b),
-            dlog_dalpha("L8", stats, _SLOPE_SCAN_ALPHA, w=stats.V) + math.log(2.0),
-            np.full(len(_SLOPE_SCAN_ALPHA), math.nan))
+def _profile_column(stats: SummaryStats, alpha: np.ndarray = _SLOPE_SCAN_ALPHA):
+    """The profile's one alpha column: the alpha-slope of log L8 at W = V,
+    plus log 2, on the scan grid (or at ``alpha``)."""
+    return dlog_dalpha("L8", stats, alpha, w=stats.V) + math.log(2.0)
 
 
-def _curvature(stats: SummaryStats, column: tuple, k: np.ndarray) -> np.ndarray:
-    """The column's t-slope alpha d2 log L8 / d alpha2 at grid indices k,
-    each entry evaluated once, on its first read: a row's term sum does not
-    depend on the other rows of the call, so an entry is the full grid's
-    bit for bit."""
-    curvature = column[2]
-    fresh = np.unique(k[np.isnan(curvature[k])])
-    if len(fresh):
-        alpha = _SLOPE_SCAN_ALPHA[fresh]
-        curvature[fresh] = alpha * d2log_dalpha2("L8", stats, alpha)
-    return curvature[k]
-
-
-def _profile_envelope(stats: SummaryStats, column: tuple, u: np.ndarray
+def _profile_envelope(stats: SummaryStats, column: np.ndarray, u: np.ndarray
                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(argmax, max, argmax at the top of the grid) over alpha of the per-u
-    log density g = log L8 + log W + const = c + a u - (a + b) softplus(u),
-    a = alpha Y, b = alpha X + N, at every u = log(W / V), forming no W.
-    dg/dalpha falls (L8 is log-concave), so grid slopes bracket the
-    maximum; Newton steps in log alpha with interpolated curvature polish."""
-    slope = column[1]
+    log density g = log L8 + log W + const = log L8(V) + a u - (a + b)
+    (softplus(u) - log 2), a = alpha Y, b = alpha X + N, at every
+    u = log(W / V), forming no W.  dg/dalpha falls (L8 is log-concave), so
+    the slope ``column`` brackets the maximum; secant steps in log alpha
+    polish it, each through the u's previous point, first the bracket's
+    lower end (a column entry)."""
     softplus = np.logaddexp(0.0, u)
     target = softplus - stats.Y * u
     top = len(_SLOPE_SCAN_T) - 1
-    k = np.searchsorted(-slope, -target) - 1
+    k = np.searchsorted(-column, -target) - 1
     lo = np.clip(k, 0, top - 1)
-    e_lo, e_hi = slope[[lo, lo + 1]] - target
-    d_lo, d_hi = _curvature(stats, column, np.stack([lo, lo + 1]))
+    e_lo, e_hi = column[[lo, lo + 1]] - target
     t_lo, step = _SLOPE_SCAN_T[lo], _SLOPE_SCAN_T[1] - _SLOPE_SCAN_T[0]
+    last = [t_lo, e_lo]
 
-    def excess_and_slope(t):
-        return (dlog_dalpha("L8", stats, np.exp(t), w=stats.V) + math.log(2.0) - target,
-                d_lo + (d_hi - d_lo) * (t - t_lo) / step)
+    def excess_and_secant(t):
+        excess = _profile_column(stats, np.exp(t)) - target
+        # a repeated point gives a non-finite slope: newton_bracketed bisects
+        with np.errstate(divide="ignore", invalid="ignore"):
+            secant = (excess - last[1]) / (t - last[0])
+        last[:] = t, excess
+        return excess, secant
 
     start = t_lo + step * np.clip(e_lo / np.where(e_lo > e_hi, e_lo - e_hi, 1.0), 0.0, 1.0)
-    alpha = np.exp(newton_bracketed(excess_and_slope, start, t_lo, t_lo + step,
+    alpha = np.exp(newton_bracketed(excess_and_secant, start, t_lo, t_lo + step,
                                     increasing=False, tol=_PROFILE_T_TOL))
     ay = alpha * stats.Y
     g = (log_L8(stats, stats.V, alpha) + math.log(stats.V) + ay * u
@@ -489,33 +490,32 @@ def _profile_envelope(stats: SummaryStats, column: tuple, u: np.ndarray
     return alpha, g, k == top
 
 
-def _profile_mode(stats: SummaryStats, column: tuple) -> float:
+def _profile_mode(stats: SummaryStats, column: np.ndarray) -> float:
     """The alpha of the envelope at the mode of the per-u density: g peaks
-    at u = log(a / b), leaving h = c + a log a + b log b - (a + b) log(a + b)
-    to maximize in alpha."""
-    alpha = _SLOPE_SCAN_ALPHA
-    a, b = alpha * stats.Y, alpha * stats.X + stats.N
-    h = column[0] + a * np.log(a) + b * np.log(b) - (a + b) * np.log(a + b)
-    slopes = column[1] + stats.Y * np.log(a) + stats.X * np.log(b) - np.log(a + b)
-    down = np.nonzero((slopes[:-1] > 0.0) & (slopes[1:] <= 0.0))[0]
-    if not len(down):
-        return float(alpha[np.argmax(h)])
-    k = down[np.argmax(h[down])]
-    return math.exp(solve_root(lambda t: _profile_mode_slope(stats, t),
-                               (_SLOPE_SCAN_T[k], _SLOPE_SCAN_T[k + 1]),
-                               (slopes[k], slopes[k + 1])))
+    at u = log(a / b), leaving h = log L8(V a / b) + log(a / b) (from log L8
+    at W = V) to maximize by the alpha search; without an interior maximum,
+    the grid end with the larger h."""
+    y, x, n = stats.Y, stats.X, stats.N
+
+    def h(alpha: float) -> float:
+        a, b = alpha * y, alpha * x + n
+        return (float(log_L8(stats, stats.V, alpha)) + a * math.log(a) + b * math.log(b)
+                - (a + b) * (math.log(a + b) - math.log(2.0)))
+
+    def slope(t: float) -> float:
+        # at a grid point, the scan's entry bit for bit
+        alpha = math.exp(t)
+        a, b = alpha * y, alpha * x + n
+        return _profile_column(stats, alpha) + y * math.log(a) + x * math.log(b) - math.log(a + b)
+
+    a, b = _SLOPE_SCAN_ALPHA * y, _SLOPE_SCAN_ALPHA * x + n
+    best = _scan_maximum(column + y * np.log(a) + x * np.log(b) - np.log(a + b), slope, h)
+    if best.reason is None:
+        return best.alpha
+    return max(_SLOPE_SCAN_ALPHA[[0, -1]].tolist(), key=h)
 
 
-def _profile_mode_slope(stats: SummaryStats, t: float) -> float:
-    """The alpha-slope of _profile_mode's h at one alpha = exp(t): at a grid
-    point, the scan's entry bit for bit."""
-    alpha = math.exp(t)
-    a, b = alpha * stats.Y, alpha * stats.X + stats.N
-    return (dlog_dalpha("L8", stats, alpha, w=stats.V) + math.log(2.0)
-            + stats.Y * math.log(a) + stats.X * math.log(b) - math.log(a + b))
-
-
-def _envelope_at(stats: SummaryStats, column: tuple, u: np.ndarray) -> np.ndarray:
+def _envelope_at(stats: SummaryStats, column: np.ndarray, u: np.ndarray) -> np.ndarray:
     """The envelope's log density at u; ArithmeticError where its alpha
     reaches the top of the grid."""
     _, log_density, at_top = _profile_envelope(stats, column, u)

@@ -246,8 +246,8 @@ def dlog_dalpha(which: str, stats: SummaryStats, alpha, w=None):
     return _maybe_scalar(val)
 
 
-def d2log_dalpha2(which: str, stats: SummaryStats, alpha, w=None):
-    """d^2/d alpha^2 of the chosen reduced log-likelihood (analytic)."""
+def d2log_dalpha2(which: str, stats: SummaryStats, alpha):
+    """d^2/d alpha^2 of the chosen reduced log-likelihood (analytic), at any W."""
     _check_derivative(which, stats)
     alpha = _as_alpha(alpha)
     val = _term_sum(stats, alpha, 2, which)

@@ -281,9 +281,10 @@ class ToyPhysicsMixture:
 
     States are the 2^L spin configurations of a ring of L sites; the
     energy is -coupling * sum_k s_k s_{k+1} - sum_k h_k s_k with a seeded
-    Gaussian field h.  Component j has unnormalized weights
+    standard Gaussian field h.  Component j of J has unnormalized weights
     r(i, j) = exp(-(E(i) - E_min) / T_j); the mixture mass is
-    p(i) = sum_j r(i, j) w(j) with exact totals R(j) and Z by summation.
+    p(i) = sum_j r(i, j) w(j), w(j) = 1 / J, with exact totals R(j) and Z
+    by summation.
     """
 
     dataset: Dataset
@@ -296,8 +297,7 @@ class ToyPhysicsMixture:
 
 
 def toy_physics_dataset(n_states: int, temperatures, coupling: float = 1.0,
-                        rng_seed: int = 0, field_scale: float = 1.0,
-                        weights=None) -> ToyPhysicsMixture:
+                        rng_seed: int = 0) -> ToyPhysicsMixture:
     """Build the toy mixture with exact ground truth (n_states <= 2^20)."""
     if n_states < 2 or n_states > 2 ** 20 or n_states & (n_states - 1):
         raise ValueError("n_states must be a power of two, 2 <= n <= 2^20")
@@ -306,7 +306,7 @@ def toy_physics_dataset(n_states: int, temperatures, coupling: float = 1.0,
     if np.any(temps <= 0):
         raise ValueError("temperatures must be positive")
     rng = _rng(rng_seed, 0)
-    field = rng.normal(0.0, field_scale, size=sites)
+    field = rng.standard_normal(sites)
 
     states = np.arange(n_states, dtype=np.int64)
     spins = ((states[:, None] >> np.arange(sites)[None, :]) & 1) * 2 - 1
@@ -315,10 +315,7 @@ def toy_physics_dataset(n_states: int, temperatures, coupling: float = 1.0,
 
     shifted = energies - energies.min()
     r = np.exp(-shifted[:, None] / temps[None, :])
-    w = (np.full(len(temps), 1.0 / len(temps)) if weights is None
-         else np.asarray(weights, dtype=float))
-    if len(w) != len(temps) or np.any(w <= 0):
-        raise ValueError("weights must be positive, one per temperature")
+    w = np.full(len(temps), 1.0 / len(temps))
     p = r @ w
     r_totals = r.sum(axis=0)
     x = np.full(n_states, 1.0 / n_states)

@@ -407,16 +407,15 @@ def check_beta_identity(rng, draws: int) -> bool:
 
 
 def concavity_worst(rng, draws: int) -> dict[str, float]:
-    """Largest d^2 log L / d alpha^2 of L4 and L8 (at W = 0.7 V) over 50
-    alphas in e^-6..e^6, on draws samples.  Both are provably log-concave;
-    L5 and L9 are not in general (see the acceptance suite)."""
+    """Largest d^2 log L / d alpha^2 of L4 and L8 (the same at every W) over
+    50 alphas in e^-6..e^6, on draws samples.  Both are provably
+    log-concave; L5 and L9 are not in general (see the acceptance suite)."""
     grid = np.exp(np.linspace(-6.0, 6.0, 50))
     worst = {"L4": -math.inf, "L8": -math.inf}
     for _ in range(draws):
         st = summarize(random_observation(rng))
         for which in worst:
-            curvature = d2log_dalpha2(which, st, grid, w=0.7 * st.V)
-            worst[which] = float(np.maximum(worst[which], np.max(curvature)))
+            worst[which] = float(np.maximum(worst[which], np.max(d2log_dalpha2(which, st, grid))))
     return worst
 
 

@@ -197,6 +197,25 @@ class TestEstimate:
         if fixture == "all_singletons":
             assert want.value == harmonic_mean(obs, h, 1.0, "classic").value
 
+    @pytest.mark.parametrize("mode", ["classic", "rb_linear", "ipw_nonlinear"])
+    def test_z_below_v_says_so(self, mode, capsys, tmp_path):
+        # h = x, H = 1 on full coverage (V = 4.3): the ratio forms put Z
+        # between 0 and V and mark it; the boundary Z = 0 of ipw_nonlinear
+        # keeps its reason alone
+        path = fixture_path("full_coverage.json")
+        h_file = tmp_path / "h.json"
+        h_file.write_text(json.dumps(load_observation(path).x.tolist()))
+        code, out, _ = run_cli(capsys, "estimate", "--in", path, "--method", "hm",
+                               "--h-file", str(h_file), "--H", "1", "--hm-mode", mode)
+        payload = json.loads(out)
+        diag = payload["diagnostics"]
+        assert code == 0
+        if mode == "ipw_nonlinear":
+            assert payload["Z"] == 0 and "reason" in diag and "below_v" not in diag
+        else:
+            assert 0 < payload["Z"] < 4.3 and payload["W"] < 0
+            assert diag["below_v"] is True and "reason" not in diag
+
 
 @pytest.mark.parametrize("method", list(ESTIMATES))
 def test_every_estimate_is_equivariant_and_states_its_singular_case(method, rng, tmp_path):

@@ -449,7 +449,7 @@ def record_alphas(monkeypatch, name):
 
 class TestAlphaWork:
     # counts, not timings: log L5 values of the Bayes route (its alpha scan
-    # reads slopes only) and curvature values of the profile
+    # reads slopes only), and the profile's curvature and slope passes
     @pytest.mark.parametrize("case, most", [("wide", 262), ("gt_example", 400)])
     def test_bayes_log_l5_evaluations(self, case, most, monkeypatch):
         obs, st = bayes_gate_observation(case)
@@ -458,24 +458,24 @@ class TestAlphaWork:
         assert rep.diagnostics["alpha_nodes"] < len(alphas) <= most
 
     @pytest.mark.parametrize("case", ["wide", "gt_example", "regular_small"])
-    def test_profile_curvature_only_where_a_bracket_reads_it(self, case, monkeypatch):
+    def test_profile_reads_one_slope_column(self, case, monkeypatch):
+        # no curvature on the grid: the one curvature is the width's at the
+        # mode, and the array slope calls are the L9 scan, the L8 column and
+        # at most 13 secant passes of the envelope (12 on each sample)
         obs, st = bayes_gate_observation(case)
-        read = []
-        curvature = inference._curvature
+        curvatures = record_alphas(monkeypatch, "d2log_dalpha2")
+        slope, passes_made = inference.dlog_dalpha, []
 
-        def recorded(stats, column, k):
-            read.extend(np.ravel(k).tolist())
-            return curvature(stats, column, k)
+        def counted_slope(which, s, alpha, **kw):
+            if np.size(alpha) > 1:
+                passes_made.append(which)
+            return slope(which, s, alpha, **kw)
 
-        monkeypatch.setattr(inference, "_curvature", recorded)
-        alphas = record_alphas(monkeypatch, "d2log_dalpha2")
-        infer_profile(obs, st)
-        grid = set(inference._SLOPE_SCAN_ALPHA.tolist())
-        on_grid = [a for a in alphas if a in grid]
-        # each read grid entry once, plus the one curvature at the mode
-        assert sorted(on_grid) == sorted(set(inference._SLOPE_SCAN_ALPHA[read].tolist()))
-        assert len(alphas) == len(on_grid) + 1
-        assert len(on_grid) < len(grid) // 2
+        monkeypatch.setattr(inference, "dlog_dalpha", counted_slope)
+        rep = infer_profile(obs, st)
+        assert curvatures == [rep.alpha_summary]
+        assert passes_made[0] == "L9" and set(passes_made[1:]) == {"L8"}
+        assert len(passes_made) - 2 <= 13
 
 
 class TestBayesAlphaMode:
@@ -489,12 +489,12 @@ class TestBayesAlphaMode:
     def test_one_slope_scan(self, monkeypatch):
         # every route scans its alpha slope once on the shared grid: Bayes
         # reads the maximum-likelihood alpha and the posterior mode off one
-        # L5 scan, and the profile builds its alpha column from one L9 grid
-        # call
+        # L5 scan, and the profile calls no log L9 on the grid (its one
+        # column is the L8 slope at W = V)
         obs, st = fixture_observation("regular_small")
         scans = record_grid_calls(monkeypatch)
         for route, expected in [(lambda: infer_bayes(obs, st), ["L5"]),
-                                (lambda: infer_profile(obs, st), ["L9", "log_L9"]),
+                                (lambda: infer_profile(obs, st), ["L9"]),
                                 (lambda: infer_mixed(obs, st, "L5"), ["L5"]),
                                 (lambda: infer_mixed(obs, st, "L9"), ["L9"]),
                                 (lambda: moment_match(obs, st, "MLE"), ["L11"])]:
@@ -565,7 +565,7 @@ class TestSeededRootFinds:
     ends (solve_root's f_bracket), so a scalar evaluation at a grid point
     must be the scan's entry bit for bit."""
 
-    def test_scalar_evaluations_are_the_scan_entries(self, name):
+    def test_scalar_evaluations_are_the_scan_entries(self, name, monkeypatch):
         _, st = seeded_sample(name)
         grid = inference._SLOPE_SCAN_ALPHA
         # (scan on the grid, the same quantity at one t = log alpha) per
@@ -579,11 +579,17 @@ class TestSeededRootFinds:
                             lambda t: dlog_dalpha("L5", st, math.exp(t)) - 1.0 / math.exp(t))
         sites["log L5"] = (log_L5(st, grid), lambda t: float(log_L5(st, math.exp(t))))
         if st.Y > 0.0:
-            # the profile mode's slope scan, as _profile_mode forms it
-            a, b = grid * st.Y, grid * st.X + st.N
-            scan = (inference._profile_column(st)[1] + st.Y * np.log(a)
-                    + st.X * np.log(b) - np.log(a + b))
-            sites["profile mode"] = (scan, lambda t: inference._profile_mode_slope(st, t))
+            # the slope scan and scalar slope that _profile_mode hands to the
+            # alpha search
+            search, handed = inference._scan_maximum, []
+
+            def recorded(slopes, slope, value):
+                handed.append((slopes, slope))
+                return search(slopes, slope, value)
+
+            monkeypatch.setattr(inference, "_scan_maximum", recorded)
+            inference._profile_mode(st, inference._profile_column(st))
+            sites["profile mode"] = handed[0]
         for k, t in enumerate(inference._SLOPE_SCAN_T):
             assert math.exp(t) == grid[k]
             for site, (scan, scalar) in sites.items():

@@ -114,7 +114,7 @@ class TestDerivatives:
         fd1 = (fn(alpha + h) - fn(alpha - h)) / (2 * h)
         fd2 = (fn(alpha + h) - 2 * fn(alpha) + fn(alpha - h)) / h ** 2
         d1 = dlog_dalpha(which, stats, alpha, w=w)
-        d2 = d2log_dalpha2(which, stats, alpha, w=w)
+        d2 = d2log_dalpha2(which, stats, alpha)
         assert d1 == pytest.approx(fd1, rel=1e-6, abs=1e-8)
         assert d2 == pytest.approx(fd2, rel=1e-3, abs=1e-6)
 
@@ -129,7 +129,7 @@ class TestDerivatives:
         for _ in range(5):
             o = random_observation(rng)
             st = summarize(o)
-            vals = d2log_dalpha2("L4", st, grid, w=0.6 * st.V)
+            vals = d2log_dalpha2("L4", st, grid)
             assert np.max(vals) <= 1e-12
 
     def test_l5_slope_brackets_mode(self, obs, stats):
@@ -170,7 +170,7 @@ class TestAsymptotics:
         second = np.diff(vals, 2)
         # second differences on the alpha grid itself (uneven) just need
         # the analytic check; use it directly
-        assert np.max(d2log_dalpha2("L8", stats, grid, w=0.9)) <= 1e-12
+        assert np.max(d2log_dalpha2("L8", stats, grid)) <= 1e-12
 
 
 class TestNormalizedIdentity:
@@ -288,7 +288,7 @@ def _library(which, kind, st, alpha, w=None, params=None):
     if kind == 1:
         return dlog_dalpha(which, st, alpha, w=w)
     if kind == 2:
-        return d2log_dalpha2(which, st, alpha, w=w)
+        return d2log_dalpha2(which, st, alpha)
     if which in ("L2", "L3"):
         return log_L2(st, w, params) if which == "L2" else log_L3(st, params)
     fn = {"L4": log_L4, "L5": log_L5, "L8": log_L8, "L9": log_L9,
@@ -398,7 +398,7 @@ class TestBlocking:
         for which in ("L4", "L5", "L8", "L9", "L11"):
             ww = w if which in ("L4", "L8") else None
             out += [dlog_dalpha(which, st, grid, w=ww),
-                    d2log_dalpha2(which, st, grid, w=ww)]
+                    d2log_dalpha2(which, st, grid)]
         return out
 
     def test_row_blocks_are_bit_identical(self, rng, monkeypatch):
