@@ -24,7 +24,8 @@ from .estimators import (_good_toulmin, _poisson_rate, _result, good_turing_clas
 from .inference import infer_bayes, infer_mixed, infer_profile
 from .likelihoods import ModelParams
 from .moments import moment_match
-from .simulate import simulate_explicit, simulate_model, toy_physics_dataset
+from .simulate import (effective_states, simulate_explicit, simulate_model,
+                       toy_physics_dataset)
 
 
 def _fmt(value) -> str:
@@ -95,7 +96,7 @@ def _cmd_simulate(args) -> int:
         toy = toy_physics_dataset(args.n_states, temps, coupling=args.coupling,
                                   rng_seed=args.seed)
         n = args.n if args.n is not None else max(
-            8, int(4 * toy.z_exact ** 2 / float(np.sum(toy.dataset.p ** 2))))
+            8, int(4 * effective_states(toy.dataset.p)))
         ds = simulate_explicit(toy.dataset.p, n=n, rng_seed=args.seed + 1,
                                x=toy.dataset.x)
     _emit(ds.to_json(), args.out)

@@ -233,9 +233,10 @@ class SummaryStats:
 
     M distinct sampled points, N total count, V observed mass,
     U = sum x(i) log p(i), T = sum x(i) log x(i), X = sum x(i) (all over
-    the sample), Y = 1 - X, phi[k] = number of points sampled exactly k
-    times, and delta_S, the scaled KL divergence between x and p restricted
-    to the sample.  ``spread`` is the max-min spread of log(p(i)/x(i)),
+    the sample), Y = 1 - X (0 exactly when every point of positive x is
+    sampled), phi[k] = number of points sampled exactly k times, and
+    delta_S, the scaled KL divergence between x and p restricted to the
+    sample.  ``spread`` is the max-min spread of log(p(i)/x(i)),
     the proportionality criterion the inference routes branch on.
 
     ``x_values`` are the distinct values of x on the sample, ascending, and
@@ -312,7 +313,9 @@ def summarize(obs: Observation) -> SummaryStats:
     U = float(np.dot(x, log_p))
     T = float(np.dot(x, log_x))
     X = float(x.sum())
-    Y = max(0.0, 1.0 - X)
+    # with every point of positive x sampled nothing is unseen, though x
+    # may sum to 1 less a rounding error
+    Y = 0.0 if np.count_nonzero(obs.x > 0.0) == M else max(0.0, 1.0 - X)
     ks, cnt = np.unique(c, return_counts=True)
     phi = {int(k): int(n) for k, n in zip(ks, cnt)}
     x_values, x_counts = np.unique(x, return_counts=True)

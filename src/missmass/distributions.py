@@ -22,10 +22,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betainc, betaincinv, expit, gammaincinv, logit
+from scipy.special import betainc, betaincinv, expit, gammaincinv, gammaln, logit, psi, zeta
 
 from .solvers import newton_bracketed
-from .special import digamma, log_gamma, trigamma
 
 # mixture quantiles are solved in u = logit(s) to this width, a relative
 # 1e-12 in W / scale; expit(-+_U_END) is exactly 0 and 1 in float64
@@ -40,7 +39,7 @@ _START_ROWS = 9
 _START_SD = 8.0
 _TABLE_STEP = 1.0 / 8.0
 _TABLE_FIT = 1.0 / 16.0
-# _stirling_remainder's switch from log_gamma to the asymptotic series
+# _stirling_remainder's switch from gammaln to the asymptotic series
 _STIRLING_SWITCH = 20.0
 # mass_check integrates the density on the CDF table's intervals between
 # the rows at _MASS_TAIL and 1 - _MASS_TAIL, from no lower than
@@ -88,7 +87,7 @@ class GammaDist:
 
     def log_pdf(self, w):
         w = np.asarray(w, dtype=float)
-        return (self.shape * math.log(self.rate) - log_gamma(self.shape)
+        return (self.shape * math.log(self.rate) - gammaln(self.shape)
                 + (self.shape - 1.0) * np.log(w) - self.rate * w)
 
 
@@ -179,9 +178,9 @@ class _BetaAtoms:
         standard deviations about the mean of u (per atom psi(a) - psi(b)
         with variance psi'(a) + psi'(b)), and +-_U_END."""
         weights = 1.0 if self.weights is None else self.weights
-        means = digamma(self.a) - digamma(self.b)
+        means = psi(self.a) - psi(self.b)
         mean = np.sum(weights * means)
-        sd = min(math.sqrt(np.sum(weights * (trigamma(self.a) + trigamma(self.b)
+        sd = min(math.sqrt(np.sum(weights * (zeta(2.0, self.a) + zeta(2.0, self.b)
                                              + (means - mean) ** 2))), _U_END)
         rows = np.clip(mean + sd * np.linspace(-_START_SD, _START_SD, _START_ROWS),
                        -_U_END, _U_END)
@@ -261,13 +260,13 @@ class _BetaAtoms:
 
 def _stirling_remainder(x):
     """log Gamma(x) - (x - 1/2) log x + x - log(2 pi) / 2, x > 0: from
-    log_gamma below _STIRLING_SWITCH, by four terms of its asymptotic series
+    gammaln below _STIRLING_SWITCH, by four terms of its asymptotic series
     (error below 2e-15) above."""
     small = np.minimum(x, _STIRLING_SWITCH)
     big = np.maximum(x, _STIRLING_SWITCH)
     inv2 = big ** -2.0
     return np.where(x < _STIRLING_SWITCH,
-                    log_gamma(small) - (small - 0.5) * np.log(small) + small
+                    gammaln(small) - (small - 0.5) * np.log(small) + small
                     - 0.5 * math.log(2.0 * math.pi),
                     (1.0 / 12.0 - inv2 * (1.0 / 360.0 - inv2 * (1.0 / 1260.0 - inv2 / 1680.0)))
                     / big)

@@ -45,7 +45,6 @@ import numpy as np
 
 from .data import Observation
 from .solvers import ConvergenceError
-from .special import log_gamma
 
 # a Z equation whose root lies above this multiple of its scale (V, plus
 # any known anchor) has no finite solution: the floor of every rate solve,
@@ -423,7 +422,7 @@ def rb_exact(obs: Observation) -> RBWeights:
     _require_observations(obs)
     m, n = obs.m, obs.n
     p = obs.p_obs
-    log_n_fact = log_gamma(float(n + 1))
+    log_n_fact = math.lgamma(n + 1)
     if m == n:
         return RBWeights.of(obs, np.ones(m), float(log_n_fact + np.sum(np.log(p))))
     if m == 1:
@@ -602,7 +601,7 @@ def expected_phi(obs: Observation, lam: float, k: int) -> float:
     # a rate below the smallest normal double takes its small-rate limit,
     # as in _ztp_mean; log(e^x - 1) = x + log(-expm1(-x)) stays finite there
     lp = np.maximum(lam * obs.p_obs, _MU_TINY)
-    log_terms = k * np.log(lp) - log_gamma(float(k + 1)) - lp - np.log(-np.expm1(-lp))
+    log_terms = k * np.log(lp) - math.lgamma(k + 1) - lp - np.log(-np.expm1(-lp))
     return float(np.sum(np.exp(log_terms)))
 
 

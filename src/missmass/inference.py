@@ -205,26 +205,22 @@ def mle_alpha(stats: SummaryStats, base: str = "L5") -> tuple[float, bool]:
 
 def _singular_report(method: str, stats: SummaryStats) -> InferenceReport | None:
     if stats.Y == 0.0:
-        w = PointMass(0.0)
-        return InferenceReport(method=method, w_dist=w,
-                               z_dist=PointMass(stats.V),
-                               w_over_z_dist=PointMass(0.0),
-                               alpha_summary=math.nan,
-                               singular_case="Y_zero")
+        return _point_mass_report(method, stats, 0.0, math.nan, "Y_zero", {})
     if stats.is_proportional:
-        return _alpha_infinity_report(method, stats, "DeltaS_zero", {})
+        return _point_mass_report(method, stats, stats.Y * stats.proportional_scale,
+                                  math.inf, "DeltaS_zero", {})
     return None
 
 
-def _alpha_infinity_report(method: str, stats: SummaryStats, case: str,
-                           diagnostics: dict) -> InferenceReport:
-    """The alpha -> infinity limit of BetaPrime(alpha Y, alpha X + N;
-    V): the point mass at W = Y V / X, with Z = V + W and W/Z = Y."""
-    w_val = stats.Y * stats.proportional_scale
-    return InferenceReport(method=method, w_dist=PointMass(w_val),
-                           z_dist=PointMass(stats.V + w_val),
+def _point_mass_report(method: str, stats: SummaryStats, w: float, alpha: float,
+                       case: str, diagnostics: dict) -> InferenceReport:
+    """The point mass at W = ``w``, with Z = V + W and W/Z = Y: W = 0 where
+    Y = 0, and W = Y V / X in the alpha -> infinity limit of
+    BetaPrime(alpha Y, alpha X + N; V)."""
+    return InferenceReport(method=method, w_dist=PointMass(w),
+                           z_dist=PointMass(stats.V + w),
                            w_over_z_dist=PointMass(stats.Y),
-                           alpha_summary=math.inf, singular_case=case,
+                           alpha_summary=alpha, singular_case=case,
                            diagnostics=diagnostics)
 
 
@@ -256,8 +252,9 @@ def infer_mixed(obs: Observation, stats: SummaryStats,
     best = _alpha_maximum(base, stats)
     alpha = best.alpha
     if best.reason == _AT_INFINITY:
-        return _alpha_infinity_report("mixed", stats, "alpha_infinite", {
-            "base": base, "evals": best.evals, "reason": best.reason})
+        return _point_mass_report("mixed", stats, stats.Y * stats.proportional_scale,
+                                  math.inf, "alpha_infinite",
+                                  {"base": base, "evals": best.evals, "reason": best.reason})
     diag = {"base": base, "converged": best.reason is None, "evals": best.evals}
     if alpha * stats.X + stats.N <= 1.0:
         diag["mean_undefined"] = True
@@ -535,7 +532,9 @@ def infer_profile(obs: Observation, stats: SummaryStats) -> InferenceReport:
     panels as ``tail_mass``.  A panel whose polynomial does not resolve the
     envelope (a steep flank near u = logit(Y) on small uneven samples) is
     halved.  An L9 maximum at alpha -> infinity fails with
-    that verdict, one of the envelope at the grid top with ArithmeticError.
+    that verdict, as does a mode whose L8 curvature in alpha is not
+    negative (rounding noise at huge alpha); one of the envelope at the grid
+    top fails with ArithmeticError.
     """
     singular = _singular_report("profile", stats)
     if singular is not None:
@@ -547,9 +546,16 @@ def infer_profile(obs: Observation, stats: SummaryStats) -> InferenceReport:
     column = _profile_column(stats)
     mode_alpha = _profile_mode(stats, column)
     a, b = mode_alpha * stats.Y, mode_alpha * stats.X + stats.N
-    # the envelope's curvature in u: g's, eased by the move of the alpha
-    width = (a * b / (a + b) + (stats.Y - a / (a + b)) ** 2
-             / d2log_dalpha2("L8", stats, mode_alpha)) ** -0.5
+    # the envelope's curvature in u: g's, eased by the move of the alpha,
+    # which needs L8 strictly concave in alpha there
+    curvature = d2log_dalpha2("L8", stats, mode_alpha)
+    eased = (a * b / (a + b) + (stats.Y - a / (a + b)) ** 2 / curvature
+             if curvature < 0.0 else math.nan)
+    if not 0.0 < eased < math.inf:
+        raise ValueError(f"profile likelihood L8 has no curvature in alpha at the "
+                         f"mode's alpha {mode_alpha:.3g}: the sample is too close "
+                         "to proportional")
+    width = eased ** -0.5
     center = math.log(a / b)
 
     v = _PROFILE_PROBES

@@ -43,11 +43,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
+from scipy.special import gammaln, psi, zeta
 
 from .data import SummaryStats
-from .special import digamma, log_gamma, trigamma
 
 # sums over the log-Gamma terms run in blocks of at most this many
 # alpha-by-term elements (1 MB per float64 temporary)
@@ -78,7 +79,7 @@ def _as_alpha(alpha):
 # f_k of the k-th alpha derivative's term sum (data.SummaryStats); the
 # functions check no argument, so the run's one multiply (_term_sum) is
 # the positivity check
-_TERM_FNS = (log_gamma, digamma, trigamma)
+_TERM_FNS = (gammaln, psi, partial(zeta, 2.0))
 _TERM_FN_NAMES = ("log_gamma", "digamma", "trigamma")
 
 

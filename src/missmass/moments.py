@@ -111,14 +111,12 @@ def mle_full(obs: Observation, stats: SummaryStats) -> MomentMatchResult:
     ``evals`` counts the scalar slope evaluations of the root finds.
     """
     if stats.is_proportional:
-        return _result("MLE", stats, None, [math.nan],
-                       {"status": "boundary", "evals": 0,
-                        "reason": "maximum at alpha -> infinity (Delta_S = 0)"})
+        return _no_params("MLE", stats, {"status": "boundary", "evals": 0}, "boundary",
+                          "maximum at alpha -> infinity (Delta_S = 0)")
     best = _alpha_maximum("L11", stats)
     if best.reason is not None:
-        return _result("MLE", stats, None, [math.nan],
-                       {"status": "boundary", "evals": best.evals,
-                        "reason": best.reason})
+        return _no_params("MLE", stats, {"status": "boundary", "evals": best.evals},
+                          "boundary", best.reason)
     alpha = best.alpha
     b, lam = stationary_b_lambda(stats, alpha)
     if not math.isfinite(lam):

@@ -19,11 +19,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import psi
 
 from .data import Dataset
 from .estimators import _ztp_mean
 from .likelihoods import ModelParams
-from .special import digamma
 
 _BATCH_CHUNK = 20_000
 
@@ -46,42 +46,36 @@ def simulate_model(x, params: ModelParams, order: str = "p-c",
     with x(i) = 0 get p(i) = c(i) = 0.
     """
     x = np.asarray(x, dtype=float)
-    rng = _rng(rng_seed, 0)
-    p, c = _draw_model(x, params, order, rng, size=None)
-    return Dataset(x=x, p=p, c=c)
+    p, c = _draw_model(x, params, order, _rng(rng_seed, 0), 1)
+    return Dataset(x=x, p=p[0], c=c[0])
 
 
 def _draw_model(x: np.ndarray, params: ModelParams, order: str,
-                rng: np.random.Generator, size: int | None):
-    """p, c draws with leading replicate axis when size is not None."""
+                rng: np.random.Generator, size: int):
+    """``size`` draws of p, c, one per row."""
     alpha, b, lam = params.alpha, params.b, params.lam
     a = alpha * x
     pos = a > 0
-    shape = (size, len(x)) if size is not None else (len(x),)
-    p = np.zeros(shape)
-    c = np.zeros(shape, dtype=np.int64)
+    drawn = (size, int(pos.sum()))
+    p = np.zeros((size, len(x)))
+    c = np.zeros((size, len(x)), dtype=np.int64)
     if order == "p-c":
-        p[..., pos] = rng.gamma(a[pos], 1.0 / b, size=shape[:-1] + (int(pos.sum()),))
-        c[..., pos] = rng.poisson(lam * p[..., pos])
+        p[:, pos] = rng.gamma(a[pos], 1.0 / b, size=drawn)
+        c[:, pos] = rng.poisson(lam * p[:, pos])
     elif order == "z-dirichlet":
         z = rng.gamma(alpha, 1.0 / b, size=size)
-        g = rng.gamma(a[pos], 1.0, size=shape[:-1] + (int(pos.sum()),))
+        g = rng.gamma(a[pos], 1.0, size=drawn)
         tot = g.sum(axis=-1, keepdims=True)
         if np.any(tot == 0.0):
             raise ArithmeticError(
                 "Dirichlet draw underflowed to zero everywhere; the shape "
                 "parameters alpha x(i) are too small for float64")
-        p[..., pos] = g / tot * np.expand_dims(z, -1) if size is not None else g / tot * z
-        n = rng.poisson(lam * z)
         probs = g / tot
-        if size is None:
-            c[pos] = rng.multinomial(int(n), probs)
-        else:
-            c[:, pos] = rng.multinomial(n, probs)
+        p[:, pos] = probs * z[:, None]
+        c[:, pos] = rng.multinomial(rng.poisson(lam * z), probs)
     elif order == "c-p":
-        c[..., pos] = rng.negative_binomial(a[pos], b / (b + lam),
-                                            size=shape[:-1] + (int(pos.sum()),))
-        p[..., pos] = rng.gamma(a[pos] + c[..., pos], 1.0 / (b + lam))
+        c[:, pos] = rng.negative_binomial(a[pos], b / (b + lam), size=drawn)
+        p[:, pos] = rng.gamma(a[pos] + c[:, pos], 1.0 / (b + lam))
     else:
         raise ValueError(f"unknown generation order {order!r}")
     return p, c
@@ -177,7 +171,7 @@ def _prior_u(values: np.ndarray, counts: np.ndarray, alpha: np.ndarray,
     la = a * log1p_rho[:, None]
     seen = -np.expm1(-la)
     return (log1p_rho * _row_sums(np.exp(-la), weights)
-            + _row_sums(digamma(a) * seen, weights), _row_sums(seen, weights))
+            + _row_sums(psi(a) * seen, weights), _row_sums(seen, weights))
 
 
 def _given_s_n(values: np.ndarray, counts: np.ndarray, alpha: np.ndarray,
@@ -214,7 +208,7 @@ def _given_s_u(values: np.ndarray, counts: np.ndarray, alpha: np.ndarray,
     log1p_rho = np.log1p(rho)[:, None]
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         tail = np.where(log1p_rho > 0.0, log1p_rho / np.expm1(a * log1p_rho), 1.0 / a)
-    return _row_sums(digamma(a) + tail, values * counts)
+    return _row_sums(psi(a) + tail, values * counts)
 
 
 def expected_values(x, params: ModelParams, cond: str = "prior",

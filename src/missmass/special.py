@@ -1,19 +1,7 @@
-"""Log-gamma, digamma, trigamma and log-beta: one name for each.
+"""The special-function layer, which now defines nothing.
 
-These are ``scipy.special``'s gammaln, psi, zeta(2, .) and betaln, bound
-under the names the package uses; this module defines no function.  They
-check no argument: every call site passes positive arguments by
-construction, or checks its one smallest argument where input from
-outside reaches it (the moment strategies and simulate.expected_values
-refuse alpha x(i) = 0, the likelihood term sums check their run,
-likelihoods._term_sum).  On a scalar they return a numpy float.
+The package calls ``scipy.special`` (gammaln, psi, zeta(2, .), betaln) and
+``math.lgamma`` where it uses them, and no module imports this one.  It is
+kept only because the benchmark's layer tracer (perfbench/tracing.py)
+imports every layer by name, this one included.
 """
-
-from functools import partial
-
-from scipy.special import betaln, gammaln, psi, zeta
-
-log_gamma = gammaln
-digamma = psi
-trigamma = partial(zeta, 2.0)
-log_beta = betaln

@@ -28,8 +28,9 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
+from scipy.special import betaln, gammaincinv
 
-from .data import Dataset, Observation, SummaryStats, summarize
+from .data import Observation, SummaryStats, summarize
 from .distributions import PointMass
 from .estimators import (good_turing_rb, ipw_fixed_n, ipw_poisson,
                          mixture_estimate, rb_exact, rb_poisson_weights)
@@ -38,11 +39,9 @@ from .inference import (_SLOPE_SCAN_ALPHA, _alpha_maximum, infer_bayes,
 from .likelihoods import (ModelParams, d2log_dalpha2, dlog_dalpha, log_L4,
                           log_L5, log_L8, log_L9)
 from .moments import match_C
-from .simulate import (_draw_model, _rng, effective_states, expected_values,
-                       simulate_explicit, simulate_model_batch,
-                       toy_physics_dataset)
+from .simulate import (_rng, effective_states, expected_values, simulate_explicit,
+                       simulate_model, simulate_model_batch, toy_physics_dataset)
 from .solvers import ConvergenceError
-from .special import log_beta
 
 # ---------------------------------------------------------------------------
 # random samples
@@ -497,7 +496,7 @@ def beta_prime_moment_error(rng, draws: int) -> float:
         log_mean_z = integrate_semi_infinite(
             lambda t: a * np.log(t) - (a + b + 1.0) * np.log1p(t), 1.0)
         mean_wv = a / (b - 1.0)
-        errors += [abs(math.expm1(log_norm - log_beta(a, b))),
+        errors += [abs(math.expm1(log_norm - betaln(a, b))),
                    abs(math.exp(log_mean - log_norm) - mean_wv) / max(1.0, mean_wv),
                    abs(math.exp(log_mean_z - log_norm) - a / (a + b))]
     return float(np.max(errors))
@@ -559,8 +558,6 @@ def check_coverage_oracle(seed0: int, reps: int) -> bool:
     rate over draws seeded seed0, seed0 + 1, ...  This validates the
     simulation and quantile plumbing that the calibration criterion builds
     on."""
-    from scipy.special import gammaincinv
-
     params = ModelParams(2.0, 1.0, 5.0)
     alpha, b, lam = params.alpha, params.b, params.lam
     x = np.full(50, 1 / 50)
@@ -569,11 +566,10 @@ def check_coverage_oracle(seed0: int, reps: int) -> bool:
     seed = seed0 - 1
     while used < reps:
         seed += 1
-        p, c = _draw_model(x, params, "p-c", _rng(seed, 0), None)
-        if c.sum() == 0:
+        ds = simulate_model(x, params, rng_seed=seed)
+        if ds.c.sum() == 0:
             continue
         used += 1
-        ds = Dataset(x=x, p=p, c=c)
         st = summarize(ds.observe())
         w_true = ds.z - st.V
         ay = alpha * st.Y

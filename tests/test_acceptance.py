@@ -11,9 +11,10 @@ import time
 import mpmath as mp
 import numpy as np
 
-from missmass.data import Dataset, Observation, summarize
+from missmass.data import Observation, summarize
 from missmass.inference import ALPHA_T_BOUNDS, infer_mixed, mle_alpha
 from missmass.likelihoods import ModelParams, d2log_dalpha2, dlog_dalpha, log_L5, log_L9
+from missmass.simulate import simulate_model
 from missmass.verify import (check_beta_identity, check_expectations,
                              check_generating_function, check_ipw_unbiased,
                              check_mixed_closed_form, check_rb_exact,
@@ -173,18 +174,15 @@ def test_criterion_11_mixed_method_calibration():
     start = time.perf_counter()
     params = ModelParams(2.0, 1.0, 5.0)
     x = np.full(50, 1 / 50)
-    from missmass.simulate import _draw_model, _rng
-
     hits = used = 0
     single = single_hits = 0
     seed = 0
     while used < 500:
         seed += 1
-        p, c = _draw_model(x, params, "p-c", _rng(seed, 0), None)
-        if c.sum() == 0:
+        ds = simulate_model(x, params, rng_seed=seed)
+        if ds.c.sum() == 0:
             continue
         used += 1
-        ds = Dataset(x=x, p=p, c=c)
         st = summarize(ds.observe())
         rep = infer_mixed(ds.observe(), st)
         w_true = ds.z - st.V

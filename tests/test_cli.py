@@ -340,6 +340,19 @@ class TestInfer:
         obs = load_observation(path)
         check_table_rows(csv, infer_mixed(obs, summarize(obs)).w_dist)
 
+    @pytest.mark.parametrize("method", ["bayes", "profile", "mixed"])
+    @pytest.mark.parametrize("fixture", ["full_coverage.json", "delta_s_zero.json"])
+    def test_csv_of_a_singular_fixture_is_its_point_mass(self, method, fixture, capsys,
+                                                         tmp_path):
+        csv = tmp_path / "post.csv"
+        path = fixture_path(fixture)
+        code, _, err = run_cli(capsys, "infer", "--in", path, "--method", method,
+                               "--out-csv", str(csv))
+        assert (code, err) == (0, "")
+        obs = load_observation(path)
+        w = infer_mixed(obs, summarize(obs)).w_dist.value
+        assert csv.read_text() == f"W,density,cumulative\n{w:.17g},inf,1\n"
+
     @pytest.mark.parametrize("flag, value", [
         ("--base", "L9"), ("--strategy", "A"), ("--out-csv", "post.csv")])
     def test_an_option_the_method_ignores_is_refused(self, flag, value, capsys, tmp_path):

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -73,6 +74,17 @@ class TestObservationValidation:
         # a dataset file loads as its observation
         obs2 = load_observation(fixture_path("dataset_model_draw.json"))
         assert obs2.m >= 1
+
+
+def test_a_dataset_file_without_entries_is_observed(tmp_path):
+    # load_observation reads a file with only x, p and c as the dataset it
+    # is, keeping the points with c >= 1
+    ds = Dataset(x=[0.5, 0.3, 0.2], p=[1.0, 0.4, 2.0], c=[2, 0, 1])
+    path = tmp_path / "dataset.json"
+    path.write_text(json.dumps({"x": ds.x.tolist(), "p": ds.p.tolist(), "c": ds.c.tolist()}))
+    obs = load_observation(str(path))
+    assert obs.domain_size == 3 and obs.x.tolist() == [0.5, 0.3, 0.2]
+    assert obs.entries == ds.observe().entries == [(0, 1.0, 2), (2, 2.0, 1)]
 
 
 class TestSummarize:

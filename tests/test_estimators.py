@@ -470,6 +470,26 @@ class TestRbZEquation:
         b = rb_z_equation(obs, w, variant="M_over_Z").value
         assert a == pytest.approx(b, rel=1e-8)
 
+    def test_a_root_below_v_is_reached_from_the_lower_limit(self):
+        # hand-made weights v = (100, 1, 1) put the root at Z < V: from
+        # N / V the equation is negative and falling, so the solve jumps
+        # to the rate at the lower limit of Z and comes back down to the
+        # root (Poisson form), or stays there, the boundary verdict (the
+        # fixed-n limit, max p, lies above this root)
+        obs = make_obs([1.0, 2.0, 3.0], [2, 2, 3])
+        w = RBWeights(v={0: 100.0, 1: 1.0, 2: 1.0})
+        v, n, vals = obs.v, obs.n, np.array([100.0, 1.0, 1.0])
+
+        def excess(z):
+            return np.sum(vals * -np.expm1(-n * obs.p_obs / z)) / n - v / z
+
+        res = rb_z_equation(obs, w, variant="V_over_Z", pi="poisson")
+        assert res.value == pytest.approx(brentq(excess, 1e-3, v, xtol=1e-300, rtol=1e-15),
+                                          rel=1e-13)
+        assert res.value < v and res.diagnostics["below_v"]
+        bound = rb_z_equation(obs, w, variant="V_over_Z", pi="fixed-n")
+        assert bound.value == 0.0 and bound.diagnostics["reason"].startswith("boundary")
+
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(obs=spread_observations())
     def test_seeded_roots_equal_the_unseeded(self, obs):

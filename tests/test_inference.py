@@ -141,6 +141,23 @@ class TestSingularCases:
             assert rep.w_dist.value == 0.0
             assert rep.z_dist.value == pytest.approx(st.V)
 
+    def test_full_coverage_below_one_in_float_pins_w_at_zero(self):
+        # x sums to 1 - 2^-53 in float, so 1 - X is one ulp, yet every point
+        # of positive x is sampled: Y is 0 and each route the point mass
+        # at W = 0, as for x summing to 1 exactly
+        x = np.array([0.5, 0.25, 0.25 - 2.0 ** -53, 0.0])
+        obs = Observation(domain_size=4, x=x, indices=np.arange(3),
+                          p_obs=np.array([1.0, 0.7, 2.2]), counts=np.array([2, 1, 1]))
+        st = summarize(obs)
+        assert st.X == 1.0 - 2.0 ** -53 and st.Y == 0.0
+        for fn in (infer_mixed, infer_bayes, infer_profile):
+            rep = fn(obs, st)
+            assert rep.singular_case == "Y_zero"
+            assert rep.w_dist == PointMass(0.0) and rep.z_dist == PointMass(st.V)
+            assert rep.w_over_z_dist == PointMass(0.0)
+        for strategy in ("A", "B", "C", "MLE"):
+            assert moment_match(obs, st, strategy).w_dist == PointMass(0.0)
+
 
 def near_proportional_observation(spread=1e-9):
     """p = 2 x exp(0, +spread/2, -spread/2) on three of four points: the
@@ -172,6 +189,12 @@ class TestAlphaVerdict:
         obs = near_proportional_observation()
         with pytest.raises(ValueError, match="alpha -> infinity"):
             infer_profile(obs, summarize(obs))
+
+    def test_bayes_states_the_alpha_infinity_reason_before_any_walk(self, monkeypatch):
+        obs = near_proportional_observation()
+        monkeypatch.setattr(inference, "_walk", None)
+        with pytest.raises(ValueError, match="L5 does not decay"):
+            infer_bayes(obs, summarize(obs))
 
     def test_verdict_reads_slopes_only(self):
         # near-proportional samples put log L5, L9 and L11 at huge alpha in
@@ -325,6 +348,49 @@ class TestBayesMixture:
         assert not st.is_proportional
         with pytest.raises(ValueError, match="proportional"):
             infer_bayes(obs, st)
+
+
+class TestStatedRefusals:
+    """Samples the routes refuse, each with its stated reason."""
+
+    def test_bayes_window_in_rounding_noise(self):
+        # at spread 1e-8 the L5 maximum is interior (alpha near 8e14), and
+        # log L5 there moves by tens of nats under a relative step of 1e-10
+        obs = near_proportional_observation(1e-8)
+        with pytest.raises(ValueError, match="rounding noise"):
+            infer_bayes(obs, summarize(obs))
+
+    def test_bayes_mass_below_the_window(self):
+        # two points 20 decades apart put alpha-hat near 0.06; L5 falls
+        # only as alpha^(M - 1) = alpha below it, so the posterior keeps
+        # more than 1e-12 of its mass below alpha = e^-30
+        obs = Observation(domain_size=3, x=np.full(3, 1 / 3), indices=np.arange(2),
+                          p_obs=np.array([1e-10, 1e10]), counts=np.array([1, 2]))
+        with pytest.raises(ValueError, match="keeps mass below the log-alpha window"):
+            infer_bayes(obs, summarize(obs))
+
+    def test_profile_envelope_at_the_grid_top(self):
+        x = np.array([0.2, 0.3, 0.5])
+        p = 2.0 * x[:2] * np.exp([-1e-9, 1e-9])
+        obs = Observation(domain_size=3, x=x, indices=np.arange(2), p_obs=p,
+                          counts=np.array([1, 2]))
+        with pytest.raises(ArithmeticError, match="diverged at finite W"):
+            infer_profile(obs, summarize(obs))
+
+    def test_profile_without_curvature_at_the_mode(self, capsys, tmp_path):
+        # at spread 1e-8 the envelope's mode sits at alpha near 5e20, where
+        # the L8 curvature in alpha rounds to 0: a stated refusal, from the
+        # library and the CLI alike, not a ZeroDivisionError
+        obs = near_proportional_observation(1e-8)
+        message = "no curvature in alpha .* too close to proportional"
+        with pytest.raises(ValueError, match=message):
+            infer_profile(obs, summarize(obs))
+        path = tmp_path / "near.json"
+        write_observation(obs, path)
+        assert cli.main(["infer", "--in", str(path), "--method", "profile"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: profile likelihood L8 ")
+        assert err.count("\n") == 1
 
 
 def bayes_gate_observation(case):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy import stats as spstats
+from scipy.special import gammaln
 
 from missmass.data import Dataset, summarize
 from missmass.likelihoods import ModelParams, log_L2
@@ -130,8 +131,8 @@ class TestJointDensity:
         a = alpha * x1
         for c in (0, 1, 3, 7):
             def log_f(p):
-                return (a * math.log(b) - _lgam(a) + (a - 1) * np.log(p)
-                        - (b + lam) * p + c * np.log(lam * p) - _lgam(c + 1.0))
+                return (a * math.log(b) - gammaln(a) + (a - 1) * np.log(p)
+                        - (b + lam) * p + c * np.log(lam * p) - gammaln(c + 1.0))
 
             quad = integrate_semi_infinite(log_f, max((a + c) / (b + lam), 0.05))
             pmf = spstats.nbinom.logpmf(c, a, b / (b + lam))
@@ -160,11 +161,6 @@ class TestJointDensity:
         hist = hist / hist.sum()
         dens = dens / dens.sum()
         assert np.max(np.abs(hist - dens)) < 0.01
-
-
-def _lgam(z):
-    from missmass.special import log_gamma
-    return float(log_gamma(float(z)))
 
 
 class TestToyPhysics:

@@ -2,12 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import betaln, gammaln
 
 from conftest import fixture_path
 from missmass import inference, verify
 from missmass.data import load_observation, summarize
 from missmass.solvers import _REL_TOL, BracketError, newton_bracketed, solve_root
-from missmass.special import log_beta, log_gamma
 from missmass.verify import DivergenceError, integrate_semi_infinite
 
 
@@ -150,19 +150,19 @@ class TestIntegrateSemiInfinite:
     def test_gamma_kernel(self):
         k = 3.5
         val = integrate_semi_infinite(lambda u: (k - 1) * np.log(u) - u, k - 1)
-        assert val == pytest.approx(float(log_gamma(k)), abs=1e-12)
+        assert val == pytest.approx(float(gammaln(k)), abs=1e-12)
 
     def test_gamma_kernel_shape_sweep(self):
         for k in (0.1, 0.5, 1.0, 3.0, 10.0, 100.0):
             val = integrate_semi_infinite(
                 lambda u, k=k: (k - 1) * np.log(u) - u, max(k - 1, 0.05))
-            assert val == pytest.approx(float(log_gamma(k)), abs=1e-9)
+            assert val == pytest.approx(float(gammaln(k)), abs=1e-9)
 
     def test_beta_prime_kernel(self):
         a, b = 0.7, 12.0
         val = integrate_semi_infinite(
             lambda t: (a - 1) * np.log(t) - (a + b) * np.log1p(t), 0.1)
-        assert val == pytest.approx(float(log_beta(a, b)), abs=1e-10)
+        assert val == pytest.approx(float(betaln(a, b)), abs=1e-10)
 
     def test_divergent_integrand(self):
         with pytest.raises(DivergenceError):
