@@ -148,11 +148,13 @@ class _BetaAtoms:
         Each term is exp(c - b d - (a + b) log(1 + q (e^-d - 1))) in
         d = u - log(a / b), q = b / (a + b), with c its log at d = 0 from
         Stirling remainders: the terms of size a log s that cancel in the
-        plain form never appear.
+        plain form never appear.  Where q (e^-d - 1) < -1/2 the log is
+        taken of a / (a + b) + q e^-d instead, which keeps the digits of a
+        where q rounds to 1 (a below b times the float epsilon).
         """
         if "density" not in self._cache:
             self._cache["density"] = _beta_density_terms(self.a, self.b)
-        mode, q, c = self._cache["density"]
+        mode, q, share, c = self._cache["density"]
         # in place on the nodes-by-atoms arrays, which the mass check makes
         # large: log1p(q expm1(-d)) with e^-d kept finite (past -d = 700 the
         # exponent falls as -a (-d - 700) to rounding, so u = -inf gives 0),
@@ -160,7 +162,16 @@ class _BetaAtoms:
         minus_d = np.atleast_1d(mode - self._at_atoms(u))
         far = np.maximum(minus_d - 700.0, 0.0)
         np.minimum(minus_d, 700.0, out=minus_d)
-        log_term = np.log1p(q * np.expm1(minus_d))
+        log_term = q * np.expm1(minus_d)
+        low = log_term < -0.5
+        # both forms on every element: cheaper than gathering the low ones
+        from_a = np.exp(minus_d)
+        from_a *= q
+        from_a += share
+        with np.errstate(divide="ignore"):  # log1p(-1) where q rounds to 1
+            np.log(from_a, out=from_a)
+            np.log1p(log_term, out=log_term)
+        np.copyto(log_term, from_a, where=low)
         log_term *= self.a + self.b
         minus_d *= self.b
         minus_d += c
@@ -273,12 +284,12 @@ def _stirling_remainder(x):
 
 
 def _beta_density_terms(a, b):
-    """(log(a / b), b / n, log of the u density of Beta(a, b) at d = 0),
-    n = a + b, for _BetaAtoms._u_density."""
+    """(log(a / b), b / n, a / n, log of the u density of Beta(a, b) at
+    d = 0), n = a + b, for _BetaAtoms._u_density."""
     n = a + b
     log_peak = (0.5 * np.log(a * b / (2.0 * math.pi * n)) + _stirling_remainder(n)
                 - _stirling_remainder(a) - _stirling_remainder(b))
-    return np.log(a / b), b / n, log_peak
+    return np.log(a / b), b / n, a / n, log_peak
 
 
 def cdf_table(law, max_step: float, levels=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -290,11 +301,14 @@ def cdf_table(law, max_step: float, levels=None) -> tuple[np.ndarray, np.ndarray
     whose trapezoid of end densities misses that step by more than
     ``max_step`` * _TABLE_FIT, is bisected in u, with one CDF-and-density
     pass per round over the new midpoints.  Each F is the law's exact CDF
-    at the row's u.
+    at the row's u.  A CDF or density that is not finite, which no
+    bisection can resolve, raises ArithmeticError.
     """
     u = law._start_rows() if levels is None else np.atleast_1d(law.u_quantile(levels))
     cdf, density = law._u_cdf(u)
     while True:
+        if not (np.all(np.isfinite(cdf)) and np.all(np.isfinite(density))):
+            raise ArithmeticError("the law's CDF or density is not finite on its table rows")
         step = np.diff(cdf)
         trapezoid = 0.5 * (density[:-1] + density[1:]) * np.diff(u)
         split = np.nonzero((step > max_step)
@@ -463,9 +477,10 @@ class LawView:
     """The law of W = scale e^u, Z = scale + W or W/Z = expit(u)
     (``which``) for u drawn from ``law``, a law of u = log(W / scale).
 
-    The views of one law share it, and with it its CDF table.  The law's
-    own attributes (its parameters, ``u_quantile``, ``table``,
-    ``mass_check``) read through the view.
+    A view is only that map: it answers ``quantile``, ``cdf``,
+    ``log_pdf`` and ``mean`` of its quantity.  The views of one law share
+    it, and with it its CDF table; what belongs to the law (its parameters,
+    ``u_quantile``, ``table``, ``mass_check``) is read from ``law``.
     """
 
     law: object
@@ -477,12 +492,6 @@ class LawView:
             raise ValueError("scale must be positive")
         if self.which not in VIEWS:
             raise ValueError(f"which must be one of {VIEWS}")
-
-    def __getattr__(self, name):
-        # only names the view lacks; "law" itself while a copy is being built
-        if name == "law" or name.startswith("__"):
-            raise AttributeError(name)
-        return getattr(self.law, name)
 
     def quantile(self, q):
         # u is a float for a single level, an array for an array of levels

@@ -496,11 +496,14 @@ def rb_z_equation(obs: Observation, weights: RBWeights,
 
         V lambda = sum_S v(i) pi(lambda p(i))   or   M lambda = sum_S (v(i) / p(i)) pi(lambda p(i))
 
-    pi is concave in lambda, so each difference is convex, with roots at
-    lambda = 0 and at the estimate (v >= 1 and sum_S v = N > M for the
-    Rao-Blackwell weights).  It is solved from N / V, right of the root
-    unless the root's Z lies below V; there the solve starts from the
-    lower limit of Z instead, and a root past it is the boundary verdict.
+    pi is concave in lambda, so each difference is convex, with a root at
+    lambda = 0.  Its slope there, V - sum_S v p or M - sum_S v, is negative
+    for the Rao-Blackwell weights (v >= 1 and sum_S v = N > M), and only
+    then is there a second root, the estimate; other weights get "no finite
+    solution" (+inf) before any evaluation.  The estimate is solved from
+    N / V, right of the root unless the root's Z lies below V; there the
+    solve starts from the lower limit of Z instead, and a root past it is
+    the boundary verdict.
     Weights computed from ``obs`` itself are read as their array, and under
     the Poisson form the solve starts from the rate of their tilt: for the
     saddle-point weights v = lambda p / pi(lambda p) that rate is the root
@@ -522,6 +525,9 @@ def rb_z_equation(obs: Observation, weights: RBWeights,
     # sum_S v pi (/ p) = lambda sum_S v p / h (lambda sum_S v / h)
     w = weights.aligned(obs)
     w, c = (-w * p, v) if variant == "V_over_Z" else (-w, obs.m)
+    if c + float(np.add.reduce(w)) >= 0.0:
+        return _result(obs, method, {"evals": 0, "iterations": 0, "reason": _NO_SOLUTION},
+                       math.inf)
     diag: dict = {}
     start = n / v
     if pi == "poisson" and weights.obs is obs and weights.rate is not None:

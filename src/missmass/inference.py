@@ -255,9 +255,9 @@ def infer_mixed(obs: Observation, stats: SummaryStats,
         return _point_mass_report("mixed", stats, stats.Y * stats.proportional_scale,
                                   math.inf, "alpha_infinite",
                                   {"base": base, "evals": best.evals, "reason": best.reason})
+    # a non-singular sample has N >= M >= 2, so b = alpha X + N > 1 and the
+    # W mean is finite
     diag = {"base": base, "converged": best.reason is None, "evals": best.evals}
-    if alpha * stats.X + stats.N <= 1.0:
-        diag["mean_undefined"] = True
     return _law_report("mixed", _BetaAtoms(alpha * stats.Y, alpha * stats.X + stats.N),
                        stats, alpha, diag)
 
@@ -340,13 +340,6 @@ def _alpha_window(stats: SummaryStats, best: AlphaMaximum, slopes: np.ndarray
     return lo, window_end(up), down[-1][1]
 
 
-def _interleave(old: np.ndarray, new: np.ndarray) -> np.ndarray:
-    """old[0], new[0], old[1], new[1], ... along the first axis."""
-    out = np.empty((2 * len(old),) + old.shape[1:])
-    out[0::2], out[1::2] = old, new
-    return out
-
-
 def _alpha_window_nodes(stats: SummaryStats, best: AlphaMaximum, slopes: np.ndarray
                         ) -> tuple[np.ndarray, np.ndarray, float]:
     """Node set of the Bayes alpha integral: (alpha_j, weights, log evidence).
@@ -357,7 +350,9 @@ def _alpha_window_nodes(stats: SummaryStats, best: AlphaMaximum, slopes: np.ndar
     end) and normalized; the log of their sum times the spacing is the
     evidence.  The upper end, where L5 is e^-_WINDOW_NATS of its maximum,
     is left out, so a halving of the spacing keeps every node and doubles
-    their count.  L5 at the lower end is as small, or, where the window
+    their count; the new midpoints are appended, since neither the rule nor
+    the mixture depends on the order of the nodes, and the lower end stays
+    the first.  L5 at the lower end is as small, or, where the window
     reaches the grid bottom, below _TAIL_SHARE of the evidence, and the
     rule's error on an analytic integrand that vanishes at both ends falls
     geometrically in the node count: each halving at least squares it.  So
@@ -396,7 +391,7 @@ def _alpha_window_nodes(stats: SummaryStats, best: AlphaMaximum, slopes: np.ndar
     while nodes < BAYES_NODES:
         fresh = t + 0.5 * (hi - lo) / nodes
         fresh_l, fresh_g = sample(fresh)
-        t, log_l, g = _interleave(t, fresh), _interleave(log_l, fresh_l), _interleave(g, fresh_g)
+        t, log_l, g = np.append(t, fresh), np.append(log_l, fresh_l), np.vstack([g, fresh_g])
         nodes *= 2
         coarse, coarse_answers = log_sum, answers
         log_sum, weights, answers = rule(log_l, g)
@@ -532,9 +527,10 @@ def infer_profile(obs: Observation, stats: SummaryStats) -> InferenceReport:
     panels as ``tail_mass``.  A panel whose polynomial does not resolve the
     envelope (a steep flank near u = logit(Y) on small uneven samples) is
     halved.  An L9 maximum at alpha -> infinity fails with
-    that verdict, as does a mode whose L8 curvature in alpha is not
-    negative (rounding noise at huge alpha); one of the envelope at the grid
-    top fails with ArithmeticError.
+    that verdict, as do a mode whose L8 curvature in alpha is not
+    negative and an envelope whose probes all peak below the mode (rounding
+    noise at huge alpha); one of the envelope at the grid top fails with
+    ArithmeticError.
     """
     singular = _singular_report("profile", stats)
     if singular is not None:
@@ -564,8 +560,11 @@ def infer_profile(obs: Observation, stats: SummaryStats) -> InferenceReport:
     log_v += np.log(np.cosh(v))
     kept = np.nonzero(log_v + np.maximum(u - center, 0.0) > np.max(log_v) - _PROFILE_DROP)[0]
     step = v[1] - v[0]
-    ends = (min(max(v[kept[0]] - step, v[alphas >= _TAIL_ALPHA][0]), -step),
-            v[kept[-1]] + step)
+    top = v[kept[-1]] + step
+    if top <= 0.0:
+        raise ValueError(f"the profile envelope has no mass above its mode at alpha "
+                         f"{mode_alpha:.3g}: the sample is too close to proportional")
+    ends = (min(max(v[kept[0]] - step, v[alphas >= _TAIL_ALPHA][0]), -step), top)
     lower, upper = (end * np.expm1(_PANEL_STRETCH * np.linspace(0.0, 1.0, panels + 1))
                     / math.expm1(_PANEL_STRETCH) for end, panels in zip(ends, _PROFILE_PANELS))
     edges = np.concatenate([lower[::-1], upper[1:]])

@@ -62,8 +62,10 @@ RESIDUAL_TOL = 1e-8
 _ALPHA_SCAN = np.exp(np.linspace(-7.0, 9.0, 65))
 # the inner Newton solves in log rho and log b stop at this step
 _LOG_TOL = 1e-12
-# the verdict of every strategy where lambda passes the float range
+# the verdicts of every strategy where lambda passes the float range, and
+# where it is 0
 _OVERFLOW = ("lambda_overflow", "lambda = N / Z passes the float range")
+_SINGLETONS = ("lambda_zero", "all sampled points are singletons")
 # strategy C's b is a normal float: log b lies in this range
 _LOG_B = np.log([np.finfo(float).tiny, np.finfo(float).max])
 
@@ -222,8 +224,7 @@ def _fit(strategy: str, stats: SummaryStats, values: np.ndarray, pin, expect_u,
     b, rho = (float(m[0]) for m in pin(np.array([alpha])))
     lam = rho * b if lam is None else lam
     if lam <= 0:
-        return _no_params(strategy, stats, diag, "lambda_zero",
-                          "all sampled points are singletons")
+        return _no_params(strategy, stats, diag, *_SINGLETONS)
     if not math.isfinite(lam):
         return _no_params(strategy, stats, diag, *_OVERFLOW)
     params = ModelParams(alpha, b, lam)
@@ -326,8 +327,7 @@ def match_C(obs: Observation, stats: SummaryStats) -> MomentMatchResult:
     lam = rb_poisson_lambda(obs)
     diag: dict = {"lambda": lam, "evals": 0}
     if lam == 0.0:
-        return _no_params("C", stats, diag, "lambda_zero",
-                          "all sampled points are singletons")
+        return _no_params("C", stats, diag, *_SINGLETONS)
     if lam == math.inf:
         return _no_params("C", stats, diag, *_OVERFLOW)
     values, counts = stats.x_values, stats.x_counts

@@ -302,7 +302,7 @@ def sample_count_given_s_p(p_s, lam: float, n_reps: int,
 def chi_square_equivalence(keys: list[np.ndarray]) -> float:
     """p-value of a chi-square homogeneity test across samples of integer
     key rows."""
-    from scipy.stats import chi2
+    from scipy.stats import chi2_contingency
 
     # one mixed-radix code per row, in the rows' lexicographic order: a 1-d
     # unique is several times faster than np.unique(axis=0)
@@ -326,11 +326,7 @@ def chi_square_equivalence(keys: list[np.ndarray]) -> float:
     pooled = np.concatenate([counts[:, keep],
                              counts[:, ~keep].sum(axis=1, keepdims=True)], axis=1)
     pooled = pooled[:, pooled.sum(axis=0) > 0]
-    exp = (pooled.sum(axis=1, keepdims=True)
-           * pooled.sum(axis=0, keepdims=True) / pooled.sum())
-    stat = float(np.sum((pooled - exp) ** 2 / exp))
-    dof = (pooled.shape[0] - 1) * (pooled.shape[1] - 1)
-    return float(chi2.sf(stat, dof))
+    return float(chi2_contingency(pooled, correction=False).pvalue)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,11 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 from scipy import integrate, special, stats
 
 from missmass.distributions import (GammaDist, LawView, LogScaleDist, PointMass,
@@ -90,7 +93,7 @@ class TestLogScaleDist:
     def test_quantiles_and_cdf_are_the_t_law(self):
         law = self.law()
         q = np.array([1e-6, 0.01, 0.05, 0.5, 0.95, 0.99, 1 - 1e-6])
-        np.testing.assert_allclose(law.u_quantile(q), self.u_exact(q), rtol=1e-9)
+        np.testing.assert_allclose(law.law.u_quantile(q), self.u_exact(q), rtol=1e-9)
         np.testing.assert_allclose(law.quantile(q), self.scale * np.exp(self.u_exact(q)),
                                    rtol=1e-8)
         np.testing.assert_allclose(law.cdf(law.quantile(q)), q, rtol=1e-12, atol=1e-15)
@@ -100,14 +103,15 @@ class TestLogScaleDist:
         # panels from v = -6 leave a tail of ~1e-8, carried as e^(r v) in v,
         # which is the t tail up to a relative e^(2 v) ~ 1e-5
         law = self.law(v_lo=-6.0)
-        assert law.tail_mass == pytest.approx(
+        assert law.law.tail_mass == pytest.approx(
             stats.t.cdf(-math.sinh(6.0) * math.sqrt(self.r), self.r), rel=1e-4)
-        q = np.array([1e-12, 1e-10, 0.5 * law.tail_mass])
-        np.testing.assert_allclose(law.u_quantile(q), self.u_exact(q), rtol=1e-4)
+        q = np.array([1e-12, 1e-10, 0.5 * law.law.tail_mass])
+        np.testing.assert_allclose(law.law.u_quantile(q), self.u_exact(q), rtol=1e-4)
         assert law.cdf(law.quantile(q[-1])) == pytest.approx(q[-1], rel=1e-12)
         # the deeper ones lie below the float range of W
         assert np.all(law.quantile(q[:2]) == 0.0)
-        assert law.u_quantile(1.0001 * law.tail_mass) > law.u_quantile(law.tail_mass)
+        assert (law.law.u_quantile(1.0001 * law.law.tail_mass)
+                > law.law.u_quantile(law.law.tail_mass))
 
     def test_views_of_one_law(self):
         law = self.law()
@@ -156,6 +160,33 @@ class TestCdfTable:
         s = s[1:-1, None]
         pdf = stats.beta.pdf(s, law.a, law.b) * s * (1 - s) @ law.weights
         np.testing.assert_allclose(density[1:-1], pdf, rtol=0, atol=1e-13 * np.max(pdf))
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(hs.lists(hs.tuples(hs.floats(-20.0, 12.0), hs.floats(-3.0, 12.0),
+                              hs.floats(1e-3, 1.0)), min_size=1, max_size=8))
+    def test_tables_at_extreme_shapes(self, atoms):
+        # a from 1e-20, where b / (a + b) rounds to 1, to 1e12; b from 2
+        log_a, log_b, weights = (np.array(v) for v in zip(*atoms))
+        law = _BetaAtoms(10.0 ** log_a, 2.0 + 10.0 ** log_b, weights)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rows = law.table()
+        assert len(rows[0]) < 1000
+        assert all(np.all(np.isfinite(r)) for r in rows)
+        assert np.all(np.diff(rows[0]) > 0) and np.all(np.diff(rows[1]) >= 0)
+
+    def test_a_density_that_is_not_finite_is_refused(self):
+        # the start rows' interval is bisected at u = 0, where this law's
+        # density is infinite: no bisection resolves it
+        class InfiniteAtZero:
+            def _start_rows(self):
+                return np.array([-1.0, 1.0])
+
+            def _u_cdf(self, u):
+                return special.expit(u), np.where(u == 0.0, np.inf, 0.25)
+
+        with pytest.raises(ArithmeticError, match="not finite"):
+            cdf_table(InfiniteAtZero(), 1.0 / 8.0)
 
     @pytest.mark.parametrize("law", [LawView(_BetaAtoms(2.5, 7.0), 3.0),
                                      TestLogScaleDist().law()], ids=["atom", "panels"])

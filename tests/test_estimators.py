@@ -490,6 +490,17 @@ class TestRbZEquation:
         bound = rb_z_equation(obs, w, variant="V_over_Z", pi="fixed-n")
         assert bound.value == 0.0 and bound.diagnostics["reason"].startswith("boundary")
 
+    @pytest.mark.parametrize("variant", ["V_over_Z", "M_over_Z"])
+    @pytest.mark.parametrize("pi", ["poisson", "fixed-n"])
+    def test_weights_summing_below_n_have_no_finite_root(self, variant, pi):
+        # v = (1, 1, 1) sums to M < N = 7: the slope at lambda = 0, V - sum v p
+        # = 0 or M - sum v = 0, is not negative, so the convex equation has
+        # no root past 0, decided before any evaluation
+        obs = make_obs([1.0, 2.0, 3.0], [2, 2, 3])
+        res = rb_z_equation(obs, RBWeights(v={0: 1.0, 1: 1.0, 2: 1.0}), variant, pi)
+        assert res.value == math.inf
+        assert res.diagnostics == {"evals": 0, "iterations": 0, "reason": "no finite solution"}
+
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(obs=spread_observations())
     def test_seeded_roots_equal_the_unseeded(self, obs):

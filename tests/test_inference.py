@@ -110,7 +110,7 @@ class TestMixed:
         rep = infer_mixed(obs, st)
         assert rep.singular_case is None
         assert isinstance(rep.w_dist.law, _BetaAtoms)
-        assert rep.w_dist.a == pytest.approx(rep.alpha_summary * st.Y)
+        assert rep.w_dist.law.a == pytest.approx(rep.alpha_summary * st.Y)
         for q in (0.05, 0.5, 0.95):
             assert rep.z_dist.quantile(q) == pytest.approx(
                 st.V + rep.w_dist.quantile(q), rel=1e-12)
@@ -392,14 +392,57 @@ class TestStatedRefusals:
         assert out == "" and err.startswith("error: profile likelihood L8 ")
         assert err.count("\n") == 1
 
+    def test_profile_envelope_below_its_mode(self, capsys, tmp_path):
+        # draw 62 of the near-proportional probe (M = 19, spread 1.6e-8):
+        # every probe within reach of the envelope's top lies below the
+        # mode, rounding noise at alpha near 1e20, so no panel lies above it
+        obs = near_proportional_probe(62)
+        with pytest.raises(ValueError, match="no mass above its mode .* too close to "
+                                             "proportional"):
+            infer_profile(obs, summarize(obs))
+        path = tmp_path / "near.json"
+        write_observation(obs, path)
+        assert cli.main(["infer", "--in", str(path), "--method", "profile"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: the profile envelope has no mass ")
+        assert err.count("\n") == 1
+
+
+def near_proportional_probe(k):
+    """Draw k (from 0) of a probe of near-proportional samples: d points
+    with Dirichlet(1) base measure, M of them sampled, p = 2 x e^(eps z)
+    with eps = 10^U(-9, 0), counts 1 + Poisson(1)."""
+    rng = np.random.default_rng(5)
+    for _ in range(k + 1):
+        d = int(rng.integers(3, 41))
+        x = rng.dirichlet(np.ones(d))
+        m = int(rng.integers(2, d + 1))
+        idx = np.sort(rng.choice(d, m, replace=False))
+        eps = 10.0 ** rng.uniform(-9.0, 0.0)
+        p = 2.0 * x[idx] * np.exp(eps * rng.standard_normal(m))
+        counts = 1 + rng.poisson(1.0, m)
+    return Observation(domain_size=d, x=x, indices=idx, p_obs=p, counts=counts)
+
+
+def tiny_atom_observation():
+    """Two of three points sampled, p close to proportional (spread
+    8.6e-5, Y = 7.2e-4): the Bayes alpha nodes span 9e-14 .. 1e9, so the
+    smallest atoms have a = alpha Y near 7e-17, where b / (a + b) rounds
+    to 1."""
+    x = np.array([0.0319, 0.9674, 7.24e-4])
+    return Observation(domain_size=3, x=x / np.sum(x), indices=np.arange(2),
+                       p_obs=np.array([0.06371370748416898, 1.9348483165809187]),
+                       counts=np.array([3, 2]))
+
 
 def bayes_gate_observation(case):
     """The samples of the Bayes law's exactness gates: four fixtures, a
-    Gamma-Poisson draw with M = 197 and masses spanning 1e-200 .. 1e200."""
+    Gamma-Poisson draw with M = 197, masses spanning 1e-200 .. 1e200 and
+    atoms with a near 7e-17."""
     if case == "wide":
         return wide_observation()
-    if case == "spread":
-        obs = spread_observation()
+    if case in ("spread", "tiny_atoms"):
+        obs = spread_observation() if case == "spread" else tiny_atom_observation()
         return obs, summarize(obs)
     return fixture_observation(case)
 
@@ -409,7 +452,8 @@ def mixture_cdf(law, w):
     every atom: no table and no solver of the package."""
     w = np.asarray(w, dtype=float)
     s = w / (law.scale + w)
-    return betainc(law.a[:, None], law.b[:, None], s[None, :]).T @ law.weights
+    atoms = law.law
+    return betainc(atoms.a[:, None], atoms.b[:, None], s[None, :]).T @ atoms.weights
 
 
 def write_observation(obs, path):
@@ -426,7 +470,8 @@ def run_infer(argv):
     return out.getvalue()
 
 
-BAYES_GATE = ["gt_example", "regular_small", "regular_large", "all_singletons", "wide", "spread"]
+BAYES_GATE = ["gt_example", "regular_small", "regular_large", "all_singletons", "wide", "spread",
+              "tiny_atoms"]
 
 
 @pytest.mark.parametrize("case", BAYES_GATE)
@@ -439,7 +484,7 @@ class TestBayesTable:
     def test_quantiles_are_exact(self, case):
         obs, st = bayes_gate_observation(case)
         law = infer_bayes(obs, st).w_dist
-        outside = betainc(law.a, law.b, np.finfo(float).tiny) @ law.weights
+        outside = betainc(law.law.a, law.law.b, np.finfo(float).tiny) @ law.law.weights
         assert (outside > 0.2) == (case == "spread")
         levels = LEVELS[LEVELS > outside]
         assert np.max(np.abs(mixture_cdf(law, law.quantile(levels)) - levels)) < 1e-12
@@ -497,6 +542,14 @@ class TestBayesCost:
         infer_bayes(obs, st).w_dist.quantile(LEVELS)
         assert calls["betaincinv"] == 0
         assert 0 < calls["cdf_s"] <= passes
+
+    def test_atoms_near_zero_keep_a_small_table(self):
+        # where b / (a + b) rounds to 1, log1p(q expm1(-d)) would be
+        # log1p(-1) = -inf: the density would be inf there, and the table
+        # would bisect without end
+        law = infer_bayes(*bayes_gate_observation("tiny_atoms")).w_dist.law
+        assert np.min(law.a) < 1e-16 and np.max(law.b / (law.a + law.b)) == 1.0
+        assert len(law.table()[0]) < 100
 
 
 def record_alphas(monkeypatch, name):
@@ -714,7 +767,7 @@ class TestProfile:
         _, obs, st = model_observation(3, d=40, alpha=8.0, lam=30.0)
         rb = infer_bayes(obs, st)
         rp = infer_profile(obs, st)
-        profile_mode = st.V * math.exp(rp.w_dist.center)
+        profile_mode = st.V * math.exp(rp.w_dist.law.center)
         grid = np.exp(np.linspace(*np.log(rp.w_dist.quantile(np.array([1e-3, 1 - 1e-3]))),
                                   20_001))
         bayes_mode = grid[np.argmax(rb.w_dist.log_pdf(grid) + np.log(grid))]
@@ -725,7 +778,7 @@ class TestProfile:
         # of the profile law is no lower than the maximum over a dense
         # log-alpha grid, log L9 - log B(a, b) + a u - (a + b) softplus(u)
         _, obs, st = model_observation(2)
-        law = infer_profile(obs, st).w_dist
+        law = infer_profile(obs, st).w_dist.law
         u = LogScaleDist.nodes(law.center, law.width, law.edges, law.log_density.shape[-1])
         polished, u = law.log_density.ravel(), u.ravel()
         alphas = np.exp(np.linspace(*ALPHA_T_BOUNDS, 40_001))[:, None]
@@ -741,7 +794,8 @@ class TestProfile:
         # the nodes plus the analytic tail, e^(M v) in v through the first
         # node; its CDF at every panel edge is that running sum
         _, obs, st = model_observation(2)
-        law = infer_profile(obs, st).w_dist
+        view = infer_profile(obs, st).w_dist
+        law = view.law
         x, w = np.polynomial.legendre.leggauss(law.log_density.shape[-1])
         half = 0.5 * np.diff(law.edges)[:, None]
         v = 0.5 * (law.edges[1:] + law.edges[:-1])[:, None] + half * x
@@ -756,7 +810,7 @@ class TestProfile:
         # the edges where W is a positive float
         representable = w_edges > 0.0
         assert np.sum(representable) >= len(panels) // 2
-        np.testing.assert_allclose(law.cdf(w_edges[representable]), cumulative[representable],
+        np.testing.assert_allclose(view.cdf(w_edges[representable]), cumulative[representable],
                                    rtol=0.0, atol=1e-12)
 
     @pytest.mark.parametrize("name", ["regular_small.json", "regular_large.json"])
@@ -779,7 +833,7 @@ class TestProfile:
             rep = infer_profile(obs, summarize(obs))
             wz = rep.w_over_z_dist
             values = [wz.mean] + [wz.quantile(q) for q in (0.05, 0.5, 0.95)]
-            u_05 = wz.u_quantile(0.05)
+            u_05 = wz.law.u_quantile(0.05)
         assert np.all(np.isfinite(values))
         assert u_05 == pytest.approx(-1208.0, abs=2.0)
         assert values[1] == expit(u_05)
@@ -796,7 +850,8 @@ class TestProfile:
             warnings.simplefilter("error", RuntimeWarning)
             rep = infer_profile(obs, summarize(obs))
             means = [rep.w_dist.mean, rep.w_over_z_dist.mean]
-        assert rep.w_dist.center + rep.w_dist.width * math.sinh(rep.w_dist.edges[-1]) > 710.0
+        law = rep.w_dist.law
+        assert law.center + law.width * math.sinh(law.edges[-1]) > 710.0
         assert all(math.isfinite(m) and m > 0.0 for m in means)
 
 
@@ -830,7 +885,7 @@ class TestProfileExactness:
         # the law's CDF at its reported quantiles, against scipy's quad of
         # the envelope between them (the package imports no scipy.integrate)
         st, rep = self.report(name)
-        law = rep.w_dist
+        law = rep.w_dist.law
         column = inference._profile_column(st)
         top = float(np.max(law.log_density))
 
@@ -848,8 +903,8 @@ class TestProfileExactness:
         lower, upper = inference._PROFILE_PANELS
         monkeypatch.setattr(inference, "_PROFILE_PANELS", (2 * lower, 2 * upper))
         _, fine = self.report(name)
-        np.testing.assert_allclose(fine.w_dist.u_quantile(LEVELS),
-                                   rep.w_dist.u_quantile(LEVELS), rtol=0.0, atol=1e-8)
+        np.testing.assert_allclose(fine.w_dist.law.u_quantile(LEVELS),
+                                   rep.w_dist.law.u_quantile(LEVELS), rtol=0.0, atol=1e-8)
         for law, fine_law in ((rep.w_dist, fine.w_dist),
                               (rep.w_over_z_dist, fine.w_over_z_dist)):
             assert fine_law.mean == pytest.approx(law.mean, rel=1e-8)
@@ -868,9 +923,9 @@ def test_profile_panels_resolve_steep_flanks(monkeypatch):
     moves = []
     for obs in draws:
         st = summarize(obs)
-        base = infer_profile(obs, st).w_dist.u_quantile(LEVELS)
+        base = infer_profile(obs, st).w_dist.law.u_quantile(LEVELS)
         monkeypatch.setattr(inference, "_PROFILE_PANELS", (2 * lower, 2 * upper))
-        fine = infer_profile(obs, st).w_dist.u_quantile(LEVELS)
+        fine = infer_profile(obs, st).w_dist.law.u_quantile(LEVELS)
         monkeypatch.setattr(inference, "_PROFILE_PANELS", (lower, upper))
         moves.append(np.max(np.abs(fine - base)))
     assert max(moves) < 1e-8
