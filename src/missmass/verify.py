@@ -2,14 +2,12 @@
 subcommand, and the oracles they compare against.
 
 Each check compares the package with an independent oracle: brute-force
-enumeration, series expansion, quadrature or Monte Carlo.  It is written
-once, as a function that computes the check's figure from an rng or seed
-and a size, plus a thin ``check_*`` that applies the bound.  The acceptance
-criteria call them with their own seeds and sizes; ``run_verification``
-(``missmass verify``) runs the same code at small sizes, and with
-``--full`` at the criteria's sizes.  It returns (name, passed, error)
-triples; error is empty unless the check raised, and then names the
-exception's type and message.
+enumeration, series expansion, quadrature or Monte Carlo.  One table,
+``CHECKS``, holds each check's name, figure function of (seed, size), bound,
+seed offset and two sizes: a small one for ``missmass verify`` and its
+acceptance criterion's for ``verify --full`` and the criterion.  A check
+runs at ``--seed`` plus its offset, which is its criterion's seed, so
+``verify --full`` at seed 0 repeats the criteria draw for draw.
 
 The oracles that no route calls live here too, where only the checks and
 the tests load them: the quadrature over (0, inf), done entirely in log
@@ -23,11 +21,14 @@ the mode that one array scan in t finds.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
+from numpy.random import default_rng
 from scipy.special import betaln, gammaincinv
 
 from .data import Observation, SummaryStats, summarize
@@ -55,12 +56,10 @@ def random_observation(rng, d=10, m=None, extra_counts=None) -> Observation:
         m = int(rng.integers(2, min(d, 7)))
     idx = np.sort(rng.choice(d, size=m, replace=False))
     p = rng.lognormal(0.0, 1.0, m)
-    c = np.ones(m, dtype=np.int64)
     if extra_counts is None:
         extra_counts = int(rng.integers(0, 2 * m))
-    for _ in range(extra_counts):
-        c[rng.integers(0, m)] += 1
-    return Observation(domain_size=d, x=x, indices=idx, p_obs=p, counts=c)
+    return Observation(domain_size=d, x=x, indices=idx, p_obs=p,
+                       counts=random_counts(rng, m, m + extra_counts))
 
 
 def proportional_observation(rng, d=8, m=3, scale=3.0) -> Observation:
@@ -218,36 +217,26 @@ def alpha_slope_maxima(which: str, stats: SummaryStats
     return _SLOPE_SCAN_ALPHA, slopes, _alpha_maximum(which, stats, slopes).maxima
 
 
-
 def brute_force_rb(p: np.ndarray, n: int) -> tuple[float, np.ndarray]:
     """Enumerate the truncated multinomial: normalizer and expected counts."""
-    m = len(p)
-    total = 0.0
-    exp_counts = np.zeros(m)
-
-    def rec(i, left, counts):
-        nonlocal total, exp_counts
-        if i == m - 1:
-            vec = counts + [left]
-            weight = math.factorial(n)
-            for pj, k in zip(p, vec):
-                weight *= pj ** k / math.factorial(k)
-            total += weight
-            exp_counts += weight * np.array(vec, dtype=float)
-            return
-        for k in range(1, left - (m - i - 1) + 1):
-            rec(i + 1, left - k, counts + [k])
-
-    rec(0, n, [])
+    total, exp_counts = 0.0, np.zeros(len(p))
+    for vec in itertools.product(range(1, n - len(p) + 2), repeat=len(p)):
+        if sum(vec) != n:
+            continue
+        weight = math.factorial(n)
+        for pj, k in zip(p, vec):
+            weight *= pj ** k / math.factorial(k)
+        total += weight
+        exp_counts += weight * np.array(vec, dtype=float)
     return total, exp_counts / total
 
 
-def within_4se(values, target: float) -> bool:
-    """Whether the mean of values lies within 4 standard errors of target
-    (the standard error floored at 1e-12, for a constant sample)."""
+def se_distance(values, target: float) -> float:
+    """|mean of values - target| in standard errors of the mean (the
+    standard error floored at 1e-12, for a constant sample)."""
     values = np.asarray(values, dtype=float)
     se = max(values.std(ddof=1) / math.sqrt(len(values)), 1e-12)
-    return bool(abs(values.mean() - target) <= 4.0 * se)
+    return float(abs(values.mean() - target) / se)
 
 
 def sample_given_s(x, params: ModelParams, s, n_reps: int,
@@ -265,20 +254,12 @@ def sample_given_s(x, params: ModelParams, s, n_reps: int,
     a_in, a_out = alpha * x[mask], alpha * x[~mask]
     rng = _rng(rng_seed, 0)
 
-    c = rng.negative_binomial(a_in, b / (b + lam), size=(n_reps, len(a_in)))
-    for _ in range(10_000):
-        zero = c == 0
-        if not zero.any():
-            break
-        c[zero] = rng.negative_binomial(np.broadcast_to(a_in, c.shape)[zero],
-                                        b / (b + lam))
-    else:
-        raise RuntimeError("zero-truncated negative binomial rejection stalled")
+    c = _zero_truncated(lambda a: rng.negative_binomial(a, b / (b + lam)), a_in, n_reps,
+                        "negative binomial")
     p_in = rng.gamma(a_in + c, 1.0 / (b + lam))
     p_out = rng.gamma(a_out, 1.0 / (b + lam), size=(n_reps, len(a_out)))
 
-    v = p_in.sum(axis=1)
-    w = p_out.sum(axis=1)
+    v, w = p_in.sum(axis=1), p_out.sum(axis=1)
     u = (x[mask] * np.log(p_in)).sum(axis=1)
     return {"N": c.sum(axis=1), "U": u, "V": v, "W": w, "Z": v + w}
 
@@ -286,17 +267,20 @@ def sample_given_s(x, params: ModelParams, s, n_reps: int,
 def sample_count_given_s_p(p_s, lam: float, n_reps: int,
                            rng_seed: int = 0) -> np.ndarray:
     """Replicates of N given (S, p on S): zero-truncated Poisson counts."""
-    p_s = np.asarray(p_s, dtype=float)
     rng = _rng(rng_seed, 0)
-    c = rng.poisson(lam * p_s, size=(n_reps, len(p_s)))
+    return _zero_truncated(rng.poisson, lam * np.asarray(p_s, dtype=float), n_reps,
+                           "Poisson").sum(axis=1)
+
+
+def _zero_truncated(draw, params: np.ndarray, n_reps: int, law: str) -> np.ndarray:
+    """n_reps rows of draw(params), each zero redrawn until none is left."""
+    c = draw(np.broadcast_to(params, (n_reps, len(params))))
     for _ in range(10_000):
         zero = c == 0
         if not zero.any():
-            break
-        c[zero] = rng.poisson(np.broadcast_to(lam * p_s, c.shape)[zero])
-    else:
-        raise RuntimeError("zero-truncated Poisson rejection stalled")
-    return c.sum(axis=1)
+            return c
+        c[zero] = draw(np.broadcast_to(params, c.shape)[zero])
+    raise RuntimeError(f"zero-truncated {law} rejection stalled")
 
 
 def chi_square_equivalence(keys: list[np.ndarray]) -> float:
@@ -330,7 +314,7 @@ def chi_square_equivalence(keys: list[np.ndarray]) -> float:
 
 
 # ---------------------------------------------------------------------------
-# checks: the figure, then the bound
+# figures: what each check measures
 
 
 def rb_exact_error(rng, draws: int) -> float:
@@ -347,10 +331,6 @@ def rb_exact_error(rng, draws: int) -> float:
         errors += [abs(w.log_f_n - math.log(f_n)),
                    float(np.max(np.abs(w.aligned(obs) - v)))]
     return float(np.max(errors))
-
-
-def check_rb_exact(rng, draws: int) -> bool:
-    return rb_exact_error(rng, draws) < 1e-10
 
 
 def generating_function_error(rng, n_max: int) -> float:
@@ -370,10 +350,6 @@ def generating_function_error(rng, n_max: int) -> float:
             obs = _uniform_observation(p, random_counts(rng, m, n), m + 1)
             errors.append(abs(math.expm1(rb_exact(obs).log_f_n - math.log(f_n))))
     return float(np.max(errors))
-
-
-def check_generating_function(rng, n_max: int) -> bool:
-    return generating_function_error(rng, n_max) < 1e-12
 
 
 def beta_identity_gap(which: str, st, alpha: float) -> float:
@@ -397,10 +373,6 @@ def beta_identity_error(rng, draws: int) -> float:
     return float(np.max(errors))
 
 
-def check_beta_identity(rng, draws: int) -> bool:
-    return beta_identity_error(rng, draws) < 1e-7
-
-
 def concavity_worst(rng, draws: int) -> dict[str, float]:
     """Largest d^2 log L / d alpha^2 of L4 and L8 (the same at every W) over
     50 alphas in e^-6..e^6, on draws samples.  Both are provably
@@ -412,10 +384,6 @@ def concavity_worst(rng, draws: int) -> dict[str, float]:
         for which in worst:
             worst[which] = float(np.maximum(worst[which], np.max(d2log_dalpha2(which, st, grid))))
     return worst
-
-
-def check_concavity(rng, draws: int) -> bool:
-    return all(v <= 1e-12 for v in concavity_worst(rng, draws).values())
 
 
 def singular_case_failures(rng) -> list[str]:
@@ -449,10 +417,6 @@ def singular_case_failures(rng) -> list[str]:
     return failures + [name for name, held in verdicts.items() if not held]
 
 
-def check_singular_cases(rng) -> bool:
-    return not singular_case_failures(rng)
-
-
 def ipw_estimates(rng, reps: int) -> tuple[np.ndarray, float]:
     """reps IPW estimates of Z at the true inclusion probabilities, from
     N = 30 multinomial draws over 20 lognormal masses, and the true Z."""
@@ -462,10 +426,6 @@ def ipw_estimates(rng, reps: int) -> tuple[np.ndarray, float]:
     pi = 1.0 - (1.0 - p / z_true) ** n
     counts = rng.multinomial(n, p / z_true, size=reps)
     return ((counts >= 1) * (p / pi)).sum(axis=1), float(z_true)
-
-
-def check_ipw_unbiased(rng, reps: int) -> bool:
-    return within_4se(*ipw_estimates(rng, reps))
 
 
 def beta_prime_moment_error(rng, draws: int) -> float:
@@ -498,10 +458,6 @@ def beta_prime_moment_error(rng, draws: int) -> float:
     return float(np.max(errors))
 
 
-def check_mixed_closed_form(rng, draws: int) -> bool:
-    return beta_prime_moment_error(rng, draws) <= 1e-8
-
-
 def generative_order_p_value(seed: int, reps: int) -> float:
     """Chi-square homogeneity p-value of the keys (M, N capped at 15,
     round(10 V) capped at 60) across reps draws from each generative order,
@@ -515,10 +471,6 @@ def generative_order_p_value(seed: int, reps: int) -> float:
                               np.minimum(np.round(10 * batch["V"]).astype(int), 60)],
                              axis=1))
     return chi_square_equivalence(keys)
-
-
-def check_generative_equivalence(seed: int, reps: int) -> bool:
-    return generative_order_p_value(seed, reps) > 0.001
 
 
 def expectation_misses(seed: int, reps: int, conds=("prior", "given_s", "given_sp"),
@@ -539,26 +491,20 @@ def expectation_misses(seed: int, reps: int, conds=("prior", "given_s", "given_s
     for cond in conds:
         batch = draws[cond]()
         for key, target in expected_values(x, params, cond, s=s, p_s=p_s).items():
-            if not within_4se(batch[key], target):
+            if se_distance(batch[key], target) > 4.0:
                 misses.append(f"{cond}:{key}")
     return misses
 
 
-def check_expectations(seed: int, reps: int) -> bool:
-    return not expectation_misses(seed, reps)
-
-
-def check_coverage_oracle(seed0: int, reps: int) -> bool:
-    """The conditional law of W given S at the true parameters is exactly
-    Gamma(alpha Y, b + lambda); its 90% interval must cover at the nominal
-    rate over draws seeded seed0, seed0 + 1, ...  This validates the
-    simulation and quantile plumbing that the calibration criterion builds
-    on."""
+def coverage_rate(seed0: int, reps: int) -> float:
+    """How often the 90% interval of W given S at the true parameters, exactly
+    Gamma(alpha Y, b + lambda), covers the true W over reps non-empty draws
+    seeded seed0, seed0 + 1, ...: the simulation and quantile plumbing that
+    the calibration criterion builds on."""
     params = ModelParams(2.0, 1.0, 5.0)
     alpha, b, lam = params.alpha, params.b, params.lam
     x = np.full(50, 1 / 50)
-    hits = 0
-    used = 0
+    hits = used = 0
     seed = seed0 - 1
     while used < reps:
         seed += 1
@@ -572,8 +518,7 @@ def check_coverage_oracle(seed0: int, reps: int) -> bool:
         lo = float(gammaincinv(ay, 0.05)) / (b + lam)
         hi = float(gammaincinv(ay, 0.95)) / (b + lam)
         hits += int(lo <= w_true <= hi)
-    rate = hits / reps
-    return 0.84 <= rate <= 0.96
+    return hits / reps
 
 
 def toy_physics_errors(n_states: int, reps: int, seed0: int) -> dict[float, float]:
@@ -595,10 +540,6 @@ def toy_physics_errors(n_states: int, reps: int, seed0: int) -> dict[float, floa
             for gamma, z in estimates.items()}
 
 
-def check_toy_physics(seed0: int, reps: int) -> bool:
-    return all(abs(err) <= 0.15 for err in toy_physics_errors(512, reps, seed0).values())
-
-
 def saddle_point_gap(n_values=(48, 480, 4800), m=20, sigma=1.0, seed=0) -> dict:
     """max |v_saddle / v - 1| of rb_poisson_weights against rb_exact, per N,
     for one lognormal(0, sigma) set of M masses.  A study, not a check: the
@@ -612,35 +553,81 @@ def saddle_point_gap(n_values=(48, 480, 4800), m=20, sigma=1.0, seed=0) -> dict:
     return gaps
 
 
-def run_verification(fast: bool = True, seed: int = 0) -> list[tuple[str, bool, str]]:
-    """Every check, at its small size or (fast=False) at the size of its
-    acceptance criterion; the rng-driven ones share one stream from seed,
-    the seeded ones run at seed plus their constant."""
-    rng = np.random.default_rng(seed)
+# ---------------------------------------------------------------------------
+# the checks: one table of figures, bounds, seeds and sizes
 
-    def size(small, criterion):
-        return small if fast else criterion
 
-    checks = [
-        ("rb exact vs enumeration", lambda: check_rb_exact(rng, size(25, 100))),
-        ("generating function identity",
-         lambda: check_generating_function(rng, size(4, 6))),
-        ("beta identity quadrature", lambda: check_beta_identity(rng, size(4, 20))),
-        ("log-concavity (L4, L8)", lambda: check_concavity(rng, size(4, 20))),
-        ("singular cases", lambda: check_singular_cases(rng)),
-        ("ipw unbiasedness", lambda: check_ipw_unbiased(rng, size(20_000, 100_000))),
-        ("mixed closed form", lambda: check_mixed_closed_form(rng, size(5, 20))),
-        ("generative equivalence",
-         lambda: check_generative_equivalence(137 + seed, size(20_000, 100_000))),
-        ("expectation formulas", lambda: check_expectations(23 + seed, size(10_000, 100_000))),
-        ("coverage oracle (true-parameter law)",
-         lambda: check_coverage_oracle(1 + seed, size(200, 500))),
-        ("toy physics ground truth", lambda: check_toy_physics(1000 + seed, size(40, 200))),
-    ]
+# a bound's operator -> whether a figure meets it, given the bound's value
+_MEETS = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
+          "in": lambda figure, value: value[0] <= figure <= value[1],
+          "no failures": lambda figure, value: not figure}
+
+
+class Check(NamedTuple):
+    """One oracle check: its figure at seed ``seed + offset`` and size
+    ``small`` (verify) or ``criterion`` (verify --full and the acceptance
+    criteria) must meet the bound ``op value``."""
+    name: str
+    figure: Callable[[int, int | None], float | list[str]]
+    op: str
+    value: float | tuple[float, float] | None
+    offset: int
+    small: int | None
+    criterion: int | None
+
+    @property
+    def bound(self) -> str:
+        return self.op if self.value is None else f"{self.op} {self.value}"
+
+    def run(self, seed: int = 0, fast: bool = False) -> tuple[str, bool]:
+        """The figure at seed + offset as printed (a number by its shortest
+        round-trip repr, a list by its names or "none"), and whether it
+        meets the bound."""
+        figure = self.figure(seed + self.offset, self.small if fast else self.criterion)
+        text = (", ".join(figure) or "none") if isinstance(figure, list) else repr(float(figure))
+        return text, _MEETS[self.op](figure, self.value)
+
+
+# Figure functions are looked up when a row runs.  A row's offset and
+# criterion size are its acceptance criterion's seed and size; coverage and
+# the toy physics, which have none, take criterion 11's and 12's counts.
+CHECKS = (
+    Check("rb exact vs enumeration", lambda s, n: rb_exact_error(default_rng(s), n),
+          "<", 1e-10, 101, 25, 100),
+    Check("generating function identity",
+          lambda s, n: generating_function_error(default_rng(s), n), "<", 1e-12, 102, 4, 6),
+    Check("beta identity quadrature", lambda s, n: beta_identity_error(default_rng(s), n),
+          "<", 1e-7, 103, 4, 20),
+    Check("log-concavity (L4, L8)",
+          lambda s, n: max(concavity_worst(default_rng(s), n).values()),
+          "<=", 1e-12, 104, 4, 20),
+    Check("singular cases", lambda s, n: singular_case_failures(default_rng(s)),
+          "no failures", None, 108, None, None),
+    Check("ipw unbiasedness", lambda s, n: se_distance(*ipw_estimates(default_rng(s), n)),
+          "<=", 4.0, 106, 20_000, 100_000),
+    Check("mixed closed form", lambda s, n: beta_prime_moment_error(default_rng(s), n),
+          "<=", 1e-8, 107, 5, 20),
+    Check("generative equivalence", lambda s, n: generative_order_p_value(s, n),
+          ">", 0.001, 900, 20_000, 100_000),
+    Check("expectation formulas", lambda s, n: expectation_misses(s, n),
+          "no failures", None, 1000, 10_000, 100_000),
+    Check("coverage oracle (true-parameter law)", lambda s, n: coverage_rate(s, n),
+          "in", (0.84, 0.96), 1, 200, 500),
+    Check("toy physics ground truth",
+          lambda s, n: max(abs(e) for e in toy_physics_errors(512, n, s).values()),
+          "<=", 0.15, 1000, 40, 200),
+)
+
+
+def run_verification(fast: bool = True, seed: int = 0) -> list[tuple]:
+    """(check, figure text, passed, error) for every check at seed plus its
+    offset, at its small size or (fast=False) its criterion's.  error names
+    the exception's type and message where the check raised, and is empty
+    otherwise."""
     results = []
-    for name, fn in checks:
+    for check in CHECKS:
         try:
-            results.append((name, bool(fn()), ""))
+            results.append((check, *check.run(seed, fast), ""))
         except Exception as exc:
-            results.append((name, False, f"{type(exc).__name__}: {exc}"))
+            results.append((check, None, False, f"{type(exc).__name__}: {exc}"))
     return results

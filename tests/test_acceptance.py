@@ -15,12 +15,11 @@ from missmass.data import Observation, summarize
 from missmass.inference import ALPHA_T_BOUNDS, infer_mixed, mle_alpha
 from missmass.likelihoods import ModelParams, d2log_dalpha2, dlog_dalpha, log_L5, log_L9
 from missmass.simulate import simulate_model
-from missmass.verify import (check_beta_identity, check_expectations,
-                             check_generating_function, check_ipw_unbiased,
-                             check_mixed_closed_form, check_rb_exact,
-                             check_singular_cases, concavity_worst,
-                             generative_order_p_value, kl_delta,
-                             random_observation, toy_physics_errors)
+from missmass.verify import (CHECKS, concavity_worst, kl_delta, random_observation,
+                             toy_physics_errors)
+
+# the oracle checks' rows, by name: figure, bound, seed and criterion size
+ROWS = {check.name: check for check in CHECKS}
 
 
 def _report(num: int, label: str, passed: bool) -> None:
@@ -28,22 +27,30 @@ def _report(num: int, label: str, passed: bool) -> None:
     assert passed, f"criterion {num} ({label}) failed"
 
 
+def _run(name: str) -> tuple[str, bool]:
+    """A row of the check table at its criterion's seed and size: its figure
+    against its bound, as ``missmass verify --full`` prints them, and whether
+    the figure meets the bound."""
+    figure, passed = ROWS[name].run()
+    return f"{figure} (bound: {ROWS[name].bound})", passed
+
+
 def test_criterion_01_rb_exactness():
     start = time.perf_counter()
-    ok = check_rb_exact(np.random.default_rng(101), 100)
+    figure, ok = _run("rb exact vs enumeration")
     elapsed = time.perf_counter() - start
-    _report(1, f"RB exactness vs enumeration, {elapsed:.2f}s",
+    _report(1, f"RB exactness vs enumeration, {figure}, {elapsed:.2f}s",
             ok and elapsed < 5.0)
 
 
 def test_criterion_02_generating_function():
-    _report(2, "generating-function identity",
-            check_generating_function(np.random.default_rng(102), 6))
+    figure, ok = _run("generating function identity")
+    _report(2, f"generating-function identity, {figure}", ok)
 
 
 def test_criterion_03_beta_identity_quadrature():
-    _report(3, "L4->L5 and L8->L9 Beta identities",
-            check_beta_identity(np.random.default_rng(103), 20))
+    figure, ok = _run("beta identity quadrature")
+    _report(3, f"L4->L5 and L8->L9 Beta identities, {figure}", ok)
 
 
 def _mp_curvature(which, obs, st, alpha):
@@ -67,20 +74,21 @@ def test_criterion_04_concavity_suite():
     # local maxima (alpha ~ 3.9 and ~ 189).  For L5 and L9 the criterion
     # therefore checks what mle_alpha relies on: each upward curvature is
     # real, not rounding, and the slope scan returns the global maximum, on
-    # the same 20 draws and grid as concavity_worst.
-    worst = concavity_worst(np.random.default_rng(104), 20)
-    rng = np.random.default_rng(104)
+    # the same draws and grid as concavity_worst, at its row's seed and size.
+    row = ROWS["log-concavity (L4, L8)"]
+    worst = concavity_worst(np.random.default_rng(row.offset), row.criterion)
+    rng = np.random.default_rng(row.offset)
     grid = np.exp(np.linspace(-6.0, 6.0, 50))
     dense = np.exp(np.linspace(*ALPHA_T_BOUNDS, 40_001))
     upward = {"L5": [], "L9": []}
     max_up = {"L5": 0.0, "L9": 0.0}
     unconfirmed, missed = [], []
-    for draw in range(20):
+    for draw in range(row.criterion):
         obs = random_observation(rng)
         st = summarize(obs)
         for which, fn in (("L5", log_L5), ("L9", log_L9)):
             vals = d2log_dalpha2(which, st, grid)
-            positive = vals > 1e-12
+            positive = vals > row.value
             if positive.any():
                 upward[which].append(draw)
                 max_up[which] = max(max_up[which], float(np.max(vals)))
@@ -92,7 +100,7 @@ def test_criterion_04_concavity_suite():
             gap = fn(st, a_hat) - np.max(fn(st, dense))
             if not gap >= -1e-9:
                 missed.append(f"{which} draw {draw} ({gap:.2e})")
-    violators = [f"{k} (max d2 = {v:.2e})" for k, v in worst.items() if v > 1e-12]
+    violators = [f"{k} (max d2 = {v:.2e})" for k, v in worst.items() if v > row.value]
     # constructed X -> 0 instance where the L11 profile curves upward
     eps = 1e-9
     obs = Observation(domain_size=2, x=np.array([eps, 1.0 - eps]),
@@ -137,30 +145,30 @@ def test_criterion_05_asymptotic_slopes():
 
 def test_criterion_06_ipw_unbiasedness():
     start = time.perf_counter()
-    ok = check_ipw_unbiased(np.random.default_rng(106), 100_000)
+    figure, ok = _run("ipw unbiasedness")
     elapsed = time.perf_counter() - start
-    _report(6, f"IPW unbiasedness at true Z ({elapsed:.1f}s)", ok and elapsed < 30.0)
+    _report(6, f"IPW unbiasedness at true Z, |mean - Z| / se = {figure} ({elapsed:.1f}s)",
+            ok and elapsed < 30.0)
 
 
 def test_criterion_07_mixed_closed_form():
-    _report(7, "mixed-method closed-form moments vs quadrature",
-            check_mixed_closed_form(np.random.default_rng(107), 20))
+    figure, ok = _run("mixed closed form")
+    _report(7, f"mixed-method closed-form moments vs quadrature, {figure}", ok)
 
 
 def test_criterion_08_singular_cases():
-    _report(8, "singular-case verdicts (Delta_S = 0 and M = N)",
-            check_singular_cases(np.random.default_rng(108)))
+    figure, ok = _run("singular cases")
+    _report(8, f"singular-case verdicts (Delta_S = 0 and M = N), failures {figure}", ok)
 
 
 def test_criterion_09_generative_equivalence():
-    p_value = generative_order_p_value(900, 100_000)
-    _report(9, f"three generative orders equivalent (p = {p_value:.4f})",
-            p_value > 0.001)
+    figure, ok = _run("generative equivalence")
+    _report(9, f"three generative orders equivalent, p = {figure}", ok)
 
 
 def test_criterion_10_expectation_oracle():
-    _report(10, "every expectation formula vs Monte Carlo (4 SE)",
-            check_expectations(1000, 100_000))
+    figure, ok = _run("expectation formulas")
+    _report(10, f"every expectation formula vs Monte Carlo (4 SE), misses {figure}", ok)
 
 
 def test_criterion_11_mixed_method_calibration():

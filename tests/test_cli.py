@@ -451,36 +451,62 @@ def check_table_rows(csv, law):
     np.testing.assert_allclose(law.cdf(rows[:, 0]), rows[:, 2], rtol=0.0, atol=1e-15)
 
 
+# each figure function of the check table -> (the position of its seed or
+# rng argument, a figure that meets its row's bound)
+PASSING_FIGURES = {
+    "rb_exact_error": (0, 0.0),
+    "generating_function_error": (0, 0.0),
+    "beta_identity_error": (0, 0.0),
+    "concavity_worst": (0, {"L4": -1.0, "L8": -1.0}),
+    "singular_case_failures": (0, []),
+    "ipw_estimates": (0, (np.array([1.0, 3.0]), 2.0)),
+    "beta_prime_moment_error": (0, 0.0),
+    "generative_order_p_value": (0, 1.0),
+    "expectation_misses": (0, []),
+    "coverage_rate": (0, 0.9),
+    "toy_physics_errors": (2, {0.0: 0.0}),
+}
+
+
+def _first_draw(seed_or_rng) -> int:
+    """The first draw of a seed's generator, or of a generator as given."""
+    return int(np.random.default_rng(seed_or_rng).integers(1 << 62))
+
+
+@pytest.fixture
+def passing_figures(monkeypatch):
+    """Every figure function of missmass.verify replaced by one that returns a
+    passing figure; returns the (function, first draw of its seed) calls."""
+    from missmass import verify
+
+    calls = []
+
+    def stub(name, position, figure):
+        def record(*args):
+            calls.append((name, _first_draw(args[position])))
+            return figure
+        return record
+
+    for name, (position, figure) in PASSING_FIGURES.items():
+        monkeypatch.setattr(verify, name, stub(name, position, figure))
+    return calls
+
+
+def _verify_line(out: str, name: str) -> str:
+    return next(ln for ln in out.splitlines() if ln.startswith(name))
+
+
 class TestVerifyCommand:
     @pytest.mark.parametrize("seed", [0, 1])
-    def test_seeded_rows_follow_the_seed(self, monkeypatch, seed):
-        # the four seeded rows run at --seed plus the seeds they were
-        # written with, so --seed 0 keeps their draws
+    def test_seeded_rows_follow_the_seed(self, passing_figures, seed):
+        # every row draws from --seed plus its own offset, one figure call each
         from missmass import verify
 
-        seen = {}
-
-        def recorder(name, result):
-            def record(*args):
-                seen[name] = args
-                return result
-            return record
-
-        seeded = ("check_generative_equivalence", "check_expectations")
-        for name in dir(verify):
-            if name.startswith("check_") and name not in seeded:
-                monkeypatch.setattr(verify, name, lambda *args: True)
-        monkeypatch.setattr(verify, "generative_order_p_value", recorder("generative", 1.0))
-        monkeypatch.setattr(verify, "expectation_misses", recorder("expectations", []))
-        monkeypatch.setattr(verify, "check_coverage_oracle", recorder("coverage", True))
-        monkeypatch.setattr(verify, "check_toy_physics", recorder("toy", True))
         results = verify.run_verification(seed=seed)
-        assert all(passed for _, passed, _ in results)
-        assert seen["generative"][0] == 137 + seed
-        assert seen["expectations"][0] == 23 + seed
-        # the coverage draws are seeded 1 + seed, 2 + seed, ...
-        assert seen["coverage"][0] == 1 + seed
-        assert seen["toy"][0] == 1000 + seed
+        assert all(passed for _, _, passed, _ in results)
+        assert len(passing_figures) == len(verify.CHECKS)
+        for check, (name, draw) in zip(verify.CHECKS, passing_figures):
+            assert draw == _first_draw(seed + check.offset), (check.name, name)
 
     def test_repeat_call_prints_identical_output(self, capsys):
         # no timing and no state carried over from the first call may reach
@@ -489,24 +515,59 @@ class TestVerifyCommand:
         code2, out2, _ = run_cli(capsys, "verify")
         assert code1 == code2 == 0
         assert out1 == out2
-        assert out1.rstrip().endswith("PASS")
+        assert out1.splitlines()[-1].split() == ["overall", "PASS"]
 
-    def test_failing_check_names_its_exception(self, capsys, monkeypatch):
+    def test_a_figure_past_its_bound_prints_figure_and_bound(self, passing_figures,
+                                                             capsys, monkeypatch):
+        from missmass import verify
+
+        monkeypatch.setattr(verify, "rb_exact_error", lambda rng, n: 0.5)
+        monkeypatch.setattr(verify, "expectation_misses", lambda seed, n: ["prior:N"])
+        code, out, _ = run_cli(capsys, "verify")
+        assert code == 1
+        assert _verify_line(out, "rb exact vs enumeration").split() == [
+            "rb", "exact", "vs", "enumeration", "FAIL", "0.5", "(bound:", "<", "1e-10)"]
+        assert _verify_line(out, "expectation formulas").split()[2:] == [
+            "FAIL", "prior:N", "(bound:", "no", "failures)"]
+        assert _verify_line(out, "generative equivalence").split()[2:] == [
+            "PASS", "1.0", "(bound:", ">", "0.001)"]
+        assert out.splitlines()[-1].split() == ["overall", "FAIL"]
+
+    def test_a_row_that_raises_moves_no_later_figure(self, monkeypatch):
+        # the beta identity row draws, then raises: the rows after it still
+        # draw what they draw when it passes
+        from missmass import verify
+
+        before = verify.run_verification()
+
+        def draw_then_raise(rng, n):
+            rng.random(1000)
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(verify, "beta_identity_error", draw_then_raise)
+        after = verify.run_verification()
+        row = next(k for k, (check, *_) in enumerate(after)
+                   if check.name == "beta identity quadrature")
+        assert after[row][1:] == (None, False, "RuntimeError: boom")
+        assert 0 < row < len(after) - 1
+        for (check, figure, passed, _), (_, figure_after, passed_after, _) in zip(
+                before[row + 1:], after[row + 1:]):
+            assert (figure_after, passed_after) == (figure, passed), check.name
+
+    def test_failing_check_names_its_exception(self, passing_figures, capsys, monkeypatch):
         from missmass import verify
 
         def boom(*args):
             raise RuntimeError("boom")
 
-        for name in dir(verify):
-            if name.startswith("check_"):
-                monkeypatch.setattr(verify, name, lambda *args: True)
-        monkeypatch.setattr(verify, "check_singular_cases", boom)
+        monkeypatch.setattr(verify, "singular_case_failures", boom)
         results = verify.run_verification()
-        assert ("singular cases", False, "RuntimeError: boom") in results
-        assert all(passed for name, passed, _ in results if name != "singular cases")
+        assert [(check.name, figure, passed, error) for check, figure, passed, error
+                in results if not passed] == [
+            ("singular cases", None, False, "RuntimeError: boom")]
         code, out, _ = run_cli(capsys, "verify")
         assert code == 1
-        line = next(ln for ln in out.splitlines() if ln.startswith("singular cases"))
+        line = _verify_line(out, "singular cases")
         assert "FAIL" in line and "RuntimeError: boom" in line
         assert out.rstrip().endswith("FAIL")
 
@@ -555,6 +616,17 @@ class TestErrorHandling:
         code, _, _ = run_cli(capsys, "estimate", "--in", "x.json",
                              "--method", "nope")
         assert code == 2
+
+    @pytest.mark.parametrize("argv, flag", [
+        (("simulate", "--seed", "-1"), "--seed"),
+        (("verify", "--seed", "-1"), "--seed"),
+        (("simulate", "--domain-size", "0"), "--domain-size"),
+        (("simulate", "--n", "-5"), "--n"),
+    ])
+    def test_an_integer_flag_out_of_range_is_a_usage_error(self, argv, flag, capsys):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and not out
+        assert f"argument {flag}: expected an integer >= " in err
 
     def test_missing_file_exit_one(self, capsys):
         code, _, err = run_cli(capsys, "estimate", "--in", "/nonexistent.json",

@@ -10,7 +10,7 @@ from missmass.likelihoods import ModelParams, log_L2
 from missmass.simulate import (effective_states, expected_values,
                                simulate_explicit, simulate_model,
                                simulate_model_batch, toy_physics_dataset)
-from missmass.verify import expectation_misses, within_4se
+from missmass.verify import expectation_misses, se_distance
 
 PARAMS = ModelParams(2.0, 1.0, 5.0)
 X8 = np.full(8, 1 / 8)
@@ -19,14 +19,14 @@ X8 = np.full(8, 1 / 8)
 class TestSimulateModel:
     def test_mean_total_mass(self):
         batch = simulate_model_batch(X8, PARAMS, "p-c", 10_000, rng_seed=1)
-        assert within_4se(batch["Z"], PARAMS.alpha / PARAMS.b)
+        assert se_distance(batch["Z"], PARAMS.alpha / PARAMS.b) <= 4.0
 
     @pytest.mark.parametrize("order", ["p-c", "z-dirichlet", "c-p"])
     def test_orders_match_observable_means(self, order):
         batch = simulate_model_batch(X8, PARAMS, order, 20_000, rng_seed=2)
         ev = expected_values(X8, PARAMS, "prior")
         for key in ("M", "N", "V"):
-            assert within_4se(batch[key], ev[key]), (order, key)
+            assert se_distance(batch[key], ev[key]) <= 4.0, (order, key)
 
     def test_concentration_at_large_rate(self):
         # b -> inf at fixed alpha/b: Z concentrates at the mean
@@ -61,7 +61,7 @@ class TestSimulateExplicit:
         p = np.array([1.0, 2.0, 3.0])
         totals = np.array([simulate_explicit(p, rate=2.5, rng_seed=s).c.sum()
                            for s in range(2000)])
-        assert within_4se(totals.astype(float), 2.5 * p.sum())
+        assert se_distance(totals.astype(float), 2.5 * p.sum()) <= 4.0
 
     def test_single_point(self):
         ds = simulate_explicit(np.array([5.0]), n=5, rng_seed=6)
