@@ -92,8 +92,7 @@ def _cmd_simulate(args) -> int:
         ds = simulate_explicit(p, n=args.n, rate=args.rate,
                                rng_seed=args.seed, x=x)
     else:  # toy-physics
-        temps = [float(t) for t in args.temps.split(",")]
-        toy = toy_physics_dataset(args.n_states, temps, coupling=args.coupling,
+        toy = toy_physics_dataset(args.n_states, args.temps, coupling=args.coupling,
                                   rng_seed=args.seed)
         n = args.n if args.n is not None else max(
             8, int(4 * effective_states(toy.dataset.p)))
@@ -295,6 +294,30 @@ def _int_at_least(low: int):
     return parse
 
 
+def _finite(positive: bool):
+    """An argparse type: a finite number, and a positive one if ``positive``."""
+    rule = "a positive finite number" if positive else "a finite number"
+
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value) or (positive and value <= 0.0):
+            raise argparse.ArgumentTypeError(f"expected {rule}, got {text!r}")
+        return value
+    return parse
+
+
+def _positive_list(text: str) -> list[float]:
+    """An argparse type: comma-separated positive finite numbers."""
+    try:
+        return [_finite(True)(t) for t in text.split(",")]
+    except argparse.ArgumentTypeError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated positive finite numbers, got {text!r}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="missmass",
@@ -307,17 +330,17 @@ def build_parser() -> argparse.ArgumentParser:
                      choices=["gamma-poisson", "explicit", "toy-physics"])
     sim.add_argument("--order", default="p-c",
                      choices=["p-c", "z-dirichlet", "c-p"])
-    sim.add_argument("--alpha", type=float, default=2.0)
-    sim.add_argument("--b", type=float, default=1.0)
-    sim.add_argument("--lambda", dest="lam", type=float, default=5.0)
+    sim.add_argument("--alpha", type=_finite(True), default=2.0)
+    sim.add_argument("--b", type=_finite(True), default=1.0)
+    sim.add_argument("--lambda", dest="lam", type=_finite(True), default=5.0)
     sim.add_argument("--domain-size", type=_int_at_least(1), default=50)
     sim.add_argument("--seed", type=_int_at_least(0), default=0)
     sim.add_argument("--in", dest="infile", help="dataset JSON with p (explicit model)")
     sim.add_argument("--n", type=_int_at_least(0), help="fixed sample size (explicit / toy)")
-    sim.add_argument("--rate", type=float, help="Poisson rate (explicit model)")
+    sim.add_argument("--rate", type=_finite(True), help="Poisson rate (explicit model)")
     sim.add_argument("--n-states", type=int, default=4096)
-    sim.add_argument("--temps", default="3.0,1.0,0.5")
-    sim.add_argument("--coupling", type=float, default=1.0)
+    sim.add_argument("--temps", type=_positive_list, default="3.0,1.0,0.5")
+    sim.add_argument("--coupling", type=_finite(False), default=1.0)
     sim.add_argument("--out", help="output path (default stdout)")
     sim.set_defaults(fn=_cmd_simulate)
 

@@ -26,10 +26,13 @@ its fixed lambda: an inner solve in log b), leaving a residual of the U
 equation in alpha.  The residual takes an array of alphas, and the inner
 solves are bracketed Newton steps on analytic slopes for all of them at
 once, so the alpha scan is one array pass; each scan entry is the
-one-alpha residual bit for bit.  Each sign change on the scan is refined
-by a scalar root find seeded with the scan's values at its ends.  The U
-equation may admit several roots; all are reported and the root closest
-to the mixed-method alpha is returned.
+one-alpha residual bit for bit.  The scan is the grid every alpha search
+shares, inference._SLOPE_SCAN_ALPHA.  Each sign change on the scan is
+refined by a scalar root find seeded with the scan's values at its ends.
+The U equation may admit several roots; all are reported and the root
+closest to the mixed-method alpha is returned.  B and C decide M = N
+(lambda = 0) and Delta_S = 0 up front, as the MLE decides Delta_S = 0:
+their U residual then tends to 0 only as alpha -> infinity.
 ``evals`` counts residual evaluations, inner and outer, an array pass once.
 
 These strategies are experimental: they are exact on their defining
@@ -48,7 +51,7 @@ import numpy as np
 from .data import Observation, SummaryStats
 from .distributions import GammaDist, PointMass
 from .estimators import _ztp_mean, rb_poisson_lambda
-from .inference import _alpha_maximum, mle_alpha
+from .inference import _SLOPE_SCAN_ALPHA, _alpha_maximum, mle_alpha
 from .likelihoods import (_BLOCK_ELEMS, ModelParams, dlog_dalpha,
                           stationary_b_lambda)
 from .simulate import (_given_s_n, _given_s_u, _given_s_v_times_b, _prior_n_v,
@@ -57,15 +60,15 @@ from .solvers import newton_bracketed, solve_root
 
 RESIDUAL_TOL = 1e-8
 
-# the scan is evaluated in row blocks of at most _BLOCK_ELEMS alpha-by-x
-# elements, as the likelihood sums are
-_ALPHA_SCAN = np.exp(np.linspace(-7.0, 9.0, 65))
 # the inner Newton solves in log rho and log b stop at this step
 _LOG_TOL = 1e-12
 # the verdicts of every strategy where lambda passes the float range, and
-# where it is 0
+# of B and C where M = N forces it to 0
 _OVERFLOW = ("lambda_overflow", "lambda = N / Z passes the float range")
 _SINGLETONS = ("lambda_zero", "all sampled points are singletons")
+# B's and C's verdict on proportional data
+_PROPORTIONAL = ("no-root", "the U residual tends to 0 only as alpha -> infinity "
+                 "(Delta_S = 0)")
 # strategy C's b is a normal float: log b lies in this range
 _LOG_B = np.log([np.finfo(float).tiny, np.finfo(float).max])
 
@@ -139,11 +142,12 @@ def _distinct(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _scan(u_residual, width: int) -> np.ndarray:
-    """``u_residual`` on _ALPHA_SCAN, in row blocks that keep each
-    alpha-by-x temporary within _BLOCK_ELEMS elements."""
+    """``u_residual`` on inference._SLOPE_SCAN_ALPHA, in row blocks that
+    keep each alpha-by-x temporary within _BLOCK_ELEMS elements, as the
+    likelihood sums do."""
     rows = max(1, _BLOCK_ELEMS // width)
-    return np.concatenate([u_residual(_ALPHA_SCAN[k:k + rows])
-                           for k in range(0, len(_ALPHA_SCAN), rows)])
+    return np.concatenate([u_residual(_SLOPE_SCAN_ALPHA[k:k + rows])
+                           for k in range(0, len(_SLOPE_SCAN_ALPHA), rows)])
 
 
 def _match_outer_alpha(u_residual, scan_values: np.ndarray,
@@ -158,7 +162,7 @@ def _match_outer_alpha(u_residual, scan_values: np.ndarray,
     lo, hi = scan_values[:-1], scan_values[1:]
     change = np.isfinite(lo) & np.isfinite(hi) & ((lo == 0.0) | ((lo < 0) != (hi < 0)))
     roots = [solve_root(lambda a: float(u_residual(np.array([a]))[0]),
-                        (_ALPHA_SCAN[k], _ALPHA_SCAN[k + 1]), (lo[k], hi[k]))
+                        (_SLOPE_SCAN_ALPHA[k], _SLOPE_SCAN_ALPHA[k + 1]), (lo[k], hi[k]))
              for k in np.nonzero(change)[0]]
     diagnostics["alpha_roots"] = roots
     if len(roots) < 2:
@@ -187,13 +191,13 @@ def _check_digamma(values: np.ndarray) -> None:
     """Refuse x values at which digamma(alpha x) would be called on 0: the
     smallest alpha any residual sees times the smallest x must be positive
     (float multiplication is monotone, so every alpha x then is)."""
-    if not _ALPHA_SCAN[0] * values.min() > 0.0:
+    if not _SLOPE_SCAN_ALPHA[0] * values.min() > 0.0:
         raise ValueError("digamma requires a positive argument")
 
 
 def _no_params(strategy: str, stats: SummaryStats, diag: dict, status: str = "no-root",
                reason: str = "the U residual does not change sign on the alpha scan "
-               f"[{_ALPHA_SCAN[0]:.4g}, {_ALPHA_SCAN[-1]:.4g}]") -> MomentMatchResult:
+               f"[{_SLOPE_SCAN_ALPHA[0]:.4g}, {_SLOPE_SCAN_ALPHA[-1]:.4g}]") -> MomentMatchResult:
     diag.update(status=status, reason=reason)
     return _result(strategy, stats, None, [math.nan] * (1 if strategy == "MLE" else 3), diag)
 
@@ -204,12 +208,12 @@ def _fit(strategy: str, stats: SummaryStats, values: np.ndarray, pin, expect_u,
     the (b, rho) its N and V equations give, ``expect_u`` maps (alpha, rho)
     to E(U) + X log b and the X that term carries (observed, or E(X) before
     sampling), and ``expect_nv`` to E(N) and b E(V).  The U residual
-    E(U) - U is scanned on _ALPHA_SCAN, over the distinct x ``values``, and
-    its roots refined (_match_outer_alpha).  At the chosen alpha the
-    parameters are (alpha, b, rho b), or ``lam`` where lambda is fixed, and
-    the residuals are those of the N, U and V equations relative to the
-    observed values.  A fitted lambda past the float range gets strategy
-    C's lambda_overflow verdict, without parameters."""
+    E(U) - U is scanned on inference._SLOPE_SCAN_ALPHA, over the distinct
+    x ``values``, and its roots refined (_match_outer_alpha).  At the chosen
+    alpha the parameters are (alpha, b, rho b), or ``lam`` where lambda is
+    fixed, and the residuals are those of the N, U and V equations relative
+    to the observed values.  A fitted lambda past the float range gets
+    strategy C's lambda_overflow verdict, without parameters."""
     def u_residual(alpha: np.ndarray) -> np.ndarray:
         diag["evals"] += 1
         b, rho = pin(alpha)
@@ -223,8 +227,6 @@ def _fit(strategy: str, stats: SummaryStats, values: np.ndarray, pin, expect_u,
         return _no_params(strategy, stats, diag)
     b, rho = (float(m[0]) for m in pin(np.array([alpha])))
     lam = rho * b if lam is None else lam
-    if lam <= 0:
-        return _no_params(strategy, stats, diag, *_SINGLETONS)
     if not math.isfinite(lam):
         return _no_params(strategy, stats, diag, *_OVERFLOW)
     params = ModelParams(alpha, b, lam)
@@ -260,21 +262,19 @@ def match_A(obs: Observation, stats: SummaryStats) -> MomentMatchResult:
 def _solve_b_rho(values: np.ndarray, counts: np.ndarray, alpha: np.ndarray,
                  n: int, v: float, diag: dict) -> tuple[np.ndarray, np.ndarray]:
     """Inner solve of strategy B at every alpha of an array: rho from the N
-    equation (increasing in log rho, from M at rho -> 0), then b from the V
-    equation in closed form, +inf where it passes the float range (where
-    the U residual is then -inf).  Returns (b, rho)."""
-    rho = np.zeros_like(alpha)  # the M = N limit
-    if n != counts.sum():
-        def g(log_rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            diag["evals"] += 1
-            en, slope = _given_s_n(values, counts, alpha, np.exp(log_rho))
-            return en - n, slope
+    equation (increasing in log rho, from M at rho -> 0, so N > M), then b
+    from the V equation in closed form, +inf where it passes the float range
+    (where the U residual is then -inf).  Returns (b, rho)."""
+    def g(log_rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        diag["evals"] += 1
+        en, slope = _given_s_n(values, counts, alpha, np.exp(log_rho))
+        return en - n, slope
 
-        hi = np.log(n / (alpha * (values @ counts)))  # E(N | S) > rho alpha X
-        lo, unbracketed = _widen(g, hi - 30.0, -30.0, -700.0, 1.0)
-        if np.any(unbracketed):
-            raise ValueError("could not bracket rho")
-        rho = np.exp(newton_bracketed(g, hi, lo, hi, increasing=True, tol=_LOG_TOL))
+    hi = np.log(n / (alpha * (values @ counts)))  # E(N | S) > rho alpha X
+    lo, unbracketed = _widen(g, hi - 30.0, -30.0, -700.0, 1.0)
+    if np.any(unbracketed):
+        raise ValueError("could not bracket rho")
+    rho = np.exp(newton_bracketed(g, hi, lo, hi, increasing=True, tol=_LOG_TOL))
     with np.errstate(over="ignore"):
         return _given_s_v_times_b(values, counts, alpha, rho)[0] / v, rho
 
@@ -291,6 +291,10 @@ def match_B(obs: Observation, stats: SummaryStats) -> MomentMatchResult:
     """Match observed (N, U, V) to their expectations conditional on S."""
     values, counts = stats.x_values, stats.x_counts
     diag: dict = {"evals": 0}
+    if stats.N == stats.M:
+        return _no_params("B", stats, diag, *_SINGLETONS)
+    if stats.is_proportional:
+        return _no_params("B", stats, diag, *_PROPORTIONAL)
     return _fit("B", stats, values, lambda alpha: _solve_b_rho(
         values, counts, alpha, stats.N, stats.V, diag), *_given_s_expectations(stats), diag)
 
@@ -330,6 +334,8 @@ def match_C(obs: Observation, stats: SummaryStats) -> MomentMatchResult:
         return _no_params("C", stats, diag, *_SINGLETONS)
     if lam == math.inf:
         return _no_params("C", stats, diag, *_OVERFLOW)
+    if stats.is_proportional:
+        return _no_params("C", stats, diag, *_PROPORTIONAL)
     values, counts = stats.x_values, stats.x_counts
 
     def pin(alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

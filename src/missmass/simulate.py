@@ -203,12 +203,16 @@ def _given_s_v_times_b(values: np.ndarray, counts: np.ndarray, alpha: np.ndarray
 def _given_s_u(values: np.ndarray, counts: np.ndarray, alpha: np.ndarray,
                rho: np.ndarray) -> np.ndarray:
     """E(U | S) + X log b: sum x (psi(a) + log(1 + rho) / ((1 + rho)^a - 1)),
-    the ratio being 1/a at rho = 0 and 0 once the power overflows."""
+    summed as sum x (psi(a + 1) + log(1 + rho) (1 / expm1(y) - 1 / y)) with
+    y = a log(1 + rho), which cancels the -1/a of psi(a) and the +1/a of the
+    ratio exactly; the bracket is its series below y = 0.01."""
     a = np.multiply.outer(alpha, values)
     log1p_rho = np.log1p(rho)[:, None]
+    y = a * log1p_rho
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        tail = np.where(log1p_rho > 0.0, log1p_rho / np.expm1(a * log1p_rho), 1.0 / a)
-    return _row_sums(psi(a) + tail, values * counts)
+        bracket = np.where(y < 0.01, y * (1.0 / 12.0 - y * y / 720.0) - 0.5,
+                           1.0 / np.expm1(y) - 1.0 / y)
+    return _row_sums(psi(a + 1.0) + log1p_rho * bracket, values * counts)
 
 
 def expected_values(x, params: ModelParams, cond: str = "prior",

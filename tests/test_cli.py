@@ -394,11 +394,14 @@ class TestInfer:
         if method == "mle":
             assert math.isfinite(diag["log_l11"]) and diag["n_local_maxima"] >= 1
             return
-        assert diag["lambda"] > 0 and diag["evals"] > 0
+        assert diag["lambda"] > 0
         if status == "ok":
+            assert diag["evals"] > 0
             assert diag["alpha_roots"] == [pytest.approx(payload["params"]["alpha"])]
         else:
-            assert diag["alpha_roots"] == [] and "sign" in diag["reason"]
+            # Delta_S = 0 is decided before any residual is evaluated
+            assert diag["evals"] == 0 and "alpha_roots" not in diag
+            assert "Delta_S = 0" in diag["reason"]
 
     def test_profile_runs(self, capsys, tmp_path):
         code, out, _ = run_cli(capsys, "infer", "--in",
@@ -627,6 +630,20 @@ class TestErrorHandling:
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and not out
         assert f"argument {flag}: expected an integer >= " in err
+
+    @pytest.mark.parametrize("argv, flag, rule", [
+        (("--model", "explicit", "--rate", "-2"), "--rate", "a positive finite number"),
+        (("--lambda", "0"), "--lambda", "a positive finite number"),
+        (("--alpha", "nan"), "--alpha", "a positive finite number"),
+        (("--b", "-1"), "--b", "a positive finite number"),
+        (("--model", "toy-physics", "--coupling", "inf"), "--coupling", "a finite number"),
+        (("--model", "toy-physics", "--temps", "1,x"), "--temps",
+         "comma-separated positive finite numbers"),
+    ])
+    def test_a_float_flag_out_of_range_is_a_usage_error(self, argv, flag, rule, capsys):
+        code, out, err = run_cli(capsys, "simulate", *argv)
+        assert code == 2 and not out
+        assert f"argument {flag}: expected {rule}, got {argv[-1]!r}" in err
 
     def test_missing_file_exit_one(self, capsys):
         code, _, err = run_cli(capsys, "estimate", "--in", "/nonexistent.json",

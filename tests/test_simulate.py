@@ -1,13 +1,16 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as hs
 from scipy import stats as spstats
 from scipy.special import gammaln
 
 from missmass.data import Dataset, summarize
 from missmass.likelihoods import ModelParams, log_L2
-from missmass.simulate import (effective_states, expected_values,
+from missmass.simulate import (_given_s_u, effective_states, expected_values,
                                simulate_explicit, simulate_model,
                                simulate_model_batch, toy_physics_dataset)
 from missmass.verify import expectation_misses, se_distance
@@ -119,6 +122,27 @@ class TestExpectedValues:
         x = np.array([x0, 0.5, 0.5])
         with pytest.raises(ValueError, match="^digamma requires a positive argument$"):
             expected_values(x, ModelParams(0.5, 1.0, 2.0), "given_s", s=[0, 1])
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(log_a=hs.floats(-18.0, 8.0),
+           log_rho=hs.one_of(hs.just(-math.inf), hs.floats(-12.0, 6.0)))
+    @example(log_a=-18.0, log_rho=-3.0)
+    @example(log_a=-13.0, log_rho=6.0)
+    def test_given_s_u_against_mpmath(self, log_a, log_rho):
+        # sum x (psi(a) + log(1 + rho) / ((1 + rho)^a - 1)) over x = (1, 2)
+        # with counts (1, 2) at alpha = 10^log_a, and psi(a + 1) at rho = 0;
+        # the psi(a) ~ -1/a and ratio ~ +1/a that cancel at small a left
+        # errors of order 1 to 1e2 here when they were summed as such
+        alpha, rho = 10.0 ** log_a, 10.0 ** log_rho
+        values, counts = np.array([1.0, 2.0]), np.array([1.0, 2.0])
+        got = _given_s_u(values, counts, np.array([alpha]), np.array([rho]))[0]
+        with mpmath.workdps(40):
+            log1p_rho, exact = mpmath.log1p(rho), mpmath.mpf(0)
+            for x, c in zip(values, counts):
+                a = mpmath.mpf(alpha) * x
+                exact += c * x * (mpmath.digamma(a + 1) if rho == 0.0 else
+                                  mpmath.digamma(a) + log1p_rho / mpmath.expm1(a * log1p_rho))
+        assert abs(got - float(exact)) <= 1e-13 * max(1.0, abs(float(exact)))
 
 
 class TestJointDensity:
